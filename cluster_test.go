@@ -272,14 +272,15 @@ func TestClusterKillOneShard(t *testing.T) {
 		joinFleet(t, auth, nodes, id)
 	}
 
-	// The doomed member: a replicated coordinator process with a warm
-	// standby following its WAL. Its in-flight 2PC prepares the parent's
+	// The doomed member: a coordinator-group leader process with a warm
+	// standby following its WAL (a group of two; the standby has no peers,
+	// so it takes over alone). Its in-flight 2PC prepares the parent's
 	// survivor participants, forces + replicates the commit decision,
 	// then SIGKILLs itself before any participant hears the verdict.
 	f := newCrashFixture(t)
-	var s *standby
+	s := newGroupStandby(t, "doomed-standby")
 	var doomedEndpoints []string
-	runReplicatedUntilKilled(t, coordinatorEnv("primary", "decision", f.walPath, f.refs), func(endpoints []string) {
+	runReplicatedUntilKilled(t, groupEnv("group", "decision", f.walPath, f.refs, s), func(endpoints []string) {
 		doomedEndpoints = endpoints
 		// Register the doomed process in the ring the moment it reports
 		// its endpoints — it is a fleet member while it dies.
@@ -292,7 +293,7 @@ func TestClusterKillOneShard(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		s = startStandby(t, endpoints)
+		s.start(t, endpoints, nil)
 	})
 	if f.a.applies.Load()+f.b.applies.Load() != 0 {
 		t.Fatal("participant committed before the doomed member's phase two")
@@ -339,7 +340,7 @@ func TestClusterKillOneShard(t *testing.T) {
 	// The standby takes over the doomed member's replica: exactly one
 	// durable decision, both participants converge to committed exactly
 	// once.
-	stats, standbyEndpoints := s.takeover(t)
+	stats := s.waitTakeover(t)
 	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 ||
 		stats.ResourcesMissing != 0 || stats.ResourcesFailed != 0 {
 		t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed", stats)
@@ -353,7 +354,7 @@ func TestClusterKillOneShard(t *testing.T) {
 	// The fate is answerable through the standby's recovery surface.
 	rcl := orb.New()
 	t.Cleanup(rcl.Shutdown)
-	cl := orb.NewRecoveryClient(rcl, orb.RecoveryAt(standbyEndpoints...))
+	cl := orb.NewRecoveryClient(rcl, orb.RecoveryAt(s.orb.Endpoints()...))
 	for _, name := range f.refs {
 		st, err := cl.ReplayCompletion(ctx, name)
 		if err != nil {

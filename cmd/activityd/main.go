@@ -39,38 +39,34 @@
 //	                                        # overload sheds first-contact
 //	                                        # work, not in-doubt resolution
 //	activityd -ots-log /var/lib/activityd/decisions.wal
-//	                                        # host a durable transaction
-//	                                        # service: replay the decision
-//	                                        # log on boot and serve the
-//	                                        # well-known "ots-recovery"
-//	                                        # servant (replay_completion)
-//	                                        # plus "wal-replication" so a
-//	                                        # standby can stream the log
-//	activityd -ots-log decisions.wal -sync-standby 2s
-//	                                        # semi-synchronous replication:
-//	                                        # hold each commit decision (up
-//	                                        # to 2s) until a standby has it
-//	activityd -ots-log replica.wal -standby primary:7411
-//	                                        # warm standby: stream the
-//	                                        # primary's decision log into
-//	                                        # replica.wal and, when the
-//	                                        # primary dies, take over —
-//	                                        # recover in-doubt branches and
-//	                                        # serve ots-recovery so clients
-//	                                        # fail over to this node's
-//	                                        # profile of the shared IOR
-//	activityd -member-id a -ots-log a.wal   # self-healing coordinator
-//	                                        # group, booted as its leader
-//	activityd -member-id b -ots-log b.wal -standby hostA:7411 -peer hostC:7413
-//	                                        # group standby: stream the
-//	                                        # leader, probe the peers, and
-//	                                        # stand for fenced election —
-//	                                        # highest durable LSN wins and
-//	                                        # re-drives 2PC branches plus
-//	                                        # the activity journal; a
-//	                                        # deposed leader auto-rejoins
+//	                                        # durable coordinator: a
+//	                                        # one-member group leading its
+//	                                        # own log — replay decisions and
+//	                                        # the activity journal on boot,
+//	                                        # serve "ots-recovery"
+//	                                        # (replay_completion) and
+//	                                        # "wal-replication"
+//	activityd -ots-log replica.wal -standby hostA:7411
+//	                                        # warm standby with no peers:
+//	                                        # stream hostA's log and, when
+//	                                        # it is lost, take over alone
+//	                                        # (quorum of one: available,
+//	                                        # not partition-safe)
+//	activityd -member-id a -ots-log a.wal -peer hostB:7412 -peer hostC:7413
+//	                                        # group member: the electorate
+//	                                        # is self + every -peer, quorum
+//	                                        # n/2+1 for both the election
+//	                                        # and the decision gate; finds
+//	                                        # the leader by probing peers,
+//	                                        # or elects one (highest
+//	                                        # durable LSN wins and re-drives
+//	                                        # 2PC branches + the journal).
+//	                                        # A deposed leader auto-rejoins
 //	                                        # (-rejoin=false makes deposal
-//	                                        # fatal instead)
+//	                                        # fatal instead). A pair naming
+//	                                        # each other never
+//	                                        # self-promotes: restart the
+//	                                        # survivor without -peer
 package main
 
 import (
@@ -124,7 +120,6 @@ type orbConfig struct {
 	retryBurst  int
 	otsLog      string
 	standby     listFlag
-	syncStandby time.Duration
 	memberID    string
 	peers       listFlag
 	rejoin      bool
@@ -179,11 +174,10 @@ func main() {
 	flag.IntVar(&cfg.admitQueue, "admit-queue", 0, "admission queue depth behind -max-inflight (0 = 2x max-inflight)")
 	flag.DurationVar(&cfg.shedAfter, "shed-after", 0, "max queue wait before an admitted request is shed (0 = default)")
 	flag.IntVar(&cfg.priority, "priority", 0, "dispatch slots out of -max-inflight reserved for completion/recovery verbs (0 = off)")
-	flag.StringVar(&cfg.otsLog, "ots-log", "", "file-backed transaction decision log; enables the hosted transaction service, crash recovery on boot and the ots-recovery servant")
-	flag.Var(&cfg.standby, "standby", "run as warm standby: stream the primary's decision log from this replication endpoint into -ots-log and take over when the primary dies; repeatable for a multi-homed primary")
-	flag.DurationVar(&cfg.syncStandby, "sync-standby", 0, "single-standby primary: hold each commit decision until the standby acknowledges it, up to this long (0 = asynchronous shipping); group mode: fence re-check interval of the quorum decision gate, which blocks until a majority holds the decision (0 = 2s default)")
-	flag.StringVar(&cfg.memberID, "member-id", "", "join a self-healing coordinator group under this member id (needs -ots-log); with -standby/-peer the node streams the current leader and stands for fenced election, without them it boots as the group's leader")
-	flag.Var(&cfg.peers, "peer", "replication endpoint of another group member, probed during leader election; repeatable (group mode)")
+	flag.StringVar(&cfg.otsLog, "ots-log", "", "file-backed replicated log (transaction decisions + activity journal); makes this daemon a coordinator-group member: crash recovery on boot, the ots-recovery and wal-replication servants. Without -standby/-peer it leads a group of one")
+	flag.Var(&cfg.standby, "standby", "replication endpoint of the current leader to start streaming from; repeatable for a multi-homed leader. Only a stream starting point, not an elector: a standby with no -peer takes over alone when the leader is lost")
+	flag.StringVar(&cfg.memberID, "member-id", "", "this member's id in its coordinator group (ack watermarks, election tiebreak, term records); default: the first advertised endpoint")
+	flag.Var(&cfg.peers, "peer", "replication endpoint of another group member; repeatable. The electorate is this member plus every -peer, and both the election and the decision gate need a majority of it (n/2+1), so a member with peers never promotes itself alone")
 	flag.BoolVar(&cfg.rejoin, "rejoin", true, "after being deposed by a higher term, automatically truncate the unreplicated WAL suffix and re-join as a streaming standby; false makes deposal fatal so an operator can inspect the log first")
 	flag.IntVar(&cfg.breaker, "breaker", 0, "consecutive call failures before an endpoint's circuit opens (0 = off)")
 	flag.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "open-circuit window before a half-open probe (0 = default)")
@@ -233,16 +227,13 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 	if cfg.shardID != "" && len(cfg.shardMap) == 0 && !cfg.shardAuthority {
 		return errors.New("-shard needs -shard-map (or -shard-authority to follow the local map)")
 	}
-	if cfg.memberID != "" && cfg.otsLog == "" {
-		return errors.New("-member-id needs -ots-log for this member's durable replica of the group's log")
-	}
-	if cfg.memberID == "" && len(cfg.peers) > 0 {
-		return errors.New("-peer needs -member-id")
+	if cfg.otsLog == "" && (cfg.memberID != "" || len(cfg.standby) > 0 || len(cfg.peers) > 0) {
+		return errors.New("-member-id, -standby and -peer need -ots-log for this member's durable replica of the group's log")
 	}
 
 	var svcOpts []activityservice.Option
 	var groupLog *wal.Log
-	if cfg.memberID != "" {
+	if cfg.otsLog != "" {
 		l, err := ots.OpenFileLog(cfg.otsLog)
 		if err != nil {
 			return fmt.Errorf("open group log: %w", err)
@@ -325,20 +316,13 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 	if admin {
 		fmt.Printf("activityd: admin servant at key %q\n", orb.AdminKey)
 	}
-	switch {
-	case cfg.memberID != "":
+	if groupLog != nil {
+		if cfg.memberID == "" {
+			// Unique in any group by construction, and stable across
+			// restarts of a daemon that keeps its address.
+			cfg.memberID = factoryRef.Endpoint()
+		}
 		if err := runGroup(node, svc, groupLog, cfg); err != nil {
-			return err
-		}
-	case len(cfg.standby) > 0:
-		if cfg.otsLog == "" {
-			return errors.New("-standby needs -ots-log for the local replica of the primary's decision log")
-		}
-		if err := runStandby(node, cfg.otsLog, cfg.standby); err != nil {
-			return err
-		}
-	case cfg.otsLog != "":
-		if err := hostPrimary(node, cfg.otsLog, cfg.syncStandby); err != nil {
 			return err
 		}
 	}
@@ -353,99 +337,24 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 	return nil
 }
 
-// hostPrimary opens the durable decision log and hosts a transaction
-// service on it: participants named by in-doubt commit decisions are
-// re-bound as remote proxies, one recovery pass re-drives their phase two,
-// and the well-known ots-recovery servant is activated so restarted
-// participants can ask replay_completion for their outcome (and tooling
-// can scrape or re-run recovery over the wire). The well-known
-// wal-replication servant is activated too, so a -standby node can stream
-// the log; with syncStandby > 0 each commit decision is additionally held
-// (up to that long) until a standby acknowledges it.
-func hostPrimary(node *orb.ORB, path string, syncStandby time.Duration) error {
-	log, err := ots.OpenFileLog(path)
-	if err != nil {
-		return fmt.Errorf("open ots log: %w", err)
-	}
-	primary, _ := orb.ServeReplication(node, log)
-	var extra []ots.Option
-	if syncStandby > 0 {
-		extra = append(extra, ots.WithDecisionBarrier(primary.DecisionBarrier(syncStandby)))
-	}
-	res, err := orb.HostRecovery(node, log, extra...)
-	if err != nil {
-		return err
-	}
-	stats := res.Stats
-	fmt.Printf("activityd: recovery replayed %d decisions (%d committed, %d missing, %d failed, %d heuristic)\n",
-		stats.DecisionsReplayed, stats.ResourcesCommitted, stats.ResourcesMissing,
-		stats.ResourcesFailed, stats.ResourcesHeuristic)
-	fmt.Printf("activityd: recovery servant at key %q, replication at key %q\n",
-		orb.RecoveryKey, orb.ReplicationKey)
-	return nil
-}
+// gateFenceRecheck is how often a decision gate blocked on missing
+// follower acks re-checks whether this member has been fenced.
+const gateFenceRecheck = 2 * time.Second
 
-// runStandby streams the primary's decision log (via its well-known
-// replication servant at the given endpoints) into a local replica and
-// arms takeover: when the primary stops answering, the standby hosts
-// recovery over the replica — re-driving in-doubt branches to their
-// logged outcomes — and serves ots-recovery and wal-replication itself,
-// so participants holding the shared multi-profile IOR converge through
-// this node and a replacement standby can chain behind it.
-func runStandby(node *orb.ORB, path string, primaries []string) error {
-	log, err := ots.OpenFileLog(path)
-	if err != nil {
-		return fmt.Errorf("open replica log: %w", err)
-	}
-	follower := orb.NewReplicationFollower(node, orb.ReplicationAt(primaries...), log)
-	fmt.Printf("activityd: standby following %s into %s\n", strings.Join(primaries, ","), path)
-	go func() {
-		err := follower.Run(context.Background())
-		if !errors.Is(err, orb.ErrPrimaryLost) {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "activityd: standby replication stopped:", err)
-			}
-			return
-		}
-		fmt.Println("activityd: primary lost — taking over")
-		res, err := orb.HostRecovery(node, log)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "activityd: takeover recovery failed:", err)
-			return
-		}
-		orb.ServeReplication(node, log)
-		stats := res.Stats
-		fmt.Printf("activityd: takeover replayed %d decisions (%d committed, %d missing, %d failed, %d heuristic)\n",
-			stats.DecisionsReplayed, stats.ResourcesCommitted, stats.ResourcesMissing,
-			stats.ResourcesFailed, stats.ResourcesHeuristic)
-		fmt.Printf("activityd: recovery servant at key %q, replication at key %q\n",
-			orb.RecoveryKey, orb.ReplicationKey)
-	}()
-	return nil
-}
-
-// runGroup hosts one member of a self-healing coordinator group. The
+// runGroup hosts one member of a coordinator group — the only way a
+// durable activityd runs; a lone -ots-log daemon is a group of one. The
 // durable log carries both the transaction decisions and the activity
-// journal; replication ships it to every standby, and fenced leader
+// journal; replication ships it to every follower, and fenced leader
 // election picks the member with the highest durable watermark when the
 // leader dies. Takeover re-drives in-doubt transaction branches and
 // re-activates the in-flight activity tree from the journal. A deposed
 // leader truncates its unreplicated suffix and re-joins as a streaming
-// standby of the new term (unless -rejoin=false, which makes deposal
+// follower of the new term (unless -rejoin=false, which makes deposal
 // fatal so an operator can inspect the log first).
 func runGroup(node *orb.ORB, svc *activityservice.Service, log *wal.Log, cfg orbConfig) error {
 	var g *orb.GroupMember
-	// The group gate blocks until a quorum of the electorate holds each
-	// decision; -sync-standby only tunes how often the blocked gate
-	// re-checks the fence, so group mode gets a non-zero default instead
-	// of the primary/standby pair's 0-means-asynchronous.
-	gateInterval := cfg.syncStandby
-	if gateInterval <= 0 {
-		gateInterval = 2 * time.Second
-	}
 	takeover := func(ctx context.Context) error {
-		extra := []ots.Option{ots.WithDecisionGate(g.DecisionGate(gateInterval))}
-		res, err := orb.HostRecovery(node, log, extra...)
+		res, err := orb.HostRecovery(node, log, ots.WithDecisionGate(g.DecisionGate(gateFenceRecheck)))
 		if err != nil {
 			return err
 		}

@@ -299,26 +299,6 @@ func (d *Decoder) ReadUint32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
-// PeekUint32 returns the next aligned uint32 without consuming it: the
-// following aligned 4-byte read sees the same value. Decoders use it to
-// discriminate versioned wire layouts (e.g. legacy vs multi-profile IORs)
-// before committing to one. Peeking past the end of the stream records the
-// usual truncation error.
-func (d *Decoder) PeekUint32() uint32 {
-	off := d.off
-	v := d.ReadUint32()
-	if d.err == nil {
-		d.off = off
-	}
-	return v
-}
-
-// Fail records err as the decoder's sticky error (the first failure wins),
-// letting layered decoders report structural errors — an unsupported wire
-// version, an implausible element count — through the same channel as
-// primitive read failures.
-func (d *Decoder) Fail(err error) { d.fail(err) }
-
 // ReadStringList reads a uint32-counted list of strings. A count the
 // remaining bytes cannot possibly hold (every string costs at least its
 // 4-byte length prefix plus a NUL) is rejected before it can size an

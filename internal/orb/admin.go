@@ -256,8 +256,8 @@ type FollowerLag struct {
 // ReplicationScrape is the coordinator-group state an ORB exposes through
 // the orb-admin servant's "replication_stats" operation, wired in by the
 // group member with SetReplicationStatsProvider. Operators watch Term and
-// LastElectionMillis to spot churn, and Followers to spot a standby
-// falling behind the decision barrier.
+// LastElectionMillis to spot churn, and Followers to spot a follower
+// the decision gate is waiting on.
 type ReplicationScrape struct {
 	// MemberID names the scraped member.
 	MemberID string

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
-	"errors"
 	"math/rand/v2"
 	"sort"
 	"strings"
@@ -216,9 +215,9 @@ type clientConn struct {
 // deadline lasts. Non-TRANSIENT failures (timeouts, lost connections with
 // the request possibly delivered) are returned to the caller: completion
 // is unknown, so transparently re-running the operation elsewhere could
-// break exactly-once expectations. The one exception is FENCED with a
-// leader hint — the deposed replica asserts the operation did not run and
-// names where it would — which is followed once per call.
+// break exactly-once expectations. FENCED is returned too: it asserts the
+// operation did not run, but every profile of a deposed member is equally
+// deposed, so there is nowhere in the reference to fail over to.
 func (o *ORB) invokeRemote(ctx context.Context, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
 	callerCtx := ctx
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && o.callTimeout > 0 {
@@ -226,45 +225,6 @@ func (o *ORB) invokeRemote(ctx context.Context, ref IOR, op string, contexts []S
 		ctx, cancel = context.WithTimeout(ctx, o.callTimeout)
 		defer cancel()
 	}
-	out, err := o.invokeProfiles(ctx, callerCtx, ref, op, contexts, body)
-	if err == nil || ctx.Err() != nil {
-		return out, err
-	}
-	// FENCED redirect: the target is a deposed coordinator-group member
-	// and its exception names the leader. FENCED asserts the operation did
-	// not run, so following the hint once per call is safe — and blind
-	// profile failover could not help, since every profile of a deposed
-	// member is equally deposed. Success records sticky affinity for the
-	// leader so subsequent invocations go leader-first without the bounce.
-	if ep, ok := fencedLeaderHint(err); ok && strings.HasPrefix(ep, "tcp:") {
-		out, err2 := o.invokeEndpoint(ctx, callerCtx, ep, ref, op, contexts, body)
-		if err2 != nil {
-			return nil, err2
-		}
-		o.recordAffinity(ep, affinityKey(ref))
-		return out, nil
-	}
-	return out, err
-}
-
-// fencedLeaderHint extracts the leader endpoint from a FENCED system
-// exception's detail ("term=N leader=<id> at=tcp:host:port ...").
-func fencedLeaderHint(err error) (string, bool) {
-	var se *SystemError
-	if !errors.As(err, &se) || se.Code != CodeFenced {
-		return "", false
-	}
-	for _, tok := range strings.Fields(se.Detail) {
-		if ep, ok := strings.CutPrefix(tok, "at="); ok && ep != "" {
-			return ep, true
-		}
-	}
-	return "", false
-}
-
-// invokeProfiles runs the profile-selection invoke: the single-profile
-// fast path, or the selector-ordered failover loop.
-func (o *ORB) invokeProfiles(ctx, callerCtx context.Context, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
 	if len(ref.Profiles) == 1 {
 		// The dominant single-profile path: no choice to rank, so it skips
 		// the affinity key, the selector and the ordered-endpoints slice —

@@ -36,13 +36,11 @@ const (
 	CodeWrongShard ExceptionCode = "WRONG_SHARD"
 	// CodeFenced: the target is a deposed coordinator-group member (or
 	// the caller's claim/append carries a stale term). The detail leads
-	// with the group's current term and, when known, the leader
-	// ("term=N leader=<id> at=tcp:host:port ..."), so a redirected client
-	// can aim its retry at the leader. Like WRONG_SHARD it asserts the
+	// with the group's current term and, when known, the leader's member
+	// id ("term=N leader=<id> ..."). Like WRONG_SHARD it asserts the
 	// operation did not run and is deliberately NOT TRANSIENT: blind
 	// failover to the next profile of the same deposed member cannot
-	// help — the cure is following the leader hint, which the client
-	// invoke path does once per call.
+	// help, so the exception surfaces to the caller after one attempt.
 	CodeFenced ExceptionCode = "FENCED"
 	// codeApplication marks a user (servant-raised) error on the wire; it
 	// is unwrapped back to a plain error on the client side.

@@ -8,13 +8,15 @@ import (
 	"github.com/extendedtx/activityservice/internal/cdr"
 )
 
-// TestFencedRedirectFollowsLeaderHint: a deposed coordinator-group
-// member answers FENCED with a leader hint; the client invoke path must
-// follow the hint once and complete the call at the leader instead of
-// surfacing the exception (or, worse, blindly retrying the deposed
-// member's other profiles).
-func TestFencedRedirectFollowsLeaderHint(t *testing.T) {
-	leader, leaderEp := startReplica(t, "coord")
+// TestFencedSurfacesWithoutFailover: a deposed coordinator-group member
+// answers FENCED. FENCED asserts the operation did not run, but it is not
+// a failover outcome — every profile of a deposed member is equally
+// deposed, and the cure (finding the new leader) is the caller's, not the
+// transport's. The client must surface the exception after exactly one
+// attempt, without trying the reference's other profile and without
+// re-running the operation.
+func TestFencedSurfacesWithoutFailover(t *testing.T) {
+	other, otherEp := startReplica(t, "coord")
 
 	deposed := New()
 	t.Cleanup(deposed.Shutdown)
@@ -22,7 +24,7 @@ func TestFencedRedirectFollowsLeaderHint(t *testing.T) {
 	deposed.RegisterServantWithKey("coord", "IDL:test/Replica:1.0", ServantFunc(
 		func(_ context.Context, op string, _ *cdr.Decoder) ([]byte, error) {
 			deposedCalls.Add(1)
-			return nil, Systemf(CodeFenced, "term=2 leader=b at=%s deposed", leaderEp)
+			return nil, Systemf(CodeFenced, "term=2 leader=b deposed mid-commit")
 		}))
 	deposedEp, err := deposed.Listen("127.0.0.1:0")
 	if err != nil {
@@ -30,60 +32,20 @@ func TestFencedRedirectFollowsLeaderHint(t *testing.T) {
 	}
 
 	client := isolatedClient(t)
-	ref := NewIOR("IDL:test/Replica:1.0", "coord", deposedEp)
-	out, err := client.Invoke(context.Background(), ref, "op", nil)
-	if err != nil {
-		t.Fatalf("invoke via deposed member: %v", err)
-	}
-	if string(out) != "ok" {
-		t.Fatalf("redirected reply = %q, want ok", out)
-	}
-	if got := deposedCalls.Load(); got != 1 {
-		t.Fatalf("deposed member saw %d calls, want 1", got)
-	}
-	if got := leader.calls.Load(); got != 1 {
-		t.Fatalf("leader saw %d calls, want 1", got)
-	}
-}
-
-// TestFencedWithoutHintSurfaces: a FENCED exception with no leader hint
-// (the member does not know the leader yet) must reach the caller — one
-// redirect per call, and only when the cure is known.
-func TestFencedWithoutHintSurfaces(t *testing.T) {
-	member := New()
-	t.Cleanup(member.Shutdown)
-	member.RegisterServantWithKey("coord", "IDL:test/Replica:1.0", ServantFunc(
-		func(_ context.Context, op string, _ *cdr.Decoder) ([]byte, error) {
-			return nil, Systemf(CodeFenced, "term=2 deposed mid-commit")
-		}))
-	ep, err := member.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := isolatedClient(t)
-	_, err = client.Invoke(context.Background(), NewIOR("IDL:test/Replica:1.0", "coord", ep), "op", nil)
-	if !IsSystem(err, CodeFenced) {
-		t.Fatalf("invoke = %v, want FENCED", err)
-	}
-}
-
-// TestFencedLeaderHintParsing pins the detail grammar the redirect
-// depends on.
-func TestFencedLeaderHintParsing(t *testing.T) {
-	for _, tc := range []struct {
-		err  error
-		want string
-		ok   bool
-	}{
-		{Systemf(CodeFenced, "term=3 leader=b at=tcp:10.0.0.2:7001 deposed"), "tcp:10.0.0.2:7001", true},
-		{Systemf(CodeFenced, "at=tcp:h:1"), "tcp:h:1", true},
-		{Systemf(CodeFenced, "term=3 no hint here"), "", false},
-		{Systemf(CodeTransient, "at=tcp:h:1"), "", false},
-		{context.DeadlineExceeded, "", false},
+	for name, ref := range map[string]IOR{
+		"single-profile": NewIOR("IDL:test/Replica:1.0", "coord", deposedEp),
+		"multi-profile":  NewIOR("IDL:test/Replica:1.0", "coord", deposedEp, otherEp),
 	} {
-		got, ok := fencedLeaderHint(tc.err)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("fencedLeaderHint(%v) = %q,%v want %q,%v", tc.err, got, ok, tc.want, tc.ok)
+		deposedCalls.Store(0)
+		_, err := client.Invoke(context.Background(), ref, "op", nil)
+		if !IsSystem(err, CodeFenced) {
+			t.Fatalf("%s: invoke = %v, want FENCED", name, err)
+		}
+		if got := deposedCalls.Load(); got != 1 {
+			t.Fatalf("%s: deposed member saw %d calls, want exactly 1", name, got)
+		}
+		if got := other.calls.Load(); got != 0 {
+			t.Fatalf("%s: FENCED failed over to the next profile (%d calls)", name, got)
 		}
 	}
 }

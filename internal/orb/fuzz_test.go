@@ -8,22 +8,24 @@ import (
 )
 
 // FuzzParseIOR throws strings at the stringified-reference parser — seeded
-// with PR-3-era single-endpoint forms and current multi-profile forms —
-// and requires every accepted reference to survive two round trips
-// exactly: re-stringify→re-parse, and CDR encode→decode. Rejections are
-// fine; panics, hangs, and lossy round trips are not.
+// with single- and multi-profile references and near-misses — and requires
+// every accepted reference to survive two round trips exactly:
+// re-stringify→re-parse, and CDR encode→decode. Rejections are fine;
+// panics, hangs, and lossy round trips are not.
 func FuzzParseIOR(f *testing.F) {
-	// Old-format (PR-3 era) stringified references.
+	// Single-profile references (the one-element case).
 	f.Add("IOR:tcp:10.1.2.3:7411|IDL:ActivityService/Action:1.0|act-42")
 	f.Add("IOR:inproc:orb-7|IDL:GLOP/NameService:1.0|naming")
-	// New-format multi-profile references.
-	f.Add("IOR2:tcp:a:1,tcp:b:2|IDL:T:1.0|k")
-	f.Add("IOR2:tcp:h1:9,tcp:h2:9,tcp:h3:9|IDL:CosTransactions/Resource:1.0|res/1")
+	// Multi-profile references.
+	f.Add("IOR:tcp:a:1,tcp:b:2|IDL:T:1.0|k")
+	f.Add("IOR:tcp:h1:9,tcp:h2:9,tcp:h3:9|IDL:CosTransactions/Resource:1.0|res/1")
 	// Near-misses the parser must reject without panicking.
 	f.Add("IOR:")
-	f.Add("IOR2:|t|k")
+	f.Add("IOR:|t|k")
 	f.Add("IOR:a|b")
-	f.Add("IOR2:tcp:a:1,|t|k")
+	f.Add("IOR:tcp:a:1,|t|k")
+	f.Add("IOR:,tcp:a:1|t|k")
+	f.Add("IOR9:tcp:a:1,tcp:b:2|t|k") // any prefix but "IOR:"
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, s string) {
 		ref, err := ParseIOR(s)
@@ -46,10 +48,9 @@ func FuzzParseIOR(f *testing.F) {
 		if !got.Equal(ref) {
 			t.Fatalf("CDR round trip lossy:\n in: %+v\nout: %+v", ref, got)
 		}
-		// Single-profile references must keep stringifying to the PR-3
-		// form, so old parsers keep accepting what we emit.
-		if len(ref.Profiles) == 1 && !strings.HasPrefix(ref.String(), "IOR:") {
-			t.Fatalf("single-profile reference stringified to %q, want legacy IOR: form", ref.String())
+		// One form: every accepted reference stringifies under "IOR:".
+		if !strings.HasPrefix(ref.String(), "IOR:") {
+			t.Fatalf("reference stringified to %q, want the IOR: form", ref.String())
 		}
 	})
 }
@@ -65,10 +66,11 @@ func FuzzDecodeIOR(f *testing.F) {
 	}
 	seed(NewIOR("IDL:T:1.0", "k", "tcp:a:1"))
 	seed(NewIOR("IDL:T:1.0", "k", "tcp:a:1", "tcp:b:2"))
+	seed(IOR{TypeID: "IDL:T:1.0", Key: "k"}) // no profiles
 	f.Add([]byte{})
-	f.Add([]byte{0x49, 0x4F, 0x52, 0x32})                                     // bare magic
-	f.Add([]byte{0x49, 0x4F, 0x52, 0x32, 0, 0, 0, 99})                        // bad version
-	f.Add([]byte{0x49, 0x4F, 0x52, 0x32, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff}) // huge field
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                                                    // huge TypeID length
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})    // huge profile count
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0}) // one empty endpoint
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := cdr.NewDecoder(data)
 		ref := DecodeIOR(d)

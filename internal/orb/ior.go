@@ -29,22 +29,12 @@ type IOR struct {
 	// Key identifies the servant within its object adapter.
 	Key string
 	// Profiles lists the endpoints the object is reachable through, in
-	// preference order. A reference with one profile is exactly the
-	// single-endpoint reference earlier versions carried.
+	// preference order.
 	Profiles []Profile
 }
 
 // ErrBadIOR reports an unparseable stringified IOR.
 var ErrBadIOR = errors.New("orb: malformed IOR")
-
-// iorWireMagic tags the multi-profile CDR layout. Legacy streams begin
-// with the TypeID string's length prefix, which can never plausibly equal
-// this value, so one aligned peek discriminates the two layouts.
-const iorWireMagic = 0x494F5232 // "IOR2"
-
-// iorWireVersion is the multi-profile CDR layout version written after the
-// magic.
-const iorWireVersion = 2
 
 // NewIOR builds a reference to key with the given interface type and
 // endpoint profiles, in preference order. Empty endpoints are dropped;
@@ -103,35 +93,16 @@ func (r IOR) Endpoints() []string {
 	return eps
 }
 
-// String renders the IOR in stringified form. References with at most one
-// profile use the historic "IOR:<endpoint>|<typeid>|<key>" layout, so
-// single-profile references interoperate with parsers that predate
-// multi-profile support; references with more use
-// "IOR2:<endpoint>,<endpoint>,...|<typeid>|<key>".
+// String renders the IOR in its one stringified form,
+// "IOR:<endpoint>[,<endpoint>…]|<typeid>|<key>": the profile endpoints in
+// preference order, comma-separated. A single-profile reference is the
+// one-element case.
 func (r IOR) String() string {
-	if len(r.Profiles) <= 1 {
-		return fmt.Sprintf("IOR:%s|%s|%s", r.Endpoint(), r.TypeID, r.Key)
-	}
-	return fmt.Sprintf("IOR2:%s|%s|%s", strings.Join(r.Endpoints(), ","), r.TypeID, r.Key)
+	return fmt.Sprintf("IOR:%s|%s|%s", strings.Join(r.Endpoints(), ","), r.TypeID, r.Key)
 }
 
-// ParseIOR parses both stringified forms produced by String: the historic
-// single-endpoint "IOR:" layout and the multi-profile "IOR2:" layout.
+// ParseIOR parses the stringified form produced by String.
 func ParseIOR(s string) (IOR, error) {
-	if rest, ok := strings.CutPrefix(s, "IOR2:"); ok {
-		parts := strings.SplitN(rest, "|", 3)
-		if len(parts) != 3 || parts[0] == "" || parts[2] == "" {
-			return IOR{}, fmt.Errorf("%w: %q", ErrBadIOR, s)
-		}
-		r := IOR{TypeID: parts[1], Key: parts[2]}
-		for _, ep := range strings.Split(parts[0], ",") {
-			if ep == "" {
-				return IOR{}, fmt.Errorf("%w: empty profile in %q", ErrBadIOR, s)
-			}
-			r.Profiles = append(r.Profiles, Profile{Endpoint: ep})
-		}
-		return r, nil
-	}
 	rest, ok := strings.CutPrefix(s, "IOR:")
 	if !ok {
 		return IOR{}, fmt.Errorf("%w: missing IOR: prefix", ErrBadIOR)
@@ -140,63 +111,38 @@ func ParseIOR(s string) (IOR, error) {
 	if len(parts) != 3 || parts[0] == "" || parts[2] == "" {
 		return IOR{}, fmt.Errorf("%w: %q", ErrBadIOR, s)
 	}
-	if strings.Contains(parts[0], ",") {
-		return IOR{}, fmt.Errorf("%w: multi-profile endpoint list needs the IOR2: prefix: %q", ErrBadIOR, s)
+	r := IOR{TypeID: parts[1], Key: parts[2]}
+	for _, ep := range strings.Split(parts[0], ",") {
+		if ep == "" {
+			return IOR{}, fmt.Errorf("%w: empty profile in %q", ErrBadIOR, s)
+		}
+		r.Profiles = append(r.Profiles, Profile{Endpoint: ep})
 	}
-	return IOR{TypeID: parts[1], Key: parts[2], Profiles: []Profile{{Endpoint: parts[0]}}}, nil
+	return r, nil
 }
 
-// Encode writes the IOR to a CDR stream. References with at most one
-// profile use the historic three-string layout (TypeID, endpoint, key) so
-// decoders that predate multi-profile support keep working; references
-// with more use the versioned multi-profile layout DecodeIOR discriminates
-// by its leading magic.
+// Encode writes the IOR to a CDR stream in its one layout: TypeID, Key,
+// then the profile endpoints as a string list.
 func (r IOR) Encode(e *cdr.Encoder) {
-	if len(r.Profiles) <= 1 {
-		e.WriteString(r.TypeID)
-		e.WriteString(r.Endpoint())
-		e.WriteString(r.Key)
-		return
-	}
-	e.WriteUint32(iorWireMagic)
-	e.WriteUint32(iorWireVersion)
 	e.WriteString(r.TypeID)
 	e.WriteString(r.Key)
 	e.WriteStringList(r.Endpoints())
 }
 
-// DecodeIOR reads an IOR from a CDR stream, accepting both the historic
-// single-endpoint layout and the versioned multi-profile layout.
+// DecodeIOR reads an IOR from a CDR stream (the layout Encode writes).
 func DecodeIOR(d *cdr.Decoder) IOR {
-	if d.PeekUint32() == iorWireMagic {
-		d.ReadUint32() // the magic itself
-		if v := d.ReadUint32(); v != iorWireVersion {
-			d.Fail(fmt.Errorf("%w: unsupported wire version %d", ErrBadIOR, v))
-			return IOR{}
-		}
-		r := IOR{TypeID: d.ReadString(), Key: d.ReadString()}
-		eps := d.ReadStringList() // hostile profile counts rejected inside
-		if d.Err() != nil {
-			return IOR{}
-		}
-		for _, ep := range eps {
-			// Empty endpoints are dropped on every ingestion path (NewIOR,
-			// ParseIOR, the legacy layout below); accepting one here would
-			// produce a reference that re-encodes lossily.
-			if ep != "" {
-				r.Profiles = append(r.Profiles, Profile{Endpoint: ep})
-			}
-		}
-		return r
-	}
-	r := IOR{TypeID: d.ReadString()}
-	ep := d.ReadString()
-	r.Key = d.ReadString()
+	r := IOR{TypeID: d.ReadString(), Key: d.ReadString()}
+	eps := d.ReadStringList() // hostile profile counts rejected inside
 	if d.Err() != nil {
 		return IOR{}
 	}
-	if ep != "" {
-		r.Profiles = []Profile{{Endpoint: ep}}
+	for _, ep := range eps {
+		// Empty endpoints are dropped on every ingestion path (NewIOR,
+		// ParseIOR); accepting one here would produce a reference that
+		// re-encodes lossily.
+		if ep != "" {
+			r.Profiles = append(r.Profiles, Profile{Endpoint: ep})
+		}
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -323,14 +324,15 @@ func waitForConns(t *testing.T, client *ORB, endpoint string, n int) {
 	}
 }
 
-// TestMultiProfileBackCompatStringForms pins the PR-3-era stringified
-// surface: old-form strings parse into single-profile references, new
-// single-profile references stringify byte-identically to the old form,
-// and the multi-profile form round-trips.
-func TestMultiProfileBackCompatStringForms(t *testing.T) {
-	// A stringified reference captured from the PR-3-era implementation.
-	legacy := "IOR:tcp:10.1.2.3:7411|IDL:ActivityService/Action:1.0|act-42"
-	ref, err := ParseIOR(legacy)
+// TestMultiProfileIORStringRoundTrip pins the one stringified form,
+// "IOR:<ep>[,<ep>…]|<type>|<key>": the single-profile string every earlier
+// version emitted is its one-element case and still parses and
+// re-stringifies byte-identically; a multi-profile reference lists its
+// endpoints comma-separated under the same prefix, and no other prefix
+// parses.
+func TestMultiProfileIORStringRoundTrip(t *testing.T) {
+	single := "IOR:tcp:10.1.2.3:7411|IDL:ActivityService/Action:1.0|act-42"
+	ref, err := ParseIOR(single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,60 +340,64 @@ func TestMultiProfileBackCompatStringForms(t *testing.T) {
 	if !ref.Equal(want) {
 		t.Fatalf("parsed %+v, want %+v", ref, want)
 	}
-	if got := ref.String(); got != legacy {
-		t.Fatalf("re-stringified %q, want the PR-3 form %q", got, legacy)
+	if got := ref.String(); got != single {
+		t.Fatalf("re-stringified %q, want %q", got, single)
 	}
 
 	multi := NewIOR("IDL:T:1.0", "k", "tcp:a:1", "tcp:b:2", "tcp:c:3")
+	if got := multi.String(); got != "IOR:tcp:a:1,tcp:b:2,tcp:c:3|IDL:T:1.0|k" {
+		t.Fatalf("multi form = %q", got)
+	}
 	parsed, err := ParseIOR(multi.String())
 	if err != nil || !parsed.Equal(multi) {
 		t.Fatalf("multi round trip: %+v err %v", parsed, err)
 	}
-	if multi.String() != "IOR2:tcp:a:1,tcp:b:2,tcp:c:3|IDL:T:1.0|k" {
-		t.Fatalf("multi form = %q", multi.String())
+
+	for _, bad := range []string{
+		"IOR9:tcp:a:1,tcp:b:2|IDL:T:1.0|k", // any prefix but "IOR:"
+		"IOR:tcp:a:1,|IDL:T:1.0|k",         // empty profile
+		"IOR:|IDL:T:1.0|k",                 // no profile
+	} {
+		if _, err := ParseIOR(bad); !errors.Is(err, ErrBadIOR) {
+			t.Errorf("ParseIOR(%q) = %v, want ErrBadIOR", bad, err)
+		}
 	}
 }
 
-// TestMultiProfileBackCompatCDR pins the PR-3-era wire surface: the legacy
-// three-string CDR layout still decodes, new single-profile references
-// encode byte-identically to it, and the multi-profile layout round-trips
-// through a stream that also carries neighbouring fields.
-func TestMultiProfileBackCompatCDR(t *testing.T) {
-	// Bytes as the PR-3 encoder would have written them: TypeID, endpoint,
-	// key as three CDR strings.
-	legacy := cdr.NewEncoder(64)
-	legacy.WriteString("IDL:T:1.0")
-	legacy.WriteString("tcp:10.0.0.1:9")
-	legacy.WriteString("key-1")
+// TestMultiProfileIORCDRRoundTrip pins the one CDR layout — TypeID, Key,
+// endpoint list, no magic or version word — and that a reference embedded
+// mid-stream between other fields decodes without disturbing them.
+func TestMultiProfileIORCDRRoundTrip(t *testing.T) {
+	for _, ref := range []IOR{
+		NewIOR("IDL:T:1.0", "key-1", "tcp:10.0.0.1:9"),
+		NewIOR("IDL:T:1.0", "key-2", "tcp:a:1", "tcp:b:2"),
+	} {
+		layout := cdr.NewEncoder(64)
+		layout.WriteString("before")
+		layout.WriteString(ref.TypeID)
+		layout.WriteString(ref.Key)
+		layout.WriteStringList(ref.Endpoints())
+		layout.WriteString("after")
 
-	ref := NewIOR("IDL:T:1.0", "key-1", "tcp:10.0.0.1:9")
-	e := cdr.NewEncoder(64)
-	ref.Encode(e)
-	if string(e.Bytes()) != string(legacy.Bytes()) {
-		t.Fatalf("single-profile encoding diverged from the PR-3 layout:\n new: %x\n old: %x",
-			e.Bytes(), legacy.Bytes())
-	}
-	got := DecodeIOR(cdr.NewDecoder(legacy.Bytes()))
-	if !got.Equal(ref) {
-		t.Fatalf("legacy decode = %+v, want %+v", got, ref)
-	}
+		e := cdr.NewEncoder(64)
+		e.WriteString("before")
+		ref.Encode(e)
+		e.WriteString("after")
+		if string(e.Bytes()) != string(layout.Bytes()) {
+			t.Fatalf("encoding of %s diverged from the pinned layout:\n got: %x\nwant: %x", ref, e.Bytes(), layout.Bytes())
+		}
 
-	// Multi-profile layout, embedded mid-stream between other fields.
-	multi := NewIOR("IDL:T:1.0", "key-2", "tcp:a:1", "tcp:b:2")
-	e2 := cdr.NewEncoder(64)
-	e2.WriteString("before")
-	multi.Encode(e2)
-	e2.WriteString("after")
-	d := cdr.NewDecoder(e2.Bytes())
-	if s := d.ReadString(); s != "before" {
-		t.Fatalf("prefix = %q", s)
-	}
-	got2 := DecodeIOR(d)
-	if d.Err() != nil || !got2.Equal(multi) {
-		t.Fatalf("multi decode = %+v err %v", got2, d.Err())
-	}
-	if s := d.ReadString(); s != "after" || d.Err() != nil {
-		t.Fatalf("suffix = %q err %v", s, d.Err())
+		d := cdr.NewDecoder(e.Bytes())
+		if s := d.ReadString(); s != "before" {
+			t.Fatalf("prefix = %q", s)
+		}
+		got := DecodeIOR(d)
+		if d.Err() != nil || !got.Equal(ref) {
+			t.Fatalf("decode = %+v err %v, want %+v", got, d.Err(), ref)
+		}
+		if s := d.ReadString(); s != "after" || d.Err() != nil {
+			t.Fatalf("suffix = %q err %v", s, d.Err())
+		}
 	}
 }
 

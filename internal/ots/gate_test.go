@@ -46,28 +46,35 @@ func TestDecisionGateVetoRollsBack(t *testing.T) {
 	}
 }
 
-// TestDecisionGateOrderAndPassThrough: an accepting gate runs between the
-// decision append and the barrier, and the commit proceeds normally.
+// TestDecisionGateOrderAndPassThrough: an accepting gate runs after the
+// decision is durable in the log and before any phase-two delivery, and
+// the commit proceeds normally.
 func TestDecisionGateOrderAndPassThrough(t *testing.T) {
-	var order []string
+	log := wal.NewMemory()
+	a, b := newFake("a"), newFake("b")
+	gateRuns := 0
 	svc := NewService(
-		WithLog(wal.NewMemory()),
+		WithLog(log),
 		WithDecisionGate(func(lsn uint64) error {
-			order = append(order, "gate")
+			gateRuns++
+			if lsn == 0 || log.LastLSN() < lsn {
+				t.Errorf("gate saw LSN %d with the log at %d, want the durable decision", lsn, log.LastLSN())
+			}
+			for _, r := range []*fakeResource{a, b} {
+				if calls := r.Calls(); len(calls) != 1 || calls[0] != "prepare" {
+					t.Errorf("%s calls at the gate = %v, want prepare only", r.name, calls)
+				}
+			}
 			return nil
-		}),
-		WithDecisionBarrier(func(lsn uint64) {
-			order = append(order, "barrier")
 		}))
 	tx := svc.Begin()
-	a, b := newFake("a"), newFake("b")
 	_ = tx.RegisterResource(a)
 	_ = tx.RegisterResource(b)
 	if err := tx.Commit(true); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "gate" || order[1] != "barrier" {
-		t.Fatalf("hook order = %v, want gate then barrier", order)
+	if gateRuns != 1 {
+		t.Fatalf("gate ran %d times, want once", gateRuns)
 	}
 	for _, r := range []*fakeResource{a, b} {
 		calls := r.Calls()

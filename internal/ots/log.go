@@ -139,9 +139,6 @@ func (t *Transaction) logDecision(prepared []registeredResource) error {
 		}
 	}
 	t.svc.noteDecision(decisionRecord{tx: t.id, names: names})
-	if t.svc.decisionBarrier != nil {
-		t.svc.decisionBarrier(lsn)
-	}
 	return nil
 }
 

@@ -54,9 +54,8 @@ type Service struct {
 	retries    int
 	retryDelay time.Duration
 
-	hook            func(Event)
-	decisionBarrier func(lsn uint64)
-	decisionGate    func(lsn uint64) error
+	hook         func(Event)
+	decisionGate func(lsn uint64) error
 
 	mu       sync.Mutex
 	inflight map[ids.UID]*Transaction
@@ -113,36 +112,24 @@ func WithEventHook(fn func(Event)) Option {
 	return optionFunc(func(s *Service) { s.hook = fn })
 }
 
-// WithDecisionBarrier installs a hook invoked after each commit decision
-// is durable in the local log (with the decision record's LSN), before any
-// phase-two delivery starts. A replicated coordinator uses it to wait —
-// bounded by its own timeout — for a standby to acknowledge the decision,
-// making takeover-after-decision deterministic (semi-synchronous
-// replication). The barrier cannot veto: the decision is already durable
-// locally, so aborting because a standby is slow would risk mixed
-// outcomes; a barrier that times out simply degrades to asynchronous
-// shipping. It runs inline on the committing goroutine.
-func WithDecisionBarrier(fn func(lsn uint64)) Option {
-	return optionFunc(func(s *Service) { s.decisionBarrier = fn })
-}
-
-// WithDecisionGate installs an error-returning barrier invoked after each
-// commit decision is appended to the local log but before the decision is
-// folded into the recovery view or any phase-two delivery starts. Unlike
-// WithDecisionBarrier, the gate CAN veto: a coordinator-group leader uses
-// it to detect that it was deposed (fenced) between appending the
-// decision and releasing phase two — the new leader's history does not
-// contain the decision, so delivering commits from it would split the
-// outcome. A vetoed decision unwinds exactly like a failed append: every
-// prepared participant is rolled back and the terminator sees
-// ErrRolledBack. The orphan decision record left in the deposed leader's
-// log is removed by its automatic rejoin truncation (it is beyond the new
-// term's start, so it is never replayed by any elected leader); the
-// deposed process must rejoin before running Recover on that log. A slow
-// standby must NOT veto — only a raised fence should; timeouts should
-// degrade to asynchronous shipping as with the barrier. The gate runs
-// inline on the committing goroutine, before the barrier when both are
-// set.
+// WithDecisionGate installs the one decision hook: an error-returning
+// barrier invoked after each commit decision is appended to the local log
+// (with the decision record's LSN) but before the decision is folded into
+// the recovery view or any phase-two delivery starts. A replicated
+// coordinator uses it to hold the decision until a quorum of its group
+// durably has it, and to detect that it was deposed (fenced) between
+// appending the decision and releasing phase two — the new leader's
+// history does not contain the decision, so delivering commits from it
+// would split the outcome. A vetoed decision unwinds exactly like a failed
+// append: every prepared participant is rolled back and the terminator
+// sees ErrRolledBack. The orphan decision record left in the deposed
+// leader's log is removed by its automatic rejoin truncation (it is beyond
+// the new term's start, so it is never replayed by any elected leader);
+// the deposed process must rejoin before running Recover on that log. A
+// slow standby must NOT veto — only a raised fence should; a gate waiting
+// on acknowledgements blocks (see remote.ReplicationPrimary.DecisionGateN
+// for why neither degrading nor vetoing is safe). The gate runs inline on
+// the committing goroutine.
 func WithDecisionGate(fn func(lsn uint64) error) Option {
 	return optionFunc(func(s *Service) { s.decisionGate = fn })
 }

@@ -64,8 +64,8 @@ func (r GroupRole) String() string {
 }
 
 // errRepointed reports that a follower stream was cancelled because the
-// member learned of a different leader (an accepted claim, a fenced-reply
-// hint) and should re-aim, not elect.
+// member learned of a different leader (an accepted claim) and should
+// re-aim, not elect.
 var errRepointed = errors.New("remote: follower repointed to a new leader")
 
 // GroupConfig configures one coordinator-group member.
@@ -73,14 +73,19 @@ type GroupConfig struct {
 	// MemberID names this member; it keys ack watermarks, breaks election
 	// ties (lowest wins) and names terms. Must be unique in the group.
 	MemberID string
-	// Peers are the replication endpoints of the other members. Together
-	// with this member they define the electorate: winning an election
-	// requires a majority of len(Peers)+1 positive claim acceptances
-	// (counting this member's own vote), and the group decision gate
-	// holds each commit until the same majority durably holds it.
+	// Peers are the replication endpoints of the other members. The
+	// quorum rule, applied with no special case: the electorate is this
+	// member plus Peers (n = len(Peers)+1) and the quorum is n/2+1, for
+	// both the election (positive claim acceptances, counting this
+	// member's own vote) and the decision gate (the leader's own append
+	// plus quorum-1 follower acks; it never degrades). So no peers means
+	// a quorum of one — the member elects itself when its leader is lost
+	// and gates on nobody — while a pair naming each other holds every
+	// released decision on both nodes and never self-promotes.
 	Peers []string
 	// LeaderHint is where to start streaming from (typically the initial
-	// primary). Empty means discover by polling peers.
+	// leader). It is only a stream starting point, not an elector. Empty
+	// means discover by polling peers.
 	LeaderHint []string
 	// Takeover activates the recovered coordinator state when this member
 	// becomes leader: re-host OTS recovery, replay the activity journal,
@@ -109,12 +114,12 @@ type GroupMember struct {
 	log     *wal.Log
 	cfg     GroupConfig
 	primary *ReplicationPrimary
-	ref     orb.IOR
 
 	mu           sync.Mutex
 	role         GroupRole
 	leaderID     string
 	leaderEps    []string
+	claiming     uint64 // the term of this member's in-flight leadership claim, 0 when none
 	lastElection time.Time
 	elections    uint64
 	repoint      chan struct{} // closed and renewed when leadership knowledge changes
@@ -143,14 +148,11 @@ func NewGroupMember(o *orb.ORB, log *wal.Log, cfg GroupConfig) *GroupMember {
 		o:         o,
 		log:       log,
 		cfg:       cfg,
+		primary:   &ReplicationPrimary{log: log, acks: make(map[string]uint64), ackCh: make(chan struct{})},
 		leaderEps: append([]string(nil), cfg.LeaderHint...),
 		repoint:   make(chan struct{}),
 	}
-	g.primary, g.ref, _ = serveReplication(o, log, groupHooks{
-		info:    g.info,
-		claim:   g.handleClaim,
-		deposed: g.noteDeposed,
-	})
+	o.RegisterServantWithKey(ReplicationKey, ReplicationTypeID, &replicationServant{g: g})
 	return g
 }
 
@@ -158,9 +160,6 @@ func NewGroupMember(o *orb.ORB, log *wal.Log, cfg GroupConfig) *GroupMember {
 // decision gate). It is live in every role; watermarks only advance while
 // this member leads.
 func (g *GroupMember) Primary() *ReplicationPrimary { return g.primary }
-
-// Ref returns the member's replication servant reference.
-func (g *GroupMember) Ref() orb.IOR { return g.ref }
 
 // Role returns the member's current role.
 func (g *GroupMember) Role() GroupRole {
@@ -194,7 +193,7 @@ func (g *GroupMember) signalLocked() {
 	g.repoint = make(chan struct{})
 }
 
-// handleClaim is the servant's claim hook: accept iff the term is new and
+// handleClaim decides a repl_claim: accept iff the term is new and
 // the claimant's log subsumes ours — a newer epoch, or the same epoch and
 // at least as long a log. A claimant still on an older epoch missed a
 // checkpoint this log has folded in, so cross-epoch LSNs are not compared:
@@ -225,7 +224,7 @@ func (g *GroupMember) handleClaim(term uint64, leaderID string, claimEpoch, clai
 	return nil
 }
 
-// noteDeposed is the servant's fetch hook: a follower's term proved this
+// noteDeposed runs when a fetching follower's term proved this
 // member stale. The log is already fenced; drop the leader role and let
 // Run discover the real leader.
 func (g *GroupMember) noteDeposed(term uint64) {
@@ -241,19 +240,6 @@ func (g *GroupMember) noteDeposed(term uint64) {
 	}
 }
 
-// noteFencedReply records a leader hint carried on a replFenced fetch
-// reply.
-func (g *GroupMember) noteFencedReply(term uint64, leaderID string, endpoints []string) {
-	if len(endpoints) == 0 {
-		return
-	}
-	g.mu.Lock()
-	g.leaderID = leaderID
-	g.leaderEps = append([]string(nil), endpoints...)
-	g.signalLocked()
-	g.mu.Unlock()
-}
-
 // Promote makes this member the group's leader: it durably claims the
 // next term and runs the Takeover callback. The group's first leader
 // promotes at boot; election winners go through the same path.
@@ -267,6 +253,7 @@ func (g *GroupMember) becomeLeader(ctx context.Context, term uint64) error {
 	if _, err := g.log.AdoptTerm(term, g.cfg.MemberID); err != nil {
 		return fmt.Errorf("remote: claim term %d: %w", term, err)
 	}
+	g.primary.resetAcks()
 	g.mu.Lock()
 	g.role = RoleLeader
 	g.leaderID = g.cfg.MemberID
@@ -342,11 +329,7 @@ func (g *GroupMember) followOnce(ctx context.Context) error {
 		case <-runCtx.Done():
 		}
 	}()
-	f := NewReplicationFollower(g.o, ReplicationAt(eps...), g.log,
-		WithFollowerID(g.cfg.MemberID),
-		WithPollTimeout(g.cfg.Poll),
-		WithTakeoverPolicy(g.cfg.Policy),
-		WithFencedObserver(g.noteFencedReply))
+	f := NewReplicationFollower(g.o, ReplicationAt(eps...), g.log, g.cfg.MemberID, g.cfg.Poll, g.cfg.Policy)
 	err := f.Run(runCtx)
 	if err == nil && ctx.Err() == nil {
 		return errRepointed
@@ -370,8 +353,10 @@ type peerState struct {
 // backs off and re-polls.
 func (g *GroupMember) elect(ctx context.Context) error {
 	g.mu.Lock()
-	g.leaderID = ""
-	g.leaderEps = nil
+	if g.role != RoleLeader { // an explicit Promote may have raced the lost stream
+		g.leaderID = ""
+		g.leaderEps = nil
+	}
 	g.mu.Unlock()
 	for {
 		if ctx.Err() != nil {
@@ -416,12 +401,40 @@ func (g *GroupMember) elect(ctx context.Context) error {
 			sleepCtx(ctx, g.cfg.ElectionRetry)
 			continue
 		}
-		term := maxTerm + 1
-		if g.claimFrom(ctx, peers, term, myLast) {
-			return g.becomeLeader(ctx, term)
+		if won, err := g.standFor(ctx, peers, maxTerm+1, myLast); won {
+			return err
 		}
 		sleepCtx(ctx, g.cfg.ElectionRetry)
 	}
+}
+
+// standFor claims term from the reachable peers and, on a quorum of
+// accepts, takes office. The claim is marked in flight for its whole
+// duration: a voter that accepts it starts fetching from this member under
+// that term at once — possibly before the round finishes and the term is
+// adopted — and the servant must not read its own claim coming back as
+// evidence of another leader (see replicationServant.fenceFetch).
+func (g *GroupMember) standFor(ctx context.Context, peers []peerState, term, myLast uint64) (won bool, err error) {
+	g.setClaiming(term)
+	defer g.setClaiming(0)
+	if !g.claimFrom(ctx, peers, term, myLast) {
+		return false, nil
+	}
+	return true, g.becomeLeader(ctx, term)
+}
+
+// isClaiming reports whether term is this member's own in-flight claim.
+func (g *GroupMember) isClaiming(term uint64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return term == g.claiming
+}
+
+// setClaiming records the term of this member's in-flight claim (0: none).
+func (g *GroupMember) setClaiming(term uint64) {
+	g.mu.Lock()
+	g.claiming = term
+	g.mu.Unlock()
 }
 
 // pollPeers fetches every peer's repl_state concurrently; unreachable
@@ -486,14 +499,13 @@ func (g *GroupMember) claimFrom(ctx context.Context, peers []peerState, term, my
 	return accepts >= g.quorum()
 }
 
-// quorum is the number of positive votes — including the candidate's own
-// — a leadership claim needs: a majority of the configured electorate
-// (this member plus cfg.Peers). Any two majorities intersect, so a
-// partition can elect at most one leader, and the decision gate's ack
-// quorum (quorum()-1 followers plus the leader itself) guarantees every
-// election majority contains at least one member whose log holds every
-// released decision — whose longer log then fences out any claimant
-// missing one.
+// quorum applies the rule GroupConfig.Peers states: a majority of the
+// configured electorate (this member plus cfg.Peers). Any two majorities
+// intersect, so a partition can elect at most one leader, and the decision
+// gate's ack quorum (quorum()-1 followers plus the leader itself)
+// guarantees every election majority contains at least one member whose
+// log holds every released decision — whose longer log then fences out
+// any claimant missing one.
 func (g *GroupMember) quorum() int {
 	return (len(g.cfg.Peers)+1)/2 + 1
 }
@@ -566,8 +578,7 @@ type ReplState struct {
 	Term, TermStart uint64
 	// TermLeader is the member that claimed the peer's term.
 	TermLeader string
-	// MemberID is the peer's group identity ("" for a plain
-	// ServeReplication primary).
+	// MemberID is the peer's group identity.
 	MemberID string
 	// IsLeader reports whether the peer currently leads its group.
 	IsLeader bool
@@ -585,17 +596,15 @@ func FetchReplState(ctx context.Context, o *orb.ORB, endpoint string) (ReplState
 	}
 	d := cdr.NewDecoder(body)
 	st := ReplState{
-		Epoch:   d.ReadUint64(),
-		NextLSN: d.ReadUint64(),
-		Acked:   d.ReadUint64(),
-	}
-	if d.Err() == nil && d.Remaining() > 0 {
-		st.Term = d.ReadUint64()
-		st.TermStart = d.ReadUint64()
-		st.TermLeader = d.ReadString()
-		st.MemberID = d.ReadString()
-		st.IsLeader = d.ReadBool()
-		st.LastElectionMillis = d.ReadInt64()
+		Epoch:              d.ReadUint64(),
+		NextLSN:            d.ReadUint64(),
+		Acked:              d.ReadUint64(),
+		Term:               d.ReadUint64(),
+		TermStart:          d.ReadUint64(),
+		TermLeader:         d.ReadString(),
+		MemberID:           d.ReadString(),
+		IsLeader:           d.ReadBool(),
+		LastElectionMillis: d.ReadInt64(),
 	}
 	if err := d.Err(); err != nil {
 		return ReplState{}, orb.Systemf(orb.CodeMarshal, "repl_state reply: %v", err)

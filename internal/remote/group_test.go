@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -370,7 +371,7 @@ func TestFencedDeposedLeaderAppendRejected(t *testing.T) {
 	if _, err := aLog.Append(wal.Kind(7), []byte("late-decision")); !errors.Is(err, wal.ErrFenced) {
 		t.Fatalf("deposed append = %v, want ErrFenced", err)
 	}
-	if err := a.g.Primary().DecisionGate(time.Second)(aLog.LastLSN()); !orb.IsSystem(err, orb.CodeFenced) {
+	if err := a.g.DecisionGate(time.Second)(aLog.LastLSN()); !orb.IsSystem(err, orb.CodeFenced) {
 		t.Fatalf("decision gate on deposed leader = %v, want FENCED", err)
 	}
 	select {
@@ -431,6 +432,45 @@ func TestElectionRequiresQuorum(t *testing.T) {
 	}
 	if got := log.KnownTerm(); got != 0 {
 		t.Fatalf("partitioned minority member adopted term %d with no quorum", got)
+	}
+}
+
+// TestElectionVoterFetchDoesNotDeposeCandidate: a voter that accepts a
+// claim repoints at once and fetches from the candidate under the claimed
+// term — often before the candidate has finished its claim round and
+// adopted that term. The candidate must recognise its own claim coming
+// back, serve the fetch, and go on to adopt the term it won; treating the
+// fetch as evidence of another leader fenced the winner at its own term
+// and wedged the group. Any other higher term still deposes.
+func TestElectionVoterFetchDoesNotDeposeCandidate(t *testing.T) {
+	ctx := context.Background()
+	log := seedLog(t, 2)
+	cand := newTestMember(t, "cand", log, []string{"tcp:127.0.0.1:1"}, nil, nil)
+
+	voterORB, _ := listenORB(t)
+	voterLog := seedLog(t, 2)
+	voterLog.Fence(1) // the voter accepted the claim for term 1
+	voter := testFollower(voterORB, cand.eps, voterLog, 10*time.Millisecond)
+
+	cand.g.setClaiming(1) // claim round for term 1 in flight
+	if _, err := voter.Sync(ctx); err != nil {
+		t.Fatalf("voter's fetch under the in-flight claim's term = %v, want served", err)
+	}
+	if log.Fenced() {
+		t.Fatal("candidate fenced itself on its own claim's term")
+	}
+	if err := cand.g.becomeLeader(ctx, 1); err != nil {
+		t.Fatalf("candidate could not adopt the term it won: %v", err)
+	}
+	cand.g.setClaiming(0)
+
+	// Evidence of a term this member is not claiming still deposes it.
+	voterLog.Fence(2)
+	if _, err := voter.Sync(ctx); !orb.IsSystem(err, orb.CodeFenced) {
+		t.Fatalf("fetch under a foreign higher term = %v, want FENCED", err)
+	}
+	if !log.Fenced() || cand.g.Role() != RoleFollower {
+		t.Fatalf("leader not deposed by a foreign higher term (fenced %v, role %v)", log.Fenced(), cand.g.Role())
 	}
 }
 
@@ -504,6 +544,107 @@ func TestGroupTakeoverReplicatesThroughNewLeader(t *testing.T) {
 	waitLSN(t, cLog, lsn)
 }
 
+// TestDecisionGateSizedByElectorate pins the one quorum rule at the gate:
+// the electorate is this member plus Peers, the quorum is n/2+1, and the
+// gate waits for quorum-1 follower acks — no special case for a lone
+// member (nobody to wait for) or a pair (the other node, always).
+func TestDecisionGateSizedByElectorate(t *testing.T) {
+	for _, tc := range []struct{ peers, wantAcks int }{{0, 0}, {1, 1}, {2, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("peers=%d", tc.peers), func(t *testing.T) {
+			peers := make([]string, tc.peers)
+			for i := range peers {
+				peers[i] = fmt.Sprintf("tcp:127.0.0.1:%d", i+1) // never dialed: a leader does not probe
+			}
+			log := wal.NewMemory()
+			m := newTestMember(t, "leader", log, peers, nil, nil)
+			if err := m.g.Promote(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := log.Append(wal.Kind(7), []byte("decision"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- m.g.DecisionGate(20 * time.Millisecond)(lsn) }()
+			for acked := 0; acked < tc.wantAcks; acked++ {
+				select {
+				case err := <-done:
+					t.Fatalf("gate released after %d of %d acks: %v", acked, tc.wantAcks, err)
+				case <-time.After(100 * time.Millisecond):
+				}
+				m.g.Primary().noteAck(fmt.Sprintf("f%d", acked), lsn)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("gate with %d acks = %v, want release", tc.wantAcks, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("gate never released after %d acks", tc.wantAcks)
+			}
+		})
+	}
+}
+
+// TestAckWatermarksResetOnNewTerm: follower ack watermarks are claims
+// about one leadership's history and must not survive into the next. A
+// leader collects an ack for LSN 50, is deposed, truncates its suffix back
+// to LSN 10 on rejoin, and later leads again — LSNs 11..50 now name
+// different records. The stale ack (its follower may be long dead) must
+// not release the gate for one of them: the gate blocks until a follower
+// acknowledges the new record afresh.
+func TestAckWatermarksResetOnNewTerm(t *testing.T) {
+	log := wal.NewMemory()
+	m := newTestMember(t, "a", log, []string{"tcp:127.0.0.1:1"}, nil, nil) // pair: the gate needs 1 ack
+	ctx := context.Background()
+	if err := m.g.Promote(ctx); err != nil { // term 1 at LSN 1
+		t.Fatal(err)
+	}
+	for log.LastLSN() < 50 {
+		if _, err := log.Append(wal.Kind(7), []byte("term-1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.g.Primary().noteAck("b", 50)
+
+	// Deposed by term 2, rejoin truncation cuts the unreplicated suffix.
+	if err := m.g.handleClaim(2, "b", 0, 50, []string{"tcp:127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.TruncateAfter(10); err != nil {
+		t.Fatal(err)
+	}
+
+	// Elected again: a different record now occupies an LSN the dead
+	// follower once acknowledged.
+	if err := m.g.becomeLeader(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := log.Append(wal.Kind(7), []byte("term-3 decision"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn > 50 {
+		t.Fatalf("new decision at LSN %d, want one the stale watermark covers (<= 50)", lsn)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.g.DecisionGate(20 * time.Millisecond)(lsn) }()
+	select {
+	case err := <-done:
+		t.Fatalf("gate released LSN %d on an ack from a previous term: %v", lsn, err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	m.g.Primary().noteAck("c", lsn)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("gate after a fresh ack = %v, want release", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("gate never released after a fresh ack")
+	}
+}
+
 // TestInstallSnapshotDuringParkedFetch races an epoch bump against a
 // parked long-poll: the follower's fetch is parked on the primary when a
 // checkpoint moves the epoch, and the follower must resynchronise from a
@@ -520,8 +661,7 @@ func TestInstallSnapshotDuringParkedFetch(t *testing.T) {
 	followerORB := orb.New()
 	t.Cleanup(followerORB.Shutdown)
 	followerLog := wal.NewMemory()
-	f := NewReplicationFollower(followerORB, ReplicationAt(endpoints...), followerLog,
-		WithPollTimeout(10*time.Second), WithFollowerID("f"))
+	f := testFollower(followerORB, endpoints, followerLog, 10*time.Second)
 
 	// Catch up, then park the next fetch on the primary's long poll.
 	ctx := context.Background()

@@ -12,33 +12,33 @@ import (
 	"github.com/extendedtx/activityservice/internal/wal"
 )
 
-// WAL replication over the ORB: the primary coordinator exposes its
-// decision log as a well-known servant and a warm standby streams it into
-// a follower wal.Log. The protocol is pull-based — the follower long-polls
-// repl_fetch so a healthy primary ships each record within one round trip
-// — with epochs delimiting checkpoints: a checkpoint compacts records
-// (preserving LSNs), so a follower that sees the primary's epoch move
-// resynchronises from a full repl_snapshot instead of chasing LSNs that no
-// longer exist. Each fetch doubles as the follower's acknowledgement of
-// everything at or below its watermark; the primary's ReplicationPrimary
-// tracks that watermark so a decision barrier (semi-synchronous
-// replication) can hold phase two until the standby holds the decision.
+// WAL replication over the ORB: every coordinator-group member exposes
+// its log as a well-known servant and the followers stream the leader's
+// into their own wal.Log. The protocol is pull-based — the follower
+// long-polls repl_fetch so a healthy leader ships each record within one
+// round trip — with epochs delimiting checkpoints: a checkpoint compacts
+// records (preserving LSNs), so a follower that sees the leader's epoch
+// move resynchronises from a full repl_snapshot instead of chasing LSNs
+// that no longer exist. Each fetch doubles as the follower's
+// acknowledgement of everything at or below its watermark; the leader's
+// ReplicationPrimary tracks that watermark so the decision gate can hold
+// phase two until a quorum of the group holds the decision.
 //
-// All three verbs belong to the priority admission class
+// The verbs belong to the priority admission class
 // (orb.DefaultPriorityOps): shedding replication under overload would let
-// the standby fall behind exactly when the primary is most likely to die.
+// the followers fall behind exactly when the leader is most likely to die.
 const (
 	// ReplicationTypeID is the interface id of the WAL replication servant.
 	ReplicationTypeID = "IDL:ActivityService/WALReplication:1.0"
 	// ReplicationKey is the well-known object key the replication servant
-	// serves under — like ots-recovery, a standby needs only the primary's
+	// serves under — like ots-recovery, a member needs only a peer's
 	// endpoint to find it.
 	ReplicationKey = "wal-replication"
 )
 
-// ErrPrimaryLost is returned by ReplicationFollower.Run when the primary
+// ErrPrimaryLost is returned by ReplicationFollower.Run when the leader
 // has been unreachable for the takeover policy's failure budget: the
-// standby should stop following and take over.
+// member should stop following and stand for election.
 var ErrPrimaryLost = errors.New("remote: replication primary lost")
 
 // fetch reply status octets.
@@ -52,14 +52,13 @@ const (
 	replFenced = 2
 )
 
-// ReplicationPrimary is the primary-side handle returned by
-// ServeReplication: it tracks per-follower acknowledgement watermarks and
-// lets the commit path wait on them.
+// ReplicationPrimary is the leader-side handle of a GroupMember's
+// replication servant: it tracks per-follower acknowledgement watermarks
+// and lets the commit path wait on them.
 type ReplicationPrimary struct {
 	log *wal.Log
 
 	mu    sync.Mutex
-	acked uint64            // the most advanced follower watermark
 	acks  map[string]uint64 // per-follower watermarks, keyed by follower ID
 	ackCh chan struct{}     // closed and renewed whenever any watermark advances
 }
@@ -69,31 +68,39 @@ type ReplicationPrimary struct {
 func (p *ReplicationPrimary) noteAck(id string, lsn uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	moved := false
 	if lsn > p.acks[id] {
 		p.acks[id] = lsn
-		moved = true
-	}
-	if lsn > p.acked {
-		p.acked = lsn
-		moved = true
-	}
-	if moved {
 		close(p.ackCh)
 		p.ackCh = make(chan struct{})
 	}
+}
+
+// resetAcks forgets every follower watermark. A watermark is a claim
+// about one leadership's history: a member that was deposed, truncated its
+// suffix and leads again assigns the same LSNs to different records, so an
+// ack collected under the old term must not release a decision of the new
+// one. Live followers re-acknowledge on their next fetch.
+func (p *ReplicationPrimary) resetAcks() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.acks = make(map[string]uint64)
 }
 
 // Acked returns the highest LSN any follower has acknowledged as durable.
 func (p *ReplicationPrimary) Acked() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.acked
+	var most uint64
+	for _, lsn := range p.acks {
+		if lsn > most {
+			most = lsn
+		}
+	}
+	return most
 }
 
 // FollowerAcks returns a copy of the per-follower ack watermarks (the
-// admin scrape reports them as lag against the log's last LSN). Followers
-// that never sent an ID are aggregated under "".
+// admin scrape reports them as lag against the log's last LSN).
 func (p *ReplicationPrimary) FollowerAcks() map[string]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -107,9 +114,6 @@ func (p *ReplicationPrimary) FollowerAcks() map[string]uint64 {
 // ackedByNLocked reports whether at least n followers have acknowledged
 // lsn. The caller must hold p.mu.
 func (p *ReplicationPrimary) ackedByNLocked(lsn uint64, n int) bool {
-	if n <= 1 {
-		return p.acked >= lsn
-	}
 	count := 0
 	for _, a := range p.acks {
 		if a >= lsn {
@@ -119,16 +123,8 @@ func (p *ReplicationPrimary) ackedByNLocked(lsn uint64, n int) bool {
 	return count >= n
 }
 
-// WaitForAck blocks until a follower has acknowledged lsn (reporting true)
-// or timeout elapses (false).
-func (p *ReplicationPrimary) WaitForAck(lsn uint64, timeout time.Duration) bool {
-	return p.WaitForAckN(lsn, 1, timeout)
-}
-
 // WaitForAckN blocks until at least n distinct followers have acknowledged
-// lsn (reporting true) or timeout elapses (false). A coordinator group
-// running semi-synchronous replication across N standbys waits for the
-// quorum it wants here; n <= 1 waits on the most advanced watermark.
+// lsn (reporting true) or timeout elapses (false).
 func (p *ReplicationPrimary) WaitForAckN(lsn uint64, n int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -153,33 +149,23 @@ func (p *ReplicationPrimary) WaitForAckN(lsn uint64, n int, timeout time.Duratio
 	}
 }
 
-// DecisionBarrier adapts WaitForAck to ots.WithDecisionBarrier: the
-// returned hook holds each freshly-logged commit decision until the
-// standby acknowledges its LSN or timeout elapses. A timeout degrades to
-// asynchronous shipping — the decision is already durable locally and must
-// not be un-decided because a standby is slow.
-func (p *ReplicationPrimary) DecisionBarrier(timeout time.Duration) func(lsn uint64) {
-	return func(lsn uint64) { p.WaitForAck(lsn, timeout) }
-}
-
-// DecisionGateN adapts the quorum ack barrier to ots.WithDecisionGate,
-// adding the fence check the barrier cannot express. The gate releases a
-// freshly-logged commit decision only once n distinct followers have
-// durably acknowledged its LSN — so every member a later election could
-// pick already holds the decision — and a fence raised at any point
-// vetoes the commit with FENCED: a deposed leader's decision is an
-// orphan the rejoin truncation cuts, so it must never reach phase two.
+// DecisionGateN is the commit gate behind ots.WithDecisionGate. It
+// releases a freshly-logged commit decision only once n distinct
+// followers have durably acknowledged its LSN — so every member a later
+// election could pick already holds the decision — and a fence raised at
+// any point vetoes the commit with FENCED: a deposed leader's decision is
+// an orphan the rejoin truncation cuts, so it must never reach phase two.
 //
-// Unlike DecisionBarrier, a missing ack does NOT degrade to asynchronous
-// shipping: the gate blocks, re-checking the fence every interval, until
-// the acks arrive or this member is deposed. Degrading would let a
-// leader deliver phase two, die, and leave the election to pick a
-// standby that never saw the decision; vetoing on a slow standby would
-// be unsafe the other way, because the decision record is already
-// durable locally and would replay as commit after a crash while the
-// client heard rollback. Blocking is the only outcome consistent on
-// both sides of a crash. n < 1 skips the ack wait (a single-member
-// group has nobody to wait for) but keeps both fence checks.
+// A missing ack does NOT degrade to asynchronous shipping: the gate
+// blocks, re-checking the fence every interval, until the acks arrive or
+// this member is deposed. Degrading would let a leader deliver phase two,
+// die, and leave the election to pick a standby that never saw the
+// decision; vetoing on a slow standby would be unsafe the other way,
+// because the decision record is already durable locally and would replay
+// as commit after a crash while the client heard rollback. Blocking is
+// the only outcome consistent on both sides of a crash. n < 1 skips the
+// ack wait (a single-member group has nobody to wait for) but keeps both
+// fence checks. GroupMember.DecisionGate sizes n from the electorate.
 func (p *ReplicationPrimary) DecisionGateN(n int, interval time.Duration) func(lsn uint64) error {
 	if interval <= 0 {
 		interval = time.Second
@@ -196,13 +182,6 @@ func (p *ReplicationPrimary) DecisionGateN(n int, interval time.Duration) func(l
 	}
 }
 
-// DecisionGate is DecisionGateN over a single follower: the two-member
-// (primary plus one standby) deployment's gate. Coordinator groups use
-// GroupMember.DecisionGate, which sizes n to the electorate's quorum.
-func (p *ReplicationPrimary) DecisionGate(interval time.Duration) func(lsn uint64) error {
-	return p.DecisionGateN(1, interval)
-}
-
 // fenceCheck surfaces a raised fence as the FENCED system exception.
 func (p *ReplicationPrimary) fenceCheck() error {
 	if !p.log.Fenced() {
@@ -211,44 +190,10 @@ func (p *ReplicationPrimary) fenceCheck() error {
 	return orb.Systemf(orb.CodeFenced, "term=%d deposed mid-commit", p.log.KnownTerm())
 }
 
-// groupHooks is the coordinator group's view of replication-servant
-// events. Every hook may be nil (the legacy single-standby deployment has
-// no group).
-type groupHooks struct {
-	// info reports this member's identity for repl_state.
-	info func() (memberID string, leader bool, lastElectionMillis int64)
-	// claim decides a repl_claim: accept (nil) repoints this member to the
-	// claimant; a FENCED error rejects it.
-	claim func(term uint64, leaderID string, epoch, lastLSN uint64, endpoints []string) error
-	// deposed reports that a fetching follower proved a higher term exists
-	// (the log has already been fenced when it runs).
-	deposed func(term uint64)
-}
-
-// replicationServant exposes a primary's wal.Log over the ORB.
+// replicationServant exposes a group member's wal.Log over the ORB and
+// routes claims and fence evidence into the member's election state.
 type replicationServant struct {
-	log     *wal.Log
-	primary *ReplicationPrimary
-	hooks   groupHooks
-}
-
-// ServeReplication activates the WAL replication servant for log on o
-// under ReplicationKey and returns the primary-side handle plus the
-// servant's reference. ReplicationAt rebuilds the same reference from
-// endpoints alone.
-func ServeReplication(o *orb.ORB, log *wal.Log) (*ReplicationPrimary, orb.IOR) {
-	p, ref, _ := serveReplication(o, log, groupHooks{})
-	return p, ref
-}
-
-// serveReplication registers the replication servant with group hooks
-// attached; the coordinator group uses it so claims and fence evidence
-// reach the member's election state.
-func serveReplication(o *orb.ORB, log *wal.Log, hooks groupHooks) (*ReplicationPrimary, orb.IOR, *replicationServant) {
-	p := &ReplicationPrimary{log: log, acks: make(map[string]uint64), ackCh: make(chan struct{})}
-	s := &replicationServant{log: log, primary: p, hooks: hooks}
-	ref := o.RegisterServantWithKey(ReplicationKey, ReplicationTypeID, s)
-	return p, ref, s
+	g *GroupMember
 }
 
 // ReplicationAt builds the IOR of the well-known replication servant
@@ -266,16 +211,13 @@ const maxFetchWait = 30 * time.Second
 func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder) ([]byte, error) {
 	switch op {
 	case "repl_state":
-		epoch, next := s.log.State()
-		ts := s.log.TermState()
-		memberID, leader, lastElection := "", false, int64(0)
-		if s.hooks.info != nil {
-			memberID, leader, lastElection = s.hooks.info()
-		}
+		epoch, next := s.g.log.State()
+		ts := s.g.log.TermState()
+		memberID, leader, lastElection := s.g.info()
 		e := cdr.NewEncoder(64)
 		e.WriteUint64(epoch)
 		e.WriteUint64(next)
-		e.WriteUint64(s.primary.Acked())
+		e.WriteUint64(s.g.primary.Acked())
 		e.WriteUint64(ts.Term)
 		e.WriteUint64(ts.Start)
 		e.WriteString(ts.Leader)
@@ -289,18 +231,15 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		after := in.ReadUint64()
 		waitMillis := in.ReadUint32()
 		max := in.ReadUint32()
-		followerID, followerTerm := "", uint64(0)
-		if in.Err() == nil && in.Remaining() > 0 {
-			followerID = in.ReadString()
-			followerTerm = in.ReadUint64()
-		}
+		followerID := in.ReadString()
+		followerTerm := in.ReadUint64()
 		if err := in.Err(); err != nil {
 			return nil, orb.Systemf(orb.CodeMarshal, "repl_fetch: %v", err)
 		}
 		if out, fenced := s.fenceFetch(after, followerTerm); fenced {
 			return out, nil
 		}
-		curEpoch, _ := s.log.State()
+		curEpoch, _ := s.g.log.State()
 		e := cdr.NewEncoder(256)
 		if epoch != curEpoch {
 			// The follower's stream position predates a checkpoint (or it
@@ -313,22 +252,22 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		}
 		// A fetch after X acknowledges X: the follower only advances its
 		// watermark once records are durable in its own log.
-		s.primary.noteAck(followerID, after)
+		s.g.primary.noteAck(followerID, after)
 		if wait := time.Duration(waitMillis) * time.Millisecond; wait > 0 {
 			if wait > maxFetchWait {
 				wait = maxFetchWait
 			}
-			s.log.WaitSince(epoch, after, wait)
+			s.g.log.WaitSince(epoch, after, wait)
 			// The epoch may have moved while parked; re-read and report
 			// honestly so the follower resyncs rather than mixing streams.
-			if curEpoch, _ = s.log.State(); curEpoch != epoch {
+			if curEpoch, _ = s.g.log.State(); curEpoch != epoch {
 				e.WriteOctet(replEpochMismatch)
 				e.WriteUint64(curEpoch)
 				e.WriteUint32(0)
 				return e.Bytes(), nil
 			}
 		}
-		recs, err := s.log.RecordsSince(after)
+		recs, err := s.g.log.RecordsSince(after)
 		if err != nil {
 			return nil, fmt.Errorf("repl_fetch: %w", err)
 		}
@@ -346,8 +285,8 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		return e.Bytes(), nil
 
 	case "repl_snapshot":
-		epoch, next := s.log.State()
-		snap, err := s.log.Snapshot()
+		epoch, next := s.g.log.State()
+		snap, err := s.g.log.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("repl_snapshot: %w", err)
 		}
@@ -366,10 +305,10 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		if err := in.Err(); err != nil {
 			return nil, orb.Systemf(orb.CodeMarshal, "repl_claim: %v", err)
 		}
-		if err := s.handleClaim(term, leaderID, claimEpoch, claimLast, endpoints); err != nil {
+		if err := s.g.handleClaim(term, leaderID, claimEpoch, claimLast, endpoints); err != nil {
 			return nil, err
 		}
-		epoch, next := s.log.State()
+		epoch, next := s.g.log.State()
 		e := cdr.NewEncoder(32)
 		e.WriteUint64(epoch)
 		e.WriteUint64(next - 1)
@@ -386,7 +325,12 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 //   - The follower proves a higher term than this server knows: the server
 //     has been deposed — fence the local log so in-flight appends (a
 //     decision racing phase two) fail FENCED, tell the group, and answer
-//     replFenced so the follower looks for the real leader.
+//     replFenced so the follower looks for the real leader. The one term
+//     that proves nothing is the one this member is itself claiming: a
+//     voter that accepted the claim fetches under it before the candidate
+//     has adopted it, and fencing on that would wedge the winner (it could
+//     never adopt the term it won). That fetch is served as a plain one
+//     and parks until the term record lands.
 //   - The follower's term is behind this server's and its stream position
 //     reaches into a newer term's history: the follower is a deposed
 //     leader holding an unreplicated suffix. Streaming to it would silently
@@ -395,58 +339,29 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 //     start of the first term beyond the follower's — for the follower's
 //     crash-atomic rejoin cut.
 func (s *replicationServant) fenceFetch(after, followerTerm uint64) ([]byte, bool) {
-	known := s.log.KnownTerm()
-	if followerTerm > known {
-		s.log.Fence(followerTerm)
-		if s.hooks.deposed != nil {
-			s.hooks.deposed(followerTerm)
-		}
-		return encodeFencedReply(followerTerm, 0, "", nil), true
+	if followerTerm > s.g.log.KnownTerm() && !s.g.isClaiming(followerTerm) {
+		s.g.log.Fence(followerTerm)
+		s.g.noteDeposed(followerTerm)
+		return encodeFencedReply(followerTerm, 0, ""), true
 	}
-	if term := s.log.Term(); followerTerm < term {
-		if cut, ok := s.log.TermStartAfter(followerTerm); ok && after >= cut {
-			ts := s.log.TermState()
-			return encodeFencedReply(ts.Term, cut-1, ts.Leader, nil), true
+	if term := s.g.log.Term(); followerTerm < term {
+		if cut, ok := s.g.log.TermStartAfter(followerTerm); ok && after >= cut {
+			ts := s.g.log.TermState()
+			return encodeFencedReply(ts.Term, cut-1, ts.Leader), true
 		}
 	}
 	return nil, false
 }
 
-// handleClaim decides a repl_claim. The group's claim hook owns the
-// decision when present; without a group the legacy rules apply: a claim
-// for a term at or below the known one is fenced off, as is any claimant
-// whose log does not subsume this member's — a stale epoch (the claimant
-// missed a checkpoint this log has folded in), or a shorter log within
-// the same epoch. LSNs survive compaction, but an epoch behind the
-// voter's means the claimant's history stopped on an older line, so the
-// comparison is epoch first, LSN within the epoch.
-func (s *replicationServant) handleClaim(term uint64, leaderID string, claimEpoch, claimLast uint64, endpoints []string) error {
-	if s.hooks.claim != nil {
-		return s.hooks.claim(term, leaderID, claimEpoch, claimLast, endpoints)
-	}
-	if known := s.log.KnownTerm(); term <= known {
-		ts := s.log.TermState()
-		return orb.Systemf(orb.CodeFenced, "term=%d leader=%s claim for stale term %d", known, ts.Leader, term)
-	}
-	epoch, _ := s.log.State()
-	if last := s.log.LastLSN(); claimEpoch < epoch || (claimEpoch == epoch && claimLast < last) {
-		return orb.Systemf(orb.CodeFenced, "term=%d durable epoch %d lsn %d not subsumed by claimant epoch %d lsn %d",
-			s.log.KnownTerm(), epoch, last, claimEpoch, claimLast)
-	}
-	s.log.Fence(term)
-	return nil
-}
-
 // encodeFencedReply builds a replFenced fetch reply: the server's term,
 // the truncation bound for a rejoining deposed leader (0 when the server
-// itself is the stale party), and the leader hint.
-func encodeFencedReply(term, truncateTo uint64, leaderID string, endpoints []string) []byte {
+// itself is the stale party), and the ID of the leader that claimed term.
+func encodeFencedReply(term, truncateTo uint64, leaderID string) []byte {
 	e := cdr.NewEncoder(64)
 	e.WriteOctet(replFenced)
 	e.WriteUint64(term)
 	e.WriteUint64(truncateTo)
 	e.WriteString(leaderID)
-	e.WriteStringList(endpoints)
 	return e.Bytes()
 }
 
@@ -460,79 +375,27 @@ type TakeoverPolicy struct {
 	Retry time.Duration
 }
 
-// ReplicationFollower streams a primary's WAL into a local follower log.
+// followerBatch caps the records one repl_fetch asks for.
+const followerBatch = 256
+
+// ReplicationFollower streams a leader's WAL into a local follower log.
+// GroupMember.followOnce is its only constructor outside tests.
 type ReplicationFollower struct {
-	orb      *orb.ORB
-	ref      orb.IOR
-	log      *wal.Log
-	id       string
-	poll     time.Duration
-	batch    uint32
-	policy   TakeoverPolicy
-	onRecord func(wal.Record)
-	onFenced func(term uint64, leaderID string, endpoints []string)
-}
-
-// FollowerOption configures a ReplicationFollower.
-type FollowerOption func(*ReplicationFollower)
-
-// WithPollTimeout sets how long each fetch long-polls on the primary when
-// the follower is caught up (default 2s; clamped by the primary to 30s).
-func WithPollTimeout(d time.Duration) FollowerOption {
-	return func(f *ReplicationFollower) {
-		if d > 0 {
-			f.poll = d
-		}
-	}
-}
-
-// WithTakeoverPolicy sets when Run declares the primary lost.
-func WithTakeoverPolicy(p TakeoverPolicy) FollowerOption {
-	return func(f *ReplicationFollower) {
-		if p.Failures > 0 {
-			f.policy.Failures = p.Failures
-		}
-		if p.Retry > 0 {
-			f.policy.Retry = p.Retry
-		}
-	}
-}
-
-// WithRecordObserver installs a hook invoked after each shipped record is
-// durable in the follower's log (tests use it to track replication lag).
-func WithRecordObserver(fn func(wal.Record)) FollowerOption {
-	return func(f *ReplicationFollower) { f.onRecord = fn }
-}
-
-// WithFollowerID names this follower on the wire: the primary keys its
-// per-follower ack watermark by it, and the admin scrape reports lag under
-// it. Coordinator-group members use their member ID.
-func WithFollowerID(id string) FollowerOption {
-	return func(f *ReplicationFollower) { f.id = id }
-}
-
-// WithFencedObserver installs a hook invoked when a fetch is answered
-// replFenced: the server's term, and its leader hint when it knows one.
-// Coordinator-group members repoint their stream from it.
-func WithFencedObserver(fn func(term uint64, leaderID string, endpoints []string)) FollowerOption {
-	return func(f *ReplicationFollower) { f.onFenced = fn }
+	orb    *orb.ORB
+	ref    orb.IOR
+	log    *wal.Log
+	id     string
+	poll   time.Duration
+	policy TakeoverPolicy
 }
 
 // NewReplicationFollower returns a follower that streams the replication
-// servant at ref through o into log.
-func NewReplicationFollower(o *orb.ORB, ref orb.IOR, log *wal.Log, opts ...FollowerOption) *ReplicationFollower {
-	f := &ReplicationFollower{
-		orb:    o,
-		ref:    ref,
-		log:    log,
-		poll:   2 * time.Second,
-		batch:  256,
-		policy: TakeoverPolicy{Failures: 3, Retry: 100 * time.Millisecond},
-	}
-	for _, opt := range opts {
-		opt(f)
-	}
-	return f
+// servant at ref through o into log. id names the follower on the wire
+// (the leader keys its ack watermark by it), poll is how long each fetch
+// long-polls when caught up (clamped by the server to 30s), and policy
+// says when Run declares the leader lost.
+func NewReplicationFollower(o *orb.ORB, ref orb.IOR, log *wal.Log, id string, poll time.Duration, policy TakeoverPolicy) *ReplicationFollower {
+	return &ReplicationFollower{orb: o, ref: ref, log: log, id: id, poll: poll, policy: policy}
 }
 
 // Sync runs one replication round: fetch the records beyond the follower's
@@ -546,7 +409,7 @@ func (f *ReplicationFollower) Sync(ctx context.Context) (int, error) {
 	e.WriteUint64(epoch)
 	e.WriteUint64(next - 1)
 	e.WriteUint32(uint32(f.poll / time.Millisecond))
-	e.WriteUint32(f.batch)
+	e.WriteUint32(followerBatch)
 	e.WriteString(f.id)
 	e.WriteUint64(f.log.KnownTerm())
 	body, err := f.orb.Invoke(ctx, f.ref, "repl_fetch", e.Bytes())
@@ -590,9 +453,6 @@ func (f *ReplicationFollower) Sync(ctx context.Context) (int, error) {
 			return applied, fmt.Errorf("apply shipped record %d: %w", rec.LSN, err)
 		}
 		applied++
-		if f.onRecord != nil {
-			f.onRecord(rec)
-		}
 	}
 	return applied, nil
 }
@@ -610,12 +470,8 @@ func (f *ReplicationFollower) handleFenced(d *cdr.Decoder) (int, error) {
 	term := d.ReadUint64()
 	truncateTo := d.ReadUint64()
 	leaderID := d.ReadString()
-	endpoints := d.ReadStringList()
 	if err := d.Err(); err != nil {
 		return 0, orb.Systemf(orb.CodeMarshal, "repl_fetch fenced reply: %v", err)
-	}
-	if f.onFenced != nil {
-		f.onFenced(term, leaderID, endpoints)
 	}
 	if term >= f.log.KnownTerm() && truncateTo > 0 && f.log.LastLSN() > truncateTo {
 		f.log.Fence(term)

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,17 +12,19 @@ import (
 	"github.com/extendedtx/activityservice/internal/wal"
 )
 
-// startPrimary serves replication for log on a listening ORB and returns
-// the ORB, the primary handle and the ORB's endpoints.
+// startPrimary serves replication for log — a group member on a listening
+// ORB — and returns the ORB, the member's primary handle and the ORB's
+// endpoints.
 func startPrimary(t *testing.T, log *wal.Log) (*orb.ORB, *ReplicationPrimary, []string) {
 	t.Helper()
-	primaryORB := orb.New()
-	t.Cleanup(primaryORB.Shutdown)
-	p, _ := ServeReplication(primaryORB, log)
-	if _, err := primaryORB.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	return primaryORB, p, primaryORB.Endpoints()
+	primaryORB, endpoints := listenORB(t)
+	g := NewGroupMember(primaryORB, log, GroupConfig{MemberID: "primary"})
+	return primaryORB, g.Primary(), endpoints
+}
+
+// testFollower streams the replication servant at endpoints into log.
+func testFollower(o *orb.ORB, endpoints []string, log *wal.Log, poll time.Duration) *ReplicationFollower {
+	return NewReplicationFollower(o, ReplicationAt(endpoints...), log, "f", poll, groupTestPolicy)
 }
 
 // waitLSN blocks until the log's last LSN reaches want or the deadline.
@@ -44,9 +45,7 @@ func waitLSN(t *testing.T, l *wal.Log, want uint64) {
 // degrading to asynchronous shipping on a slow standby.
 func TestDecisionGateQuorumBlocksUntilAcks(t *testing.T) {
 	log := wal.NewMemory()
-	o := orb.New()
-	t.Cleanup(o.Shutdown)
-	p, _ := ServeReplication(o, log)
+	_, p, _ := startPrimary(t, log)
 	lsn, err := log.Append(wal.Kind(7), []byte("decision"))
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +86,7 @@ func TestDecisionGateFenceVetoesWhileBlocked(t *testing.T) {
 	if _, err := log.AdoptTerm(1, "leader"); err != nil {
 		t.Fatal(err)
 	}
-	o := orb.New()
-	t.Cleanup(o.Shutdown)
-	p, _ := ServeReplication(o, log)
+	_, p, _ := startPrimary(t, log)
 	lsn, err := log.Append(wal.Kind(7), []byte("decision"))
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +114,7 @@ func TestReplicationStreamsAndResyncs(t *testing.T) {
 	followerORB := orb.New()
 	t.Cleanup(followerORB.Shutdown)
 	followerLog := wal.NewMemory()
-	f := NewReplicationFollower(followerORB, ReplicationAt(endpoints...), followerLog,
-		WithPollTimeout(200*time.Millisecond))
+	f := testFollower(followerORB, endpoints, followerLog, 200*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,7 +128,7 @@ func TestReplicationStreamsAndResyncs(t *testing.T) {
 		}
 	}
 	waitLSN(t, followerLog, 3)
-	if !p.WaitForAck(3, 5*time.Second) {
+	if !p.WaitForAckN(3, 1, 5*time.Second) {
 		t.Fatalf("primary never saw ack for LSN 3 (acked %d)", p.Acked())
 	}
 
@@ -178,28 +174,30 @@ func TestReplicationStreamsAndResyncs(t *testing.T) {
 	}
 }
 
-func TestReplicationDecisionBarrier(t *testing.T) {
-	// Semi-synchronous replication: with the decision barrier installed,
-	// Commit does not start phase two until the standby holds the decision
-	// record — so a primary killed any time after the decision leaves a
-	// standby that already knows the outcome.
-	primaryLog := wal.NewMemory()
-	_, p, endpoints := startPrimary(t, primaryLog)
-
-	followerORB := orb.New()
-	t.Cleanup(followerORB.Shutdown)
-	followerLog := wal.NewMemory()
-	f := NewReplicationFollower(followerORB, ReplicationAt(endpoints...), followerLog,
-		WithPollTimeout(200*time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = f.Run(ctx) }()
+// TestReplicationDecisionGateHoldsPhaseTwo: a leader whose peer list names
+// its standby commits through the group's decision gate, so Commit does
+// not start phase two until the standby holds the decision record — a
+// leader killed any time after the decision leaves a standby that already
+// knows the outcome.
+func TestReplicationDecisionGateHoldsPhaseTwo(t *testing.T) {
+	leaderLog, followerLog := wal.NewMemory(), wal.NewMemory()
+	followerORB, followerEps := listenORB(t)
+	leader := newTestMember(t, "leader", leaderLog, followerEps, nil, nil)
+	if err := leader.g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	follower := &testMember{o: followerORB, log: followerLog, eps: followerEps}
+	follower.g = NewGroupMember(followerORB, followerLog, GroupConfig{
+		MemberID: "standby", Peers: leader.eps, LeaderHint: leader.eps,
+		Poll: 100 * time.Millisecond, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+	})
+	follower.start(t)
 
 	var lagAtPhase2 []uint64 // follower's LSN observed as each commit is delivered
 	var mu sync.Mutex
 	svc := ots.NewService(
-		ots.WithLog(primaryLog),
-		ots.WithDecisionBarrier(p.DecisionBarrier(5*time.Second)),
+		ots.WithLog(leaderLog),
+		ots.WithDecisionGate(leader.g.DecisionGate(time.Second)),
 		ots.WithEventHook(func(ev ots.Event) {
 			if ev.Stage == ots.StageCommitDelivered {
 				mu.Lock()
@@ -216,7 +214,7 @@ func TestReplicationDecisionBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	decisionLSN := uint64(1) // first record the service logged
+	decisionLSN := uint64(2) // the term record is 1; the decision is the first record the service logged
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lagAtPhase2) != 2 {
@@ -224,7 +222,7 @@ func TestReplicationDecisionBarrier(t *testing.T) {
 	}
 	for i, lsn := range lagAtPhase2 {
 		if lsn < decisionLSN {
-			t.Fatalf("delivery %d ran with follower at LSN %d, before the decision (%d) — barrier did not hold", i, lsn, decisionLSN)
+			t.Fatalf("delivery %d ran with follower at LSN %d, before the decision (%d) — gate did not hold", i, lsn, decisionLSN)
 		}
 	}
 	// The decision record itself must be on the standby, byte-identical.
@@ -232,8 +230,9 @@ func TestReplicationDecisionBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fRecs) == 0 || fRecs[0].Kind != ots.RecordDecision {
-		t.Fatalf("follower log = %+v, want decision record first", fRecs)
+	lRecs, _ := leaderLog.Records()
+	if len(fRecs) < 2 || fRecs[1].Kind != ots.RecordDecision || string(fRecs[1].Data) != string(lRecs[1].Data) {
+		t.Fatalf("follower log = %+v, want the leader's decision record at LSN %d", fRecs, decisionLSN)
 	}
 }
 
@@ -255,23 +254,33 @@ func (c *countingResource) Rollback() error {
 }
 
 func TestReplicationStandbyTakeover(t *testing.T) {
-	// The tentpole scenario, in-process: a primary coordinator logs a
-	// commit decision (replicated synchronously via the barrier), then dies
-	// before delivering phase two. The standby detects the loss, hosts
-	// recovery over its replica of the log, and converges every prepared
-	// branch to the logged decision exactly once — the primary never comes
-	// back.
-	primaryLog := wal.NewMemory()
-	primaryORB, p, endpoints := startPrimary(t, primaryLog)
-
-	followerORB := orb.New()
-	t.Cleanup(followerORB.Shutdown)
-	followerLog := wal.NewMemory()
-	f := NewReplicationFollower(followerORB, ReplicationAt(endpoints...), followerLog,
-		WithPollTimeout(100*time.Millisecond),
-		WithTakeoverPolicy(TakeoverPolicy{Failures: 3, Retry: 10 * time.Millisecond}))
-	runErr := make(chan error, 1)
-	go func() { runErr <- f.Run(context.Background()) }()
+	// The tentpole scenario, in-process, as a group of two: the leader
+	// (peer list = the standby) logs a commit decision — replicated
+	// synchronously by the gate — then dies before delivering phase two.
+	// The standby (no peers: it takes over alone) detects the loss, elects
+	// itself, hosts recovery over its replica of the log, and converges
+	// every prepared branch to the logged decision exactly once — the
+	// leader never comes back.
+	leaderLog, standbyLog := wal.NewMemory(), wal.NewMemory()
+	standbyORB, standbyEps := listenORB(t)
+	leader := newTestMember(t, "leader", leaderLog, standbyEps, nil, nil)
+	if err := leader.g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	took := make(chan HostRecoveryResult, 1)
+	standby := &testMember{o: standbyORB, log: standbyLog, eps: standbyEps}
+	standby.g = NewGroupMember(standbyORB, standbyLog, GroupConfig{
+		MemberID: "standby", LeaderHint: leader.eps,
+		Takeover: func(context.Context) error {
+			res, err := HostRecovery(standbyORB, standbyLog, ots.WithRetryPolicy(3, 10*time.Millisecond))
+			if err == nil {
+				took <- res
+			}
+			return err
+		},
+		Poll: 100 * time.Millisecond, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+	})
+	standby.start(t)
 
 	// Two participants on their own nodes, registered over the wire so
 	// their recovery names are stringified IORs the standby can re-bind.
@@ -279,47 +288,37 @@ func TestReplicationStandbyTakeover(t *testing.T) {
 	a.vote, b.vote = ots.VoteCommit, ots.VoteCommit
 	refA, refB := startParticipant(t, a), startParticipant(t, b)
 
-	// The primary dies at the decision boundary: the event hook shuts the
-	// ORB down after the decision is durable (and replicated — barrier)
+	// The leader dies at the decision boundary: the event hook shuts the
+	// ORB down after the decision is durable (and replicated — the gate)
 	// but before any phase-two delivery can succeed.
 	svc := ots.NewService(
-		ots.WithLog(primaryLog),
-		ots.WithDecisionBarrier(p.DecisionBarrier(5*time.Second)),
+		ots.WithLog(leaderLog),
+		ots.WithDecisionGate(leader.g.DecisionGate(time.Second)),
 		ots.WithRetryPolicy(1, 0),
 		ots.WithEventHook(func(ev ots.Event) {
 			if ev.Stage == ots.StageDecisionLogged {
-				primaryORB.Shutdown()
+				leader.o.Shutdown()
 			}
 		}),
 	)
 	tx := svc.Begin()
-	_ = tx.RegisterResource(ImportResource(primaryORB, refA))
-	_ = tx.RegisterResource(ImportResource(primaryORB, refB))
+	_ = tx.RegisterResource(ImportResource(leader.o, refA))
+	_ = tx.RegisterResource(ImportResource(leader.o, refB))
 	if err := tx.Commit(true); err == nil {
 		t.Fatal("commit succeeded although the coordinator died before phase two")
 	}
-	if a.State() != "prepared" || b.State() != "prepared" {
-		t.Fatalf("participants = %s / %s, want prepared / prepared", a.State(), b.State())
-	}
+	// (The standby may already be converging the participants; that the
+	// dead leader delivered nothing shows below as exactly one commit each.)
 
-	// The follower notices the primary is gone.
+	// The standby notices the leader is gone, elects itself and takes over:
+	// recovery hosted over the replicated log on the standby's ORB.
+	var res HostRecoveryResult
 	select {
-	case err := <-runErr:
-		if !errors.Is(err, ErrPrimaryLost) {
-			t.Fatalf("follower Run = %v, want ErrPrimaryLost", err)
-		}
+	case res = <-took:
 	case <-time.After(10 * time.Second):
-		t.Fatal("follower never declared the primary lost")
+		t.Fatal("standby never took over")
 	}
-
-	// Takeover: host recovery over the replicated log on the standby's ORB.
-	res, err := HostRecovery(followerORB, followerLog, ots.WithRetryPolicy(3, 10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := followerORB.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	waitRole(t, standby, RoleLeader)
 	if res.Stats.DecisionsReplayed != 1 || res.Stats.ResourcesCommitted != 2 {
 		t.Fatalf("takeover recovery stats = %+v", res.Stats)
 	}
@@ -341,11 +340,11 @@ func TestReplicationStandbyTakeover(t *testing.T) {
 	}
 
 	// A restarted participant converges through the standby via the same
-	// multi-profile reference it held for the primary: the dead primary's
+	// multi-profile reference it held for the leader: the dead leader's
 	// profile fails over to the standby's.
 	clientORB := orb.New()
 	t.Cleanup(clientORB.Shutdown)
-	recoveryRef := RecoveryAt(append(endpoints, followerORB.Endpoints()...)...)
+	recoveryRef := RecoveryAt(append(append([]string{}, leader.eps...), standbyEps...)...)
 	rc := NewRecoveryClient(clientORB, recoveryRef)
 	status, err := rc.ReplayCompletion(context.Background(), refA.String())
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 // This file is the log's replication surface: the primary side exposes its
 // stream position and incremental reads, the follower side a write path
 // that preserves shipped LSNs. The wire protocol over these primitives
-// lives in internal/remote (ServeReplication / ReplicationFollower).
+// lives in internal/remote (GroupMember's servant / ReplicationFollower).
 //
 // Epochs delimit compactions: every Checkpoint (and InstallSnapshot)
 // advances the epoch, so a follower streaming records within one epoch

@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,12 +44,12 @@ const remoteActionFactory = "remote-action"
 // coordinator helper. IORs are joined with newlines: the stringified
 // reference grammar uses '|' and ',' internally.
 const (
-	crashEnvMode     = "ACTIVITYSERVICE_CRASH_MODE"     // "commit", "primary", "btp", "group", "groupbtp" or "recover"
-	crashEnvStage    = "ACTIVITYSERVICE_CRASH_STAGE"    // "prepared", "decision", "phase2"
-	crashEnvWAL      = "ACTIVITYSERVICE_CRASH_WAL"      // coordinator log path
-	crashEnvIORs     = "ACTIVITYSERVICE_CRASH_IORS"     // participant resource refs, "\n"-joined
-	crashEnvActions  = "ACTIVITYSERVICE_CRASH_ACTIONS"  // BTP inferior action refs, "\n"-joined
-	crashEnvStandbys = "ACTIVITYSERVICE_CRASH_STANDBYS" // group modes: standby count the decision barrier waits for
+	crashEnvMode    = "ACTIVITYSERVICE_CRASH_MODE"    // "commit", "group", "groupbtp" or "recover"
+	crashEnvStage   = "ACTIVITYSERVICE_CRASH_STAGE"   // "prepared", "decision", "phase2"
+	crashEnvWAL     = "ACTIVITYSERVICE_CRASH_WAL"     // coordinator log path
+	crashEnvIORs    = "ACTIVITYSERVICE_CRASH_IORS"    // participant resource refs, "\n"-joined
+	crashEnvActions = "ACTIVITYSERVICE_CRASH_ACTIONS" // BTP inferior action refs, "\n"-joined
+	crashEnvPeers   = "ACTIVITYSERVICE_CRASH_PEERS"   // group modes: the other members' replication endpoints, space-joined
 )
 
 // survivorResource is a participant hosted by the parent process. It
@@ -97,36 +96,77 @@ func crashStage(name string) ots.Stage {
 	return 0
 }
 
+// killAt returns the event hook that SIGKILLs this process the moment the
+// commit pipeline reaches stage. The kill is raised from inside the
+// synchronous hook, so the process dies at exactly the protocol point
+// under test — no deferred recovery runs.
+func killAt(stage ots.Stage) func(ots.Event) {
+	return func(e ots.Event) {
+		if e.Stage == stage {
+			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			select {} // unreachable: SIGKILL is not deliverable to a handler
+		}
+	}
+}
+
+// commitAcrossEnvResources drives one 2PC over the participants named in
+// crashEnvIORs; the kill hook installed on svc ends the process inside it.
+func commitAcrossEnvResources(t *testing.T, node *orb.ORB, svc *ots.Service) {
+	tx := svc.Begin()
+	for _, s := range strings.Split(os.Getenv(crashEnvIORs), "\n") {
+		ref, err := orb.ParseIOR(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.RegisterResource(orb.ImportResource(node, ref)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = tx.Commit(true)
+	t.Fatal("coordinator survived its injected crash point")
+}
+
+// bootGroupLeader makes the helper a coordinator-group leader (term 1)
+// whose electorate is itself plus the parent-side members named in
+// crashEnvPeers, and reports its endpoints ("REPL ...") so the parent can
+// point those members at it. The returned member's DecisionGate sizes
+// itself from that peer list: each decision is held until a majority of
+// the group durably has it, so a post-decision kill point is guaranteed to
+// leave the decision on a survivor the election can pick.
+func bootGroupLeader(t *testing.T, node *orb.ORB, log *wal.Log) *orb.GroupMember {
+	g := orb.NewGroupMember(node, log, orb.GroupConfig{
+		MemberID: "leader",
+		Peers:    strings.Fields(os.Getenv(crashEnvPeers)),
+	})
+	if _, err := node.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("REPL %s\n", strings.Join(node.Endpoints(), " "))
+	return g
+}
+
 // TestCrashRestartHelper is the coordinator process. It only runs when
 // re-exec'd by the harness with the mode environment set.
 //
 // mode=commit: drive a two-participant 2PC against the parent's
-// participants and SIGKILL self at the configured stage. The kill is
-// raised from inside the synchronous event hook, so the process dies at
-// exactly the protocol point under test — no deferred recovery runs.
+// participants and SIGKILL self at the configured stage.
 //
 // mode=recover: restart against the same WAL, re-drive in-doubt branches,
 // report pass stats on stdout, then serve wire-level recovery
 // (replay_completion and the recover verb) until stdin closes.
 //
-// mode=primary: like commit, but the coordinator is a replicated primary —
-// it serves WAL replication, reports its endpoints ("REPL ...") so the
-// parent can attach a standby, and commits with the decision barrier
-// installed, so each decision is on the standby before phase two starts
-// (and therefore before any post-decision kill point can fire).
-//
-// mode=btp: a replicated BTP superior — it prepares the parent's inferiors
-// through the real fig. 11 signal exchange, seals the confirm decision in
-// the replicated log, and SIGKILLs itself between confirm deliveries.
-//
-// mode=group: like primary, but as a promoted coordinator-group leader
-// (term 1): the group-aware replication servant answers elections, the
-// decision gate fences the commit point, and the barrier holds each
-// decision until crashEnvStandbys group standbys have streamed it.
+// mode=group: like commit, but as a promoted coordinator-group leader
+// (bootGroupLeader) committing through the group's decision gate.
 //
 // mode=groupbtp: a coordinator-group BTP superior whose activity journal
-// shares the replicated log — the successor re-activates the atom's
-// structure from the journal, not just the confirm decision.
+// shares the replicated log — it prepares the parent's inferiors through
+// the real fig. 11 signal exchange, seals the confirm decision in the
+// replicated log, and SIGKILLs itself between confirm deliveries; the
+// successor re-activates the atom's structure from the journal, not just
+// the confirm decision.
 func TestCrashRestartHelper(t *testing.T) {
 	mode := os.Getenv(crashEnvMode)
 	if mode == "" {
@@ -140,180 +180,31 @@ func TestCrashRestartHelper(t *testing.T) {
 	defer node.Shutdown()
 
 	switch mode {
-	case "commit", "primary":
+	case "commit", "group":
 		stage := crashStage(os.Getenv(crashEnvStage))
 		if stage == 0 {
 			t.Fatalf("bad crash stage %q", os.Getenv(crashEnvStage))
 		}
-		opts := []ots.Option{ots.WithLog(log),
-			ots.WithRetryPolicy(1, 0),
-			ots.WithEventHook(func(e ots.Event) {
-				if e.Stage == stage {
-					_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-					select {} // unreachable: SIGKILL is not deliverable to a handler
-				}
-			})}
-		if mode == "primary" {
-			// Replicated primary: serve the log, tell the parent where, and
-			// hold each decision until the standby acknowledges it. The
-			// barrier self-synchronises attach: the parent starts its
-			// standby as soon as it reads the REPL line.
-			p, _ := orb.ServeReplication(node, log)
-			if _, err := node.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			fmt.Printf("REPL %s\n", strings.Join(node.Endpoints(), " "))
-			opts = append(opts, ots.WithDecisionBarrier(p.DecisionBarrier(10*time.Second)))
+		opts := []ots.Option{ots.WithLog(log), ots.WithRetryPolicy(1, 0), ots.WithEventHook(killAt(stage))}
+		if mode == "group" {
+			g := bootGroupLeader(t, node, log)
+			opts = append(opts, ots.WithDecisionGate(g.DecisionGate(time.Second)))
 		}
-		svc := ots.NewService(opts...)
-		tx := svc.Begin()
-		for _, s := range strings.Split(os.Getenv(crashEnvIORs), "\n") {
-			ref, err := orb.ParseIOR(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.RegisterResource(orb.ImportResource(node, ref)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_ = tx.Commit(true)
-		t.Fatal("coordinator survived its injected crash point")
-
-	case "btp":
-		// Replicated BTP superior. The fig. 11 prepare exchange runs as
-		// real BTP signals over the wire: every enrolled inferior reserves
-		// and votes prepared. BTP then requires the superior to make its
-		// confirm decision durable before any confirm goes out; this
-		// repo's durable-decision substrate is the replicated OTS log, so
-		// the superior seals the decision there with one branch per
-		// enrolled inferior (each inferior's confirm bridge is registered
-		// as a recoverable resource) and phase two delivers the confirms
-		// one inferior at a time. The injected SIGKILL fires after the
-		// first confirm delivery — dead between confirm decisions — and
-		// the warm standby following the log must converge the rest.
-		p, _ := orb.ServeReplication(node, log)
-		if _, err := node.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("REPL %s\n", strings.Join(node.Endpoints(), " "))
-
-		asvc := activityservice.New()
-		atom, err := btp.NewAtom(asvc, "standby-takeover")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range strings.Split(os.Getenv(crashEnvActions), "\n") {
-			ref, err := orb.ParseIOR(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("inferior-%d", i)
-			act := orb.ImportAction(node, ref)
-			if _, err := atom.Activity().AddNamedAction(btp.PrepareSetName, label, act); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := atom.Activity().AddNamedAction(btp.CompleteSetName, label, act); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := atom.Prepare(context.Background()); err != nil {
-			t.Fatalf("btp prepare: %v", err)
-		}
-
-		osvc := ots.NewService(ots.WithLog(log),
-			ots.WithRetryPolicy(1, 0),
-			ots.WithDecisionBarrier(p.DecisionBarrier(10*time.Second)),
-			ots.WithEventHook(func(e ots.Event) {
-				if e.Stage == ots.StageCommitDelivered {
-					_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-					select {} // unreachable: SIGKILL is not deliverable to a handler
-				}
-			}))
-		tx := osvc.Begin()
-		for _, s := range strings.Split(os.Getenv(crashEnvIORs), "\n") {
-			ref, err := orb.ParseIOR(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.RegisterResource(orb.ImportResource(node, ref)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_ = tx.Commit(true)
-		t.Fatal("superior survived its injected crash point")
-
-	case "group":
-		// Coordinator-group leader: promoted to term 1 behind the
-		// group-aware replication servant, committing with the decision
-		// gate (a deposed leader vetoes its in-flight commits) and a
-		// barrier holding each decision until every parent-side group
-		// standby has streamed it — so a post-decision kill point is
-		// guaranteed to leave the decision on the survivors.
-		stage := crashStage(os.Getenv(crashEnvStage))
-		if stage == 0 {
-			t.Fatalf("bad crash stage %q", os.Getenv(crashEnvStage))
-		}
-		standbys, perr := strconv.Atoi(os.Getenv(crashEnvStandbys))
-		if perr != nil || standbys < 1 {
-			t.Fatalf("bad standby count %q", os.Getenv(crashEnvStandbys))
-		}
-		g := orb.NewGroupMember(node, log, orb.GroupConfig{
-			MemberID: "leader",
-			Takeover: func(context.Context) error { return nil },
-		})
-		if _, err := node.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Promote(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("REPL %s\n", strings.Join(node.Endpoints(), " "))
-		svc := ots.NewService(ots.WithLog(log),
-			ots.WithRetryPolicy(1, 0),
-			ots.WithDecisionGate(g.DecisionGate(10*time.Second)),
-			ots.WithDecisionBarrier(func(lsn uint64) { g.Primary().WaitForAckN(lsn, standbys, 10*time.Second) }),
-			ots.WithEventHook(func(e ots.Event) {
-				if e.Stage == stage {
-					_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-					select {} // unreachable: SIGKILL is not deliverable to a handler
-				}
-			}))
-		tx := svc.Begin()
-		for _, s := range strings.Split(os.Getenv(crashEnvIORs), "\n") {
-			ref, err := orb.ParseIOR(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.RegisterResource(orb.ImportResource(node, ref)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_ = tx.Commit(true)
-		t.Fatal("group leader survived its injected crash point")
+		commitAcrossEnvResources(t, node, ots.NewService(opts...))
 
 	case "groupbtp":
-		// A coordinator-group leader acting as BTP superior, with the
-		// activity journal sharing the replicated log: the atom's begun
-		// record and its recoverable inferior enrollments stream to the
-		// standbys alongside the confirm decision, so the elected
-		// successor can re-activate the superior's live activity state —
-		// not just replay its transaction log.
-		standbys, perr := strconv.Atoi(os.Getenv(crashEnvStandbys))
-		if perr != nil || standbys < 1 {
-			t.Fatalf("bad standby count %q", os.Getenv(crashEnvStandbys))
-		}
-		g := orb.NewGroupMember(node, log, orb.GroupConfig{
-			MemberID: "leader",
-			Takeover: func(context.Context) error { return nil },
-		})
-		if _, err := node.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Promote(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Printf("REPL %s\n", strings.Join(node.Endpoints(), " "))
-
+		// BTP requires the superior to make its confirm decision durable
+		// before any confirm goes out; this repo's durable-decision
+		// substrate is the replicated OTS log, so the superior seals the
+		// decision there with one branch per enrolled inferior (each
+		// inferior's confirm bridge is registered as a recoverable
+		// resource) and phase two delivers the confirms one inferior at a
+		// time. The atom's begun record and its recoverable inferior
+		// enrollments stream to the followers alongside the confirm
+		// decision, so the elected successor can re-activate the
+		// superior's live activity state — not just replay its
+		// transaction log.
+		g := bootGroupLeader(t, node, log)
 		asvc := activityservice.New(activityservice.WithJournal(log))
 		asvc.RegisterActionFactory(remoteActionFactory, func(params []byte) (activityservice.Action, error) {
 			ref, err := orb.ParseIOR(string(params))
@@ -337,29 +228,10 @@ func TestCrashRestartHelper(t *testing.T) {
 		if err := atom.Prepare(context.Background()); err != nil {
 			t.Fatalf("btp prepare: %v", err)
 		}
-
-		osvc := ots.NewService(ots.WithLog(log),
+		commitAcrossEnvResources(t, node, ots.NewService(ots.WithLog(log),
 			ots.WithRetryPolicy(1, 0),
-			ots.WithDecisionGate(g.DecisionGate(10*time.Second)),
-			ots.WithDecisionBarrier(func(lsn uint64) { g.Primary().WaitForAckN(lsn, standbys, 10*time.Second) }),
-			ots.WithEventHook(func(e ots.Event) {
-				if e.Stage == ots.StageCommitDelivered {
-					_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-					select {} // unreachable: SIGKILL is not deliverable to a handler
-				}
-			}))
-		tx := osvc.Begin()
-		for _, s := range strings.Split(os.Getenv(crashEnvIORs), "\n") {
-			ref, err := orb.ParseIOR(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.RegisterResource(orb.ImportResource(node, ref)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_ = tx.Commit(true)
-		t.Fatal("group superior survived its injected crash point")
+			ots.WithDecisionGate(g.DecisionGate(time.Second)),
+			ots.WithEventHook(killAt(ots.StageCommitDelivered))))
 
 	case "recover":
 		svc := ots.NewService(ots.WithLog(log), ots.WithRetryPolicy(2, 10*time.Millisecond))
@@ -649,11 +521,11 @@ func TestCrashRestart2PC(t *testing.T) {
 	})
 }
 
-// runReplicatedUntilKilled re-execs the helper as a replicated coordinator
-// (mode "primary" or "btp", per env), reports its replication endpoints as
-// soon as the child prints them (so the caller can attach a standby while
-// the protocol is still running), and asserts the process died from the
-// self-inflicted SIGKILL.
+// runReplicatedUntilKilled re-execs the helper as a coordinator-group
+// leader (mode "group" or "groupbtp", per env), reports its replication
+// endpoints as soon as the child prints them (so the caller can point its
+// group members at it while the protocol is still running), and asserts
+// the process died from the self-inflicted SIGKILL.
 func runReplicatedUntilKilled(t *testing.T, env []string, onEndpoints func([]string)) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashRestartHelper$")
@@ -698,118 +570,58 @@ func runReplicatedUntilKilled(t *testing.T, env []string, onEndpoints func([]str
 	}
 }
 
-// standby is the warm standby: it lives in the parent process (which is
-// never killed), streams the primary's WAL into its own file-backed
-// replica, and on primary death hosts recovery over the replica.
-type standby struct {
-	orb      *orb.ORB
-	runErr   chan error
-	walPath  string
-	follower *orb.ReplicationFollower
-}
-
-// startStandby opens a replica log and starts following the primary's
-// replication endpoints. The returned standby's runErr yields Run's
-// verdict — ErrPrimaryLost once the primary stops answering.
-func startStandby(t *testing.T, primaryEndpoints []string) *standby {
-	t.Helper()
-	s := &standby{
-		orb:     orb.New(),
-		runErr:  make(chan error, 1),
-		walPath: filepath.Join(t.TempDir(), "replica.wal"),
-	}
-	t.Cleanup(s.orb.Shutdown)
-	log, err := ots.OpenFileLog(s.walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.follower = orb.NewReplicationFollower(s.orb, orb.ReplicationAt(primaryEndpoints...), log,
-		orb.WithPollTimeout(100*time.Millisecond),
-		orb.WithTakeoverPolicy(orb.TakeoverPolicy{Failures: 3, Retry: 50 * time.Millisecond}))
-	go func() { s.runErr <- s.follower.Run(context.Background()) }()
-	return s
-}
-
-// takeover waits for the follower to declare the primary lost, then hosts
-// recovery over the replica on the standby's own listening ORB — the
-// primary is never restarted. It returns the takeover recovery stats and
-// the standby's endpoints.
-func (s *standby) takeover(t *testing.T) (ots.RecoveryStats, []string) {
-	t.Helper()
-	select {
-	case err := <-s.runErr:
-		if !errors.Is(err, orb.ErrPrimaryLost) {
-			t.Fatalf("standby follower Run = %v, want ErrPrimaryLost", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("standby never declared the primary lost")
-	}
-	// Reopen the replica: the follower's log handle stays valid, but a cold
-	// open proves the replica is durable on disk, not just in memory.
-	log, err := ots.OpenFileLog(s.walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := orb.HostRecovery(s.orb, log, ots.WithRetryPolicy(3, 10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.orb.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	return res.Stats, s.orb.Endpoints()
-}
-
-// TestStandbyTakeover2PC is the replicated-coordinator chaos matrix: a
-// real primary process is SIGKILLed at injected points inside a 2PC whose
-// decision log is streamed (semi-synchronously) to a warm standby in the
-// parent process. The primary is never restarted — every prepared branch
-// must converge to the logged decision exactly once through the standby,
-// and participants holding the shared multi-profile recovery reference
-// (primary profile first, standby profile second) must fail over to the
-// standby transparently.
+// TestStandbyTakeover2PC is the warm-standby-pair chaos matrix — a pair is
+// a coordinator group of two: a real leader process whose peer list names
+// the standby (so its decision gate holds each decision until the standby
+// has it) is SIGKILLed at injected points inside a 2PC, and the standby in
+// the parent process — started with no peers, the quorum-of-one
+// configuration that takes over alone — must converge every prepared
+// branch to the logged decision exactly once. The leader is never
+// restarted, and participants holding the shared multi-profile recovery
+// reference (leader profile first, standby profile second) must fail over
+// to the standby transparently.
 func TestStandbyTakeover2PC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	ctx := context.Background()
 
-	// failoverClient dials recovery through the dead primary's profile
+	// failoverClient dials recovery through the dead leader's profile
 	// first: convergence must arrive via transparent failover to the
 	// standby profile.
-	failoverClient := func(t *testing.T, primaryEndpoints, standbyEndpoints []string) *orb.RecoveryClient {
+	failoverClient := func(t *testing.T, leaderEndpoints []string, sb *groupStandby) *orb.RecoveryClient {
 		t.Helper()
 		client := orb.New()
 		t.Cleanup(client.Shutdown)
-		ref := orb.RecoveryAt(append(append([]string{}, primaryEndpoints...), standbyEndpoints...)...)
+		ref := orb.RecoveryAt(append(append([]string{}, leaderEndpoints...), sb.orb.Endpoints()...)...)
 		return orb.NewRecoveryClient(client, ref)
 	}
 
-	run := func(t *testing.T, stage string) (*crashFixture, *standby, []string) {
+	run := func(t *testing.T, stage string) (*crashFixture, *groupStandby, []string) {
 		t.Helper()
 		f := newCrashFixture(t)
-		var s *standby
-		var primaryEndpoints []string
-		runReplicatedUntilKilled(t, coordinatorEnv("primary", stage, f.walPath, f.refs), func(endpoints []string) {
-			primaryEndpoints = endpoints
-			s = startStandby(t, endpoints)
+		sb := newGroupStandby(t, "standby")
+		var leaderEndpoints []string
+		runReplicatedUntilKilled(t, groupEnv("group", stage, f.walPath, f.refs, sb), func(endpoints []string) {
+			leaderEndpoints = endpoints
+			sb.start(t, endpoints, nil)
 		})
-		return f, s, primaryEndpoints
+		return f, sb, leaderEndpoints
 	}
 
 	t.Run("after-prepare", func(t *testing.T) {
 		// Killed after the votes, before any decision record: nothing was
-		// durable on the primary, so nothing reached the standby. Takeover
+		// durable on the leader, so nothing reached the standby. Takeover
 		// must presume abort.
-		f, s, primaryEndpoints := run(t, "prepared")
+		f, sb, leaderEndpoints := run(t, "prepared")
 		if f.a.applies.Load()+f.b.applies.Load() != 0 {
 			t.Fatal("participant committed before any durable decision")
 		}
-		stats, standbyEndpoints := s.takeover(t)
+		stats := sb.waitTakeover(t)
 		if stats.DecisionsReplayed != 0 {
 			t.Fatalf("takeover replayed %d decisions, want 0 (none durable)", stats.DecisionsReplayed)
 		}
-		cl := failoverClient(t, primaryEndpoints, standbyEndpoints)
+		cl := failoverClient(t, leaderEndpoints, sb)
 		for i, name := range f.refs {
 			st, err := cl.ReplayCompletion(ctx, name)
 			if err != nil {
@@ -826,14 +638,14 @@ func TestStandbyTakeover2PC(t *testing.T) {
 
 	t.Run("after-decision", func(t *testing.T) {
 		// The acceptance scenario: killed right after the commit record was
-		// forced (and, via the decision barrier, replicated). No participant
+		// forced (and, via the decision gate, replicated). No participant
 		// heard the verdict. The standby alone must deliver commit to both,
-		// exactly once, without the primary ever coming back.
-		f, s, primaryEndpoints := run(t, "decision")
+		// exactly once, without the leader ever coming back.
+		f, sb, leaderEndpoints := run(t, "decision")
 		if f.a.applies.Load()+f.b.applies.Load() != 0 {
 			t.Fatal("participant committed before phase two began")
 		}
-		stats, standbyEndpoints := s.takeover(t)
+		stats := sb.waitTakeover(t)
 		if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 ||
 			stats.ResourcesMissing != 0 || stats.ResourcesFailed != 0 {
 			t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed", stats)
@@ -846,7 +658,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 			t.Fatalf("commit deliveries = %d/%d, want 1/1",
 				f.a.commitCalls.Load(), f.b.commitCalls.Load())
 		}
-		cl := failoverClient(t, primaryEndpoints, standbyEndpoints)
+		cl := failoverClient(t, leaderEndpoints, sb)
 		for _, name := range f.refs {
 			st, err := cl.ReplayCompletion(ctx, name)
 			if err != nil {
@@ -869,17 +681,27 @@ func TestStandbyTakeover2PC(t *testing.T) {
 			t.Fatalf("commit deliveries after second pass = %d/%d, want still 1/1",
 				f.a.commitCalls.Load(), f.b.commitCalls.Load())
 		}
+		// A cold open of the replica proves the takeover ran over records
+		// that are durable on disk, not just in the live handle's memory.
+		cold, err := ots.OpenFileLog(sb.walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cold.Close()
+		if cold.LastLSN() != sb.log.LastLSN() {
+			t.Fatalf("replica on disk ends at LSN %d, live handle at %d", cold.LastLSN(), sb.log.LastLSN())
+		}
 	})
 
 	t.Run("mid-phase2", func(t *testing.T) {
 		// Killed after the first commit delivery: one participant committed,
 		// one in doubt. The standby re-drives the whole decision; the
 		// committed participant absorbs the duplicate, the other commits.
-		f, s, primaryEndpoints := run(t, "phase2")
+		f, sb, leaderEndpoints := run(t, "phase2")
 		if got := f.a.applies.Load() + f.b.applies.Load(); got != 1 {
 			t.Fatalf("applies at crash = %d, want exactly 1 (first delivery landed)", got)
 		}
-		stats, standbyEndpoints := s.takeover(t)
+		stats := sb.waitTakeover(t)
 		if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 || stats.ResourcesFailed != 0 {
 			t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed", stats)
 		}
@@ -890,7 +712,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 		if got := f.a.commitCalls.Load() + f.b.commitCalls.Load(); got != 3 {
 			t.Fatalf("total commit deliveries = %d, want 3 (one pre-crash + full re-drive)", got)
 		}
-		cl := failoverClient(t, primaryEndpoints, standbyEndpoints)
+		cl := failoverClient(t, leaderEndpoints, sb)
 		st, err := cl.ReplayCompletion(ctx, f.refs[1])
 		if err != nil {
 			t.Fatal(err)
@@ -899,6 +721,60 @@ func TestStandbyTakeover2PC(t *testing.T) {
 			t.Fatalf("in-doubt participant fate via standby = %s, want committed", st)
 		}
 	})
+}
+
+// TestPairWithPeerNeverSelfPromotes is the other pair configuration: two
+// members naming each other. The electorate is two, so the quorum is two
+// for the gate (every released decision is on both nodes) and for the
+// election — the survivor of a dead leader cannot tell a crash from a
+// partition and must NOT promote itself. It stays a follower and runs no
+// takeover until the operator promotes it (activityd: restart without
+// -peer; here: Promote), and then converges every prepared branch to the
+// logged decision exactly once.
+func TestPairWithPeerNeverSelfPromotes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	f := newCrashFixture(t)
+	sb := newGroupStandby(t, "survivor")
+	runReplicatedUntilKilled(t, groupEnv("group", "decision", f.walPath, f.refs, sb), func(endpoints []string) {
+		sb.start(t, endpoints, endpoints) // the leader is both the stream source and the only peer
+	})
+
+	// Many election rounds' worth of time (lost-leader budget 150ms, one
+	// round every 25ms): the lone survivor never reaches quorum.
+	time.Sleep(time.Second)
+	if got := sb.g.Role(); got != orb.RoleFollower {
+		t.Fatalf("survivor of a pair role = %v, want follower (one vote of two is no quorum)", got)
+	}
+	if got := sb.takeovers.Load(); got != 0 {
+		t.Fatalf("survivor ran %d takeovers with no quorum, want 0", got)
+	}
+	if got := sb.log.KnownTerm(); got != 1 {
+		t.Fatalf("survivor knows term %d, want the dead leader's term 1", got)
+	}
+	if f.a.applies.Load()+f.b.applies.Load() != 0 {
+		t.Fatal("a participant heard a verdict while nobody led the pair")
+	}
+
+	// The operator decides the leader is dead, not partitioned.
+	if err := sb.g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stats := sb.waitTakeover(t)
+	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 ||
+		stats.ResourcesMissing != 0 || stats.ResourcesFailed != 0 {
+		t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed (the gate put it on the survivor)", stats)
+	}
+	if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+		t.Fatalf("applies = %d/%d, want exactly once each", f.a.applies.Load(), f.b.applies.Load())
+	}
+	if f.a.commitCalls.Load() != 1 || f.b.commitCalls.Load() != 1 {
+		t.Fatalf("commit deliveries = %d/%d, want 1/1", f.a.commitCalls.Load(), f.b.commitCalls.Load())
+	}
+	if got := sb.takeovers.Load(); got != 1 {
+		t.Fatalf("promoted survivor ran %d takeovers, want exactly 1", got)
+	}
 }
 
 // btpInferior is one enrolled BTP inferior hosted by the parent process.
@@ -961,19 +837,24 @@ func (p *btpInferior) Rollback() error       { p.cancels.Add(1); return nil }
 func (p *btpInferior) CommitOnePhase() error { p.confirm(); return nil }
 func (p *btpInferior) Forget() error         { return nil }
 
-// TestStandbyTakeoverBTPMidConfirm is the BTP half of the PR-7 follow-up:
-// a real BTP superior process prepares three enrolled inferiors over the
-// wire, seals its confirm decision in the replicated log, and is SIGKILLed
-// between confirm deliveries — one inferior confirmed, two in doubt. The
-// superior never restarts; the warm standby takes over the replica and
-// must converge every enrolled inferior to confirmed exactly once, with
-// the already-confirmed inferior absorbing the redelivery idempotently.
-func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	ctx := context.Background()
+// btpTakeover is what killBTPSuperiorMidConfirm leaves behind.
+type btpTakeover struct {
+	resourceRefs      []string
+	superiorEndpoints []string
+	successor         *groupStandby
+}
 
+// killBTPSuperiorMidConfirm runs the BTP kill scenario both takeover tests
+// share: a real group-leader BTP superior process journals its atom into
+// the replicated log, prepares three enrolled inferiors over the wire,
+// seals its confirm decision there, and is SIGKILLed between confirm
+// deliveries — one inferior confirmed, two in doubt. The superior never
+// restarts; its lone follower (no peers: it takes over alone) wins the
+// succession. On return the successor's takeover pass has finished and
+// every enrolled inferior has been checked to have converged to confirmed
+// exactly once, the already-confirmed one absorbing the redelivery.
+func killBTPSuperiorMidConfirm(t *testing.T) btpTakeover {
+	t.Helper()
 	node := orb.New()
 	t.Cleanup(node.Shutdown)
 	walPath := filepath.Join(t.TempDir(), "superior.wal")
@@ -996,13 +877,13 @@ func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
 		resourceRefs[i] = rref.String()
 	}
 
-	env := append(coordinatorEnv("btp", "phase2", walPath, resourceRefs),
+	sb := newGroupStandby(t, "sb")
+	env := append(groupEnv("groupbtp", "phase2", walPath, resourceRefs, sb),
 		crashEnvActions+"="+strings.Join(actionRefs, "\n"))
-	var s *standby
 	var superiorEndpoints []string
 	runReplicatedUntilKilled(t, env, func(endpoints []string) {
 		superiorEndpoints = endpoints
-		s = startStandby(t, endpoints)
+		sb.start(t, endpoints, nil)
 	})
 
 	// At the kill: every inferior went through the real prepare exchange,
@@ -1019,14 +900,14 @@ func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
 		t.Fatalf("confirms applied at crash = %d, want exactly 1 (first delivery landed)", confirmedAtKill)
 	}
 
-	stats, standbyEndpoints := s.takeover(t)
+	stats := sb.waitTakeover(t)
 	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 3 ||
 		stats.ResourcesMissing != 0 || stats.ResourcesFailed != 0 {
 		t.Fatalf("takeover pass = %+v, want 1 decision, 3 confirmed", stats)
 	}
 
 	// Every enrolled inferior converged to confirmed exactly once: the
-	// standby re-drove the whole decision (3 deliveries, 4 total with the
+	// successor re-drove the whole decision (3 deliveries, 4 total with the
 	// pre-crash one) and the idempotent latch absorbed the duplicate.
 	var totalConfirmCalls int32
 	for i, p := range inferiors {
@@ -1041,16 +922,25 @@ func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
 	if totalConfirmCalls != 4 {
 		t.Fatalf("total confirm deliveries = %d, want 4 (one pre-crash + full re-drive)", totalConfirmCalls)
 	}
+	return btpTakeover{resourceRefs: resourceRefs, superiorEndpoints: superiorEndpoints, successor: sb}
+}
 
-	// In-doubt inferiors asking after their fate through the shared
-	// failover reference (dead superior's profile first) hear confirmed
-	// from the standby.
+// TestStandbyTakeoverBTPMidConfirm: a BTP superior SIGKILLed between
+// confirm deliveries converges through its warm standby (see
+// killBTPSuperiorMidConfirm), and in-doubt inferiors asking after their
+// fate through the shared failover reference — dead superior's profile
+// first — hear confirmed from the standby.
+func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	k := killBTPSuperiorMidConfirm(t)
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	ref := orb.RecoveryAt(append(append([]string{}, superiorEndpoints...), standbyEndpoints...)...)
+	ref := orb.RecoveryAt(append(append([]string{}, k.superiorEndpoints...), k.successor.orb.Endpoints()...)...)
 	cl := orb.NewRecoveryClient(client, ref)
-	for i, name := range resourceRefs {
-		st, err := cl.ReplayCompletion(ctx, name)
+	for i, name := range k.resourceRefs {
+		st, err := cl.ReplayCompletion(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1113,7 +1003,7 @@ func newGroupStandbyAt(t *testing.T, id, walPath string) *groupStandby {
 func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 	t.Helper()
 	takeover := func(ctx context.Context) error {
-		s.takeovers.Add(1)
+		defer s.takeovers.Add(1) // counted once the pass's stats are stored
 		res, err := orb.HostRecovery(s.orb, s.log, ots.WithRetryPolicy(3, 10*time.Millisecond),
 			ots.WithDecisionGate(s.g.DecisionGate(time.Second)))
 		if err != nil {
@@ -1156,6 +1046,27 @@ func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 	go func() { s.runErr <- s.g.Run(ctx) }()
 }
 
+// waitTakeover blocks until this member has won the succession and its
+// takeover pass has finished, and returns the pass's recovery stats.
+func (s *groupStandby) waitTakeover(t *testing.T) ots.RecoveryStats {
+	t.Helper()
+	waitCond(t, 20*time.Second, s.id+" to take over", func() bool {
+		return s.g.Role() == orb.RoleLeader && s.takeovers.Load() == 1
+	})
+	stats, _ := s.takeoverStats()
+	return stats
+}
+
+// groupEnv is coordinatorEnv for the group helper modes: the leader's
+// electorate is itself plus the given parent-side members.
+func groupEnv(mode, stage, walPath string, iors []string, peers ...*groupStandby) []string {
+	var eps []string
+	for _, p := range peers {
+		eps = append(eps, p.orb.Endpoints()...)
+	}
+	return append(coordinatorEnv(mode, stage, walPath, iors), crashEnvPeers+"="+strings.Join(eps, " "))
+}
+
 // takeoverStats returns what this member's takeover pass reported.
 func (s *groupStandby) takeoverStats() (ots.RecoveryStats, []string) {
 	s.mu.Lock()
@@ -1176,14 +1087,16 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatal("timed out waiting for " + what)
 }
 
-// TestGroupTakeoverKillLeader2PC is the coordinator-group half of the
-// chaos matrix: a real group leader (term 1) is SIGKILLed right after a
-// commit decision became durable on it and on BOTH group standbys (the
-// barrier held the decision until each streamed it), before any
-// participant heard the verdict. The survivors elect among themselves —
-// the winner's log must contain the decision, its takeover re-drives
-// every prepared branch exactly once, and the loser converges onto the
-// new term as a streaming follower. The dead leader never comes back.
+// TestGroupTakeoverKillLeader2PC is the three-member half of the chaos
+// matrix: a real group leader (term 1) is SIGKILLed right after a commit
+// decision became durable on a majority of the group (itself plus at
+// least one of the two standbys — the gate waits for quorum-1 = 1 ack),
+// before any participant heard the verdict. Every member's peer list
+// names the other two, so the survivors are a majority (2 of 3) and elect
+// among themselves — the winner's log must contain the decision, its
+// takeover re-drives every prepared branch exactly once, and the loser
+// converges onto the new term as a streaming follower. The dead leader
+// never comes back.
 func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -1193,16 +1106,12 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 	f := newCrashFixture(t)
 	sbA := newGroupStandby(t, "sb-a")
 	sbB := newGroupStandby(t, "sb-b")
-	var leaderEndpoints []string
-	env := append(coordinatorEnv("group", "decision", f.walPath, f.refs), crashEnvStandbys+"=2")
-	runReplicatedUntilKilled(t, env, func(endpoints []string) {
-		leaderEndpoints = endpoints
-		sbA.start(t, endpoints, sbB.orb.Endpoints())
-		sbB.start(t, endpoints, sbA.orb.Endpoints())
+	runReplicatedUntilKilled(t, groupEnv("group", "decision", f.walPath, f.refs, sbA, sbB), func(endpoints []string) {
+		sbA.start(t, endpoints, append(sbB.orb.Endpoints(), endpoints...))
+		sbB.start(t, endpoints, append(sbA.orb.Endpoints(), endpoints...))
 	})
-	_ = leaderEndpoints
 
-	// Killed at the decision point: durable everywhere, delivered nowhere.
+	// Killed at the decision point: durable on a majority, delivered nowhere.
 	if f.a.applies.Load()+f.b.applies.Load() != 0 {
 		t.Fatal("participant committed before phase two began")
 	}
@@ -1308,16 +1217,13 @@ func TestGroupRejoinDeadLeaderOldWAL(t *testing.T) {
 
 	f := newCrashFixture(t)
 	sb := newGroupStandby(t, "sb")
-	env := append(coordinatorEnv("group", "decision", f.walPath, f.refs), crashEnvStandbys+"=1")
-	runReplicatedUntilKilled(t, env, func(endpoints []string) {
+	runReplicatedUntilKilled(t, groupEnv("group", "decision", f.walPath, f.refs, sb), func(endpoints []string) {
 		sb.start(t, endpoints, nil)
 	})
 
-	// Sole survivor: the standby elects itself and converges the branches.
-	waitCond(t, 20*time.Second, "the standby to take over", func() bool {
-		return sb.g.Role() == orb.RoleLeader && sb.takeovers.Load() == 1
-	})
-	stats, _ := sb.takeoverStats()
+	// Sole survivor with no peers: the standby elects itself and converges
+	// the branches.
+	stats := sb.waitTakeover(t)
 	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 || stats.ResourcesFailed != 0 {
 		t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed", stats)
 	}
@@ -1375,79 +1281,14 @@ func TestGroupTakeoverBTPActivityJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
-	ctx := context.Background()
-
-	node := orb.New()
-	t.Cleanup(node.Shutdown)
-	walPath := filepath.Join(t.TempDir(), "superior.wal")
-	inferiors := []*btpInferior{{}, {}, {}}
-	actionRefs := make([]string, len(inferiors))
-	resourceRefs := make([]string, len(inferiors))
-	actionKeys := make([]string, len(inferiors))
-	resourceKeys := make([]string, len(inferiors))
-	for i, p := range inferiors {
-		actionKeys[i] = orb.ExportAction(node, p.action()).Key
-		resourceKeys[i] = orb.ExportResourceWithKey(node, fmt.Sprintf("inferior-%d", i), p).Key
-	}
-	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	for i := range inferiors {
-		aref, _ := node.IOR(actionKeys[i])
-		rref, _ := node.IOR(resourceKeys[i])
-		actionRefs[i] = aref.String()
-		resourceRefs[i] = rref.String()
-	}
-
-	sb := newGroupStandby(t, "sb")
-	env := append(coordinatorEnv("groupbtp", "phase2", walPath, resourceRefs),
-		crashEnvActions+"="+strings.Join(actionRefs, "\n"),
-		crashEnvStandbys+"=1")
-	runReplicatedUntilKilled(t, env, func(endpoints []string) {
-		sb.start(t, endpoints, nil)
-	})
-
-	// At the kill: every inferior went through the real prepare exchange,
-	// exactly one confirm landed.
-	var confirmedAtKill int32
-	for i, p := range inferiors {
-		if got := p.sigPrepares.Load(); got != 1 {
-			t.Fatalf("inferior %d saw %d prepare signals, want 1", i, got)
-		}
-		confirmedAtKill += p.applies.Load()
-	}
-	if confirmedAtKill != 1 {
-		t.Fatalf("confirms applied at crash = %d, want exactly 1 (first delivery landed)", confirmedAtKill)
-	}
-
-	waitCond(t, 20*time.Second, "the standby to take over", func() bool {
-		return sb.g.Role() == orb.RoleLeader && sb.takeovers.Load() == 1
-	})
-	stats, recovered := sb.takeoverStats()
-	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 3 ||
-		stats.ResourcesMissing != 0 || stats.ResourcesFailed != 0 {
-		t.Fatalf("takeover pass = %+v, want 1 decision, 3 confirmed", stats)
-	}
-
-	// Exactly-once convergence of the confirm decision.
-	var totalConfirmCalls int32
-	for i, p := range inferiors {
-		if got := p.applies.Load(); got != 1 {
-			t.Fatalf("inferior %d confirm applied %d times, want exactly once", i, got)
-		}
-		if got := p.cancels.Load(); got != 0 {
-			t.Fatalf("inferior %d cancelled %d times, want 0", i, got)
-		}
-		totalConfirmCalls += p.confirmCalls.Load()
-	}
-	if totalConfirmCalls != 4 {
-		t.Fatalf("total confirm deliveries = %d, want 4 (one pre-crash + full re-drive)", totalConfirmCalls)
-	}
+	k := killBTPSuperiorMidConfirm(t)
+	sb := k.successor
 
 	// The journal activated the superior's activity state on the new
 	// leader: the atom root came back by name, and all six enrolled
 	// actions (three inferiors x prepare+complete set) were recreated
 	// through the factory the successor registered.
+	_, recovered := sb.takeoverStats()
 	if len(recovered) != 1 || recovered[0] != "group-takeover" {
 		t.Fatalf("activated journal roots = %v, want [group-takeover]", recovered)
 	}
@@ -1459,8 +1300,8 @@ func TestGroupTakeoverBTPActivityJournal(t *testing.T) {
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
 	cl := orb.NewRecoveryClient(client, orb.RecoveryAt(sb.orb.Endpoints()...))
-	for i, name := range resourceRefs {
-		st, err := cl.ReplayCompletion(ctx, name)
+	for i, name := range k.resourceRefs {
+		st, err := cl.ReplayCompletion(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,14 +96,11 @@ type (
 	// RecoveryClient invokes a coordinator's well-known recovery servant
 	// (replay_completion, recover, totals).
 	RecoveryClient = remote.RecoveryClient
-	// ReplicationPrimary is the primary-side handle of WAL replication:
-	// the follower acknowledgement watermark and waits on it.
+	// ReplicationPrimary is the leader-side handle of a GroupMember's WAL
+	// replication (GroupMember.Primary): per-follower acknowledgement
+	// watermarks and the decision gate waiting on them.
 	ReplicationPrimary = remote.ReplicationPrimary
-	// ReplicationFollower streams a primary's WAL into a local follower log.
-	ReplicationFollower = remote.ReplicationFollower
-	// FollowerOption configures a ReplicationFollower.
-	FollowerOption = remote.FollowerOption
-	// TakeoverPolicy says when a follower declares the primary lost.
+	// TakeoverPolicy says when a group member declares its leader lost.
 	TakeoverPolicy = remote.TakeoverPolicy
 	// HostRecoveryResult reports what HostRecovery set up.
 	HostRecoveryResult = remote.HostRecoveryResult
@@ -153,8 +150,8 @@ const (
 	CodeMarshal        = iorb.CodeMarshal
 	CodeNoImplement    = iorb.CodeNoImplement
 	CodeTimeout        = iorb.CodeTimeout
-	// CodeFenced is raised by a deposed coordinator-group member; the
-	// detail carries a "at=tcp:host:port" leader hint clients follow.
+	// CodeFenced is raised by a deposed coordinator-group member: the
+	// operation did not run, and no profile of that member will run it.
 	CodeFenced = iorb.CodeFenced
 )
 
@@ -229,12 +226,10 @@ var Systemf = iorb.Systemf
 // preference order.
 var NewIOR = iorb.NewIOR
 
-// ParseIOR parses a stringified IOR (both the single-endpoint "IOR:" form
-// and the multi-profile "IOR2:" form).
+// ParseIOR parses a stringified IOR ("IOR:<ep>[,<ep>…]|<type>|<key>").
 var ParseIOR = iorb.ParseIOR
 
-// DecodeIOR reads an IOR from a CDR stream (legacy or multi-profile
-// layout).
+// DecodeIOR reads an IOR from a CDR stream.
 var DecodeIOR = iorb.DecodeIOR
 
 // NewHealthRegistry returns an empty shared health registry (see
@@ -354,51 +349,24 @@ const RecoveryKey = remote.RecoveryKey
 // HostRecovery hosts a transaction service over an already-open decision
 // log: in-doubt IOR names re-bound as remote proxies, one recovery pass,
 // and the well-known recovery servant activated. Both a restarting
-// coordinator and a standby taking over a replicated log go through it.
+// coordinator and a group member taking over a replicated log go through
+// it.
 var HostRecovery = remote.HostRecovery
-
-// ServeReplication activates the well-known WAL replication servant for a
-// primary coordinator's log and returns the primary-side handle (follower
-// ack watermark, decision barrier).
-var ServeReplication = remote.ServeReplication
-
-// NewReplicationFollower returns a follower streaming the replication
-// servant at ref into a local log.
-var NewReplicationFollower = remote.NewReplicationFollower
 
 // ReplicationAt builds the IOR of the well-known replication servant at
 // the given endpoints.
 var ReplicationAt = remote.ReplicationAt
 
-// WithPollTimeout sets a follower's long-poll fetch timeout.
-var WithPollTimeout = remote.WithPollTimeout
-
-// WithTakeoverPolicy sets when a follower's Run declares the primary lost.
-var WithTakeoverPolicy = remote.WithTakeoverPolicy
-
-// WithRecordObserver observes each shipped record after it is durable in
-// the follower's log.
-var WithRecordObserver = remote.WithRecordObserver
-
-// WithFollowerID names a follower on its fetches so the primary tracks a
-// per-follower ack watermark (and fenced re-join can identify itself).
-var WithFollowerID = remote.WithFollowerID
-
-// WithFencedObserver observes FENCED replies a follower receives.
-var WithFencedObserver = remote.WithFencedObserver
-
 // NewGroupMember wires a coordinator-group member over an ORB and a
-// durable log: fenced leader election over the peer set, automatic
-// re-join of a deposed leader, and takeover through cfg.Takeover.
+// durable log — the one way a durable coordinator replicates. It serves
+// the well-known WAL replication servant, runs fenced leader election
+// over the peer set and automatic re-join of a deposed leader, and takes
+// over through cfg.Takeover. A warm-standby pair is a group of two.
 var NewGroupMember = remote.NewGroupMember
 
 // FetchReplState asks the replication servant at endpoint for its state
 // (epoch, durable watermark, term, leadership) — the election probe.
 var FetchReplState = remote.FetchReplState
-
-// ErrPrimaryLost is returned by ReplicationFollower.Run when the primary
-// exhausted the takeover policy's failure budget.
-var ErrPrimaryLost = remote.ErrPrimaryLost
 
 // ReplicationTypeID is the interface id of the WAL replication servant.
 const ReplicationTypeID = remote.ReplicationTypeID

@@ -121,18 +121,12 @@ func WithRetryPolicy(attempts int, delay time.Duration) Option {
 // protocol point; it must be fast and must not call back into the service.
 func WithEventHook(fn func(Event)) Option { return iots.WithEventHook(fn) }
 
-// WithDecisionBarrier installs a hook invoked after each commit decision
-// is durable in the local log, before phase two starts. A replicated
-// coordinator uses it to wait (bounded) for a standby to acknowledge the
-// decision — see orb.ServeReplication and ReplicationPrimary's
-// DecisionBarrier. The barrier cannot veto the decision.
-func WithDecisionBarrier(fn func(lsn uint64)) Option { return iots.WithDecisionBarrier(fn) }
-
-// WithDecisionGate installs an error-returning barrier between the
-// decision append and phase two: a coordinator-group leader wires
-// ReplicationPrimary's DecisionGate here so a deposed (fenced) leader
-// vetoes its in-flight commits instead of delivering outcomes the new
-// leader's history does not contain. A veto unwinds to ErrRolledBack.
+// WithDecisionGate installs the one decision hook, an error-returning
+// barrier between the decision append and phase two: a coordinator-group
+// leader wires orb.GroupMember's DecisionGate here so each decision is
+// held until a quorum of the group durably has it, and a deposed (fenced)
+// leader vetoes its in-flight commits instead of delivering outcomes the
+// new leader's history does not contain. A veto unwinds to ErrRolledBack.
 func WithDecisionGate(fn func(lsn uint64) error) Option { return iots.WithDecisionGate(fn) }
 
 // WithTimeout marks a transaction rollback-only after d.
