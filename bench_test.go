@@ -1,9 +1,9 @@
 // Benchmarks reproducing the cost of every protocol artifact in the
 // paper's evaluation (figs. 1, 2, 5, 8–12 and the §3.3/§3.4 mechanisms),
-// plus the ablations DESIGN.md calls out: the generic framework vs the
-// hand-coded OTS protocol, property-group propagation behaviours, and
-// delivery-guarantee levels. See EXPERIMENTS.md for the mapping to the
-// paper and the measured series.
+// property-group propagation behaviours and delivery-guarantee levels,
+// plus the transport configurations (remote and relay-tree fan-out,
+// overload, failover) whose allocation budgets allocs_test.go gates.
+// Speed claims are made by the bench/ harness, not here (bench/README.md).
 package activityservice_test
 
 import (
@@ -115,6 +115,40 @@ func BenchmarkFig02CompensationChain(b *testing.B) {
 	}
 }
 
+// deliveryPolicies are the flat policies the fan-out benchmarks compare.
+var deliveryPolicies = []struct {
+	name   string
+	policy activityservice.DeliveryPolicy
+}{
+	{"serial", activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial}},
+	{"parallel", activityservice.Parallel()},
+}
+
+// broadcastRound returns one fig. 5 broadcast: begin an activity, register
+// every action on one sequence set, signal it and complete.
+func broadcastRound(tb testing.TB, policy activityservice.DeliveryPolicy, actions []activityservice.Action) func() {
+	svc := activityservice.New(activityservice.WithDelivery(policy))
+	ctx := context.Background()
+	return func() {
+		a := svc.Begin("fanout")
+		set := activityservice.NewSequenceSet("s", "ping")
+		if err := a.RegisterSignalSet(set); err != nil {
+			tb.Fatal(err)
+		}
+		for _, action := range actions {
+			if _, err := a.AddAction("s", action); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := a.Signal(ctx, "s"); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := a.Complete(ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig05SignalFanout measures the fig. 5 broadcast: one signal set
 // delivering to n registered actions.
 func BenchmarkFig05SignalFanout(b *testing.B) {
@@ -122,26 +156,14 @@ func BenchmarkFig05SignalFanout(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("actions=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			svc := activityservice.New()
-			ctx := context.Background()
+			actions := make([]activityservice.Action, n)
+			for i := range actions {
+				actions[i] = noopAction()
+			}
+			round := broadcastRound(b, activityservice.DeliveryPolicy{}, actions)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := svc.Begin("fanout")
-				set := activityservice.NewSequenceSet("s", "ping")
-				if err := a.RegisterSignalSet(set); err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < n; j++ {
-					if _, err := a.AddAction("s", noopAction()); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := a.Signal(ctx, "s"); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := a.Complete(ctx); err != nil {
-					b.Fatal(err)
-				}
+				round()
 			}
 		})
 	}
@@ -168,44 +190,50 @@ func BenchmarkParallelFanout(b *testing.B) {
 				}
 			})
 	}
-	policies := []struct {
-		name   string
-		policy activityservice.DeliveryPolicy
-	}{
-		{"serial", activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial}},
-		{"parallel", activityservice.Parallel()},
-	}
 	for _, fanout := range []int{8, 64, 512} {
 		for _, latency := range []time.Duration{0, 100 * time.Microsecond} {
-			for _, p := range policies {
+			for _, p := range deliveryPolicies {
 				name := fmt.Sprintf("fanout=%d/latency=%s/%s", fanout, latency, p.name)
 				b.Run(name, func(b *testing.B) {
 					b.ReportAllocs()
-					svc := activityservice.New(activityservice.WithDelivery(p.policy))
-					ctx := context.Background()
+					actions := make([]activityservice.Action, fanout)
+					for i := range actions {
+						actions[i] = latencyAction(latency)
+					}
+					round := broadcastRound(b, p.policy, actions)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						a := svc.Begin("fanout")
-						set := activityservice.NewSequenceSet("s", "ping")
-						if err := a.RegisterSignalSet(set); err != nil {
-							b.Fatal(err)
-						}
-						for j := 0; j < fanout; j++ {
-							if _, err := a.AddAction("s", latencyAction(latency)); err != nil {
-								b.Fatal(err)
-							}
-						}
-						if _, err := a.Signal(ctx, "s"); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := a.Complete(ctx); err != nil {
-							b.Fatal(err)
-						}
+						round()
 					}
 				})
 			}
 		}
 	}
+}
+
+// remoteFanout returns one BenchmarkRemoteFanout round: fanout actions
+// behind a server ORB, each holding its node for 100µs, imported through
+// a client ORB with a pool-connection pool.
+func remoteFanout(tb testing.TB, fanout, pool int, policy activityservice.DeliveryPolicy) func() {
+	const actionLatency = 100 * time.Microsecond
+	serverORB := orb.New()
+	tb.Cleanup(serverORB.Shutdown)
+	if _, err := serverORB.Listen("127.0.0.1:0"); err != nil {
+		tb.Fatal(err)
+	}
+	clientORB := orb.New(orb.WithPoolSize(pool))
+	tb.Cleanup(clientORB.Shutdown)
+	actions := make([]activityservice.Action, fanout)
+	for i := range actions {
+		ref := orb.ExportAction(serverORB, activityservice.ActionFunc(
+			func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
+				time.Sleep(actionLatency)
+				return activityservice.Outcome{Name: "ok"}, nil
+			}))
+		ref, _ = serverORB.IOR(ref.Key)
+		actions[i] = orb.ImportAction(clientORB, ref)
+	}
+	return broadcastRound(tb, policy, actions)
 }
 
 // BenchmarkRemoteFanout measures the distributed fig. 5 broadcast: one
@@ -217,59 +245,16 @@ func BenchmarkParallelFanout(b *testing.B) {
 // connection pooling.
 func BenchmarkRemoteFanout(b *testing.B) {
 	b.ReportAllocs()
-	const actionLatency = 100 * time.Microsecond
-	policies := []struct {
-		name   string
-		policy activityservice.DeliveryPolicy
-	}{
-		{"serial", activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial}},
-		{"parallel", activityservice.Parallel()},
-	}
 	for _, fanout := range []int{8, 64} {
 		for _, pool := range []int{1, 4, 16} {
-			for _, p := range policies {
+			for _, p := range deliveryPolicies {
 				name := fmt.Sprintf("fanout=%d/pool=%d/%s", fanout, pool, p.name)
 				b.Run(name, func(b *testing.B) {
 					b.ReportAllocs()
-					serverORB := orb.New()
-					defer serverORB.Shutdown()
-					if _, err := serverORB.Listen("127.0.0.1:0"); err != nil {
-						b.Fatal(err)
-					}
-					clientORB := orb.New(orb.WithPoolSize(pool))
-					defer clientORB.Shutdown()
-
-					actions := make([]activityservice.Action, fanout)
-					for i := range actions {
-						ref := orb.ExportAction(serverORB, activityservice.ActionFunc(
-							func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
-								time.Sleep(actionLatency)
-								return activityservice.Outcome{Name: "ok"}, nil
-							}))
-						ref, _ = serverORB.IOR(ref.Key)
-						actions[i] = orb.ImportAction(clientORB, ref)
-					}
-
-					svc := activityservice.New(activityservice.WithDelivery(p.policy))
-					ctx := context.Background()
+					round := remoteFanout(b, fanout, pool, p.policy)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						a := svc.Begin("remote-fanout")
-						set := activityservice.NewSequenceSet("s", "ping")
-						if err := a.RegisterSignalSet(set); err != nil {
-							b.Fatal(err)
-						}
-						for _, action := range actions {
-							if _, err := a.AddAction("s", action); err != nil {
-								b.Fatal(err)
-							}
-						}
-						if _, err := a.Signal(ctx, "s"); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := a.Complete(ctx); err != nil {
-							b.Fatal(err)
-						}
+						round()
 					}
 				})
 			}
@@ -277,14 +262,40 @@ func BenchmarkRemoteFanout(b *testing.B) {
 	}
 }
 
+// treeFanout returns one BenchmarkTreeFanout round: fanout no-op
+// participants spread over sites site ORBs that each host the
+// well-known relay servant, imported into one coordinator ORB built with
+// clientOpts.
+func treeFanout(tb testing.TB, fanout, sites int, policy activityservice.DeliveryPolicy, clientOpts ...orb.ORBOption) func() {
+	siteORBs := make([]*orb.ORB, sites)
+	for i := range siteORBs {
+		siteORBs[i] = orb.New()
+		tb.Cleanup(siteORBs[i].Shutdown)
+		if _, err := siteORBs[i].Listen("127.0.0.1:0"); err != nil {
+			tb.Fatal(err)
+		}
+		orb.ServeRelay(siteORBs[i])
+	}
+	clientORB := orb.New(clientOpts...)
+	tb.Cleanup(clientORB.Shutdown)
+	actions := make([]activityservice.Action, fanout)
+	for i := range actions {
+		site := siteORBs[i%sites]
+		ref := orb.ExportAction(site, noopAction())
+		ref, _ = site.IOR(ref.Key)
+		actions[i] = orb.ImportAction(clientORB, ref)
+	}
+	return broadcastRound(tb, policy, actions)
+}
+
 // BenchmarkTreeFanout measures relay-tree delivery against flat parallel
 // delivery over TCP: participants spread across site ORBs that each host
 // the well-known relay servant, so tree mode ships one batch per subtree
 // root (a constant-size plant-id reference after the first round) while
-// flat mode writes one frame per participant. The tree configurations are
-// the allocation budget benchguard gates in CI: the steady-state relay
-// hot path — ref batch encode, servant dispatch, result aggregation —
-// must not regress into per-member allocations.
+// flat mode writes one frame per participant. TestAllocsTreeFanout gates
+// the tree configurations' allocations: the steady-state relay hot path —
+// ref batch encode, servant dispatch, result aggregation — must not
+// regress into per-member allocations.
 func BenchmarkTreeFanout(b *testing.B) {
 	b.ReportAllocs()
 	const sites = 4
@@ -296,53 +307,11 @@ func BenchmarkTreeFanout(b *testing.B) {
 		{"tree", activityservice.Tree(8)},
 	}
 	for _, fanout := range []int{64, 256} {
-		siteORBs := make([]*orb.ORB, sites)
-		for i := range siteORBs {
-			siteORBs[i] = orb.New()
-			if _, err := siteORBs[i].Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			orb.ServeRelay(siteORBs[i])
-		}
-		refs := make([]orb.IOR, fanout)
-		for i := range refs {
-			site := siteORBs[i%sites]
-			ref := orb.ExportAction(site, activityservice.ActionFunc(
-				func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
-					return activityservice.Outcome{Name: "ok"}, nil
-				}))
-			refs[i], _ = site.IOR(ref.Key)
-		}
 		for _, p := range policies {
 			name := fmt.Sprintf("fanout=%d/sites=%d/%s", fanout, sites, p.name)
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
-				clientORB := orb.New()
-				defer clientORB.Shutdown()
-				actions := make([]activityservice.Action, fanout)
-				for i, ref := range refs {
-					actions[i] = orb.ImportAction(clientORB, ref)
-				}
-				svc := activityservice.New(activityservice.WithDelivery(p.policy))
-				ctx := context.Background()
-				round := func() {
-					a := svc.Begin("tree-fanout")
-					set := activityservice.NewSequenceSet("s", "ping")
-					if err := a.RegisterSignalSet(set); err != nil {
-						b.Fatal(err)
-					}
-					for _, action := range actions {
-						if _, err := a.AddAction("s", action); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := a.Signal(ctx, "s"); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := a.Complete(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
+				round := treeFanout(b, fanout, sites, p.policy)
 				// One warm-up round dials the connections and plants the
 				// memberships; the measured rounds are the steady state.
 				round()
@@ -351,9 +320,6 @@ func BenchmarkTreeFanout(b *testing.B) {
 					round()
 				}
 			})
-		}
-		for _, site := range siteORBs {
-			site.Shutdown()
 		}
 	}
 }
@@ -594,51 +560,6 @@ func BenchmarkLRUOW(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationRawOTSvsActivity2PC quantifies the generic framework's
-// overhead: the same participants driven by the hand-coded OTS engine and
-// by the activity-coordinated 2PC of §4.1.
-func BenchmarkAblationRawOTSvsActivity2PC(b *testing.B) {
-	b.ReportAllocs()
-	const participants = 8
-	b.Run("raw-ots", func(b *testing.B) {
-		b.ReportAllocs()
-		svc := ots.NewService()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := svc.Begin()
-			for j := 0; j < participants; j++ {
-				if err := tx.RegisterResource(okResource{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := tx.Commit(false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("activity-2pc", func(b *testing.B) {
-		b.ReportAllocs()
-		svc := activityservice.New()
-		coord := twopc.NewCoordinator(svc)
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx, err := coord.Begin("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < participants; j++ {
-				if err := tx.Enlist(okResource{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := tx.Commit(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkDelivery compares §3.4 delivery guarantees: plain at-least-once

@@ -506,14 +506,14 @@ func TestClusterDrainLosesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkShardRouterRoute measures the router's cached-map routing
-// path (key hash -> ring walk -> reference mint) — the per-invocation
-// overhead sharding adds before the wire. Gated by cmd/benchguard in CI.
-func BenchmarkShardRouterRoute(b *testing.B) {
+// shardRouterRoute returns one routing decision of a router holding a
+// cached eight-member map, cycling over 64 keys — the path
+// BenchmarkShardRouterRoute times.
+func shardRouterRoute(tb testing.TB) func() {
 	authORB := orb.New()
-	defer authORB.Shutdown()
+	tb.Cleanup(authORB.Shutdown)
 	if _, err := authORB.Listen("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	members := make([]orb.ClusterMember, 8)
 	for i := range members {
@@ -525,28 +525,41 @@ func BenchmarkShardRouterRoute(b *testing.B) {
 	}
 	m, err := orb.NewClusterMap(members...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	auth := orb.NewShardAuthority(m)
 	orb.ServeShardMap(authORB, auth)
 	authRef, _ := authORB.IOR(orb.ShardMapKey)
 
 	client := orb.New()
-	defer client.Shutdown()
+	tb.Cleanup(client.Shutdown)
 	router := orb.NewShardRouter(client, authRef)
 	if _, err := router.Refresh(context.Background()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = clusterKey(i)
 	}
 	ctx := context.Background()
+	i := 0
+	return func() {
+		if _, _, err := router.RouteRef(ctx, orb.ActivityFactoryTypeID, orb.ActivityFactoryKey, keys[i%len(keys)]); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+}
+
+// BenchmarkShardRouterRoute measures the router's cached-map routing
+// path (key hash -> ring walk -> reference mint) — the per-invocation
+// overhead sharding adds before the wire. TestAllocsShardRouterRoute
+// gates its allocations.
+func BenchmarkShardRouterRoute(b *testing.B) {
+	route := shardRouterRoute(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := router.RouteRef(ctx, orb.ActivityFactoryTypeID, orb.ActivityFactoryKey, keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
+		route()
 	}
 }

@@ -10,7 +10,7 @@
 //
 // Each figure prints the trace of coordinator/SignalSet/Action
 // interactions in the arrow notation of internal/trace; compare with the
-// sequence charts in the paper (see EXPERIMENTS.md for the mapping).
+// sequence charts in the paper.
 package main
 
 import (

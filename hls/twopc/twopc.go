@@ -6,8 +6,9 @@
 //
 // This is the paper's demonstration that even the most classical
 // transaction protocol is expressible in the generic framework; the
-// BenchmarkAblationRawOTSvsActivity2PC bench quantifies the framework's
-// overhead against the hand-coded protocol in internal/ots.
+// repository benchmark reports the framework's overhead against the
+// hand-coded protocol in internal/ots as ots.framework_ratio
+// (bench/README.md).
 package twopc
 
 import (

@@ -340,17 +340,32 @@ func TestFencedTruncationTornTailAcrossReopen(t *testing.T) {
 	}
 }
 
-// BenchmarkAppend is the unfenced append baseline BenchmarkFencedAppend
-// is gated against (CI pins fenced ≤ baseline + 1 alloc/op).
-func BenchmarkAppend(b *testing.B) {
+// appendOp returns one append of a decision-sized record to a fresh
+// memory log, with term state present when fenced.
+func appendOp(tb testing.TB, fenced bool) func() {
 	l := NewMemory()
+	if fenced {
+		if _, err := l.AdoptTerm(1, "bench-member"); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	data := []byte("decision-record-payload-0123456789")
+	return func() {
+		if _, err := l.Append(Kind(7), data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppend is the unfenced append baseline BenchmarkFencedAppend
+// is gated against (TestAllocsFencedAppend: fenced ≤ baseline + 1
+// alloc/op).
+func BenchmarkAppend(b *testing.B) {
+	op := appendOp(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(Kind(7), data); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
 
@@ -358,16 +373,10 @@ func BenchmarkAppend(b *testing.B) {
 // present: the fence check is one branch under the lock, so the path must
 // cost no more than one allocation over the plain append.
 func BenchmarkFencedAppend(b *testing.B) {
-	l := NewMemory()
-	if _, err := l.AdoptTerm(1, "bench-member"); err != nil {
-		b.Fatal(err)
-	}
-	data := []byte("decision-record-payload-0123456789")
+	op := appendOp(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(Kind(7), data); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }

@@ -442,3 +442,55 @@ func TestRelayChaosLostReplyRedeliversIdempotently(t *testing.T) {
 		}
 	}
 }
+
+// countingTransport dials TCP and counts every frame byte written on its
+// connections.
+type countingTransport struct{ sent *atomic.Int64 }
+
+// Dial implements orb.Transport.
+func (t countingTransport) Dial(ctx context.Context, addr string) (orb.Conn, error) {
+	c, err := orb.TCPTransport{}.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, sent: t.sent}, nil
+}
+
+// countingConn counts outbound frame bytes. Embedding the interface hides
+// the batch-write fast path, so every frame passes through WriteFrame.
+type countingConn struct {
+	orb.Conn
+	sent *atomic.Int64
+}
+
+// WriteFrame implements orb.Conn.
+func (c countingConn) WriteFrame(p []byte) error {
+	c.sent.Add(int64(len(p)))
+	return c.Conn.WriteFrame(p)
+}
+
+// TestTreeCoordinatorBytesConstantInFanout pins the relay tree's headline
+// cost in BenchmarkTreeFanout's topology: once the warm-up round has
+// planted the memberships, every round ships one constant-size plant
+// reference per subtree root, so the coordinator's outbound bytes per
+// round are the same at fanout 64 and 256 — while flat delivery writes a
+// frame per participant and grows with fanout.
+func TestTreeCoordinatorBytesConstantInFanout(t *testing.T) {
+	perRound := func(fanout int, policy activityservice.DeliveryPolicy) int64 {
+		var sent atomic.Int64
+		round := treeFanout(t, fanout, 4, policy, orb.WithTransport(countingTransport{&sent}))
+		round()
+		sent.Store(0)
+		round()
+		return sent.Load()
+	}
+	tree64, tree256 := perRound(64, activityservice.Tree(8)), perRound(256, activityservice.Tree(8))
+	flat64, flat256 := perRound(64, activityservice.Parallel()), perRound(256, activityservice.Parallel())
+	t.Logf("bytes/round: tree %d → %d, flat %d → %d (fanout 64 → 256)", tree64, tree256, flat64, flat256)
+	if tree64 != tree256 {
+		t.Errorf("tree coordinator bytes/round grew with fanout: %d at 64, %d at 256", tree64, tree256)
+	}
+	if flat256 <= flat64 {
+		t.Errorf("flat coordinator bytes/round did not grow with fanout: %d at 64, %d at 256", flat64, flat256)
+	}
+}
