@@ -825,8 +825,7 @@ func BenchmarkOverload(b *testing.B) {
 			b.Fatal(err)
 		}
 		ref, _ = node.IOR(ref.Key)
-		client := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-			orb.WithPoolSize(8), orb.WithCallTimeout(10*time.Second))
+		client := orb.New(orb.WithPoolSize(8), orb.WithCallTimeout(10*time.Second))
 		defer client.Shutdown()
 
 		peak, stopWatch := watchGoroutinePeak()
@@ -890,10 +889,10 @@ func BenchmarkOverload(b *testing.B) {
 // BenchmarkFailover prices the multi-profile endpoint selector against the
 // PR-3 single-endpoint invoke path. "single-profile" is the baseline (a
 // one-profile reference takes the historic fast path); "two-profile/steady"
-// adds the full selector — affinity lookup, shared health verdicts,
+// adds the full selector — affinity lookup, per-pool health verdicts,
 // profile ranking — with a healthy primary; "two-profile/primary-down"
-// shows the steady state after a failover: the dead profile's shared
-// health verdict routes every call straight to the backup, with p50 and
+// shows the steady state after a failover: the dead profile's pool
+// verdict routes every call straight to the backup, with p50 and
 // p99 reported so the selector's tail is visible too. The redesign's
 // budget: steady-state selector overhead within 5% of the baseline.
 func BenchmarkFailover(b *testing.B) {
@@ -925,7 +924,6 @@ func BenchmarkFailover(b *testing.B) {
 	}
 	run := func(b *testing.B, ref orb.IOR) {
 		client := orb.New(
-			orb.WithHealthRegistry(orb.NewHealthRegistry()),
 			// Keep a dead profile's down window open across the whole run,
 			// so the bench measures the selector's steady state rather
 			// than periodic re-probes.

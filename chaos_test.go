@@ -61,8 +61,7 @@ func TestChaosResetBetweenPrepareAndCommit(t *testing.T) {
 	ref2 := exportChaosResource(t, p2)
 
 	chaos := orb.NewChaosTransport(nil)
-	clientORB := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-		orb.WithTransport(chaos), orb.WithCallTimeout(2*time.Second))
+	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(2*time.Second))
 	defer clientORB.Shutdown()
 	// The third process_signal request is the first commit (after the two
 	// prepares): reset the connection before it is sent.
@@ -153,8 +152,7 @@ func TestChaosPartitionDuringConfirm(t *testing.T) {
 	}
 
 	chaos := orb.NewChaosTransport(nil)
-	clientORB := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-		orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
+	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
 	defer clientORB.Shutdown()
 
 	svc := activityservice.New(activityservice.WithRetryPolicy(
@@ -245,8 +243,7 @@ func TestChaosSlowParticipantTimeout(t *testing.T) {
 	healthyORB := orb.New()
 	defer healthyORB.Shutdown()
 	chaos := orb.NewChaosTransport(nil)
-	slowORB := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-		orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
+	slowORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
 	defer slowORB.Shutdown()
 	chaos.Inject(orb.ChaosRule{Latency: 400 * time.Millisecond}) // every request crawls
 
@@ -340,8 +337,7 @@ func TestChaosSaturationShedsFastAndConverges(t *testing.T) {
 		refs[i], _ = node.IOR(refs[i].Key)
 	}
 
-	client := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-		orb.WithPoolSize(8), orb.WithCallTimeout(5*time.Second))
+	client := orb.New(orb.WithPoolSize(8), orb.WithCallTimeout(5*time.Second))
 	defer client.Shutdown()
 
 	g0 := runtime.NumGoroutine()
@@ -460,7 +456,6 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 
 	chaos := orb.NewChaosTransport(nil)
 	clientORB := orb.New(
-		orb.WithHealthRegistry(orb.NewHealthRegistry()),
 		orb.WithTransport(chaos),
 		orb.WithCallTimeout(50*time.Millisecond),
 		orb.WithCircuitBreaker(threshold, openFor),
@@ -597,7 +592,6 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	chaos := orb.NewChaosTransport(nil)
 	clientORB := orb.New(
 		orb.WithTransport(chaos),
-		orb.WithHealthRegistry(orb.NewHealthRegistry()),
 		orb.WithCallTimeout(2*time.Second),
 		orb.WithCircuitBreaker(2, 5*time.Second),
 	)

@@ -39,7 +39,8 @@ func TestAdminScrapeServerAndEndpointStats(t *testing.T) {
 	}
 
 	// The scraper is a separate process's-worth of ORB.
-	scraper := isolatedClient(t)
+	scraper := New()
+	t.Cleanup(scraper.Shutdown)
 	admin := NewAdminClient(scraper, AdminAt(ep1, ep2))
 
 	st, ok, err := admin.ServerStats(ctx)
@@ -120,7 +121,8 @@ func TestAdminScrapeBypassesAdmission(t *testing.T) {
 	}
 	slowRef, _ = daemon.IOR(slowRef.Key)
 
-	filler := isolatedClient(t)
+	filler := New()
+	t.Cleanup(filler.Shutdown)
 	go filler.Invoke(ctx, slowRef, "stall", nil) // occupies the only slot
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -133,7 +135,8 @@ func TestAdminScrapeBypassesAdmission(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	scraper := isolatedClient(t)
+	scraper := New()
+	t.Cleanup(scraper.Shutdown)
 	admin := NewAdminClient(scraper, AdminAt(ep))
 	st, ok, err := admin.ServerStats(ctx)
 	if err != nil || !ok {
@@ -152,7 +155,7 @@ func TestAffinityScopedByPrimaryProfile(t *testing.T) {
 	if ka, kb := affinityKey(refA), affinityKey(refB); ka == kb {
 		t.Fatalf("affinity keys collide: %q", ka)
 	}
-	o := New(WithHealthRegistry(NewHealthRegistry()))
+	o := New()
 	defer o.Shutdown()
 	o.recordAffinity("tcp:a2:1", affinityKey(refA))
 	o.recordAffinity("tcp:b1:1", affinityKey(refB))

@@ -2,7 +2,6 @@ package orb
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -52,208 +51,137 @@ func (s BreakerState) String() string {
 	}
 }
 
-// breaker is the per-endpoint three-state circuit breaker configured by
-// WithCircuitBreaker. It sits above the dial health gate: the gate
-// throttles re-dialing a peer that refuses connections, while the breaker
-// stops whole calls — including ones that would ride an existing
-// connection — once the endpoint has failed threshold times in a row, and
-// rations recovery to one probe per half-open window.
-type breaker struct {
-	endpoint  string
-	threshold int
-	openFor   time.Duration
+// The call gates below are the pool's overload protection above the dial
+// health gate. The circuit breaker (WithCircuitBreaker) stops whole calls —
+// including ones that would ride an existing connection — once the
+// endpoint has failed threshold times in a row, and rations recovery to
+// one probe per half-open window. The retry budget (WithRetryBudget) is a
+// token bucket: while the endpoint is in debt (its last call failed) every
+// call withdraws a token, an empty bucket fails the call fast, and a
+// success makes calls free again; it bounds the aggregate attempt rate
+// that at-least-once retry loops — which the ORB cannot tell apart from
+// fresh calls — can aim at a failing endpoint. Both read the one
+// consecutive call-failure count in the pool, which only a success resets.
 
-	mu       sync.Mutex
-	state    BreakerState // Closed, Open or HalfOpen
-	failures int          // consecutive failures while closed
-	openedAt time.Time
-	probing  bool   // a half-open probe is in flight
-	probes   uint64 // cumulative probes admitted
-	opens    uint64 // cumulative transitions to open
+// callGated reports whether the ORB configured a breaker or a retry budget.
+// Both knobs are fixed at New, so without them admitCall and observeCall
+// return before touching the pool lock.
+func (o *ORB) callGated() bool {
+	return o.brkThreshold > 0 || o.retryBurst > 0
 }
 
-// newBreaker builds a breaker; threshold <= 0 disables it (nil breaker).
-func newBreaker(endpoint string, threshold int, openFor time.Duration) *breaker {
-	if threshold <= 0 {
-		return nil
-	}
-	if openFor <= 0 {
-		openFor = defaultBreakerOpenFor
-	}
-	return &breaker{endpoint: endpoint, threshold: threshold, openFor: openFor, state: BreakerClosed}
-}
-
-// stateLocked derives the effective state at now: an open circuit whose
-// window has elapsed is half-open.
-func (b *breaker) stateLocked(now time.Time) BreakerState {
-	if b.state == BreakerOpen && !now.Before(b.openedAt.Add(b.openFor)) {
+// breakerLocked derives the effective breaker state at now: an open circuit
+// whose window has elapsed is half-open.
+func (p *endpointPool) breakerLocked(now time.Time) BreakerState {
+	if p.brkState == BreakerOpen && !now.Before(p.openedAt.Add(p.orb.brkOpenFor)) {
 		return BreakerHalfOpen
 	}
-	return b.state
+	return p.brkState
 }
 
-// admit decides whether one call may proceed at now. In the half-open
-// state it admits a single probe (reported through the first return);
-// every other caller fails fast.
-func (b *breaker) admit(now time.Time) (probe bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.stateLocked(now) {
+// admitCall runs the pre-flight call gates: the breaker first, so its
+// fail-fast rejections never drain the retry budget, then the budget. The
+// half-open probe slot is taken only once the budget has admitted the call,
+// so an exhausted budget cannot eat the recovery probe. The first return
+// reports whether this call holds the probe slot.
+func (p *endpointPool) admitCall(now time.Time) (bool, error) {
+	o := p.orb
+	if !o.callGated() {
+		return false, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	probe := false
+	switch p.breakerLocked(now) {
 	case BreakerOpen:
 		return false, Systemf(CodeTransient,
 			"circuit breaker for %s open (%d consecutive failures; next probe in %s)",
-			b.endpoint, b.threshold, time.Until(b.openedAt.Add(b.openFor)).Round(time.Millisecond))
+			p.endpoint, o.brkThreshold, p.openedAt.Add(o.brkOpenFor).Sub(now).Round(time.Millisecond))
 	case BreakerHalfOpen:
-		if b.probing {
+		if p.probing {
 			return false, Systemf(CodeTransient,
-				"circuit breaker for %s half-open: probe already in flight", b.endpoint)
+				"circuit breaker for %s half-open: probe already in flight", p.endpoint)
 		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		b.probes++
-		return true, nil
+		probe = true
 	}
-	return false, nil
+	if o.retryBurst > 0 && p.callFailures > 0 {
+		p.tokens += now.Sub(p.last).Seconds() * o.retryRate
+		if burst := float64(o.retryBurst); p.tokens > burst {
+			p.tokens = burst
+		}
+		p.last = now
+		if p.tokens < 1 {
+			p.exhausted++
+			return false, Systemf(CodeTransient,
+				"retry budget for %s exhausted (refills at %.3g tokens/s)", p.endpoint, o.retryRate)
+		}
+		p.tokens--
+	}
+	if probe {
+		p.brkState = BreakerHalfOpen
+		p.probing = true
+		p.probes++
+	}
+	return probe, nil
 }
 
-// abortProbe releases a probe slot whose call was rejected by a later gate
-// before it could launch, so the next admitted caller can probe instead.
-func (b *breaker) abortProbe() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.probing {
-		b.probing = false
-		b.probes--
+// observeCall feeds a finished call's outcome to the call gates. A success
+// closes the circuit, clears the debt and refills the bucket; a failure
+// extends the consecutive count, starts the debt, and opens the circuit at
+// the threshold — or re-opens it for a fresh window when the half-open
+// probe (or a straggler from before the circuit opened) fails. Fail-fast
+// rejections from admitCall never reach here, so the gates cannot feed on
+// their own output. Health-gate fail-fasts DO reach here and count as
+// failures deliberately: they are the endpoint's last known state, and
+// requiring real dials to trip the breaker would let the gate's own
+// backoff spacing delay it indefinitely.
+func (p *endpointPool) observeCall(err error) {
+	o := p.orb
+	if !o.callGated() {
+		return
 	}
+	failed := transportFailure(err)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !failed {
+		p.callFailures = 0
+		p.tokens = float64(o.retryBurst)
+		p.probing = false
+		if p.brkState != BreakerInactive {
+			p.brkState = BreakerClosed
+		}
+		return
+	}
+	now := time.Now()
+	p.callFailures++
+	if p.callFailures == 1 {
+		p.last = now // the debt begins: the bucket refills from here
+	}
+	switch p.breakerLocked(now) {
+	case BreakerClosed:
+		if p.callFailures >= o.brkThreshold {
+			p.openLocked(now)
+		}
+	case BreakerHalfOpen:
+		p.probing = false
+		p.openLocked(now)
+	}
+}
+
+func (p *endpointPool) openLocked(now time.Time) {
+	p.brkState = BreakerOpen
+	p.openedAt = now
+	p.opens++
 }
 
 // releaseProbe clears the probe-in-flight flag for a probe whose outcome
 // will never be observed (its caller died mid-call): the circuit stays
-// half-open and the next admitted caller probes again. Unlike abortProbe
-// the probe did launch, so it stays counted.
-func (b *breaker) releaseProbe() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-}
-
-// onSuccess records a successful round trip: the circuit closes and the
-// failure count resets.
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = BreakerClosed
-	b.failures = 0
-	b.probing = false
-}
-
-// onFailure records a failed call: crossing the threshold — or failing the
-// half-open probe — opens the circuit for a fresh window.
-func (b *breaker) onFailure(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.stateLocked(now) {
-	case BreakerClosed:
-		b.failures++
-		if b.failures >= b.threshold {
-			b.openLocked(now)
-		}
-	case BreakerHalfOpen:
-		// The probe (or a straggler from before the circuit opened) failed:
-		// back to open for another full window.
-		b.probing = false
-		b.openLocked(now)
-	}
-}
-
-// window reports whether the circuit is open at now and, if so, when the
-// open window ends — the verdict the pool publishes to the shared
-// HealthRegistry for endpoint selection.
-func (b *breaker) window(now time.Time) (until time.Time, open bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.stateLocked(now) == BreakerOpen {
-		return b.openedAt.Add(b.openFor), true
-	}
-	return time.Time{}, false
-}
-
-func (b *breaker) openLocked(now time.Time) {
-	b.state = BreakerOpen
-	b.openedAt = now
-	b.opens++
-}
-
-// retryBudget is the per-endpoint token bucket configured by
-// WithRetryBudget. While the endpoint's last call failed (the pool is "in
-// debt"), every call withdraws a token; an empty bucket fails the call
-// fast with TRANSIENT. The bucket holds burst tokens and refills at rate
-// tokens per second; a successful call clears the debt and calls become
-// free again. It bounds the aggregate attempt rate that at-least-once
-// retry loops — which the ORB cannot tell apart from fresh calls — can
-// aim at a failing endpoint.
-type retryBudget struct {
-	endpoint string
-	rate     float64 // tokens per second
-	burst    float64
-
-	mu        sync.Mutex
-	tokens    float64
-	last      time.Time
-	inDebt    bool
-	exhausted uint64 // cumulative fail-fasts on an empty bucket
-}
-
-// newRetryBudget builds a budget; burst <= 0 disables it (nil budget), and
-// a rate <= 0 is raised to defaultRetryRate so recovery is always possible.
-func newRetryBudget(endpoint string, rate float64, burst int) *retryBudget {
-	if burst <= 0 {
-		return nil
-	}
-	if rate <= 0 {
-		rate = defaultRetryRate
-	}
-	return &retryBudget{endpoint: endpoint, rate: rate, burst: float64(burst), tokens: float64(burst)}
-}
-
-// admit charges one call at now: free while the endpoint is healthy, one
-// token while it is in debt.
-func (b *retryBudget) admit(now time.Time) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.inDebt {
-		return nil
-	}
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return nil
-	}
-	b.exhausted++
-	return Systemf(CodeTransient,
-		"retry budget for %s exhausted (refills at %.3g tokens/s)", b.endpoint, b.rate)
-}
-
-// observe records the call outcome: failure enters debt, success clears it
-// and refills the bucket.
-func (b *retryBudget) observe(failed bool, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if failed {
-		if !b.inDebt {
-			b.inDebt = true
-			b.last = now
-		}
-		return
-	}
-	b.inDebt = false
-	b.tokens = b.burst
+// half-open and the next admitted caller probes again. The probe did
+// launch, so it stays counted.
+func (p *endpointPool) releaseProbe() {
+	p.mu.Lock()
+	p.probing = false
+	p.mu.Unlock()
 }
 
 // transportFailure classifies a call outcome for the breaker and retry

@@ -15,7 +15,6 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	ref := deadEndpoint(t)
 	transport := &blockingFailTransport{}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(transport),
 		WithCircuitBreaker(2, time.Minute),
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
@@ -52,7 +51,6 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 	ref := deadEndpoint(t)
 	transport := &blockingFailTransport{delay: 50 * time.Millisecond}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(transport),
 		WithCircuitBreaker(1, 60*time.Millisecond),
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
@@ -98,7 +96,6 @@ func TestBreakerStateTransitions(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
 	flaky := &flakyTransport{failures: 2}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(flaky),
 		WithCircuitBreaker(2, 80*time.Millisecond),
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
@@ -188,7 +185,6 @@ func TestBreakerProbeAbandonedByCallerReleasesSlot(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
 	tr := &switchableTransport{fail: true, delay: 100 * time.Millisecond}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(tr),
 		WithCircuitBreaker(1, 30*time.Millisecond),
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
@@ -233,7 +229,7 @@ func TestBreakerProbeAbandonedByCallerReleasesSlot(t *testing.T) {
 // not count against a healthy endpoint: the circuit stays closed.
 func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	_, ref := startServer(t, &countingServant{delay: 200 * time.Millisecond})
-	client := New(WithHealthRegistry(NewHealthRegistry()), WithCircuitBreaker(1, time.Minute))
+	client := New(WithCircuitBreaker(1, time.Minute))
 	defer client.Shutdown()
 
 	for i := 0; i < 3; i++ {
@@ -260,7 +256,6 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 func TestBreakerRejectionsDoNotDrainRetryBudget(t *testing.T) {
 	ref := deadEndpoint(t)
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(&blockingFailTransport{}),
 		WithCircuitBreaker(1, time.Minute),
 		WithRetryBudget(0.001, 2), // ~no refill within the test: any drain is visible
@@ -290,7 +285,7 @@ func TestBreakerRejectionsDoNotDrainRetryBudget(t *testing.T) {
 // stats and no breaker interference.
 func TestBreakerInactiveWithoutOption(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
-	client := New(WithHealthRegistry(NewHealthRegistry()))
+	client := New()
 	defer client.Shutdown()
 	if _, err := client.Invoke(context.Background(), ref, "ping", nil); err != nil {
 		t.Fatal(err)
@@ -308,7 +303,6 @@ func TestRetryBudgetFailsFastWhenExhausted(t *testing.T) {
 	ref := deadEndpoint(t)
 	transport := &blockingFailTransport{}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(transport),
 		WithRetryBudget(0.001, 2), // ~no refill within the test: 2 post-failure attempts
 		WithReconnectBackoff(time.Minute, time.Minute),
@@ -348,7 +342,6 @@ func TestRetryBudgetRefillsAndClearsOnSuccess(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
 	flaky := &flakyTransport{failures: 1}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(flaky),
 		WithRetryBudget(100, 1), // one token, refills every 10ms
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
@@ -396,7 +389,6 @@ func TestPoolWarmPreDials(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
 	counter := &flakyTransport{} // counts dials, never fails
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(counter),
 		WithPoolSize(3),
 		WithPoolWarm(3),
@@ -427,7 +419,7 @@ func TestPoolWarmPreDials(t *testing.T) {
 // TestPoolWarmCapsAtPoolSize pins the warm target clamp.
 func TestPoolWarmCapsAtPoolSize(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
-	client := New(WithHealthRegistry(NewHealthRegistry()), WithPoolSize(2), WithPoolWarm(8))
+	client := New(WithPoolSize(2), WithPoolWarm(8))
 	defer client.Shutdown()
 
 	if _, err := client.Invoke(context.Background(), ref, "ping", nil); err != nil {
@@ -456,7 +448,6 @@ func TestPoolWarmStopsOnDialFailure(t *testing.T) {
 	ref := deadEndpoint(t)
 	transport := &blockingFailTransport{}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(transport),
 		WithPoolSize(4),
 		WithPoolWarm(4),

@@ -23,14 +23,14 @@ const (
 	defaultBackoffMax  = 2 * time.Second
 )
 
-// endpointPool is the client side of one endpoint: a bounded pool of
-// multiplexed connections with least-pending pick, automatic reconnect
-// under jittered exponential backoff, and a health gate so a dead peer
-// fails fast instead of being re-dialed on every call. The gate's state
-// (consecutive failures, down-until deadline) lives in the ORB's
-// HealthRegistry, so every client ORB sharing the registry shares the
-// verdict: one pool discovering a dead endpoint fails the whole process
-// fast against it.
+// endpointPool is the client side of one endpoint, and the only place this
+// ORB keeps state about it: a bounded pool of multiplexed connections with
+// least-pending pick, automatic reconnect under jittered exponential
+// backoff, a dial health gate so a dead peer fails fast instead of being
+// re-dialed on every call, and the optional call gates (circuit breaker
+// and retry budget, breaker.go). One mutex guards all of it, so the
+// selector's health verdict and EndpointStats are each one consistent
+// read.
 //
 // Pool growth is caller-driven: an invoke that finds the pool below its
 // bound dials a new connection inline (concurrent callers fill the pool in
@@ -43,15 +43,6 @@ type endpointPool struct {
 	endpoint string // "tcp:host:port"
 	addr     string // "host:port"
 
-	// health is the shared dial-gate record for this endpoint in the ORB's
-	// HealthRegistry.
-	health *endpointHealth
-
-	// Overload protection above the health gate (breaker.go); either may
-	// be nil when the corresponding option is unset.
-	brk    *breaker
-	budget *retryBudget
-
 	// rttNanos is an EWMA of successful call round-trip times (¼ new, ¾
 	// old), in nanoseconds; zero until the first success. It feeds
 	// EndpointStats.RTT and ORB.EndpointRTT — the latency signal
@@ -63,6 +54,28 @@ type endpointPool struct {
 	conns   []*clientConn
 	dialing int
 	closed  bool
+
+	// Dial health gate: consecutive dial failures and the backoff deadline
+	// until which calls fail fast while nothing is live.
+	dialFailures int
+	downUntil    time.Time
+
+	// callFailures counts consecutive failed calls; only a success resets
+	// it. The breaker opens when it reaches the threshold, and the retry
+	// budget is in debt while it is above zero.
+	callFailures int
+
+	// Circuit breaker (BreakerInactive unless WithCircuitBreaker).
+	brkState BreakerState // Closed, Open or HalfOpen when active
+	openedAt time.Time
+	probing  bool   // a half-open probe is in flight
+	probes   uint64 // cumulative probes admitted
+	opens    uint64 // cumulative transitions to open
+
+	// Retry budget (unused unless WithRetryBudget).
+	tokens    float64
+	last      time.Time // last refill while in debt
+	exhausted uint64    // cumulative fail-fasts on an empty bucket
 }
 
 func newEndpointPool(o *ORB, endpoint, addr string) *endpointPool {
@@ -70,66 +83,13 @@ func newEndpointPool(o *ORB, endpoint, addr string) *endpointPool {
 		orb:      o,
 		endpoint: endpoint,
 		addr:     addr,
-		health:   o.health.acquire(endpoint), // released in closePool
-		brk:      newBreaker(endpoint, o.brkThreshold, o.brkOpenFor),
-		budget:   newRetryBudget(endpoint, o.retryRate, o.retryBurst),
+		tokens:   float64(o.retryBurst),
+	}
+	if o.brkThreshold > 0 {
+		p.brkState = BreakerClosed
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-// admitCall runs the pre-flight overload gates: the breaker first, so its
-// fail-fast rejections never drain the retry budget, then the budget. A
-// call admitted as the half-open probe but rejected by the budget releases
-// the probe slot, so an exhausted budget cannot eat the recovery probe.
-// The first return reports whether this call holds the probe slot.
-func (p *endpointPool) admitCall(now time.Time) (bool, error) {
-	var probe bool
-	if p.brk != nil {
-		var err error
-		if probe, err = p.brk.admit(now); err != nil {
-			return false, err
-		}
-	}
-	if p.budget != nil {
-		if err := p.budget.admit(now); err != nil {
-			if probe {
-				p.brk.abortProbe()
-			}
-			return false, err
-		}
-	}
-	return probe, nil
-}
-
-// observeCall feeds a finished call's outcome back to the breaker and the
-// retry budget, and publishes the breaker's verdict to the shared health
-// registry so other ORBs' selectors deprioritize the endpoint while it is
-// open. Fail-fast rejections from admitCall never reach here, so the
-// budget and breaker cannot feed on their own output. Health-gate
-// fail-fasts DO reach here and count as failures deliberately: they are
-// the endpoint's last known state, and requiring real dials to trip the
-// breaker would let the gate's own backoff spacing delay it indefinitely.
-func (p *endpointPool) observeCall(err error) {
-	failed := transportFailure(err)
-	now := time.Now()
-	if p.brk != nil {
-		if failed {
-			p.brk.onFailure(now)
-			if until, open := p.brk.window(now); open {
-				p.health.reportBreakerOpen(until)
-			}
-			// A failure that did not open THIS breaker says nothing about
-			// a window another ORB published; only a proven-healthy round
-			// trip may clear the shared verdict.
-		} else {
-			p.brk.onSuccess()
-			p.health.reportBreakerClosed()
-		}
-	}
-	if p.budget != nil {
-		p.budget.observe(failed, now)
-	}
 }
 
 // rttExemptOps are operations whose round trip is dominated by nested
@@ -171,11 +131,10 @@ func (p *endpointPool) warm(n int) {
 	}
 	for {
 		p.mu.Lock()
-		// Gate on the down window, not the shared lifetime failure count: a
-		// stale count from another ORB's old outage (the window long
-		// expired) must not disable warming for every pool created after
-		// it. This loop's own dial failure still stops it below.
-		down, _, _ := p.health.gate(time.Now())
+		// A concurrent caller's failed dial stops warming through the down
+		// window; this loop's own failure stops it below. Either way the
+		// endpoint is left to the health gate's single-flight probe.
+		down := time.Now().Before(p.downUntil)
 		if p.closed || down || len(p.conns)+p.dialing >= n {
 			p.mu.Unlock()
 			return
@@ -208,7 +167,7 @@ type clientConn struct {
 }
 
 // invokeRemote performs a remote invocation against ref: the endpoint
-// selector orders the reference's profiles by sticky affinity and shared
+// selector orders the reference's profiles by sticky affinity and endpoint
 // health, and the call fails over to the next profile on any TRANSIENT
 // outcome (dial failure, health gate, breaker, budget, admission shed —
 // all of which guarantee the servant never ran) while the caller's
@@ -288,7 +247,7 @@ func (o *ORB) invokeEndpoint(ctx, callerCtx context.Context, endpoint string, re
 		// The half-open probe's outcome was discarded with its caller;
 		// release the slot so the next caller can probe, or the circuit
 		// would stay latched on a probe that can never report back.
-		pool.brk.releaseProbe()
+		pool.releaseProbe()
 	}
 	return body, err
 }
@@ -315,12 +274,13 @@ func affinityKey(ref IOR) string {
 // several profiles the order is: the sticky-affinity endpoint for affKey
 // first while it looks healthy (so a coordinated protocol keeps landing
 // on the replica that answered its earlier phases), then the remaining
-// profiles the shared HealthRegistry considers healthy ranked by this
-// ORB's round-trip EWMA against them — nearest first, never-measured
-// ones after in reference order, so cross-shard traffic prefers near
-// replicas while fresh endpoints still get probed — then the unhealthy
-// ones in reference order (still tried last — a stale verdict must not
-// make an object unreachable).
+// profiles whose pools look healthy (dial gate closed, breaker not open)
+// ranked by this ORB's round-trip EWMA against them — nearest first,
+// never-measured ones after in reference order, so cross-shard traffic
+// prefers near replicas while fresh endpoints still get probed — then the
+// unhealthy ones in reference order (still tried last — a stale verdict
+// must not make an object unreachable). An endpoint with no pool yet is
+// healthy and unmeasured.
 func (o *ORB) selectEndpoints(ref IOR, affKey string) ([]string, string) {
 	var eps []string
 	for _, p := range ref.Profiles {
@@ -331,16 +291,30 @@ func (o *ORB) selectEndpoints(ref IOR, affKey string) ([]string, string) {
 	if len(eps) <= 1 {
 		return eps, ""
 	}
-	now := time.Now()
 	affinity := o.affinityFor(affKey)
-	records := o.health.entriesFor(eps) // one registry lock for all profiles
-	rtts := o.rttsFor(eps)              // one pool-map lock for all profiles
+	type profileState struct {
+		rtt       int64
+		preferred bool
+	}
+	states := make([]profileState, len(eps))
+	now := time.Now()
+	o.connMu.Lock() // one pass over the pool map for every profile
+	for i, ep := range eps {
+		states[i].preferred = true
+		if p := o.pools[ep]; p != nil {
+			states[i].rtt = p.rttNanos.Load()
+			p.mu.Lock()
+			states[i].preferred = !now.Before(p.downUntil) && p.breakerLocked(now) != BreakerOpen
+			p.mu.Unlock()
+		}
+	}
+	o.connMu.Unlock()
 	ordered := make([]string, 0, len(eps))
 	orderedRTT := make([]int64, 0, len(eps))
 	var unhealthy []string
 	if affinity != "" {
 		for i, ep := range eps {
-			if ep == affinity && records[i].preferred(now) {
+			if ep == affinity && states[i].preferred {
 				ordered = append(ordered, ep)
 				orderedRTT = append(orderedRTT, 0)
 				break
@@ -352,7 +326,7 @@ func (o *ORB) selectEndpoints(ref IOR, affKey string) ([]string, string) {
 		if healthyStart > 0 && ep == ordered[0] {
 			continue
 		}
-		if !records[i].preferred(now) {
+		if !states[i].preferred {
 			unhealthy = append(unhealthy, ep)
 			continue
 		}
@@ -361,7 +335,7 @@ func (o *ORB) selectEndpoints(ref IOR, affKey string) ([]string, string) {
 		// the first slower entry keeps the sort stable, so ties and the
 		// unmeasured tail preserve reference order. The slices are profile-
 		// list sized (a handful), so insertion beats sort.Slice's closure.
-		r := rtts[i]
+		r := states[i].rtt
 		pos := len(ordered)
 		if r > 0 {
 			for j := healthyStart; j < len(ordered); j++ {
@@ -379,23 +353,6 @@ func (o *ORB) selectEndpoints(ref IOR, affKey string) ([]string, string) {
 		orderedRTT[pos] = r
 	}
 	return append(ordered, unhealthy...), affinity
-}
-
-// rttsFor returns this ORB's round-trip EWMA for each endpoint (zero
-// when no pool exists or nothing succeeded yet), taking the pool-map
-// lock once for the whole profile list.
-func (o *ORB) rttsFor(eps []string) []int64 {
-	out := make([]int64, len(eps))
-	o.connMu.Lock()
-	if !o.poolsClosed {
-		for i, ep := range eps {
-			if p, ok := o.pools[ep]; ok {
-				out[i] = p.rttNanos.Load()
-			}
-		}
-	}
-	o.connMu.Unlock()
-	return out
 }
 
 // maxAffinityEntries bounds the sticky-affinity map. Long-lived clients
@@ -459,27 +416,6 @@ func (o *ORB) recordAffinity(endpoint, key string) {
 func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
 	reqID := o.reqID.Add(1)
 	ch := getReplyChan()
-
-	// A connection picked from the pool can be torn down between the pick
-	// and the registration (its read loop may observe the peer dying at any
-	// moment); retry the pick until registration lands on a live one.
-	var c *clientConn
-	for attempt := 0; ; attempt++ {
-		var err error
-		c, err = pool.get(ctx)
-		if err != nil {
-			putReplyChan(ch) // never registered: no sender can exist
-			return nil, err
-		}
-		if err = c.register(reqID, ch); err == nil {
-			break
-		}
-		if attempt >= o.poolSize {
-			putReplyChan(ch)
-			return nil, err
-		}
-	}
-
 	enc := encodeRequestFrame(request{
 		requestID: reqID,
 		objectKey: ref.Key,
@@ -487,14 +423,25 @@ func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, o
 		contexts:  contexts,
 		body:      body,
 	})
-	if err := c.send(enc); err != nil {
-		cdr.PutEncoder(enc) // never enqueued; the caller still owns it
-		if c.unregister(reqID) {
-			putReplyChan(ch)
+
+	// A connection picked from the pool can be torn down between the pick
+	// and the send (its read loop may observe the peer dying at any
+	// moment); the frame then never left this host, so pick again until it
+	// is queued on a live one.
+	var c *clientConn
+	for attempt := 0; ; attempt++ {
+		var err error
+		if c, err = pool.get(ctx); err == nil {
+			if err = c.send(reqID, ch, enc); err == nil {
+				break
+			}
+			if attempt < o.poolSize {
+				continue
+			}
 		}
-		pool.drop(c, Systemf(CodeCommFailure, "connection to %s lost", pool.endpoint))
-		// The request never left this host: TRANSIENT.
-		return nil, Systemf(CodeTransient, "send to %s: %v", pool.endpoint, err)
+		cdr.PutEncoder(enc)
+		putReplyChan(ch) // never registered, or unregistered by send
+		return nil, err
 	}
 
 	select {
@@ -502,6 +449,15 @@ func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, o
 		// The sender removed the pending entry and completed its one send;
 		// nobody else can touch ch, so it is safe to recycle.
 		putReplyChan(ch)
+		select {
+		case <-ctx.Done():
+			// The deadline passed before this caller took the reply (its
+			// own inline write can overrun it): the call timed out, and a
+			// late success must not be reported as if it met the deadline.
+			rep.release()
+			return nil, Systemf(CodeTimeout, "invoking %s on %s: %v", op, pool.endpoint, ctx.Err())
+		default:
+		}
 		return replyToResult(rep)
 	case <-ctx.Done():
 		if c.unregister(reqID) {
@@ -559,8 +515,8 @@ func (o *ORB) PooledEndpoints() []string {
 
 // get returns a live connection: the least-pending one when the pool is at
 // its bound, a freshly dialed one while it is below. While the endpoint is
-// marked down (in the shared health registry — possibly by another ORB's
-// pool) and nothing is live, get fails fast without touching the network.
+// marked down and nothing is live, get fails fast without touching the
+// network.
 func (p *endpointPool) get(ctx context.Context) (*clientConn, error) {
 	// Steady-state fast path: the pool is at its bound with live
 	// connections, so no dial or wait can be needed — skip the
@@ -596,16 +552,17 @@ func (p *endpointPool) getSlow(ctx context.Context) (*clientConn, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, Systemf(CodeTransient, "awaiting connection to %s: %v", p.endpoint, err)
 		}
-		down, failures, downUntil := p.health.gate(time.Now())
+		now := time.Now()
+		down := now.Before(p.downUntil)
 		if down && len(p.conns) == 0 && p.dialing == 0 {
 			return nil, Systemf(CodeTransient,
 				"endpoint %s down after %d consecutive dial failures (next probe in %s)",
-				p.endpoint, failures, time.Until(downUntil).Round(time.Millisecond))
+				p.endpoint, p.dialFailures, p.downUntil.Sub(now).Round(time.Millisecond))
 		}
 		// Growth is allowed when the pool is below its bound — but while
 		// the endpoint is recovering from failures, the probe is
 		// single-flight: one caller dials, the rest wait for its verdict.
-		if !down && len(p.conns)+p.dialing < p.orb.poolSize && (failures == 0 || p.dialing == 0) {
+		if !down && len(p.conns)+p.dialing < p.orb.poolSize && (p.dialFailures == 0 || p.dialing == 0) {
 			p.dialing++
 			p.mu.Unlock()
 			c, err := p.dial(ctx)
@@ -628,9 +585,8 @@ func (p *endpointPool) getSlow(ctx context.Context) (*clientConn, error) {
 	}
 }
 
-// dial opens one connection and publishes the outcome to the pool and the
-// shared health registry. The caller has already reserved a slot
-// (p.dialing).
+// dial opens one connection and publishes the outcome to the pool and its
+// dial health gate. The caller has already reserved a slot (p.dialing).
 func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 	// The dial timeout always applies; a sooner caller deadline still wins
 	// through context propagation.
@@ -642,12 +598,11 @@ func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 	p.dialing--
 	if err != nil {
 		if ctx.Err() == nil {
-			// A real dial failure: penalize the endpoint for every ORB
-			// sharing the registry. A dial aborted because the *caller*
-			// died (cancelled straggler, expired call deadline) says
-			// nothing about the peer's health and must not open the down
-			// window.
-			p.health.dialFailed(time.Now(), p.backoffFor)
+			// A real dial failure opens the down window. A dial aborted
+			// because the *caller* died (cancelled straggler, expired call
+			// deadline) says nothing about the peer's health and must not.
+			p.dialFailures++
+			p.downUntil = time.Now().Add(p.backoffFor(p.dialFailures))
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -667,16 +622,21 @@ func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 	}
 	bw, _ := tc.(frameBatchWriter)
 	c.w = newFrameWriter(writeQueueDepth, bw, tc.WriteFrame, func(unsent []*cdr.Encoder) {
-		// Requests in a failed write batch never left (or only partially
-		// left) this host: fail them with TRANSIENT — the historic
-		// synchronous-send contract, which lets the caller retry or fail
-		// over to another profile — before the drop converts everything
-		// already on the wire to COMM_FAILURE (completion unknown).
+		// The connection is dead: take it out of the pool before waking
+		// anyone, so a caller failing over does not pick it again, and
+		// close the transport so the read loop drops it (close then fails
+		// what already reached the wire with COMM_FAILURE, completion
+		// unknown). Requests the writer did not write never left (or only
+		// partially left) this host: fail them with TRANSIENT — the
+		// historic synchronous-send contract, which lets the caller retry
+		// or fail over to another profile.
+		c.pool.remove(c)
+		c.tc.Close()
 		c.failUnsent(unsent)
-		c.pool.drop(c, Systemf(CodeCommFailure, "connection to %s lost", c.pool.endpoint))
 	})
 	p.conns = append(p.conns, c)
-	p.health.dialOK()
+	p.dialFailures = 0
+	p.downUntil = time.Time{}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 
@@ -716,8 +676,8 @@ func (p *endpointPool) leastPendingLocked() *clientConn {
 	return best
 }
 
-// drop removes c from the pool and fails its pending calls.
-func (p *endpointPool) drop(c *clientConn, cause *SystemError) {
+// remove takes c out of the pool, if it is still there.
+func (p *endpointPool) remove(c *clientConn) {
 	p.mu.Lock()
 	for i, pc := range p.conns {
 		if pc == c {
@@ -727,11 +687,16 @@ func (p *endpointPool) drop(c *clientConn, cause *SystemError) {
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	c.close(cause)
 }
 
-// closePool tears down every connection, rejects future gets, and unpins
-// the pool's shared health record.
+// drop removes a lost connection from the pool and fails its pending
+// calls.
+func (p *endpointPool) drop(c *clientConn) {
+	p.remove(c)
+	c.close(Systemf(CodeCommFailure, "connection to %s lost", p.endpoint))
+}
+
+// closePool tears down every connection and rejects future gets.
 func (p *endpointPool) closePool(cause *SystemError) {
 	p.mu.Lock()
 	p.closed = true
@@ -742,7 +707,6 @@ func (p *endpointPool) closePool(cause *SystemError) {
 	for _, c := range conns {
 		c.close(cause)
 	}
-	p.health.release()
 }
 
 // EndpointStats is a snapshot of one endpoint pool's health, for tests,
@@ -756,8 +720,8 @@ type EndpointStats struct {
 	Pending int
 	// Dialing is the number of dials in flight.
 	Dialing int
-	// Failures is the consecutive dial-failure count, shared through the
-	// HealthRegistry with every ORB dialing the same endpoint.
+	// Failures is this ORB's consecutive dial-failure count against the
+	// endpoint; a successful dial resets it.
 	Failures int
 	// Down reports whether the health gate is failing calls fast.
 	Down bool
@@ -785,34 +749,25 @@ func (o *ORB) EndpointStats(endpoint string) (EndpointStats, bool) {
 	if !ok {
 		return EndpointStats{}, false
 	}
+	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	down, failures, _ := p.health.gate(time.Now())
 	st := EndpointStats{
-		Endpoint: p.endpoint,
-		Conns:    len(p.conns),
-		Dialing:  p.dialing,
-		Failures: failures,
-		Down:     down,
-		RTT:      time.Duration(p.rttNanos.Load()),
+		Endpoint:       p.endpoint,
+		Conns:          len(p.conns),
+		Dialing:        p.dialing,
+		Failures:       p.dialFailures,
+		Down:           now.Before(p.downUntil),
+		Breaker:        p.breakerLocked(now),
+		BreakerProbes:  p.probes,
+		BreakerOpens:   p.opens,
+		RetryExhausted: p.exhausted,
+		RTT:            time.Duration(p.rttNanos.Load()),
 	}
 	for _, c := range p.conns {
 		st.Pending += c.load()
 	}
-	if b := p.brk; b != nil {
-		now := time.Now()
-		b.mu.Lock()
-		st.Breaker = b.stateLocked(now)
-		st.BreakerProbes = b.probes
-		st.BreakerOpens = b.opens
-		b.mu.Unlock()
-	}
-	if rb := p.budget; rb != nil {
-		rb.mu.Lock()
-		st.RetryExhausted = rb.exhausted
-		rb.mu.Unlock()
-	}
-	return st, ok
+	return st, true
 }
 
 // EndpointRTT returns the EWMA round-trip estimate this ORB has measured
@@ -830,16 +785,6 @@ func (o *ORB) EndpointRTT(endpoint string) time.Duration {
 		return 0
 	}
 	return time.Duration(p.rttNanos.Load())
-}
-
-func (c *clientConn) register(id uint64, ch chan reply) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return Systemf(CodeTransient, "connection to %s closed", c.pool.endpoint)
-	}
-	c.pending[id] = ch
-	return nil
 }
 
 // unregister removes a pending entry, reporting whether this caller
@@ -863,20 +808,61 @@ func (c *clientConn) load() int {
 	return len(c.pending)
 }
 
-// send hands a complete request frame (a pooled encoder, ownership
-// included) to the connection's combining writer. On success the writer
-// releases the encoder after the frame is written (often by this very
-// goroutine, inline, batched with whatever concurrent callers enqueued
-// meanwhile); on error the caller still owns it. A full queue blocks
-// until a combiner drains or the connection dies.
-func (c *clientConn) send(enc *cdr.Encoder) error {
+// send registers ch for request id and hands its complete request frame
+// (a pooled encoder, ownership included) to the connection's combining
+// writer. On success the writer releases the encoder after the frame is
+// written (often by this very goroutine, inline, batched with whatever
+// concurrent callers enqueued meanwhile). It fails TRANSIENT only when
+// the connection closed before the frame was queued; the caller then
+// still owns the encoder and ch is no longer registered.
+//
+// The frame is queued under c.mu, the lock close marks the connection
+// closed under before it discards the writer's queue: every call
+// registered before close has its frame in the writer's hands by then,
+// so close can tell frames that never left from frames on the wire. A
+// full queue is waited out outside the lock.
+func (c *clientConn) send(id uint64, ch chan reply, enc *cdr.Encoder) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return Systemf(CodeTransient, "connection to %s closed", c.pool.endpoint)
+	}
+	c.pending[id] = ch
 	select {
 	case c.w.q <- enc:
-	case <-c.stop:
-		return Systemf(CodeCommFailure, "connection to %s closed", c.pool.endpoint)
+		c.mu.Unlock()
+	default:
+		c.mu.Unlock()
+		if !c.enqueueBlocking(enc) {
+			if !c.unregister(id) {
+				// close claimed the entry first: take its one reply (no
+				// frame buffer; close builds it) so ch can be recycled.
+				<-ch
+			}
+			return Systemf(CodeTransient, "connection to %s closed", c.pool.endpoint)
+		}
 	}
 	c.w.combine()
 	return nil
+}
+
+// enqueueBlocking waits for room in the writer's queue, reporting false
+// if the connection closed first. A closed connection wins over room
+// that close's own discard just made, except in the instant between the
+// two selects: a frame queued there fails COMM_FAILURE if close reaches
+// the pending map before the writer discards the frame.
+func (c *clientConn) enqueueBlocking(enc *cdr.Encoder) bool {
+	select {
+	case <-c.stop:
+		return false
+	default:
+	}
+	select {
+	case c.w.q <- enc:
+		return true
+	case <-c.stop:
+		return false
+	}
 }
 
 // failUnsent fails the pending calls behind unwritten (or only partially
@@ -927,15 +913,13 @@ func (c *clientConn) readLoop() {
 		} else {
 			frame, err = c.tc.ReadFrame()
 		}
-		if err != nil {
-			putFrameBuf(fb)
-			c.pool.drop(c, Systemf(CodeCommFailure, "connection to %s lost", c.pool.endpoint))
-			return
+		var rep reply
+		if err == nil {
+			rep, err = decodeReply(frame)
 		}
-		rep, err := decodeReply(frame)
 		if err != nil {
 			putFrameBuf(fb)
-			c.pool.drop(c, Systemf(CodeCommFailure, "connection to %s lost", c.pool.endpoint))
+			c.pool.drop(c)
 			return
 		}
 		rep.fb = fb
@@ -954,9 +938,15 @@ func (c *clientConn) readLoop() {
 	}
 }
 
-// close fails every pending call with a COMM_FAILURE-style reply and
-// stops the writer goroutine. A call in flight when the connection dies
-// has unknown completion.
+// close shuts the connection and fails every pending call. A call whose
+// frame reached the transport has unknown completion and fails with cause;
+// one whose frame never left this host fails TRANSIENT, whichever
+// goroutine saw the connection die first. Every call registered before
+// closed is set has its frame in the writer's hands (see send). Closing
+// the transport ends a write in progress, whose failure hands its
+// unwritten frames to failUnsent; discard waits for that, then hands over
+// every frame still queued, and only the calls left after that — frames
+// that reached the transport — fail with cause.
 func (c *clientConn) close(cause *SystemError) {
 	c.mu.Lock()
 	if c.closed {
@@ -964,12 +954,16 @@ func (c *clientConn) close(cause *SystemError) {
 		return
 	}
 	c.closed = true
-	pending := c.pending
-	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
 
 	close(c.stop)
 	c.tc.Close()
+	c.w.discard()
+
+	c.mu.Lock()
+	pending := c.pending
+	c.pending = nil
+	c.mu.Unlock()
 	for id, ch := range pending {
 		ch <- reply{
 			requestID: id,

@@ -31,7 +31,8 @@ func TestFencedSurfacesWithoutFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := isolatedClient(t)
+	client := New()
+	t.Cleanup(client.Shutdown)
 	for name, ref := range map[string]IOR{
 		"single-profile": NewIOR("IDL:test/Replica:1.0", "coord", deposedEp),
 		"multi-profile":  NewIOR("IDL:test/Replica:1.0", "coord", deposedEp, otherEp),

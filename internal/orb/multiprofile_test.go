@@ -36,21 +36,6 @@ func startReplica(t *testing.T, key string) (*replicaNode, string) {
 	return n, ep
 }
 
-// isolatedClient returns a client ORB with its own health registry (so
-// tests do not share verdicts through the process-wide default) and fast
-// reconnect backoff.
-func isolatedClient(t *testing.T, opts ...ORBOption) *ORB {
-	t.Helper()
-	opts = append([]ORBOption{
-		WithHealthRegistry(NewHealthRegistry()),
-		WithReconnectBackoff(5*time.Millisecond, 20*time.Millisecond),
-		WithCallTimeout(2 * time.Second),
-	}, opts...)
-	client := New(opts...)
-	t.Cleanup(client.Shutdown)
-	return client
-}
-
 // TestMultiProfileFailoverToBackup is the heart of the redesign: a
 // two-profile reference keeps working through the loss of its primary
 // endpoint, transparently, within a single Invoke.
@@ -58,7 +43,8 @@ func TestMultiProfileFailoverToBackup(t *testing.T) {
 	primary, ep1 := startReplica(t, "svc")
 	backup, ep2 := startReplica(t, "svc")
 	ref := NewIOR("IDL:test/Replica:1.0", "svc", ep1, ep2)
-	client := isolatedClient(t)
+	client := New()
+	t.Cleanup(client.Shutdown)
 	ctx := context.Background()
 
 	// Healthy primary: the first profile serves.
@@ -108,7 +94,8 @@ func TestMultiProfileStickyAffinity(t *testing.T) {
 	primary, ep1 := startReplica(t, "svc")
 	backup, ep2 := startReplica(t, "svc")
 	ref := NewIOR("IDL:test/Replica:1.0", "svc", ep1, ep2)
-	client := isolatedClient(t)
+	client := New(WithReconnectBackoff(5*time.Millisecond, 20*time.Millisecond))
+	t.Cleanup(client.Shutdown)
 	ctx := context.Background()
 
 	primary.orb.Shutdown()
@@ -146,48 +133,6 @@ func TestMultiProfileStickyAffinity(t *testing.T) {
 	}
 }
 
-// TestMultiProfileSharedHealthRegistry proves dial verdicts are shared:
-// after one client ORB discovers a dead endpoint, a second client ORB
-// wired to the same registry fails fast against it without dialing.
-func TestMultiProfileSharedHealthRegistry(t *testing.T) {
-	ref := deadEndpoint(t)
-	hr := NewHealthRegistry()
-	transport := &flakyTransport{} // counts dials; delegates to TCP
-	mk := func() *ORB {
-		o := New(
-			WithHealthRegistry(hr),
-			WithTransport(transport),
-			WithReconnectBackoff(300*time.Millisecond, 300*time.Millisecond),
-		)
-		t.Cleanup(o.Shutdown)
-		return o
-	}
-	a, b := mk(), mk()
-	ctx := context.Background()
-
-	if _, err := a.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("first client: err = %v, want TRANSIENT", err)
-	}
-	dialsAfterA := transport.dialCount()
-	if dialsAfterA != 1 {
-		t.Fatalf("dials after first client = %d, want 1", dialsAfterA)
-	}
-
-	start := time.Now()
-	if _, err := b.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("second client: err = %v, want TRANSIENT", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("second client took %s, want shared-verdict fast fail", elapsed)
-	}
-	if got := transport.dialCount(); got != dialsAfterA {
-		t.Fatalf("second client dialed (%d -> %d); the shared registry should have failed it fast", dialsAfterA, got)
-	}
-	if v := hr.Verdict(ref.Endpoint()); !v.Down || v.Failures == 0 {
-		t.Fatalf("registry verdict = %+v, want down with failures", v)
-	}
-}
-
 // TestMultiProfileMultiListener pins the server half: an ORB listening on
 // several addresses mints references carrying every bound endpoint as a
 // profile, each of which serves.
@@ -213,7 +158,8 @@ func TestMultiProfileMultiListener(t *testing.T) {
 
 	// Each profile works on its own.
 	for i, ep := range ref.Endpoints() {
-		client := isolatedClient(t)
+		client := New()
+		t.Cleanup(client.Shutdown)
 		single := NewIOR(ref.TypeID, ref.Key, ep)
 		if got, err := echoCall(t, client, single, fmt.Sprintf("via-%d", i)); err != nil || got != fmt.Sprintf("via-%d", i) {
 			t.Fatalf("profile %d (%s): got %q err %v", i, ep, got, err)
@@ -274,7 +220,8 @@ func TestMultiProfileSelectorPrefersClosedBreaker(t *testing.T) {
 	// The primary endpoint accepts connections but resets every request,
 	// so the dial gate stays closed and only the breaker sees failures.
 	chaos.Inject(ChaosRule{Addr: ep1, Stage: StageRequest, Reset: true})
-	client := isolatedClient(t, WithTransport(chaos), WithCircuitBreaker(1, 10*time.Second))
+	client := New(WithTransport(chaos), WithCircuitBreaker(1, 10*time.Second))
+	t.Cleanup(client.Shutdown)
 	ctx := context.Background()
 
 	// The invoke fails over within the call; the primary's breaker feeds
@@ -283,10 +230,14 @@ func TestMultiProfileSelectorPrefersClosedBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := client.EndpointStats(ep1)
-	if st.Breaker != BreakerOpen {
-		t.Fatalf("primary breaker = %s, want open (stats %+v)", st.Breaker, st)
+	if st.Breaker != BreakerOpen || st.Down {
+		t.Fatalf("primary stats = %+v, want open breaker with the dial gate closed", st)
 	}
 	probesBefore := st.BreakerProbes
+	// The open circuit in the primary's own pool is the selector's verdict.
+	if got, _ := client.selectEndpoints(otherRef, affinityKey(otherRef)); fmt.Sprint(got) != fmt.Sprint([]string{ep2, ep1}) {
+		t.Fatalf("selector order %v, want the open-breaker primary last", got)
+	}
 
 	// Fresh key, no affinity: the open breaker alone must steer the
 	// selector to the backup, without consuming half-open probes.
@@ -424,7 +375,8 @@ func TestMultiProfileNameRebindStaleRef(t *testing.T) {
 	gen1, gen1ep := startReplica(t, "svc")
 	gen1ref := NewIOR("IDL:test/Replica:1.0", "svc", gen1ep)
 
-	client := isolatedClient(t)
+	client := New()
+	t.Cleanup(client.Shutdown)
 	naming := NewNameClient(client, NameServiceAt(nsEp))
 	if err := naming.Bind(ctx, "services/replicated", gen1ref); err != nil {
 		t.Fatal(err)

@@ -29,13 +29,12 @@
 // Outgoing TCP invocations run over a pluggable Transport (transport.go)
 // behind a per-endpoint connection pool (client.go): up to WithPoolSize
 // multiplexed connections per endpoint, least-pending pick, automatic
-// reconnect under jittered exponential backoff, and per-endpoint health
-// state so a dead peer fails fast (TRANSIENT) instead of being re-dialed
-// on every call. The health state lives in a HealthRegistry (health.go)
-// shared by every client ORB in the process, so one ORB's dial verdicts
-// and breaker windows steer them all. Above the pool, an endpoint
-// selector orders a reference's profiles — sticky (endpoint, key)
-// affinity first, then profiles with clean shared verdicts — and fails
+// reconnect under jittered exponential backoff, and a dial health gate so
+// a dead peer fails fast (TRANSIENT) instead of being re-dialed on every
+// call. The pool is the only state this ORB keeps per endpoint — gate,
+// call gates and RTT estimate, under one lock. Above the pools, an
+// endpoint selector orders a reference's profiles — sticky (endpoint,
+// key) affinity first, then healthy profiles nearest first — and fails
 // the call over to the next profile on any TRANSIENT outcome, within the
 // caller's deadline. ChaosTransport (chaos.go) wraps any Transport with
 // injectable faults — latency, drops, resets, one-way partitions, per-op
@@ -44,11 +43,12 @@
 //
 // # Overload protection
 //
-// Above the health gate the client side layers a per-endpoint retry
-// budget (WithRetryBudget) and a three-state circuit breaker
-// (WithCircuitBreaker), so at-least-once retry loops cannot turn a
-// failing or flapping endpoint into a retry storm; EndpointStats exposes
-// the breaker state. The server side is guarded by admission control
+// Above the health gate each pool can run a retry budget
+// (WithRetryBudget) and a three-state circuit breaker
+// (WithCircuitBreaker), both fed by one consecutive call-failure count,
+// so at-least-once retry loops cannot turn a failing or flapping endpoint
+// into a retry storm; EndpointStats exposes the breaker state. The server
+// side is guarded by admission control
 // (WithMaxInflight, WithAdmissionQueue): a bounded number of concurrent
 // dispatches plus a bounded, deadline-aware wait queue shared by every
 // listener, with the excess shed fast as TRANSIENT instead of piling up
@@ -139,10 +139,9 @@ type ORB struct {
 	gen         *ids.Generator
 	callTimeout time.Duration
 
-	// Client transport configuration (see client.go, breaker.go,
-	// health.go).
+	// Client transport configuration (see client.go, breaker.go), fixed
+	// at New.
 	transport    Transport
-	health       *HealthRegistry
 	poolSize     int
 	warmConns    int
 	dialTimeout  time.Duration
@@ -215,19 +214,6 @@ func WithTransport(t Transport) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
 		if t != nil {
 			o.transport = t
-		}
-	})
-}
-
-// WithHealthRegistry wires the ORB to a specific shared health registry.
-// By default every ORB shares ProcessHealthRegistry, so dial verdicts and
-// breaker windows learned by one client ORB steer the endpoint selectors
-// of all the others in the process; tests (or tenancy-isolated hosts) pass
-// their own registry to opt out of the sharing.
-func WithHealthRegistry(h *HealthRegistry) ORBOption {
-	return orbOptionFunc(func(o *ORB) {
-		if h != nil {
-			o.health = h
 		}
 	})
 }
@@ -318,6 +304,9 @@ func WithCircuitBreaker(threshold int, openFor time.Duration) ORBOption {
 		if threshold > 0 {
 			o.brkThreshold = threshold
 			o.brkOpenFor = openFor
+			if openFor <= 0 {
+				o.brkOpenFor = defaultBreakerOpenFor
+			}
 		}
 	})
 }
@@ -337,6 +326,9 @@ func WithRetryBudget(rate float64, burst int) ORBOption {
 		if burst > 0 {
 			o.retryRate = rate
 			o.retryBurst = burst
+			if rate <= 0 {
+				o.retryRate = defaultRetryRate
+			}
 		}
 	})
 }
@@ -472,7 +464,6 @@ func New(opts ...ORBOption) *ORB {
 		gen:         gen,
 		callTimeout: 10 * time.Second,
 		transport:   TCPTransport{},
-		health:      ProcessHealthRegistry,
 		poolSize:    defaultPoolSize,
 		dialTimeout: defaultDialTimeout,
 		backoffMin:  defaultBackoffMin,

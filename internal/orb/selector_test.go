@@ -22,7 +22,7 @@ func seedRTT(t *testing.T, o *ORB, endpoint string, rtt time.Duration) {
 // ones follow in reference order, and the sticky-affinity endpoint still
 // overrides everything while healthy.
 func TestSelectEndpointsRanksByRTT(t *testing.T) {
-	o := New(WithHealthRegistry(NewHealthRegistry()))
+	o := New()
 	defer o.Shutdown()
 
 	far := "tcp:10.0.0.1:1"
@@ -57,16 +57,19 @@ func TestSelectEndpointsRanksByRTT(t *testing.T) {
 // promotes an endpoint past the health partition: a near-but-down
 // endpoint still sorts behind every healthy one.
 func TestSelectEndpointsRTTUnhealthyLast(t *testing.T) {
-	h := NewHealthRegistry()
-	o := New(WithHealthRegistry(h))
+	o := New()
 	defer o.Shutdown()
 
 	down := "tcp:10.1.0.1:1"
 	up := "tcp:10.1.0.2:2"
 	seedRTT(t, o, down, 1*time.Millisecond)
 	seedRTT(t, o, up, 50*time.Millisecond)
-	// Mark the near endpoint down in the shared registry.
-	h.entry(down).dialFailed(time.Now(), func(int) time.Duration { return time.Minute })
+	// Mark the near endpoint down, as a failed dial would.
+	p, _ := o.pool(endpointHost(down), down)
+	p.mu.Lock()
+	p.dialFailures = 1
+	p.downUntil = time.Now().Add(time.Minute)
+	p.mu.Unlock()
 
 	ref := NewIOR("IDL:T:1.0", "obj", down, up)
 	got, _ := o.selectEndpoints(ref, affinityKey(ref))
@@ -80,7 +83,7 @@ func TestSelectEndpointsRTTUnhealthyLast(t *testing.T) {
 // the map past maxAffinityEntries evicts the least-recently-used binding,
 // not the whole map, and consulting a binding freshens it.
 func TestAffinityLRUEviction(t *testing.T) {
-	o := New(WithHealthRegistry(NewHealthRegistry()))
+	o := New()
 	defer o.Shutdown()
 
 	ep := "tcp:10.2.0.1:1"

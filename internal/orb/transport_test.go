@@ -139,13 +139,187 @@ func deadEndpoint(t *testing.T) IOR {
 	return NewIOR("IDL:test/Echo:1.0", "nobody", "tcp:"+addr)
 }
 
+// readFirstResetTransport dials connections that break on the first write
+// with the read side noticing first: WriteFrame makes ReadFrame fail, then
+// holds its own error until the client has closed the connection in
+// response — the ordering a peer reset can produce, made deterministic.
+// With sent set, WriteFrame reports the frame written before the read
+// side breaks. With hold set, the first write sends on it once when it
+// starts and again before it breaks the read side, so the test can queue
+// more frames behind it.
+type readFirstResetTransport struct {
+	sent bool
+	hold chan struct{}
+}
+
+func (t readFirstResetTransport) Dial(context.Context, string) (Conn, error) {
+	return &readFirstResetConn{sent: t.sent, hold: t.hold,
+		broken: make(chan struct{}), closed: make(chan struct{})}, nil
+}
+
+type readFirstResetConn struct {
+	sent                 bool
+	hold, broken, closed chan struct{}
+	breakOnce, closeOnce sync.Once
+}
+
+func (c *readFirstResetConn) WriteFrame([]byte) error {
+	c.breakOnce.Do(func() {
+		if c.hold != nil {
+			c.hold <- struct{}{} // the write has started
+			c.hold <- struct{}{} // the test lets it go on
+		}
+		close(c.broken)
+	})
+	if c.sent {
+		return nil
+	}
+	<-c.closed
+	return errors.New("connection reset by peer")
+}
+
+func (c *readFirstResetConn) ReadFrame() ([]byte, error) {
+	select {
+	case <-c.broken:
+	case <-c.closed:
+	}
+	return nil, errors.New("connection reset by peer")
+}
+
+func (c *readFirstResetConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestPoolUnsentFrameTransientWhenReaderSeesResetFirst pins the failure
+// code of a request lost with its connection: a frame that never reached
+// the transport fails TRANSIENT (the servant never ran, so the caller may
+// fail over) even when the read loop tears the connection down before the
+// writer learns its frame did not go out — including a frame queued
+// behind the failing write — while a frame the transport accepted fails
+// COMM_FAILURE (completion unknown).
+func TestPoolUnsentFrameTransientWhenReaderSeesResetFirst(t *testing.T) {
+	ref := NewIOR("IDL:test/Echo:1.0", "obj", "tcp:127.0.0.1:1")
+	for _, tc := range []struct {
+		sent bool
+		want ExceptionCode
+	}{{false, CodeTransient}, {true, CodeCommFailure}} {
+		client := New(WithTransport(readFirstResetTransport{sent: tc.sent}))
+		_, err := client.Invoke(context.Background(), ref, "ping", nil)
+		client.Shutdown()
+		if !IsSystem(err, tc.want) {
+			t.Fatalf("frame sent=%v: err = %v, want %s", tc.sent, err, tc.want)
+		}
+	}
+
+	// Two callers share one connection: the first one's frame is stuck in
+	// the write, the second one's waits in the queue behind it when the
+	// read side breaks. Neither frame reached the transport.
+	hold := make(chan struct{})
+	client := New(WithTransport(readFirstResetTransport{hold: hold}), WithPoolSize(1))
+	defer client.Shutdown()
+	errs := make(chan error, 2)
+	invoke := func() {
+		_, err := client.Invoke(context.Background(), ref, "ping", nil)
+		errs <- err
+	}
+	go invoke()
+	<-hold // the first frame's write has started
+	go invoke()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := client.EndpointStats(ref.Endpoint()); st.Pending == 2 {
+			break // registered, so queued (send does both under one lock)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("second call never queued")
+		}
+	}
+	<-hold
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !IsSystem(err, CodeTransient) {
+			t.Fatalf("caller %d: err = %v, want TRANSIENT", i, err)
+		}
+	}
+}
+
+// lateReplyTransport dials connections whose every write overruns the
+// call deadline by delay and then hands the reply to the read loop,
+// returning only once the loop has delivered it: the caller leaves its
+// inline write with both the reply and its expired deadline ready.
+type lateReplyTransport struct{ delay time.Duration }
+
+func (t lateReplyTransport) Dial(context.Context, string) (Conn, error) {
+	return &lateReplyConn{delay: t.delay, delivered: make(chan struct{}),
+		replies: make(chan []byte), closed: make(chan struct{})}, nil
+}
+
+type lateReplyConn struct {
+	delay     time.Duration
+	replies   chan []byte
+	delivered chan struct{} // the read loop is back for the next frame
+	handed    bool          // read loop only: a reply went out
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *lateReplyConn) WriteFrame(p []byte) error {
+	req, err := decodeRequest(p)
+	if err != nil {
+		return err
+	}
+	time.Sleep(c.delay)
+	enc := encodeReplyFrame(reply{requestID: req.requestID, status: replyOK, body: []byte("late")})
+	frame := append([]byte(nil), enc.FramePayload()...)
+	cdr.PutEncoder(enc)
+	c.replies <- frame
+	<-c.delivered
+	return nil
+}
+
+func (c *lateReplyConn) ReadFrame() ([]byte, error) {
+	if c.handed {
+		select {
+		case c.delivered <- struct{}{}:
+		case <-c.closed:
+			return nil, net.ErrClosed
+		}
+	}
+	select {
+	case f := <-c.replies:
+		c.handed = true
+		return f, nil
+	case <-c.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (c *lateReplyConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestInvokeLateReplyAfterDeadlineTimesOut pins the call timeout against
+// a reply that is already waiting when the caller gets back from a write
+// that overran its deadline: the call reports TIMEOUT, never the late
+// success.
+func TestInvokeLateReplyAfterDeadlineTimesOut(t *testing.T) {
+	ref := NewIOR("IDL:test/Echo:1.0", "obj", "tcp:127.0.0.1:1")
+	client := New(WithTransport(lateReplyTransport{delay: 40 * time.Millisecond}),
+		WithCallTimeout(20*time.Millisecond))
+	defer client.Shutdown()
+	for i := 0; i < 10; i++ {
+		if body, err := client.Invoke(context.Background(), ref, "ping", nil); !IsSystem(err, CodeTimeout) {
+			t.Fatalf("call %d: body %q, err = %v, want TIMEOUT", i, body, err)
+		}
+	}
+}
+
 // TestPoolFailsFastWhileEndpointDown checks the health gate: after a dial
 // failure the endpoint is marked down and calls fail immediately without
 // re-dialing.
 func TestPoolFailsFastWhileEndpointDown(t *testing.T) {
 	ref := deadEndpoint(t)
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithReconnectBackoff(500*time.Millisecond, 500*time.Millisecond),
 	)
 	defer client.Shutdown()
@@ -203,7 +377,6 @@ func TestPoolReconnectsAfterBackoffWindow(t *testing.T) {
 	_, ref := startServer(t, &countingServant{})
 	flaky := &flakyTransport{failures: 1}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(flaky),
 		WithReconnectBackoff(30*time.Millisecond, 30*time.Millisecond),
 	)
@@ -264,7 +437,6 @@ func TestPoolProbeIsSingleFlight(t *testing.T) {
 	ref := deadEndpoint(t)
 	transport := &blockingFailTransport{delay: 30 * time.Millisecond}
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(transport),
 		WithReconnectBackoff(30*time.Millisecond, 30*time.Millisecond),
 	)
@@ -298,7 +470,6 @@ func TestPoolProbeIsSingleFlight(t *testing.T) {
 func TestPoolWaiterHonorsContextDeadline(t *testing.T) {
 	ref := deadEndpoint(t)
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(&blockingFailTransport{delay: 2 * time.Second}),
 		WithPoolSize(1),
 	)
@@ -368,7 +539,6 @@ func TestPoolCanceledCallerDoesNotPoisonHealth(t *testing.T) {
 func TestDialTimeoutAppliesUnderCallTimeout(t *testing.T) {
 	ref := deadEndpoint(t)
 	client := New(
-		WithHealthRegistry(NewHealthRegistry()),
 		WithTransport(slowDialTransport{delay: 30 * time.Second}),
 		WithDialTimeout(50*time.Millisecond),
 		WithCallTimeout(20*time.Second),

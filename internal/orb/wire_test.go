@@ -120,7 +120,7 @@ func TestWireFormatUnchangedByPooledEncoders(t *testing.T) {
 // checks every reply. The wire format and framing discipline must be
 // compatible in both directions.
 func TestRemoteLegacyClientInterop(t *testing.T) {
-	srv := New(WithHealthRegistry(NewHealthRegistry()))
+	srv := New()
 	defer srv.Shutdown()
 	ref := srv.RegisterServant("IDL:test/Echo:1.0", echoBytesServant{})
 	ep, err := srv.Listen("127.0.0.1:0")
@@ -200,7 +200,7 @@ func (s *retainingServant) Dispatch(_ context.Context, _ string, in *cdr.Decoder
 // cdr.Clone keep their original contents. (Retaining the lent slice
 // directly would be overwritten by later frames; Clone is the contract.)
 func TestRetainingServantMustClone(t *testing.T) {
-	srv := New(WithHealthRegistry(NewHealthRegistry()))
+	srv := New()
 	defer srv.Shutdown()
 	servant := &retainingServant{}
 	ref := srv.RegisterServant("IDL:test/Retain:1.0", servant)
@@ -208,7 +208,7 @@ func TestRetainingServantMustClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, _ = srv.IOR(ref.Key)
-	cli := New(WithHealthRegistry(NewHealthRegistry()), WithPoolSize(1))
+	cli := New(WithPoolSize(1))
 	defer cli.Shutdown()
 
 	ctx := context.Background()
@@ -250,7 +250,7 @@ func TestRetainingServantMustClone(t *testing.T) {
 // bodies, and a recycled reply channel crossing calls would cross-deliver
 // them. Run under -race in the chaos CI job.
 func TestChaosConcurrentFanoutSharedConnBufferReuse(t *testing.T) {
-	srv := New(WithHealthRegistry(NewHealthRegistry()))
+	srv := New()
 	defer srv.Shutdown()
 	ref := srv.RegisterServant("IDL:test/Echo:1.0", echoBytesServant{})
 	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -263,8 +263,7 @@ func TestChaosConcurrentFanoutSharedConnBufferReuse(t *testing.T) {
 	// path congested so frames genuinely queue behind each other, without
 	// stretching the test.
 	ct.Inject(ChaosRule{Op: "echo", Stage: StageRequest, Latency: 200 * time.Microsecond, After: 0, Count: 0})
-	cli := New(WithHealthRegistry(NewHealthRegistry()), WithPoolSize(1),
-		WithTransport(ct), WithCallTimeout(30*time.Second))
+	cli := New(WithPoolSize(1), WithTransport(ct), WithCallTimeout(30*time.Second))
 	defer cli.Shutdown()
 
 	const (

@@ -33,14 +33,14 @@ func newWireEcho(tb testing.TB, size int) func() error {
 	e.WriteBytes(payload)
 	body := e.Bytes()
 
-	srv := New(WithHealthRegistry(NewHealthRegistry()))
+	srv := New()
 	tb.Cleanup(srv.Shutdown)
 	ref := srv.RegisterServant("IDL:bench/Echo:1.0", echoBytesServant{})
 	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
 		tb.Fatal(err)
 	}
 	ref, _ = srv.IOR(ref.Key)
-	cli := New(WithHealthRegistry(NewHealthRegistry()), WithPoolSize(1))
+	cli := New(WithPoolSize(1))
 	tb.Cleanup(cli.Shutdown)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	tb.Cleanup(cancel)

@@ -28,15 +28,16 @@ const (
 //
 // A producer whose TryLock fails simply leaves: the current combiner
 // re-checks the queue after releasing the lock (see combine), so every
-// enqueued frame is drained by someone. After the first write error the
-// writer enters failed mode and discards frames — producers must never
-// block forever behind a dead connection — after reporting the failed
-// batch through onFail exactly once.
+// enqueued frame is drained by someone. After the first write error (or
+// discard) the writer enters failed mode and discards frames — producers
+// must never block forever behind a dead connection. Every frame it does
+// not write goes through onFail: the unwritten tail of the failed batch,
+// then each discarded batch.
 type frameWriter struct {
 	q      chan *cdr.Encoder
 	bw     frameBatchWriter            // gather-write path; nil = per-frame fallback
 	wf     func(payload []byte) error  // per-frame fallback (e.g. chaos conns)
-	onFail func(unsent []*cdr.Encoder) // first write failure, called with the failed batch
+	onFail func(unsent []*cdr.Encoder) // frames not written, from the first write failure on
 
 	failed atomic.Bool
 
@@ -108,13 +109,30 @@ func (w *frameWriter) collectLocked() bool {
 	return true
 }
 
+// discard puts the writer into failed mode, waits for a write in progress
+// to finish, and hands every frame still queued to onFail. A producer
+// enqueuing afterwards is discarded the same way by its own combine.
+func (w *frameWriter) discard() {
+	w.failed.Store(true)
+	w.mu.Lock()
+	for w.collectLocked() {
+		w.writeBatchLocked()
+	}
+	w.mu.Unlock()
+	w.combine() // the post-unlock re-check combine's producers rely on
+}
+
 // writeBatchLocked writes w.batch (one gather write when supported) and
 // releases the pooled encoders. The first failure flips the writer into
-// discard mode and hands the unwritten tail to onFail before the
-// encoders are released — the client uses it to fail those calls with
-// TRANSIENT (request never left) rather than COMM_FAILURE.
+// discard mode; the unwritten tail, and every batch discarded after it,
+// goes to onFail before the encoders are released — the client uses it
+// to fail those calls with TRANSIENT (request never left) rather than
+// COMM_FAILURE.
 func (w *frameWriter) writeBatchLocked() {
 	if w.failed.Load() {
+		if w.onFail != nil {
+			w.onFail(w.batch)
+		}
 		for _, e := range w.batch {
 			cdr.PutEncoder(e)
 		}

@@ -11,9 +11,9 @@
 // Object references carry an ordered list of endpoint profiles (NewIOR;
 // an ORB with several listeners mints them automatically), and outgoing
 // invocations select among them per call: sticky (endpoint, key)
-// affinity, health verdicts shared process-wide through a HealthRegistry,
-// and transparent failover to the next profile on TRANSIENT outcomes.
-// The pool below provides automatic reconnect and fail-fast health state
+// affinity, the health of this ORB's pool for each endpoint, and
+// transparent failover to the next profile on TRANSIENT outcomes. The
+// pool provides automatic reconnect and fail-fast health state
 // (WithTransport, WithPoolSize, WithReconnectBackoff, EndpointStats).
 // ChaosTransport wraps any Transport with injectable faults — latency,
 // drops, resets, one-way partitions, per-operation and per-address rules
@@ -82,11 +82,6 @@ type (
 	ServerStats = iorb.ServerStats
 	// BreakerState is the circuit breaker position for one endpoint.
 	BreakerState = iorb.BreakerState
-	// HealthRegistry shares per-endpoint health verdicts across client
-	// ORBs (see WithHealthRegistry; the default is process-wide sharing).
-	HealthRegistry = iorb.HealthRegistry
-	// HealthVerdict is a snapshot of one endpoint's shared health record.
-	HealthVerdict = iorb.HealthVerdict
 	// AdminClient scrapes a remote ORB's ServerStats/EndpointStats through
 	// its well-known admin servant.
 	AdminClient = iorb.AdminClient
@@ -231,18 +226,6 @@ var ParseIOR = iorb.ParseIOR
 
 // DecodeIOR reads an IOR from a CDR stream.
 var DecodeIOR = iorb.DecodeIOR
-
-// NewHealthRegistry returns an empty shared health registry (see
-// WithHealthRegistry).
-var NewHealthRegistry = iorb.NewHealthRegistry
-
-// ProcessHealthRegistry is the process-wide registry every ORB shares by
-// default; tooling can read verdicts from it directly.
-var ProcessHealthRegistry = iorb.ProcessHealthRegistry
-
-// WithHealthRegistry wires an ORB to a specific shared health registry
-// instead of the process-wide default.
-var WithHealthRegistry = iorb.WithHealthRegistry
 
 // WithAdvertised overrides the endpoints minted into the ORB's object
 // references (hosts behind NAT or a load balancer).

@@ -332,14 +332,12 @@ type relayChaosFixture struct {
 func newRelayChaosFixture(t *testing.T, sites int, wrap func(activityservice.Action) activityservice.Action) *relayChaosFixture {
 	t.Helper()
 	fx := &relayChaosFixture{chaos: orb.NewChaosTransport(nil)}
-	fx.client = orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-		orb.WithCallTimeout(2*time.Second))
+	fx.client = orb.New(orb.WithCallTimeout(2 * time.Second))
 	t.Cleanup(fx.client.Shutdown)
 
 	refs := make([]orb.IOR, sites)
 	for i := 0; i < sites; i++ {
-		site := orb.New(orb.WithHealthRegistry(orb.NewHealthRegistry()),
-			orb.WithTransport(fx.chaos), orb.WithCallTimeout(2*time.Second))
+		site := orb.New(orb.WithTransport(fx.chaos), orb.WithCallTimeout(2*time.Second))
 		t.Cleanup(site.Shutdown)
 		if _, err := site.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
