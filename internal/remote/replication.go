@@ -267,12 +267,9 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 				return e.Bytes(), nil
 			}
 		}
-		recs, err := s.g.log.RecordsSince(after)
+		recs, err := s.g.log.RecordsSince(after, int(max))
 		if err != nil {
 			return nil, fmt.Errorf("repl_fetch: %w", err)
-		}
-		if max > 0 && len(recs) > int(max) {
-			recs = recs[:max]
 		}
 		e.WriteOctet(replOK)
 		e.WriteUint64(curEpoch)

@@ -14,3 +14,14 @@ func TestAllocsFencedAppend(t *testing.T) {
 		t.Errorf("fenced append costs %.0f allocs/op, budget plain %.0f + 1", fenced, plain)
 	}
 }
+
+// TestAllocsRecordsSinceFlatInLogSize gates BenchmarkRecordsSince: a
+// follower fetch of the newest record allocates the same on a 100 k-record
+// log as on a 1 k-record one, so its cost does not grow with the log.
+func TestAllocsRecordsSinceFlatInLogSize(t *testing.T) {
+	small := testing.AllocsPerRun(50, fetchNewest(t, fileLogOf(t, 1000)))
+	large := testing.AllocsPerRun(50, fetchNewest(t, fileLogOf(t, 100000)))
+	if large != small {
+		t.Errorf("fetch on 100k records costs %.0f allocs/op, on 1k %.0f", large, small)
+	}
+}

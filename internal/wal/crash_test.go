@@ -40,8 +40,9 @@ func (f *faultyBackend) sync() error {
 	return f.be.sync()
 }
 
-func (f *faultyBackend) contents() ([]byte, error) { return f.be.contents() }
-func (f *faultyBackend) truncate(n int) error      { return f.be.truncate(n) }
+func (f *faultyBackend) contents() ([]byte, error)         { return f.be.contents() }
+func (f *faultyBackend) readAt(off, n int) ([]byte, error) { return f.be.readAt(off, n) }
+func (f *faultyBackend) truncate(n int) error              { return f.be.truncate(n) }
 
 func (f *faultyBackend) replace(b []byte) error {
 	if f.failReplace > 0 {
@@ -294,6 +295,35 @@ func TestFailedSyncTreatedAsTorn(t *testing.T) {
 	}
 	defer l2.Close()
 	wantRecords(t, l2, []string{"first", "second"})
+}
+
+// TestCheckpointAfterFailedSyncDropsUnsureRecord pins that a record whose
+// fsync failed is not part of the log even while its bytes sit complete on
+// the medium: reads do not return it, and a checkpoint does not make it
+// durable — which left two records with one LSN once the next append
+// reused it.
+func TestCheckpointAfterFailedSyncDropsUnsureRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unsure.wal")
+	l, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := fill(t, l, 2)
+	inner := l.be
+	l.be = &faultyBackend{be: inner, failSyncs: 1}
+	if _, err := l.Append(1, []byte("unsure")); err == nil {
+		t.Fatal("append succeeded despite injected sync failure")
+	}
+	l.be = inner
+	wantRecords(t, l, want)
+	if err := l.Checkpoint(func(Record) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := l.Append(1, []byte("next")); err != nil || lsn != 3 {
+		t.Fatalf("append after checkpoint: lsn=%d err=%v, want 3", lsn, err)
+	}
+	wantRecords(t, l, append(want, "next"))
 }
 
 // TestFileTornTailEveryCut is the file-backend crash matrix: a multi-record

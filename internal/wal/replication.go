@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -33,25 +34,47 @@ func (l *Log) LastLSN() uint64 {
 }
 
 // RecordsSince returns, in LSN order, the durable records with LSN greater
-// than after. Records compacted away by a checkpoint are not resurrected —
-// callers track the epoch (State) to detect compaction.
-func (l *Log) RecordsSince(after uint64) ([]Record, error) {
+// than after — at most max of them when max is given and positive, all of
+// them otherwise. Records compacted away by a checkpoint are not
+// resurrected — callers track the epoch (State) to detect compaction.
+//
+// The first record is found by binary search in the in-memory record
+// index and the batch is read with one positional read of exactly its
+// bytes, so the cost follows the batch, not the log's size. The bytes go
+// through the same checksumming parser as replay: a record that fails its
+// checksum ends the batch.
+func (l *Log) RecordsSince(after uint64, max ...int) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
-	recs, _, _, err := l.scan()
+	first := l.firstAfterLocked(after)
+	end := len(l.index)
+	if len(max) > 0 && max[0] > 0 && end-first > max[0] {
+		end = first + max[0]
+	}
+	if first == end {
+		return nil, nil
+	}
+	to := l.size
+	if end < len(l.index) {
+		to = l.index[end].off
+	}
+	from := l.index[first].off
+	b, err := l.be.readAt(from, to-from)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: read: %w", err)
 	}
-	out := recs[:0:0]
-	for _, r := range recs {
-		if r.LSN > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	recs, _ := parseRecords(b)
+	return recs, nil
+}
+
+// firstAfterLocked returns the position in the record index of the first
+// record with LSN greater than lsn (len(l.index) if there is none). The
+// caller must hold l.mu.
+func (l *Log) firstAfterLocked(lsn uint64) int {
+	return sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > lsn })
 }
 
 // WaitSince blocks until the log's stream state has moved past (epoch,

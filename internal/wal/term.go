@@ -157,7 +157,7 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	l.term = term
 	l.termStart = lsn
 	l.termLeader = leaderID
-	l.termMarks = append(l.termMarks, termMark{term: term, lsn: lsn})
+	l.termMarks = append(l.termMarks, termMark{term: term, lsn: lsn, leader: leaderID})
 	l.fenced = false
 	l.fencedTerm = 0
 	l.notifyLocked()
@@ -165,11 +165,12 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 }
 
 // termMark is one durable KindTerm record's position. The log caches every
-// term record's (term, LSN) in memory — rebuilt whenever the record set is
-// rescanned and folded in on every append/adopt — so TermStartAfter can
-// answer without rescanning the backend.
+// term record's (term, LSN, leader) in memory — rebuilt whenever the record
+// set is rescanned and folded in on every append/adopt — so TermStartAfter
+// and TruncateAfter can answer without rescanning the backend.
 type termMark struct {
 	term, lsn uint64
+	leader    string
 }
 
 // TermStartAfter returns the LSN of the earliest durable term record
@@ -200,8 +201,9 @@ func (l *Log) TermStartAfter(term uint64) (uint64, bool) {
 // leader's term start. The truncation reuses the torn-tail repair path
 // (truncate + sync), so it is crash-atomic: a crash before the sync leaves
 // the old suffix for the next open's repair scan to handle; after it, the
-// suffix is gone for good. The log's position and term state are
-// recomputed from the surviving records; an existing fence stays up —
+// suffix is gone for good. The cut comes from the record index and the
+// log's position and term state from the surviving index entries and term
+// marks, so the file is not reread; an existing fence stays up —
 // truncation prepares a rejoin, it does not confer leadership.
 func (l *Log) TruncateAfter(lsn uint64) error {
 	l.mu.Lock()
@@ -212,18 +214,10 @@ func (l *Log) TruncateAfter(lsn uint64) error {
 	if err := l.repairLocked(); err != nil {
 		return err
 	}
-	recs, _, _, err := l.scan()
-	if err != nil {
-		return err
-	}
-	off := 0
-	cut := len(recs)
-	for i, r := range recs {
-		if r.LSN > lsn {
-			cut = i
-			break
-		}
-		off += headerSize + 10 + len(r.Data)
+	cut := l.firstAfterLocked(lsn)
+	off := l.size
+	if cut < len(l.index) {
+		off = l.index[cut].off
 	}
 	if off < l.size {
 		if err := l.be.truncate(off); err != nil {
@@ -235,43 +229,70 @@ func (l *Log) TruncateAfter(lsn uint64) error {
 	}
 	l.size = off
 	l.dirty = false
-	l.adoptScannedLocked(recs[:cut])
+	l.index = l.index[:cut]
+	l.nextLSN = 1
+	if cut > 0 {
+		l.nextLSN = l.index[cut-1].lsn + 1
+	}
+	marks := 0
+	for marks < len(l.termMarks) && l.termMarks[marks].lsn <= lsn {
+		marks++
+	}
+	l.termMarks = l.termMarks[:marks]
+	l.termFromMarksLocked()
 	l.notifyLocked()
 	return nil
 }
 
-// adoptScannedLocked recomputes the log's stream position and term state
-// from a scanned record set (open, truncation, snapshot install). The
-// caller must hold l.mu.
+// adoptScannedLocked rebuilds the log's stream position and both in-memory
+// caches — the record index and the term marks, and with them the term
+// state — from a scanned record set laid out from offset zero (open,
+// snapshot install, a checkpoint's kept set). The caller must hold l.mu.
 func (l *Log) adoptScannedLocked(recs []Record) {
 	l.nextLSN = 1
 	if len(recs) > 0 {
 		l.nextLSN = recs[len(recs)-1].LSN + 1
 	}
-	l.term, l.termStart, l.termLeader = 0, 0, ""
-	l.termMarks = l.termMarks[:0]
-	for _, r := range recs {
+	l.index = make([]indexEntry, len(recs))
+	l.termMarks = nil
+	off := 0
+	for i, r := range recs {
+		l.index[i] = indexEntry{lsn: r.LSN, off: off}
+		off += headerSize + 10 + len(r.Data)
 		if r.Kind != KindTerm {
 			continue
 		}
 		if term, leader, err := DecodeTermRecord(r.Data); err == nil {
-			l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN})
-			l.term, l.termStart, l.termLeader = term, r.LSN, leader
+			l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN, leader: leader})
 		}
+	}
+	l.termFromMarksLocked()
+}
+
+// termFromMarksLocked sets the term state from the newest term mark, as a
+// reopen of the same records would. The caller must hold l.mu.
+func (l *Log) termFromMarksLocked() {
+	l.term, l.termStart, l.termLeader = 0, 0, ""
+	if n := len(l.termMarks); n > 0 {
+		m := l.termMarks[n-1]
+		l.term, l.termStart, l.termLeader = m.term, m.lsn, m.leader
 	}
 }
 
 // noteTermRecordLocked folds a freshly appended KindTerm record into the
-// term state: followers streaming a new leader's log adopt its term as the
-// record lands, and a fence raised for that term (the claim preceding the
-// stream) comes down — the member is now provably inside the new term's
-// history. The caller must hold l.mu.
+// term marks and the term state: followers streaming a new leader's log
+// adopt its term as the record lands, and a fence raised for that term
+// (the claim preceding the stream) comes down — the member is now provably
+// inside the new term's history. The caller must hold l.mu.
 func (l *Log) noteTermRecordLocked(r Record) {
 	term, leader, err := DecodeTermRecord(r.Data)
-	if err != nil || term < l.term {
+	if err != nil {
 		return
 	}
-	l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN})
+	l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN, leader: leader})
+	if term < l.term {
+		return
+	}
 	l.term = term
 	l.termStart = r.LSN
 	l.termLeader = leader

@@ -36,6 +36,15 @@
 // incremental reads (RecordsSince, WaitSince) and a follower write surface
 // (AppendRecord, InstallSnapshot) — see the replication layer in
 // internal/remote for the wire protocol built on them.
+//
+// Full scans of the medium happen only where the bytes themselves are
+// needed: open, Records/Replay, Checkpoint and InstallSnapshot. The log
+// keeps an in-memory index with one (LSN, byte offset) entry per durable
+// record, so RecordsSince reads only the records it returns and
+// TruncateAfter finds its cut without rereading the file. The index is
+// rebuilt from the scanned records at open, InstallSnapshot and Checkpoint,
+// trimmed by TruncateAfter, and extended only after an append's write and
+// fsync both succeed.
 package wal
 
 import (
@@ -81,6 +90,10 @@ type backend interface {
 	sync() error
 	// contents reads the whole medium.
 	contents() ([]byte, error)
+	// readAt reads n bytes starting at offset off. The result may alias
+	// the medium and is valid only until its next mutation. Neither read
+	// moves the position appends write at.
+	readAt(off, n int) ([]byte, error)
 	// truncate discards everything beyond offset n.
 	truncate(n int) error
 	// replace atomically substitutes the entire contents with b: after a
@@ -100,13 +113,14 @@ type Log struct {
 	epoch   uint64
 	waitCh  chan struct{} // closed and renewed whenever the stream advances
 	closed  bool
+	index   []indexEntry // one entry per durable record, in LSN order
 
 	// Coordinator-group term state (see term.go). term/termStart/termLeader
 	// mirror the latest durable KindTerm record; termMarks caches every
-	// durable term record's position so TermStartAfter answers without
-	// rescanning the backend; fenced/fencedTerm are the in-memory fence
-	// raised when a higher term is learned of before its record arrives
-	// through the stream.
+	// durable term record's position and leader so TermStartAfter and
+	// TruncateAfter answer without rescanning the backend;
+	// fenced/fencedTerm are the in-memory fence raised when a higher term
+	// is learned of before its record arrives through the stream.
 	term       uint64
 	termStart  uint64
 	termLeader string
@@ -119,6 +133,14 @@ type Log struct {
 	// fault matrix runs against memory and real files.
 	failAfter int
 	failArmed bool
+}
+
+// indexEntry locates one durable record: its LSN and the byte offset of
+// its header on the medium. A record ends where the next entry (or the
+// log's size) begins.
+type indexEntry struct {
+	lsn uint64
+	off int
 }
 
 // NewMemory returns an empty in-memory log.
@@ -146,6 +168,11 @@ func OpenMemory(data []byte) (*Log, error) {
 func OpenFile(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	// Appends write at the file cursor; reads never move it.
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l, err := newLog(&fileBackend{f: f, path: path})
@@ -246,6 +273,7 @@ func (l *Log) appendLocked(r Record) error {
 		l.dirty = true
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	l.index = append(l.index, indexEntry{lsn: r.LSN, off: l.size})
 	l.size += len(rec)
 	return nil
 }
@@ -281,8 +309,7 @@ func (l *Log) Records() ([]Record, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	recs, _, _, err := l.scan()
-	return recs, err
+	return l.durableLocked()
 }
 
 // Replay calls fn for every durable record in order, stopping at the first
@@ -315,7 +342,7 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	if l.closed {
 		return ErrClosed
 	}
-	recs, _, _, err := l.scan()
+	recs, err := l.durableLocked()
 	if err != nil {
 		return err
 	}
@@ -329,17 +356,13 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 		}
 	}
 	var (
-		out   []byte
-		marks []termMark
+		out  []byte
+		kept []Record
 	)
 	for i, r := range recs {
 		if i == lastTerm || keep(r) {
 			out = append(out, encodeRecord(r)...)
-			if r.Kind == KindTerm {
-				if term, _, err := DecodeTermRecord(r.Data); err == nil {
-					marks = append(marks, termMark{term: term, lsn: r.LSN})
-				}
-			}
+			kept = append(kept, r)
 		}
 	}
 	if l.failArmed && l.failAfter <= 0 {
@@ -350,9 +373,13 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	if err := l.be.replace(out); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
+	// LSNs are never reused: dropping the newest records keeps the
+	// position the stream has already advertised.
+	next := l.nextLSN
+	l.adoptScannedLocked(kept)
+	l.nextLSN = next
 	l.size = len(out)
 	l.dirty = false
-	l.termMarks = marks
 	l.epoch++
 	l.notifyLocked()
 	return nil
@@ -367,12 +394,9 @@ func (l *Log) Snapshot() ([]byte, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	b, err := l.be.contents()
+	b, err := l.be.readAt(0, l.size)
 	if err != nil {
-		return nil, err
-	}
-	if l.size < len(b) {
-		b = b[:l.size]
+		return nil, fmt.Errorf("wal: read: %w", err)
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
@@ -408,6 +432,19 @@ func (l *Log) InjectCrashAfter(n int) bool {
 	return true
 }
 
+// durableLocked parses every durable record. Bytes a failed append left
+// past the last one (a record whose fsync failed may be complete there)
+// are not part of the log: the next append truncates them and reuses the
+// LSN. The caller must hold l.mu.
+func (l *Log) durableLocked() ([]Record, error) {
+	b, err := l.be.readAt(0, l.size)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read: %w", err)
+	}
+	recs, _ := parseRecords(b)
+	return recs, nil
+}
+
 // scan parses the backend contents, returning the valid records, the byte
 // offset of the end of the last valid record, and the total content size.
 func (l *Log) scan() ([]Record, int, int, error) {
@@ -415,6 +452,14 @@ func (l *Log) scan() ([]Record, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("wal: read: %w", err)
 	}
+	recs, valid := parseRecords(b)
+	return recs, valid, len(b), nil
+}
+
+// parseRecords decodes the consecutive records at the start of b,
+// stopping at the first torn or corrupt one. It returns the records, with
+// data copied out of b, and the byte offset where the last one ends.
+func parseRecords(b []byte) ([]Record, int) {
 	var (
 		recs  []Record
 		off   int
@@ -443,7 +488,7 @@ func (l *Log) scan() ([]Record, int, int, error) {
 		off += headerSize + int(length)
 		valid = off
 	}
-	return recs, valid, len(b), nil
+	return recs, valid
 }
 
 func encodeRecord(r Record) []byte {
@@ -468,8 +513,9 @@ func (m *memBackend) append(b []byte) error {
 	return nil
 }
 
-func (m *memBackend) sync() error               { return nil }
-func (m *memBackend) contents() ([]byte, error) { return m.buf, nil }
+func (m *memBackend) sync() error                       { return nil }
+func (m *memBackend) contents() ([]byte, error)         { return m.buf, nil }
+func (m *memBackend) readAt(off, n int) ([]byte, error) { return m.buf[off : off+n], nil }
 
 func (m *memBackend) truncate(n int) error {
 	if n < len(m.buf) {
@@ -500,15 +546,20 @@ func (fb *fileBackend) append(b []byte) error {
 
 func (fb *fileBackend) sync() error { return fb.f.Sync() }
 
+// contents and readAt use positional reads: appends write at the file
+// cursor, so a read that moved it and then failed would leave the next
+// append overwriting acknowledged records.
 func (fb *fileBackend) contents() ([]byte, error) {
-	if _, err := fb.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	b, err := io.ReadAll(fb.f)
+	fi, err := fb.f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fb.f.Seek(0, io.SeekEnd); err != nil {
+	return fb.readAt(0, int(fi.Size()))
+}
+
+func (fb *fileBackend) readAt(off, n int) ([]byte, error) {
+	b := make([]byte, n)
+	if _, err := fb.f.ReadAt(b, int64(off)); err != nil {
 		return nil, err
 	}
 	return b, nil
