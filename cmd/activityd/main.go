@@ -191,7 +191,10 @@ func main() {
 	if len(listens) == 0 {
 		listens = listFlag{"127.0.0.1:7411"}
 	}
-	if err := run(listens, *demo, cfg, deliveryFor(*parallel, *relay, *branching), *relay, *admin); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, listens, *demo, cfg, deliveryFor(*parallel, *relay, *branching), *relay, *admin)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "activityd:", err)
 		os.Exit(1)
 	}
@@ -210,17 +213,15 @@ func deliveryFor(parallel, relay bool, branching int) activityservice.DeliveryPo
 	}
 }
 
-func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.DeliveryPolicy, relay, admin bool) error {
+// run serves until ctx ends (main cancels it on SIGINT or SIGTERM), or,
+// with demo, until the self-test client is done.
+func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, delivery activityservice.DeliveryPolicy, relay, admin bool) error {
 	if demo && len(cfg.advertise) > 0 {
 		// The demo drives a loopback client against the daemon's own
 		// references; references minted from advertised (externally
 		// routed) endpoints would send it off-box.
 		return errors.New("-demo drives a local client and cannot be combined with -advertise")
 	}
-	node := orb.New(cfg.options()...)
-	defer node.Shutdown()
-	orb.InstallPropagation(node)
-
 	if cfg.shardID == "" && (cfg.shardJoin || (len(cfg.shardMap) > 0 && !cfg.shardAuthority)) {
 		return errors.New("-shard-join and -shard-map need -shard <member-id>")
 	}
@@ -239,10 +240,22 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 			return fmt.Errorf("open group log: %w", err)
 		}
 		groupLog = l
+		// Deferred before the ORB's shutdown, so it runs after it: once no
+		// dispatch can append, Close syncs the done records the log still
+		// buffers. Without it a graceful stop loses them and the next
+		// start re-drives their decisions.
+		defer func() {
+			if err := l.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "activityd: close group log:", err)
+			}
+		}()
 		// The activity journal shares the group's replicated log, so an
 		// elected leader can re-activate in-flight activity state too.
 		svcOpts = append(svcOpts, activityservice.WithJournal(l))
 	}
+	node := orb.New(cfg.options()...)
+	defer node.Shutdown()
+	orb.InstallPropagation(node)
 	svc := activityservice.New(svcOpts...)
 	var factoryOpts []orb.FactoryOption
 	if delivery.Mode != 0 {
@@ -322,7 +335,7 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 			// restarts of a daemon that keeps its address.
 			cfg.memberID = factoryRef.Endpoint()
 		}
-		if err := runGroup(node, svc, groupLog, cfg); err != nil {
+		if err := runGroup(ctx, node, svc, groupLog, cfg); err != nil {
 			return err
 		}
 	}
@@ -330,9 +343,7 @@ func run(listens []string, demo bool, cfg orbConfig, delivery activityservice.De
 	if demo {
 		return runDemo(node.Endpoints())
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-ctx.Done()
 	fmt.Println("activityd: shutting down")
 	return nil
 }
@@ -350,8 +361,9 @@ const gateFenceRecheck = 2 * time.Second
 // re-activates the in-flight activity tree from the journal. A deposed
 // leader truncates its unreplicated suffix and re-joins as a streaming
 // follower of the new term (unless -rejoin=false, which makes deposal
-// fatal so an operator can inspect the log first).
-func runGroup(node *orb.ORB, svc *activityservice.Service, log *wal.Log, cfg orbConfig) error {
+// fatal so an operator can inspect the log first). The member runs until
+// ctx ends.
+func runGroup(ctx context.Context, node *orb.ORB, svc *activityservice.Service, log *wal.Log, cfg orbConfig) error {
 	var g *orb.GroupMember
 	takeover := func(ctx context.Context) error {
 		res, err := orb.HostRecovery(node, log, ots.WithDecisionGate(g.DecisionGate(gateFenceRecheck)))
@@ -398,7 +410,7 @@ func runGroup(node *orb.ORB, svc *activityservice.Service, log *wal.Log, cfg orb
 			cfg.memberID, strings.Join(cfg.standby, ","), len(cfg.peers))
 	}
 	go func() {
-		if err := g.Run(context.Background()); err != nil && !errors.Is(err, context.Canceled) {
+		if err := g.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "activityd: group member stopped:", err)
 		}
 	}()

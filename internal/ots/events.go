@@ -9,8 +9,9 @@ import (
 // Stage identifies one boundary of the top-level commit protocol, in the
 // order a committing transaction crosses them. The stages are exactly the
 // crash boundaries the recovery machinery reasons about: a crash before
-// StageDecisionLogged is presumed abort, a crash after it (and before
-// StageDone) leaves a decision that Recover must re-drive.
+// StageDecisionLogged is presumed abort, a crash after it (and before the
+// log's next sync covers the done record StageDone buffered) leaves a
+// decision that Recover must re-drive.
 type Stage int
 
 // Commit protocol stages, in protocol order.
@@ -26,7 +27,8 @@ const (
 	// commit delivery succeeded; Event.Resource carries its recovery name.
 	StageCommitDelivered
 	// StageDone fires when the done record is appended, marking the
-	// decision fully delivered and checkpointable.
+	// decision fully delivered and checkpointable. The record is lazy: it
+	// is durable only once the log's next sync covers it.
 	StageDone
 )
 

@@ -16,7 +16,9 @@ const (
 	// before phase two.
 	RecordDecision wal.Kind = 0x11
 	// RecordDone marks a decision as fully delivered, allowing the decision
-	// record to be garbage-collected at the next checkpoint.
+	// record to be garbage-collected at the next checkpoint. It is appended
+	// lazily and becomes durable with the log's next sync: losing it only
+	// makes recovery re-drive an idempotent phase two.
 	RecordDone wal.Kind = 0x12
 	// RecordHeuristic records a participant's unilateral (heuristic)
 	// outcome so heuristic damage survives restart: the terminator, an
@@ -142,13 +144,15 @@ func (t *Transaction) logDecision(prepared []registeredResource) error {
 	return nil
 }
 
-// logDone marks the decision delivered; best-effort (losing it only causes
-// harmless re-delivery of idempotent commits on recovery).
+// logDone marks the decision delivered. The record is lazy — it rides the
+// log's next sync instead of paying for its own — and best-effort: losing
+// it to a crash before that sync only causes harmless re-delivery of
+// idempotent commits on recovery.
 func (t *Transaction) logDone() {
 	if t.svc.log == nil {
 		return
 	}
-	if _, err := t.svc.log.Append(RecordDone, encodeDone(t.id)); err == nil {
+	if _, err := t.svc.log.AppendLazy(RecordDone, encodeDone(t.id)); err == nil {
 		t.svc.noteDone(t.id)
 	}
 }

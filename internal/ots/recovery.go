@@ -191,7 +191,9 @@ func (s *Service) Recover() (RecoveryStats, error) {
 			}
 		}
 		if !undone {
-			if _, err := s.log.Append(RecordDone, encodeDone(job.tx)); err != nil {
+			// Lazy, like logDone: a crash before the next sync only makes
+			// the next pass re-drive this decision once more.
+			if _, err := s.log.AppendLazy(RecordDone, encodeDone(job.tx)); err != nil {
 				s.accumulate(stats)
 				return stats, fmt.Errorf("ots: recovery done record: %w", err)
 			}

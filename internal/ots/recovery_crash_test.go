@@ -2,6 +2,7 @@ package ots
 
 import (
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -288,52 +289,76 @@ func TestCrashAfterDecisionRecoveryReplaysCommit(t *testing.T) {
 	}
 }
 
-// TestCrashOnDoneRecordRedeliversIdempotently drives the boundary at the
-// done append: the decision committed fully but the done record tore, so a
-// restarted service must re-deliver commit (at-least-once) and the
-// participants must tolerate the duplicate.
+// TestCrashOnDoneRecordRedeliversIdempotently drives the boundary after
+// the done record: the decision committed fully, but its done record is
+// lazy and the coordinator crashed before the log's next sync wrote it. A
+// restarted service must re-deliver commit once (at-least-once) and the
+// participants must tolerate the duplicate. The recovery pass seals with a
+// lazy done record too: a second crash re-drives once more, and only a
+// clean close makes the seal hold.
 func TestCrashOnDoneRecordRedeliversIdempotently(t *testing.T) {
-	log := wal.NewMemory()
-	log.InjectCrashAfter(1) // decision survives; the done append tears
-	svc := NewService(WithLog(log), WithRetryPolicy(1, 0))
+	path := filepath.Join(t.TempDir(), "done.wal")
 	disk := map[string]string{}
+	// restart opens the log as the last process left it — a crash when that
+	// process's handle was never closed and still buffers its done records.
+	restart := func() (*wal.Log, *Service) {
+		t.Helper()
+		log, err := wal.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(WithLog(log), WithRetryPolicy(1, 0))
+		svc.Directory().Register("p1", newDurable("p1", &disk))
+		svc.Directory().Register("p2", newDurable("p2", &disk))
+		return log, svc
+	}
+	recoverPass := func(svc *Service, want int) {
+		t.Helper()
+		stats, err := svc.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DecisionsReplayed != want || stats.ResourcesCommitted != 2*want {
+			t.Fatalf("recovery pass = %+v, want %d decisions replayed", stats, want)
+		}
+		if disk["p1"] != "committed" || disk["p2"] != "committed" {
+			t.Fatalf("disk = %v", disk)
+		}
+	}
+
+	_, svc := restart()
 	tx := svc.Begin()
 	_ = tx.RegisterResource(newDurable("p1", &disk))
 	_ = tx.RegisterResource(newDurable("p2", &disk))
 	if err := tx.Commit(true); err != nil {
-		t.Fatal(err) // logDone is best-effort; the commit itself succeeded
+		t.Fatal(err)
 	}
 	if disk["p1"] != "committed" || disk["p2"] != "committed" {
 		t.Fatalf("disk = %v", disk)
 	}
 
-	snap, err := log.Snapshot()
+	log2, svc2 := restart()
+	recs, err := log2.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := wal.OpenMemory(snap)
-	if err != nil {
+	if len(recs) != 1 || recs[0].Kind != RecordDecision {
+		t.Fatalf("log after the crash holds %d records, want just the decision", len(recs))
+	}
+	// The lost done marker makes the pass re-drive the decision once; the
+	// pass's own seal keeps a second pass in this process from re-driving.
+	recoverPass(svc2, 1)
+	recoverPass(svc2, 0)
+
+	_, svc3 := restart()
+	recoverPass(svc3, 1)
+
+	log4, svc4 := restart()
+	recoverPass(svc4, 1)
+	if err := log4.Close(); err != nil {
 		t.Fatal(err)
 	}
-	svc2 := NewService(WithLog(log2))
-	svc2.Directory().Register("p1", newDurable("p1", &disk))
-	svc2.Directory().Register("p2", newDurable("p2", &disk))
-	stats, err := svc2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lost done marker makes the pass re-drive the decision once.
-	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if disk["p1"] != "committed" || disk["p2"] != "committed" {
-		t.Fatalf("disk = %v", disk)
-	}
-	stats2, err := svc2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.DecisionsReplayed != 0 {
-		t.Fatalf("second pass stats = %+v", stats2)
-	}
+	log5, svc5 := restart()
+	defer log5.Close()
+	recoverPass(svc5, 0)
 }

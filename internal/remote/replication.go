@@ -432,24 +432,26 @@ func (f *ReplicationFollower) Sync(ctx context.Context) (int, error) {
 		}
 		return 1, nil
 	}
-	applied := 0
-	for i := uint32(0); i < count; i++ {
-		rec := wal.Record{
+	if count == 0 {
+		return 0, nil
+	}
+	// The batch aliases body, which this call owns; AppendRecords copies
+	// what it writes.
+	recs := make([]wal.Record, 0, min(count, followerBatch))
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		recs = append(recs, wal.Record{
 			LSN:  d.ReadUint64(),
 			Kind: wal.Kind(d.ReadUint32()),
-			Data: d.ReadBytesClone(),
-		}
-		if err := d.Err(); err != nil {
-			return applied, orb.Systemf(orb.CodeMarshal, "repl_fetch record: %v", err)
-		}
-		err := f.log.AppendRecord(rec)
-		if errors.Is(err, wal.ErrStaleRecord) {
-			continue // duplicate shipment; already durable here
-		}
-		if err != nil {
-			return applied, fmt.Errorf("apply shipped record %d: %w", rec.LSN, err)
-		}
-		applied++
+			Data: d.ReadBytes(),
+		})
+	}
+	if err := d.Err(); err != nil {
+		return 0, orb.Systemf(orb.CodeMarshal, "repl_fetch record: %v", err)
+	}
+	// One write and one fsync for the batch; duplicates are skipped.
+	applied, err := f.log.AppendRecords(recs)
+	if err != nil {
+		return 0, fmt.Errorf("apply %d shipped records from LSN %d: %w", count, recs[0].LSN, err)
 	}
 	return applied, nil
 }

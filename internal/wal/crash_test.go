@@ -525,25 +525,27 @@ func TestWaitSinceWakesOnAppendCheckpointClose(t *testing.T) {
 	}
 }
 
-// TestAppendRecordFollowerStream pins the follower write path: shipped
+// TestAppendRecordsFollowerStream pins the follower write path: shipped
 // records keep their LSNs (including gaps a primary checkpoint left),
-// stale shipments are rejected, and the stream survives a cold reopen.
-func TestAppendRecordFollowerStream(t *testing.T) {
+// stale shipments are skipped, and the stream survives a cold reopen.
+func TestAppendRecordsFollowerStream(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "follower.wal")
 	l, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Record{
+	if n, err := l.AppendRecords([]Record{
 		{LSN: 3, Kind: 1, Data: []byte("three")},
 		{LSN: 7, Kind: 2, Data: []byte("seven")},
-	} {
-		if err := l.AppendRecord(r); err != nil {
-			t.Fatalf("append record %d: %v", r.LSN, err)
-		}
+	}); err != nil || n != 2 {
+		t.Fatalf("append batch: %d applied, %v; want 2", n, err)
 	}
-	if err := l.AppendRecord(Record{LSN: 7, Kind: 2}); !errors.Is(err, ErrStaleRecord) {
-		t.Fatalf("duplicate shipment err = %v, want ErrStaleRecord", err)
+	// A re-shipped batch applies nothing.
+	if n, err := l.AppendRecords([]Record{
+		{LSN: 3, Kind: 1, Data: []byte("three")},
+		{LSN: 7, Kind: 2, Data: []byte("seven")},
+	}); err != nil || n != 0 {
+		t.Fatalf("duplicate shipment: %d applied, %v; want 0", n, err)
 	}
 	if got := l.LastLSN(); got != 7 {
 		t.Fatalf("LastLSN = %d, want 7", got)
@@ -573,6 +575,166 @@ func TestAppendRecordFollowerStream(t *testing.T) {
 	}
 }
 
+// TestLazyRecordLostByCrashBeforeSync is the lazy done record's crash
+// boundary: a crash while the record is buffered reopens to a log ending at
+// the decision before it, and the record's LSN is reused; once a
+// synchronous append covers it, both survive the crash in order.
+// ots.Recover's half of the boundary — the lost done re-drives the
+// decision once — is TestCrashOnDoneRecordRedeliversIdempotently.
+func TestLazyRecordLostByCrashBeforeSync(t *testing.T) {
+	for _, be := range indexBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			l := be.open(t)
+			want := fill(t, l, 2)
+			decision, err := l.Append(0x11, []byte("decision"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, "decision")
+			appendLazy(t, l, "done")
+
+			l = be.crash(t, l)
+			wantRecords(t, l, want)
+			if got := l.LastLSN(); got != decision {
+				t.Fatalf("reopened log ends at LSN %d, want the decision's %d", got, decision)
+			}
+
+			// The same boundary once the next decision's sync covers the
+			// done record: it is durable, ahead of that decision.
+			appendLazy(t, l, "done")
+			if lsn, err := l.Append(0x11, []byte("next-decision")); err != nil || lsn != decision+2 {
+				t.Fatalf("covering append: lsn=%d err=%v, want %d", lsn, err, decision+2)
+			}
+			l = be.crash(t, l)
+			wantRecords(t, l, append(want, "done", "next-decision"))
+		})
+	}
+}
+
+// TestFailedFlushDropsLazyRecords pins a failed write or sync of a flush
+// carrying lazy records: the records go with it, their LSNs are reused,
+// and neither the next append nor a checkpoint resurrects them — the
+// bytes of a failed sync may sit complete on the medium, and syncing them
+// later would give two records one LSN.
+func TestFailedFlushDropsLazyRecords(t *testing.T) {
+	for _, be := range indexBackends() {
+		for _, fault := range []struct {
+			name string
+			fb   func(inner backend) *faultyBackend
+		}{
+			{"torn-write", func(inner backend) *faultyBackend { return &faultyBackend{be: inner, tearAppends: 1} }},
+			{"failed-sync", func(inner backend) *faultyBackend { return &faultyBackend{be: inner, failSyncs: 1} }},
+		} {
+			t.Run(be.name+"/"+fault.name, func(t *testing.T) {
+				l := be.open(t)
+				want := fill(t, l, 2)
+				appendLazy(t, l, "lazy-a")
+				appendLazy(t, l, "lazy-b")
+				inner := l.be
+				l.be = fault.fb(inner)
+				if _, err := l.Append(1, []byte("carrier")); err == nil {
+					t.Fatal("append succeeded despite the injected fault")
+				}
+				l.be = inner
+				if got := l.LastLSN(); got != 2 {
+					t.Fatalf("LastLSN after the failed flush = %d, want 2", got)
+				}
+				wantRecords(t, l, want)
+				if lsn, err := l.Append(1, []byte("next")); err != nil || lsn != 3 {
+					t.Fatalf("append after the failed flush: lsn=%d err=%v, want 3 (LSN reused)", lsn, err)
+				}
+				want = append(want, "next")
+				if err := l.Checkpoint(func(Record) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+				wantRecords(t, l, want)
+				wantRecords(t, be.crash(t, l), want)
+			})
+		}
+	}
+}
+
+// TestTornAppendRecordsBatchKeepsPrefix is the follower batch's crash
+// boundary: a batch torn mid-write reopens to a whole-record prefix of it,
+// the stream position says where that prefix ends, and the next fetch —
+// the records beyond that position, or the whole batch shipped again —
+// completes the log with no record twice.
+func TestTornAppendRecordsBatchKeepsPrefix(t *testing.T) {
+	// Records of growing size, so the tear (half the batch's bytes) lands
+	// inside the fourth record rather than on a boundary.
+	var batch []Record
+	for lsn := uint64(1); lsn <= 6; lsn++ {
+		batch = append(batch, Record{LSN: lsn, Kind: 1, Data: []byte(fmt.Sprintf("shipped-%0*d", lsn, lsn))})
+	}
+	for _, be := range indexBackends() {
+		for _, refetch := range []string{"resume", "reship"} {
+			t.Run(be.name+"/"+refetch, func(t *testing.T) {
+				l := be.open(t)
+				l.be = &faultyBackend{be: l.be, tearAppends: 1}
+				if n, err := l.AppendRecords(batch); err == nil || n != 0 {
+					t.Fatalf("torn batch: %d applied, %v; want 0 and an error", n, err)
+				}
+				if got := l.LastLSN(); got != 0 {
+					t.Fatalf("LastLSN after the torn batch = %d, want 0", got)
+				}
+
+				l = be.crash(t, l)
+				kept := mustRecords(t, l)
+				if len(kept) == 0 || len(kept) >= len(batch) || !sameRecords(kept, batch[:len(kept)]) {
+					t.Fatalf("reopened torn batch holds %v, want a proper whole-record prefix of %v", kept, batch)
+				}
+				_, next := l.State()
+				if next != uint64(len(kept))+1 {
+					t.Fatalf("stream position after reopen = %d, want %d", next, len(kept)+1)
+				}
+				fetch := batch[next-1:] // repl_fetch after next-1
+				if refetch == "reship" {
+					fetch = batch
+				}
+				if n, err := l.AppendRecords(fetch); err != nil || n != len(batch)-len(kept) {
+					t.Fatalf("refetch: %d applied, %v; want %d", n, err, len(batch)-len(kept))
+				}
+				if got := mustRecords(t, be.crash(t, l)); !sameRecords(got, batch) {
+					t.Fatalf("log after refetch = %v, want %v", got, batch)
+				}
+			})
+		}
+	}
+}
+
+// TestWaitSinceIgnoresLazyAppend pins that a parked fetch is not woken by a
+// buffered record: the stream has not moved until a sync covers it, and a
+// WaitSince that returned for it would send the follower's fetch loop
+// spinning on empty batches until the next sync. The sync then wakes it,
+// and the fetch returns the lazy record with the one that carried it.
+func TestWaitSinceIgnoresLazyAppend(t *testing.T) {
+	l := NewMemory()
+	fill(t, l, 1)
+	epoch, next := l.State()
+	woke := make(chan bool, 1)
+	go func() { woke <- l.WaitSince(epoch, next-1, 200*time.Millisecond) }()
+	time.Sleep(20 * time.Millisecond)
+	if _, err := l.AppendLazy(1, []byte("lazy")); err != nil {
+		t.Fatal(err)
+	}
+	if <-woke {
+		t.Fatal("WaitSince woke for a record no sync covers")
+	}
+
+	go func() { woke <- l.WaitSince(epoch, next-1, 5*time.Second) }()
+	time.Sleep(20 * time.Millisecond)
+	if _, err := l.Append(1, []byte("carrier")); err != nil {
+		t.Fatal(err)
+	}
+	if !<-woke {
+		t.Fatal("WaitSince missed the sync")
+	}
+	recs, err := l.RecordsSince(next-1, 0)
+	if err != nil || len(recs) != 2 || string(recs[0].Data) != "lazy" || string(recs[1].Data) != "carrier" {
+		t.Fatalf("fetch after the sync = %v, %v; want the lazy record, then its carrier", recs, err)
+	}
+}
+
 // TestInstallSnapshotResynchronises pins follower resync: installing a
 // primary snapshot atomically replaces the follower's contents and adopts
 // the primary's epoch and position.
@@ -595,7 +757,7 @@ func TestInstallSnapshotResynchronises(t *testing.T) {
 	}
 	defer follower.Close()
 	// Stale divergent state from before the primary's checkpoint.
-	if err := follower.AppendRecord(Record{LSN: 1, Kind: 1, Data: []byte("old")}); err != nil {
+	if _, err := follower.AppendRecords([]Record{{LSN: 1, Kind: 1, Data: []byte("old")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.InstallSnapshot(pEpoch, snap); err != nil {

@@ -17,16 +17,21 @@ import (
 // dropped, and an epoch change tells it to resynchronise from a full
 // Snapshot instead of chasing LSNs that no longer exist.
 
-// State returns the log's replication position: the current epoch and the
-// LSN the next appended record will receive.
+// The stream position is durable: records AppendLazy buffered are not part
+// of it until a sync covers them, so State, LastLSN, RecordsSince and
+// WaitSince never report them — an election never counts an unsynced LSN,
+// a follower never fetches one, and a parked fetch is not woken by one.
+
+// State returns the log's replication position: the current epoch and one
+// past the LSN of the last durable record.
 func (l *Log) State() (epoch, nextLSN uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.epoch, l.nextLSN
 }
 
-// LastLSN returns the LSN of the most recently appended record, or 0 for a
-// log that has never been appended to.
+// LastLSN returns the LSN of the last durable record, or 0 for a log that
+// has never been appended to.
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -78,7 +83,7 @@ func (l *Log) firstAfterLocked(lsn uint64) int {
 }
 
 // WaitSince blocks until the log's stream state has moved past (epoch,
-// after) — a record with LSN greater than after was appended, the epoch
+// after) — a record with LSN greater than after became durable, the epoch
 // changed (checkpoint), or the log closed — or until timeout elapses. It
 // reports whether the state moved; false means the timeout fired with the
 // log still exactly at (epoch, after). Replication fetch long-polls on it.
@@ -106,29 +111,42 @@ func (l *Log) WaitSince(epoch, after uint64, timeout time.Duration) bool {
 	}
 }
 
-// AppendRecord durably appends a record shipped from a primary, preserving
-// its LSN. The record must be beyond the log's current position
-// (ErrStaleRecord otherwise): followers apply the stream in order and drop
-// duplicates. Like Append, the record is synced before returning and any
-// torn tail from a failed append is repaired first.
-func (l *Log) AppendRecord(r Record) error {
+// AppendRecords durably appends a batch of records shipped from a primary,
+// preserving their LSNs, with one write and one fsync, and returns how many
+// it applied. A record at or below the position the batch has reached is
+// skipped: followers apply the stream in order and drop duplicates. Term
+// records among the applied ones update the term state. Like Append, any
+// torn tail from a failed append is repaired first, and a failed write or
+// sync applies none of the batch.
+//
+// Records AppendLazy buffered are dropped: their LSNs belong to the
+// shipped stream now, and losing them is what a crash before the next sync
+// would have done.
+func (l *Log) AppendRecords(recs []Record) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if r.LSN < l.nextLSN {
-		return fmt.Errorf("%w: lsn %d, log already at %d", ErrStaleRecord, r.LSN, l.nextLSN-1)
+	l.dropTailLocked()
+	var terms []Record
+	for _, r := range recs {
+		if r.LSN < l.nextFreeLocked() {
+			continue
+		}
+		l.bufferLocked(r)
+		if r.Kind == KindTerm {
+			terms = append(terms, r)
+		}
 	}
-	if err := l.appendLocked(r); err != nil {
-		return err
+	applied := len(l.pending)
+	if err := l.flushLocked(); err != nil {
+		return 0, err
 	}
-	l.nextLSN = r.LSN + 1
-	if r.Kind == KindTerm {
+	for _, r := range terms {
 		l.noteTermRecordLocked(r)
 	}
-	l.notifyLocked()
-	return nil
+	return applied, nil
 }
 
 // InstallSnapshot atomically replaces the log's entire contents with a
@@ -136,7 +154,7 @@ func (l *Log) AppendRecord(r Record) error {
 // follower after the primary compacted records the follower had not yet
 // fetched. The swap is crash-atomic (same mechanism as Checkpoint): a
 // crash mid-install leaves either the old follower log or the complete
-// snapshot.
+// snapshot. Records AppendLazy buffered are dropped with the old contents.
 func (l *Log) InstallSnapshot(epoch uint64, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -146,6 +164,7 @@ func (l *Log) InstallSnapshot(epoch uint64, data []byte) error {
 	if err := l.be.replace(data); err != nil {
 		return fmt.Errorf("wal: install snapshot: %w", err)
 	}
+	l.dropTailLocked()
 	recs, valid, total, err := l.scan()
 	if err != nil {
 		return fmt.Errorf("wal: install snapshot: %w", err)

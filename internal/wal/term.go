@@ -149,18 +149,17 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	if term <= l.term || term <= l.fencedTerm {
 		return 0, fmt.Errorf("%w: claiming term %d, term %d known", ErrFenced, term, max(l.term, l.fencedTerm))
 	}
-	lsn := l.nextLSN
-	if err := l.appendLocked(Record{LSN: lsn, Kind: KindTerm, Data: EncodeTermRecord(term, leaderID)}); err != nil {
+	lsn := l.nextFreeLocked()
+	l.bufferLocked(Record{LSN: lsn, Kind: KindTerm, Data: EncodeTermRecord(term, leaderID)})
+	if err := l.flushLocked(); err != nil {
 		return 0, err
 	}
-	l.nextLSN++
 	l.term = term
 	l.termStart = lsn
 	l.termLeader = leaderID
 	l.termMarks = append(l.termMarks, termMark{term: term, lsn: lsn, leader: leaderID})
 	l.fenced = false
 	l.fencedTerm = 0
-	l.notifyLocked()
 	return lsn, nil
 }
 
@@ -204,12 +203,16 @@ func (l *Log) TermStartAfter(term uint64) (uint64, bool) {
 // suffix is gone for good. The cut comes from the record index and the
 // log's position and term state from the surviving index entries and term
 // marks, so the file is not reread; an existing fence stays up —
-// truncation prepares a rejoin, it does not confer leadership.
+// truncation prepares a rejoin, it does not confer leadership. Records
+// AppendLazy buffered are synced first and cut like any other.
 func (l *Log) TruncateAfter(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	if err := l.repairLocked(); err != nil {
 		return err

@@ -85,10 +85,8 @@ func TestStreamedTermRecordAdoptsAndUnfences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := follower.AppendRecord(r); err != nil {
-			t.Fatalf("apply %d: %v", r.LSN, err)
-		}
+	if n, err := follower.AppendRecords(recs); err != nil || n != len(recs) {
+		t.Fatalf("apply batch: %d of %d applied, %v", n, len(recs), err)
 	}
 	ts := follower.TermState()
 	if ts.Term != 2 || ts.Start != 2 || ts.Leader != "m2" {
@@ -127,7 +125,7 @@ func TestTruncateAfterCutsSuffixKeepsFence(t *testing.T) {
 		t.Fatal("truncation lowered the fence")
 	}
 	// The freed LSNs are reusable by the replication stream.
-	if err := l.AppendRecord(Record{LSN: 3, Kind: KindTerm, Data: EncodeTermRecord(9, "m2")}); err != nil {
+	if _, err := l.AppendRecords([]Record{{LSN: 3, Kind: KindTerm, Data: EncodeTermRecord(9, "m2")}}); err != nil {
 		t.Fatalf("stream into truncated log: %v", err)
 	}
 	if l.Fenced() {
@@ -215,7 +213,7 @@ func TestTermStartAfterTracksEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A streamed term record (the follower apply path) extends the cache.
-	if err := l.AppendRecord(Record{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m3")}); err != nil {
+	if _, err := l.AppendRecords([]Record{{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m3")}}); err != nil {
 		t.Fatal(err)
 	}
 	for term, want := range map[uint64]uint64{0: 1, 1: 3, 2: 4} {
@@ -308,7 +306,7 @@ func TestFencedTruncationTornTailAcrossReopen(t *testing.T) {
 	}
 	// The rejoin stream starts; its first apply tears mid-record.
 	l.InjectCrashAfter(0)
-	err = l.AppendRecord(Record{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m2")})
+	_, err = l.AppendRecords([]Record{{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m2")}})
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash-injected apply = %v, want ErrCrashed", err)
 	}
@@ -332,7 +330,7 @@ func TestFencedTruncationTornTailAcrossReopen(t *testing.T) {
 		}
 	}
 	// The repaired log streams cleanly from where the cut left it.
-	if err := reopened.AppendRecord(Record{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m2")}); err != nil {
+	if _, err := reopened.AppendRecords([]Record{{LSN: 4, Kind: KindTerm, Data: EncodeTermRecord(3, "m2")}}); err != nil {
 		t.Fatalf("stream after repair: %v", err)
 	}
 	if ts := reopened.TermState(); ts.Term != 3 || ts.Start != 4 {

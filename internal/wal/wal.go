@@ -3,8 +3,10 @@
 //
 // The transaction service writes its prepare and commit/rollback decision
 // records here (presumed abort needs only the commit decision to be
-// durable), and the activity service journals activity structure events so
-// that the activity tree can be rebuilt after a crash (§3.4 of the paper).
+// durable, so its done records go through AppendLazy and ride the next
+// decision's fsync), and the activity service journals activity structure
+// events so that the activity tree can be rebuilt after a crash (§3.4 of
+// the paper).
 //
 // The on-disk format is a sequence of records:
 //
@@ -22,6 +24,12 @@
 //     replay. A torn tail left by a crashed or failed append is repaired
 //     (truncated and synced) before the next append, so later records are
 //     never written behind garbage where replay cannot see them.
+//   - A lazy record is durable only once a sync covers it. AppendLazy only
+//     buffers; the next Append (or Records, Snapshot, Checkpoint,
+//     TruncateAfter, Close) writes the buffer with one write and one fsync.
+//     Until then no reader sees the record and the stream position does
+//     not count it, and a crash loses it. A failed write or sync drops it
+//     with the record that carried it, and their LSNs are reused.
 //   - Checkpoint is atomic: the compacted log is written to a temporary
 //     file, synced, and renamed over the old log (the in-memory backend
 //     swaps its buffer in one step). A crash at any point during a
@@ -34,7 +42,7 @@
 //
 // For replication, the log exposes its stream position (State, LastLSN),
 // incremental reads (RecordsSince, WaitSince) and a follower write surface
-// (AppendRecord, InstallSnapshot) — see the replication layer in
+// (AppendRecords, InstallSnapshot) — see the replication layer in
 // internal/remote for the wire protocol built on them.
 //
 // Full scans of the medium happen only where the bytes themselves are
@@ -43,8 +51,8 @@
 // record, so RecordsSince reads only the records it returns and
 // TruncateAfter finds its cut without rereading the file. The index is
 // rebuilt from the scanned records at open, InstallSnapshot and Checkpoint,
-// trimmed by TruncateAfter, and extended only after an append's write and
-// fsync both succeed.
+// trimmed by TruncateAfter, and extended only after a write and its fsync
+// both succeed, for every record (lazy ones included) that write carried.
 package wal
 
 import (
@@ -75,12 +83,13 @@ var (
 	ErrClosed = errors.New("wal: log is closed")
 	// ErrCrashed reports that crash injection stopped an append.
 	ErrCrashed = errors.New("wal: simulated crash")
-	// ErrStaleRecord reports a follower append whose LSN is not beyond the
-	// log's current position (a duplicate or out-of-order shipment).
-	ErrStaleRecord = errors.New("wal: stale record")
 )
 
 const headerSize = 8 // u32 length + u32 crc
+
+// maxTailRetain bounds the write buffer a log keeps between writes, so one
+// large batch does not pin its memory for the life of the log.
+const maxTailRetain = 64 << 10
 
 // backend abstracts the durable medium.
 type backend interface {
@@ -107,13 +116,19 @@ type backend interface {
 type Log struct {
 	mu      sync.Mutex
 	be      backend
-	nextLSN uint64
-	size    int  // byte offset of the end of the last valid record
-	dirty   bool // a failed append may have left torn bytes past size
+	nextLSN uint64 // one past the last durable record: the stream position
+	size    int    // byte offset of the end of the last valid record
+	dirty   bool   // a failed append may have left torn bytes past size
 	epoch   uint64
 	waitCh  chan struct{} // closed and renewed whenever the stream advances
 	closed  bool
 	index   []indexEntry // one entry per durable record, in LSN order
+
+	// Records buffered for the next write: tail holds them encoded, and
+	// pending their LSNs and offsets within tail. AppendLazy leaves them
+	// here; Append adds its own record and writes the lot (flushLocked).
+	tail    []byte
+	pending []indexEntry
 
 	// Coordinator-group term state (see term.go). term/termStart/termLeader
 	// mirror the latest durable KindTerm record; termMarks caches every
@@ -224,45 +239,113 @@ func newLog(be backend) (*Log, error) {
 }
 
 // Append durably adds a record and returns its LSN. The record is written
-// and synced before Append returns. If a previous append failed part-way,
-// its torn bytes are truncated (and the truncation synced) first, so a
-// successful Append is always visible to replay.
+// and synced before Append returns, together with every record AppendLazy
+// buffered ahead of it: one write, one fsync. If a previous append failed
+// part-way, its torn bytes are truncated (and the truncation synced) first,
+// so a successful Append is always visible to replay.
 func (l *Log) Append(kind Kind, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	lsn, err := l.appendLazyLocked(kind, data)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.flushLocked(); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// AppendLazy adds a record that need not be durable yet and returns its
+// LSN. It does no I/O: the record is encoded into the log's buffer and the
+// next sync (Append, or a read or rewrite of the whole log) writes it.
+// Until then the stream position, the index and every reader leave it out,
+// and a crash or a failed write loses it. It suits records whose loss is
+// harmless, like the transaction service's done markers.
+func (l *Log) AppendLazy(kind Kind, data []byte) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLazyLocked(kind, data)
+}
+
+// appendLazyLocked buffers one local record behind any already buffered.
+// The caller must hold l.mu.
+func (l *Log) appendLazyLocked(kind Kind, data []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if l.fenced {
 		return 0, fmt.Errorf("%w: term %d", ErrFenced, l.fencedTerm)
 	}
-	lsn := l.nextLSN
-	if err := l.appendLocked(Record{LSN: lsn, Kind: kind, Data: data}); err != nil {
-		return 0, err
-	}
-	l.nextLSN++
-	l.notifyLocked()
+	lsn := l.nextFreeLocked()
+	l.bufferLocked(Record{LSN: lsn, Kind: kind, Data: data})
 	return lsn, nil
 }
 
-// appendLocked repairs any torn tail, then writes and syncs one record.
-// On failure the log is marked dirty so the next append repairs the tail
-// before writing. The caller must hold l.mu.
-func (l *Log) appendLocked(r Record) error {
+// nextFreeLocked returns the LSN the next buffered record receives: one
+// past the last buffered record, or the stream position when none is. The
+// caller must hold l.mu.
+func (l *Log) nextFreeLocked() uint64 {
+	if n := len(l.pending); n > 0 {
+		return l.pending[n-1].lsn + 1
+	}
+	return l.nextLSN
+}
+
+// bufferLocked encodes r onto the write buffer. The caller must hold l.mu.
+func (l *Log) bufferLocked(r Record) {
+	l.pending = append(l.pending, indexEntry{lsn: r.LSN, off: len(l.tail)})
+	l.tail = appendRecord(l.tail, r)
+}
+
+// flushLocked writes every buffered record with one write and one fsync,
+// then extends the index and advances the stream position past them. On
+// failure every buffered record is dropped, so their LSNs are reused, and
+// the log is left dirty so the next write first truncates whatever reached
+// the medium. The caller must hold l.mu.
+func (l *Log) flushLocked() error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	err := l.writeLocked(l.tail)
+	if err == nil {
+		for _, e := range l.pending {
+			l.index = append(l.index, indexEntry{lsn: e.lsn, off: l.size + e.off})
+		}
+		l.size += len(l.tail)
+		l.nextLSN = l.pending[len(l.pending)-1].lsn + 1
+		l.notifyLocked()
+	}
+	l.dropTailLocked()
+	return err
+}
+
+// dropTailLocked discards every buffered record. The caller must hold l.mu.
+func (l *Log) dropTailLocked() {
+	if cap(l.tail) > maxTailRetain {
+		l.tail = nil
+	}
+	l.tail = l.tail[:0]
+	l.pending = l.pending[:0]
+}
+
+// writeLocked repairs any torn tail, then writes b and syncs it. On
+// failure the log is marked dirty so the next write repairs the tail
+// first. The caller must hold l.mu.
+func (l *Log) writeLocked(b []byte) error {
 	if err := l.repairLocked(); err != nil {
 		return err
 	}
-	rec := encodeRecord(r)
 	if l.failArmed {
 		if l.failAfter <= 0 {
-			// Simulate a torn write: half the record reaches the medium.
-			_ = l.be.append(rec[:len(rec)/2])
+			// Simulate a torn write: half the bytes reach the medium.
+			_ = l.be.append(b[:len(b)/2])
 			l.dirty = true
 			return ErrCrashed
 		}
 		l.failAfter--
 	}
-	if err := l.be.append(rec); err != nil {
+	if err := l.be.append(b); err != nil {
 		l.dirty = true
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -273,8 +356,6 @@ func (l *Log) appendLocked(r Record) error {
 		l.dirty = true
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.index = append(l.index, indexEntry{lsn: r.LSN, off: l.size})
-	l.size += len(rec)
 	return nil
 }
 
@@ -302,12 +383,16 @@ func (l *Log) notifyLocked() {
 	l.waitCh = make(chan struct{})
 }
 
-// Records returns a copy of all durable records in LSN order.
+// Records returns a copy of all records in LSN order, syncing any that
+// AppendLazy buffered first.
 func (l *Log) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
+	}
+	if err := l.flushLocked(); err != nil {
+		return nil, err
 	}
 	return l.durableLocked()
 }
@@ -329,7 +414,8 @@ func (l *Log) Replay(fn func(Record) error) error {
 
 // Checkpoint rewrites the log keeping only records for which keep returns
 // true. LSNs of kept records are preserved, and the log's epoch advances
-// so replication followers know to resynchronise from a snapshot.
+// so replication followers know to resynchronise from a snapshot. Records
+// AppendLazy buffered are synced first and offered to keep like the rest.
 //
 // The rewrite is crash-atomic: the kept records are written to a temporary
 // file, synced, and renamed over the log (the in-memory backend swaps its
@@ -341,6 +427,9 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	recs, err := l.durableLocked()
 	if err != nil {
@@ -361,7 +450,7 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	)
 	for i, r := range recs {
 		if i == lastTerm || keep(r) {
-			out = append(out, encodeRecord(r)...)
+			out = appendRecord(out, r)
 			kept = append(kept, r)
 		}
 	}
@@ -386,13 +475,17 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 }
 
 // Snapshot returns a copy of the durable record bytes (torn tails from a
-// failed append are excluded), for simulated restarts and for shipping the
-// log's full state to a replication follower (InstallSnapshot).
+// failed append are excluded; records AppendLazy buffered are synced
+// first), for simulated restarts and for shipping the log's full state to
+// a replication follower (InstallSnapshot).
 func (l *Log) Snapshot() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
+	}
+	if err := l.flushLocked(); err != nil {
+		return nil, err
 	}
 	b, err := l.be.readAt(0, l.size)
 	if err != nil {
@@ -403,23 +496,30 @@ func (l *Log) Snapshot() ([]byte, error) {
 	return out, nil
 }
 
-// Close releases the backend. Further use returns ErrClosed.
+// Close syncs any records AppendLazy buffered and releases the backend,
+// reporting the first failure. Further use returns ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
+	err := l.flushLocked()
 	l.closed = true
 	l.notifyLocked()
-	return l.be.close()
+	if cerr := l.be.close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// InjectCrashAfter arranges for the log to fail all appends (and
-// checkpoints) after n more successful appends, simulating a crash: the
-// failing append tears half a record onto the medium, and a failing
-// checkpoint stops before its atomic swap. Supported by every backend; a
-// negative n disarms injection. It reports whether injection is supported.
+// InjectCrashAfter arranges for the log to fail all writes (and
+// checkpoints) after n more successful writes, simulating a crash: the
+// failing write tears half its bytes onto the medium, and a failing
+// checkpoint stops before its atomic swap. AppendLazy writes nothing, so
+// it does not count; the write that syncs its record does. Supported by
+// every backend; a negative n disarms injection. It reports whether
+// injection is supported.
 func (l *Log) InjectCrashAfter(n int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -491,16 +591,17 @@ func parseRecords(b []byte) ([]Record, int) {
 	return recs, valid
 }
 
-func encodeRecord(r Record) []byte {
-	payload := make([]byte, 10+len(r.Data))
-	binary.BigEndian.PutUint64(payload[0:8], r.LSN)
-	binary.BigEndian.PutUint16(payload[8:10], uint16(r.Kind))
-	copy(payload[10:], r.Data)
-	out := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[headerSize:], payload)
-	return out
+// appendRecord appends r's encoding to dst and returns the extended slice.
+func appendRecord(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(10+len(r.Data)))
+	dst = binary.BigEndian.AppendUint32(dst, 0) // checksum, filled below
+	dst = binary.BigEndian.AppendUint64(dst, r.LSN)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(r.Kind))
+	dst = append(dst, r.Data...)
+	payload := dst[start+headerSize:]
+	binary.BigEndian.PutUint32(dst[start+4:start+8], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // memBackend keeps the log in memory.

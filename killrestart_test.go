@@ -1,7 +1,8 @@
 // Kill-restart chaos harness: the coordinator process is killed with
 // SIGKILL at injected points inside a distributed two-phase commit —
-// after prepare, after the decision record is forced, and mid-phase-two —
-// then restarted against the same write-ahead log. The participants live
+// after prepare, after the decision record is forced, mid-phase-two, and
+// after the (lazy, not yet synced) done record — then restarted against
+// the same write-ahead log. The participants live
 // in THIS process and survive the kill, so the harness can observe
 // exactly what each one was told before and after the crash. Recovery is
 // driven end to end: WAL replay re-drives in-doubt branches, and the
@@ -45,7 +46,7 @@ const remoteActionFactory = "remote-action"
 // reference grammar uses '|' and ',' internally.
 const (
 	crashEnvMode    = "ACTIVITYSERVICE_CRASH_MODE"    // "commit", "group", "groupbtp" or "recover"
-	crashEnvStage   = "ACTIVITYSERVICE_CRASH_STAGE"   // "prepared", "decision", "phase2"
+	crashEnvStage   = "ACTIVITYSERVICE_CRASH_STAGE"   // "prepared", "decision", "phase2", "done"
 	crashEnvWAL     = "ACTIVITYSERVICE_CRASH_WAL"     // coordinator log path
 	crashEnvIORs    = "ACTIVITYSERVICE_CRASH_IORS"    // participant resource refs, "\n"-joined
 	crashEnvActions = "ACTIVITYSERVICE_CRASH_ACTIONS" // BTP inferior action refs, "\n"-joined
@@ -92,6 +93,8 @@ func crashStage(name string) ots.Stage {
 		return ots.StageDecisionLogged
 	case "phase2":
 		return ots.StageCommitDelivered
+	case "done":
+		return ots.StageDone
 	}
 	return 0
 }
@@ -519,6 +522,42 @@ func TestCrashRestart2PC(t *testing.T) {
 			t.Fatalf("in-doubt participant fate = %s, want committed", st)
 		}
 	})
+
+	t.Run("after-done", func(t *testing.T) {
+		// Killed right after the done record was appended: phase two
+		// reached both participants, but the done record is lazy and no
+		// sync followed, so it died with the process. Restart finds the
+		// decision unsealed and re-drives it once; both participants
+		// absorb the duplicate — each changed state exactly once.
+		f := newCrashFixture(t)
+		runCoordinatorUntilKilled(t, "done", f.walPath, f.refs)
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies at crash = %d/%d, want 1/1 (phase two finished)",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+
+		rc := restartCoordinator(t, f.walPath)
+		if rc.replayed != 1 || rc.committed != 2 || rc.failed != 0 || rc.missing != 0 {
+			t.Fatalf("recovery pass = replayed %d committed %d missing %d failed %d, want 1/2/0/0",
+				rc.replayed, rc.committed, rc.missing, rc.failed)
+		}
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies = %d/%d, want exactly once each",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+		if f.a.commitCalls.Load() != 2 || f.b.commitCalls.Load() != 2 {
+			t.Fatalf("commit deliveries = %d/%d, want 2/2 (phase two + one re-drive)",
+				f.a.commitCalls.Load(), f.b.commitCalls.Load())
+		}
+		// The re-drive sealed the decision: a second pass replays nothing.
+		again, err := recoveryClient(t, rc).Recover(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.DecisionsReplayed != 0 {
+			t.Fatalf("second pass replayed %d decisions, want 0", again.DecisionsReplayed)
+		}
+	})
 }
 
 // runReplicatedUntilKilled re-execs the helper as a coordinator-group
@@ -719,6 +758,38 @@ func TestStandbyTakeover2PC(t *testing.T) {
 		}
 		if st != ots.StatusCommitted {
 			t.Fatalf("in-doubt participant fate via standby = %s, want committed", st)
+		}
+	})
+
+	t.Run("after-done", func(t *testing.T) {
+		// Killed right after the done record was appended: both
+		// participants committed, but the lazy done record never reached
+		// a sync, so it never shipped. The standby holds the decision
+		// unsealed and re-drives it once; each participant absorbs the
+		// duplicate with no second state change.
+		f, sb, leaderEndpoints := run(t, "done")
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies at crash = %d/%d, want 1/1 (phase two finished)",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+		stats := sb.waitTakeover(t)
+		if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 || stats.ResourcesFailed != 0 {
+			t.Fatalf("takeover pass = %+v, want 1 decision, 2 committed", stats)
+		}
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies = %d/%d, want exactly once each",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+		if f.a.commitCalls.Load() != 2 || f.b.commitCalls.Load() != 2 {
+			t.Fatalf("commit deliveries = %d/%d, want 2/2 (phase two + one re-drive)",
+				f.a.commitCalls.Load(), f.b.commitCalls.Load())
+		}
+		st, err := failoverClient(t, leaderEndpoints, sb).ReplayCompletion(ctx, f.refs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != ots.StatusCommitted {
+			t.Fatalf("participant fate via standby = %s, want committed", st)
 		}
 	})
 }
