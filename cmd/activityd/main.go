@@ -20,8 +20,10 @@
 //	activityd -advertise host1:7411 -advertise host2:7411
 //	                                        # endpoints minted into IORs
 //	                                        # (NAT / load-balancer fronting)
-//	activityd -admin                        # serve ServerStats/EndpointStats
-//	                                        # on the well-known "orb-admin" key
+//	activityd -admin                        # serve the "metrics" scrape (server,
+//	                                        # endpoint, recovery, relay and
+//	                                        # group samples) on the well-known
+//	                                        # "orb-admin" key
 //	activityd -pool 8 -parallel             # 8 pooled conns per endpoint,
 //	                                        # parallel signal fan-out
 //	activityd -relay -branching 8           # host the well-known "relay"
@@ -165,7 +167,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "fan signals out to enrolled actions in parallel")
 	relay := flag.Bool("relay", false, "host the well-known relay servant and fan signals out through relay trees")
 	branching := flag.Int("branching", 0, "relay-tree children per node with -relay (0 = default)")
-	admin := flag.Bool("admin", false, "serve ServerStats/EndpointStats on the well-known orb-admin key")
+	admin := flag.Bool("admin", false, "serve the metrics scrape (server, endpoint, recovery, relay and group samples) on the well-known orb-admin key")
 	var cfg orbConfig
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
 	flag.IntVar(&cfg.pool, "pool", 0, "client connections pooled per endpoint (0 = default)")
@@ -186,7 +188,7 @@ func main() {
 	flag.StringVar(&cfg.shardID, "shard", "", "serve as the fleet member with this id: follow the shard map and refuse begins for keys this member does not own (needs -shard-map unless -shard-authority)")
 	flag.Var(&cfg.shardMap, "shard-map", "endpoint of the shard-map authority to follow; repeatable for a multi-homed authority")
 	flag.BoolVar(&cfg.shardJoin, "shard-join", false, "register this member (its listen endpoints) into the shard map on boot")
-	flag.BoolVar(&cfg.shardAuthority, "shard-authority", false, "host the authoritative shard map on the well-known shard-map key (orb-admin forwards the shard_* verbs to it)")
+	flag.BoolVar(&cfg.shardAuthority, "shard-authority", false, "host the authoritative shard map on the well-known shard-map key, which serves the shard_* verbs")
 	flag.Parse()
 	if len(listens) == 0 {
 		listens = listFlag{"127.0.0.1:7411"}
@@ -394,7 +396,6 @@ func runGroup(ctx context.Context, node *orb.ORB, svc *activityservice.Service, 
 			fmt.Printf("activityd: deposed by term %d (leader %q) — re-joining as standby\n", term, leader)
 		},
 	})
-	g.InstallAdminScrape()
 
 	if len(cfg.standby) == 0 && len(cfg.peers) == 0 {
 		// Nothing to follow or probe: boot as the group's leader.

@@ -150,27 +150,29 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 	defer stop()
 	stopped := make(chan error, 1)
 	go func() {
-		stopped <- run(ctx, []string{addr}, false, orbConfig{otsLog: path}, activityservice.DeliveryPolicy{}, false, false)
+		stopped <- run(ctx, []string{addr}, false, orbConfig{otsLog: path}, activityservice.DeliveryPolicy{}, false, true)
 	}()
 
-	// The boot pass finds the participants still down. Once they are back,
-	// the wire recover verb re-drives the decision and buffers its done.
+	// The boot pass finds the participants still down (the admin scrape
+	// shows it). Once they are back, the wire recover verb re-drives the
+	// decision and buffers its done.
 	client := orb.New()
 	defer client.Shutdown()
-	rc := orb.NewRecoveryClient(client, orb.RecoveryAt(addr))
+	admin := orb.NewAdminClient(client, orb.AdminAt(addr))
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		callCtx, cancel := context.WithTimeout(ctx, time.Second)
-		totals, err := rc.Totals(callCtx)
+		ss, err := admin.Metrics(callCtx)
 		cancel()
-		if err == nil && totals.Passes == 1 {
+		if passes, _ := ss.Get("recovery.passes", ""); err == nil && passes == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon boot recovery pass not seen: %+v, %v", totals, err)
+			t.Fatalf("daemon boot recovery pass not seen: %+v, %v", ss, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	rc := orb.NewRecoveryClient(client, orb.RecoveryAt(addr))
 	for _, r := range res {
 		r.setDown(false)
 	}

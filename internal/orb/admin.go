@@ -3,15 +3,15 @@ package orb
 import (
 	"context"
 	"fmt"
-	"strings"
-	"time"
+	"maps"
+	"slices"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
 )
 
 // Admin servant identity: remote tooling reaches any ORB's operational
-// stats through the well-known AdminKey, the same way the name service is
-// reached through "naming".
+// metrics through the well-known AdminKey, the same way the name service
+// is reached through "naming".
 const (
 	// AdminTypeID is the interface id of the ORB admin servant.
 	AdminTypeID = "IDL:GLOP/ORBAdmin:1.0"
@@ -20,11 +20,39 @@ const (
 	AdminKey = "orb-admin"
 )
 
-// adminServant exposes the hosting ORB's ServerStats and EndpointStats so
-// remote tooling can scrape them over the ORB itself — the operational
-// introspection surface the overload and failover machinery reports into.
-// Requests for AdminKey bypass server admission control (server.go), so
-// the stats stay scrapeable exactly while the gate is shedding.
+// Sample is one named value in a metrics scrape. Label carries the one
+// dimension a sample has — an endpoint, a follower id, a role — and is
+// empty for a process-wide value. Booleans are 0/1 and durations
+// nanoseconds; a string-valued field is a sample of value 1 whose label
+// is the string (the Prometheus "info" convention).
+type Sample struct {
+	// Name is the dotted metric name, prefixed by its source.
+	Name string
+	// Label is the sample's one dimension ("" when it has none).
+	Label string
+	// Value is the sample's value.
+	Value int64
+}
+
+// Samples is a metrics scrape: the built-in ORB samples first, then each
+// registered source's in source-name order.
+type Samples []Sample
+
+// Get returns the value of the sample with the given name and label, and
+// false when the scrape holds none (its source is not hosted).
+func (s Samples) Get(name, label string) (int64, bool) {
+	for _, x := range s {
+		if x.Name == name && x.Label == label {
+			return x.Value, true
+		}
+	}
+	return 0, false
+}
+
+// adminServant answers the one "metrics" operation with everything the
+// hosting ORB's Metrics collects. Requests for AdminKey bypass server
+// admission control (server.go), so the scrape stays answerable exactly
+// while the gate is shedding.
 type adminServant struct {
 	orb *ORB
 }
@@ -37,88 +65,154 @@ func ServeAdmin(o *ORB) IOR {
 }
 
 // Dispatch implements Servant.
-func (s *adminServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder) ([]byte, error) {
-	switch op {
-	case "server_stats":
-		st, ok := s.orb.ServerStats()
-		e := cdr.NewEncoder(128)
-		e.WriteBool(ok)
-		if ok {
-			encodeServerStats(e, st)
-		}
-		return e.Bytes(), nil
-	case "endpoint_stats":
-		endpoint := in.ReadString()
-		if err := in.Err(); err != nil {
-			return nil, Systemf(CodeMarshal, "endpoint_stats: %v", err)
-		}
-		st, ok := s.orb.EndpointStats(endpoint)
-		e := cdr.NewEncoder(128)
-		e.WriteBool(ok)
-		if ok {
-			encodeEndpointStats(e, st)
-		}
-		return e.Bytes(), nil
-	case "endpoints":
-		e := cdr.NewEncoder(64)
-		e.WriteStringList(s.orb.PooledEndpoints())
-		return e.Bytes(), nil
-	case "recovery_stats":
-		s.orb.mu.RLock()
-		fn := s.orb.recoveryFn
-		s.orb.mu.RUnlock()
-		e := cdr.NewEncoder(128)
-		var st RecoveryScrape
-		ok := false
-		if fn != nil {
-			st, ok = fn()
-		}
-		e.WriteBool(ok)
-		if ok {
-			encodeRecoveryScrape(e, st)
-		}
-		return e.Bytes(), nil
-	case "replication_stats":
-		s.orb.mu.RLock()
-		fn := s.orb.replFn
-		s.orb.mu.RUnlock()
-		e := cdr.NewEncoder(128)
-		var st ReplicationScrape
-		ok := false
-		if fn != nil {
-			st, ok = fn()
-		}
-		e.WriteBool(ok)
-		if ok {
-			encodeReplicationScrape(e, st)
-		}
-		return e.Bytes(), nil
-	case "relay_stats":
-		s.orb.mu.RLock()
-		fn := s.orb.relayFn
-		s.orb.mu.RUnlock()
-		e := cdr.NewEncoder(64)
-		var st RelayScrape
-		ok := false
-		if fn != nil {
-			st, ok = fn()
-		}
-		e.WriteBool(ok)
-		if ok {
-			encodeRelayScrape(e, st)
-		}
-		return e.Bytes(), nil
-	default:
-		if strings.HasPrefix(op, "shard_") {
-			s.orb.mu.RLock()
-			fn := s.orb.shardAdminFn
-			s.orb.mu.RUnlock()
-			if fn == nil {
-				return nil, Systemf(CodeNoImplement, "this process hosts no shard-map authority")
-			}
-			return fn(ctx, op, in)
-		}
+func (s *adminServant) Dispatch(_ context.Context, op string, _ *cdr.Decoder) ([]byte, error) {
+	if op != "metrics" {
 		return nil, Systemf(CodeBadOperation, "ORBAdmin has no operation %q", op)
+	}
+	return encodeSamples(s.orb.Metrics()), nil
+}
+
+// encodeSamples and decodeSamples are the metrics reply's one codec: a
+// uint32 count, then each sample's name, label and value.
+func encodeSamples(ss Samples) []byte {
+	e := cdr.NewEncoder(64 + 48*len(ss))
+	e.WriteUint32(uint32(len(ss)))
+	for _, x := range ss {
+		e.WriteString(x.Name)
+		e.WriteString(x.Label)
+		e.WriteInt64(x.Value)
+	}
+	return e.Bytes()
+}
+
+// minSampleBytes is the smallest encoding of one sample: two empty
+// strings (a length and a NUL each) and an int64.
+const minSampleBytes = 5 + 5 + 8
+
+// decodeSamples checks the count against the bytes that remain before it
+// allocates anything for it.
+func decodeSamples(body []byte) (Samples, error) {
+	d := cdr.NewDecoder(body)
+	n := d.ReadUint32()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if int64(n) > int64(d.Remaining()/minSampleBytes) {
+		return nil, fmt.Errorf("%w: %d samples in %d bytes", cdr.ErrTooLong, n, d.Remaining())
+	}
+	ss := make(Samples, 0, n)
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		ss = append(ss, Sample{Name: d.ReadString(), Label: d.ReadString(), Value: d.ReadInt64()})
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return ss, nil
+}
+
+// Metrics collects the samples a metrics scrape of this ORB answers with.
+// Built in: "orb.server.*" (ServerStats, while listening; each bound
+// endpoint is an "orb.server.endpoint" info sample, in Listen order) and
+// "orb.endpoint.*" labelled by endpoint (EndpointStats, one group per
+// pooled endpoint). Then every source registered with SetMetrics, in name
+// order, each sample's name prefixed by "<source>.". Sources run without
+// ORB locks held.
+func (o *ORB) Metrics() Samples {
+	var out Samples
+	if st, ok := o.ServerStats(); ok {
+		out = st.appendSamples(out)
+	}
+	for _, ep := range o.PooledEndpoints() {
+		if st, ok := o.EndpointStats(ep); ok {
+			for _, f := range st.fields() {
+				out = append(out, Sample{Name: "orb.endpoint." + f.name, Label: ep, Value: f.get()})
+			}
+		}
+	}
+	o.mu.RLock()
+	sources := maps.Clone(o.metrics)
+	o.mu.RUnlock()
+	for _, name := range slices.Sorted(maps.Keys(sources)) {
+		sources[name](func(s Sample) {
+			s.Name = name + "." + s.Name
+			out = append(out, s)
+		})
+	}
+	return out
+}
+
+// field names one numeric stats field for the built-in samples; fields
+// tables drive both emitting a stats struct and rebuilding it from a
+// scrape, so the two cannot drift.
+type field struct {
+	name string
+	get  func() int64
+	set  func(int64)
+}
+
+func num[T ~int | ~int64 | ~uint64](name string, p *T) field {
+	return field{name, func() int64 { return int64(*p) }, func(v int64) { *p = T(v) }}
+}
+
+func bit(name string, p *bool) field {
+	return field{name, func() int64 {
+		if *p {
+			return 1
+		}
+		return 0
+	}, func(v int64) { *p = v != 0 }}
+}
+
+// appendSamples appends st as the "orb.server.*" samples: each endpoint
+// an "orb.server.endpoint" info sample in Listen order, then the numbers.
+func (st *ServerStats) appendSamples(out Samples) Samples {
+	for _, ep := range st.Endpoints {
+		out = append(out, Sample{Name: "orb.server.endpoint", Label: ep, Value: 1})
+	}
+	for _, f := range st.fields() {
+		out = append(out, Sample{Name: "orb.server." + f.name, Value: f.get()})
+	}
+	return out
+}
+
+// serverStatsFrom rebuilds the ServerStats appendSamples emitted; false
+// when the scrape holds none (the ORB was not listening).
+func serverStatsFrom(ss Samples) (ServerStats, bool) {
+	var st ServerStats
+	for _, x := range ss {
+		if x.Name == "orb.server.endpoint" {
+			st.Endpoints = append(st.Endpoints, x.Label)
+		}
+	}
+	if len(st.Endpoints) == 0 {
+		return ServerStats{}, false
+	}
+	st.Endpoint = st.Endpoints[0]
+	for _, f := range st.fields() {
+		if v, ok := ss.Get("orb.server."+f.name, ""); ok {
+			f.set(v)
+		}
+	}
+	return st, true
+}
+
+func (st *ServerStats) fields() []field {
+	return []field{
+		num("conns", &st.Conns), num("inflight", &st.Inflight), num("queued", &st.Queued),
+		num("shed", &st.Shed), num("dispatched", &st.Dispatched),
+		num("max_inflight", &st.MaxInflight), num("queue_depth", &st.QueueDepth),
+		num("shed_after_ns", &st.ShedAfter), num("reserved_slots", &st.ReservedSlots),
+		num("priority_inflight", &st.PriorityInflight),
+		num("priority_dispatched", &st.PriorityDispatched), num("priority_shed", &st.PriorityShed),
+	}
+}
+
+func (st *EndpointStats) fields() []field {
+	return []field{
+		num("conns", &st.Conns), num("pending", &st.Pending), num("dialing", &st.Dialing),
+		num("failures", &st.Failures), bit("down", &st.Down), num("breaker", &st.Breaker),
+		num("breaker_probes", &st.BreakerProbes), num("breaker_opens", &st.BreakerOpens),
+		num("retry_exhausted", &st.RetryExhausted), num("rtt_ns", &st.RTT),
 	}
 }
 
@@ -141,351 +235,29 @@ func AdminAt(endpoints ...string) IOR {
 	return NewIOR(AdminTypeID, AdminKey, endpoints...)
 }
 
-// ServerStats scrapes the remote ORB's server-side admission state. The
-// second return is false when the remote ORB is not listening (which, for
-// a scrape that travelled over TCP, indicates a race with its shutdown).
+// Metrics scrapes every sample the remote ORB exposes (see ORB.Metrics).
+// A source the remote process does not host contributes no samples.
+func (c *AdminClient) Metrics(ctx context.Context) (Samples, error) {
+	body, err := c.orb.Invoke(ctx, c.ref, "metrics", nil)
+	if err != nil {
+		return nil, fmt.Errorf("admin metrics: %w", err)
+	}
+	ss, err := decodeSamples(body)
+	if err != nil {
+		return nil, Systemf(CodeMarshal, "metrics reply: %v", err)
+	}
+	return ss, nil
+}
+
+// ServerStats scrapes the remote ORB's server-side admission state: the
+// "orb.server.*" samples of one metrics scrape, decoded. The second
+// return is false when the remote ORB is not listening (which, for a
+// scrape that travelled over TCP, indicates a race with its shutdown).
 func (c *AdminClient) ServerStats(ctx context.Context) (ServerStats, bool, error) {
-	body, err := c.orb.Invoke(ctx, c.ref, "server_stats", nil)
+	ss, err := c.Metrics(ctx)
 	if err != nil {
-		return ServerStats{}, false, fmt.Errorf("admin server_stats: %w", err)
+		return ServerStats{}, false, err
 	}
-	d := cdr.NewDecoder(body)
-	ok := d.ReadBool()
-	var st ServerStats
-	if ok {
-		st = decodeServerStats(d)
-	}
-	if err := d.Err(); err != nil {
-		return ServerStats{}, false, Systemf(CodeMarshal, "server_stats reply: %v", err)
-	}
+	st, ok := serverStatsFrom(ss)
 	return st, ok, nil
-}
-
-// EndpointStats scrapes the remote ORB's client-side pool state for one
-// endpoint. The second return is false when the remote ORB holds no pool
-// for it.
-func (c *AdminClient) EndpointStats(ctx context.Context, endpoint string) (EndpointStats, bool, error) {
-	e := cdr.NewEncoder(64)
-	e.WriteString(endpoint)
-	body, err := c.orb.Invoke(ctx, c.ref, "endpoint_stats", e.Bytes())
-	if err != nil {
-		return EndpointStats{}, false, fmt.Errorf("admin endpoint_stats %q: %w", endpoint, err)
-	}
-	d := cdr.NewDecoder(body)
-	ok := d.ReadBool()
-	var st EndpointStats
-	if ok {
-		st = decodeEndpointStats(d)
-	}
-	if err := d.Err(); err != nil {
-		return EndpointStats{}, false, Systemf(CodeMarshal, "endpoint_stats reply: %v", err)
-	}
-	return st, ok, nil
-}
-
-// Endpoints scrapes the list of endpoints the remote ORB holds client
-// pools for, sorted.
-func (c *AdminClient) Endpoints(ctx context.Context) ([]string, error) {
-	body, err := c.orb.Invoke(ctx, c.ref, "endpoints", nil)
-	if err != nil {
-		return nil, fmt.Errorf("admin endpoints: %w", err)
-	}
-	d := cdr.NewDecoder(body)
-	eps := d.ReadStringList()
-	if err := d.Err(); err != nil {
-		return nil, Systemf(CodeMarshal, "endpoints reply: %v", err)
-	}
-	return eps, nil
-}
-
-// RecoveryScrape is the transaction-recovery status an ORB exposes through
-// the orb-admin servant's "recovery_stats" operation. The hosting process
-// wires its transaction service in with SetRecoveryStatsProvider; the
-// counters mirror ots.RecoveryTotals without this package importing it.
-type RecoveryScrape struct {
-	// Passes counts completed recovery passes.
-	Passes uint64
-	// DecisionsReplayed totals commit decisions re-driven by recovery.
-	DecisionsReplayed uint64
-	// ResourcesCommitted totals commit deliveries made by recovery.
-	ResourcesCommitted uint64
-	// ResourcesMissing totals participants recovery could not re-bind.
-	ResourcesMissing uint64
-	// ResourcesFailed totals commit deliveries that failed during recovery.
-	ResourcesFailed uint64
-	// HeuristicsRecorded totals heuristic outcomes recorded durably.
-	HeuristicsRecorded uint64
-	// PendingDecisions gauges decisions still awaiting full delivery.
-	PendingDecisions uint32
-	// PendingHeuristics gauges heuristic records not yet forgotten.
-	PendingHeuristics uint32
-}
-
-// RecoveryStats scrapes the remote ORB's transaction-recovery status. The
-// second return is false when the remote process hosts no recovery surface
-// (no provider was wired in).
-func (c *AdminClient) RecoveryStats(ctx context.Context) (RecoveryScrape, bool, error) {
-	body, err := c.orb.Invoke(ctx, c.ref, "recovery_stats", nil)
-	if err != nil {
-		return RecoveryScrape{}, false, fmt.Errorf("admin recovery_stats: %w", err)
-	}
-	d := cdr.NewDecoder(body)
-	ok := d.ReadBool()
-	var st RecoveryScrape
-	if ok {
-		st = decodeRecoveryScrape(d)
-	}
-	if err := d.Err(); err != nil {
-		return RecoveryScrape{}, false, Systemf(CodeMarshal, "recovery_stats reply: %v", err)
-	}
-	return st, ok, nil
-}
-
-// FollowerLag is one follower's acknowledgement position in a
-// ReplicationScrape: how far behind the leader's last durable LSN its ack
-// watermark sits.
-type FollowerLag struct {
-	// ID is the follower's member ID ("" for an anonymous follower).
-	ID string
-	// Acked is the highest LSN the follower has acknowledged as durable.
-	Acked uint64
-	// Lag is the leader's last LSN minus Acked (0 when caught up).
-	Lag uint64
-}
-
-// ReplicationScrape is the coordinator-group state an ORB exposes through
-// the orb-admin servant's "replication_stats" operation, wired in by the
-// group member with SetReplicationStatsProvider. Operators watch Term and
-// LastElectionMillis to spot churn, and Followers to spot a follower
-// the decision gate is waiting on.
-type ReplicationScrape struct {
-	// MemberID names the scraped member.
-	MemberID string
-	// Role is "leader" or "follower".
-	Role string
-	// Term is the member's durable term.
-	Term uint64
-	// TermLeader is the member that claimed the term.
-	TermLeader string
-	// LeaderID is the leader this member currently follows (its own ID
-	// while leading, "" while searching).
-	LeaderID string
-	// LastLSN is the member's last durable LSN.
-	LastLSN uint64
-	// Fenced reports whether the member's local appends are fenced off.
-	Fenced bool
-	// LastElectionMillis is when this member last won an election (Unix
-	// milliseconds, 0 for never).
-	LastElectionMillis int64
-	// Elections counts this member's election wins.
-	Elections uint64
-	// Followers is the per-follower ack lag, leader-side only, sorted by
-	// ID.
-	Followers []FollowerLag
-}
-
-// ReplicationStats scrapes the remote ORB's coordinator-group state. The
-// second return is false when the remote process hosts no replication
-// group.
-func (c *AdminClient) ReplicationStats(ctx context.Context) (ReplicationScrape, bool, error) {
-	body, err := c.orb.Invoke(ctx, c.ref, "replication_stats", nil)
-	if err != nil {
-		return ReplicationScrape{}, false, fmt.Errorf("admin replication_stats: %w", err)
-	}
-	d := cdr.NewDecoder(body)
-	ok := d.ReadBool()
-	var st ReplicationScrape
-	if ok {
-		st = decodeReplicationScrape(d)
-	}
-	if err := d.Err(); err != nil {
-		return ReplicationScrape{}, false, Systemf(CodeMarshal, "replication_stats reply: %v", err)
-	}
-	return st, ok, nil
-}
-
-func encodeReplicationScrape(e *cdr.Encoder, st ReplicationScrape) {
-	e.WriteString(st.MemberID)
-	e.WriteString(st.Role)
-	e.WriteUint64(st.Term)
-	e.WriteString(st.TermLeader)
-	e.WriteString(st.LeaderID)
-	e.WriteUint64(st.LastLSN)
-	e.WriteBool(st.Fenced)
-	e.WriteInt64(st.LastElectionMillis)
-	e.WriteUint64(st.Elections)
-	e.WriteUint32(uint32(len(st.Followers)))
-	for _, f := range st.Followers {
-		e.WriteString(f.ID)
-		e.WriteUint64(f.Acked)
-		e.WriteUint64(f.Lag)
-	}
-}
-
-func decodeReplicationScrape(d *cdr.Decoder) ReplicationScrape {
-	st := ReplicationScrape{
-		MemberID:           d.ReadString(),
-		Role:               d.ReadString(),
-		Term:               d.ReadUint64(),
-		TermLeader:         d.ReadString(),
-		LeaderID:           d.ReadString(),
-		LastLSN:            d.ReadUint64(),
-		Fenced:             d.ReadBool(),
-		LastElectionMillis: d.ReadInt64(),
-		Elections:          d.ReadUint64(),
-	}
-	n := d.ReadUint32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		st.Followers = append(st.Followers, FollowerLag{
-			ID:    d.ReadString(),
-			Acked: d.ReadUint64(),
-			Lag:   d.ReadUint64(),
-		})
-	}
-	return st
-}
-
-// RelayScrape is the relay plant-cache telemetry an ORB exposes through
-// the orb-admin servant's "relay_stats" operation, wired in by the
-// relay servant with SetRelayStatsProvider. Operators size the
-// membership cache from it: a high eviction rate with misses on the
-// deliver path means live trees are being evicted and re-planted.
-type RelayScrape struct {
-	// Plants gauges membership trees currently cached.
-	Plants uint32
-	// Capacity is the cache bound (entries).
-	Capacity uint32
-	// Hits totals deliver-path cache lookups that found their tree.
-	Hits uint64
-	// Misses totals deliver-path lookups that missed (forcing the
-	// coordinator to re-send the subtree).
-	Misses uint64
-	// Evictions totals cached trees evicted to admit new plants.
-	Evictions uint64
-}
-
-// RelayStats scrapes the remote ORB's relay plant-cache telemetry. The
-// second return is false when the remote process hosts no relay
-// servant.
-func (c *AdminClient) RelayStats(ctx context.Context) (RelayScrape, bool, error) {
-	body, err := c.orb.Invoke(ctx, c.ref, "relay_stats", nil)
-	if err != nil {
-		return RelayScrape{}, false, fmt.Errorf("admin relay_stats: %w", err)
-	}
-	d := cdr.NewDecoder(body)
-	ok := d.ReadBool()
-	var st RelayScrape
-	if ok {
-		st = decodeRelayScrape(d)
-	}
-	if err := d.Err(); err != nil {
-		return RelayScrape{}, false, Systemf(CodeMarshal, "relay_stats reply: %v", err)
-	}
-	return st, ok, nil
-}
-
-func encodeRelayScrape(e *cdr.Encoder, st RelayScrape) {
-	e.WriteUint32(st.Plants)
-	e.WriteUint32(st.Capacity)
-	e.WriteUint64(st.Hits)
-	e.WriteUint64(st.Misses)
-	e.WriteUint64(st.Evictions)
-}
-
-func decodeRelayScrape(d *cdr.Decoder) RelayScrape {
-	var st RelayScrape
-	st.Plants = d.ReadUint32()
-	st.Capacity = d.ReadUint32()
-	st.Hits = d.ReadUint64()
-	st.Misses = d.ReadUint64()
-	st.Evictions = d.ReadUint64()
-	return st
-}
-
-func encodeRecoveryScrape(e *cdr.Encoder, st RecoveryScrape) {
-	e.WriteUint64(st.Passes)
-	e.WriteUint64(st.DecisionsReplayed)
-	e.WriteUint64(st.ResourcesCommitted)
-	e.WriteUint64(st.ResourcesMissing)
-	e.WriteUint64(st.ResourcesFailed)
-	e.WriteUint64(st.HeuristicsRecorded)
-	e.WriteUint32(st.PendingDecisions)
-	e.WriteUint32(st.PendingHeuristics)
-}
-
-func decodeRecoveryScrape(d *cdr.Decoder) RecoveryScrape {
-	var st RecoveryScrape
-	st.Passes = d.ReadUint64()
-	st.DecisionsReplayed = d.ReadUint64()
-	st.ResourcesCommitted = d.ReadUint64()
-	st.ResourcesMissing = d.ReadUint64()
-	st.ResourcesFailed = d.ReadUint64()
-	st.HeuristicsRecorded = d.ReadUint64()
-	st.PendingDecisions = d.ReadUint32()
-	st.PendingHeuristics = d.ReadUint32()
-	return st
-}
-
-func encodeServerStats(e *cdr.Encoder, st ServerStats) {
-	e.WriteString(st.Endpoint)
-	e.WriteStringList(st.Endpoints)
-	e.WriteUint32(uint32(st.Conns))
-	e.WriteUint32(uint32(st.Inflight))
-	e.WriteUint32(uint32(st.Queued))
-	e.WriteUint64(st.Shed)
-	e.WriteUint64(st.Dispatched)
-	e.WriteUint32(uint32(st.MaxInflight))
-	e.WriteUint32(uint32(st.QueueDepth))
-	e.WriteInt64(int64(st.ShedAfter))
-	e.WriteUint32(uint32(st.ReservedSlots))
-	e.WriteUint32(uint32(st.PriorityInflight))
-	e.WriteUint64(st.PriorityDispatched)
-	e.WriteUint64(st.PriorityShed)
-}
-
-func decodeServerStats(d *cdr.Decoder) ServerStats {
-	st := ServerStats{Endpoint: d.ReadString()}
-	st.Endpoints = d.ReadStringList()
-	st.Conns = int(d.ReadUint32())
-	st.Inflight = int(d.ReadUint32())
-	st.Queued = int(d.ReadUint32())
-	st.Shed = d.ReadUint64()
-	st.Dispatched = d.ReadUint64()
-	st.MaxInflight = int(d.ReadUint32())
-	st.QueueDepth = int(d.ReadUint32())
-	st.ShedAfter = time.Duration(d.ReadInt64())
-	st.ReservedSlots = int(d.ReadUint32())
-	st.PriorityInflight = int(d.ReadUint32())
-	st.PriorityDispatched = d.ReadUint64()
-	st.PriorityShed = d.ReadUint64()
-	return st
-}
-
-func encodeEndpointStats(e *cdr.Encoder, st EndpointStats) {
-	e.WriteString(st.Endpoint)
-	e.WriteUint32(uint32(st.Conns))
-	e.WriteUint32(uint32(st.Pending))
-	e.WriteUint32(uint32(st.Dialing))
-	e.WriteUint32(uint32(st.Failures))
-	e.WriteBool(st.Down)
-	e.WriteUint32(uint32(st.Breaker))
-	e.WriteUint64(st.BreakerProbes)
-	e.WriteUint64(st.BreakerOpens)
-	e.WriteUint64(st.RetryExhausted)
-	e.WriteInt64(int64(st.RTT))
-}
-
-func decodeEndpointStats(d *cdr.Decoder) EndpointStats {
-	st := EndpointStats{Endpoint: d.ReadString()}
-	st.Conns = int(d.ReadUint32())
-	st.Pending = int(d.ReadUint32())
-	st.Dialing = int(d.ReadUint32())
-	st.Failures = int(d.ReadUint32())
-	st.Down = d.ReadBool()
-	st.Breaker = BreakerState(d.ReadUint32())
-	st.BreakerProbes = d.ReadUint64()
-	st.BreakerOpens = d.ReadUint64()
-	st.RetryExhausted = d.ReadUint64()
-	st.RTT = time.Duration(d.ReadInt64())
-	return st
 }

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 // TestAdminScrapeServerAndEndpointStats drives the whole admin surface
 // over the wire: a daemon with admission control serves the well-known
 // orb-admin key; a remote scraper reads its ServerStats, makes the daemon
-// dial a third node so it grows a client pool, then reads the daemon's
-// EndpointStats and pooled-endpoint list for that node.
+// dial a third node so it grows a client pool, then finds the daemon's
+// pooled endpoints and their stats among the scraped samples.
 func TestAdminScrapeServerAndEndpointStats(t *testing.T) {
 	ctx := context.Background()
 
@@ -67,22 +68,82 @@ func TestAdminScrapeServerAndEndpointStats(t *testing.T) {
 		t.Fatalf("Dispatched = %d after one regular call, want 1", st.Dispatched)
 	}
 
-	eps, err := admin.Endpoints(ctx)
-	if err != nil || len(eps) != 1 || eps[0] != peerEp {
-		t.Fatalf("pooled endpoints = %v err=%v, want [%s]", eps, err, peerEp)
+	ss, err := admin.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pooled []string
+	for _, s := range ss {
+		if s.Name == "orb.endpoint.conns" {
+			pooled = append(pooled, s.Label)
+		}
+	}
+	if len(pooled) != 1 || pooled[0] != peerEp {
+		t.Fatalf("pooled endpoints = %v, want [%s]", pooled, peerEp)
+	}
+	local, _ := daemon.EndpointStats(peerEp)
+	for _, f := range local.fields() {
+		if v, ok := ss.Get("orb.endpoint."+f.name, peerEp); !ok || v != f.get() {
+			t.Fatalf("scraped %s = %d (present %v), local EndpointStats %d", f.name, v, ok, f.get())
+		}
+	}
+	if conns, _ := ss.Get("orb.endpoint.conns", peerEp); conns == 0 {
+		t.Fatal("scraped pool has no live connection")
+	}
+	if down, _ := ss.Get("orb.endpoint.down", peerEp); down != 0 {
+		t.Fatal("scraped pool reports the peer down")
 	}
 
-	est, ok, err := admin.EndpointStats(ctx, peerEp)
-	if err != nil || !ok {
-		t.Fatalf("EndpointStats: ok=%v err=%v", ok, err)
+	// Miss case: no samples for an endpoint the daemon never dialed.
+	if _, ok := ss.Get("orb.endpoint.conns", "tcp:127.0.0.1:1"); ok {
+		t.Fatal("scrape reports a pool for an endpoint never dialed")
 	}
-	if est.Endpoint != peerEp || est.Conns == 0 || est.Down {
-		t.Fatalf("scraped endpoint stats = %+v, want a live healthy pool", est)
-	}
+}
 
-	// Miss case: no pool for an endpoint the daemon never dialed.
-	if _, ok, err := admin.EndpointStats(ctx, "tcp:127.0.0.1:1"); err != nil || ok {
-		t.Fatalf("EndpointStats miss: ok=%v err=%v, want reported miss", ok, err)
+// TestAdminScrapeBareORB pins what a scrape of an ORB hosting nothing
+// shows: no server samples (it is not listening, so ServerStats reports
+// false), and no recovery, relay or replication samples — an absent
+// source is absent samples, not an error.
+func TestAdminScrapeBareORB(t *testing.T) {
+	ctx := context.Background()
+	bare := New()
+	defer bare.Shutdown()
+	ServeAdmin(bare)
+	scraper := New()
+	defer scraper.Shutdown()
+	admin := NewAdminClient(scraper, AdminAt(bare.Endpoints()...))
+	ss, err := admin.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss) != 0 {
+		t.Fatalf("bare ORB scrape = %+v, want no samples", ss)
+	}
+	if _, ok, err := admin.ServerStats(ctx); ok || err != nil {
+		t.Fatalf("bare ORB ServerStats: ok=%v err=%v, want false/nil", ok, err)
+	}
+}
+
+// TestSetMetricsReplacesAndRemoves pins the one registration hook: a
+// source's samples are prefixed by its name, registering a name again
+// replaces the source instead of adding a copy, sources report in name
+// order, and a nil source is removed.
+func TestSetMetricsReplacesAndRemoves(t *testing.T) {
+	o := New()
+	defer o.Shutdown()
+	source := func(v int64) func(emit func(Sample)) {
+		return func(emit func(Sample)) { emit(Sample{Name: "v", Label: "x", Value: v}) }
+	}
+	o.SetMetrics("b", source(1))
+	o.SetMetrics("a", source(2))
+	o.SetMetrics("b", source(3))
+	want := Samples{{Name: "a.v", Label: "x", Value: 2}, {Name: "b.v", Label: "x", Value: 3}}
+	if got := o.Metrics(); !slices.Equal(got, want) {
+		t.Fatalf("samples = %+v, want %+v", got, want)
+	}
+	o.SetMetrics("a", nil)
+	if got := o.Metrics(); !slices.Equal(got, want[1:]) {
+		t.Fatalf("samples after removing a = %+v, want %+v", got, want[1:])
 	}
 }
 

@@ -775,11 +775,8 @@ func (o *ORB) EndpointStats(endpoint string) (EndpointStats, bool) {
 // successful call has been observed. Latency-aware relay-tree planning
 // feeds on it.
 func (o *ORB) EndpointRTT(endpoint string) time.Duration {
-	if !strings.HasPrefix(endpoint, "tcp:") {
-		endpoint = "tcp:" + endpoint
-	}
 	o.connMu.Lock()
-	p, ok := o.pools[endpoint]
+	p, ok := o.pools[canonicalEndpoint(endpoint)]
 	o.connMu.Unlock()
 	if !ok {
 		return 0

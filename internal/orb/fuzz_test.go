@@ -1,6 +1,8 @@
 package orb
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,6 +84,35 @@ func FuzzDecodeIOR(f *testing.F) {
 		got := DecodeIOR(cdr.NewDecoder(e.Bytes()))
 		if !got.Equal(ref) {
 			t.Fatalf("accepted reference not canonical:\n in: %+v\nout: %+v", ref, got)
+		}
+	})
+}
+
+// FuzzDecodeSamples throws arbitrary bytes at the metrics reply decoder:
+// it may reject them, but must never panic, must refuse a count the
+// remaining bytes cannot hold before allocating for it, and whatever it
+// accepts must re-encode and decode to the same samples.
+func FuzzDecodeSamples(f *testing.F) {
+	f.Add(encodeSamples(nil))
+	f.Add(encodeSamples(Samples{{Name: "orb.server.conns", Value: 3}}))
+	f.Add(encodeSamples(Samples{{Name: "replication.follower_lag", Label: "b", Value: 2}, {Name: "x", Value: -1}}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})          // hostile count, no body
+	f.Add([]byte{0, 0x10, 0, 0, 0, 0, 0, 1, 0, 0}) // a million samples claimed in six bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ss, err := decodeSamples(data)
+		if len(data) >= 4 {
+			n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
+			if n > (len(data)-4)/minSampleBytes && !errors.Is(err, cdr.ErrTooLong) {
+				t.Fatalf("count %d in %d bytes: err = %v, want ErrTooLong before any allocation", n, len(data), err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeSamples(encodeSamples(ss))
+		if err != nil || !slices.Equal(again, ss) {
+			t.Fatalf("accepted samples not canonical:\n in: %+v\nout: %+v (%v)", ss, again, err)
 		}
 	})
 }

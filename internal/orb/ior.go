@@ -45,15 +45,21 @@ var ErrBadIOR = errors.New("orb: malformed IOR")
 func NewIOR(typeID, key string, endpoints ...string) IOR {
 	r := IOR{TypeID: typeID, Key: key}
 	for _, ep := range endpoints {
-		if ep == "" {
-			continue
+		if ep != "" {
+			r.Profiles = append(r.Profiles, Profile{Endpoint: canonicalEndpoint(ep)})
 		}
-		if !strings.HasPrefix(ep, "tcp:") && !strings.HasPrefix(ep, "inproc:") {
-			ep = "tcp:" + ep
-		}
-		r.Profiles = append(r.Profiles, Profile{Endpoint: ep})
 	}
 	return r
+}
+
+// canonicalEndpoint gives an endpoint the scheme the invoke path routes
+// on: "tcp:" and "inproc:" endpoints pass through, and a bare host:port
+// becomes "tcp:host:port".
+func canonicalEndpoint(ep string) string {
+	if strings.HasPrefix(ep, "tcp:") || strings.HasPrefix(ep, "inproc:") {
+		return ep
+	}
+	return "tcp:" + ep
 }
 
 // IsZero reports whether the IOR is the zero reference (a "nil objref").

@@ -52,10 +52,11 @@
 // (WithMaxInflight, WithAdmissionQueue): a bounded number of concurrent
 // dispatches plus a bounded, deadline-aware wait queue shared by every
 // listener, with the excess shed fast as TRANSIENT instead of piling up
-// goroutines behind a slow servant; ServerStats exposes the gauges, and
-// the well-known orb-admin servant (admin.go) exports both stats
-// surfaces to remote scrape tooling. See docs/ARCHITECTURE.md for the
-// failure-semantics table tying the mechanisms together.
+// goroutines behind a slow servant; ServerStats exposes the gauges. The
+// well-known orb-admin servant (admin.go) answers one "metrics" scrape:
+// both stats surfaces and every SetMetrics source as a list of named
+// samples. See docs/ARCHITECTURE.md for the failure-semantics table tying
+// the mechanisms together.
 package orb
 
 import (
@@ -166,13 +167,7 @@ type ORB struct {
 	bound      []string // "tcp:host:port" per listener, in Listen order
 	advertised []string // endpoints minted into IORs instead of bound
 	shutdown   bool
-	recoveryFn func() (RecoveryScrape, bool)    // feeds the recovery_stats scrape
-	relayFn    func() (RelayScrape, bool)       // feeds the relay_stats scrape
-	replFn     func() (ReplicationScrape, bool) // feeds the replication_stats scrape
-	// shardAdminFn handles the "shard_*" operations the admin servant
-	// forwards (see SetShardAdminHandler); nil when this process hosts
-	// no shard-map authority.
-	shardAdminFn func(ctx context.Context, op string, in *cdr.Decoder) ([]byte, error)
+	metrics    map[string]func(emit func(Sample)) // SetMetrics sources, by name
 
 	srvs []*server
 	adm  *admission // shared by every listener; nil = unbounded dispatch
@@ -226,13 +221,9 @@ func WithTransport(t Transport) ORBOption {
 func WithAdvertised(endpoints ...string) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
 		for _, ep := range endpoints {
-			if ep == "" {
-				continue
+			if ep != "" {
+				o.advertised = append(o.advertised, canonicalEndpoint(ep))
 			}
-			if !strings.HasPrefix(ep, "tcp:") && !strings.HasPrefix(ep, "inproc:") {
-				ep = "tcp:" + ep
-			}
-			o.advertised = append(o.advertised, ep)
 		}
 	})
 }
@@ -406,54 +397,20 @@ func WithPriorityOps(n int, ops ...string) ORBOption {
 	})
 }
 
-// SetRecoveryStatsProvider wires a recovery-status source (typically the
-// hosted transaction service) into the orb-admin scrape: the admin
-// servant's "recovery_stats" operation calls fn on every scrape. fn must
-// be safe for concurrent use; a nil fn (or one returning ok=false) makes
-// the scrape report that no recovery surface is hosted.
-func (o *ORB) SetRecoveryStatsProvider(fn func() (RecoveryScrape, bool)) {
+// SetMetrics registers fn as the metrics source called name: every
+// Metrics collection (and so every orb-admin "metrics" scrape) calls fn,
+// and each sample it emits is named "<name>.<sample name>". A second call
+// under the same name replaces the source — a service re-hosted after a
+// takeover reports once, not twice — and a nil fn removes it. fn must be
+// safe for concurrent use; it runs without ORB locks held.
+func (o *ORB) SetMetrics(name string, fn func(emit func(Sample))) {
 	o.mu.Lock()
-	o.recoveryFn = fn
-	o.mu.Unlock()
-}
-
-// SetRelayStatsProvider wires a relay plant-cache telemetry source (the
-// relay servant, when one is hosted) into the orb-admin scrape: the
-// admin servant's "relay_stats" operation calls fn on every scrape. fn
-// must be safe for concurrent use; a nil fn (or one returning ok=false)
-// makes the scrape report that no relay is hosted.
-func (o *ORB) SetRelayStatsProvider(fn func() (RelayScrape, bool)) {
-	o.mu.Lock()
-	o.relayFn = fn
-	o.mu.Unlock()
-}
-
-// SetReplicationStatsProvider wires a coordinator-group state source (the
-// replication group member, when one is hosted) into the orb-admin
-// scrape: the admin servant's "replication_stats" operation calls fn on
-// every scrape. fn must be safe for concurrent use; a nil fn (or one
-// returning ok=false) makes the scrape report that no replication group
-// is hosted.
-func (o *ORB) SetReplicationStatsProvider(fn func() (ReplicationScrape, bool)) {
-	o.mu.Lock()
-	o.replFn = fn
-	o.mu.Unlock()
-}
-
-// SetShardAdminHandler wires a shard-map authority (hosted by
-// internal/remote beside the naming service) into the orb-admin
-// servant: every "shard_"-prefixed operation the admin servant receives
-// is forwarded to fn, so cluster operators drive resharding —
-// shard_add, shard_drain, shard_remove, shard_fetch — through the same
-// well-known orb-admin reference they already scrape. fn must be safe
-// for concurrent use; while no handler is set the admin servant answers
-// shard verbs with NO_IMPLEMENT. The indirection keeps this package
-// free of any dependency on the shard-map encoding (internal/cluster),
-// mirroring SetRecoveryStatsProvider.
-func (o *ORB) SetShardAdminHandler(fn func(ctx context.Context, op string, in *cdr.Decoder) ([]byte, error)) {
-	o.mu.Lock()
-	o.shardAdminFn = fn
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	if fn == nil {
+		delete(o.metrics, name)
+		return
+	}
+	o.metrics[name] = fn
 }
 
 // New returns a running ORB (in-process only until Listen is called).
@@ -469,6 +426,7 @@ func New(opts ...ORBOption) *ORB {
 		backoffMin:  defaultBackoffMin,
 		backoffMax:  defaultBackoffMax,
 		servants:    make(map[string]servantEntry),
+		metrics:     make(map[string]func(emit func(Sample))),
 		pools:       make(map[string]*endpointPool),
 	}
 	for _, opt := range opts {

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,8 +149,9 @@ func TestPriorityReserveClampedToLeaveSharedSlot(t *testing.T) {
 	}
 }
 
-// TestServerStatsPriorityFieldsRoundTrip pins the extended wire encoding
-// of ServerStats (fields appended for mixed-fleet compatibility).
+// TestServerStatsPriorityFieldsRoundTrip pins that every ServerStats
+// field, the priority ones included, survives the trip through samples
+// that AdminClient.ServerStats decodes.
 func TestServerStatsPriorityFieldsRoundTrip(t *testing.T) {
 	in := ServerStats{
 		Endpoint:           "tcp:127.0.0.1:1",
@@ -167,15 +169,11 @@ func TestServerStatsPriorityFieldsRoundTrip(t *testing.T) {
 		PriorityDispatched: 5,
 		PriorityShed:       1,
 	}
-	e := cdr.NewEncoder(128)
-	encodeServerStats(e, in)
-	d := cdr.NewDecoder(e.Bytes())
-	out := decodeServerStats(d)
-	if err := d.Err(); err != nil {
+	ss, err := decodeSamples(encodeSamples(in.appendSamples(nil)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ReservedSlots != in.ReservedSlots || out.PriorityInflight != in.PriorityInflight ||
-		out.PriorityDispatched != in.PriorityDispatched || out.PriorityShed != in.PriorityShed {
+	if out, ok := serverStatsFrom(ss); !ok || !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -126,8 +128,9 @@ type GroupMember struct {
 }
 
 // NewGroupMember registers the group-aware replication servant for log on
-// o and returns the member, initially a follower. Call Promote to boot it
-// as the group's first leader, Run to stream/elect.
+// o and the member's group state as o's "replication" metrics source. It
+// returns the member, initially a follower. Call Promote to boot it as the
+// group's first leader, Run to stream/elect.
 func NewGroupMember(o *orb.ORB, log *wal.Log, cfg GroupConfig) *GroupMember {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 2 * time.Second
@@ -153,6 +156,7 @@ func NewGroupMember(o *orb.ORB, log *wal.Log, cfg GroupConfig) *GroupMember {
 		repoint:   make(chan struct{}),
 	}
 	o.RegisterServantWithKey(ReplicationKey, ReplicationTypeID, &replicationServant{g: g})
+	o.SetMetrics("replication", g.metrics)
 	return g
 }
 
@@ -521,49 +525,45 @@ func (g *GroupMember) DecisionGate(interval time.Duration) func(lsn uint64) erro
 	return g.primary.DecisionGateN(g.quorum()-1, interval)
 }
 
-// Scrape reports the member's group state for the orb-admin surface.
-func (g *GroupMember) Scrape() orb.ReplicationScrape {
+// metrics emits the member's group state, its "replication" metrics
+// source: identity, role, term and leaders as info samples, the durable
+// position and fence, election history, and — while leading — each
+// follower's ack watermark and lag behind the last durable LSN.
+func (g *GroupMember) metrics(emit func(orb.Sample)) {
 	g.mu.Lock()
-	role := g.role
-	leaderID := g.leaderID
-	lastElection := int64(0)
+	role, leaderID, elections := g.role, g.leaderID, g.elections
+	var lastElection int64 // Unix nanoseconds, 0 for never
 	if !g.lastElection.IsZero() {
-		lastElection = g.lastElection.UnixMilli()
+		lastElection = g.lastElection.UnixNano()
 	}
-	elections := g.elections
 	g.mu.Unlock()
 	ts := g.log.TermState()
 	last := g.log.LastLSN()
-	sc := orb.ReplicationScrape{
-		MemberID:           g.cfg.MemberID,
-		Role:               role.String(),
-		Term:               ts.Term,
-		TermLeader:         ts.Leader,
-		LeaderID:           leaderID,
-		LastLSN:            last,
-		Fenced:             ts.Fenced,
-		LastElectionMillis: lastElection,
-		Elections:          elections,
+	var fenced int64
+	if ts.Fenced {
+		fenced = 1
 	}
-	if role == RoleLeader {
-		for id, acked := range g.primary.FollowerAcks() {
-			lag := uint64(0)
-			if last > acked {
-				lag = last - acked
-			}
-			sc.Followers = append(sc.Followers, orb.FollowerLag{ID: id, Acked: acked, Lag: lag})
-		}
-		sort.Slice(sc.Followers, func(i, j int) bool { return sc.Followers[i].ID < sc.Followers[j].ID })
+	for _, s := range []orb.Sample{
+		{Name: "member", Label: g.cfg.MemberID, Value: 1},
+		{Name: "role", Label: role.String(), Value: 1},
+		{Name: "term", Value: int64(ts.Term)},
+		{Name: "term_leader", Label: ts.Leader, Value: 1},
+		{Name: "leader", Label: leaderID, Value: 1},
+		{Name: "last_lsn", Value: int64(last)},
+		{Name: "fenced", Value: fenced},
+		{Name: "last_election_ns", Value: lastElection},
+		{Name: "elections", Value: int64(elections)},
+	} {
+		emit(s)
 	}
-	return sc
-}
-
-// InstallAdminScrape wires this member's group state into o's orb-admin
-// servant (the "replication_stats" verb).
-func (g *GroupMember) InstallAdminScrape() {
-	g.o.SetReplicationStatsProvider(func() (orb.ReplicationScrape, bool) {
-		return g.Scrape(), true
-	})
+	if role != RoleLeader {
+		return
+	}
+	acks := g.primary.FollowerAcks()
+	for _, id := range slices.Sorted(maps.Keys(acks)) {
+		emit(orb.Sample{Name: "follower_acked", Label: id, Value: int64(acks[id])})
+		emit(orb.Sample{Name: "follower_lag", Label: id, Value: int64(last - min(last, acks[id]))})
+	}
 }
 
 // ReplState is a decoded repl_state reply: the peer's stream position and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,35 +168,128 @@ func TestElectionHighestLSNWins(t *testing.T) {
 		t.Fatalf("loser follows %q, want b", id)
 	}
 
-	// The admin scrape reports the group state from both sides.
-	sc := b.g.Scrape()
-	if sc.Role != "leader" || sc.Term != 1 || sc.MemberID != "b" {
-		t.Fatalf("leader scrape = %+v", sc)
+	// The replication metrics report the group state from both sides.
+	ss := bORB.Metrics()
+	_, leading := ss.Get("replication.role", "leader")
+	_, isB := ss.Get("replication.member", "b")
+	if term, _ := ss.Get("replication.term", ""); !leading || !isB || term != 1 {
+		t.Fatalf("leader metrics = %+v", ss)
 	}
-	waitFollowerAck(t, b.g, "c", 6)
-	if sc := c.g.Scrape(); sc.Role != "follower" || sc.LeaderID != "b" {
-		t.Fatalf("follower scrape = %+v", sc)
+	waitFollowerAck(t, bORB, "c", 6)
+	ss = cORB.Metrics()
+	_, following := ss.Get("replication.role", "follower")
+	if _, followsB := ss.Get("replication.leader", "b"); !following || !followsB {
+		t.Fatalf("follower metrics = %+v", ss)
 	}
 }
 
-// waitFollowerAck blocks until the leader's scrape shows follower id
-// acked through lsn.
-func waitFollowerAck(t *testing.T, g *GroupMember, id string, lsn uint64) {
+// waitFollowerAck blocks until the leader's replication metrics show
+// follower id acked through lsn, with a lag consistent with its last LSN.
+func waitFollowerAck(t *testing.T, leader *orb.ORB, id string, lsn uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		for _, f := range g.Scrape().Followers {
-			if f.ID == id && f.Acked >= lsn {
-				if f.Lag != g.Scrape().LastLSN-f.Acked {
-					t.Fatalf("follower %s lag %d inconsistent with acked %d", id, f.Lag, f.Acked)
-				}
-				return
+		ss := leader.Metrics()
+		if acked, ok := ss.Get("replication.follower_acked", id); ok && uint64(acked) >= lsn {
+			lag, _ := ss.Get("replication.follower_lag", id)
+			if last, _ := ss.Get("replication.last_lsn", ""); lag != last-acked {
+				t.Fatalf("follower %s lag %d inconsistent with acked %d of %d", id, lag, acked, last)
 			}
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leader scrape never showed %s acked %d: %+v", id, lsn, g.Scrape().Followers)
+			t.Fatalf("leader metrics never showed %s acked %d: %+v", id, lsn, ss)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestGroupMetricsScrape scrapes a live three-member group over the wire:
+// the leader's and a follower's orb-admin "metrics" replies carry role,
+// term, leader, fence and — on the leader only — each follower's ack and
+// lag, which drops to 0 once the followers hold its whole log.
+func TestGroupMetricsScrape(t *testing.T) {
+	ctx := context.Background()
+	var orbs [3]*orb.ORB
+	var eps [3][]string
+	for i := range orbs {
+		orbs[i], eps[i] = listenORB(t)
+		orb.ServeAdmin(orbs[i])
+	}
+	ids := [3]string{"a", "b", "c"}
+	members := make([]*testMember, 3)
+	for i := range members {
+		var peers []string
+		for j := range eps {
+			if j != i {
+				peers = append(peers, eps[j][0])
+			}
+		}
+		log := wal.NewMemory()
+		members[i] = &testMember{o: orbs[i], log: log, eps: eps[i]}
+		members[i].g = NewGroupMember(orbs[i], log, GroupConfig{
+			MemberID: ids[i], Peers: peers, // followers find the leader by polling
+			Poll: 50 * time.Millisecond, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+		})
+	}
+	leader := members[0]
+	if err := leader.g.Promote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	members[1].start(t)
+	members[2].start(t)
+	lsn, err := leader.log.Append(wal.Kind(7), []byte("decision"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerAck(t, leader.o, "b", lsn)
+	waitFollowerAck(t, leader.o, "c", lsn)
+
+	scraper := orb.New()
+	t.Cleanup(scraper.Shutdown)
+	scrape := func(m *testMember) orb.Samples {
+		t.Helper()
+		ss, err := orb.NewAdminClient(scraper, orb.AdminAt(m.eps...)).Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	want := func(ss orb.Samples, name, label string, v int64) {
+		t.Helper()
+		if got, ok := ss.Get(name, label); !ok || got != v {
+			t.Fatalf("%s{%s} = %d (present %v), want %d in %+v", name, label, got, ok, v, ss)
+		}
+	}
+
+	ss := scrape(leader)
+	want(ss, "replication.member", "a", 1)
+	want(ss, "replication.role", "leader", 1)
+	want(ss, "replication.term", "", 1)
+	want(ss, "replication.term_leader", "a", 1)
+	want(ss, "replication.leader", "a", 1)
+	want(ss, "replication.fenced", "", 0)
+	want(ss, "replication.last_lsn", "", int64(lsn))
+	want(ss, "replication.elections", "", 1)
+	for _, id := range []string{"b", "c"} {
+		want(ss, "replication.follower_acked", id, int64(lsn))
+		want(ss, "replication.follower_lag", id, 0)
+	}
+	if at, _ := ss.Get("replication.last_election_ns", ""); at == 0 {
+		t.Fatal("leader reports no election time")
+	}
+
+	ss = scrape(members[1])
+	want(ss, "replication.member", "b", 1)
+	want(ss, "replication.role", "follower", 1)
+	want(ss, "replication.term", "", 1)
+	want(ss, "replication.leader", "a", 1)
+	want(ss, "replication.fenced", "", 0)
+	want(ss, "replication.elections", "", 0)
+	for _, s := range ss {
+		if strings.HasPrefix(s.Name, "replication.follower_") {
+			t.Fatalf("follower reports follower samples: %+v", s)
+		}
 	}
 }
 

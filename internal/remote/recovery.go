@@ -3,7 +3,6 @@ package remote
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/orb"
@@ -27,31 +26,35 @@ const (
 
 // recoveryServant exposes a coordinator's ots.Service recovery surface
 // over the ORB: replay_completion for restarted participants asking their
-// outcome, and recover/totals for operational tooling driving or watching
-// recovery. The completion and recovery verbs belong to the priority
-// admission class (orb.DefaultPriorityOps), so they stay answerable under
-// the overload that strands transactions in doubt in the first place.
+// outcome, and recover for operational tooling driving recovery (its
+// totals are the "recovery" metrics source). The completion and recovery
+// verbs belong to the priority admission class (orb.DefaultPriorityOps),
+// so they stay answerable under the overload that strands transactions in
+// doubt in the first place.
 type recoveryServant struct {
 	svc *ots.Service
 }
 
 // ServeRecovery activates the recovery servant for svc on o under
-// RecoveryKey and wires svc's recovery totals into o's orb-admin scrape.
-// It returns the servant's reference; RecoveryAt rebuilds the same
-// reference from endpoints alone.
+// RecoveryKey and registers svc's recovery totals as o's "recovery"
+// metrics source (replacing any earlier one, so a takeover's re-hosted
+// service reports once). It returns the servant's reference; RecoveryAt
+// rebuilds the same reference from endpoints alone.
 func ServeRecovery(o *orb.ORB, svc *ots.Service) orb.IOR {
-	o.SetRecoveryStatsProvider(func() (orb.RecoveryScrape, bool) {
+	o.SetMetrics("recovery", func(emit func(orb.Sample)) {
 		t := svc.RecoveryTotals()
-		return orb.RecoveryScrape{
-			Passes:             t.Passes,
-			DecisionsReplayed:  t.DecisionsReplayed,
-			ResourcesCommitted: t.ResourcesCommitted,
-			ResourcesMissing:   t.ResourcesMissing,
-			ResourcesFailed:    t.ResourcesFailed,
-			HeuristicsRecorded: t.HeuristicsRecorded,
-			PendingDecisions:   uint32(t.PendingDecisions),
-			PendingHeuristics:  uint32(t.PendingHeuristics),
-		}, true
+		for _, s := range []orb.Sample{
+			{Name: "passes", Value: int64(t.Passes)},
+			{Name: "decisions_replayed", Value: int64(t.DecisionsReplayed)},
+			{Name: "resources_committed", Value: int64(t.ResourcesCommitted)},
+			{Name: "resources_missing", Value: int64(t.ResourcesMissing)},
+			{Name: "resources_failed", Value: int64(t.ResourcesFailed)},
+			{Name: "heuristics_recorded", Value: int64(t.HeuristicsRecorded)},
+			{Name: "pending_decisions", Value: int64(t.PendingDecisions)},
+			{Name: "pending_heuristics", Value: int64(t.PendingHeuristics)},
+		} {
+			emit(s)
+		}
 	})
 	return o.RegisterServantWithKey(RecoveryKey, RecoveryTypeID, &recoveryServant{svc: svc})
 }
@@ -82,18 +85,6 @@ func (s *recoveryServant) Dispatch(_ context.Context, op string, in *cdr.Decoder
 		e.WriteUint32(uint32(stats.ResourcesMissing))
 		e.WriteUint32(uint32(stats.ResourcesFailed))
 		e.WriteUint32(uint32(stats.ResourcesHeuristic))
-		return e.Bytes(), nil
-	case "totals":
-		t := s.svc.RecoveryTotals()
-		e := cdr.NewEncoder(64)
-		e.WriteUint64(t.Passes)
-		e.WriteUint64(t.DecisionsReplayed)
-		e.WriteUint64(t.ResourcesCommitted)
-		e.WriteUint64(t.ResourcesMissing)
-		e.WriteUint64(t.ResourcesFailed)
-		e.WriteUint64(t.HeuristicsRecorded)
-		e.WriteUint32(uint32(t.PendingDecisions))
-		e.WriteUint32(uint32(t.PendingHeuristics))
 		return e.Bytes(), nil
 	default:
 		return nil, orb.Systemf(orb.CodeBadOperation, "RecoveryCoordinator has no operation %q", op)
@@ -161,26 +152,9 @@ func NewRecoveryClient(o *orb.ORB, ref orb.IOR) *RecoveryClient {
 // RecoveryAt builds the IOR of the well-known recovery servant reachable
 // at the given endpoints (profiles, in preference order). Bare host:port
 // addresses — flag values, config entries — are accepted alongside the
-// "tcp:host:port" form ORB.Endpoints reports.
+// "tcp:host:port" and "inproc:" forms ORB.Endpoints reports.
 func RecoveryAt(endpoints ...string) orb.IOR {
-	return orb.NewIOR(RecoveryTypeID, RecoveryKey, normalizeEndpoints(endpoints)...)
-}
-
-// normalizeEndpoints prefixes bare host:port addresses with the "tcp:"
-// scheme the client dial path requires; endpoints already carrying it
-// pass through unchanged. A profile without the scheme is silently
-// undialable, which turns a typo'd -standby flag into an instant
-// spurious "primary lost" — normalizing here makes flag values and
-// ORB.Endpoints output interchangeable.
-func normalizeEndpoints(endpoints []string) []string {
-	out := make([]string, 0, len(endpoints))
-	for _, ep := range endpoints {
-		if ep != "" && !strings.HasPrefix(ep, "tcp:") {
-			ep = "tcp:" + ep
-		}
-		out = append(out, ep)
-	}
-	return out
+	return orb.NewIOR(RecoveryTypeID, RecoveryKey, endpoints...)
 }
 
 // ReplayCompletion asks the coordinator for the outcome of the
@@ -222,27 +196,4 @@ func (c *RecoveryClient) Recover(ctx context.Context) (ots.RecoveryStats, error)
 		return ots.RecoveryStats{}, orb.Systemf(orb.CodeMarshal, "recover reply: %v", err)
 	}
 	return stats, nil
-}
-
-// Totals scrapes the coordinator's lifetime recovery totals and pending
-// gauges (the same figures the orb-admin recovery_stats scrape reports).
-func (c *RecoveryClient) Totals(ctx context.Context) (ots.RecoveryTotals, error) {
-	var t ots.RecoveryTotals
-	body, err := c.orb.Invoke(ctx, c.ref, "totals", nil)
-	if err != nil {
-		return t, fmt.Errorf("recovery totals: %w", err)
-	}
-	d := cdr.NewDecoder(body)
-	t.Passes = d.ReadUint64()
-	t.DecisionsReplayed = d.ReadUint64()
-	t.ResourcesCommitted = d.ReadUint64()
-	t.ResourcesMissing = d.ReadUint64()
-	t.ResourcesFailed = d.ReadUint64()
-	t.HeuristicsRecorded = d.ReadUint64()
-	t.PendingDecisions = int(d.ReadUint32())
-	t.PendingHeuristics = int(d.ReadUint32())
-	if err := d.Err(); err != nil {
-		return ots.RecoveryTotals{}, orb.Systemf(orb.CodeMarshal, "totals reply: %v", err)
-	}
-	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,7 @@ func TestRemoteRecoverVerbRedelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	recoveryRef := ServeRecovery(coordORB2, svc2)
+	orb.ServeAdmin(coordORB2)
 	if _, err := coordORB2.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +155,15 @@ func TestRemoteRecoverVerbRedelivers(t *testing.T) {
 	if a.State() != "committed" || b.State() != "committed" {
 		t.Fatalf("participants = %s / %s", a.State(), b.State())
 	}
-	totals, err := rc.Totals(ctx)
+	ss, err := orb.NewAdminClient(toolORB, orb.AdminAt(coordORB2.Endpoints()...)).Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if totals.Passes != 1 || totals.ResourcesCommitted != 2 || totals.PendingDecisions != 0 {
-		t.Fatalf("totals = %+v", totals)
+	passes, _ := ss.Get("recovery.passes", "")
+	committed, _ := ss.Get("recovery.resources_committed", "")
+	pending, ok := ss.Get("recovery.pending_decisions", "")
+	if passes != 1 || committed != 2 || !ok || pending != 0 {
+		t.Fatalf("recovery metrics = %+v", ss)
 	}
 }
 
@@ -199,6 +204,8 @@ func TestRemoteHeuristicCrossesWire(t *testing.T) {
 	}
 }
 
+// TestAdminRecoveryStatsScrape reads a coordinator's recovery totals as
+// the "recovery" samples of an orb-admin scrape.
 func TestAdminRecoveryStatsScrape(t *testing.T) {
 	coordORB := orb.New()
 	t.Cleanup(coordORB.Shutdown)
@@ -225,30 +232,78 @@ func TestAdminRecoveryStatsScrape(t *testing.T) {
 	clientORB := orb.New()
 	t.Cleanup(clientORB.Shutdown)
 	admin := orb.NewAdminClient(clientORB, orb.AdminAt(coordORB.Endpoints()...))
-	scrape, ok, err := admin.RecoveryStats(context.Background())
+	ss, err := admin.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("recovery_stats reported no recovery surface")
-	}
-	if scrape.Passes != 1 || scrape.PendingDecisions != 0 || scrape.PendingHeuristics != 0 {
-		t.Fatalf("scrape = %+v", scrape)
+	for name, want := range map[string]int64{
+		"recovery.passes": 1, "recovery.decisions_replayed": 0,
+		"recovery.pending_decisions": 0, "recovery.pending_heuristics": 0,
+	} {
+		if got, ok := ss.Get(name, ""); !ok || got != want {
+			t.Fatalf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
 
-	// An ORB without a provider answers ok=false, not an error.
+	// A second service hosted on the same ORB (a takeover re-hosting
+	// recovery) replaces the source: one set of recovery samples, the new
+	// service's.
+	ServeRecovery(coordORB, ots.NewService(ots.WithLog(wal.NewMemory())))
+	ss, err = admin.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, s := range ss {
+		if s.Name == "recovery.passes" {
+			n++
+		}
+	}
+	if passes, _ := ss.Get("recovery.passes", ""); n != 1 || passes != 0 {
+		t.Fatalf("after re-hosting: %d recovery.passes samples, first %d; want one, 0", n, passes)
+	}
+
+	// An ORB hosting no recovery answers without recovery samples, not an
+	// error.
 	bareORB := orb.New()
 	t.Cleanup(bareORB.Shutdown)
 	orb.ServeAdmin(bareORB)
 	if _, err := bareORB.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	bareAdmin := orb.NewAdminClient(clientORB, orb.AdminAt(bareORB.Endpoints()...))
-	_, ok, err = bareAdmin.RecoveryStats(context.Background())
+	ss, err = orb.NewAdminClient(clientORB, orb.AdminAt(bareORB.Endpoints()...)).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("bare ORB claimed a recovery surface")
+	for _, s := range ss {
+		if strings.HasPrefix(s.Name, "recovery.") {
+			t.Fatalf("bare ORB reports recovery sample %+v", s)
+		}
+	}
+}
+
+// TestRecoveryAndReplicationAtInproc reaches the well-known recovery and
+// replication servants of an ORB that is not listening, through the
+// references RecoveryAt and ReplicationAt build from its "inproc:"
+// endpoint — the same way AdminAt already worked.
+func TestRecoveryAndReplicationAtInproc(t *testing.T) {
+	ctx := context.Background()
+	host := orb.New()
+	t.Cleanup(host.Shutdown)
+	ServeRecovery(host, ots.NewService(ots.WithLog(wal.NewMemory())))
+	NewGroupMember(host, seedLog(t, 2), GroupConfig{MemberID: "m"})
+	client := orb.New()
+	t.Cleanup(client.Shutdown)
+
+	rc := NewRecoveryClient(client, RecoveryAt(host.Endpoints()...))
+	if st, err := rc.ReplayCompletion(ctx, "never-prepared"); err != nil || st != ots.StatusRolledBack {
+		t.Fatalf("in-process replay_completion = %s, %v; want rolled back (presumed abort)", st, err)
+	}
+	st, err := FetchReplState(ctx, client, host.Endpoints()[0])
+	if err != nil {
+		t.Fatalf("in-process repl_state: %v", err)
+	}
+	if st.MemberID != "m" || st.NextLSN != 3 {
+		t.Fatalf("in-process repl_state = %+v, want member m at next LSN 3", st)
 	}
 }

@@ -278,8 +278,8 @@ func plantIDOf(membership []byte) string {
 type relayServant struct {
 	o *orb.ORB
 
-	// Plant-cache telemetry, exposed through the orb-admin "relay_stats"
-	// scrape so operators can size relayPlantCacheCap: sustained
+	// Plant-cache telemetry, the "relay" metrics source, so operators
+	// can size relayPlantCacheCap: sustained
 	// evictions paired with ref-batch misses mean live trees are being
 	// pushed out and re-planted every round.
 	hits      atomic.Uint64
@@ -293,29 +293,27 @@ type relayServant struct {
 
 // ServeRelay activates the relay servant on o under RelayKey and returns
 // its reference. Call it once per ORB that should act as an interior node
-// of relay trees. The servant also wires its plant-cache telemetry into
-// o's orb-admin scrape (the "relay_stats" operation).
+// of relay trees. The servant also registers its plant-cache telemetry as
+// o's "relay" metrics source.
 func ServeRelay(o *orb.ORB) orb.IOR {
 	s := &relayServant{
 		o:      o,
 		plants: make(map[string]*relayNode),
 	}
-	o.SetRelayStatsProvider(s.scrape)
+	o.SetMetrics("relay", s.metrics)
 	return o.RegisterServantWithKey(RelayKey, RelayTypeID, s)
 }
 
-// scrape snapshots the plant-cache telemetry for the orb-admin servant.
-func (s *relayServant) scrape() (orb.RelayScrape, bool) {
+// metrics emits the plant-cache telemetry.
+func (s *relayServant) metrics(emit func(orb.Sample)) {
 	s.mu.Lock()
 	n := len(s.plants)
 	s.mu.Unlock()
-	return orb.RelayScrape{
-		Plants:    uint32(n),
-		Capacity:  relayPlantCacheCap,
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Evictions: s.evictions.Load(),
-	}, true
+	emit(orb.Sample{Name: "plants", Value: int64(n)})
+	emit(orb.Sample{Name: "capacity", Value: relayPlantCacheCap})
+	emit(orb.Sample{Name: "hits", Value: int64(s.hits.Load())})
+	emit(orb.Sample{Name: "misses", Value: int64(s.misses.Load())})
+	emit(orb.Sample{Name: "evictions", Value: int64(s.evictions.Load())})
 }
 
 // plant stores a membership under its id, evicting least-recently-used

@@ -382,10 +382,10 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 	})
 }
 
-// TestRelayPlantCacheTelemetry pins the plant-cache counters the
-// orb-admin "relay_stats" scrape exposes: ref-batch rounds count hits,
-// a forged unknown ref counts a miss, and overflow past the cap counts
-// evictions — all visible through an AdminClient scrape over the ORB.
+// TestRelayPlantCacheTelemetry pins the plant-cache counters the "relay"
+// metrics source reports: ref-batch rounds count hits, a forged unknown
+// ref counts a miss, and overflow past the cap counts evictions — all
+// visible through an orb-admin scrape over the ORB.
 func TestRelayPlantCacheTelemetry(t *testing.T) {
 	fx := newRelayFixture(t)
 	ctx := context.Background()
@@ -404,15 +404,23 @@ func TestRelayPlantCacheTelemetry(t *testing.T) {
 	}
 
 	admin := orb.NewAdminClient(fx.sender, orb.AdminAt(fx.host.Endpoints()...))
-	st, ok, err := admin.RelayStats(ctx)
-	if err != nil || !ok {
-		t.Fatalf("RelayStats: ok=%v err=%v", ok, err)
+	relay := func(name string) int64 {
+		t.Helper()
+		ss, err := admin.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := ss.Get("relay."+name, "")
+		if !ok {
+			t.Fatalf("scrape has no relay.%s: %+v", name, ss)
+		}
+		return v
 	}
-	if st.Capacity != relayPlantCacheCap {
-		t.Fatalf("scrape capacity %d, want %d", st.Capacity, relayPlantCacheCap)
+	if got := relay("capacity"); got != relayPlantCacheCap {
+		t.Fatalf("scrape capacity %d, want %d", got, relayPlantCacheCap)
 	}
-	if st.Plants != 1 || st.Hits != 2 || st.Misses != 0 {
-		t.Fatalf("after 3 rounds: plants=%d hits=%d misses=%d, want 1/2/0", st.Plants, st.Hits, st.Misses)
+	if plants, hits, misses := relay("plants"), relay("hits"), relay("misses"); plants != 1 || hits != 2 || misses != 0 {
+		t.Fatalf("after 3 rounds: plants=%d hits=%d misses=%d, want 1/2/0", plants, hits, misses)
 	}
 
 	// A forged sender-side plant record for a tree the relay has never
@@ -431,12 +439,8 @@ func TestRelayPlantCacheTelemetry(t *testing.T) {
 	if _, err := deliverer.DeliverSubtree(ctx, core.Signal{Name: "r2", SetName: "s"}, tree2, core.RetryPolicy{Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, _, err = admin.RelayStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d after unknown ref, want 1", st.Misses)
+	if misses := relay("misses"); misses != 1 {
+		t.Fatalf("misses = %d after unknown ref, want 1", misses)
 	}
 
 	// Overflowing the cache counts evictions.
@@ -444,16 +448,23 @@ func TestRelayPlantCacheTelemetry(t *testing.T) {
 	for i := 0; i < relayPlantCacheCap+5; i++ {
 		s.plant(fmt.Sprintf("plant-%d", i), &relayNode{})
 	}
-	scrape, _ := s.scrape()
-	if scrape.Evictions != 5 || scrape.Plants != relayPlantCacheCap {
-		t.Fatalf("evictions=%d plants=%d, want 5/%d", scrape.Evictions, scrape.Plants, relayPlantCacheCap)
+	var local orb.Samples
+	s.metrics(func(x orb.Sample) { local = append(local, x) })
+	evictions, _ := local.Get("evictions", "")
+	plants, _ := local.Get("plants", "")
+	if evictions != 5 || plants != relayPlantCacheCap {
+		t.Fatalf("evictions=%d plants=%d, want 5/%d", evictions, plants, relayPlantCacheCap)
 	}
 
-	// An ORB with no relay reports ok=false, not an error.
+	// An ORB with no relay answers without relay samples, not an error.
 	bare := orb.New()
 	t.Cleanup(bare.Shutdown)
 	orb.ServeAdmin(bare)
-	if _, ok, err := orb.NewAdminClient(fx.sender, orb.AdminAt(bare.Endpoints()...)).RelayStats(ctx); err != nil || ok {
-		t.Fatalf("bare ORB relay scrape: ok=%v err=%v, want false/nil", ok, err)
+	ss, err := orb.NewAdminClient(fx.sender, orb.AdminAt(bare.Endpoints()...)).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ss.Get("relay.capacity", ""); ok {
+		t.Fatalf("bare ORB reports relay samples: %+v", ss)
 	}
 }

@@ -198,10 +198,10 @@ type replicationServant struct {
 
 // ReplicationAt builds the IOR of the well-known replication servant
 // reachable at the given endpoints (profiles, in preference order). Bare
-// host:port addresses are accepted alongside the "tcp:host:port" form
-// ORB.Endpoints reports.
+// host:port addresses are accepted alongside the "tcp:host:port" and
+// "inproc:" forms ORB.Endpoints reports.
 func ReplicationAt(endpoints ...string) orb.IOR {
-	return orb.NewIOR(ReplicationTypeID, ReplicationKey, normalizeEndpoints(endpoints)...)
+	return orb.NewIOR(ReplicationTypeID, ReplicationKey, endpoints...)
 }
 
 // maxFetchWait caps how long one repl_fetch may park a dispatch slot.

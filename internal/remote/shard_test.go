@@ -160,38 +160,6 @@ func TestShardMapWatchWakesOnBump(t *testing.T) {
 	}
 }
 
-func TestShardVerbsForwardThroughOrbAdmin(t *testing.T) {
-	fx := newShardFixture(t)
-	ctx := context.Background()
-
-	// The orb-admin servant of the authority's process forwards shard_*
-	// verbs, so an admin client needs no second reference.
-	adminRef := orb.ServeAdmin(fx.authORB)
-	c := NewShardMapClient(newClientORB(t), adminRef)
-	if _, err := c.Add(ctx, cluster.Member{ID: "via-admin", Endpoints: []string{"127.0.0.1:1"}, Weight: 1}); err != nil {
-		t.Fatalf("Add via orb-admin: %v", err)
-	}
-	m, err := c.Fetch(ctx)
-	if err != nil {
-		t.Fatalf("Fetch via orb-admin: %v", err)
-	}
-	if _, ok := m.Member("via-admin"); !ok {
-		t.Fatal("member added via orb-admin missing from fetched map")
-	}
-
-	// A process hosting no authority answers NO_IMPLEMENT.
-	bare := orb.New()
-	t.Cleanup(bare.Shutdown)
-	if _, err := bare.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	bareRef := orb.ServeAdmin(bare)
-	bc := NewShardMapClient(newClientORB(t), bareRef)
-	if _, err := bc.Fetch(ctx); !orb.IsSystem(err, orb.CodeNoImplement) {
-		t.Fatalf("Fetch on authority-less admin = %v, want NO_IMPLEMENT", err)
-	}
-}
-
 func TestWrongShardEpoch(t *testing.T) {
 	if _, ok := WrongShardEpoch(errors.New("nope")); ok {
 		t.Fatal("parsed epoch from a plain error")

@@ -121,13 +121,10 @@ type shardMapServant struct {
 }
 
 // ServeShardMap activates the shard-map authority on o under the
-// well-known ShardMapKey and wires its verbs into o's orb-admin servant
-// (every "shard_*" admin operation forwards here). It returns the
-// authority's reference.
+// well-known ShardMapKey, the one surface its verbs are served on. It
+// returns the authority's reference.
 func ServeShardMap(o *orb.ORB, auth *ShardAuthority) orb.IOR {
-	s := &shardMapServant{auth: auth}
-	o.SetShardAdminHandler(s.Dispatch)
-	return o.RegisterServantWithKey(ShardMapKey, ShardMapTypeID, s)
+	return o.RegisterServantWithKey(ShardMapKey, ShardMapTypeID, &shardMapServant{auth: auth})
 }
 
 // Dispatch implements orb.Servant.

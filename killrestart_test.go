@@ -1238,19 +1238,15 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 			loser.log.LastLSN() == winner.log.LastLSN()
 	})
 
-	// The replication scrape reflects the healed group: the new leader
+	// The replication metrics reflect the healed group: the new leader
 	// reports its term and a caught-up follower.
-	waitCond(t, 10*time.Second, "the scrape to show a caught-up follower", func() bool {
-		sc := winner.g.Scrape()
-		if sc.Role != "leader" || sc.Term != 2 || sc.Fenced {
-			return false
-		}
-		for _, fl := range sc.Followers {
-			if fl.ID == loser.id && fl.Lag == 0 {
-				return true
-			}
-		}
-		return false
+	waitCond(t, 10*time.Second, "the metrics to show a caught-up follower", func() bool {
+		ss := winner.orb.Metrics()
+		_, leading := ss.Get("replication.role", "leader")
+		term, _ := ss.Get("replication.term", "")
+		fenced, _ := ss.Get("replication.fenced", "")
+		lag, ok := ss.Get("replication.follower_lag", loser.id)
+		return leading && term == 2 && fenced == 0 && ok && lag == 0
 	})
 
 	// Participants asking after their fate converge through the winner.
@@ -1325,13 +1321,9 @@ func TestGroupRejoinDeadLeaderOldWAL(t *testing.T) {
 	}
 
 	// The new leader sees its old leader as a caught-up follower.
-	waitCond(t, 10*time.Second, "the scrape to show the rejoined follower", func() bool {
-		for _, fl := range sb.g.Scrape().Followers {
-			if fl.ID == "leader" && fl.Lag == 0 {
-				return true
-			}
-		}
-		return false
+	waitCond(t, 10*time.Second, "the metrics to show the rejoined follower", func() bool {
+		lag, ok := sb.orb.Metrics().Get("replication.follower_lag", "leader")
+		return ok && lag == 0
 	})
 
 	// Exactly-once held across the whole failover + rejoin.

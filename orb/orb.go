@@ -18,8 +18,9 @@
 // ChaosTransport wraps any Transport with injectable faults — latency,
 // drops, resets, one-way partitions, per-operation and per-address rules
 // — for deterministic resilience testing; see examples/chaos. ServeAdmin
-// exposes ServerStats/EndpointStats on the well-known "orb-admin" key for
-// remote scraping (AdminClient).
+// serves the ORB's metrics (ServerStats, EndpointStats and every SetMetrics
+// source, as named Samples) on the well-known "orb-admin" key for remote
+// scraping (AdminClient).
 package orb
 
 import (
@@ -82,14 +83,11 @@ type (
 	ServerStats = iorb.ServerStats
 	// BreakerState is the circuit breaker position for one endpoint.
 	BreakerState = iorb.BreakerState
-	// AdminClient scrapes a remote ORB's ServerStats/EndpointStats through
-	// its well-known admin servant.
+	// AdminClient scrapes a remote ORB's metrics through its well-known
+	// admin servant.
 	AdminClient = iorb.AdminClient
-	// RecoveryScrape is the transaction-recovery status exposed through the
-	// orb-admin "recovery_stats" operation.
-	RecoveryScrape = iorb.RecoveryScrape
 	// RecoveryClient invokes a coordinator's well-known recovery servant
-	// (replay_completion, recover, totals).
+	// (replay_completion, recover).
 	RecoveryClient = remote.RecoveryClient
 	// ReplicationPrimary is the leader-side handle of a GroupMember's WAL
 	// replication (GroupMember.Primary): per-follower acknowledgement
@@ -108,12 +106,6 @@ type (
 	GroupRole = remote.GroupRole
 	// ReplState is a peer's replication state as reported by repl_state.
 	ReplState = remote.ReplState
-	// ReplicationScrape is a coordinator-group member's replication state
-	// exposed through the orb-admin "replication_stats" operation.
-	ReplicationScrape = iorb.ReplicationScrape
-	// FollowerLag is one follower's ack watermark inside a
-	// ReplicationScrape.
-	FollowerLag = iorb.FollowerLag
 )
 
 // Coordinator-group roles.
@@ -231,8 +223,8 @@ var DecodeIOR = iorb.DecodeIOR
 // references (hosts behind NAT or a load balancer).
 var WithAdvertised = iorb.WithAdvertised
 
-// ServeAdmin activates the well-known "orb-admin" servant exposing
-// ServerStats/EndpointStats to remote scrape tooling.
+// ServeAdmin activates the well-known "orb-admin" servant answering the
+// "metrics" scrape.
 var ServeAdmin = iorb.ServeAdmin
 
 // NewAdminClient returns a scrape proxy for the admin servant at ref.
@@ -311,9 +303,9 @@ func ImportResource(o *ORB, ref IOR) ots.NamedResource { return remote.ImportRes
 var BindRemoteResources = remote.BindRemoteResources
 
 // ServeRecovery activates the well-known RecoveryCoordinator-style servant
-// for a transaction service and wires its totals into the orb-admin
-// scrape; restarted participants ask it replay_completion for their
-// outcome.
+// for a transaction service and registers its totals as the "recovery"
+// metrics source; restarted participants ask it replay_completion for
+// their outcome.
 func ServeRecovery(o *ORB, svc *ots.Service) IOR { return remote.ServeRecovery(o, svc) }
 
 // NewRecoveryClient returns a proxy invoking the recovery servant at ref.

@@ -40,9 +40,6 @@ type (
 	ActivityFactory = remote.ActivityFactory
 	// FactoryOption configures a served ActivityFactory.
 	FactoryOption = remote.FactoryOption
-	// RelayScrape is the relay plant-cache telemetry exposed through the
-	// orb-admin "relay_stats" operation.
-	RelayScrape = iorb.RelayScrape
 )
 
 // Cluster member states.
@@ -76,7 +73,7 @@ var HashKey = cluster.HashKey
 var NewShardAuthority = remote.NewShardAuthority
 
 // ServeShardMap activates the shard-map authority under the well-known
-// ShardMapKey and forwards the orb-admin "shard_*" verbs to it.
+// ShardMapKey.
 var ServeShardMap = remote.ServeShardMap
 
 // ShardMapAt builds the IOR of the well-known shard-map authority at
