@@ -6,8 +6,8 @@
 //
 // The daemon exposes an ActivityFactory servant (operation "begin") bound
 // as "activityservice" in the ORB name service. Each created activity gets
-// its own coordinator servant; clients talk to it through
-// orb.NewActivityProxy.
+// its own coordinator servant, retired when the activity completes;
+// clients talk to it through orb.NewActivityProxy.
 //
 // Usage:
 //
@@ -21,9 +21,9 @@
 //	                                        # endpoints minted into IORs
 //	                                        # (NAT / load-balancer fronting)
 //	activityd -admin                        # serve the "metrics" scrape (server,
-//	                                        # endpoint, recovery, relay and
-//	                                        # group samples) on the well-known
-//	                                        # "orb-admin" key
+//	                                        # endpoint, activity, recovery,
+//	                                        # relay and group samples) on the
+//	                                        # well-known "orb-admin" key
 //	activityd -pool 8 -parallel             # 8 pooled conns per endpoint,
 //	                                        # parallel signal fan-out
 //	activityd -relay -branching 8           # host the well-known "relay"
@@ -167,7 +167,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "fan signals out to enrolled actions in parallel")
 	relay := flag.Bool("relay", false, "host the well-known relay servant and fan signals out through relay trees")
 	branching := flag.Int("branching", 0, "relay-tree children per node with -relay (0 = default)")
-	admin := flag.Bool("admin", false, "serve the metrics scrape (server, endpoint, recovery, relay and group samples) on the well-known orb-admin key")
+	admin := flag.Bool("admin", false, "serve the metrics scrape (server, endpoint, activity, recovery, relay and group samples) on the well-known orb-admin key")
 	var cfg orbConfig
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
 	flag.IntVar(&cfg.pool, "pool", 0, "client connections pooled per endpoint (0 = default)")

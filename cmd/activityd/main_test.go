@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/extendedtx/activityservice"
+	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -204,5 +205,107 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 		if n := r.committed(); n != 1 {
 			t.Fatalf("participant %d committed %d times, want 1", i, n)
 		}
+	}
+}
+
+// TestDaemonRetiresCompletedActivities drives 2 000 remote activities
+// (begin, four enrolments, complete) through a real daemon over TCP and
+// requires it to hold none of them afterwards: the servant count is back
+// where it started, and the service has no live activity.
+func TestDaemonRetiresCompletedActivities(t *testing.T) {
+	const cycles, actions = 2000, 4
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	ctx, stop := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() {
+		stopped <- run(ctx, []string{addr}, false, orbConfig{}, activityservice.DeliveryPolicy{}, false, true)
+	}()
+	defer func() {
+		stop()
+		if err := <-stopped; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	client := orb.New()
+	defer client.Shutdown()
+	if _, err := client.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	// The factory is bound in naming once it is served, so a resolved
+	// factory means the servant count below is the booted daemon's.
+	naming := orb.NewNameClient(client, orb.NameServiceAt(addr))
+	var factory orb.IOR
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		factory, err = naming.Resolve(ctx, "activityservice")
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("resolve factory: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	admin := orb.NewAdminClient(client, orb.AdminAt(addr))
+	scrape := func(name string) int64 {
+		t.Helper()
+		ss, err := admin.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := ss.Get(name, "")
+		if !ok {
+			t.Fatalf("scrape has no %s: %+v", name, ss)
+		}
+		return v
+	}
+	servants := scrape("orb.server.servants")
+
+	ack := activityservice.ActionFunc(func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
+		return activityservice.Outcome{Name: "ok"}, nil
+	})
+	for i := range cycles {
+		e := cdr.NewEncoder(32)
+		e.WriteString(fmt.Sprintf("cycle-%d", i))
+		body, err := client.Invoke(ctx, factory, "begin", e.Bytes())
+		if err != nil {
+			t.Fatalf("cycle %d: begin: %v", i, err)
+		}
+		d := cdr.NewDecoder(body)
+		proxy := orb.NewActivityProxy(client, orb.DecodeIOR(d))
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var refs [actions]orb.IOR
+		for k := range refs {
+			if refs[k], err = proxy.AddAction(ctx, activityservice.DefaultCompletionSet, ack); err != nil {
+				t.Fatalf("cycle %d: add_action: %v", i, err)
+			}
+		}
+		out, err := proxy.Complete(ctx, activityservice.CompletionSuccess)
+		if err != nil {
+			t.Fatalf("cycle %d: complete: %v", i, err)
+		}
+		if out.Name != "completed" || out.Data != int64(actions) {
+			t.Fatalf("cycle %d: outcome = %+v", i, out)
+		}
+		for _, ref := range refs {
+			client.Deactivate(ref.Key)
+		}
+	}
+
+	if got := scrape("orb.server.servants"); got != servants {
+		t.Errorf("orb.server.servants = %d after %d activities, want %d (its value before them)", got, cycles, servants)
+	}
+	if got := scrape("activity.live"); got != 0 {
+		t.Errorf("activity.live = %d, want 0", got)
+	}
+	if got := scrape("activity.begun"); got != cycles {
+		t.Errorf("activity.begun = %d, want %d", got, cycles)
 	}
 }

@@ -204,6 +204,7 @@ func (st *ServerStats) fields() []field {
 		num("shed_after_ns", &st.ShedAfter), num("reserved_slots", &st.ReservedSlots),
 		num("priority_inflight", &st.PriorityInflight),
 		num("priority_dispatched", &st.PriorityDispatched), num("priority_shed", &st.PriorityShed),
+		num("servants", &st.Servants),
 	}
 }
 

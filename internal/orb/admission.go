@@ -213,8 +213,9 @@ func (a *admission) shedError() *SystemError {
 }
 
 // ServerStats is a snapshot of the server transport's admission state, the
-// server-side sibling of EndpointStats. The cumulative counters cover the
-// network transport only; in-process fast-path dispatches bypass admission.
+// server-side sibling of EndpointStats, plus the object adapter's servant
+// count. The cumulative counters cover the network transport only;
+// in-process fast-path dispatches bypass admission.
 type ServerStats struct {
 	// Endpoint is the primary bound listen endpoint ("tcp:host:port").
 	Endpoint string
@@ -252,6 +253,8 @@ type ServerStats struct {
 	// PriorityShed is the cumulative count of priority-class requests shed
 	// with TRANSIENT.
 	PriorityShed uint64
+	// Servants is the number of servants currently active on the ORB.
+	Servants int
 }
 
 // ServerStats reports the server transport's admission state, aggregated
@@ -261,11 +264,12 @@ func (o *ORB) ServerStats() (ServerStats, bool) {
 	srvs := o.srvs
 	bound := append([]string(nil), o.bound...)
 	adm := o.adm
+	servants := len(o.servants)
 	o.mu.RUnlock()
 	if len(srvs) == 0 {
 		return ServerStats{}, false
 	}
-	st := ServerStats{Endpoint: bound[0], Endpoints: bound}
+	st := ServerStats{Endpoint: bound[0], Endpoints: bound, Servants: servants}
 	for _, srv := range srvs {
 		srv.mu.Lock()
 		st.Conns += len(srv.conns)

@@ -168,6 +168,7 @@ func TestServerStatsPriorityFieldsRoundTrip(t *testing.T) {
 		PriorityInflight:   1,
 		PriorityDispatched: 5,
 		PriorityShed:       1,
+		Servants:           6,
 	}
 	ss, err := decodeSamples(encodeSamples(in.appendSamples(nil)))
 	if err != nil {

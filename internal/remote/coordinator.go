@@ -11,22 +11,31 @@ import (
 
 // coordinatorServant exposes one activity's coordination surface:
 // registering (remote) actions, broadcasting signal sets, and completion.
+// It lives as long as its activity: once the activity has completed, the
+// servant deactivates itself, so the ORB stops holding the activity and
+// every later call on the reference raises OBJECT_NOT_EXIST.
 type coordinatorServant struct {
 	orb      *orb.ORB
+	key      string
 	activity *core.Activity
 }
 
 // ExportActivity activates a coordinator servant for a on o, returning the
-// reference a remote party uses to join the activity.
+// reference a remote party uses to join the activity. The servant retires
+// when the activity completes.
 func ExportActivity(o *orb.ORB, a *core.Activity) orb.IOR {
-	return o.RegisterServantWithKey(
-		"activity/"+a.ID().String(), CoordinatorTypeID,
-		&coordinatorServant{orb: o, activity: a},
-	)
+	s := &coordinatorServant{orb: o, key: "activity/" + a.ID().String(), activity: a}
+	return o.RegisterServantWithKey(s.key, CoordinatorTypeID, s)
 }
 
 // Dispatch implements orb.Servant.
 func (s *coordinatorServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder) ([]byte, error) {
+	if s.activity.State() == core.ActivityCompleted {
+		// Completed in-process, or by a complete this request raced: retire
+		// now, and answer as the ORB would have — the call did not run.
+		s.orb.Deactivate(s.key)
+		return nil, orb.Systemf(orb.CodeObjectNotExist, "key %q: activity completed", s.key)
+	}
 	switch op {
 	case "add_action":
 		setName := in.ReadString()
@@ -58,6 +67,14 @@ func (s *coordinatorServant) Dispatch(ctx context.Context, op string, in *cdr.De
 			return nil, orb.Systemf(orb.CodeMarshal, "complete: %v", err)
 		}
 		out, err := s.activity.CompleteWithStatus(ctx, status)
+		if s.activity.State() == core.ActivityCompleted {
+			// Retired before the reply leaves, so nothing the caller sends
+			// after it reaches this servant. A failed completion broadcast
+			// still completes the activity; a complete refused before the
+			// state changed (children active, suspended) keeps the servant
+			// so the caller can retry.
+			s.orb.Deactivate(s.key)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +149,9 @@ func (p *ActivityProxy) Complete(ctx context.Context, cs core.CompletionStatus) 
 }
 
 // Status reports the remote activity's lifecycle state and completion
-// status.
+// status while the activity runs. A completed activity's coordinator is
+// retired, so Status on it fails with OBJECT_NOT_EXIST rather than
+// reporting ActivityCompleted.
 func (p *ActivityProxy) Status(ctx context.Context) (core.ActivityState, core.CompletionStatus, error) {
 	body, err := p.orb.Invoke(ctx, p.ref, "status", nil)
 	if err != nil {

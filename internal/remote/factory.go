@@ -56,13 +56,19 @@ func WithFactoryShard(m *ShardMember) FactoryOption {
 }
 
 // ServeActivityFactory activates an activity factory for svc on o under
-// the well-known ActivityFactoryKey.
+// the well-known ActivityFactoryKey, and registers the "activity" metrics
+// source: activity.begun (begins served) and activity.live (activities of
+// svc begun and not yet completed).
 func ServeActivityFactory(o *orb.ORB, svc *core.Service, opts ...FactoryOption) *ActivityFactory {
 	f := &ActivityFactory{svc: svc, orb: o}
 	for _, opt := range opts {
 		opt(f)
 	}
 	f.ref = o.RegisterServantWithKey(ActivityFactoryKey, ActivityFactoryTypeID, f)
+	o.SetMetrics("activity", func(emit func(orb.Sample)) {
+		emit(orb.Sample{Name: "begun", Value: int64(f.begins.Load())})
+		emit(orb.Sample{Name: "live", Value: int64(svc.Live())})
+	})
 	return f
 }
 
@@ -121,13 +127,9 @@ func (f *ActivityFactory) Dispatch(_ context.Context, op string, in *cdr.Decoder
 		_, _ = a.Complete(context.Background())
 		return nil, err
 	}
-	ref := ExportActivity(f.orb, a)
-	// Re-mint through the ORB so the reference carries every live
-	// profile (listen + advertise endpoints).
-	if minted, ok := f.orb.IOR(ref.Key); ok {
-		ref = minted
-	}
+	// The reference is minted under the ORB's lock from its current
+	// listen (or advertised) endpoints, so it carries every live profile.
 	e := cdr.NewEncoder(64)
-	ref.Encode(e)
+	ExportActivity(f.orb, a).Encode(e)
 	return e.Bytes(), nil
 }

@@ -98,7 +98,6 @@ func TestActivityProxyEnlistmentAndCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	coordRef := ExportActivity(fx.serverORB, a)
-	coordRef, _ = fx.serverORB.IOR(coordRef.Key)
 
 	// The client enrolls a local action and drives completion remotely.
 	var got atomic.Value
