@@ -112,7 +112,7 @@ type (
 	ActivityState = core.ActivityState
 	// RetryPolicy controls at-least-once signal delivery.
 	RetryPolicy = core.RetryPolicy
-	// DeliveryPolicy selects serial or parallel signal fan-out.
+	// DeliveryPolicy selects serial, parallel or relay-tree signal fan-out.
 	DeliveryPolicy = core.DeliveryPolicy
 	// DeliveryMode is the fan-out mode of a DeliveryPolicy.
 	DeliveryMode = core.DeliveryMode

@@ -18,6 +18,17 @@ func TestAllocsShardRouterRoute(t *testing.T) {
 	}
 }
 
+// TestAllocsTwoPhaseCommit gates BenchmarkFig08TwoPhaseCommit's
+// 8-participant commit: an activity's core bookkeeping (registry entry,
+// one registration map, signal sets) stays a handful of allocations on
+// top of the per-participant work.
+func TestAllocsTwoPhaseCommit(t *testing.T) {
+	got := testing.AllocsPerRun(200, twoPhaseCommit(t, 8))
+	if got > 35 {
+		t.Errorf("%.0f allocs/op, budget 35", got)
+	}
+}
+
 // TestAllocsTreeFanout gates BenchmarkTreeFanout's tree configurations:
 // after the warm-up round the relay hot path — ref batch encode, servant
 // dispatch, result aggregation — stays within budget instead of growing

@@ -324,31 +324,40 @@ func BenchmarkTreeFanout(b *testing.B) {
 	}
 }
 
+// twoPhaseCommit returns one BenchmarkFig08TwoPhaseCommit commit: begin an
+// in-process 2PC activity, enlist participants no-op resources, commit.
+func twoPhaseCommit(tb testing.TB, participants int) func() {
+	coord := twopc.NewCoordinator(activityservice.New())
+	ctx := context.Background()
+	return func() {
+		tx, err := coord.Begin("bench")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for j := 0; j < participants; j++ {
+			if err := tx.Enlist(okResource{}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		committed, err := tx.Commit(ctx)
+		if err != nil || !committed {
+			tb.Fatalf("committed=%v err=%v", committed, err)
+		}
+	}
+}
+
 // BenchmarkFig08TwoPhaseCommit measures the fig. 8 protocol over a sweep
-// of participant counts.
+// of participant counts. TestAllocsTwoPhaseCommit gates the allocations
+// of the 8-participant configuration.
 func BenchmarkFig08TwoPhaseCommit(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{1, 2, 8, 32, 128} {
 		b.Run(fmt.Sprintf("participants=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			svc := activityservice.New()
-			coord := twopc.NewCoordinator(svc)
-			ctx := context.Background()
+			commit := twoPhaseCommit(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx, err := coord.Begin("bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < n; j++ {
-					if err := tx.Enlist(okResource{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				committed, err := tx.Commit(ctx)
-				if err != nil || !committed {
-					b.Fatalf("committed=%v err=%v", committed, err)
-				}
+				commit()
 			}
 		})
 	}

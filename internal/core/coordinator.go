@@ -37,83 +37,6 @@ type registration struct {
 	action Action
 }
 
-// regStripes is the shard count of the coordinator's registration map. A
-// power of two; set names hash onto the stripes with FNV-1a.
-const regStripes = 16
-
-// regShard is one stripe of the registration map.
-type regShard struct {
-	mu sync.Mutex
-	m  map[string][]registration
-}
-
-// regMap is a striped-lock map of setName → registrations, replacing the
-// coordinator's old single mutex-guarded map: a fanout-heavy activity
-// registering actions for many sets concurrently (remote enrolment, the
-// fan-out storm of a wide 2PC) stops contending on one lock, and
-// registration lookups during broadcast stop contending with concurrent
-// AddAction/RemoveAction on unrelated sets.
-type regMap struct {
-	shards [regStripes]regShard
-}
-
-func newRegMap() *regMap {
-	r := &regMap{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string][]registration)
-	}
-	return r
-}
-
-// shard picks the stripe for a set name (FNV-1a over the name).
-func (r *regMap) shard(setName string) *regShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(setName); i++ {
-		h ^= uint32(setName[i])
-		h *= 16777619
-	}
-	return &r.shards[h&(regStripes-1)]
-}
-
-// add appends a registration to a set's list.
-func (r *regMap) add(setName string, reg registration) {
-	s := r.shard(setName)
-	s.mu.Lock()
-	s.m[setName] = append(s.m[setName], reg)
-	s.mu.Unlock()
-}
-
-// remove deletes a registration by id, reporting whether it existed.
-func (r *regMap) remove(setName string, id ActionID) bool {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	regs := s.m[setName]
-	for i, reg := range regs {
-		if reg.id == id {
-			s.m[setName] = append(regs[:i], regs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// count returns the number of registrations for a set.
-func (r *regMap) count(setName string) int {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m[setName])
-}
-
-// snapshot copies a set's registration list, in registration order.
-func (r *regMap) snapshot(setName string) []registration {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]registration(nil), s.m[setName]...)
-}
-
 // Coordinator is the activity coordinator of fig. 5: Actions register
 // interest in SignalSets by name; when the activity transmits a SignalSet,
 // the coordinator pulls each Signal from the set, broadcasts it to the
@@ -127,13 +50,13 @@ type Coordinator struct {
 	delivery DeliveryPolicy
 	counters *deliveryCounters // service-wide speculative accounting, may be nil
 
-	// regs is lock-striped (regMap): registration traffic for distinct
-	// sets never contends. mu guards only the per-set drivers. seq feeds
-	// default trace labels and is atomic for the same reason.
-	regs *regMap
-	seq  atomic.Int64
+	// seq feeds default trace labels.
+	seq atomic.Int64
 
+	// mu guards the set name → registrations map, in registration order,
+	// and the per-set drivers.
 	mu      sync.Mutex
+	regs    map[string][]registration
 	drivers map[SignalSet]*setDriver
 }
 
@@ -148,7 +71,7 @@ func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry
 		retry:    retry,
 		delivery: delivery,
 		counters: counters,
-		regs:     newRegMap(),
+		regs:     make(map[string][]registration),
 		drivers:  make(map[SignalSet]*setDriver),
 	}
 }
@@ -163,23 +86,38 @@ func (c *Coordinator) AddAction(setName string, action Action) ActionID {
 // AddNamedAction registers action under an explicit trace label.
 func (c *Coordinator) AddNamedAction(setName, label string, action Action) ActionID {
 	id := c.gen.New()
-	c.regs.add(setName, registration{id: id, label: label, action: action})
+	c.mu.Lock()
+	c.regs[setName] = append(c.regs[setName], registration{id: id, label: label, action: action})
+	c.mu.Unlock()
 	return id
 }
 
 // RemoveAction removes a registration, reporting whether it existed.
 func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
-	return c.regs.remove(setName, id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	regs := c.regs[setName]
+	for i, reg := range regs {
+		if reg.id == id {
+			c.regs[setName] = append(regs[:i], regs[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // ActionCount returns the number of actions registered with setName.
 func (c *Coordinator) ActionCount(setName string) int {
-	return c.regs.count(setName)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.regs[setName])
 }
 
-// actions snapshots the registrations for a set.
+// actions snapshots the registrations for a set, in registration order.
 func (c *Coordinator) actions(setName string) []registration {
-	return c.regs.snapshot(setName)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]registration(nil), c.regs[setName]...)
 }
 
 // driverFor returns the fig. 7 state machine for a set instance, creating

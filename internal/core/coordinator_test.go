@@ -278,17 +278,16 @@ func (b *brokenSet) SetResponse(Outcome, error) (bool, error) { return false, ni
 
 func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 
-// TestCoordinatorStripedRegistrationStress hammers the striped
-// registration map from many goroutines — concurrent AddAction,
-// RemoveAction and ActionCount across many sets, including sets that
-// collide on one stripe — and then verifies no registration was lost or
-// double-removed: the exact survivor count per set, with every removal
-// having reported true exactly once. Run under -race this also pins the
-// striping's memory-safety.
-func TestCoordinatorStripedRegistrationStress(t *testing.T) {
+// TestCoordinatorConcurrentRegistrationStress hammers the registration
+// map from many goroutines — concurrent AddAction, RemoveAction and
+// ActionCount across many sets — and then verifies no registration was
+// lost or double-removed: the exact survivor count per set, with every
+// removal having reported true exactly once. Run under -race this also
+// pins the map's locking.
+func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
 	const (
-		sets       = 3 * regStripes // several sets per stripe on average
+		sets       = 48
 		workers    = 8
 		perWorker  = 50 // adds per worker per set
 		removeEach = 20 // removals per worker per set

@@ -63,7 +63,7 @@ func (m DeliveryMode) String() string {
 // means "no preference": a set with a zero policy inherits the Service's
 // policy, and a Service with a zero policy delivers serially.
 type DeliveryPolicy struct {
-	// Mode selects serial or parallel fan-out.
+	// Mode selects serial, parallel or relay-tree fan-out.
 	Mode DeliveryMode
 	// MaxWorkers bounds the number of concurrent deliveries in parallel
 	// mode. Zero or negative selects max(16, 4×GOMAXPROCS), capped at the

@@ -76,30 +76,10 @@ const (
 	PropagateNone
 )
 
-// tupleStripes is the stripe count of a TupleSpace; a power of two so the
-// key hash masks cheaply.
-const tupleStripes = 16
-
-// tupleStripe is one lock-striped slice of a TupleSpace.
-type tupleStripe struct {
-	mu   sync.RWMutex
-	data map[string]any
-}
-
-// tupleStripeFor hashes key (FNV-1a) onto a stripe index.
-func tupleStripeFor(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h & (tupleStripes - 1))
-}
-
-// TupleSpace is the standard PropertyGroup implementation: a lock-striped
+// TupleSpace is the standard PropertyGroup implementation: an
 // attribute/value space with configurable nesting and propagation
-// behaviour. Striping lets many goroutines touch disjoint keys without
-// contending on one mutex. Safe for concurrent use.
+// behaviour. Safe for concurrent use; whole-space reads (Keys, Snapshot)
+// are point-in-time atomic.
 type TupleSpace struct {
 	name        string
 	visibility  NestedVisibility
@@ -107,29 +87,8 @@ type TupleSpace struct {
 
 	parent *TupleSpace // non-nil for read-only child views
 
-	// global keeps whole-space operations point-in-time atomic with
-	// respect to per-key operations — the same guarantee the pre-striping
-	// single mutex gave. Per-key ops hold the shared side plus their
-	// stripe lock. Keys/Snapshot hold the shared side plus every stripe
-	// read lock at once (freezing writers while still running concurrently
-	// with Gets and with each other); only replace, which swaps the stripe
-	// maps themselves, takes the exclusive side.
-	global  sync.RWMutex
-	stripes [tupleStripes]tupleStripe
-}
-
-// rlockAll read-locks every stripe in index order, freezing all writers
-// for a consistent whole-space read. Callers must hold global.RLock.
-func (t *TupleSpace) rlockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.RLock()
-	}
-}
-
-func (t *TupleSpace) runlockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.RUnlock()
-	}
+	mu   sync.RWMutex
+	data map[string]any
 }
 
 var _ PropertyGroup = (*TupleSpace)(nil)
@@ -137,15 +96,12 @@ var _ ChildDeriver = (*TupleSpace)(nil)
 
 // NewTupleSpace returns an empty TupleSpace with the given behaviours.
 func NewTupleSpace(name string, visibility NestedVisibility, propagation Propagation) *TupleSpace {
-	t := &TupleSpace{
+	return &TupleSpace{
 		name:        name,
 		visibility:  visibility,
 		propagation: propagation,
+		data:        make(map[string]any),
 	}
-	for i := range t.stripes {
-		t.stripes[i].data = make(map[string]any)
-	}
-	return t
 }
 
 // Name implements PropertyGroup.
@@ -162,12 +118,9 @@ func (t *TupleSpace) Get(key string) (any, bool) {
 	if t.parent != nil {
 		return t.parent.Get(key)
 	}
-	t.global.RLock()
-	defer t.global.RUnlock()
-	s := &t.stripes[tupleStripeFor(key)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v, ok := t.data[key]
 	return v, ok
 }
 
@@ -179,12 +132,9 @@ func (t *TupleSpace) Set(key string, value any) error {
 	if _, err := cdr.MarshalAny(value); err != nil {
 		return fmt.Errorf("%w: %q: %v", ErrUncodableProperty, key, err)
 	}
-	t.global.RLock()
-	defer t.global.RUnlock()
-	s := &t.stripes[tupleStripeFor(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data[key] = value
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.data[key] = value
 	return nil
 }
 
@@ -193,55 +143,41 @@ func (t *TupleSpace) Delete(key string) bool {
 	if t.parent != nil {
 		return false
 	}
-	t.global.RLock()
-	defer t.global.RUnlock()
-	s := &t.stripes[tupleStripeFor(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.data[key]; !ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.data[key]; !ok {
 		return false
 	}
-	delete(s.data, key)
+	delete(t.data, key)
 	return true
 }
 
-// Keys implements PropertyGroup. The listing is point-in-time atomic:
-// all stripes are read-locked together, so no writer interleaves.
+// Keys implements PropertyGroup.
 func (t *TupleSpace) Keys() []string {
 	if t.parent != nil {
 		return t.parent.Keys()
 	}
-	t.global.RLock()
-	defer t.global.RUnlock()
-	t.rlockAll()
-	defer t.runlockAll()
-	var keys []string
-	for i := range t.stripes {
-		for k := range t.stripes[i].data {
-			keys = append(keys, k)
-		}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	keys := make([]string, 0, len(t.data))
+	for k := range t.data {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// Snapshot returns a copy of the tuples. The copy is point-in-time
-// atomic across the whole space (all stripes read-locked together), so
-// by-value propagation never ships a torn state; concurrent Gets and
-// other snapshots are not blocked.
+// Snapshot returns a point-in-time copy of the tuples, so by-value
+// propagation never ships a torn state.
 func (t *TupleSpace) Snapshot() map[string]any {
 	if t.parent != nil {
 		return t.parent.Snapshot()
 	}
-	t.global.RLock()
-	defer t.global.RUnlock()
-	t.rlockAll()
-	defer t.runlockAll()
-	out := make(map[string]any)
-	for i := range t.stripes {
-		for k, v := range t.stripes[i].data {
-			out[k] = v
-		}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[string]any, len(t.data))
+	for k, v := range t.data {
+		out[k] = v
 	}
 	return out
 }
@@ -294,17 +230,13 @@ func (t *TupleSpace) UnmarshalTuples(b []byte) error {
 	return nil
 }
 
-// replace swaps the full tuple contents atomically (exclusive global
-// lock): no concurrent reader can observe a mix of old and new tuples.
+// replace swaps in m as the full tuple contents, atomically. The space
+// takes ownership of m: both callers pass a map nothing else holds (a
+// Snapshot copy or a freshly decoded payload).
 func (t *TupleSpace) replace(m map[string]any) {
-	t.global.Lock()
-	defer t.global.Unlock()
-	for i := range t.stripes {
-		t.stripes[i].data = make(map[string]any)
-	}
-	for k, v := range m {
-		t.stripes[tupleStripeFor(k)].data[k] = v
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.data = m
 }
 
 // deriveChild applies the nesting behaviour of any PropertyGroup.

@@ -183,6 +183,41 @@ func TestTuplesMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCopiedSpacesShareNoMap pins replace's ownership rule: a
+// VisibilityCopy child, and a group loaded by UnmarshalTuples, own their
+// tuples outright, so adds and deletes on either side never reach the other.
+func TestCopiedSpacesShareNoMap(t *testing.T) {
+	src := NewTupleSpace("ctx", VisibilityCopy, PropagateByValue)
+	_ = src.Set("k", "v")
+	b, err := src.MarshalTuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewTupleSpace("ctx", VisibilityCopy, PropagateByValue)
+	if err := loaded.UnmarshalTuples(b); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]*TupleSpace{
+		"copy child":  src.DeriveChild().(*TupleSpace),
+		"unmarshaled": loaded,
+	} {
+		_ = other.Set("other-only", int64(1))
+		_ = src.Set(name, int64(2))
+		if _, ok := src.Get("other-only"); ok {
+			t.Fatalf("%s: its new key is visible in the source", name)
+		}
+		if _, ok := other.Get(name); ok {
+			t.Fatalf("%s: the source's new key is visible in it", name)
+		}
+		if !other.Delete("k") {
+			t.Fatalf("%s: did not start from the source's tuples", name)
+		}
+		if v, _ := src.Get("k"); v != "v" {
+			t.Fatalf("%s: its delete reached the source (k = %v)", name, v)
+		}
+	}
+}
+
 func TestQuickTuplesRoundTrip(t *testing.T) {
 	f := func(keys []string, vals []int64) bool {
 		ts := NewTupleSpace("q", VisibilityShared, PropagateByValue)

@@ -28,9 +28,9 @@ type Service struct {
 	// coordinator of this Service (see DeliveryStats).
 	counters deliveryCounters
 
-	// live is striped (see shard.go) so concurrent Begin / Find / Complete
-	// from many goroutines do not serialize on one registry lock.
-	live *activityRegistry
+	// live holds every activity begun and not yet completed.
+	liveMu sync.RWMutex
+	live   map[ids.UID]*Activity
 
 	mu        sync.Mutex
 	setFacs   map[string]SignalSetFactory
@@ -85,7 +85,7 @@ func New(opts ...Option) *Service {
 	s := &Service{
 		gen:       ids.NewGenerator(),
 		retry:     RetryPolicy{Attempts: 3},
-		live:      newActivityRegistry(),
+		live:      make(map[ids.UID]*Activity),
 		setFacs:   make(map[string]SignalSetFactory),
 		actionFac: make(map[string]ActionFactory),
 		quiesced:  make(chan struct{}),
@@ -171,7 +171,9 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 		delivery = a.delivery
 	}
 	a.coord = newCoordinator(name, s.gen, s.rec, s.retry, delivery, &s.counters)
-	s.live.put(a)
+	s.liveMu.Lock()
+	s.live[a.id] = a
+	s.liveMu.Unlock()
 	return a
 }
 
@@ -214,7 +216,7 @@ func (s *Service) TryBegin(name string, opts ...BeginOption) (*Activity, error) 
 func (s *Service) Drain() {
 	s.drainMu.Lock()
 	s.draining.Store(true)
-	if !s.quiesceClosed && s.live.size() == 0 {
+	if !s.quiesceClosed && s.Live() == 0 {
 		s.quiesceClosed = true
 		close(s.quiesced)
 	}
@@ -237,16 +239,27 @@ func (s *Service) WaitQuiesced(ctx context.Context) error {
 }
 
 // Live returns the number of activities begun and not yet completed.
-func (s *Service) Live() int { return s.live.size() }
+func (s *Service) Live() int {
+	s.liveMu.RLock()
+	defer s.liveMu.RUnlock()
+	return len(s.live)
+}
 
 // Find returns a live activity by id.
-func (s *Service) Find(id ids.UID) (*Activity, bool) { return s.live.get(id) }
+func (s *Service) Find(id ids.UID) (*Activity, bool) {
+	s.liveMu.RLock()
+	defer s.liveMu.RUnlock()
+	a, ok := s.live[id]
+	return a, ok
+}
 
 func (s *Service) forget(a *Activity) {
-	s.live.delete(a.id)
+	s.liveMu.Lock()
+	delete(s.live, a.id)
+	s.liveMu.Unlock()
 	if s.draining.Load() {
 		s.drainMu.Lock()
-		if !s.quiesceClosed && s.live.size() == 0 {
+		if !s.quiesceClosed && s.Live() == 0 {
 			s.quiesceClosed = true
 			close(s.quiesced)
 		}

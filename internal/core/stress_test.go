@@ -139,7 +139,7 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 	}
 }
 
-// TestStressTupleSpace hammers one striped TupleSpace with concurrent
+// TestStressTupleSpace hammers one TupleSpace with concurrent
 // readers, writers, deleters, snapshotters and child derivation.
 func TestStressTupleSpace(t *testing.T) {
 	ts := NewTupleSpace("env", VisibilityCopy, PropagateByValue)
@@ -198,8 +198,8 @@ func TestStressTupleSpace(t *testing.T) {
 }
 
 // TestStressSharedTupleSpaceAcrossChildren drives concurrent nested
-// activities sharing one VisibilityShared group, exercising the striped
-// space through the activity tree.
+// activities sharing one VisibilityShared group, exercising the space
+// through the activity tree.
 func TestStressSharedTupleSpaceAcrossChildren(t *testing.T) {
 	svc := New()
 	root := svc.Begin("root")
@@ -251,28 +251,12 @@ func TestStressSharedTupleSpaceAcrossChildren(t *testing.T) {
 	}
 }
 
-// TestSnapshotNeverTorn pins the whole-space atomicity of Snapshot over
-// the striped TupleSpace: a writer always bumps key kA before kB (chosen
-// to live on different stripes, kA's visited first), so no point-in-time
-// state ever has kB newer than kA. A non-atomic stripe walk could read
-// kA's stripe before the bump and kB's after — a state that never
-// existed. Snapshot must never observe it.
+// TestSnapshotNeverTorn pins the whole-space atomicity of Snapshot: a
+// writer always bumps key kA before kB, so no point-in-time state ever
+// has kB newer than kA. A copy that read kA before the bump and kB after
+// would show a state that never existed. Snapshot must never observe it.
 func TestSnapshotNeverTorn(t *testing.T) {
-	// Pick two keys on distinct stripes with kA's stripe visited first.
-	kA, kB := "", ""
-	for i := 0; kB == "" && i < 1000; i++ {
-		k := fmt.Sprintf("key%d", i)
-		switch {
-		case kA == "":
-			kA = k
-		case tupleStripeFor(k) > tupleStripeFor(kA):
-			kB = k
-		}
-	}
-	if kB == "" {
-		t.Fatal("could not find keys on ordered distinct stripes")
-	}
-
+	const kA, kB = "key-a", "key-b"
 	ts := NewTupleSpace("inv", VisibilityShared, PropagateNone)
 	if err := ts.Set(kA, int64(0)); err != nil {
 		t.Fatal(err)

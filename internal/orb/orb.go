@@ -8,10 +8,10 @@
 // for implicit activity/transaction context propagation), client/server
 // interceptors, CORBA-style system exceptions, and a name service.
 //
-// The substitution is documented in DESIGN.md: the wire format is not IIOP,
-// but it preserves the properties the paper relies on — request/reply with
-// service contexts and the standard failure surface (TRANSIENT,
-// COMM_FAILURE, OBJECT_NOT_EXIST).
+// The substitution is documented in docs/ARCHITECTURE.md: the wire format
+// is not IIOP, but it preserves the properties the paper relies on —
+// request/reply with service contexts and the standard failure surface
+// (TRANSIENT, COMM_FAILURE, OBJECT_NOT_EXIST).
 //
 // # Object references
 //
@@ -20,9 +20,6 @@
 // single endpoint. An ORB listening on several addresses (Listen may be
 // called repeatedly) mints every bound endpoint into its references;
 // WithAdvertised overrides the list for NAT or load-balancer fronting.
-// Single-profile references keep the historic stringified and CDR wire
-// forms, and both parsers accept the old layouts, so mixed fleets
-// interoperate.
 //
 // # Client transport
 //
@@ -618,7 +615,7 @@ func (o *ORB) localTarget(ref IOR) (*ORB, bool) {
 }
 
 // dispatch runs a request against the local object adapter (the
-// in-process invoke path and compatibility callers).
+// in-process invoke path).
 func (o *ORB) dispatch(ctx context.Context, req request) reply {
 	o.mu.RLock()
 	entry, ok := o.servants[req.objectKey]

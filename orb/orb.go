@@ -1,6 +1,6 @@
 // Package orb is the public API of the distribution substrate: a GIOP-lite
 // object request broker standing in for the CORBA ORB the paper assumes
-// (see DESIGN.md for the substitution rationale).
+// (see docs/ARCHITECTURE.md for the substitution rationale).
 //
 // It provides object references (IOR), servants, in-process and TCP
 // transports, per-request service contexts, interceptors, a name service
