@@ -23,6 +23,19 @@ func TestAllocsAppendLazy(t *testing.T) {
 	}
 }
 
+// TestAllocsAppendFile gates BenchmarkAppendFile: a file-backed append
+// allocates no more than a memory-backed one, and extending the file by a
+// whole step allocates nothing — the zeros come from one shared buffer.
+func TestAllocsAppendFile(t *testing.T) {
+	mem := testing.AllocsPerRun(200, appendOp(t, false))
+	if file := testing.AllocsPerRun(200, appendFileOp(t)); file > mem {
+		t.Errorf("file-backed append costs %.0f allocs/op, memory-backed %.0f", file, mem)
+	}
+	if got := testing.AllocsPerRun(20, extendOp(t)); got > 0 {
+		t.Errorf("extending the file costs %.0f allocs/op, budget 0", got)
+	}
+}
+
 // TestAllocsAppendRecordsBatch pins the follower apply: a 256-record batch
 // allocates the same as a one-record batch, so the per-record cost is the
 // encode into the reused write buffer and nothing else.

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -23,13 +25,13 @@ type faultyBackend struct {
 
 var errInjected = errors.New("wal_test: injected fault")
 
-func (f *faultyBackend) append(b []byte) error {
+func (f *faultyBackend) writeAt(off int, b []byte) error {
 	if f.tearAppends > 0 {
 		f.tearAppends--
-		_ = f.be.append(b[:len(b)/2])
+		_ = f.be.writeAt(off, b[:len(b)/2])
 		return errInjected
 	}
-	return f.be.append(b)
+	return f.be.writeAt(off, b)
 }
 
 func (f *faultyBackend) sync() error {
@@ -463,13 +465,280 @@ func TestOpenFileRepairsTornTailDurably(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRecords(t, l2, []string{"rec-0", "rec-1"})
-	// The repair is durable without any append: the raw file has shrunk.
-	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(snap)) {
-		t.Fatalf("file size = %v (err %v), want %d (torn tail truncated on open)",
-			fi.Size(), err, len(snap))
+	// The repair is durable without any append: the raw file has shrunk to
+	// the records, with no zeros past them yet.
+	if alloc := checkPrealloc(t, l2); alloc != len(snap) {
+		t.Fatalf("file length = %d, want %d (torn tail truncated on open)", alloc, len(snap))
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkPrealloc asserts the invariant of a file log that is not dirty and
+// returns the file's length: the file is as long as the backend believes,
+// at least as long as the records, and zero past the last one. It returns
+// 0 for a memory log.
+func checkPrealloc(t *testing.T, l *Log) int {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fb, ok := l.be.(*fileBackend)
+	if !ok {
+		return 0
+	}
+	fi, err := fb.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(fi.Size()) != fb.alloc || fb.alloc < l.size {
+		t.Fatalf("file length %d, backend alloc %d, log size %d: want length = alloc >= size",
+			fi.Size(), fb.alloc, l.size)
+	}
+	tail, err := fb.readAt(l.size, fb.alloc-l.size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range tail {
+		if c != 0 {
+			t.Fatalf("byte %d past the last record (offset %d) is %#x, want zero", i, l.size+i, c)
+		}
+	}
+	return fb.alloc
+}
+
+// lsnsOf returns the LSNs of every record of l, in order.
+func lsnsOf(t *testing.T, l *Log) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, r := range mustRecords(t, l) {
+		out = append(out, r.LSN)
+	}
+	return out
+}
+
+// TestPreallocStaleRecordNeverReplayed is the crash boundary preallocation
+// adds: a flush whose fsync failed can leave its records complete on the
+// medium, past the log's size and inside space already extended, where
+// the next, shorter write no longer covers them all. Here the failed flush
+// carried a lazy record and its carrier, and the next append is exactly
+// as long as the lazy record, so the stale carrier would sit intact behind
+// it — replayed after a crash — unless the repair truncated it first.
+func TestPreallocStaleRecordNeverReplayed(t *testing.T) {
+	for _, be := range indexBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			l := be.open(t)
+			want := fill(t, l, 2)
+			appendLazy(t, l, "lazy")
+			inner := l.be
+			l.be = &faultyBackend{be: inner, failSyncs: 1}
+			if _, err := l.Append(1, []byte("stale-carrier")); err == nil {
+				t.Fatal("append succeeded despite injected sync failure")
+			}
+			l.be = inner
+			if lsn, err := l.Append(1, []byte("next")); err != nil || lsn != 3 {
+				t.Fatalf("append after the failed sync: lsn=%d err=%v, want 3", lsn, err)
+			}
+			want = append(want, "next")
+			checkPrealloc(t, l)
+			l = be.crash(t, l)
+			wantRecords(t, l, want)
+			if got := l.LastLSN(); got != 3 {
+				t.Fatalf("reopened log ends at LSN %d, want 3", got)
+			}
+		})
+	}
+}
+
+// TestPreallocTornRecordThenZeros pins replay over a torn write inside
+// preallocated space: half a record followed by zeros to the step
+// boundary reopens to the clean prefix, the open truncates both, and the
+// log appends and reopens again.
+func TestPreallocTornRecordThenZeros(t *testing.T) {
+	for _, be := range indexBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			l := be.open(t)
+			want := fill(t, l, 3)
+			size := l.size
+			l.be = &faultyBackend{be: l.be, tearAppends: 1}
+			if _, err := l.Append(1, []byte("torn-record-payload")); err == nil {
+				t.Fatal("append succeeded despite injected tear")
+			}
+			if fb, ok := l.be.(*faultyBackend).be.(*fileBackend); ok && fb.alloc != allocStep {
+				t.Fatalf("file length %d before the crash, want one step %d", fb.alloc, allocStep)
+			}
+			l = be.crash(t, l)
+			wantRecords(t, l, want)
+			if alloc := checkPrealloc(t, l); be.name == "file" && alloc != size {
+				t.Fatalf("file length after reopen = %d, want the records' %d", alloc, size)
+			}
+			if _, err := l.Append(1, []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			checkPrealloc(t, l)
+			wantRecords(t, be.crash(t, l), append(want, "after"))
+		})
+	}
+}
+
+// TestPreallocRecordStraddlesStep pins a record that starts before a step
+// boundary and ends past it: the file is extended by one more step before
+// the record is written, and the record survives a crash whole.
+func TestPreallocRecordStraddlesStep(t *testing.T) {
+	for _, be := range indexBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			l := be.open(t)
+			// One record ending 50 bytes short of the boundary, then one
+			// that crosses it.
+			big := make([]byte, allocStep-headerSize-10-50)
+			big[0] = 'b'
+			if _, err := l.Append(1, big); err != nil {
+				t.Fatal(err)
+			}
+			if alloc := checkPrealloc(t, l); be.name == "file" && alloc != allocStep {
+				t.Fatalf("file length %d, want %d", alloc, allocStep)
+			}
+			if _, err := l.Append(2, []byte("straddles-the-step-boundary-by-a-few-dozen-bytes")); err != nil {
+				t.Fatal(err)
+			}
+			if l.size <= allocStep {
+				t.Fatalf("second record ends at %d, want past the step at %d", l.size, allocStep)
+			}
+			if alloc := checkPrealloc(t, l); be.name == "file" && alloc != 2*allocStep {
+				t.Fatalf("file length %d, want %d", alloc, 2*allocStep)
+			}
+			l = be.crash(t, l)
+			recs := mustRecords(t, l)
+			if len(recs) != 2 || !bytes.Equal(recs[0].Data, big) ||
+				string(recs[1].Data) != "straddles-the-step-boundary-by-a-few-dozen-bytes" {
+				t.Fatalf("reopened log holds %d records, want the big one and the straddling one", len(recs))
+			}
+		})
+	}
+}
+
+// TestPreallocLengthChangesOnlyAtSteps pins what the preallocation buys:
+// over many appends the file's length changes only when a record passes
+// the current end, and then to the next step boundary.
+func TestPreallocLengthChangesOnlyAtSteps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "steps.wal")
+	l := openFileT(t, path)
+	data := make([]byte, 16<<10)
+	length, changes := 0, 0
+	for i := 0; i < 150; i++ {
+		if _, err := l.Append(1, data); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(fi.Size()); n != length {
+			if n%allocStep != 0 || n < l.size || n-allocStep >= l.size {
+				t.Fatalf("append %d: file length %d for records ending at %d, want the next step boundary", i, n, l.size)
+			}
+			length = n
+			changes++
+		}
+	}
+	if want := (l.size + allocStep - 1) / allocStep; changes != want {
+		t.Fatalf("file length changed %d times over %d bytes of records, want %d", changes, l.size, want)
+	}
+	checkPrealloc(t, l)
+}
+
+// TestPreallocCleanCloseReopens pins a clean restart of a preallocated
+// log: Close leaves the zeros, the open truncates them with the records
+// intact, and the next append extends the file again.
+func TestPreallocCleanCloseReopens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "close.wal")
+	l := openFileT(t, path)
+	want := fill(t, l, 5)
+	size := l.size
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != allocStep {
+		t.Fatalf("closed log file is %d bytes, want one step of %d", fi.Size(), allocStep)
+	}
+	l = openFileT(t, path)
+	wantRecords(t, l, want)
+	if alloc := checkPrealloc(t, l); alloc != size {
+		t.Fatalf("file length after reopen = %d, want the records' %d", alloc, size)
+	}
+	if lsn, err := l.Append(1, []byte("after")); err != nil || lsn != 6 {
+		t.Fatalf("append after reopen: lsn=%d err=%v, want 6", lsn, err)
+	}
+	if alloc := checkPrealloc(t, l); alloc != allocStep {
+		t.Fatalf("file length after append = %d, want %d", alloc, allocStep)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, openFileT(t, path), append(want, "after"))
+}
+
+// closeBeforeSwap closes the file log's handle as replace begins, so the
+// old handle's close after the rename fails.
+type closeBeforeSwap struct{ *fileBackend }
+
+func (c closeBeforeSwap) replace(b []byte) error {
+	c.f.Close()
+	return c.fileBackend.replace(b)
+}
+
+// TestReplaceReportsCompletedSwap is the regression for a swap reported as
+// failed after its rename: replace returned the old handle's close error,
+// so Checkpoint and InstallSnapshot kept the old file's size, index and
+// position over the new file — the next append took a stale LSN and
+// wrote at a stale offset.
+func TestReplaceReportsCompletedSwap(t *testing.T) {
+	src := NewMemory()
+	fill(t, src, 2)
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		swap func(*Log) error
+		last uint64
+		want []uint64
+	}{
+		{"install-snapshot", func(l *Log) error { return l.InstallSnapshot(1, snap) }, 2, []uint64{1, 2, 3}},
+		{"checkpoint", func(l *Log) error { return l.Checkpoint(func(r Record) bool { return r.LSN <= 2 }) }, 5, []uint64{1, 2, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "swap.wal")
+			l := openFileT(t, path)
+			fill(t, l, 5)
+			fb := l.be.(*fileBackend)
+			l.be = closeBeforeSwap{fb}
+			if err := tc.swap(l); err != nil {
+				t.Fatalf("swap reported %v after its rename", err)
+			}
+			l.be = fb
+			if got := l.LastLSN(); got != tc.last {
+				t.Fatalf("LastLSN after the swap = %d, want %d", got, tc.last)
+			}
+			if _, err := l.Append(1, []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := l.RecordsSince(0); err != nil || len(got) != len(tc.want) {
+				t.Fatalf("RecordsSince(0) = %d records, %v; want %d", len(got), err, len(tc.want))
+			}
+			if got := lsnsOf(t, l); !slices.Equal(got, tc.want) {
+				t.Fatalf("LSNs = %v, want %v", got, tc.want)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := lsnsOf(t, openFileT(t, path)); !slices.Equal(got, tc.want) {
+				t.Fatalf("LSNs after reopen = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -373,14 +372,14 @@ func TestTruncateAfterMatchesReopen(t *testing.T) {
 	}
 }
 
-// TestFailedReadKeepsAppendCursor is the regression for reads that moved
-// the file cursor appends write at: a read that failed after seeking left
-// it short of the end, and the next Append overwrote acknowledged records
-// — record 1, here. Every
-// read path fails (the handle is write-only) and the append after them
-// must still land behind the three records already in the log.
-func TestFailedReadKeepsAppendCursor(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cursor.wal")
+// TestFailedReadKeepsAppendOffset is the regression for reads that moved
+// the position appends write at: when appends wrote at the file cursor, a
+// read that failed after seeking left it short of the end, and the next
+// Append overwrote acknowledged records — record 1, here. Every read path
+// fails (the handle is write-only) and the append after them must still
+// land behind the three records already in the log.
+func TestFailedReadKeepsAppendOffset(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "offset.wal")
 	l, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -389,10 +388,6 @@ func TestFailedReadKeepsAppendCursor(t *testing.T) {
 	fb := l.be.(*fileBackend)
 	wo, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Stand the write-only handle where the live one stands: at the end.
-	if _, err := wo.Seek(0, io.SeekEnd); err != nil {
 		t.Fatal(err)
 	}
 	rw := fb.f
@@ -502,6 +497,44 @@ func BenchmarkAppendLazy(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		op()
+	}
+}
+
+// appendFileOp returns one append of a decision-sized record to a file
+// log: one write and one fsync.
+func appendFileOp(tb testing.TB) func() {
+	l := fileLogOf(tb, 0)
+	data := []byte("decision-record-payload-0123456789")
+	return func() {
+		if _, err := l.Append(Kind(7), data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendFile is the cost of a commit decision on a real file: the
+// write lands in space the file was already extended to, so its fsync does
+// not also carry a new file length.
+func BenchmarkAppendFile(b *testing.B) {
+	op := appendFileOp(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+}
+
+// extendOp returns one write that extends a file log's medium by a whole
+// allocation step: the file is cut back to empty first.
+func extendOp(tb testing.TB) func() {
+	fb := fileLogOf(tb, 0).be.(*fileBackend)
+	rec := appendRecord(nil, Record{LSN: 1, Kind: 7, Data: []byte("decision")})
+	return func() {
+		if err := fb.truncate(0); err != nil {
+			tb.Fatal(err)
+		}
+		if err := fb.writeAt(0, rec); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 

@@ -13,32 +13,41 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //	payload = u64 LSN | u16 kind | data bytes
 //
-// Replay stops at the first torn or corrupt record, which models a crash
-// mid-write; everything before it is durable. Both a file-backed and an
-// in-memory backend are provided, and both support deterministic crash
-// injection for recovery tests (InjectCrashAfter).
+// A log file may run past the last record in zeros: it grows in 1 MiB
+// steps of written zeros, and each write lands inside space already
+// extended, so an fsync does not also have to make a new file length
+// durable. A zero length field is never a valid record.
+//
+// Replay stops at the first torn or corrupt record, or at the zeros, which
+// models a crash mid-write; everything before it is durable. Both a
+// file-backed and an in-memory backend are provided, and both support
+// deterministic crash injection for recovery tests (InjectCrashAfter).
 //
 // Crash-atomicity guarantees:
 //
 //   - Append is atomic: a record is either durable in full or invisible to
 //     replay. A torn tail left by a crashed or failed append is repaired
-//     (truncated and synced) before the next append, so later records are
-//     never written behind garbage where replay cannot see them.
+//     (truncated, with the zeros past it, and synced) before the next
+//     append, so later records are never written behind garbage where
+//     replay cannot see them.
 //   - A lazy record is durable only once a sync covers it. AppendLazy only
 //     buffers; the next Append (or Records, Snapshot, Checkpoint,
 //     TruncateAfter, Close) writes the buffer with one write and one fsync.
 //     Until then no reader sees the record and the stream position does
 //     not count it, and a crash loses it. A failed write or sync drops it
-//     with the record that carried it, and their LSNs are reused.
+//     with the record that carried it, and their LSNs are reused; their
+//     bytes are truncated, with the zeros past them, before the next write.
 //   - Checkpoint is atomic: the compacted log is written to a temporary
-//     file, synced, and renamed over the old log (the in-memory backend
-//     swaps its buffer in one step). A crash at any point during a
-//     checkpoint leaves either the complete old log or the complete new
-//     one — never an empty or partially rewritten log.
-//   - Open makes the repaired log durable before use: a truncated torn
-//     tail is synced, and a newly created log file is made durable with a
-//     parent-directory fsync, so a crash immediately after open cannot
-//     resurrect the tail or lose the file.
+//     file holding exactly the records, with no zeros past them, synced,
+//     and renamed over the old log (the in-memory backend swaps its buffer
+//     in one step). A crash at any point during a checkpoint leaves either
+//     the complete old log or the complete new one — never an empty or
+//     partially rewritten log.
+//   - Open makes the repaired log durable before use: a torn tail, and the
+//     zeros past the last record, are truncated and the truncation synced,
+//     and a newly created log file is made durable with a parent-directory
+//     fsync, so a crash immediately after open cannot resurrect the tail or
+//     lose the file.
 //
 // For replication, the log exposes its stream position (State, LastLSN),
 // incremental reads (RecordsSince, WaitSince) and a follower write surface
@@ -60,7 +69,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,17 +99,24 @@ const headerSize = 8 // u32 length + u32 crc
 // large batch does not pin its memory for the life of the log.
 const maxTailRetain = 64 << 10
 
+// allocStep is the step a log file grows in: a write that would pass the
+// file's end first extends it with zeros to the next multiple of allocStep.
+const allocStep = 1 << 20
+
+// zeros is the read-only source of the bytes a log file is extended with.
+var zeros [64 << 10]byte
+
 // backend abstracts the durable medium.
 type backend interface {
-	// append writes b at the end of the medium.
-	append(b []byte) error
+	// writeAt writes b at offset off, which is never past the end of the
+	// medium. Bytes beyond the write survive it.
+	writeAt(off int, b []byte) error
 	// sync forces previously written bytes to durable storage.
 	sync() error
 	// contents reads the whole medium.
 	contents() ([]byte, error)
 	// readAt reads n bytes starting at offset off. The result may alias
-	// the medium and is valid only until its next mutation. Neither read
-	// moves the position appends write at.
+	// the medium and is valid only until its next mutation.
 	readAt(off, n int) ([]byte, error)
 	// truncate discards everything beyond offset n.
 	truncate(n int) error
@@ -117,8 +132,8 @@ type Log struct {
 	mu      sync.Mutex
 	be      backend
 	nextLSN uint64 // one past the last durable record: the stream position
-	size    int    // byte offset of the end of the last valid record
-	dirty   bool   // a failed append may have left torn bytes past size
+	size    int    // byte offset of the end of the last valid record: where the next write lands
+	dirty   bool   // a failed write may have left bytes other than zeros past size
 	epoch   uint64
 	waitCh  chan struct{} // closed and renewed whenever the stream advances
 	closed  bool
@@ -177,20 +192,21 @@ func OpenMemory(data []byte) (*Log, error) {
 }
 
 // OpenFile opens (creating if needed) a file-backed log and replays it to
-// establish the next LSN. A torn tail from a previous crash is truncated
-// and the truncation synced; the parent directory is fsynced so a freshly
-// created log file survives a crash immediately after open.
+// establish the next LSN. A torn tail from a previous crash, and the zeros
+// past the last record, are truncated and the truncation synced; the
+// parent directory is fsynced so a freshly created log file survives a
+// crash immediately after open.
 func OpenFile(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	// Appends write at the file cursor; reads never move it.
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l, err := newLog(&fileBackend{f: f, path: path})
+	l, err := newLog(&fileBackend{f: f, path: path, alloc: int(fi.Size())})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -224,9 +240,10 @@ func newLog(be backend) (*Log, error) {
 	}
 	l.adoptScannedLocked(recs)
 	l.size = valid
-	// Drop a torn tail so subsequent appends produce a clean log, and make
-	// the repair durable: an unsynced truncation can be undone by a crash,
-	// resurrecting the torn bytes in front of records appended after it.
+	// Drop a torn tail (or a zero one) so subsequent appends produce a
+	// clean log, and make the repair durable: an unsynced truncation can be
+	// undone by a crash, resurrecting the torn bytes in front of records
+	// appended after it.
 	if total > valid {
 		if err := l.be.truncate(valid); err != nil {
 			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
@@ -329,9 +346,9 @@ func (l *Log) dropTailLocked() {
 	l.pending = l.pending[:0]
 }
 
-// writeLocked repairs any torn tail, then writes b and syncs it. On
-// failure the log is marked dirty so the next write repairs the tail
-// first. The caller must hold l.mu.
+// writeLocked repairs any torn tail, then writes b at the end of the last
+// valid record and syncs it. On failure the log is marked dirty so the
+// next write repairs the tail first. The caller must hold l.mu.
 func (l *Log) writeLocked(b []byte) error {
 	if err := l.repairLocked(); err != nil {
 		return err
@@ -339,13 +356,13 @@ func (l *Log) writeLocked(b []byte) error {
 	if l.failArmed {
 		if l.failAfter <= 0 {
 			// Simulate a torn write: half the bytes reach the medium.
-			_ = l.be.append(b[:len(b)/2])
+			_ = l.be.writeAt(l.size, b[:len(b)/2])
 			l.dirty = true
 			return ErrCrashed
 		}
 		l.failAfter--
 	}
-	if err := l.be.append(b); err != nil {
+	if err := l.be.writeAt(l.size, b); err != nil {
 		l.dirty = true
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -360,8 +377,8 @@ func (l *Log) writeLocked(b []byte) error {
 }
 
 // repairLocked truncates torn bytes left by a failed append back to the
-// end of the last valid record and syncs the truncation. The caller must
-// hold l.mu.
+// end of the last valid record and syncs the truncation; the next write
+// extends the file again. The caller must hold l.mu.
 func (l *Log) repairLocked() error {
 	if !l.dirty {
 		return nil
@@ -609,8 +626,11 @@ type memBackend struct {
 	buf []byte
 }
 
-func (m *memBackend) append(b []byte) error {
-	m.buf = append(m.buf, b...)
+func (m *memBackend) writeAt(off int, b []byte) error {
+	if grow := off + len(b) - len(m.buf); grow > 0 {
+		m.buf = append(m.buf, make([]byte, grow)...)
+	}
+	copy(m.buf[off:], b)
 	return nil
 }
 
@@ -632,31 +652,37 @@ func (m *memBackend) replace(b []byte) error {
 
 func (m *memBackend) close() error { return nil }
 
-// fileBackend appends to a real file with fsync on sync. replace goes
+// fileBackend keeps the log in a real file, with fsync on sync. Reads and
+// writes are positional: the file has no cursor a failed read could move.
+// The file is alloc bytes long; a write that would pass that end first
+// extends the file with zeros to the next allocStep boundary, and the
+// write's own fsync makes the extension durable with it. replace goes
 // through a temp-file + fsync + rename + directory-fsync sequence so the
 // swap is atomic across a crash at any point.
 type fileBackend struct {
-	f    *os.File
-	path string
+	f     *os.File
+	path  string
+	alloc int // the file's length: zeros past the log's last record while it is not dirty
 }
 
-func (fb *fileBackend) append(b []byte) error {
-	_, err := fb.f.Write(b)
+func (fb *fileBackend) writeAt(off int, b []byte) error {
+	if end := off + len(b); end > fb.alloc {
+		to := (end + allocStep - 1) / allocStep * allocStep
+		for fb.alloc < to {
+			n, err := fb.f.WriteAt(zeros[:min(len(zeros), to-fb.alloc)], int64(fb.alloc))
+			fb.alloc += n
+			if err != nil {
+				return fmt.Errorf("extend: %w", err)
+			}
+		}
+	}
+	_, err := fb.f.WriteAt(b, int64(off))
 	return err
 }
 
 func (fb *fileBackend) sync() error { return fb.f.Sync() }
 
-// contents and readAt use positional reads: appends write at the file
-// cursor, so a read that moved it and then failed would leave the next
-// append overwriting acknowledged records.
-func (fb *fileBackend) contents() ([]byte, error) {
-	fi, err := fb.f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return fb.readAt(0, int(fi.Size()))
-}
+func (fb *fileBackend) contents() ([]byte, error) { return fb.readAt(0, fb.alloc) }
 
 func (fb *fileBackend) readAt(off, n int) ([]byte, error) {
 	b := make([]byte, n)
@@ -670,9 +696,7 @@ func (fb *fileBackend) truncate(n int) error {
 	if err := fb.f.Truncate(int64(n)); err != nil {
 		return fmt.Errorf("truncate: %w", err)
 	}
-	if _, err := fb.f.Seek(int64(n), io.SeekStart); err != nil {
-		return fmt.Errorf("seek: %w", err)
-	}
+	fb.alloc = n
 	return nil
 }
 
@@ -694,27 +718,21 @@ func (fb *fileBackend) replace(b []byte) error {
 		cleanup()
 		return fmt.Errorf("checkpoint sync: %w", err)
 	}
-	// The swap: after the rename the open tmp handle refers to the file
-	// now living at the log path, so it becomes the backend's handle with
-	// no window where the log has no open file.
 	if err := os.Rename(tmpPath, fb.path); err != nil {
 		cleanup()
 		return fmt.Errorf("checkpoint rename: %w", err)
 	}
-	// Past the rename the swap is complete: the open tmp handle refers to
+	// Past the rename the swap is complete and replace cannot fail: the
+	// caller must adopt the new contents. The open tmp handle refers to
 	// the file now living at the log path, so it becomes the backend's
 	// handle with no window where the log has no open file. A failed
 	// directory fsync is benign for correctness — if the rename is lost to
 	// a crash, recovery replays the complete old log, a valid
-	// pre-checkpoint state — so it does not fail the swap.
+	// pre-checkpoint state — and so is a failed close of the old handle.
 	_ = syncDir(filepath.Dir(fb.path))
-	old := fb.f
-	fb.f = tmp
-	if _, err := fb.f.Seek(0, io.SeekEnd); err != nil {
-		old.Close()
-		return fmt.Errorf("checkpoint seek: %w", err)
-	}
-	return old.Close()
+	_ = fb.f.Close()
+	fb.f, fb.alloc = tmp, len(b)
+	return nil
 }
 
 func (fb *fileBackend) close() error { return fb.f.Close() }
