@@ -36,14 +36,14 @@
 //     order, waiting for each response before the next transmit — the
 //     fig. 5 exchange as literally drawn.
 //   - DeliverParallel: all actions concurrently through a bounded worker
-//     pool (DeliveryPolicy.MaxWorkers; zero picks max(16, 4×GOMAXPROCS)).
+//     pool of max(16, 4×GOMAXPROCS).
 //   - DeliverTree: the broadcast relayed down a branching-factor tree of
 //     relay-capable actions (see SubtreeDeliverer and the orb package's
 //     ServeRelay): the coordinator contacts only the subtree roots and
 //     outcomes aggregate back up with registration identity intact. The
-//     tree shape comes from a deterministic TreePlanner over measured
-//     per-endpoint RTTs (DeliveryPolicy.Planner, default
-//     GreedyNearestPlanner).
+//     tree shape comes from a deterministic planner over measured
+//     per-endpoint RTTs; parallel and tree delivery share one concurrent
+//     engine, which relays also run over their own span.
 //
 // The policy is selectable per Service with WithDelivery and per SignalSet
 // with BaseSet.SetDelivery (a set's own choice wins). Whatever the policy,
@@ -123,16 +123,10 @@ type (
 	// accounting: parallel fan-out work discarded by advances
 	// (Service.DeliveryStats).
 	DeliveryStats = core.DeliveryStats
-	// TreePlanner builds the relay tree for tree-mode broadcasts.
-	TreePlanner = core.TreePlanner
-	// TreeMember is one participant handed to a TreePlanner.
+	// TreeMember is one participant of a relay tree.
 	TreeMember = core.TreeMember
 	// TreeNode is one vertex of a relay tree.
 	TreeNode = core.TreeNode
-	// TreePlan is the forest of relay subtrees a planner produces.
-	TreePlan = core.TreePlan
-	// GreedyNearestPlanner is the default deterministic RTT-greedy planner.
-	GreedyNearestPlanner = core.GreedyNearestPlanner
 	// RelayInfo is the node identity a relay-capable Action reports.
 	RelayInfo = core.RelayInfo
 	// SubtreeDeliverer is the optional interface of relay-capable Actions.

@@ -174,10 +174,8 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 			berr    error
 		)
 		switch {
-		case policy.Mode == DeliverTree && len(regs) > 1:
-			advance, berr = c.broadcastTree(ctx, driver, regs, sig, policy)
-		case policy.Mode == DeliverParallel && len(regs) > 1:
-			advance, berr = c.broadcastParallel(ctx, driver, regs, sig, policy)
+		case (policy.Mode == DeliverParallel || policy.Mode == DeliverTree) && len(regs) > 1:
+			advance, berr = c.broadcastConcurrent(ctx, driver, regs, sig, policy)
 		default:
 			advance, berr = c.broadcastSerial(ctx, driver, regs, sig)
 		}
@@ -199,9 +197,9 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 
 // deliver transmits one signal to one action with at-least-once retry,
 // recording transmit events live and the response at the end (the same
-// event shape replayTrace reproduces for parallel deliveries).
+// event shape replayTrace reproduces for concurrent deliveries).
 func (c *Coordinator) deliver(ctx context.Context, reg registration, sig Signal) (Outcome, error) {
-	r := c.runAttempts(ctx, reg, sig, func(attempt int) {
+	r := runAttempts(ctx, reg.action, sig, c.retry, func(attempt int) {
 		c.rec.Record(trace.KindTransmit, c.owner, reg.label, sig.Name, transmitDetail(attempt))
 	})
 	c.recordResponse(reg, sig, r)

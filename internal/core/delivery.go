@@ -22,14 +22,14 @@ const (
 	// fig. 5 exchange as literally drawn. This is the default.
 	DeliverSerial DeliveryMode = iota + 1
 	// DeliverParallel transmits to all registered actions concurrently
-	// through a bounded worker pool. Responses are fed back to the
-	// SignalSet strictly in registration order, so collation — and the
-	// recorded trace — is identical to serial delivery. Delivery is
-	// speculative: when an early response advances the set, actions later
-	// in registration order may already have received the signal (their
-	// responses are discarded and in-flight stragglers are cancelled via
-	// their context). Sets that rely on advance to *prevent* later
-	// deliveries must stay serial.
+	// through a worker pool bounded at max(16, 4×GOMAXPROCS). Responses
+	// are fed back to the SignalSet strictly in registration order, so
+	// collation — and the recorded trace — is identical to serial
+	// delivery. Delivery is speculative: when an early response advances
+	// the set, actions later in registration order may already have
+	// received the signal (their responses are discarded and in-flight
+	// stragglers are cancelled via their context). Sets that rely on
+	// advance to *prevent* later deliveries must stay serial.
 	DeliverParallel
 	// DeliverTree relays the broadcast down a branching-factor tree of
 	// relay-capable actions (SubtreeDeliverer): the coordinator contacts
@@ -40,8 +40,9 @@ const (
 	// byte-identical to serial delivery. Tree delivery is speculative like
 	// parallel delivery, and additionally at least once per subtree: a
 	// relay that dies mid-round is re-adopted by redelivering its span
-	// directly, so actions must be idempotent. Actions that cannot relay
-	// are delivered directly through the worker pool.
+	// directly, so actions must be idempotent. Actions that cannot relay,
+	// and subtree roots with no children, are delivered directly through
+	// the worker pool, as in parallel mode.
 	DeliverTree
 )
 
@@ -65,41 +66,18 @@ func (m DeliveryMode) String() string {
 type DeliveryPolicy struct {
 	// Mode selects serial, parallel or relay-tree fan-out.
 	Mode DeliveryMode
-	// MaxWorkers bounds the number of concurrent deliveries in parallel
-	// mode. Zero or negative selects max(16, 4×GOMAXPROCS), capped at the
-	// fanout.
-	MaxWorkers int
 	// Branching is the relay-tree fan-out (children per node) in tree
 	// mode. Zero or negative selects DefaultBranching.
 	Branching int
-	// Planner builds the relay tree in tree mode. Nil selects the
-	// deterministic GreedyNearestPlanner.
-	Planner TreePlanner
 }
 
-// Parallel is shorthand for a parallel policy with the default worker
-// bound.
+// Parallel is shorthand for a parallel policy.
 func Parallel() DeliveryPolicy { return DeliveryPolicy{Mode: DeliverParallel} }
 
 // Tree is shorthand for a relay-tree policy with the given branching
-// factor (<= 0 selects DefaultBranching) and the default planner.
+// factor (<= 0 selects DefaultBranching).
 func Tree(branching int) DeliveryPolicy {
 	return DeliveryPolicy{Mode: DeliverTree, Branching: branching}
-}
-
-// workers resolves the worker-pool size for one broadcast of n actions.
-func (p DeliveryPolicy) workers(n int) int {
-	w := p.MaxWorkers
-	if w <= 0 {
-		w = 4 * runtime.GOMAXPROCS(0)
-		if w < 16 {
-			w = 16
-		}
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // deliveryCounters aggregates speculative parallel-delivery accounting
@@ -145,7 +123,7 @@ func (s DeliveryStats) Total() uint64 {
 	return s.DiscardedResponses + s.SkippedDeliveries + s.CancelledDeliveries
 }
 
-// countSpeculative classifies one parallel delivery discarded by an
+// countSpeculative classifies one concurrent delivery discarded by an
 // advance into the service-wide counters.
 func (c *Coordinator) countSpeculative(r attemptResult) {
 	if c.counters == nil {
@@ -209,28 +187,28 @@ type attemptResult struct {
 	// cancelled marks a delivery abandoned mid-backoff (context died):
 	// no response event is recorded for it, in serial or parallel mode.
 	cancelled bool
-	// skipped marks a parallel delivery short-circuited before its first
+	// skipped marks a concurrent delivery short-circuited before its first
 	// transmit; it is neither recorded nor fed to the set.
 	skipped bool
 }
 
-// runAttempts is the single at-least-once retry loop behind both delivery
-// modes. onTransmit, when non-nil, is invoked before each attempt — the
-// serial path records live; the parallel path passes nil and replays the
-// events at collation time so there is exactly one encoding of the
-// retry-and-trace contract.
-func (c *Coordinator) runAttempts(ctx context.Context, reg registration, sig Signal, onTransmit func(attempt int)) attemptResult {
+// runAttempts is the single at-least-once retry loop behind every delivery
+// mode and every relay. onTransmit, when non-nil, is invoked before each
+// attempt — the serial path records live; the concurrent engine passes nil
+// and the collator replays the events, so there is exactly one encoding of
+// the retry-and-trace contract.
+func runAttempts(ctx context.Context, action Action, sig Signal, retry RetryPolicy, onTransmit func(attempt int)) attemptResult {
 	var r attemptResult
-	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
+	for attempt := 1; attempt <= retry.Attempts; attempt++ {
 		if onTransmit != nil {
 			onTransmit(attempt)
 		}
 		r.attempts = attempt
-		r.outcome, r.err = reg.action.ProcessSignal(ctx, sig)
+		r.outcome, r.err = action.ProcessSignal(ctx, sig)
 		if r.err == nil {
 			return r
 		}
-		if c.retry.Backoff > 0 && attempt < c.retry.Attempts {
+		if retry.Backoff > 0 && attempt < retry.Attempts {
 			select {
 			case <-ctx.Done():
 				return attemptResult{
@@ -238,7 +216,7 @@ func (c *Coordinator) runAttempts(ctx context.Context, reg registration, sig Sig
 					attempts:  attempt,
 					cancelled: true,
 				}
-			case <-time.After(c.retry.Backoff):
+			case <-time.After(retry.Backoff):
 			}
 		}
 	}
@@ -267,86 +245,178 @@ func (c *Coordinator) recordResponse(reg registration, sig Signal, r attemptResu
 	}
 }
 
-// broadcastParallel delivers sig to every registration concurrently through
-// a bounded worker pool, then feeds the responses to the driver in
+// broadcastConcurrent is the one concurrent broadcast behind parallel and
+// tree delivery. forestFor lays the registrations out as a forest —
+// parallel mode plans no relay subtrees, so every registration is a
+// childless root — the fan-out engine delivers it through its bounded
+// worker pool, and this collator feeds the responses to the driver in
 // registration order. When a response advances the set (or feeding fails)
 // the remaining responses are discarded — exactly the responses serial
-// delivery would never have produced — and stragglers are cancelled through
-// their context. Trace events are recorded at collation time, so the
-// recorded sequence is byte-identical to serial delivery's.
-func (c *Coordinator) broadcastParallel(ctx context.Context, driver *setDriver, regs []registration, sig Signal, policy DeliveryPolicy) (bool, error) {
-	n := len(regs)
+// delivery would never have produced — work not yet started is skipped, and
+// stragglers are cancelled through their context. Trace events are recorded
+// at collation time, so the recorded sequence is byte-identical to serial
+// delivery's.
+func (c *Coordinator) broadcastConcurrent(ctx context.Context, driver *setDriver, regs []registration, sig Signal, policy DeliveryPolicy) (bool, error) {
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// shortCircuit distinguishes our own advance-cancellation from a caller
-	// cancelling ctx: serial delivery still invokes actions under a
-	// cancelled parent context, so only an advance may skip deliveries.
-	var shortCircuit atomic.Bool
-
-	results := make([]attemptResult, n)
-	ready := make([]chan struct{}, n)
-	jobs := make(chan int, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-		jobs <- i
-	}
-	close(jobs)
-
-	var wg sync.WaitGroup
-	for w := policy.workers(n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if shortCircuit.Load() {
-					results[idx].skipped = true
-					close(ready[idx])
-					continue
-				}
-				results[idx] = c.runAttempts(dctx, regs[idx], sig, nil)
-				close(ready[idx])
-			}
-		}()
-	}
-	// All workers drain their remaining (skipped) jobs before we return, so
+	f := startFanOut(dctx, sig, c.retry, forestFor(regs, policy))
+	// All workers drain their remaining (skipped) work before we return, so
 	// no goroutine outlives the broadcast.
-	defer wg.Wait()
+	defer f.wg.Wait()
+
+	// at[i] is registration i's forest position.
+	at := make([]int, len(regs))
+	for p, n := range f.nodes {
+		at[n.Member.Index] = p
+	}
 
 	advance := false
 	var feedErr error
-	for i := 0; i < n; i++ {
-		<-ready[i]
+	for i, reg := range regs {
+		p := at[i]
+		f.landed[p].Wait()
+		r := f.results[p]
 		if advance || feedErr != nil {
 			// Discard speculative responses past the short-circuit,
 			// counting the ones an advance (not a feed error) threw away.
 			if advance {
-				c.countSpeculative(results[i])
+				c.countSpeculative(r)
 			}
 			continue
 		}
-		r := results[i]
 		if r.skipped {
 			continue
 		}
-		c.replayTrace(regs[i], sig, r)
+		c.replayTrace(reg, sig, r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			feedErr = serr
-			shortCircuit.Store(true)
+			f.stop.Store(true)
 			cancel()
 			continue
 		}
 		if adv {
 			advance = true
-			shortCircuit.Store(true)
+			f.stop.Store(true)
 			cancel()
 		}
 	}
 	return advance, feedErr
 }
 
-// replayTrace records the transmit/response events for one parallel
+// workers is the worker-pool bound for a fan-out of n jobs:
+// max(16, 4×GOMAXPROCS), capped at n.
+func workers(n int) int {
+	return min(max(16, 4*runtime.GOMAXPROCS(0)), n)
+}
+
+// fanOut is one concurrent delivery of a signal over a forest of subtrees:
+// the engine behind the coordinator's concurrent broadcast and behind relay
+// servants (DeliverForest). Each root is one job for the bounded worker
+// pool. A childless root is delivered directly through the at-least-once
+// retry loop; a root with children goes as one batch to its own relay
+// (SubtreeDeliverer), and any member the batch misses is re-adopted:
+// delivered directly. Every member's result lands in its forest-preorder
+// slot.
+type fanOut struct {
+	ctx   context.Context
+	sig   Signal
+	retry RetryPolicy
+	// stop skips work not yet started. Only an advance or a feed error sets
+	// it, never the caller cancelling ctx: serial delivery still invokes
+	// actions under a cancelled parent context.
+	stop atomic.Bool
+
+	nodes   []*TreeNode      // every member, in forest preorder
+	results []attemptResult  // by forest position
+	landed  []sync.WaitGroup // landed[p] is done once results[p] is final
+	jobs    []span           // one per root
+	next    atomic.Int64     // the next job to claim
+	wg      sync.WaitGroup   // the workers
+}
+
+// span is one root's subtree: the forest positions [first, end).
+type span struct{ first, end int }
+
+// startFanOut starts delivering sig over roots and returns at once.
+func startFanOut(ctx context.Context, sig Signal, retry RetryPolicy, roots []*TreeNode) *fanOut {
+	total := 0
+	for _, r := range roots {
+		total += r.Span()
+	}
+	f := &fanOut{
+		ctx: ctx, sig: sig, retry: retry,
+		nodes:   make([]*TreeNode, 0, total),
+		results: make([]attemptResult, total),
+		landed:  make([]sync.WaitGroup, total),
+		jobs:    make([]span, len(roots)),
+	}
+	for i, r := range roots {
+		first := len(f.nodes)
+		f.nodes = r.preorder(f.nodes)
+		f.jobs[i] = span{first, len(f.nodes)}
+	}
+	for p := range f.landed {
+		f.landed[p].Add(1)
+	}
+	for w := workers(len(roots)); w > 0; w-- {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			for {
+				j := int(f.next.Add(1)) - 1
+				if j >= len(f.jobs) {
+					return
+				}
+				f.deliver(f.jobs[j])
+			}
+		}()
+	}
+	return f
+}
+
+// deliver runs one root's subtree, its root first.
+func (f *fanOut) deliver(s span) {
+	var batch map[int]SubtreeResult
+	if root := f.nodes[s.first]; len(root.Children) > 0 && !f.stop.Load() {
+		batch = f.relay(root)
+	}
+	for p := s.first; p < s.end; p++ {
+		m := f.nodes[p].Member
+		if r, ok := batch[m.Index]; ok {
+			f.results[p] = attemptResult{outcome: r.Outcome, err: r.Err, attempts: max(r.Attempts, 1)}
+		} else if f.stop.Load() {
+			f.results[p].skipped = true
+		} else {
+			// A childless root, or a member the batch missed: deliver
+			// directly, idempotency absorbing any duplicate a dying relay
+			// already managed.
+			f.results[p] = runAttempts(f.ctx, m.Action, f.sig, f.retry, nil)
+		}
+		f.landed[p].Done()
+	}
+}
+
+// relay delivers root's subtree as one batch through the root's relay and
+// returns the results by registration index, or nil — re-adopting the
+// whole span — when the root cannot relay or its relay failed.
+func (f *fanOut) relay(root *TreeNode) map[int]SubtreeResult {
+	sd, ok := root.Member.Action.(SubtreeDeliverer)
+	if !ok {
+		return nil
+	}
+	res, err := sd.DeliverSubtree(f.ctx, f.sig, root, f.retry)
+	if err != nil {
+		return nil
+	}
+	batch := make(map[int]SubtreeResult, len(res))
+	for _, r := range res {
+		batch[r.Index] = r
+	}
+	return batch
+}
+
+// replayTrace records the transmit/response events for one concurrent
 // delivery in the same shape the serial path records them live.
 func (c *Coordinator) replayTrace(reg registration, sig Signal, r attemptResult) {
 	if c.rec == nil {

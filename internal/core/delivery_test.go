@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,8 +57,13 @@ func runBroadcast(t *testing.T, policy DeliveryPolicy, nSignals, nActions int, l
 	return append([]byte(nil), e.Bytes()...), rec.Sequence()
 }
 
+// concurrentPolicies are the policies that share the concurrent engine. The
+// in-process actions of this package cannot relay, so tree mode must
+// reproduce the parallel path exactly.
+var concurrentPolicies = []DeliveryPolicy{Parallel(), Tree(4)}
+
 // TestDifferentialParallelMatchesSerial is the differential property test:
-// for random protocol shapes over idempotent actions, serial and parallel
+// for random protocol shapes over idempotent actions, serial and concurrent
 // delivery produce byte-identical collated outcomes and identical traces.
 func TestDifferentialParallelMatchesSerial(t *testing.T) {
 	f := func(nSignals, nActions, latSeed uint8) bool {
@@ -68,15 +74,17 @@ func TestDifferentialParallelMatchesSerial(t *testing.T) {
 			return time.Duration((int(latSeed)+i*7)%5) * 100 * time.Microsecond
 		}
 		serialOut, serialTrace := runBroadcast(t, DeliveryPolicy{Mode: DeliverSerial}, a, n, latency)
-		parallelOut, parallelTrace := runBroadcast(t, Parallel(), a, n, latency)
-		if string(serialOut) != string(parallelOut) {
-			t.Logf("outcome mismatch: serial=%x parallel=%x", serialOut, parallelOut)
-			return false
-		}
-		if strings.Join(serialTrace, "\n") != strings.Join(parallelTrace, "\n") {
-			t.Logf("trace mismatch:\nserial:\n%s\nparallel:\n%s",
-				strings.Join(serialTrace, "\n"), strings.Join(parallelTrace, "\n"))
-			return false
+		for _, policy := range concurrentPolicies {
+			out, trace := runBroadcast(t, policy, a, n, latency)
+			if string(serialOut) != string(out) {
+				t.Logf("outcome mismatch: serial=%x %s=%x", serialOut, policy.Mode, out)
+				return false
+			}
+			if strings.Join(serialTrace, "\n") != strings.Join(trace, "\n") {
+				t.Logf("trace mismatch:\nserial:\n%s\n%s:\n%s",
+					strings.Join(serialTrace, "\n"), policy.Mode, strings.Join(trace, "\n"))
+				return false
+			}
 		}
 		return true
 	}
@@ -124,51 +132,55 @@ func (s *voteAdvanceSet) GetOutcome() (Outcome, error) {
 // collation at the same point serial delivery would, discards speculative
 // responses, and cancels in-flight stragglers through their context.
 func TestParallelAdvanceShortCircuit(t *testing.T) {
-	rec := trace.New()
-	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1}, Parallel(), nil)
-	var cancelled atomic.Int32
-	// act0 aborts immediately; the rest block until their context dies.
-	coord.AddNamedAction("adv", "act0", ActionFunc(
-		func(context.Context, Signal) (Outcome, error) {
-			return Outcome{Name: "abort"}, nil
-		}))
-	for i := 1; i < 8; i++ {
-		coord.AddNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
-			func(ctx context.Context, _ Signal) (Outcome, error) {
-				select {
-				case <-ctx.Done():
-					cancelled.Add(1)
-					return Outcome{Name: "interrupted"}, nil
-				case <-time.After(5 * time.Second):
-					return Outcome{Name: "slept"}, nil
+	for _, policy := range concurrentPolicies {
+		t.Run(policy.Mode.String(), func(t *testing.T) {
+			rec := trace.New()
+			coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1}, policy, nil)
+			var cancelled atomic.Int32
+			// act0 aborts immediately; the rest block until their context dies.
+			coord.AddNamedAction("adv", "act0", ActionFunc(
+				func(context.Context, Signal) (Outcome, error) {
+					return Outcome{Name: "abort"}, nil
+				}))
+			for i := 1; i < 8; i++ {
+				coord.AddNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
+					func(ctx context.Context, _ Signal) (Outcome, error) {
+						select {
+						case <-ctx.Done():
+							cancelled.Add(1)
+							return Outcome{Name: "interrupted"}, nil
+						case <-time.After(5 * time.Second):
+							return Outcome{Name: "slept"}, nil
+						}
+					}))
+			}
+			set := newVoteAdvanceSet()
+			start := time.Now()
+			out, err := coord.ProcessSignalSet(context.Background(), set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("broadcast took %s; stragglers were not cancelled", elapsed)
+			}
+			// Only act0's response was fed: the advance discards everything after it.
+			if out.Name != "responses=1" {
+				t.Fatalf("outcome = %q, want responses=1", out.Name)
+			}
+			if cancelled.Load() == 0 {
+				t.Fatal("no straggler observed cancellation")
+			}
+			// The trace records only the fed delivery, like serial short-circuit.
+			var transmits int
+			for _, e := range rec.Events() {
+				if e.Kind == trace.KindTransmit {
+					transmits++
 				}
-			}))
-	}
-	set := newVoteAdvanceSet()
-	start := time.Now()
-	out, err := coord.ProcessSignalSet(context.Background(), set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("broadcast took %s; stragglers were not cancelled", elapsed)
-	}
-	// Only act0's response was fed: the advance discards everything after it.
-	if out.Name != "responses=1" {
-		t.Fatalf("outcome = %q, want responses=1", out.Name)
-	}
-	if cancelled.Load() == 0 {
-		t.Fatal("no straggler observed cancellation")
-	}
-	// The trace records only the fed delivery, like serial short-circuit.
-	var transmits int
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindTransmit {
-			transmits++
-		}
-	}
-	if transmits != 1 {
-		t.Fatalf("recorded %d transmits, want 1", transmits)
+			}
+			if transmits != 1 {
+				t.Fatalf("recorded %d transmits, want 1", transmits)
+			}
+		})
 	}
 }
 
@@ -195,10 +207,11 @@ func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 		return rec.Sequence()
 	}
 	serial := run(DeliveryPolicy{Mode: DeliverSerial})
-	parallel := run(Parallel())
-	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-		t.Fatalf("trace mismatch:\nserial:\n%s\nparallel:\n%s",
-			strings.Join(serial, "\n"), strings.Join(parallel, "\n"))
+	for _, policy := range concurrentPolicies {
+		if got := run(policy); strings.Join(serial, "\n") != strings.Join(got, "\n") {
+			t.Fatalf("trace mismatch:\nserial:\n%s\n%s:\n%s",
+				strings.Join(serial, "\n"), policy.Mode, strings.Join(got, "\n"))
+		}
 	}
 }
 
@@ -263,46 +276,45 @@ func TestDeliveryPolicyResolution(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerBound verifies MaxWorkers caps in-flight deliveries.
+// TestParallelWorkerBound verifies the default worker bound caps in-flight
+// deliveries in both concurrent modes.
 func TestParallelWorkerBound(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1},
-		DeliveryPolicy{Mode: DeliverParallel, MaxWorkers: 3}, nil)
-	probe := &concurrencyProbe{}
-	for i := 0; i < 16; i++ {
-		coord.AddAction("s", probe.action())
-	}
-	set := NewSequenceSet("s", "ping")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
-		t.Fatal(err)
-	}
-	if got := probe.max.Load(); got > 3 {
-		t.Fatalf("max concurrency = %d, want <= 3", got)
-	}
-	if got := probe.max.Load(); got < 2 {
-		t.Fatalf("max concurrency = %d, want >= 2 (pool not parallel at all)", got)
+	bound := workers(1 << 20)
+	for _, policy := range concurrentPolicies {
+		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
+		probe := &concurrencyProbe{}
+		for i := 0; i < 3*bound; i++ {
+			coord.AddAction("s", probe.action())
+		}
+		set := NewSequenceSet("s", "ping")
+		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+			t.Fatal(err)
+		}
+		if got := probe.max.Load(); int(got) > bound {
+			t.Fatalf("%s: max concurrency = %d, want <= %d", policy.Mode, got, bound)
+		}
+		if got := probe.max.Load(); got < 2 {
+			t.Fatalf("%s: max concurrency = %d, want >= 2 (pool not parallel at all)", policy.Mode, got)
+		}
 	}
 }
 
-// TestPolicyWorkersResolution pins the worker-bound arithmetic.
+// TestPolicyWorkersResolution pins the worker-bound arithmetic:
+// max(16, 4×GOMAXPROCS), capped at the fanout.
 func TestPolicyWorkersResolution(t *testing.T) {
-	if got := (DeliveryPolicy{MaxWorkers: 4}).workers(100); got != 4 {
-		t.Errorf("explicit bound: %d, want 4", got)
+	want := max(16, 4*runtime.GOMAXPROCS(0))
+	if got := workers(10000); got != want {
+		t.Errorf("default bound: %d, want %d", got, want)
 	}
-	if got := (DeliveryPolicy{MaxWorkers: 200}).workers(100); got != 100 {
-		t.Errorf("bound capped at fanout: %d, want 100", got)
-	}
-	if got := (DeliveryPolicy{}).workers(8); got != 8 {
-		t.Errorf("default capped at fanout: %d, want 8", got)
-	}
-	if got := (DeliveryPolicy{}).workers(10000); got < 16 {
-		t.Errorf("default floor: %d, want >= 16", got)
+	if got := workers(8); got != 8 {
+		t.Errorf("bound capped at fanout: %d, want 8", got)
 	}
 }
 
 // TestParallelDeliveryErrorFeedsSet verifies a failed delivery reaches the
-// set as a delivery error under parallel mode, exactly like serial.
+// set as a delivery error under concurrent delivery, exactly like serial.
 func TestParallelDeliveryErrorFeedsSet(t *testing.T) {
-	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel()} {
+	for _, policy := range append([]DeliveryPolicy{{Mode: DeliverSerial}}, concurrentPolicies...) {
 		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
 		coord.AddNamedAction("s", "good", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
@@ -327,12 +339,18 @@ func TestParallelDeliveryErrorFeedsSet(t *testing.T) {
 }
 
 // TestSpeculativeDeliveryAccounting verifies the Service-wide accounting
-// of parallel deliveries discarded by an advance: an advancing vote with
+// of concurrent deliveries discarded by an advance: an advancing vote with
 // three stragglers already in flight counts exactly three discarded
 // responses, and serial delivery (which never speculates) adds nothing.
 func TestSpeculativeDeliveryAccounting(t *testing.T) {
+	for _, policy := range concurrentPolicies {
+		t.Run(policy.Mode.String(), func(t *testing.T) { testSpeculativeDeliveryAccounting(t, policy) })
+	}
+}
+
+func testSpeculativeDeliveryAccounting(t *testing.T, policy DeliveryPolicy) {
 	const stragglers = 3
-	svc := New(WithDelivery(Parallel()))
+	svc := New(WithDelivery(policy))
 	a := svc.Begin("speculative")
 	set := newVoteAdvanceSet()
 	if err := a.RegisterSignalSet(set); err != nil {

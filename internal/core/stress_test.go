@@ -78,10 +78,10 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 }
 
 // TestStressAddRemoveDuringBroadcast mutates a set's registrations while a
-// broadcast over that set is in flight, under both policies. The broadcast
+// broadcast over that set is in flight, under every policy. The broadcast
 // must observe a consistent snapshot and never race.
 func TestStressAddRemoveDuringBroadcast(t *testing.T) {
-	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel()} {
+	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(4)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
 			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
 			var delivered atomic.Int32

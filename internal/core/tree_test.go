@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestGreedyNearestPlannerPartitions checks the planner invariants across
+// TestGreedyNearestPlannerPartitions checks planTree's invariants across
 // sizes and branching factors: every member appears in exactly one
 // subtree, no node exceeds the branching factor, at most k roots, and the
 // construction is deterministic.
@@ -14,17 +14,20 @@ func TestGreedyNearestPlannerPartitions(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 8, 9, 64, 257, 1000} {
 		for _, k := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(t *testing.T) {
-				members := make([]TreeMember, n)
-				for i := range members {
-					members[i] = TreeMember{
-						Index: i,
-						Node:  fmt.Sprintf("tcp:site%d:1", i%7),
-						RTT:   time.Duration(i%5) * 700 * time.Microsecond,
+				nodes := func() []*TreeNode {
+					out := make([]*TreeNode, n)
+					for i := range out {
+						out[i] = &TreeNode{Member: TreeMember{
+							Index: i,
+							Node:  fmt.Sprintf("tcp:site%d:1", i%7),
+							RTT:   time.Duration(i%5) * 700 * time.Microsecond,
+						}}
 					}
+					return out
 				}
-				plan := GreedyNearestPlanner{}.Plan(members, k)
-				if len(plan.Roots) > k {
-					t.Fatalf("%d roots, branching %d", len(plan.Roots), k)
+				roots := planTree(nodes(), k)
+				if len(roots) > k {
+					t.Fatalf("%d roots, branching %d", len(roots), k)
 				}
 				seen := map[int]int{}
 				var walk func(node *TreeNode)
@@ -38,7 +41,7 @@ func TestGreedyNearestPlannerPartitions(t *testing.T) {
 					}
 				}
 				total := 0
-				for _, r := range plan.Roots {
+				for _, r := range roots {
 					walk(r)
 					total += r.Span()
 				}
@@ -53,20 +56,19 @@ func TestGreedyNearestPlannerPartitions(t *testing.T) {
 
 				// Determinism: replanning the same members yields the same
 				// preorder index sequence.
-				again := GreedyNearestPlanner{}.Plan(members, k)
-				var seq, seq2 []int
-				for _, r := range plan.Roots {
-					seq = r.indexes(seq)
+				var seq, seq2 []*TreeNode
+				for _, r := range roots {
+					seq = r.preorder(seq)
 				}
-				for _, r := range again.Roots {
-					seq2 = r.indexes(seq2)
+				for _, r := range planTree(nodes(), k) {
+					seq2 = r.preorder(seq2)
 				}
 				if len(seq) != len(seq2) {
 					t.Fatalf("replan changed size")
 				}
 				for i := range seq {
-					if seq[i] != seq2[i] {
-						t.Fatalf("replan diverged at %d: %d vs %d", i, seq[i], seq2[i])
+					if a, b := seq[i].Member.Index, seq2[i].Member.Index; a != b {
+						t.Fatalf("replan diverged at %d: %d vs %d", i, a, b)
 					}
 				}
 			})

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -34,8 +35,8 @@ const (
 // the frame carries the subtree membership inline or refers to one the
 // relay already planted.
 const (
-	// relayBatchFull carries the membership blob inline; the relay caches
-	// it under its plant id.
+	// relayBatchFull carries the membership blob inline; the relay checks
+	// that the blob hashes to the claimed plant id and caches it there.
 	relayBatchFull byte = 1
 	// relayBatchRef carries only the plant id of a previously planted
 	// membership. A relay that does not know the plant (restarted, evicted)
@@ -75,15 +76,6 @@ type relayNode struct {
 	key       string
 	endpoints []string
 	children  []*relayNode
-}
-
-// span appends every node of the subtree to dst in preorder.
-func (n *relayNode) span(dst []*relayNode) []*relayNode {
-	dst = append(dst, n)
-	for _, c := range n.children {
-		dst = c.span(dst)
-	}
-	return dst
 }
 
 // encodeRelayNode writes one subtree in wire form.
@@ -187,11 +179,21 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	if err := d.Err(); err != nil {
 		return relayBatch{}, err
 	}
+	if id := plantIDOf(blob); id != b.plantID {
+		return relayBatch{}, fmt.Errorf("remote: relay batch claims plant %s for membership %s", b.plantID, id)
+	}
 	var md cdr.Decoder
 	md.Reset(blob)
 	root, err := decodeRelayNode(&md, 0)
 	if err != nil {
 		return relayBatch{}, err
+	}
+	// Only a canonical blob — no trailing bytes, no stray padding — is
+	// accepted, so the tree re-encodes to the very bytes its id hashes.
+	me := cdr.NewEncoder(len(blob))
+	encodeRelayNode(me, root)
+	if !bytes.Equal(me.Bytes(), blob) {
+		return relayBatch{}, fmt.Errorf("remote: relay membership is not canonical (%d bytes, %d decoded)", len(blob), len(me.Bytes()))
 	}
 	b.root = root
 	return b, nil
@@ -269,10 +271,10 @@ func plantIDOf(membership []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// relayServant hosts the relay_deliver operation: it delivers a signal to
-// its own member, forwards sub-batches to child relays, re-adopts the span
-// of any child that fails, and aggregates every member's outcome into one
-// reply. It also keeps the plant cache that makes coordinator traffic
+// relayServant hosts the relay_deliver operation: it runs core's fan-out
+// engine over its span — its own member and each child subtree, child
+// relays receiving sub-batches — and aggregates every member's outcome into
+// one reply. It also keeps the plant cache that makes coordinator traffic
 // sub-linear: a membership arrives once (full batch) and every later round
 // references it by plant id.
 type relayServant struct {
@@ -287,8 +289,8 @@ type relayServant struct {
 	evictions atomic.Uint64
 
 	mu     sync.Mutex
-	plants map[string]*relayNode
-	order  []string // LRU order, most recently used last
+	plants map[string][]*core.TreeNode // plant id → delivery forest
+	order  []string                    // LRU order, most recently used last
 }
 
 // ServeRelay activates the relay servant on o under RelayKey and returns
@@ -298,7 +300,7 @@ type relayServant struct {
 func ServeRelay(o *orb.ORB) orb.IOR {
 	s := &relayServant{
 		o:      o,
-		plants: make(map[string]*relayNode),
+		plants: make(map[string][]*core.TreeNode),
 	}
 	o.SetMetrics("relay", s.metrics)
 	return o.RegisterServantWithKey(RelayKey, RelayTypeID, s)
@@ -316,9 +318,9 @@ func (s *relayServant) metrics(emit func(orb.Sample)) {
 	emit(orb.Sample{Name: "evictions", Value: int64(s.evictions.Load())})
 }
 
-// plant stores a membership under its id, evicting least-recently-used
-// plants past the cap.
-func (s *relayServant) plant(id string, root *relayNode) {
+// plant stores a membership's delivery forest under its id, evicting
+// least-recently-used plants past the cap.
+func (s *relayServant) plant(id string, forest []*core.TreeNode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.plants[id]; ok {
@@ -331,15 +333,15 @@ func (s *relayServant) plant(id string, root *relayNode) {
 		delete(s.plants, oldest)
 		s.evictions.Add(1)
 	}
-	s.plants[id] = root
+	s.plants[id] = forest
 	s.order = append(s.order, id)
 }
 
-// lookup returns a planted membership, refreshing its LRU position and
+// lookup returns a planted forest, refreshing its LRU position and
 // counting the hit or miss.
-func (s *relayServant) lookup(id string) (*relayNode, bool) {
+func (s *relayServant) lookup(id string) ([]*core.TreeNode, bool) {
 	s.mu.Lock()
-	root, ok := s.plants[id]
+	forest, ok := s.plants[id]
 	if ok {
 		s.touch(id)
 	}
@@ -349,7 +351,7 @@ func (s *relayServant) lookup(id string) (*relayNode, bool) {
 	} else {
 		s.misses.Add(1)
 	}
-	return root, ok
+	return forest, ok
 }
 
 // touch moves id to the most-recently-used end of the eviction order.
@@ -372,16 +374,24 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	if err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "relay_deliver: %v", err)
 	}
-	root := batch.root
+	var forest []*core.TreeNode
 	if batch.kind == relayBatchRef {
 		var ok bool
-		if root, ok = s.lookup(batch.plantID); !ok {
+		if forest, ok = s.lookup(batch.plantID); !ok {
 			return nil, orb.Systemf(orb.CodeObjectNotExist, "%s %s", unknownPlantDetail, batch.plantID)
 		}
 	} else {
-		s.plant(batch.plantID, root)
+		forest = s.forestOf(batch.root)
+		s.plant(batch.plantID, forest)
 	}
-	results := s.deliver(ctx, batch.sig, root, batch.retry)
+	delivered := core.DeliverForest(ctx, batch.sig, forest, batch.retry)
+	results := make([]relayResult, len(delivered))
+	for i, r := range delivered {
+		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
+		if r.Err != nil {
+			results[i].errText = errText(r.Err)
+		}
+	}
 	e := cdr.NewEncoder(64 * len(results))
 	if err := encodeRelayResults(e, results); err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "encode relay results: %v", err)
@@ -389,132 +399,78 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	return e.Bytes(), nil
 }
 
-// deliver fans one signal out over the subtree rooted at this relay: its
-// own member and every child concurrently, child relays via sub-batches,
-// leaves directly. A child relay that fails is re-adopted — its whole span
-// is redelivered member-by-member from here — so subtree delivery stays at
-// least once and idempotent actions absorb any duplicates the dead relay
-// already managed.
-func (s *relayServant) deliver(ctx context.Context, sig core.Signal, root *relayNode, retry core.RetryPolicy) []relayResult {
-	se := cdr.NewEncoder(64)
-	if err := sig.Encode(se); err != nil {
-		all := root.span(nil)
-		results := make([]relayResult, len(all))
-		for i, n := range all {
-			results[i] = relayResult{index: n.index, attempts: 1, errText: "encode signal: " + err.Error()}
-		}
-		return results
-	}
-	sigBytes := se.Bytes()
-
-	var (
-		mu  sync.Mutex
-		out []relayResult
-	)
-	add := func(rs ...relayResult) {
-		mu.Lock()
-		out = append(out, rs...)
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		add(s.invokeMember(ctx, root, sigBytes, retry))
-	}()
-	for _, child := range root.children {
-		wg.Add(1)
-		go func(child *relayNode) {
-			defer wg.Done()
-			if len(child.children) == 0 {
-				add(s.invokeMember(ctx, child, sigBytes, retry))
-				return
+// forestOf builds, once per planted membership, the forest this relay
+// delivers every round: its own member as a childless root, delivered
+// directly, then each child subtree. A child with children of its own is a
+// relayChild, so the engine forwards its span as one sub-batch. Every
+// member's Action proxy is minted here and reused by later rounds.
+func (s *relayServant) forestOf(root *relayNode) []*core.TreeNode {
+	forest := []*core.TreeNode{{Member: s.member(root)}}
+	for _, c := range root.children {
+		node := s.subtree(c)
+		if len(c.children) > 0 {
+			me := cdr.NewEncoder(256)
+			encodeRelayNode(me, c)
+			node.Member.Action = &relayChild{
+				remoteAction: node.Member.Action.(*remoteAction),
+				relay:        orb.NewIOR(RelayTypeID, RelayKey, c.endpoints...),
+				membership:   me.Bytes(),
+				plantID:      plantIDOf(me.Bytes()),
 			}
-			add(s.forward(ctx, sig, child, sigBytes, retry)...)
-		}(child)
+		}
+		forest = append(forest, node)
 	}
-	wg.Wait()
-	return out
+	return forest
 }
 
-// invokeMember delivers the signal to one member's Action servant with the
-// batch's at-least-once retry loop, mirroring the coordinator's own
-// runAttempts contract.
-func (s *relayServant) invokeMember(ctx context.Context, n *relayNode, sigBytes []byte, retry core.RetryPolicy) relayResult {
+// subtree converts a wire subtree into engine nodes with member proxies.
+func (s *relayServant) subtree(n *relayNode) *core.TreeNode {
+	node := &core.TreeNode{Member: s.member(n)}
+	for _, c := range n.children {
+		node.Children = append(node.Children, s.subtree(c))
+	}
+	return node
+}
+
+// member is the tree member for one wire node: its registration index and
+// a proxy for its Action servant.
+func (s *relayServant) member(n *relayNode) core.TreeMember {
 	ref := orb.NewIOR(ActionTypeID, n.key, n.endpoints...)
-	attempts := retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	r := relayResult{index: n.index}
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		r.attempts = attempt
-		body, err := s.o.Invoke(ctx, ref, "process_signal", sigBytes)
-		if err == nil {
-			out, derr := core.DecodeOutcome(cdr.NewDecoder(body))
-			if derr == nil {
-				r.outcome = out
-				return r
-			}
-			err = derr
-		}
-		lastErr = err
-		if retry.Backoff > 0 && attempt < attempts {
-			select {
-			case <-ctx.Done():
-				r.errText = errText(fmt.Errorf("relay delivery cancelled: %w", ctx.Err()))
-				return r
-			case <-time.After(retry.Backoff):
-			}
-		}
-	}
-	r.errText = errText(lastErr)
-	return r
+	return core.TreeMember{Index: n.index, Action: &remoteAction{orb: s.o, ref: ref}}
 }
 
-// forward sends the child subtree as a sub-batch to the child's relay
-// servant — via sendRelayBatch, so repeated rounds travel as plant-id
-// references — and returns its aggregated results, re-adopting any member
-// the child failed to cover (or the whole span when the child relay itself
-// is unreachable — the interior-relay-death case).
-func (s *relayServant) forward(ctx context.Context, sig core.Signal, child *relayNode, sigBytes []byte, retry core.RetryPolicy) []relayResult {
-	me := cdr.NewEncoder(256)
-	encodeRelayNode(me, child)
-	membership := me.Bytes()
-
-	results, err := func() ([]relayResult, error) {
-		ref := orb.NewIOR(RelayTypeID, RelayKey, child.endpoints...)
-		body, err := sendRelayBatch(ctx, s.o, ref, sig, retry, membership, plantIDOf(membership))
-		if err != nil {
-			return nil, err
-		}
-		return decodeRelayResults(cdr.NewDecoder(body))
-	}()
-	if err != nil {
-		// Child relay unreachable: re-adopt its entire span directly.
-		results = nil
-	}
-
-	covered := make(map[int]bool, len(results))
-	for _, r := range results {
-		covered[r.index] = true
-	}
-	for _, n := range child.span(nil) {
-		if covered[n.index] {
-			continue
-		}
-		results = append(results, s.invokeMember(ctx, n, sigBytes, retry))
-	}
-	return results
+// relayChild is a relay's cached proxy for a child that relays further: it
+// delivers to the child's Action directly when the engine re-adopts it,
+// and forwards the child's span to the child's relay servant with the
+// membership encoded once, at plant time.
+type relayChild struct {
+	*remoteAction
+	relay      orb.IOR
+	membership []byte
+	plantID    string
 }
 
-// errText renders an error for the wire, never empty (CDR strings must be
-// non-empty).
+// DeliverSubtree implements core.SubtreeDeliverer. The engine only hands
+// it the subtree it was planted for, so the cached membership stands in
+// for node.
+func (c *relayChild) DeliverSubtree(ctx context.Context, sig core.Signal, _ *core.TreeNode, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	return sendRelayBatch(ctx, c.orb, c.relay, sig, retry, c.membership, c.plantID)
+}
+
+// relayError is a member's delivery failure as a relay reported it. Its
+// text crosses further relay hops unchanged, so the coordinator sees the
+// failure worded as the member's own relay worded it.
+type relayError string
+
+// Error implements error.
+func (e relayError) Error() string { return "remote: relay delivery: " + string(e) }
+
+// errText renders a member's delivery failure for a relay reply. It is
+// never empty, since an empty text reads as success; a failure a child
+// relay reported crosses this hop unchanged.
 func errText(err error) string {
-	if err == nil {
-		return "delivery failed"
+	if re, ok := err.(relayError); ok && re != "" {
+		return string(re)
 	}
 	if s := err.Error(); s != "" {
 		return s
@@ -542,8 +498,7 @@ func (r *remoteAction) relayAddress() (string, []string) {
 
 // RelayInfo implements core.SubtreeDeliverer: the proxy's node identity is
 // its primary endpoint, and its RTT is the client ORB's live EWMA for that
-// endpoint (zero until measured, which the default planner treats as
-// nearest).
+// endpoint (zero until measured, which the planner treats as nearest).
 func (r *remoteAction) RelayInfo() core.RelayInfo {
 	ep := r.ref.Endpoint()
 	return core.RelayInfo{Node: ep, RTT: r.orb.EndpointRTT(ep)}
@@ -602,37 +557,18 @@ func (r *remoteAction) DeliverSubtree(ctx context.Context, sig core.Signal, node
 	me := cdr.NewEncoder(256)
 	encodeRelayNode(me, root)
 	membership := me.Bytes()
-	plantID := plantIDOf(membership)
 	target := orb.NewIOR(RelayTypeID, RelayKey, root.endpoints...)
-	endpoint := target.Endpoint()
-
-	body, err := sendRelayBatch(ctx, r.orb, target, sig, retry, membership, plantID)
-	if err != nil {
-		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", endpoint, err)
-	}
-
-	raw, err := decodeRelayResults(cdr.NewDecoder(body))
-	if err != nil {
-		return nil, fmt.Errorf("remote: decode relay results: %w", err)
-	}
-	results := make([]core.SubtreeResult, 0, len(raw))
-	for _, rr := range raw {
-		sr := core.SubtreeResult{Index: rr.index, Attempts: rr.attempts, Outcome: rr.outcome}
-		if rr.errText != "" {
-			sr.Err = fmt.Errorf("remote: relay delivery: %s", rr.errText)
-		}
-		results = append(results, sr)
-	}
-	return results, nil
+	return sendRelayBatch(ctx, r.orb, target, sig, retry, membership, plantIDOf(membership))
 }
 
-// sendRelayBatch delivers sig and the membership to the relay at target,
-// as a constant-size plant-id reference when this process already planted
-// the membership there, falling back to a full (re)plant when the relay
-// does not know the id (restarted, evicted). Both coordinator-to-root and
-// relay-to-relay hops go through here, so every edge of the tree pays the
-// full membership once and a reference thereafter.
-func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Signal, retry core.RetryPolicy, membership []byte, plantID string) ([]byte, error) {
+// sendRelayBatch delivers sig and the membership to the relay at target
+// and returns its per-member results. The batch travels as a constant-size
+// plant-id reference when this process already planted the membership
+// there, falling back to a full (re)plant when the relay does not know the
+// id (restarted, evicted). Both coordinator-to-root and relay-to-relay hops
+// go through here, so every edge of the tree pays the full membership once
+// and a reference thereafter.
+func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Signal, retry core.RetryPolicy, membership []byte, plantID string) ([]core.SubtreeResult, error) {
 	endpoint := target.Endpoint()
 	invoke := func(kind byte) ([]byte, error) {
 		e := cdr.NewEncoder(len(membership) + 128)
@@ -650,10 +586,22 @@ func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Si
 		body, err = invoke(relayBatchFull)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", endpoint, err)
 	}
 	markPlanted(endpoint, plantID)
-	return body, nil
+
+	raw, err := decodeRelayResults(cdr.NewDecoder(body))
+	if err != nil {
+		return nil, fmt.Errorf("remote: decode relay results: %w", err)
+	}
+	results := make([]core.SubtreeResult, len(raw))
+	for i, rr := range raw {
+		results[i] = core.SubtreeResult{Index: rr.index, Attempts: rr.attempts, Outcome: rr.outcome}
+		if rr.errText != "" {
+			results[i].Err = relayError(rr.errText)
+		}
+	}
+	return results, nil
 }
 
 // wireTree converts a planner tree into wire form, requiring every member

@@ -75,6 +75,15 @@ func TestRelayBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// span appends every node of the subtree to dst in preorder.
+func (n *relayNode) span(dst []*relayNode) []*relayNode {
+	dst = append(dst, n)
+	for _, c := range n.children {
+		dst = c.span(dst)
+	}
+	return dst
+}
+
 func assertTreeEqual(t *testing.T, got, want *relayNode) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -322,6 +331,83 @@ func TestRelayReportsParticipantFailure(t *testing.T) {
 	}
 }
 
+// TestRelayRefusesForgedPlantID sends a full batch claiming tree A's plant
+// id but carrying tree B's membership. The relay must refuse it without
+// planting anything; otherwise the first full batch for an id would win,
+// and A's later reference rounds — commit included — would reach B's
+// members instead.
+func TestRelayRefusesForgedPlantID(t *testing.T) {
+	host := orb.New()
+	t.Cleanup(host.Shutdown)
+	sender := orb.New()
+	t.Cleanup(sender.Shutdown)
+	relay := &relayServant{o: host, plants: make(map[string][]*core.TreeNode)}
+	host.RegisterServantWithKey(RelayKey, RelayTypeID, relay)
+	fx := &relayFixture{host: host, sender: sender}
+	ctx := context.Background()
+
+	// Tree A: a0 → {a1, a2}; tree B: b0 → {b1}.
+	var countsA [3]atomic.Int32
+	var countsB [2]atomic.Int32
+	build := func(counts []atomic.Int32) *core.TreeNode {
+		nodes := make([]*core.TreeNode, len(counts))
+		for i := range counts {
+			nodes[i] = &core.TreeNode{Member: core.TreeMember{Index: i, Action: ImportAction(sender, fx.exportCounting(&counts[i]))}}
+		}
+		nodes[0].Children = nodes[1:]
+		return nodes[0]
+	}
+	treeA, treeB := build(countsA[:]), build(countsB[:])
+	membership := func(tree *core.TreeNode) []byte {
+		root, err := wireTree(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		me := cdr.NewEncoder(128)
+		encodeRelayNode(me, root)
+		return me.Bytes()
+	}
+	memA, memB := membership(treeA), membership(treeB)
+
+	e := cdr.NewEncoder(256)
+	sig := core.Signal{Name: "commit", SetName: "2pc"}
+	if err := encodeRelayBatch(e, sig, relayBatchFull, plantIDOf(memA), core.RetryPolicy{Attempts: 1}, memB); err != nil {
+		t.Fatal(err)
+	}
+	relayRef := orb.NewIOR(RelayTypeID, RelayKey, host.Endpoints()...)
+	if _, err := sender.Invoke(ctx, relayRef, relayOp, e.Bytes()); !orb.IsSystem(err, orb.CodeMarshal) {
+		t.Errorf("forged full batch: err = %v, want MARSHAL", err)
+	}
+	relay.mu.Lock()
+	planted := len(relay.plants)
+	relay.mu.Unlock()
+	if planted != 0 {
+		t.Errorf("forged batch planted %d memberships, want 0", planted)
+	}
+	// Had the forged batch been accepted it would have delivered to B
+	// itself; what matters below is where A's own rounds land.
+	for i := range countsB {
+		countsB[i].Store(0)
+	}
+
+	deliverer := treeA.Member.Action.(core.SubtreeDeliverer)
+	for round := 1; round <= 3; round++ {
+		if _, err := deliverer.DeliverSubtree(ctx, sig, treeA, core.RetryPolicy{Attempts: 1}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := range countsB {
+			if got := countsB[i].Load(); got != 0 {
+				t.Fatalf("round %d: tree B member %d received %d signals meant for tree A", round, i, got)
+			}
+		}
+	}
+	for i := range countsA {
+		if got := countsA[i].Load(); got != 3 {
+			t.Fatalf("tree A member %d received %d signals, want 3", i, got)
+		}
+	}
+}
+
 // FuzzDecodeRelayBatch hardens the relay batch decoder against arbitrary
 // frames: it must never panic, never allocate absurdly, and anything it
 // accepts must re-encode and re-decode to the same header.
@@ -444,9 +530,9 @@ func TestRelayPlantCacheTelemetry(t *testing.T) {
 	}
 
 	// Overflowing the cache counts evictions.
-	s := &relayServant{o: fx.host, plants: make(map[string]*relayNode)}
+	s := &relayServant{o: fx.host, plants: make(map[string][]*core.TreeNode)}
 	for i := 0; i < relayPlantCacheCap+5; i++ {
-		s.plant(fmt.Sprintf("plant-%d", i), &relayNode{})
+		s.plant(fmt.Sprintf("plant-%d", i), nil)
 	}
 	var local orb.Samples
 	s.metrics(func(x orb.Sample) { local = append(local, x) })
