@@ -101,15 +101,17 @@ func (s *SignalSet) GetSignal() (core.Signal, bool, error) {
 
 // SetResponse implements core.SignalSet. An "abort" vote (or a delivery
 // failure during voting) dooms the transaction and cuts the prepare
-// broadcast short.
+// broadcast short. Any other response changes nothing, so it takes no
+// lock.
 func (s *SignalSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
+	if deliveryErr == nil && resp.Name != OutcomeAbort {
+		return false, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ph == phaseCompleting { // responses to "prepare"
-		if deliveryErr != nil || resp.Name == OutcomeAbort {
-			s.doomed = true
-			return true, nil // advance straight to the rollback signal
-		}
+		s.doomed = true
+		return true, nil // advance straight to the rollback signal
 	}
 	return false, nil
 }

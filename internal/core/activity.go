@@ -69,10 +69,12 @@ type Activity struct {
 	id       ids.UID
 	name     string
 	parent   *Activity
-	coord    *Coordinator
+	coord    Coordinator // by value: an activity and its coordinator are one allocation
 	timer    *time.Timer
 	delivery DeliveryPolicy // per-activity override (WithActivityDelivery)
 
+	// mu guards the fields below. The maps are made on first write (put):
+	// most activities never nest, and few carry property groups.
 	mu            sync.Mutex
 	state         ActivityState
 	cs            CompletionStatus
@@ -94,7 +96,7 @@ func (a *Activity) Name() string { return a.name }
 func (a *Activity) Parent() *Activity { return a.parent }
 
 // Coordinator returns the activity's coordinator.
-func (a *Activity) Coordinator() *Coordinator { return a.coord }
+func (a *Activity) Coordinator() *Coordinator { return &a.coord }
 
 // State returns the lifecycle state.
 func (a *Activity) State() ActivityState {
@@ -137,7 +139,7 @@ func (a *Activity) RegisterSignalSet(set SignalSet) error {
 	if _, dup := a.sets[set.Name()]; dup {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicateSignalSet, set.Name(), a.name)
 	}
-	a.sets[set.Name()] = set
+	put(&a.sets, set.Name(), set)
 	return nil
 }
 
@@ -160,19 +162,25 @@ func (a *Activity) SetCompletionSet(name string) {
 // coordinator. The set does not need to be registered yet: per §3.2.3 the
 // set of Signals cannot be known beforehand, so Actions register interest
 // in a SignalSet by name.
+//
+// Enrolment is ordered against completion: once Complete has started, it
+// fails with ErrActivityInactive; an enrolment that succeeds is in every
+// snapshot the completion set's broadcasts take, so it hears every signal.
 func (a *Activity) AddAction(setName string, action Action) (ActionID, error) {
-	if st := a.State(); st == ActivityCompleted || st == ActivityCompleting {
-		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
-	}
-	return a.coord.AddAction(setName, action), nil
+	return a.enrol(setName, registration{action: action}, true)
 }
 
 // AddNamedAction is AddAction with an explicit trace label.
 func (a *Activity) AddNamedAction(setName, label string, action Action) (ActionID, error) {
-	if st := a.State(); st == ActivityCompleted || st == ActivityCompleting {
+	return a.enrol(setName, registration{label: label, action: action}, false)
+}
+
+func (a *Activity) enrol(setName string, reg registration, numbered bool) (ActionID, error) {
+	id, ok := a.coord.register(setName, reg, numbered, true)
+	if !ok {
 		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
-	return a.coord.AddNamedAction(setName, label, action), nil
+	return id, nil
 }
 
 // RemoveAction cancels a registration.
@@ -230,15 +238,17 @@ func (a *Activity) BeginChild(name string, opts ...BeginOption) (*Activity, erro
 		a.svc.forget(child)
 		return nil, fmt.Errorf("%w: cannot nest under %s in state %s", ErrActivityInactive, a.name, st)
 	}
-	a.children[child.id] = child
+	put(&a.children, child.id, child)
 	// Derive property groups into the child.
 	for name, pg := range a.pgroups {
-		child.pgroups[name] = deriveChild(pg)
+		put(&child.pgroups, name, deriveChild(pg))
 	}
 	a.mu.Unlock()
 
 	a.svc.journal.begun(child.id, a.id, name)
-	a.svc.rec.Record(trace.KindBegin, name, "", "", "child of "+a.name)
+	if a.svc.rec != nil {
+		a.svc.rec.Record(trace.KindBegin, name, "", "", "child of "+a.name)
+	}
 	return child, nil
 }
 
@@ -253,15 +263,16 @@ func (a *Activity) Children() []*Activity {
 	return out
 }
 
-// activeChildren lists children not yet completed.
-func (a *Activity) activeChildren() []*Activity {
-	var out []*Activity
-	for _, c := range a.Children() {
+// activeChildNames names the children not yet completed. The caller holds
+// a.mu; locks are taken parent before child.
+func (a *Activity) activeChildNames() []string {
+	var names []string
+	for _, c := range a.children {
 		if c.State() != ActivityCompleted {
-			out = append(out, c)
+			names = append(names, c.name)
 		}
 	}
-	return out
+	return names
 }
 
 // Signal drives the named registered SignalSet immediately — the paper's
@@ -294,15 +305,13 @@ func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) 
 // driving the completion SignalSet (if one is registered) and recording
 // the collated outcome. All child activities must have completed.
 func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
-	if kids := a.activeChildren(); len(kids) > 0 {
-		names := make([]string, 0, len(kids))
-		for _, k := range kids {
-			names = append(names, k.name)
-		}
+	a.mu.Lock()
+	// Checked under a.mu, together with the state change below, so a
+	// BeginChild cannot slip a child in between.
+	if names := a.activeChildNames(); len(names) > 0 {
+		a.mu.Unlock()
 		return Outcome{}, fmt.Errorf("%w: %s has %v", ErrChildrenActive, a.name, names)
 	}
-
-	a.mu.Lock()
 	switch a.state {
 	case ActivityActive:
 	case ActivitySuspended:
@@ -321,6 +330,9 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 	}
 	set, hasSet := a.sets[setName]
 	a.mu.Unlock()
+	// Before the completion set's first snapshot: from here on, enrolment
+	// is refused rather than missing a signal.
+	a.coord.closeEnrolment()
 
 	if a.timer != nil {
 		a.timer.Stop()
@@ -361,6 +373,14 @@ func (a *Activity) Outcome() (Outcome, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.outcome, a.hasOutcome
+}
+
+// put sets (*m)[k] = v, making the map on its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 func defaultOutcomeName(cs CompletionStatus) string {

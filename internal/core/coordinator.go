@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/extendedtx/activityservice/internal/ids"
@@ -33,8 +34,30 @@ type RetryPolicy struct {
 // registration pairs an Action with its identity and trace label.
 type registration struct {
 	id     ActionID
-	label  string
 	action Action
+	// seq numbers a default-labelled registration, "action-<seq>"; zero
+	// marks an explicitly labelled one, whose label is label.
+	seq   int64
+	label string
+}
+
+// name returns the registration's trace label. A default label is
+// formatted here, on demand, so an untraced broadcast never pays for it.
+func (r registration) name() string {
+	if r.seq == 0 {
+		return r.label
+	}
+	return "action-" + strconv.FormatInt(r.seq, 10)
+}
+
+// setEntry is what a coordinator keeps per set name: the registrations,
+// and the fig. 7 driver of each set instance driven under that name.
+type setEntry struct {
+	// regs is copy-on-write: a broadcast delivers over a capped snapshot
+	// of it, so registering appends past every snapshot and removing
+	// builds a new slice.
+	regs    []registration
+	drivers *setDriver // linked through setDriver.next
 }
 
 // Coordinator is the activity coordinator of fig. 5: Actions register
@@ -50,56 +73,79 @@ type Coordinator struct {
 	delivery DeliveryPolicy
 	counters *deliveryCounters // service-wide speculative accounting, may be nil
 
-	// seq feeds default trace labels.
-	seq atomic.Int64
-
-	// mu guards the set name → registrations map, in registration order,
-	// and the per-set drivers.
-	mu      sync.Mutex
-	regs    map[string][]registration
-	drivers map[SignalSet]*setDriver
+	// mu guards the per-set-name entries (made on first write), the
+	// default-label counter and the enrolment gate.
+	mu     sync.Mutex
+	sets   map[string]setEntry
+	seq    int64 // the last default label number handed out
+	closed bool  // enrolment refused: the owning activity is completing
 }
 
-func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) *Coordinator {
+// init sets up a zero Coordinator in place, which lets an Activity hold
+// its coordinator by value instead of allocating it separately.
+func (c *Coordinator) init(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) {
 	if retry.Attempts < 1 {
 		retry.Attempts = 1
 	}
-	return &Coordinator{
-		owner:    owner,
-		gen:      gen,
-		rec:      rec,
-		retry:    retry,
-		delivery: delivery,
-		counters: counters,
-		regs:     make(map[string][]registration),
-		drivers:  make(map[SignalSet]*setDriver),
-	}
+	c.owner, c.gen, c.rec, c.retry, c.delivery, c.counters = owner, gen, rec, retry, delivery, counters
 }
 
 // AddAction registers action with the named SignalSet. Actions register
 // interest in SignalSets, not individual Signals (§3.2.3): they receive
-// every signal the set generates.
+// every signal the set generates. Its trace label is "action-N" for the
+// coordinator's N-th such registration.
 func (c *Coordinator) AddAction(setName string, action Action) ActionID {
-	return c.AddNamedAction(setName, fmt.Sprintf("action-%d", c.seq.Add(1)), action)
+	id, _ := c.register(setName, registration{action: action}, true, false)
+	return id
 }
 
 // AddNamedAction registers action under an explicit trace label.
 func (c *Coordinator) AddNamedAction(setName, label string, action Action) ActionID {
-	id := c.gen.New()
-	c.mu.Lock()
-	c.regs[setName] = append(c.regs[setName], registration{id: id, label: label, action: action})
-	c.mu.Unlock()
+	id, _ := c.register(setName, registration{label: label, action: action}, false, false)
 	return id
+}
+
+// register appends reg to setName's registrations, numbering its default
+// label first when numbered is set. An enrolment — gated set — is refused,
+// reporting false, once closeEnrolment has run: checking the gate and
+// appending in one critical section leaves no window in which completion
+// can snapshot the registrations without it.
+func (c *Coordinator) register(setName string, reg registration, numbered, gated bool) (ActionID, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if gated && c.closed {
+		return ActionID{}, false
+	}
+	if numbered {
+		c.seq++
+		reg.seq = c.seq
+	}
+	reg.id = c.gen.New()
+	e := c.sets[setName]
+	e.regs = append(e.regs, reg)
+	put(&c.sets, setName, e)
+	return reg.id, true
+}
+
+// closeEnrolment refuses every later gated registration. An activity calls
+// it as it starts completing, before the completion set's first snapshot.
+func (c *Coordinator) closeEnrolment() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
 }
 
 // RemoveAction removes a registration, reporting whether it existed.
 func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	regs := c.regs[setName]
-	for i, reg := range regs {
+	e := c.sets[setName]
+	for i, reg := range e.regs {
 		if reg.id == id {
-			c.regs[setName] = append(regs[:i], regs[i+1:]...)
+			// A new slice, never a shift in place: a running broadcast's
+			// snapshot shares the old one.
+			e.regs = slices.Concat(e.regs[:i], e.regs[i+1:])
+			c.sets[setName] = e
 			return true
 		}
 	}
@@ -110,38 +156,56 @@ func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
 func (c *Coordinator) ActionCount(setName string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.regs[setName])
+	return len(c.sets[setName].regs)
 }
 
 // actions snapshots the registrations for a set, in registration order.
+// The snapshot shares the copy-on-write slice, capped so that a later
+// append cannot reach into it.
 func (c *Coordinator) actions(setName string) []registration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]registration(nil), c.regs[setName]...)
+	regs := c.sets[setName].regs
+	return regs[:len(regs):len(regs)]
 }
 
 // driverFor returns the fig. 7 state machine for a set instance, creating
 // it on first use. A set that reached End stays ended forever.
 func (c *Coordinator) driverFor(set SignalSet) *setDriver {
+	name := set.Name()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.drivers[set]
-	if !ok {
-		d = newSetDriver(set)
-		c.drivers[set] = d
+	e := c.sets[name]
+	if d := e.driver(set); d != nil {
+		return d
 	}
+	d := newSetDriver(set)
+	d.next, e.drivers = e.drivers, d
+	put(&c.sets, name, e)
 	return d
+}
+
+// driver returns the driver of set, nil if it has never been driven.
+func (e setEntry) driver(set SignalSet) *setDriver {
+	for d := e.drivers; d != nil; d = d.next {
+		if d.set == set {
+			return d
+		}
+	}
+	return nil
 }
 
 // SetState reports the fig. 7 state of a set instance under this
 // coordinator (Waiting if it has never been driven).
 func (c *Coordinator) SetState(set SignalSet) SetState {
+	name := set.Name()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.drivers[set]; ok {
-		return d.State()
+	d := c.sets[name].driver(set)
+	c.mu.Unlock()
+	if d == nil {
+		return StateWaiting
 	}
-	return StateWaiting
+	return d.State()
 }
 
 // ProcessSignalSet drives the full protocol of figs. 5 and 8: pull a
@@ -199,9 +263,13 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 // recording transmit events live and the response at the end (the same
 // event shape replayTrace reproduces for concurrent deliveries).
 func (c *Coordinator) deliver(ctx context.Context, reg registration, sig Signal) (Outcome, error) {
-	r := runAttempts(ctx, reg.action, sig, c.retry, func(attempt int) {
-		c.rec.Record(trace.KindTransmit, c.owner, reg.label, sig.Name, transmitDetail(attempt))
-	})
+	var onTransmit func(attempt int)
+	if c.rec != nil {
+		onTransmit = func(attempt int) {
+			c.rec.Record(trace.KindTransmit, c.owner, reg.name(), sig.Name, transmitDetail(attempt))
+		}
+	}
+	r := runAttempts(ctx, reg.action, sig, c.retry, onTransmit)
 	c.recordResponse(reg, sig, r)
 	return r.outcome, r.err
 }

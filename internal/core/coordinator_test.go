@@ -13,6 +13,13 @@ import (
 
 func testGen() *ids.Generator { return ids.NewSeeded(0xFEED) }
 
+// newCoordinator returns a coordinator outside any activity.
+func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) *Coordinator {
+	c := new(Coordinator)
+	c.init(owner, gen, rec, retry, delivery, counters)
+	return c
+}
+
 // collectingAction records the signals it receives.
 type collectingAction struct {
 	mu      sync.Mutex

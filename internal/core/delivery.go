@@ -237,11 +237,11 @@ func transmitDetail(attempt int) string {
 // mid-backoff — the same shape in serial and parallel mode.
 func (c *Coordinator) recordResponse(reg registration, sig Signal, r attemptResult) {
 	switch {
-	case r.cancelled:
+	case c.rec == nil || r.cancelled:
 	case r.err == nil:
-		c.rec.Record(trace.KindResponse, reg.label, sig.SetName, r.outcome.Name, "")
+		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, r.outcome.Name, "")
 	default:
-		c.rec.Record(trace.KindResponse, reg.label, sig.SetName, "", fmt.Sprintf("error: %v", r.err))
+		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, "", fmt.Sprintf("error: %v", r.err))
 	}
 }
 
@@ -422,8 +422,9 @@ func (c *Coordinator) replayTrace(reg registration, sig Signal, r attemptResult)
 	if c.rec == nil {
 		return
 	}
+	label := reg.name()
 	for attempt := 1; attempt <= r.attempts; attempt++ {
-		c.rec.Record(trace.KindTransmit, c.owner, reg.label, sig.Name, transmitDetail(attempt))
+		c.rec.Record(trace.KindTransmit, c.owner, label, sig.Name, transmitDetail(attempt))
 	}
 	c.recordResponse(reg, sig, r)
 }

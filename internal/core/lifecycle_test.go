@@ -1,0 +1,156 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/extendedtx/activityservice/internal/trace"
+)
+
+// TestAddActionRacingComplete races enrolments against Complete. An
+// enrolment that Complete wins must be refused with ErrActivityInactive;
+// one that wins must hear every signal of the completion set, never a
+// later signal without the first (a twopc participant committed without
+// being prepared).
+func TestAddActionRacingComplete(t *testing.T) {
+	const trials, enrolments = 3000, 4
+	ctx := context.Background()
+	for trial := 0; trial < trials; trial++ {
+		a := New().Begin("A")
+		if err := a.RegisterSignalSet(NewSequenceSet(DefaultCompletionSet, "prepare", "commit")); err != nil {
+			t.Fatal(err)
+		}
+		actions := make([]collectingAction, enrolments)
+		errs := make([]error, enrolments)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range actions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = a.AddAction(DefaultCompletionSet, &actions[i])
+			}()
+		}
+		close(start)
+		if _, err := a.Complete(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for i := range actions {
+			got := actions[i].Signals()
+			switch {
+			case errors.Is(errs[i], ErrActivityInactive):
+				if len(got) != 0 {
+					t.Fatalf("trial %d: refused enrolment %d heard %v", trial, i, got)
+				}
+			case errs[i] != nil:
+				t.Fatalf("trial %d: enrolment %d: %v", trial, i, errs[i])
+			case len(got) != 2 || got[0].Name != "prepare" || got[1].Name != "commit":
+				t.Fatalf("trial %d: accepted enrolment %d heard %v, want prepare then commit", trial, i, got)
+			}
+		}
+	}
+}
+
+// TestBroadcastSnapshotSurvivesRemoval removes a later registration from
+// inside ProcessSignal. The running broadcast delivers over the snapshot it
+// took, so every action in it hears that signal exactly once — an in-place
+// removal under the snapshot would skip the removed action and deliver to
+// its successor twice — and the removal takes effect from the next signal.
+func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
+	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(2)} {
+		t.Run(policy.Mode.String(), func(t *testing.T) {
+			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
+			const n, remover, removed = 6, 1, 3
+			var heard [n]map[string]*atomic.Int32
+			ids := make([]ActionID, n)
+			var once sync.Once
+			for i := 0; i < n; i++ {
+				heard[i] = map[string]*atomic.Int32{"sig-a": {}, "sig-b": {}}
+				ids[i] = coord.AddAction("s", ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+					heard[i][sig.Name].Add(1)
+					if i == remover {
+						once.Do(func() {
+							if !coord.RemoveAction("s", ids[removed]) {
+								t.Error("RemoveAction lost the registration")
+							}
+						})
+					}
+					return Outcome{Name: "ok"}, nil
+				}))
+			}
+			if _, err := coord.ProcessSignalSet(context.Background(), NewSequenceSet("s", "sig-a", "sig-b")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				wantB := int32(1)
+				if i == removed {
+					wantB = 0
+				}
+				if a, b := heard[i]["sig-a"].Load(), heard[i]["sig-b"].Load(); a != 1 || b != wantB {
+					t.Errorf("action %d heard sig-a %d times and sig-b %d times, want 1 and %d", i, a, b, wantB)
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultTraceLabelsPinned pins the trace labels of mixed AddAction
+// and AddNamedAction calls: default labels count "action-N" per
+// coordinator, across sets, skipping explicitly named registrations (an
+// empty name included), in every delivery mode.
+func TestDefaultTraceLabelsPinned(t *testing.T) {
+	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(2)} {
+		t.Run(policy.Mode.String(), func(t *testing.T) {
+			rec := trace.New()
+			a := New(WithTrace(rec), WithDelivery(policy), WithRetryPolicy(RetryPolicy{Attempts: 2})).Begin("A")
+			if err := a.RegisterSignalSet(NewSequenceSet("s", "go")); err != nil {
+				t.Fatal(err)
+			}
+			ok := ActionFunc(func(context.Context, Signal) (Outcome, error) { return Outcome{Name: "ok"}, nil })
+			failing := ActionFunc(func(context.Context, Signal) (Outcome, error) { return Outcome{}, errors.New("no") })
+			enrol := []func() (ActionID, error){
+				func() (ActionID, error) { return a.AddAction("s", ok) },
+				func() (ActionID, error) { return a.AddNamedAction("s", "named", ok) },
+				func() (ActionID, error) { return a.AddAction("other", ok) },
+				func() (ActionID, error) { return a.AddNamedAction("s", "", ok) },
+				func() (ActionID, error) { return a.AddAction("s", failing) },
+			}
+			for _, e := range enrol {
+				if _, err := e(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := a.Signal(context.Background(), "s"); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range rec.Events() {
+				got = append(got, fmt.Sprintf("%s|%s", trace.CompactEvent(e), e.Detail))
+			}
+			want := []string{
+				"begin:A|root activity",
+				"get_signal:A->s:go|",
+				"transmit:A->action-1:go|",
+				"set_response:action-1->s:ok|",
+				"transmit:A->named:go|",
+				"set_response:named->s:ok|",
+				"transmit:A:go|",
+				"set_response:->s:ok|",
+				"transmit:A->action-3:go|",
+				"transmit:A->action-3:go|retry 1",
+				"set_response:action-3->s|error: no",
+				"get_outcome:A->s:completed|",
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trace:\n%q\nwant:\n%q", got, want)
+			}
+		})
+	}
+}

@@ -258,7 +258,7 @@ func (a *Activity) AddPropertyGroup(pg PropertyGroup) error {
 	if _, dup := a.pgroups[pg.Name()]; dup {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicatePropertyGroup, pg.Name(), a.name)
 	}
-	a.pgroups[pg.Name()] = pg
+	put(&a.pgroups, pg.Name(), pg)
 	return nil
 }
 

@@ -240,7 +240,7 @@ func (s *Service) Recover(log *wal.Log) ([]*Activity, error) {
 		a.mu.Unlock()
 		if parent != nil {
 			parent.mu.Lock()
-			parent.children[a.id] = a
+			put(&parent.children, a.id, a)
 			parent.mu.Unlock()
 		} else {
 			roots = append(roots, a)

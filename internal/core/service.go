@@ -153,15 +153,12 @@ func (s *Service) Begin(name string, opts ...BeginOption) *Activity {
 
 func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption) *Activity {
 	a := &Activity{
-		svc:      s,
-		id:       s.gen.New(),
-		name:     name,
-		parent:   parent,
-		state:    ActivityActive,
-		cs:       CompletionSuccess,
-		children: make(map[ids.UID]*Activity),
-		sets:     make(map[string]SignalSet),
-		pgroups:  make(map[string]PropertyGroup),
+		svc:    s,
+		id:     s.gen.New(),
+		name:   name,
+		parent: parent,
+		state:  ActivityActive,
+		cs:     CompletionSuccess,
 	}
 	for _, o := range opts {
 		o.applyBegin(a)
@@ -170,7 +167,7 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 	if a.delivery.Mode != 0 {
 		delivery = a.delivery
 	}
-	a.coord = newCoordinator(name, s.gen, s.rec, s.retry, delivery, &s.counters)
+	a.coord.init(name, s.gen, s.rec, s.retry, delivery, &s.counters)
 	s.liveMu.Lock()
 	s.live[a.id] = a
 	s.liveMu.Unlock()

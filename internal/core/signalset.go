@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // SignalSet errors.
@@ -94,74 +95,52 @@ func (s SetState) String() string {
 // that a set is never reused after End and that GetOutcome only runs in
 // End.
 type setDriver struct {
-	set SignalSet
+	set  SignalSet
+	next *setDriver // the next instance driven under the same set name
 
-	mu    sync.Mutex
-	state SetState
+	// state holds a SetState. Every transition is one store and every
+	// check one load, so an atomic orders them without a lock — the
+	// per-response check costs a plain load.
+	state atomic.Int32
 }
 
 func newSetDriver(set SignalSet) *setDriver {
-	return &setDriver{set: set, state: StateWaiting}
+	d := &setDriver{set: set}
+	d.state.Store(int32(StateWaiting))
+	return d
 }
 
-func (d *setDriver) State() SetState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state
-}
+func (d *setDriver) State() SetState { return SetState(d.state.Load()) }
 
 // getSignal transitions Waiting/GetSignal → GetSignal, or → End when the
 // set is exhausted.
 func (d *setDriver) getSignal() (Signal, bool, error) {
-	d.mu.Lock()
-	if d.state == StateEnd {
-		d.mu.Unlock()
+	if d.State() == StateEnd {
 		return Signal{}, false, fmt.Errorf("%w: get_signal after End", ErrSignalSetInactive)
 	}
-	d.mu.Unlock()
-
 	sig, last, err := d.set.GetSignal()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch {
-	case errors.Is(err, ErrExhausted):
-		d.state = StateEnd
+	if err != nil {
+		d.state.Store(int32(StateEnd))
 		return Signal{}, false, err
-	case err != nil:
-		d.state = StateEnd
-		return Signal{}, false, err
-	default:
-		d.state = StateGetSignal
-		return sig, last, nil
 	}
+	d.state.Store(int32(StateGetSignal))
+	return sig, last, nil
 }
 
 func (d *setDriver) setResponse(resp Outcome, deliveryErr error) (bool, error) {
-	d.mu.Lock()
-	if d.state != StateGetSignal {
-		st := d.state
-		d.mu.Unlock()
+	if st := d.State(); st != StateGetSignal {
 		return false, fmt.Errorf("%w: set_response in state %s", ErrSignalSetInactive, st)
 	}
-	d.mu.Unlock()
 	return d.set.SetResponse(resp, deliveryErr)
 }
 
 // end transitions to End after the last signal's broadcast.
-func (d *setDriver) end() {
-	d.mu.Lock()
-	d.state = StateEnd
-	d.mu.Unlock()
-}
+func (d *setDriver) end() { d.state.Store(int32(StateEnd)) }
 
 func (d *setDriver) getOutcome() (Outcome, error) {
-	d.mu.Lock()
-	if d.state != StateEnd {
-		st := d.state
-		d.mu.Unlock()
+	if st := d.State(); st != StateEnd {
 		return Outcome{}, fmt.Errorf("%w: get_outcome in state %s", ErrSignalSetActive, st)
 	}
-	d.mu.Unlock()
 	return d.set.GetOutcome()
 }
 

@@ -31,7 +31,8 @@ type RelayInfo struct {
 type TreeMember struct {
 	// Index is the participant's position in registration order.
 	Index int
-	// Label is the registration's trace label.
+	// Label is the registration's trace label. Only relay-capable members
+	// of a tree-mode broadcast carry it; others leave it empty.
 	Label string
 	// Node is the participant's primary endpoint (RelayInfo.Node).
 	Node string
@@ -143,10 +144,10 @@ func forestFor(regs []registration, policy DeliveryPolicy) []*TreeNode {
 	var relays []*TreeNode
 	for i, reg := range regs {
 		n := &nodes[i]
-		n.Member = TreeMember{Index: i, Label: reg.label, Action: reg.action}
+		n.Member = TreeMember{Index: i, Action: reg.action}
 		if sd, ok := reg.action.(SubtreeDeliverer); ok && policy.Mode == DeliverTree {
 			info := sd.RelayInfo()
-			n.Member.Node, n.Member.RTT = info.Node, info.RTT
+			n.Member.Label, n.Member.Node, n.Member.RTT = reg.name(), info.Node, info.RTT
 			relays = append(relays, n)
 		} else {
 			direct = append(direct, n)
