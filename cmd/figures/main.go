@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -32,7 +33,7 @@ import (
 func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (0 = all)")
 	flag.Parse()
-	if err := run(*fig); err != nil {
+	if err := run(os.Stdout, *fig); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
@@ -40,7 +41,7 @@ func main() {
 
 var figures = map[int]struct {
 	title string
-	fn    func(ctx context.Context) error
+	fn    func(ctx context.Context, w io.Writer) error
 }{
 	1:  {"logical long-running transaction, no failure", fig1},
 	2:  {"logical long-running transaction, t4 aborts + compensation", fig2},
@@ -55,7 +56,7 @@ var figures = map[int]struct {
 	13: {"J2EE Activity Service layering", fig13},
 }
 
-func run(which int) error {
+func run(w io.Writer, which int) error {
 	ctx := context.Background()
 	var nums []int
 	for n := range figures {
@@ -69,23 +70,24 @@ func run(which int) error {
 	sort.Ints(nums)
 	for _, n := range nums {
 		f := figures[n]
-		fmt.Printf("\n===== Figure %d: %s =====\n", n, f.title)
-		if err := f.fn(ctx); err != nil {
+		fmt.Fprintf(w, "\n===== Figure %d: %s =====\n", n, f.title)
+		if err := f.fn(ctx, w); err != nil {
 			return fmt.Errorf("figure %d: %w", n, err)
 		}
 	}
 	return nil
 }
 
-// traced builds a service with a recorder and returns both.
-func traced() (*activityservice.Service, func()) {
+// traced builds a service with a recorder and returns it with a function
+// that renders the trace to w.
+func traced(w io.Writer) (*activityservice.Service, func()) {
 	rec := activityservice.NewTraceRecorder()
 	svc := activityservice.New(activityservice.WithTrace(rec))
-	return svc, func() { fmt.Println(rec.Render()) }
+	return svc, func() { fmt.Fprintln(w, rec.Render()) }
 }
 
-func fig1(ctx context.Context) error {
-	svc, dump := traced()
+func fig1(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	var tasks []workflow.Task
 	prev := ""
@@ -105,8 +107,8 @@ func fig1(ctx context.Context) error {
 	return err
 }
 
-func fig2(ctx context.Context) error {
-	svc, dump := traced()
+func fig2(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	ok := func(context.Context) error { return nil }
 	p := workflow.Process{
@@ -133,8 +135,8 @@ func fig2(ctx context.Context) error {
 	return err
 }
 
-func fig4(ctx context.Context) error {
-	svc, dump := traced()
+func fig4(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	txs := ots.NewService()
 
@@ -146,7 +148,7 @@ func fig4(ctx context.Context) error {
 			return err
 		}
 	}
-	fmt.Println("A1: two top-level transactions committed within the activity")
+	fmt.Fprintln(w, "A1: two top-level transactions committed within the activity")
 	if _, err := a1.Complete(ctx); err != nil {
 		return err
 	}
@@ -177,7 +179,7 @@ func fig4(ctx context.Context) error {
 	if err := tx3.Commit(false); err != nil {
 		return err
 	}
-	fmt.Println("A3: nested transactional activity A3' committed inside A3's transaction")
+	fmt.Fprintln(w, "A3: nested transactional activity A3' committed inside A3's transaction")
 	if _, err := a3.Complete(ctx); err != nil {
 		return err
 	}
@@ -191,8 +193,8 @@ func fig4(ctx context.Context) error {
 	return nil
 }
 
-func fig5(ctx context.Context) error {
-	svc, dump := traced()
+func fig5(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	a := svc.Begin("activity-coordinator")
 	set := activityservice.NewSequenceSet("signal-set", "signal")
@@ -215,7 +217,7 @@ func fig5(ctx context.Context) error {
 	return err
 }
 
-func fig7(ctx context.Context) error {
+func fig7(ctx context.Context, w io.Writer) error {
 	svc := activityservice.New()
 	a := svc.Begin("A")
 	set := activityservice.NewSequenceSet("demo", "one", "two")
@@ -223,21 +225,21 @@ func fig7(ctx context.Context) error {
 		return err
 	}
 	coord := a.Coordinator()
-	fmt.Printf("state before first get_signal: %s\n", coord.SetState(set))
+	fmt.Fprintf(w, "state before first get_signal: %s\n", coord.SetState(set))
 	if _, err := a.Signal(ctx, "demo"); err != nil {
 		return err
 	}
-	fmt.Printf("state after protocol run:      %s\n", coord.SetState(set))
+	fmt.Fprintf(w, "state after protocol run:      %s\n", coord.SetState(set))
 	if _, err := a.Signal(ctx, "demo"); err != nil {
-		fmt.Printf("reuse after End rejected:      %v\n", err)
+		fmt.Fprintf(w, "reuse after End rejected:      %v\n", err)
 	}
-	fmt.Println("transitions: Waiting -> GetSignal -> End (no reuse), per fig. 7")
+	fmt.Fprintln(w, "transitions: Waiting -> GetSignal -> End (no reuse), per fig. 7")
 	_, err := a.Complete(ctx)
 	return err
 }
 
-func fig8(ctx context.Context) error {
-	svc, dump := traced()
+func fig8(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	coord := twopc.NewCoordinator(svc)
 	tx, err := coord.Begin("coordinator")
@@ -253,7 +255,7 @@ func fig8(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("outcome: committed=%v\n", committed)
+	fmt.Fprintf(w, "outcome: committed=%v\n", committed)
 	return nil
 }
 
@@ -266,8 +268,8 @@ func (committingResource) Rollback() error            { return nil }
 func (committingResource) CommitOnePhase() error      { return nil }
 func (committingResource) Forget() error              { return nil }
 
-func fig9(ctx context.Context) error {
-	svc, dump := traced()
+func fig9(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	a, err := opennested.Begin(svc, "A", nil)
 	if err != nil {
@@ -278,7 +280,7 @@ func fig9(ctx context.Context) error {
 		return err
 	}
 	comp, err := b.AddCompensation(svc, "!B", func(context.Context) error {
-		fmt.Println("!B runs: undoing B's committed work")
+		fmt.Fprintln(w, "!B runs: undoing B's committed work")
 		return nil
 	})
 	if err != nil {
@@ -290,12 +292,12 @@ func fig9(ctx context.Context) error {
 	if _, err := a.Complete(ctx, false); err != nil { // A rolls back
 		return err
 	}
-	fmt.Printf("compensation ran: %v\n", comp.Ran())
+	fmt.Fprintf(w, "compensation ran: %v\n", comp.Ran())
 	return nil
 }
 
-func fig10(ctx context.Context) error {
-	svc, dump := traced()
+func fig10(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	ok := func(context.Context) error { return nil }
 	p := workflow.Process{
@@ -310,8 +312,8 @@ func fig10(ctx context.Context) error {
 	return err
 }
 
-func fig11(ctx context.Context) error {
-	svc, dump := traced()
+func fig11(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	atom, err := btp.NewAtom(svc, "coordinator")
 	if err != nil {
@@ -325,12 +327,12 @@ func fig11(ctx context.Context) error {
 	if err := atom.Prepare(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("atom state after prepare: %s (user decides confirm/cancel later)\n", atom.State())
+	fmt.Fprintf(w, "atom state after prepare: %s (user decides confirm/cancel later)\n", atom.State())
 	return atom.Cancel(ctx)
 }
 
-func fig12(ctx context.Context) error {
-	svc, dump := traced()
+func fig12(ctx context.Context, w io.Writer) error {
+	svc, dump := traced(w)
 	defer dump()
 	atom, err := btp.NewAtom(svc, "coordinator")
 	if err != nil {
@@ -354,13 +356,13 @@ func (reservation) Prepare() error { return nil }
 func (reservation) Confirm() error { return nil }
 func (reservation) Cancel() error  { return nil }
 
-func fig13(ctx context.Context) error {
-	fmt.Println("layering (fig. 13):")
-	fmt.Println("  High Level Service (SignalSets, Actions)   -> hls/twopc, hls/btp, ...")
-	fmt.Println("  ActivityManager | UserActivity             -> activityservice.ActivityManager/UserActivity")
-	fmt.Println("  Activity Service (incl. coordinator)       -> internal/core")
-	fmt.Println("  Distribution & context manipulation        -> internal/orb + internal/remote")
-	svc, dump := traced()
+func fig13(ctx context.Context, w io.Writer) error {
+	fmt.Fprintln(w, "layering (fig. 13):")
+	fmt.Fprintln(w, "  High Level Service (SignalSets, Actions)   -> hls/twopc, hls/btp, ...")
+	fmt.Fprintln(w, "  ActivityManager | UserActivity             -> activityservice.ActivityManager/UserActivity")
+	fmt.Fprintln(w, "  Activity Service (incl. coordinator)       -> internal/core")
+	fmt.Fprintln(w, "  Distribution & context manipulation        -> internal/orb + internal/remote")
+	svc, dump := traced(w)
 	defer dump()
 	ua := activityservice.NewUserActivity(svc)
 	am := activityservice.NewActivityManager(svc)
