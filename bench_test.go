@@ -27,7 +27,6 @@ import (
 	"github.com/extendedtx/activityservice/hls/workflow"
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/lockmgr"
-	"github.com/extendedtx/activityservice/internal/store"
 	"github.com/extendedtx/activityservice/internal/wal"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
@@ -545,7 +544,7 @@ func BenchmarkLRUOW(b *testing.B) {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
 			b.ReportAllocs()
 			svc := activityservice.New()
-			st := store.New()
+			st := lruow.NewStore()
 			locks := lockmgr.New()
 			for i := 0; i < keys; i++ {
 				st.Put(fmt.Sprintf("k%d", i), []byte("v"))

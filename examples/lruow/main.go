@@ -16,7 +16,6 @@ import (
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/lruow"
 	"github.com/extendedtx/activityservice/internal/lockmgr"
-	"github.com/extendedtx/activityservice/internal/store"
 )
 
 func main() {
@@ -29,7 +28,7 @@ func main() {
 func run() error {
 	ctx := context.Background()
 	svc := activityservice.New()
-	catalogue := store.New()
+	catalogue := lruow.NewStore()
 	locks := lockmgr.New()
 	catalogue.Put("widget/price", []byte("100"))
 	catalogue.Put("widget/stock", []byte("50"))

@@ -61,8 +61,11 @@ var (
 // means the participant cannot prepare (it has cancelled itself). Confirm
 // and Cancel must be idempotent: signal delivery is at least once.
 type Participant interface {
+	// Prepare reserves the participant's work, or returns why it cannot.
 	Prepare() error
+	// Confirm makes the reservation final.
 	Confirm() error
+	// Cancel releases the reservation.
 	Cancel() error
 }
 
@@ -93,87 +96,34 @@ func (s AtomState) String() string {
 	}
 }
 
-// prepareSet is the PrepareSignalSet of fig. 11: one "prepare" broadcast;
-// any cancelled response dooms the atom.
-type prepareSet struct {
-	core.BaseSet
+// The BTP sets' sequences, shared by every atom.
+var (
+	prepare = []core.Signal{{Name: SignalPrepare}}
+	confirm = []core.Signal{{Name: SignalConfirm}}
+	cancel  = []core.Signal{{Name: SignalCancel}}
+)
 
-	mu      sync.Mutex
-	emitted bool
-	doomed  bool
+// newPrepareSet returns the PrepareSignalSet of fig. 11: one "prepare"
+// broadcast; any response but "prepared" dooms the atom.
+func newPrepareSet() *core.SequenceSet {
+	return core.NewSequenceSet(PrepareSetName).Signals(prepare...).Collate(func(rs []core.Outcome) core.Outcome {
+		for _, r := range rs {
+			if r.Name != OutcomePrepared {
+				return core.Outcome{Name: OutcomeCancelled}
+			}
+		}
+		return core.Outcome{Name: OutcomePrepared}
+	})
 }
 
-var _ core.SignalSet = (*prepareSet)(nil)
-
-func newPrepareSet() *prepareSet {
-	return &prepareSet{BaseSet: core.NewBaseSet(PrepareSetName)}
-}
-
-func (s *prepareSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	s.emitted = true
-	return core.Signal{Name: SignalPrepare, SetName: PrepareSetName}, true, nil
-}
-
-func (s *prepareSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if deliveryErr != nil || resp.Name != OutcomePrepared {
-		s.doomed = true
-	}
-	return false, nil
-}
-
-func (s *prepareSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.doomed {
-		return core.Outcome{Name: OutcomeCancelled}, nil
-	}
-	return core.Outcome{Name: OutcomePrepared}, nil
-}
-
-// completeSet is the CompleteSignalSet of fig. 12: it issues confirm or
-// cancel depending on how the atom is instructed to terminate (the
-// activity's completion status).
-type completeSet struct {
-	core.BaseSet
-
-	mu      sync.Mutex
-	emitted bool
-}
-
-var _ core.SignalSet = (*completeSet)(nil)
-
-func newCompleteSet() *completeSet {
-	return &completeSet{BaseSet: core.NewBaseSet(CompleteSetName)}
-}
-
-func (s *completeSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	s.emitted = true
-	name := SignalConfirm
-	if s.CompletionStatus() != core.CompletionSuccess {
-		name = SignalCancel
-	}
-	return core.Signal{Name: name, SetName: CompleteSetName}, true, nil
-}
-
-func (s *completeSet) SetResponse(core.Outcome, error) (bool, error) { return false, nil }
-
-func (s *completeSet) GetOutcome() (core.Outcome, error) {
-	if s.CompletionStatus() == core.CompletionSuccess {
-		return core.Outcome{Name: OutcomeConfirmed}, nil
-	}
-	return core.Outcome{Name: OutcomeCancelled}, nil
+// newCompleteSet returns the CompleteSignalSet of fig. 12: it issues
+// confirm or cancel depending on how the atom is instructed to terminate
+// (the activity's completion status).
+func newCompleteSet() *core.SequenceSet {
+	return core.NewSequenceSet(CompleteSetName).
+		Signals(confirm...).
+		OnFailure(cancel...).
+		Outcomes(OutcomeConfirmed, OutcomeCancelled)
 }
 
 // participantAction adapts a Participant to the Action protocol.
@@ -219,8 +169,8 @@ func (a *participantAction) ProcessSignal(_ context.Context, sig core.Signal) (c
 type Atom struct {
 	name     string
 	activity *core.Activity
-	prep     *prepareSet
-	complete *completeSet
+	prep     *core.SequenceSet
+	complete *core.SequenceSet
 
 	mu    sync.Mutex
 	state AtomState

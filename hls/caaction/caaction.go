@@ -40,8 +40,11 @@ var (
 // resolved exception when any role raised one. A nil Handle accepts any
 // resolution.
 type Role struct {
-	Name   string
-	Run    func(ctx context.Context) error
+	// Name labels the role's child activity and handler.
+	Name string
+	// Run performs the role's work; an error raises an exception.
+	Run func(ctx context.Context) error
+	// Handle recovers from the resolved exception; nil accepts any.
 	Handle func(ctx context.Context, resolved string) error
 }
 
@@ -98,48 +101,24 @@ func (a *Action) WithResolver(r Resolver) *Action {
 	return a
 }
 
-// resolutionSet broadcasts the resolved exception once.
-type resolutionSet struct {
-	core.BaseSet
-
-	mu       sync.Mutex
-	resolved string
-	emitted  bool
-	failed   int
-}
-
-var _ core.SignalSet = (*resolutionSet)(nil)
-
-func newResolutionSet(resolved string) *resolutionSet {
-	return &resolutionSet{BaseSet: core.NewBaseSet(SetName), resolved: resolved}
-}
-
-func (s *resolutionSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	s.emitted = true
-	return core.Signal{Name: SignalResolve, SetName: SetName, Data: s.resolved}, true, nil
-}
-
-func (s *resolutionSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if deliveryErr != nil || resp.Name != "handled" {
-		s.failed++
-	}
-	return false, nil
-}
-
-func (s *resolutionSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed > 0 {
-		return core.Outcome{Name: "unhandled", Data: int64(s.failed)}, nil
-	}
-	return core.Outcome{Name: "recovered"}, nil
+// newResolutionSet broadcasts the resolved exception once; its outcome is
+// "recovered" when every handler did, else "unhandled" with the count of
+// those that did not.
+func newResolutionSet(resolved string) *core.SequenceSet {
+	return core.NewSequenceSet(SetName).
+		Signals(core.Signal{Name: SignalResolve, Data: resolved}).
+		Collate(func(rs []core.Outcome) core.Outcome {
+			failed := 0
+			for _, r := range rs {
+				if r.Name != "handled" {
+					failed++
+				}
+			}
+			if failed > 0 {
+				return core.Outcome{Name: "unhandled", Data: int64(failed)}
+			}
+			return core.Outcome{Name: "recovered"}
+		})
 }
 
 // handlerAction adapts one role's Handle to the Action protocol.

@@ -26,7 +26,6 @@ import (
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/lockmgr"
-	"github.com/extendedtx/activityservice/internal/store"
 )
 
 // Protocol names.
@@ -60,7 +59,7 @@ var (
 // UOW is one (possibly nested) long-running unit of work.
 type UOW struct {
 	svc      *core.Service
-	st       *store.Store
+	st       *Store
 	locks    *lockmgr.Manager
 	lockWait time.Duration
 	parent   *UOW
@@ -73,7 +72,7 @@ type UOW struct {
 }
 
 // Begin starts a root UOW over st, using locks for the performance phase.
-func Begin(svc *core.Service, name string, st *store.Store, locks *lockmgr.Manager, lockWait time.Duration) *UOW {
+func Begin(svc *core.Service, name string, st *Store, locks *lockmgr.Manager, lockWait time.Duration) *UOW {
 	return &UOW{
 		svc:      svc,
 		st:       st,
@@ -269,48 +268,24 @@ func (u *UOW) keys() []string {
 	return out
 }
 
-// rehearsalSet emits one "rehearse" signal; the outcome reports whether
+// The LRUOW sets' sequences, shared by every UOW.
+var (
+	rehearse          = []core.Signal{{Name: SignalRehearse}}
+	validateThenApply = []core.Signal{{Name: SignalValidate}, {Name: SignalApply}}
+	discard           = []core.Signal{{Name: SignalDiscard}}
+)
+
+// newRehearsalSet emits one "rehearse" signal; the outcome reports whether
 // promotion happened.
-type rehearsalSet struct {
-	core.BaseSet
-
-	mu      sync.Mutex
-	emitted bool
-	failed  bool
-}
-
-var _ core.SignalSet = (*rehearsalSet)(nil)
-
-func newRehearsalSet() *rehearsalSet {
-	return &rehearsalSet{BaseSet: core.NewBaseSet(RehearsalSetName)}
-}
-
-func (s *rehearsalSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	s.emitted = true
-	return core.Signal{Name: SignalRehearse, SetName: RehearsalSetName}, true, nil
-}
-
-func (s *rehearsalSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if deliveryErr != nil || resp.Name != "promoted" {
-		s.failed = true
-	}
-	return false, nil
-}
-
-func (s *rehearsalSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return core.Outcome{Name: "promotion-failed"}, nil
-	}
-	return core.Outcome{Name: "promoted"}, nil
+func newRehearsalSet() *core.SequenceSet {
+	return core.NewSequenceSet(RehearsalSetName).Signals(rehearse...).Collate(func(rs []core.Outcome) core.Outcome {
+		for _, r := range rs {
+			if r.Name != "promoted" {
+				return core.Outcome{Name: "promotion-failed"}
+			}
+		}
+		return core.Outcome{Name: "promoted"}
+	})
 }
 
 // promoteAction merges the child's recordings into the parent.
@@ -351,57 +326,14 @@ func (a *promoteAction) ProcessSignal(context.Context, core.Signal) (core.Outcom
 	return core.Outcome{Name: "promoted"}, nil
 }
 
-// performanceSet drives validate then apply/discard.
-type performanceSet struct {
-	core.BaseSet
-
-	mu    sync.Mutex
-	stage int
-	stale bool
-}
-
-var _ core.SignalSet = (*performanceSet)(nil)
-
-func newPerformanceSet() *performanceSet {
-	return &performanceSet{BaseSet: core.NewBaseSet(PerformanceSetName)}
-}
-
-func (s *performanceSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.stage {
-	case 0:
-		s.stage = 1
-		return core.Signal{Name: SignalValidate, SetName: PerformanceSetName}, false, nil
-	case 1:
-		s.stage = 2
-		name := SignalApply
-		if s.stale {
-			name = SignalDiscard
-		}
-		return core.Signal{Name: name, SetName: PerformanceSetName}, true, nil
-	default:
-		return core.Signal{}, false, core.ErrExhausted
-	}
-}
-
-func (s *performanceSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stage == 1 && (deliveryErr != nil || resp.Name == "stale") {
-		s.stale = true
-		return true, nil
-	}
-	return false, nil
-}
-
-func (s *performanceSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stale {
-		return core.Outcome{Name: "stale"}, nil
-	}
-	return core.Outcome{Name: "performed"}, nil
+// newPerformanceSet drives validate, then apply — or discard once a
+// participant finds the rehearsal stale.
+func newPerformanceSet() *core.SequenceSet {
+	return core.NewSequenceSet(PerformanceSetName).
+		Signals(validateThenApply...).
+		OnFailure(discard...).
+		Veto("stale").
+		Outcomes("performed", "stale")
 }
 
 // performAction validates predicates under locks and applies (or

@@ -8,13 +8,12 @@ import (
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/lockmgr"
-	"github.com/extendedtx/activityservice/internal/store"
 )
 
 const lockWait = 50 * time.Millisecond
 
-func fixture() (*core.Service, *store.Store, *lockmgr.Manager) {
-	return core.New(), store.New(), lockmgr.New()
+func fixture() (*core.Service, *Store, *lockmgr.Manager) {
+	return core.New(), NewStore(), lockmgr.New()
 }
 
 func TestRehearseAndPerform(t *testing.T) {

@@ -40,69 +40,26 @@ const (
 // ErrNoTarget reports a Propagate signal without a target activity.
 var ErrNoTarget = errors.New("opennested: propagate signal has no target")
 
-// CompletionSet is the CompletionSignalSet of §4.2: it emits exactly one
-// signal when the activity completes — Success, Failure, or Propagate
-// (with the propagation target encoded in the signal data).
-type CompletionSet struct {
-	core.BaseSet
+var failure = []core.Signal{{Name: SignalFailure}}
 
-	mu        sync.Mutex
-	target    ids.UID // propagate-to activity; nil UID means no dependency
-	emitted   bool
-	responses int
-}
-
-var _ core.SignalSet = (*CompletionSet)(nil)
-
-// NewCompletionSet returns a CompletionSignalSet. If propagateTo is
-// non-nil, a successful completion emits Propagate with that activity's
-// identity instead of Success.
-func NewCompletionSet(propagateTo *core.Activity) *CompletionSet {
-	s := &CompletionSet{BaseSet: core.NewBaseSet(SetName)}
+// NewCompletionSet returns the CompletionSignalSet of §4.2: it emits
+// exactly one signal when the activity completes — Success, Failure, or,
+// if propagateTo is non-nil, Propagate with that activity's identity in
+// the signal data. Its outcome names the completion and counts the
+// responses.
+func NewCompletionSet(propagateTo *core.Activity) *core.SequenceSet {
+	success := core.Signal{Name: SignalSuccess}
 	if propagateTo != nil {
-		s.target = propagateTo.ID()
+		success = core.Signal{Name: SignalPropagate, Data: propagateTo.ID().String()}
 	}
-	return s
-}
-
-// GetSignal implements core.SignalSet.
-func (s *CompletionSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	s.emitted = true
-	if s.CompletionStatus() != core.CompletionSuccess {
-		return core.Signal{Name: SignalFailure, SetName: SetName}, true, nil
-	}
-	if !s.target.IsNil() {
-		return core.Signal{
-			Name:    SignalPropagate,
-			SetName: SetName,
-			Data:    s.target.String(),
-		}, true, nil
-	}
-	return core.Signal{Name: SignalSuccess, SetName: SetName}, true, nil
-}
-
-// SetResponse implements core.SignalSet.
-func (s *CompletionSet) SetResponse(core.Outcome, error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.responses++
-	return false, nil
-}
-
-// GetOutcome implements core.SignalSet.
-func (s *CompletionSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	name := SignalSuccess
-	if s.CompletionStatus() != core.CompletionSuccess {
-		name = SignalFailure
-	}
-	return core.Outcome{Name: name, Data: int64(s.responses)}, nil
+	set := core.NewSequenceSet(SetName).Signals(success).OnFailure(failure...)
+	return set.Collate(func(rs []core.Outcome) core.Outcome {
+		name := SignalSuccess
+		if set.Failed() {
+			name = SignalFailure
+		}
+		return core.Outcome{Name: name, Data: int64(len(rs))}
+	})
 }
 
 // CompensationAction implements the §4.2 state machine: it discards itself
@@ -206,7 +163,6 @@ func (c *CompensationAction) ProcessSignal(ctx context.Context, sig core.Signal)
 // Enclosing wraps a top-level transaction's activity (A or B in fig. 9).
 type Enclosing struct {
 	activity *core.Activity
-	set      *CompletionSet
 }
 
 // Begin starts an enclosing activity for a top-level transaction.
@@ -218,11 +174,10 @@ func Begin(svc *core.Service, name string, propagateTo *Enclosing) (*Enclosing, 
 	if propagateTo != nil {
 		target = propagateTo.activity
 	}
-	set := NewCompletionSet(target)
-	if err := a.RegisterSignalSet(set); err != nil {
+	if err := a.RegisterSignalSet(NewCompletionSet(target)); err != nil {
 		return nil, err
 	}
-	return &Enclosing{activity: a, set: set}, nil
+	return &Enclosing{activity: a}, nil
 }
 
 // Activity exposes the backing activity.

@@ -41,8 +41,11 @@ var (
 // Step is one forward action plus its compensation. Compensate may be nil
 // for steps that need no undo.
 type Step struct {
-	Name       string
-	Run        func(ctx context.Context) error
+	// Name labels the step's child activity and its compensation.
+	Name string
+	// Run performs the step's forward work.
+	Run func(ctx context.Context) error
+	// Compensate undoes Run's committed work; nil needs no undo.
 	Compensate func(ctx context.Context) error
 }
 
@@ -56,47 +59,14 @@ type Result struct {
 	Compensated []string
 }
 
-// compensationSet emits "compensate" signals with descending indices,
-// one per registered compensation.
-type compensationSet struct {
-	core.BaseSet
-
-	mu    sync.Mutex
-	next  int // next index to emit, counting down
-	ended bool
-}
-
-var _ core.SignalSet = (*compensationSet)(nil)
-
-func newCompensationSet(completedSteps int) *compensationSet {
-	return &compensationSet{
-		BaseSet: core.NewBaseSet(SetName),
-		next:    completedSteps - 1,
+// newCompensationSet emits one "compensate" signal per registered
+// compensation, carrying the step indices in descending order.
+func newCompensationSet(completedSteps int) *core.SequenceSet {
+	sigs := make([]core.Signal, completedSteps)
+	for i := range sigs {
+		sigs[i] = core.Signal{Name: SignalCompensate, Data: int64(completedSteps - 1 - i)}
 	}
-}
-
-func (s *compensationSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended || s.next < 0 {
-		return core.Signal{}, false, core.ErrExhausted
-	}
-	idx := s.next
-	s.next--
-	last := s.next < 0
-	return core.Signal{
-		Name:    SignalCompensate,
-		SetName: SetName,
-		Data:    int64(idx),
-	}, last, nil
-}
-
-func (s *compensationSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	return false, nil
-}
-
-func (s *compensationSet) GetOutcome() (core.Outcome, error) {
-	return core.Outcome{Name: "compensated"}, nil
+	return core.NewSequenceSet(SetName).Signals(sigs...).Outcomes("compensated", "compensated")
 }
 
 // stepCompensation is the Action for one step: it reacts only to the

@@ -44,86 +44,23 @@ const (
 	ResultRolledBack = "rolled-back"
 )
 
-// phase tracks the signal set's progress.
-type phase int
-
-const (
-	phaseVoting phase = iota
-	phaseCompleting
-	phaseDone
+// The 2PCSignalSet's sequences, shared by every transaction: "prepare"
+// then "commit", or "rollback" after an "abort" vote (or a delivery
+// failure during voting). An activity completing in a failure status skips
+// the vote and rolls straight back.
+var (
+	voteThenCommit = []core.Signal{{Name: SignalPrepare}, {Name: SignalCommit}}
+	rollBack       = []core.Signal{{Name: SignalRollback}}
 )
 
-// SignalSet is the 2PCSignalSet of fig. 8: first signal "prepare"; when
-// every response is "done" or "read-only" the next signal is "commit",
-// otherwise "rollback". An activity completing in a failure status skips
-// the vote and rolls straight back.
-type SignalSet struct {
-	core.BaseSet
-
-	mu     sync.Mutex
-	ph     phase
-	doomed bool
-}
-
-var _ core.SignalSet = (*SignalSet)(nil)
-
-// NewSignalSet returns a fresh 2PC signal set (they are single-use, per
-// fig. 7).
-func NewSignalSet() *SignalSet {
-	return &SignalSet{BaseSet: core.NewBaseSet(SetName)}
-}
-
-// GetSignal implements core.SignalSet.
-func (s *SignalSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.ph {
-	case phaseVoting:
-		if s.CompletionStatus() != core.CompletionSuccess {
-			// The activity is failing: no vote, straight to rollback.
-			s.doomed = true
-			s.ph = phaseDone
-			return core.Signal{Name: SignalRollback, SetName: SetName}, true, nil
-		}
-		s.ph = phaseCompleting
-		return core.Signal{Name: SignalPrepare, SetName: SetName}, false, nil
-	case phaseCompleting:
-		s.ph = phaseDone
-		name := SignalCommit
-		if s.doomed {
-			name = SignalRollback
-		}
-		return core.Signal{Name: name, SetName: SetName}, true, nil
-	default:
-		return core.Signal{}, false, core.ErrExhausted
-	}
-}
-
-// SetResponse implements core.SignalSet. An "abort" vote (or a delivery
-// failure during voting) dooms the transaction and cuts the prepare
-// broadcast short. Any other response changes nothing, so it takes no
-// lock.
-func (s *SignalSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	if deliveryErr == nil && resp.Name != OutcomeAbort {
-		return false, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ph == phaseCompleting { // responses to "prepare"
-		s.doomed = true
-		return true, nil // advance straight to the rollback signal
-	}
-	return false, nil
-}
-
-// GetOutcome implements core.SignalSet.
-func (s *SignalSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.doomed {
-		return core.Outcome{Name: ResultRolledBack}, nil
-	}
-	return core.Outcome{Name: ResultCommitted}, nil
+// NewSignalSet returns a fresh 2PCSignalSet of fig. 8 (sets are
+// single-use, per fig. 7).
+func NewSignalSet() *core.SequenceSet {
+	return core.NewSequenceSet(SetName).
+		Signals(voteThenCommit...).
+		OnFailure(rollBack...).
+		Veto(OutcomeAbort).
+		Outcomes(ResultCommitted, ResultRolledBack)
 }
 
 // ResourceAction adapts an ots.Resource to the Action protocol, letting
@@ -216,12 +153,15 @@ func NewCoordinator(svc *core.Service, opts ...CoordinatorOption) *Coordinator {
 // Transaction is one activity-coordinated transaction.
 type Transaction struct {
 	activity *core.Activity
-	set      *SignalSet
 }
 
 // Begin starts a transaction as an activity whose completion runs 2PC.
 func (c *Coordinator) Begin(name string) (*Transaction, error) {
-	a := c.svc.Begin(name)
+	return c.begin(c.svc.Begin(name))
+}
+
+// begin makes the begun activity a transaction.
+func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
 	set := NewSignalSet()
 	if c.delivery.Mode != 0 {
 		set.SetDelivery(c.delivery)
@@ -230,7 +170,7 @@ func (c *Coordinator) Begin(name string) (*Transaction, error) {
 		return nil, err
 	}
 	a.SetCompletionSet(SetName)
-	return &Transaction{activity: a, set: set}, nil
+	return &Transaction{activity: a}, nil
 }
 
 // Activity exposes the backing activity.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ots"
@@ -389,5 +390,61 @@ func TestParallelVetoRollsBack(t *testing.T) {
 	lc := late.Calls()
 	if len(lc) == 0 || lc[len(lc)-1] != "rollback" {
 		t.Fatalf("late calls = %v", lc)
+	}
+}
+
+// TestFailOnlyRollbackCompletes covers an activity whose status is already
+// FailOnly — marked by the application, or by a WithTimeout that fired:
+// Rollback still completes it, and every resource is rolled back once.
+func TestFailOnlyRollbackCompletes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		begin func(svc *core.Service, c *Coordinator) (*Transaction, error)
+	}{
+		{"marked", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
+			tx, err := c.Begin("T")
+			if err != nil {
+				return nil, err
+			}
+			return tx, tx.Activity().SetCompletionStatus(core.CompletionFailOnly)
+		}},
+		{"timed-out", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
+			tx, err := c.begin(svc.Begin("T", core.WithTimeout(time.Millisecond)))
+			if err != nil {
+				return nil, err
+			}
+			for tx.Activity().CompletionStatus() != core.CompletionFailOnly {
+				time.Sleep(time.Millisecond)
+			}
+			return tx, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := core.New()
+			tx, err := tc.begin(svc, NewCoordinator(svc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
+			for _, r := range rs {
+				if err := tx.Enlist(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Rollback(context.Background()); err != nil {
+				t.Fatalf("rollback: %v", err)
+			}
+			for i, r := range rs {
+				if calls := r.Calls(); len(calls) != 1 || calls[0] != "rollback" {
+					t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
+				}
+			}
+			if st := tx.Activity().State(); st != core.ActivityCompleted {
+				t.Fatalf("activity state = %s", st)
+			}
+			if n := svc.Live(); n != 0 {
+				t.Fatalf("Live() = %d, want 0", n)
+			}
+		})
 	}
 }

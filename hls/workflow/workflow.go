@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/extendedtx/activityservice/internal/core"
 )
@@ -53,9 +52,13 @@ var (
 // Task is one unit of work: typically tied to a single top-level
 // transaction, as fig. 1 prescribes for long-running activities.
 type Task struct {
-	Name      string
+	// Name identifies the task within its process.
+	Name string
+	// DependsOn names the tasks that must complete before this one
+	// starts.
 	DependsOn []string
-	Run       func(ctx context.Context) error
+	// Run performs the task inside its own child activity.
+	Run func(ctx context.Context) error
 	// Compensate undoes the task's committed work when a later task fails
 	// and the process's failure policy selects it.
 	Compensate func(ctx context.Context) error
@@ -75,8 +78,11 @@ type Continuation struct {
 
 // Process is a named task DAG with failure continuations.
 type Process struct {
-	Name      string
-	Tasks     []Task
+	// Name labels the process's activity.
+	Name string
+	// Tasks is the DAG to run.
+	Tasks []Task
+	// OnFailure maps a failing task's name to its fig. 2 recovery.
 	OnFailure map[string]Continuation
 }
 
@@ -356,46 +362,16 @@ func (r *processRun) runTask(ctx context.Context, t *Task) {
 	r.events <- ev
 }
 
-// completedSet is the child's Completed SignalSet: one "outcome" signal
-// whose data carries the task name and success flag.
-type completedSet struct {
-	core.BaseSet
-
-	mu      sync.Mutex
-	task    string
-	emitted bool
-}
-
-var _ core.SignalSet = (*completedSet)(nil)
-
-func newCompletedSet(task string) *completedSet {
-	return &completedSet{BaseSet: core.NewBaseSet(CompletedSetName), task: task}
-}
-
-func (s *completedSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitted {
-		return core.Signal{}, false, core.ErrExhausted
+// newCompletedSet returns the child's Completed SignalSet: one "outcome"
+// signal whose data carries the task name and success flag.
+func newCompletedSet(task string) *core.SequenceSet {
+	outcome := func(ok bool) core.Signal {
+		return core.Signal{Name: SignalOutcome, Data: map[string]any{"task": task, "ok": ok}}
 	}
-	s.emitted = true
-	return core.Signal{
-		Name:    SignalOutcome,
-		SetName: CompletedSetName,
-		Data: map[string]any{
-			"task": s.task,
-			"ok":   s.CompletionStatus() == core.CompletionSuccess,
-		},
-	}, true, nil
-}
-
-func (s *completedSet) SetResponse(core.Outcome, error) (bool, error) { return false, nil }
-
-func (s *completedSet) GetOutcome() (core.Outcome, error) {
-	if s.CompletionStatus() == core.CompletionSuccess {
-		return core.Outcome{Name: "success"}, nil
-	}
-	return core.Outcome{Name: "failure"}, nil
+	return core.NewSequenceSet(CompletedSetName).
+		Signals(outcome(true)).
+		OnFailure(outcome(false)).
+		Outcomes("success", "failure")
 }
 
 // outcomeAction is the parent's half of the protocol: it acknowledges the

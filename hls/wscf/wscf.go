@@ -67,8 +67,12 @@ type CoordinationContext struct {
 // Prepare votes (nil = prepared); Commit and Cancel finish. Methods must
 // tolerate repeated invocation: delivery is at least once.
 type Participant interface {
+	// Prepare votes: nil means prepared, an error aborts the context.
 	Prepare() error
+	// Commit makes the work final (commit for TypeAtomic, confirm for
+	// TypeBusiness).
 	Commit() error
+	// Cancel undoes the work.
 	Cancel() error
 }
 
@@ -79,19 +83,12 @@ type Coordinator struct {
 	svc *core.Service
 
 	mu       sync.Mutex
-	contexts map[ids.UID]*coordination
-}
-
-// coordination is one coordinated activity.
-type coordination struct {
-	ctxInfo  CoordinationContext
-	activity *core.Activity
-	set      *completionSet
+	contexts map[ids.UID]*core.Activity // the coordinated activities
 }
 
 // NewCoordinator returns a WSCF coordinator over svc.
 func NewCoordinator(svc *core.Service) *Coordinator {
-	return &Coordinator{svc: svc, contexts: make(map[ids.UID]*coordination)}
+	return &Coordinator{svc: svc, contexts: make(map[ids.UID]*core.Activity)}
 }
 
 // CreateCoordinationContext starts a coordinated activity of the given
@@ -103,14 +100,13 @@ func (c *Coordinator) CreateCoordinationContext(name, coordType string) (Coordin
 		return CoordinationContext{}, fmt.Errorf("%w: %q", ErrUnknownType, coordType)
 	}
 	a := c.svc.Begin(name)
-	set := newCompletionSet(coordType)
-	if err := a.RegisterSignalSet(set); err != nil {
+	if err := a.RegisterSignalSet(newCompletionSet(coordType)); err != nil {
 		return CoordinationContext{}, err
 	}
-	a.SetCompletionSet(set.Name())
+	a.SetCompletionSet(ProtocolCompletion)
 	info := CoordinationContext{Identifier: a.ID(), Type: coordType, Registration: name}
 	c.mu.Lock()
-	c.contexts[a.ID()] = &coordination{ctxInfo: info, activity: a, set: set}
+	c.contexts[a.ID()] = a
 	c.mu.Unlock()
 	return info, nil
 }
@@ -118,22 +114,22 @@ func (c *Coordinator) CreateCoordinationContext(name, coordType string) (Coordin
 // Register enrolls a participant for the context's protocol (the
 // WS-Coordination "Registration" service).
 func (c *Coordinator) Register(cc CoordinationContext, name string, p Participant) error {
-	coord, err := c.lookup(cc)
+	a, err := c.lookup(cc)
 	if err != nil {
 		return err
 	}
-	_, err = coord.activity.AddNamedAction(coord.set.Name(), name, &participantAction{p: p})
+	_, err = a.AddNamedAction(ProtocolCompletion, name, &participantAction{p: p})
 	return err
 }
 
 // RegisterAction enrolls a raw Action (e.g. a remote proxy) for the
 // context's protocol.
-func (c *Coordinator) RegisterAction(cc CoordinationContext, name string, a core.Action) error {
-	coord, err := c.lookup(cc)
+func (c *Coordinator) RegisterAction(cc CoordinationContext, name string, action core.Action) error {
+	a, err := c.lookup(cc)
 	if err != nil {
 		return err
 	}
-	_, err = coord.activity.AddNamedAction(coord.set.Name(), name, a)
+	_, err = a.AddNamedAction(ProtocolCompletion, name, action)
 	return err
 }
 
@@ -141,11 +137,11 @@ func (c *Coordinator) RegisterAction(cc CoordinationContext, name string, a core
 // (commit for TypeAtomic, confirm for TypeBusiness). For TypeAtomic a
 // participant prepare failure aborts everyone and returns ErrAborted.
 func (c *Coordinator) Complete(ctx context.Context, cc CoordinationContext) error {
-	coord, err := c.lookup(cc)
+	a, err := c.lookup(cc)
 	if err != nil {
 		return err
 	}
-	out, err := coord.activity.CompleteWithStatus(ctx, core.CompletionSuccess)
+	out, err := a.CompleteWithStatus(ctx, core.CompletionSuccess)
 	if err != nil {
 		return fmt.Errorf("wscf: complete: %w", err)
 	}
@@ -158,25 +154,25 @@ func (c *Coordinator) Complete(ctx context.Context, cc CoordinationContext) erro
 
 // Abort cancels the context's protocol.
 func (c *Coordinator) Abort(ctx context.Context, cc CoordinationContext) error {
-	coord, err := c.lookup(cc)
+	a, err := c.lookup(cc)
 	if err != nil {
 		return err
 	}
-	if _, err := coord.activity.CompleteWithStatus(ctx, core.CompletionFail); err != nil {
+	if _, err := a.CompleteWithStatus(ctx, core.CompletionFail); err != nil {
 		return fmt.Errorf("wscf: abort: %w", err)
 	}
 	c.drop(cc)
 	return nil
 }
 
-func (c *Coordinator) lookup(cc CoordinationContext) (*coordination, error) {
+func (c *Coordinator) lookup(cc CoordinationContext) (*core.Activity, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	coord, ok := c.contexts[cc.Identifier]
+	a, ok := c.contexts[cc.Identifier]
 	if !ok {
 		return nil, fmt.Errorf("wscf: unknown coordination context %s", cc.Identifier.Short())
 	}
-	return coord, nil
+	return a, nil
 }
 
 func (c *Coordinator) drop(cc CoordinationContext) {
@@ -185,74 +181,23 @@ func (c *Coordinator) drop(cc CoordinationContext) {
 	c.mu.Unlock()
 }
 
-// completionSet is the two-phase completion protocol, built with no
-// transaction service underneath: "prepare" then "commit"/"cancel"
-// (TypeAtomic), or single-round "confirm"/"cancel" (TypeBusiness).
-type completionSet struct {
-	core.BaseSet
+// The completion protocol's sequences, shared by every context. It is
+// built with no transaction service underneath: TypeAtomic votes with
+// "prepare", then sends "commit", or "cancel" after an "aborted" vote;
+// TypeBusiness confirms or cancels in one round. A failing context cancels
+// in one round under either type.
+var (
+	voteThenCommit = []core.Signal{{Name: "prepare"}, {Name: "commit"}}
+	confirm        = []core.Signal{{Name: "confirm"}}
+	cancel         = []core.Signal{{Name: "cancel"}}
+)
 
-	mu       sync.Mutex
-	coordTyp string
-	stage    int
-	doomed   bool
-}
-
-var _ core.SignalSet = (*completionSet)(nil)
-
-func newCompletionSet(coordType string) *completionSet {
-	return &completionSet{
-		BaseSet:  core.NewBaseSet(ProtocolCompletion),
-		coordTyp: coordType,
+func newCompletionSet(coordType string) *core.SequenceSet {
+	set := core.NewSequenceSet(ProtocolCompletion).OnFailure(cancel...).Outcomes("committed", "aborted")
+	if coordType == TypeBusiness {
+		return set.Signals(confirm...)
 	}
-}
-
-func (s *completionSet) GetSignal() (core.Signal, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	failing := s.CompletionStatus() != core.CompletionSuccess
-	switch {
-	case s.stage == 0 && (failing || s.coordTyp == TypeBusiness):
-		// Business agreements confirm/cancel in one round; a failing
-		// atomic context cancels in one round too.
-		s.stage = 2
-		name := "confirm"
-		if failing {
-			s.doomed = true
-			name = "cancel"
-		}
-		return core.Signal{Name: name, SetName: s.Name()}, true, nil
-	case s.stage == 0:
-		s.stage = 1
-		return core.Signal{Name: "prepare", SetName: s.Name()}, false, nil
-	case s.stage == 1:
-		s.stage = 2
-		name := "commit"
-		if s.doomed {
-			name = "cancel"
-		}
-		return core.Signal{Name: name, SetName: s.Name()}, true, nil
-	default:
-		return core.Signal{}, false, core.ErrExhausted
-	}
-}
-
-func (s *completionSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stage == 1 && (deliveryErr != nil || resp.Name == "aborted") {
-		s.doomed = true
-		return true, nil
-	}
-	return false, nil
-}
-
-func (s *completionSet) GetOutcome() (core.Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.doomed || s.CompletionStatus() != core.CompletionSuccess {
-		return core.Outcome{Name: "aborted"}, nil
-	}
-	return core.Outcome{Name: "committed"}, nil
+	return set.Signals(voteThenCommit...).Veto("aborted")
 }
 
 // participantAction adapts a Participant to the Action protocol.

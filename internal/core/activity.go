@@ -113,12 +113,16 @@ func (a *Activity) CompletionStatus() CompletionStatus {
 }
 
 // SetCompletionStatus changes the prospective completion status. Once
-// FailOnly, the status cannot change (§3.2.1).
+// FailOnly, the status cannot change (§3.2.1): Success is refused, and
+// Fail is accepted as a no-op, since failure is the only possible outcome.
 func (a *Activity) SetCompletionStatus(cs CompletionStatus) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.state == ActivityCompleted || a.state == ActivityCompleting {
 		return fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
+	}
+	if a.cs == CompletionFailOnly && cs == CompletionFail {
+		return nil
 	}
 	if a.cs == CompletionFailOnly && cs != CompletionFailOnly {
 		return fmt.Errorf("%w: %s", ErrCompletionStatusFixed, a.name)

@@ -96,6 +96,29 @@ func TestCompletionStatusFailOnlyIsSticky(t *testing.T) {
 	}
 }
 
+// TestFailOnlyCompletesWithFail: Fail on a FailOnly activity is a no-op,
+// so the activity can still complete — it fails, as §3.2.1 requires.
+func TestFailOnlyCompletesWithFail(t *testing.T) {
+	svc := New()
+	a := svc.Begin("A")
+	if err := a.SetCompletionStatus(CompletionFailOnly); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetCompletionStatus(CompletionFail); err != nil {
+		t.Fatalf("set Fail on FailOnly: %v", err)
+	}
+	if cs := a.CompletionStatus(); cs != CompletionFailOnly {
+		t.Fatalf("status = %s, want FailOnly", cs)
+	}
+	out, err := a.CompleteWithStatus(context.Background(), CompletionFail)
+	if err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	if out.Name != "failure" || a.State() != ActivityCompleted || svc.Live() != 0 {
+		t.Fatalf("outcome %s, state %s, live %d", out.Name, a.State(), svc.Live())
+	}
+}
+
 func TestCompleteRejectsActiveChildren(t *testing.T) {
 	svc := New()
 	a := svc.Begin("parent")

@@ -71,7 +71,8 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 }
 
 // TestQuickCompletionStatusNeverEscapesFailOnly drives random status
-// sequences and verifies FailOnly is absorbing (§3.2.1).
+// sequences and verifies FailOnly is absorbing (§3.2.1): Success is
+// refused, and Fail is accepted as a no-op.
 func TestQuickCompletionStatusNeverEscapesFailOnly(t *testing.T) {
 	f := func(seq []uint8) bool {
 		svc := New()
@@ -87,8 +88,8 @@ func TestQuickCompletionStatusNeverEscapesFailOnly(t *testing.T) {
 				if act.CompletionStatus() != CompletionFailOnly {
 					return false
 				}
-				if cs != CompletionFailOnly && err == nil {
-					return false // change out of FailOnly must error
+				if (cs == CompletionSuccess) != (err != nil) {
+					return false // only Success is refused
 				}
 			} else if err != nil {
 				return false

@@ -5,8 +5,8 @@
 // The framework is deliberately free of extended-transaction semantics:
 // it only coordinates. Each extended transaction model (two-phase commit,
 // open nested transactions with compensation, LRUOW, workflow, BTP — see
-// the hls packages) is expressed as SignalSet and Action implementations
-// layered on top, exactly as §3.1 of the paper prescribes: "as new types of
+// the hls packages) is expressed as SignalSets declared on SequenceSet
+// and Action implementations layered on top, exactly as §3.1 of the paper prescribes: "as new types of
 // extended transaction models emerge, so will new signal set instances and
 // associated actions", with the service "interacting with their interfaces
 // in an entirely uniform and transparent way".

@@ -198,75 +198,153 @@ func (b *BaseSet) Delivery() DeliveryPolicy {
 	return b.delivery
 }
 
-// SequenceSet is a ready-made SignalSet that sends a fixed sequence of
-// signals, one broadcast each, and collates a fixed outcome. It is the
-// simplest useful SignalSet and the building block of several tests and
-// examples.
+// SequenceSet is the ready-made SignalSet: every extended transaction
+// model in hls/* is a declaration on it. It sends a sequence of signals,
+// one broadcast each, and collates a fixed outcome. Builder methods,
+// called before the set is registered, cover the fig. 7 shapes the models
+// need:
+//
+//   - Signals sends signals that carry Data;
+//   - OnFailure declares a failure sequence, taken instead when the
+//     completion status is not Success at the first GetSignal, or after a
+//     veto;
+//   - Veto names a response that, like a delivery error, dooms the set
+//     during a non-final round of its first sequence: the broadcast is cut
+//     short and the failure sequence follows. Vetoes in the final round
+//     are ignored;
+//   - Outcomes declares the outcome names for success and failure;
+//   - Collate computes the outcome from the responses instead.
+//
+// A set records every response for Collate and Responses, unless it
+// declares its outcomes and has no Collate: then a response that is not a
+// veto takes no lock.
 type SequenceSet struct {
 	BaseSet
 
 	mu        sync.Mutex
-	signals   []Signal
-	idx       int
+	signals   []Signal // shared, never written: callers may pass one slice to many sets
+	onFail    []Signal
+	veto      string
+	idx       int  // position in the current sequence
+	failed    bool // the current sequence is onFail
 	responses []Outcome
-	outcome   Outcome
-	// Collate, when non-nil, computes the final outcome from all responses.
+	outcome   string
+	failure   string
+	declared  bool
+	// collate, when non-nil, computes the final outcome from all responses.
 	collate func(responses []Outcome) Outcome
 }
 
 var _ SignalSet = (*SequenceSet)(nil)
 
 // NewSequenceSet returns a SignalSet named name that broadcasts the given
-// signal names in order. The final outcome is "completed" unless a collate
-// function is set with Collate.
+// signal names in order. The final outcome is "completed" unless the set
+// declares others with Outcomes or a collate function with Collate.
 func NewSequenceSet(name string, signalNames ...string) *SequenceSet {
-	s := &SequenceSet{BaseSet: NewBaseSet(name)}
+	s := &SequenceSet{BaseSet: NewBaseSet(name), outcome: "completed"}
 	for _, sn := range signalNames {
 		s.signals = append(s.signals, Signal{Name: sn, SetName: name})
 	}
-	s.outcome = Outcome{Name: "completed"}
+	return s
+}
+
+// Signals replaces the set's sequence with sigs and returns the set. A
+// signal with no SetName is sent under the set's name. The set keeps sigs
+// without copying it, so one immutable slice can serve every instance.
+func (s *SequenceSet) Signals(sigs ...Signal) *SequenceSet {
+	s.signals = sigs
+	return s
+}
+
+// OnFailure declares the failure sequence and returns the set. Like
+// Signals, it keeps sigs without copying it.
+func (s *SequenceSet) OnFailure(sigs ...Signal) *SequenceSet {
+	s.onFail = sigs
+	return s
+}
+
+// Veto names the response outcome that dooms the set and returns the set.
+func (s *SequenceSet) Veto(name string) *SequenceSet {
+	s.veto = name
+	return s
+}
+
+// Outcomes declares the set's outcome names, one when the set ends on its
+// first sequence and one when it ends on its failure sequence, and returns
+// the set.
+func (s *SequenceSet) Outcomes(success, failure string) *SequenceSet {
+	s.outcome, s.failure, s.declared = success, failure, true
 	return s
 }
 
 // Collate sets the response-collation function and returns the set.
 func (s *SequenceSet) Collate(fn func(responses []Outcome) Outcome) *SequenceSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.collate = fn
 	return s
+}
+
+// Failed reports whether the set took its failure sequence.
+func (s *SequenceSet) Failed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
 }
 
 // GetSignal implements SignalSet.
 func (s *SequenceSet) GetSignal() (Signal, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.idx >= len(s.signals) {
+	if s.idx == 0 && !s.failed && s.onFail != nil && s.CompletionStatus() != CompletionSuccess {
+		s.failed = true
+	}
+	seq := s.signals
+	if s.failed {
+		seq = s.onFail
+	}
+	if s.idx >= len(seq) {
 		return Signal{}, false, ErrExhausted
 	}
-	sig := s.signals[s.idx]
+	sig := seq[s.idx]
 	s.idx++
-	return sig, s.idx == len(s.signals), nil
+	if sig.SetName == "" {
+		sig.SetName = s.name
+	}
+	return sig, s.idx == len(seq), nil
 }
 
-// SetResponse implements SignalSet.
+// SetResponse implements SignalSet. A veto (or a delivery error, when the
+// set names a veto) during a non-final round of the first sequence
+// switches to the failure sequence and asks the coordinator to advance.
 func (s *SequenceSet) SetResponse(resp Outcome, deliveryErr error) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	vetoed := s.veto != "" && (deliveryErr != nil || resp.Name == s.veto)
+	record := !s.declared || s.collate != nil
+	if !vetoed && !record {
+		return false, nil
+	}
 	if deliveryErr != nil {
 		resp = Outcome{Name: "delivery-error", Data: deliveryErr.Error()}
 	}
-	s.responses = append(s.responses, resp)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if record {
+		s.responses = append(s.responses, resp)
+	}
+	if vetoed && !s.failed && s.idx < len(s.signals) {
+		s.failed, s.idx = true, 0
+		return true, nil
+	}
 	return false, nil
 }
 
 // GetOutcome implements SignalSet.
 func (s *SequenceSet) GetOutcome() (Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.collate != nil {
-		return s.collate(append([]Outcome(nil), s.responses...)), nil
+		return s.collate(s.Responses()), nil // unlocked, so it may call Failed
 	}
-	return s.outcome, nil
+	if s.declared && s.Failed() {
+		return Outcome{Name: s.failure}, nil
+	}
+	return Outcome{Name: s.outcome}, nil
 }
 
 // Responses returns a copy of all responses received so far.

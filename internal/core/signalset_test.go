@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -170,5 +172,179 @@ func TestDriverStateTransitions(t *testing.T) {
 	}
 	if _, err := d.getOutcome(); err != nil {
 		t.Fatalf("getOutcome in End: %v", err)
+	}
+}
+
+// twoPhase declares the vote-then-decide shape on a SequenceSet, the way
+// hls/twopc does.
+func twoPhase() *SequenceSet {
+	return NewSequenceSet("2pc").
+		Signals(Signal{Name: "prepare"}, Signal{Name: "commit", Data: "d"}).
+		OnFailure(Signal{Name: "rollback"}).
+		Veto("abort").
+		Outcomes("committed", "rolled-back")
+}
+
+// signals drains s, feeding each signal the response resp(name), and
+// returns "name/last" for every signal sent.
+func signals(t *testing.T, s *SequenceSet, resp func(sig string) (Outcome, error)) []string {
+	t.Helper()
+	var sent []string
+	for {
+		sig, last, err := s.GetSignal()
+		if errors.Is(err, ErrExhausted) {
+			return sent
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sig.SetName != s.Name() {
+			t.Fatalf("signal %s has set name %q", sig.Name, sig.SetName)
+		}
+		sent = append(sent, fmt.Sprintf("%s/%v", sig.Name, last))
+		o, derr := resp(sig.Name)
+		advance, err := s.SetResponse(o, derr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last && !advance {
+			return sent
+		}
+	}
+}
+
+func outcome(t *testing.T, s *SequenceSet) string {
+	t.Helper()
+	out, err := s.GetOutcome()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Name
+}
+
+func TestSequenceSetSuccessSequence(t *testing.T) {
+	s := twoPhase()
+	got := signals(t, s, func(string) (Outcome, error) { return Outcome{Name: "done"}, nil })
+	if want := []string{"prepare/false", "commit/true"}; !slices.Equal(got, want) {
+		t.Fatalf("signals = %v, want %v", got, want)
+	}
+	if s.Failed() || outcome(t, s) != "committed" {
+		t.Fatalf("failed=%v outcome=%s", s.Failed(), outcome(t, s))
+	}
+}
+
+func TestSequenceSetFailureSequenceAtStart(t *testing.T) {
+	for _, cs := range []CompletionStatus{CompletionFail, CompletionFailOnly} {
+		s := twoPhase()
+		s.SetCompletionStatus(cs)
+		got := signals(t, s, func(string) (Outcome, error) { return Outcome{Name: "done"}, nil })
+		if want := []string{"rollback/true"}; !slices.Equal(got, want) {
+			t.Fatalf("%s: signals = %v, want %v", cs, got, want)
+		}
+		if !s.Failed() || outcome(t, s) != "rolled-back" {
+			t.Fatalf("%s: failed=%v outcome=%s", cs, s.Failed(), outcome(t, s))
+		}
+	}
+}
+
+func TestSequenceSetVetoSwitchesToFailure(t *testing.T) {
+	s := twoPhase()
+	if _, _, err := s.GetSignal(); err != nil {
+		t.Fatal(err)
+	}
+	if advance, _ := s.SetResponse(Outcome{Name: "done"}, nil); advance {
+		t.Fatal("a plain vote advanced")
+	}
+	if advance, _ := s.SetResponse(Outcome{Name: "abort"}, nil); !advance {
+		t.Fatal("a veto did not cut the round short")
+	}
+	sig, last, err := s.GetSignal()
+	if err != nil || sig.Name != "rollback" || !last {
+		t.Fatalf("after veto: %s last=%v err=%v", sig.Name, last, err)
+	}
+	if _, _, err := s.GetSignal(); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("err = %v, want ErrExhausted", err)
+	}
+	if !s.Failed() || outcome(t, s) != "rolled-back" {
+		t.Fatalf("failed=%v outcome=%s", s.Failed(), outcome(t, s))
+	}
+}
+
+func TestSequenceSetDeliveryErrorIsVeto(t *testing.T) {
+	s := twoPhase()
+	got := signals(t, s, func(sig string) (Outcome, error) {
+		if sig == "prepare" {
+			return Outcome{}, errors.New("unreachable")
+		}
+		return Outcome{Name: "done"}, nil
+	})
+	if want := []string{"prepare/false", "rollback/true"}; !slices.Equal(got, want) {
+		t.Fatalf("signals = %v, want %v", got, want)
+	}
+	if outcome(t, s) != "rolled-back" {
+		t.Fatalf("outcome = %s", outcome(t, s))
+	}
+}
+
+func TestSequenceSetVetoIgnoredInFinalRound(t *testing.T) {
+	s := twoPhase()
+	got := signals(t, s, func(sig string) (Outcome, error) {
+		if sig == "commit" {
+			return Outcome{Name: "abort"}, errors.New("late")
+		}
+		return Outcome{Name: "done"}, nil
+	})
+	if want := []string{"prepare/false", "commit/true"}; !slices.Equal(got, want) {
+		t.Fatalf("signals = %v, want %v", got, want)
+	}
+	if s.Failed() || outcome(t, s) != "committed" {
+		t.Fatalf("failed=%v outcome=%s", s.Failed(), outcome(t, s))
+	}
+}
+
+func TestSequenceSetSignalsCarryData(t *testing.T) {
+	s := NewSequenceSet("saga").Signals(
+		Signal{Name: "compensate", Data: int64(1)},
+		Signal{Name: "compensate", Data: int64(0), SetName: "other"},
+	)
+	first, _, _ := s.GetSignal()
+	second, _, _ := s.GetSignal()
+	if first.Data != int64(1) || first.SetName != "saga" || second.Data != int64(0) || second.SetName != "other" {
+		t.Fatalf("signals = %+v, %+v", first, second)
+	}
+}
+
+func TestSequenceSetDeclaredOutcomesRecordNothing(t *testing.T) {
+	s := twoPhase()
+	signals(t, s, func(string) (Outcome, error) { return Outcome{Name: "done"}, nil })
+	if rs := s.Responses(); len(rs) != 0 {
+		t.Fatalf("declared set recorded %v", rs)
+	}
+	// With a Collate, a declared set records every response, vetoes
+	// included, and Collate may ask whether the set failed.
+	c := twoPhase()
+	c.Collate(func(rs []Outcome) Outcome {
+		return Outcome{Name: fmt.Sprintf("%d/%v", len(rs), c.Failed())}
+	})
+	signals(t, c, func(sig string) (Outcome, error) {
+		if sig == "prepare" {
+			return Outcome{Name: "abort"}, nil
+		}
+		return Outcome{Name: "done"}, nil
+	})
+	if got := outcome(t, c); got != "2/true" {
+		t.Fatalf("collated outcome = %s, want 2/true", got)
+	}
+}
+
+func TestNewSequenceSetRecordsResponses(t *testing.T) {
+	s := NewSequenceSet("proto", "one", "two")
+	signals(t, s, func(sig string) (Outcome, error) { return Outcome{Name: sig + "-ack"}, nil })
+	rs := s.Responses()
+	if len(rs) != 2 || rs[0].Name != "one-ack" || rs[1].Name != "two-ack" {
+		t.Fatalf("responses = %+v", rs)
+	}
+	if s.Failed() || outcome(t, s) != "completed" {
+		t.Fatalf("failed=%v outcome=%s", s.Failed(), outcome(t, s))
 	}
 }

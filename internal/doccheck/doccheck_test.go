@@ -1,7 +1,8 @@
 // Package doccheck enforces the repo's documentation contract: every
 // exported identifier in the packages whose API surface operators and
-// integrators touch (internal/orb, internal/core) must carry a doc
-// comment, so `go doc` is always usable. It runs as an ordinary test,
+// integrators touch (internal/orb, internal/core, internal/cdr,
+// internal/remote and the hls/* models) must carry a doc comment, so
+// `go doc` is always usable. It runs as an ordinary test,
 // which makes the CI docs job a plain `go test ./internal/doccheck`.
 package doccheck
 
@@ -18,7 +19,11 @@ import (
 
 // checkedPackages are the directories whose exported surface must be
 // fully documented, relative to this package.
-var checkedPackages = []string{"../orb", "../core", "../cdr", "../remote"}
+var checkedPackages = []string{
+	"../orb", "../core", "../cdr", "../remote",
+	"../../hls/btp", "../../hls/caaction", "../../hls/lruow", "../../hls/opennested",
+	"../../hls/saga", "../../hls/twopc", "../../hls/workflow", "../../hls/wscf",
+}
 
 // TestExportedIdentifiersHaveDocComments parses each checked package
 // (tests excluded) and fails with one line per undocumented exported
