@@ -26,7 +26,10 @@ import (
 	"github.com/extendedtx/activityservice/hls/twopc"
 	"github.com/extendedtx/activityservice/hls/workflow"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/lockmgr"
+	iorb "github.com/extendedtx/activityservice/internal/orb"
+	iots "github.com/extendedtx/activityservice/internal/ots"
 	"github.com/extendedtx/activityservice/internal/wal"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
@@ -35,7 +38,7 @@ import (
 // openMemory reopens a journal snapshot, simulating a restart.
 func openMemory(snap []byte) (*wal.Log, error) { return wal.OpenMemory(snap) }
 
-func noopAction() activityservice.Action {
+func noopAction() core.Action {
 	return activityservice.ActionFunc(
 		func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
 			return activityservice.Outcome{Name: "ok"}, nil
@@ -119,14 +122,14 @@ var deliveryPolicies = []struct {
 	name   string
 	policy activityservice.DeliveryPolicy
 }{
-	{"serial", activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial}},
+	{"serial", activityservice.DeliveryPolicy{Mode: core.DeliverSerial}},
 	{"parallel", activityservice.Parallel()},
 }
 
 // broadcastRound returns one fig. 5 broadcast: begin an activity, register
 // every action on one sequence set, signal it and complete.
-func broadcastRound(tb testing.TB, policy activityservice.DeliveryPolicy, actions []activityservice.Action) func() {
-	svc := activityservice.New(activityservice.WithDelivery(policy))
+func broadcastRound(tb testing.TB, policy activityservice.DeliveryPolicy, actions []core.Action) func() {
+	svc := activityservice.New(core.WithDelivery(policy))
 	ctx := context.Background()
 	return func() {
 		a := svc.Begin("fanout")
@@ -155,7 +158,7 @@ func BenchmarkFig05SignalFanout(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("actions=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			actions := make([]activityservice.Action, n)
+			actions := make([]core.Action, n)
 			for i := range actions {
 				actions[i] = noopAction()
 			}
@@ -175,7 +178,7 @@ func BenchmarkFig05SignalFanout(b *testing.B) {
 // parallel pays ~ceil(fanout/workers)×latency.
 func BenchmarkParallelFanout(b *testing.B) {
 	b.ReportAllocs()
-	latencyAction := func(d time.Duration) activityservice.Action {
+	latencyAction := func(d time.Duration) core.Action {
 		if d == 0 {
 			return noopAction()
 		}
@@ -195,7 +198,7 @@ func BenchmarkParallelFanout(b *testing.B) {
 				name := fmt.Sprintf("fanout=%d/latency=%s/%s", fanout, latency, p.name)
 				b.Run(name, func(b *testing.B) {
 					b.ReportAllocs()
-					actions := make([]activityservice.Action, fanout)
+					actions := make([]core.Action, fanout)
 					for i := range actions {
 						actions[i] = latencyAction(latency)
 					}
@@ -222,7 +225,7 @@ func remoteFanout(tb testing.TB, fanout, pool int, policy activityservice.Delive
 	}
 	clientORB := orb.New(orb.WithPoolSize(pool))
 	tb.Cleanup(clientORB.Shutdown)
-	actions := make([]activityservice.Action, fanout)
+	actions := make([]core.Action, fanout)
 	for i := range actions {
 		ref := orb.ExportAction(serverORB, activityservice.ActionFunc(
 			func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
@@ -277,7 +280,7 @@ func treeFanout(tb testing.TB, fanout, sites int, policy activityservice.Deliver
 	}
 	clientORB := orb.New(clientOpts...)
 	tb.Cleanup(clientORB.Shutdown)
-	actions := make([]activityservice.Action, fanout)
+	actions := make([]core.Action, fanout)
 	for i := range actions {
 		site := siteORBs[i%sites]
 		ref := orb.ExportAction(site, noopAction())
@@ -576,7 +579,7 @@ func BenchmarkLRUOW(b *testing.B) {
 func BenchmarkDelivery(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
-	mk := func(wrap func(activityservice.Action) activityservice.Action) func(*testing.B) {
+	mk := func(wrap func(core.Action) core.Action) func(*testing.B) {
 		return func(b *testing.B) {
 			svc := activityservice.New()
 			for i := 0; i < b.N; i++ {
@@ -599,11 +602,11 @@ func BenchmarkDelivery(b *testing.B) {
 			}
 		}
 	}
-	b.Run("at-least-once", mk(func(a activityservice.Action) activityservice.Action { return a }))
-	b.Run("idempotent-dedup", mk(activityservice.Idempotent))
+	b.Run("at-least-once", mk(func(a core.Action) core.Action { return a }))
+	b.Run("idempotent-dedup", mk(core.Idempotent))
 	txsvc := ots.NewService()
-	b.Run("exactly-once-tx", mk(func(a activityservice.Action) activityservice.Action {
-		return activityservice.ExactlyOnce(txsvc, a)
+	b.Run("exactly-once-tx", mk(func(a core.Action) core.Action {
+		return core.ExactlyOnce(txsvc, a)
 	}))
 }
 
@@ -614,11 +617,11 @@ func BenchmarkPropertyGroup(b *testing.B) {
 	ctx := context.Background()
 	for _, vis := range []struct {
 		name string
-		v    activityservice.NestedVisibility
+		v    core.NestedVisibility
 	}{
-		{"shared", activityservice.VisibilityShared},
-		{"copy", activityservice.VisibilityCopy},
-		{"read-only", activityservice.VisibilityReadOnly},
+		{"shared", core.VisibilityShared},
+		{"copy", core.VisibilityCopy},
+		{"read-only", core.VisibilityReadOnly},
 	} {
 		b.Run(vis.name+"/depth=16", func(b *testing.B) {
 			b.ReportAllocs()
@@ -626,7 +629,7 @@ func BenchmarkPropertyGroup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				root := svc.Begin("root")
-				pg := activityservice.NewTupleSpace("env", vis.v, activityservice.PropagateByValue)
+				pg := core.NewTupleSpace("env", vis.v, core.PropagateByValue)
 				for k := 0; k < 8; k++ {
 					if err := pg.Set(fmt.Sprintf("key%d", k), int64(k)); err != nil {
 						b.Fatal(err)
@@ -636,7 +639,7 @@ func BenchmarkPropertyGroup(b *testing.B) {
 					b.Fatal(err)
 				}
 				cur := root
-				chain := []*activityservice.Activity{root}
+				chain := []*core.Activity{root}
 				for d := 0; d < 16; d++ {
 					child, err := cur.BeginChild(fmt.Sprintf("c%d", d))
 					if err != nil {
@@ -705,7 +708,7 @@ func BenchmarkRemote2PC(b *testing.B) {
 }
 
 // resourceAction builds a remote-safe 2PC participant action.
-func resourceAction() activityservice.Action {
+func resourceAction() core.Action {
 	ra := twopc.NewResourceAction(okResource{})
 	return ra
 }
@@ -756,7 +759,7 @@ func BenchmarkOTSNestedCommit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				top := svc.Begin()
 				cur := top
-				subs := make([]*ots.Transaction, 0, depth)
+				subs := make([]*iots.Transaction, 0, depth)
 				for d := 0; d < depth; d++ {
 					sub, err := cur.BeginSubtransaction()
 					if err != nil {
@@ -859,7 +862,7 @@ func BenchmarkOverload(b *testing.B) {
 					_, err := client.Invoke(ctx, ref, "work", nil)
 					latencies[i] = time.Since(start)
 					if err != nil {
-						if !orb.IsSystem(err, orb.CodeTransient) {
+						if !iorb.IsSystem(err, iorb.CodeTransient) {
 							b.Error(err)
 							return
 						}

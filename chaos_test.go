@@ -19,6 +19,9 @@ import (
 	"github.com/extendedtx/activityservice/hls/btp"
 	"github.com/extendedtx/activityservice/hls/twopc"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
+	iorb "github.com/extendedtx/activityservice/internal/orb"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -112,7 +115,7 @@ type chaosBTPParticipant struct {
 	prepared, confirmed, cancelled atomic.Int32
 }
 
-func (p *chaosBTPParticipant) action() activityservice.Action {
+func (p *chaosBTPParticipant) action() core.Action {
 	return activityservice.ActionFunc(
 		func(_ context.Context, sig activityservice.Signal) (activityservice.Outcome, error) {
 			switch sig.Name {
@@ -161,7 +164,7 @@ func TestChaosPartitionDuringConfirm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atom.SetDelivery(activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial})
+	atom.SetDelivery(activityservice.DeliveryPolicy{Mode: core.DeliverSerial})
 	for i, label := range []string{"p1", "p2"} {
 		proxy := orb.ImportAction(clientORB, refs[i])
 		if _, err := atom.Activity().AddNamedAction(btp.PrepareSetName, label, proxy); err != nil {
@@ -367,7 +370,7 @@ func TestChaosSaturationShedsFastAndConverges(t *testing.T) {
 		switch {
 		case r.err == nil:
 			succ++
-		case orb.IsSystem(r.err, orb.CodeTransient):
+		case iorb.IsSystem(r.err, iorb.CodeTransient):
 			shed++
 			if !strings.Contains(r.err.Error(), "overloaded") {
 				t.Errorf("call %d: shed error %v, want admission shed detail", i, r.err)
@@ -530,7 +533,7 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 	if st.BreakerOpens == 0 {
 		t.Fatalf("stats = %+v, want the breaker to have opened during the flap", st)
 	}
-	if st.Breaker != orb.BreakerClosed {
+	if st.Breaker != iorb.BreakerClosed {
 		t.Fatalf("stats = %+v, want a closed breaker after recovery", st)
 	}
 	// The probe cap: at most one admitted probe per half-open window over
@@ -573,8 +576,8 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	newNode := func() *orb.ORB {
 		node := orb.New()
 		t.Cleanup(node.Shutdown)
-		orb.ExportActionWithKey(node, "part-1", a1)
-		orb.ExportActionWithKey(node, "part-2", a2)
+		remote.ExportActionWithKey(node, "part-1", a1)
+		remote.ExportActionWithKey(node, "part-2", a2)
 		return node
 	}
 	primary, backup := newNode(), newNode()
@@ -648,7 +651,7 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats for the backup endpoint")
 	}
-	if bst.BreakerOpens != 0 || bst.Breaker == orb.BreakerOpen || bst.Down {
+	if bst.BreakerOpens != 0 || bst.Breaker == iorb.BreakerOpen || bst.Down {
 		t.Fatalf("backup endpoint stats = %+v, want a clean healthy profile", bst)
 	}
 

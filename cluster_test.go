@@ -1,5 +1,5 @@
 // Sharded-fleet integration suite: consistent-hash routing over the
-// public facade, the naming-rebind-vs-epoch-bump race, and the
+// orb facade and internal/remote's shard router, the naming-rebind-vs-epoch-bump race, and the
 // kill-one-shard chaos scenario — a real member process SIGKILLed
 // mid-2PC whose prepared branches must converge exactly once through
 // its warm standby while the rest of the ring keeps serving.
@@ -12,17 +12,19 @@ import (
 	"time"
 
 	"github.com/extendedtx/activityservice"
+	"github.com/extendedtx/activityservice/internal/cluster"
+	iots "github.com/extendedtx/activityservice/internal/ots"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/orb"
-	"github.com/extendedtx/activityservice/ots"
 )
 
-// shardNode is one in-process fleet member built entirely from the
-// public facade: ORB, activity service, shard guard, sharded factory.
+// shardNode is one in-process fleet member: ORB, activity service,
+// shard guard, sharded factory.
 type shardNode struct {
 	orb     *orb.ORB
 	svc     *activityservice.Service
-	member  *orb.ShardMember
-	factory *orb.ActivityFactory
+	member  *remote.ShardMember
+	factory *remote.ActivityFactory
 }
 
 func newShardNode(t *testing.T, id string, authRef orb.IOR) *shardNode {
@@ -41,7 +43,7 @@ func newShardNode(t *testing.T, id string, authRef orb.IOR) *shardNode {
 
 // joinFleet adds the node to the map and syncs every member onto the
 // new epoch.
-func joinFleet(t *testing.T, auth *orb.ShardAuthority, nodes map[string]*shardNode, id string) {
+func joinFleet(t *testing.T, auth *remote.ShardAuthority, nodes map[string]*shardNode, id string) {
 	t.Helper()
 	n := nodes[id]
 	if _, err := auth.Add(orb.ClusterMember{ID: id, Endpoints: n.orb.Endpoints(), Weight: 1}); err != nil {
@@ -79,7 +81,7 @@ func TestClusterShardedBeginComplete(t *testing.T) {
 
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	router := orb.NewShardRouter(client, authRef)
+	router := remote.NewShardRouter(client, authRef)
 
 	const ops = 40
 	for i := 0; i < ops; i++ {
@@ -176,7 +178,7 @@ func TestClusterRebindRace(t *testing.T) {
 	t.Cleanup(client.Shutdown)
 	nc := orb.NewNameClient(client, nsRef)
 	resolver := func(ctx context.Context) (orb.IOR, error) { return nc.Resolve(ctx, "shard-map") }
-	router := orb.NewShardRouter(client, authRef1, orb.WithAuthorityResolver(resolver))
+	router := remote.NewShardRouter(client, authRef1, remote.WithAuthorityResolver(resolver))
 	if _, err := router.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestClusterKillOneShard(t *testing.T) {
 	// key the live members own begins and completes normally.
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	router := orb.NewShardRouter(client, authRef)
+	router := remote.NewShardRouter(client, authRef)
 	if _, err := router.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +356,13 @@ func TestClusterKillOneShard(t *testing.T) {
 	// The fate is answerable through the standby's recovery surface.
 	rcl := orb.New()
 	t.Cleanup(rcl.Shutdown)
-	cl := orb.NewRecoveryClient(rcl, orb.RecoveryAt(s.orb.Endpoints()...))
+	cl := remote.NewRecoveryClient(rcl, remote.RecoveryAt(s.orb.Endpoints()...))
 	for _, name := range f.refs {
 		st, err := cl.ReplayCompletion(ctx, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("fate of %s via standby = %s, want committed", name, st)
 		}
 	}
@@ -416,7 +418,7 @@ func TestClusterDrainLosesNothing(t *testing.T) {
 	}
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	router := orb.NewShardRouter(client, authRef)
+	router := remote.NewShardRouter(client, authRef)
 
 	// Begin (and hold open) several activities owned by d1.
 	m, err := router.Refresh(ctx)
@@ -523,7 +525,7 @@ func shardRouterRoute(tb testing.TB) func() {
 			Weight:    1,
 		}
 	}
-	m, err := orb.NewClusterMap(members...)
+	m, err := cluster.NewMap(members...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -533,7 +535,7 @@ func shardRouterRoute(tb testing.TB) func() {
 
 	client := orb.New()
 	tb.Cleanup(client.Shutdown)
-	router := orb.NewShardRouter(client, authRef)
+	router := remote.NewShardRouter(client, authRef)
 	if _, err := router.Refresh(context.Background()); err != nil {
 		tb.Fatal(err)
 	}

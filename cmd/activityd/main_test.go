@@ -12,6 +12,8 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	iots "github.com/extendedtx/activityservice/internal/ots"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -116,7 +118,7 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 	defer parts.Shutdown()
 	res := []*flakyResource{{down: true}, {down: true}}
 	for i, r := range res {
-		orb.ExportResourceWithKey(parts, fmt.Sprintf("participant-%d", i), r)
+		remote.ExportResourceWithKey(parts, fmt.Sprintf("participant-%d", i), r)
 	}
 	if _, err := parts.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -127,14 +129,14 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := ots.NewService(ots.WithLog(log), ots.WithRetryPolicy(1, 0)).Begin()
+	tx := ots.NewService(ots.WithLog(log), iots.WithRetryPolicy(1, 0)).Begin()
 	for i := range res {
 		ref, _ := parts.IOR(fmt.Sprintf("participant-%d", i))
 		if err := tx.RegisterResource(orb.ImportResource(parts, ref)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tx.Commit(true); !errors.Is(err, ots.ErrHeuristicHazard) {
+	if err := tx.Commit(true); !errors.Is(err, iots.ErrHeuristicHazard) {
 		t.Fatalf("commit with every participant down = %v, want a heuristic hazard", err)
 	}
 	if err := log.Close(); err != nil {
@@ -173,7 +175,7 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	rc := orb.NewRecoveryClient(client, orb.RecoveryAt(addr))
+	rc := remote.NewRecoveryClient(client, remote.RecoveryAt(addr))
 	for _, r := range res {
 		r.setDown(false)
 	}

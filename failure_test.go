@@ -10,6 +10,7 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/twopc"
+	iots "github.com/extendedtx/activityservice/internal/ots"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -165,10 +166,10 @@ func TestOTSCrashBetweenDecisionAndPhaseTwo(t *testing.T) {
 	}
 	disk["x"], disk["y"] = "prepared", "prepared"
 
-	dir := ots.NewDirectory()
+	dir := iots.NewDirectory()
 	dir.Register("x", &recoverableRes{name: "x", disk: disk})
 	dir.Register("y", &recoverableRes{name: "y", disk: disk})
-	svc2 := ots.NewService(ots.WithLog(crashLog), ots.WithDirectory(dir))
+	svc2 := ots.NewService(ots.WithLog(crashLog), iots.WithDirectory(dir))
 	stats, err := svc2.Recover()
 	if err != nil {
 		t.Fatal(err)

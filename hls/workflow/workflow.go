@@ -221,9 +221,12 @@ func (r *processRun) executeDAG(ctx context.Context, tasks []Task, result *Resul
 	inflight := 0
 	var failed *taskFailure
 	schedule := func() error {
+		// Declaration order, so a stage's start set enrols its tasks
+		// the same way on every run.
 		var ready []*Task
-		for name, t := range waiting {
-			if depCount[name] == 0 {
+		for i := range tasks {
+			t := &tasks[i]
+			if waiting[t.Name] != nil && depCount[t.Name] == 0 {
 				ready = append(ready, t)
 			}
 		}

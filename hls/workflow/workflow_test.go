@@ -185,6 +185,34 @@ func TestStageGrouping(t *testing.T) {
 	}
 }
 
+// TestStageEnrolsInDeclarationOrder: a stage's start set enrols its
+// ready tasks in declaration order, so the traced start transmits of
+// independent tasks come out the same way on every run.
+func TestStageEnrolsInDeclarationOrder(t *testing.T) {
+	want := []string{"c", "a", "d", "b"}
+	for run := 0; run < 20; run++ {
+		rec := trace.New()
+		svc := core.New(core.WithTrace(rec))
+		j := &journal{}
+		p := Process{Name: "app"}
+		for _, name := range want {
+			p.Tasks = append(p.Tasks, task(j, name, nil, false))
+		}
+		if _, err := New(svc).Execute(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindTransmit && e.Signal == SignalStart {
+				got = append(got, e.Target)
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("run %d: start-1 transmits to %v, want declaration order %v", run, got, want)
+		}
+	}
+}
+
 func TestFig2FailureCompensationAlternatives(t *testing.T) {
 	// Fig. 2: t4 aborts → tc1 compensates t2 → alternatives t5', t6'.
 	svc := core.New()

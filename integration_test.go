@@ -16,6 +16,9 @@ import (
 	"github.com/extendedtx/activityservice/hls/opennested"
 	"github.com/extendedtx/activityservice/hls/twopc"
 	"github.com/extendedtx/activityservice/hls/workflow"
+	"github.com/extendedtx/activityservice/internal/core"
+	iots "github.com/extendedtx/activityservice/internal/ots"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -224,10 +227,10 @@ func TestActivityRecoveryEndToEnd(t *testing.T) {
 
 	var compensated sync.Map
 	registerFactories := func(svc *activityservice.Service) {
-		svc.RegisterSignalSetFactory("completion-seq", func(params []byte) (activityservice.SignalSet, error) {
+		svc.RegisterSignalSetFactory("completion-seq", func(params []byte) (core.SignalSet, error) {
 			return activityservice.NewSequenceSet(activityservice.DefaultCompletionSet, string(params)), nil
 		})
-		svc.RegisterActionFactory("compensator", func(params []byte) (activityservice.Action, error) {
+		svc.RegisterActionFactory("compensator", func(params []byte) (core.Action, error) {
 			step := string(params)
 			return activityservice.ActionFunc(
 				func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
@@ -250,7 +253,7 @@ func TestActivityRecoveryEndToEnd(t *testing.T) {
 	if _, err := step.AddRecoverableAction(activityservice.DefaultCompletionSet, "compensator", []byte("step-2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := step.SetCompletionStatus(activityservice.CompletionFail); err != nil {
+	if err := step.SetCompletionStatus(core.CompletionFail); err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: the process dies before step-2 completes.
@@ -279,7 +282,7 @@ func TestActivityRecoveryEndToEnd(t *testing.T) {
 	}
 	// The journaled fail status survived; application logic now drives the
 	// recovered activity to completion, which runs the compensator.
-	if kids[0].CompletionStatus() != activityservice.CompletionFail {
+	if kids[0].CompletionStatus() != core.CompletionFail {
 		t.Fatalf("status = %s", kids[0].CompletionStatus())
 	}
 	if _, err := kids[0].Complete(ctx); err != nil {
@@ -398,7 +401,7 @@ func TestRemoteActivityCompletionAcrossThreeNodes(t *testing.T) {
 	if err := a.RegisterSignalSet(set); err != nil {
 		t.Fatal(err)
 	}
-	coordRef := orb.ExportActivity(host, a)
+	coordRef := remote.ExportActivity(host, a)
 	if _, err := host.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -438,8 +441,8 @@ func TestRemoteActivityCompletionAcrossThreeNodes(t *testing.T) {
 	}
 }
 
-// TestFacadeErrorsMatch verifies the re-exported sentinels match the
-// underlying implementation (errors.Is across the facade).
+// TestFacadeErrorsMatch verifies that errors raised through the facades
+// match the internal sentinels (errors.Is across the facade).
 func TestFacadeErrorsMatch(t *testing.T) {
 	svc := activityservice.New()
 	a := svc.Begin("x")
@@ -447,13 +450,13 @@ func TestFacadeErrorsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := a.Complete(context.Background())
-	if !errors.Is(err, activityservice.ErrActivityInactive) {
+	if !errors.Is(err, core.ErrActivityInactive) {
 		t.Fatalf("err = %v", err)
 	}
 	otsSvc := ots.NewService()
 	tx := otsSvc.Begin()
 	_ = tx.Commit(false)
-	if err := tx.Commit(false); !errors.Is(err, ots.ErrInactive) {
+	if err := tx.Commit(false); !errors.Is(err, iots.ErrInactive) {
 		t.Fatalf("ots err = %v", err)
 	}
 }

@@ -139,16 +139,12 @@ func decodeAny(d *Decoder, depth int) any {
 		}
 		return b
 	case TCSeq:
-		n := d.ReadUint32()
+		n := d.ReadCount(1)
 		if d.err != nil {
 			return nil
 		}
-		if int(n) > d.Remaining() {
-			d.fail(fmt.Errorf("%w: sequence of %d elements", ErrTooLong, n))
-			return nil
-		}
 		seq := make([]any, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			seq = append(seq, decodeAny(d, depth+1))
 			if d.err != nil {
 				return nil
@@ -156,16 +152,12 @@ func decodeAny(d *Decoder, depth int) any {
 		}
 		return seq
 	case TCMap:
-		n := d.ReadUint32()
+		n := d.ReadCount(1)
 		if d.err != nil {
 			return nil
 		}
-		if int(n) > d.Remaining() {
-			d.fail(fmt.Errorf("%w: map of %d entries", ErrTooLong, n))
-			return nil
-		}
 		m := make(map[string]any, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			k := d.ReadString()
 			v := decodeAny(d, depth+1)
 			if d.err != nil {

@@ -299,21 +299,33 @@ func (d *Decoder) ReadUint32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
-// ReadStringList reads a uint32-counted list of strings. A count the
-// remaining bytes cannot possibly hold (every string costs at least its
-// 4-byte length prefix plus a NUL) is rejected before it can size an
-// allocation, so a corrupt or hostile stream cannot OOM the decoder.
-func (d *Decoder) ReadStringList() []string {
+// ReadCount reads a uint32 element count for a sequence whose every
+// element costs at least minBytes (>= 1) on the wire. A count the
+// remaining bytes cannot possibly hold fails the decoder with ErrTooLong
+// and returns 0, so a corrupt or hostile count is refused before it can
+// size an allocation or drive a decode loop.
+func (d *Decoder) ReadCount(minBytes int) int {
 	n := d.ReadUint32()
+	if d.err != nil {
+		return 0
+	}
+	if int64(n) > int64(d.Remaining()/minBytes) {
+		d.fail(fmt.Errorf("%w: %d elements of at least %d bytes in %d bytes", ErrTooLong, n, minBytes, d.Remaining()))
+		return 0
+	}
+	return int(n)
+}
+
+// ReadStringList reads a uint32-counted list of strings. Every string
+// costs at least its 4-byte length prefix plus a NUL, which bounds the
+// count (ReadCount).
+func (d *Decoder) ReadStringList() []string {
+	n := d.ReadCount(5)
 	if d.err != nil {
 		return nil
 	}
-	if int64(n) > int64(d.Remaining())/5 {
-		d.fail(fmt.Errorf("%w: list of %d strings in %d bytes", ErrTooLong, n, d.Remaining()))
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.ReadString())
 	}
 	return out

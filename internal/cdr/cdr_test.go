@@ -141,6 +141,34 @@ func TestHugeLengthRejected(t *testing.T) {
 	}
 }
 
+// TestReadCountBound: a count the remaining bytes can hold at the stated
+// per-element minimum is returned; one more fails the decoder with
+// ErrTooLong and returns 0.
+func TestReadCountBound(t *testing.T) {
+	for _, tc := range []struct {
+		count, minBytes int
+		ok              bool
+	}{
+		{count: 0, minBytes: 5, ok: true},
+		{count: 4, minBytes: 5, ok: true},
+		{count: 5, minBytes: 5, ok: false},
+		{count: 20, minBytes: 1, ok: true},
+		{count: 21, minBytes: 1, ok: false},
+	} {
+		e := NewEncoder(0)
+		e.WriteUint32(uint32(tc.count))
+		e.WriteRaw(make([]byte, 20))
+		d := NewDecoder(e.Bytes())
+		n := d.ReadCount(tc.minBytes)
+		if tc.ok && (n != tc.count || d.Err() != nil) {
+			t.Fatalf("ReadCount(%d) of %d = %d, %v; want accepted", tc.minBytes, tc.count, n, d.Err())
+		}
+		if !tc.ok && (n != 0 || !errors.Is(d.Err(), ErrTooLong)) {
+			t.Fatalf("ReadCount(%d) of %d = %d, %v; want ErrTooLong", tc.minBytes, tc.count, n, d.Err())
+		}
+	}
+}
+
 func TestStringMissingNUL(t *testing.T) {
 	e := NewEncoder(0)
 	e.WriteUint32(3)

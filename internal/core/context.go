@@ -115,15 +115,12 @@ func (p *PropagationContext) Marshal() ([]byte, error) {
 
 // DecodePropagationContext reads a propagation context from a CDR stream.
 func DecodePropagationContext(d *cdr.Decoder) (*PropagationContext, error) {
-	n := d.ReadUint32()
+	n := d.ReadCount(1)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: decode propagation context: %w", err)
-	}
-	if int(n) > d.Remaining() {
-		return nil, fmt.Errorf("core: decode propagation context: path length %d too large", n)
+		return nil, fmt.Errorf("core: decode propagation context path: %w", err)
 	}
 	pc := &PropagationContext{}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var entry PropagationEntry
 		for j := 0; j < len(entry.ID); j++ {
 			entry.ID[j] = d.ReadOctet()

@@ -93,15 +93,12 @@ const minSampleBytes = 5 + 5 + 8
 // allocates anything for it.
 func decodeSamples(body []byte) (Samples, error) {
 	d := cdr.NewDecoder(body)
-	n := d.ReadUint32()
+	n := d.ReadCount(minSampleBytes)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if int64(n) > int64(d.Remaining()/minSampleBytes) {
-		return nil, fmt.Errorf("%w: %d samples in %d bytes", cdr.ErrTooLong, n, d.Remaining())
-	}
 	ss := make(Samples, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		ss = append(ss, Sample{Name: d.ReadString(), Label: d.ReadString(), Value: d.ReadInt64()})
 	}
 	if err := d.Err(); err != nil {

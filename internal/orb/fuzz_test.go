@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"strings"
@@ -115,4 +116,44 @@ func FuzzDecodeSamples(f *testing.F) {
 			t.Fatalf("accepted samples not canonical:\n in: %+v\nout: %+v (%v)", ss, again, err)
 		}
 	})
+}
+
+// FuzzDecodeRequest throws arbitrary payloads at the request decoder,
+// seeded with well-formed frames and a hostile context count. Every
+// accepted request must survive an encode→decode round trip unchanged;
+// rejections are fine, panics and lossy decodes are not.
+func FuzzDecodeRequest(f *testing.F) {
+	f.Add(encodeRequestFrame(request{requestID: 1, objectKey: "k", operation: "op"}).FramePayload())
+	f.Add(encodeRequestFrame(request{
+		requestID: 42, objectKey: "key-1", operation: "do_it",
+		contexts: []ServiceContext{{ID: 7, Data: []byte("ctx")}, {ID: 8}},
+		body:     []byte{1, 2, 3},
+	}).FramePayload())
+	f.Add(hostileContextFrame())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeRequest(encodeRequestFrame(r).FramePayload())
+		if err != nil || !requestsEqual(again, r) {
+			t.Fatalf("accepted request not canonical:\n in: %+v\nout: %+v (%v)", r, again, err)
+		}
+	})
+}
+
+// requestsEqual compares decoded requests field by field, treating nil
+// and empty byte slices alike.
+func requestsEqual(a, b request) bool {
+	if a.requestID != b.requestID || a.objectKey != b.objectKey || a.operation != b.operation ||
+		!bytes.Equal(a.body, b.body) || len(a.contexts) != len(b.contexts) {
+		return false
+	}
+	for i := range a.contexts {
+		if a.contexts[i].ID != b.contexts[i].ID || !bytes.Equal(a.contexts[i].Data, b.contexts[i].Data) {
+			return false
+		}
+	}
+	return true
 }

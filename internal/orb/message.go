@@ -94,16 +94,16 @@ func encodeContexts(e *cdr.Encoder, ctxs []ServiceContext) {
 	}
 }
 
+// decodeContexts reads a counted service-context list. A count the
+// remaining bytes cannot hold fails the decoder (ReadCount), so the
+// request is refused rather than dispatched without its contexts.
 func decodeContexts(d *cdr.Decoder) []ServiceContext {
-	n := d.ReadUint32()
+	n := d.ReadCount(1)
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
-	if int(n) > d.Remaining() {
-		return nil
-	}
 	out := make([]ServiceContext, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		c := ServiceContext{ID: d.ReadUint32(), Data: d.ReadBytes()}
 		if d.Err() != nil {
 			return nil

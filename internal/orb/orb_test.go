@@ -410,6 +410,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// hostileContextFrame is a request payload whose service-context count
+// (0xFFFFFFFF) claims far more contexts than the bytes that follow it.
+func hostileContextFrame() []byte {
+	e := cdr.NewEncoder(64)
+	e.WriteRaw(protocolMagic[:])
+	e.WriteOctet(protocolVersion)
+	e.WriteOctet(msgRequest)
+	e.WriteUint16(0)
+	e.WriteUint64(1)
+	e.WriteString("k")
+	e.WriteString("op")
+	e.WriteUint32(0xFFFFFFFF)
+	e.WriteBytes([]byte("abc"))
+	return e.Bytes()
+}
+
+// TestDecodeRejectsHostileContextCount: a context count the frame cannot
+// hold fails the decode with MARSHAL, instead of the request being
+// dispatched with its contexts silently dropped.
+func TestDecodeRejectsHostileContextCount(t *testing.T) {
+	r, err := decodeRequest(hostileContextFrame())
+	if !IsSystem(err, CodeMarshal) {
+		t.Fatalf("decodeRequest = %+v, %v; want MARSHAL", r, err)
+	}
+}
+
 func TestEndpointHost(t *testing.T) {
 	if got := endpointHost("tcp:1.2.3.4:99"); got != "1.2.3.4:99" {
 		t.Fatalf("endpointHost = %q", got)

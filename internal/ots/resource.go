@@ -76,13 +76,6 @@ func (d *Directory) Register(name string, r Resource) {
 	d.m[name] = r
 }
 
-// Unregister removes the binding for name.
-func (d *Directory) Unregister(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.m, name)
-}
-
 // Lookup returns the resource bound to name.
 func (d *Directory) Lookup(name string) (Resource, bool) {
 	d.mu.RLock()

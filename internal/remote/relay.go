@@ -100,16 +100,13 @@ func decodeRelayNode(d *cdr.Decoder, depth int) (*relayNode, error) {
 	n.index = int(d.ReadUint32())
 	n.key = d.ReadString()
 	n.endpoints = d.ReadStringList()
-	count := d.ReadUint32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	// Each child needs at least index+key+list+count on the wire; 8 bytes
 	// is a safe floor that rejects absurd counts before allocating.
-	if int(count) > d.Remaining()/8 {
-		return nil, fmt.Errorf("remote: relay membership claims %d children with %d bytes left", count, d.Remaining())
+	count := d.ReadCount(8)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("remote: relay membership children: %w", err)
 	}
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < count; i++ {
 		c, err := decodeRelayNode(d, depth+1)
 		if err != nil {
 			return nil, err
@@ -229,16 +226,13 @@ func encodeRelayResults(e *cdr.Encoder, results []relayResult) error {
 // decodeRelayResults reads an aggregated reply. Owned, like every decode
 // in this file.
 func decodeRelayResults(d *cdr.Decoder) ([]relayResult, error) {
-	count := d.ReadUint32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	// index+attempts+status is 9 bytes minimum per entry.
-	if int(count) > d.Remaining()/9+1 {
-		return nil, fmt.Errorf("remote: relay reply claims %d results with %d bytes left", count, d.Remaining())
+	count := d.ReadCount(9)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("remote: relay reply results: %w", err)
 	}
 	results := make([]relayResult, 0, count)
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < count; i++ {
 		var r relayResult
 		r.index = int(d.ReadUint32())
 		r.attempts = int(d.ReadUint32())

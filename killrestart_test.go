@@ -31,6 +31,9 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/btp"
+	"github.com/extendedtx/activityservice/internal/core"
+	iots "github.com/extendedtx/activityservice/internal/ots"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/internal/wal"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
@@ -85,7 +88,7 @@ func (r *survivorResource) Forget() error         { return nil }
 
 // crashStage maps the injected crash point to the pipeline stage at which
 // the coordinator helper SIGKILLs itself.
-func crashStage(name string) ots.Stage {
+func crashStage(name string) iots.Stage {
 	switch name {
 	case "prepared":
 		return ots.StagePrepared
@@ -103,7 +106,7 @@ func crashStage(name string) ots.Stage {
 // commit pipeline reaches stage. The kill is raised from inside the
 // synchronous hook, so the process dies at exactly the protocol point
 // under test — no deferred recovery runs.
-func killAt(stage ots.Stage) func(ots.Event) {
+func killAt(stage iots.Stage) func(ots.Event) {
 	return func(e ots.Event) {
 		if e.Stage == stage {
 			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -188,7 +191,7 @@ func TestCrashRestartHelper(t *testing.T) {
 		if stage == 0 {
 			t.Fatalf("bad crash stage %q", os.Getenv(crashEnvStage))
 		}
-		opts := []ots.Option{ots.WithLog(log), ots.WithRetryPolicy(1, 0), ots.WithEventHook(killAt(stage))}
+		opts := []ots.Option{ots.WithLog(log), iots.WithRetryPolicy(1, 0), ots.WithEventHook(killAt(stage))}
 		if mode == "group" {
 			g := bootGroupLeader(t, node, log)
 			opts = append(opts, ots.WithDecisionGate(g.DecisionGate(time.Second)))
@@ -209,7 +212,7 @@ func TestCrashRestartHelper(t *testing.T) {
 		// transaction log.
 		g := bootGroupLeader(t, node, log)
 		asvc := activityservice.New(activityservice.WithJournal(log))
-		asvc.RegisterActionFactory(remoteActionFactory, func(params []byte) (activityservice.Action, error) {
+		asvc.RegisterActionFactory(remoteActionFactory, func(params []byte) (core.Action, error) {
 			ref, err := orb.ParseIOR(string(params))
 			if err != nil {
 				return nil, err
@@ -232,24 +235,24 @@ func TestCrashRestartHelper(t *testing.T) {
 			t.Fatalf("btp prepare: %v", err)
 		}
 		commitAcrossEnvResources(t, node, ots.NewService(ots.WithLog(log),
-			ots.WithRetryPolicy(1, 0),
+			iots.WithRetryPolicy(1, 0),
 			ots.WithDecisionGate(g.DecisionGate(time.Second)),
 			ots.WithEventHook(killAt(ots.StageCommitDelivered))))
 
 	case "recover":
-		svc := ots.NewService(ots.WithLog(log), ots.WithRetryPolicy(2, 10*time.Millisecond))
+		svc := ots.NewService(ots.WithLog(log), iots.WithRetryPolicy(2, 10*time.Millisecond))
 		names, err := svc.InDoubtResources()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := orb.BindRemoteResources(node, svc.Directory(), names); err != nil {
+		if err := remote.BindRemoteResources(node, svc.Directory(), names); err != nil {
 			t.Fatal(err)
 		}
 		stats, err := svc.Recover()
 		if err != nil {
 			t.Fatal(err)
 		}
-		orb.ServeRecovery(node, svc)
+		remote.ServeRecovery(node, svc)
 		if _, err := node.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +378,8 @@ func newCrashFixture(t *testing.T) *crashFixture {
 		a:       &survivorResource{},
 		b:       &survivorResource{},
 	}
-	refA := orb.ExportResourceWithKey(node, "survivor-a", f.a)
-	refB := orb.ExportResourceWithKey(node, "survivor-b", f.b)
+	refA := remote.ExportResourceWithKey(node, "survivor-a", f.a)
+	refB := remote.ExportResourceWithKey(node, "survivor-b", f.b)
 	if _, err := node.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -387,11 +390,11 @@ func newCrashFixture(t *testing.T) *crashFixture {
 }
 
 // recoveryClient dials the restarted coordinator's wire recovery surface.
-func recoveryClient(t *testing.T, rc *restartedCoordinator) *orb.RecoveryClient {
+func recoveryClient(t *testing.T, rc *restartedCoordinator) *remote.RecoveryClient {
 	t.Helper()
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	return orb.NewRecoveryClient(client, orb.RecoveryAt(rc.endpoints...))
+	return remote.NewRecoveryClient(client, remote.RecoveryAt(rc.endpoints...))
 }
 
 // TestCrashRestart2PC is the chaos matrix: one subtest per injected kill
@@ -429,7 +432,7 @@ func TestCrashRestart2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st != ots.StatusRolledBack {
+			if st != iots.StatusRolledBack {
 				t.Fatalf("participant %d fate = %s, want rolled-back (presumed abort)", i, st)
 			}
 		}
@@ -472,7 +475,7 @@ func TestCrashRestart2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st != ots.StatusCommitted {
+			if st != iots.StatusCommitted {
 				t.Fatalf("fate of %s = %s, want committed", name, st)
 			}
 		}
@@ -518,7 +521,7 @@ func TestCrashRestart2PC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("in-doubt participant fate = %s, want committed", st)
 		}
 	})
@@ -628,12 +631,12 @@ func TestStandbyTakeover2PC(t *testing.T) {
 	// failoverClient dials recovery through the dead leader's profile
 	// first: convergence must arrive via transparent failover to the
 	// standby profile.
-	failoverClient := func(t *testing.T, leaderEndpoints []string, sb *groupStandby) *orb.RecoveryClient {
+	failoverClient := func(t *testing.T, leaderEndpoints []string, sb *groupStandby) *remote.RecoveryClient {
 		t.Helper()
 		client := orb.New()
 		t.Cleanup(client.Shutdown)
-		ref := orb.RecoveryAt(append(append([]string{}, leaderEndpoints...), sb.orb.Endpoints()...)...)
-		return orb.NewRecoveryClient(client, ref)
+		ref := remote.RecoveryAt(append(append([]string{}, leaderEndpoints...), sb.orb.Endpoints()...)...)
+		return remote.NewRecoveryClient(client, ref)
 	}
 
 	run := func(t *testing.T, stage string) (*crashFixture, *groupStandby, []string) {
@@ -666,7 +669,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st != ots.StatusRolledBack {
+			if st != iots.StatusRolledBack {
 				t.Fatalf("participant %d fate via standby = %s, want rolled-back (presumed abort)", i, st)
 			}
 		}
@@ -703,7 +706,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st != ots.StatusCommitted {
+			if st != iots.StatusCommitted {
 				t.Fatalf("fate of %s via standby = %s, want committed", name, st)
 			}
 		}
@@ -756,7 +759,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("in-doubt participant fate via standby = %s, want committed", st)
 		}
 	})
@@ -788,7 +791,7 @@ func TestStandbyTakeover2PC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("participant fate via standby = %s, want committed", st)
 		}
 	})
@@ -815,7 +818,7 @@ func TestPairWithPeerNeverSelfPromotes(t *testing.T) {
 	// Many election rounds' worth of time (lost-leader budget 150ms, one
 	// round every 25ms): the lone survivor never reaches quorum.
 	time.Sleep(time.Second)
-	if got := sb.g.Role(); got != orb.RoleFollower {
+	if got := sb.g.Role(); got != remote.RoleFollower {
 		t.Fatalf("survivor of a pair role = %v, want follower (one vote of two is no quorum)", got)
 	}
 	if got := sb.takeovers.Load(); got != 0 {
@@ -875,7 +878,7 @@ func (p *btpInferior) confirm() {
 }
 
 // action is the BTP signal face (fig. 11/12 over the wire).
-func (p *btpInferior) action() activityservice.Action {
+func (p *btpInferior) action() core.Action {
 	return activityservice.ActionFunc(
 		func(_ context.Context, sig activityservice.Signal) (activityservice.Outcome, error) {
 			switch sig.Name {
@@ -934,7 +937,7 @@ func killBTPSuperiorMidConfirm(t *testing.T) btpTakeover {
 	resourceKeys := make([]string, len(inferiors))
 	for i, p := range inferiors {
 		actionKeys[i] = orb.ExportAction(node, p.action()).Key
-		resourceKeys[i] = orb.ExportResourceWithKey(node, fmt.Sprintf("inferior-%d", i), p).Key
+		resourceKeys[i] = remote.ExportResourceWithKey(node, fmt.Sprintf("inferior-%d", i), p).Key
 	}
 	if _, err := node.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -1008,14 +1011,14 @@ func TestStandbyTakeoverBTPMidConfirm(t *testing.T) {
 	k := killBTPSuperiorMidConfirm(t)
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	ref := orb.RecoveryAt(append(append([]string{}, k.superiorEndpoints...), k.successor.orb.Endpoints()...)...)
-	cl := orb.NewRecoveryClient(client, ref)
+	ref := remote.RecoveryAt(append(append([]string{}, k.superiorEndpoints...), k.successor.orb.Endpoints()...)...)
+	cl := remote.NewRecoveryClient(client, ref)
 	for i, name := range k.resourceRefs {
 		st, err := cl.ReplayCompletion(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("inferior %d fate via standby = %s, want committed", i, st)
 		}
 	}
@@ -1040,7 +1043,7 @@ type groupStandby struct {
 	factoryCalls atomic.Int32
 
 	mu        sync.Mutex
-	stats     ots.RecoveryStats
+	stats     iots.RecoveryStats
 	recovered []string // names of activity-journal roots the takeover activated
 }
 
@@ -1075,13 +1078,13 @@ func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 	t.Helper()
 	takeover := func(ctx context.Context) error {
 		defer s.takeovers.Add(1) // counted once the pass's stats are stored
-		res, err := orb.HostRecovery(s.orb, s.log, ots.WithRetryPolicy(3, 10*time.Millisecond),
+		res, err := orb.HostRecovery(s.orb, s.log, iots.WithRetryPolicy(3, 10*time.Millisecond),
 			ots.WithDecisionGate(s.g.DecisionGate(time.Second)))
 		if err != nil {
 			return err
 		}
 		asvc := activityservice.New()
-		asvc.RegisterActionFactory(remoteActionFactory, func(params []byte) (activityservice.Action, error) {
+		asvc.RegisterActionFactory(remoteActionFactory, func(params []byte) (core.Action, error) {
 			ref, err := orb.ParseIOR(string(params))
 			if err != nil {
 				return nil, err
@@ -1108,7 +1111,7 @@ func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 		LeaderHint:    leaderHint,
 		Takeover:      takeover,
 		Poll:          100 * time.Millisecond,
-		Policy:        orb.TakeoverPolicy{Failures: 3, Retry: 50 * time.Millisecond},
+		Policy:        remote.TakeoverPolicy{Failures: 3, Retry: 50 * time.Millisecond},
 		ElectionRetry: 25 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 	})
@@ -1119,10 +1122,10 @@ func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 
 // waitTakeover blocks until this member has won the succession and its
 // takeover pass has finished, and returns the pass's recovery stats.
-func (s *groupStandby) waitTakeover(t *testing.T) ots.RecoveryStats {
+func (s *groupStandby) waitTakeover(t *testing.T) iots.RecoveryStats {
 	t.Helper()
 	waitCond(t, 20*time.Second, s.id+" to take over", func() bool {
-		return s.g.Role() == orb.RoleLeader && s.takeovers.Load() == 1
+		return s.g.Role() == remote.RoleLeader && s.takeovers.Load() == 1
 	})
 	stats, _ := s.takeoverStats()
 	return stats
@@ -1139,7 +1142,7 @@ func groupEnv(mode, stage, walPath string, iors []string, peers ...*groupStandby
 }
 
 // takeoverStats returns what this member's takeover pass reported.
-func (s *groupStandby) takeoverStats() (ots.RecoveryStats, []string) {
+func (s *groupStandby) takeoverStats() (iots.RecoveryStats, []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats, append([]string(nil), s.recovered...)
@@ -1191,7 +1194,7 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 	var winner, loser *groupStandby
 	waitCond(t, 20*time.Second, "a standby to win the election", func() bool {
 		for _, m := range []*groupStandby{sbA, sbB} {
-			if m.g.Role() == orb.RoleLeader {
+			if m.g.Role() == remote.RoleLeader {
 				winner = m
 				return true
 			}
@@ -1233,7 +1236,7 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 
 	// The loser demotes onto the new term and streams until byte-identical.
 	waitCond(t, 15*time.Second, "the losing standby to converge on the new term", func() bool {
-		return loser.g.Role() == orb.RoleFollower &&
+		return loser.g.Role() == remote.RoleFollower &&
 			loser.log.KnownTerm() == 2 &&
 			loser.log.LastLSN() == winner.log.LastLSN()
 	})
@@ -1252,13 +1255,13 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 	// Participants asking after their fate converge through the winner.
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	cl := orb.NewRecoveryClient(client, orb.RecoveryAt(winner.orb.Endpoints()...))
+	cl := remote.NewRecoveryClient(client, remote.RecoveryAt(winner.orb.Endpoints()...))
 	for _, name := range f.refs {
 		st, err := cl.ReplayCompletion(ctx, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("fate of %s via new leader = %s, want committed", name, st)
 		}
 	}
@@ -1309,7 +1312,7 @@ func TestGroupRejoinDeadLeaderOldWAL(t *testing.T) {
 	// It adopts term 2 as a follower and streams the successor's history
 	// (the re-drive's done record, the term record) until byte-identical.
 	waitCond(t, 15*time.Second, "the dead leader to rejoin the new term", func() bool {
-		return rejoined.g.Role() == orb.RoleFollower &&
+		return rejoined.g.Role() == remote.RoleFollower &&
 			rejoined.log.KnownTerm() == 2 &&
 			rejoined.log.LastLSN() == sb.log.LastLSN()
 	})
@@ -1362,13 +1365,13 @@ func TestGroupTakeoverBTPActivityJournal(t *testing.T) {
 	// In-doubt inferiors hear their fate from the successor.
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	cl := orb.NewRecoveryClient(client, orb.RecoveryAt(sb.orb.Endpoints()...))
+	cl := remote.NewRecoveryClient(client, remote.RecoveryAt(sb.orb.Endpoints()...))
 	for i, name := range k.resourceRefs {
 		st, err := cl.ReplayCompletion(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != ots.StatusCommitted {
+		if st != iots.StatusCommitted {
 			t.Fatalf("inferior %d fate via successor = %s, want committed", i, st)
 		}
 	}

@@ -9,6 +9,9 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
+	iorb "github.com/extendedtx/activityservice/internal/orb"
+	"github.com/extendedtx/activityservice/internal/remote"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
@@ -19,11 +22,11 @@ func TestPublicServantRoundTrip(t *testing.T) {
 	ref := server.RegisterServant("IDL:test/Upper:1.0", orb.ServantFunc(
 		func(_ context.Context, op string, in *cdr.Decoder) ([]byte, error) {
 			if op != "shout" {
-				return nil, orb.Systemf(orb.CodeBadOperation, "%q", op)
+				return nil, iorb.Systemf(iorb.CodeBadOperation, "%q", op)
 			}
 			s := in.ReadString()
 			if err := in.Err(); err != nil {
-				return nil, orb.Systemf(orb.CodeMarshal, "%v", err)
+				return nil, iorb.Systemf(iorb.CodeMarshal, "%v", err)
 			}
 			e := cdr.NewEncoder(32)
 			e.WriteString(s + "!")
@@ -57,11 +60,11 @@ func TestPublicSystemExceptions(t *testing.T) {
 	defer o.Shutdown()
 	ref := orb.NewIOR("x", "ghost", "inproc:"+o.ID())
 	_, err := o.Invoke(context.Background(), ref, "op", nil)
-	if !orb.IsSystem(err, orb.CodeObjectNotExist) {
+	if !iorb.IsSystem(err, iorb.CodeObjectNotExist) {
 		t.Fatalf("err = %v", err)
 	}
-	var se *orb.SystemError
-	if !errors.As(err, &se) || se.Code != orb.CodeObjectNotExist {
+	var se *iorb.SystemError
+	if !errors.As(err, &se) || se.Code != iorb.CodeObjectNotExist {
 		t.Fatalf("As failed: %v", err)
 	}
 }
@@ -91,7 +94,7 @@ func TestPublicNaming(t *testing.T) {
 	if !got.Equal(target) {
 		t.Fatalf("resolved %+v", got)
 	}
-	if _, err := naming.Resolve(ctx, "nope"); !errors.Is(err, orb.ErrNotBound) {
+	if _, err := naming.Resolve(ctx, "nope"); !errors.Is(err, iorb.ErrNotBound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -102,7 +105,7 @@ func TestPublicIORStringForms(t *testing.T) {
 	if err != nil || !parsed.Equal(ref) {
 		t.Fatalf("parsed=%+v err=%v", parsed, err)
 	}
-	if _, err := orb.ParseIOR("garbage"); !errors.Is(err, orb.ErrBadIOR) {
+	if _, err := orb.ParseIOR("garbage"); !errors.Is(err, iorb.ErrBadIOR) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -213,7 +216,7 @@ func TestPublicActivityProxyWithPropagation(t *testing.T) {
 	if err := a.RegisterSignalSet(set); err != nil {
 		t.Fatal(err)
 	}
-	coordRef := orb.ExportActivity(host, a)
+	coordRef := remote.ExportActivity(host, a)
 	if _, err := host.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +236,13 @@ func TestPublicActivityProxyWithPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, cs, err := proxy.Status(ctx)
-	if err != nil || st != activityservice.ActivityActive || cs != activityservice.CompletionSuccess {
+	if err != nil || st != core.ActivityActive || cs != activityservice.CompletionSuccess {
 		t.Fatalf("st=%v cs=%v err=%v", st, cs, err)
 	}
 	if _, err := proxy.Complete(ctx, activityservice.CompletionSuccess); err != nil {
 		t.Fatal(err)
 	}
-	if a.State() != activityservice.ActivityCompleted {
+	if a.State() != core.ActivityCompleted {
 		t.Fatalf("state = %s", a.State())
 	}
 }

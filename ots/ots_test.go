@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	iots "github.com/extendedtx/activityservice/internal/ots"
 	"github.com/extendedtx/activityservice/ots"
 )
 
@@ -58,7 +59,7 @@ func TestPublicTwoPhaseCommit(t *testing.T) {
 	if disk["a"] != "committed" || disk["b"] != "committed" {
 		t.Fatalf("disk = %v", disk)
 	}
-	if tx.Status() != ots.StatusCommitted {
+	if tx.Status() != iots.StatusCommitted {
 		t.Fatalf("status = %s", tx.Status())
 	}
 }
@@ -76,7 +77,7 @@ func TestPublicDurableRecovery(t *testing.T) {
 
 	// "Restart": a new service over the same log; recovery must be a no-op
 	// because the done marker is durable.
-	svc2 := ots.NewService(ots.WithLog(log), ots.WithDirectory(ots.NewDirectory()))
+	svc2 := ots.NewService(ots.WithLog(log), iots.WithDirectory(iots.NewDirectory()))
 	stats, err := svc2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestPublicDurableRecovery(t *testing.T) {
 
 func TestPublicCurrentDemarcation(t *testing.T) {
 	svc := ots.NewService()
-	cur := ots.NewCurrent(svc)
+	cur := iots.NewCurrent(svc)
 	ctx, top, err := cur.Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestPublicCurrentDemarcation(t *testing.T) {
 	if sub.Parent() != top || sub.Depth() != 1 {
 		t.Fatal("nesting broken through facade")
 	}
-	if got, ok := ots.FromContext(ctx); !ok || got != sub {
+	if got, ok := iots.FromContext(ctx); !ok || got != sub {
 		t.Fatal("context wiring broken")
 	}
 	if ctx, err = cur.Commit(ctx, false); err != nil {
@@ -120,7 +121,7 @@ func TestPublicVar(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := svc.Begin()
-	if err := v.Set(other, []byte("conflict")); !errors.Is(err, ots.ErrWriteConflict) {
+	if err := v.Set(other, []byte("conflict")); !errors.Is(err, iots.ErrWriteConflict) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = other.Rollback()
@@ -134,9 +135,9 @@ func TestPublicVar(t *testing.T) {
 
 func TestPublicTimeout(t *testing.T) {
 	svc := ots.NewService()
-	tx := svc.Begin(ots.WithTimeout(10 * time.Millisecond))
+	tx := svc.Begin(iots.WithTimeout(10 * time.Millisecond))
 	deadline := time.After(2 * time.Second)
-	for tx.Status() != ots.StatusMarkedRollback {
+	for tx.Status() != iots.StatusMarkedRollback {
 		select {
 		case <-deadline:
 			t.Fatalf("status = %s", tx.Status())
@@ -144,13 +145,13 @@ func TestPublicTimeout(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	if err := tx.Commit(false); !errors.Is(err, ots.ErrRolledBack) {
+	if err := tx.Commit(false); !errors.Is(err, iots.ErrRolledBack) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestPublicHeuristics(t *testing.T) {
-	svc := ots.NewService(ots.WithRetryPolicy(2, 0))
+	svc := ots.NewService(iots.WithRetryPolicy(2, 0))
 	disk := map[string]string{}
 	tx := svc.Begin()
 	good := &ledgerResource{name: "good", disk: disk, vote: ots.VoteCommit}
@@ -158,7 +159,7 @@ func TestPublicHeuristics(t *testing.T) {
 	_ = tx.RegisterResource(good)
 	_ = tx.RegisterResource(bad)
 	err := tx.Commit(true)
-	if !errors.Is(err, ots.ErrHeuristicMixed) {
+	if !errors.Is(err, iots.ErrHeuristicMixed) {
 		t.Fatalf("err = %v", err)
 	}
 }

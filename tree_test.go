@@ -19,6 +19,8 @@ import (
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/twopc"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
+	iorb "github.com/extendedtx/activityservice/internal/orb"
 	"github.com/extendedtx/activityservice/orb"
 )
 
@@ -27,7 +29,7 @@ import (
 // order. When veto is non-empty, a response with that outcome name
 // requests an early advance — the speculative short-circuit path.
 type scriptSet struct {
-	activityservice.BaseSet
+	core.BaseSet
 
 	mu        sync.Mutex
 	signals   []activityservice.Signal
@@ -37,7 +39,7 @@ type scriptSet struct {
 }
 
 func newScriptSet(name string, signals []activityservice.Signal, veto string) *scriptSet {
-	return &scriptSet{BaseSet: activityservice.NewBaseSet(name), signals: signals, veto: veto}
+	return &scriptSet{BaseSet: core.NewBaseSet(name), signals: signals, veto: veto}
 }
 
 // GetSignal implements SignalSet.
@@ -45,7 +47,7 @@ func (s *scriptSet) GetSignal() (activityservice.Signal, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.idx >= len(s.signals) {
-		return activityservice.Signal{}, false, activityservice.ErrExhausted
+		return activityservice.Signal{}, false, core.ErrExhausted
 	}
 	sig := s.signals[s.idx]
 	s.idx++
@@ -82,7 +84,7 @@ func (s *scriptSet) Responses() []activityservice.Outcome {
 // imported into one client ORB, with per-participant per-signal delivery
 // counters.
 type diffFixture struct {
-	actions []activityservice.Action
+	actions []core.Action
 	counts  []*sync.Map // participant -> signal name -> *atomic.Int32
 }
 
@@ -98,7 +100,7 @@ func newDiffFixture(t *testing.T, fanout, sites int) *diffFixture {
 	t.Cleanup(client.Shutdown)
 
 	fx := &diffFixture{
-		actions: make([]activityservice.Action, fanout),
+		actions: make([]core.Action, fanout),
 		counts:  make([]*sync.Map, fanout),
 	}
 	for i := 0; i < fanout; i++ {
@@ -146,7 +148,7 @@ func (fx *diffFixture) snapshot(signals []activityservice.Signal) [][]int32 {
 func (fx *diffFixture) runScript(t *testing.T, policy activityservice.DeliveryPolicy, signals []activityservice.Signal, veto string) ([]byte, []string) {
 	t.Helper()
 	rec := activityservice.NewTraceRecorder()
-	svc := activityservice.New(activityservice.WithDelivery(policy), activityservice.WithTrace(rec))
+	svc := activityservice.New(core.WithDelivery(policy), activityservice.WithTrace(rec))
 	a := svc.Begin("differential")
 	set := newScriptSet("script", signals, veto)
 	if err := a.RegisterSignalSet(set); err != nil {
@@ -206,7 +208,7 @@ func TestTreeDifferentialMatchesSerial(t *testing.T) {
 			for script := 0; script < 2; script++ {
 				signals := randomScript(rng, "script", 2+rng.Intn(2))
 
-				serialBytes, serialTrace := fx.runScript(t, activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial}, signals, "")
+				serialBytes, serialTrace := fx.runScript(t, activityservice.DeliveryPolicy{Mode: core.DeliverSerial}, signals, "")
 				serialCounts := fx.snapshot(signals)
 
 				treeBytes, treeTrace := fx.runScript(t, activityservice.Tree(branching), signals, "")
@@ -257,7 +259,7 @@ func TestTreeDifferentialAdvanceShortCircuit(t *testing.T) {
 	}
 	client := orb.New()
 	t.Cleanup(client.Shutdown)
-	actions := make([]activityservice.Action, fanout)
+	actions := make([]core.Action, fanout)
 	for i := 0; i < fanout; i++ {
 		i := i
 		site := siteORBs[i%4]
@@ -278,7 +280,7 @@ func TestTreeDifferentialAdvanceShortCircuit(t *testing.T) {
 	}
 	run := func(policy activityservice.DeliveryPolicy) ([]byte, []string) {
 		rec := activityservice.NewTraceRecorder()
-		svc := activityservice.New(activityservice.WithDelivery(policy), activityservice.WithTrace(rec))
+		svc := activityservice.New(core.WithDelivery(policy), activityservice.WithTrace(rec))
 		a := svc.Begin("advance")
 		set := newScriptSet("script", signals, "veto")
 		if err := a.RegisterSignalSet(set); err != nil {
@@ -301,7 +303,7 @@ func TestTreeDifferentialAdvanceShortCircuit(t *testing.T) {
 		return append([]byte(nil), enc.Bytes()...), rec.Sequence()
 	}
 
-	serialBytes, serialTrace := run(activityservice.DeliveryPolicy{Mode: activityservice.DeliverSerial})
+	serialBytes, serialTrace := run(activityservice.DeliveryPolicy{Mode: core.DeliverSerial})
 	treeBytes, treeTrace := run(activityservice.Tree(4))
 	if !bytes.Equal(serialBytes, treeBytes) {
 		t.Fatalf("advance collation diverged: %d bytes (tree) vs %d (serial)", len(treeBytes), len(serialBytes))
@@ -326,10 +328,10 @@ type relayChaosFixture struct {
 	resources []*chaosResource
 	refs      []orb.IOR
 	client    *orb.ORB
-	chaos     *orb.ChaosTransport
+	chaos     *iorb.ChaosTransport
 }
 
-func newRelayChaosFixture(t *testing.T, sites int, wrap func(activityservice.Action) activityservice.Action) *relayChaosFixture {
+func newRelayChaosFixture(t *testing.T, sites int, wrap func(core.Action) core.Action) *relayChaosFixture {
 	t.Helper()
 	fx := &relayChaosFixture{chaos: orb.NewChaosTransport(nil)}
 	fx.client = orb.New(orb.WithCallTimeout(2 * time.Second))
@@ -345,7 +347,7 @@ func newRelayChaosFixture(t *testing.T, sites int, wrap func(activityservice.Act
 		orb.ServeRelay(site)
 		r := &chaosResource{}
 		fx.resources = append(fx.resources, r)
-		action := activityservice.Action(twopc.NewResourceAction(r))
+		action := core.Action(twopc.NewResourceAction(r))
 		if wrap != nil {
 			action = wrap(action)
 		}
@@ -417,9 +419,9 @@ func TestRelayChaosInteriorDeathReadopts(t *testing.T) {
 // the resource's prepare/commit — still happens exactly once while the
 // 2PC converges on commit.
 func TestRelayChaosLostReplyRedeliversIdempotently(t *testing.T) {
-	fx := newRelayChaosFixture(t, 8, activityservice.Idempotent)
+	fx := newRelayChaosFixture(t, 8, core.Idempotent)
 	fault := fx.chaos.Inject(orb.ChaosRule{
-		Op: "relay_deliver", Stage: orb.StageReply, Reset: true, Count: 1,
+		Op: "relay_deliver", Stage: iorb.StageReply, Reset: true, Count: 1,
 	})
 
 	if !fx.commitTree(t, 2) {
