@@ -889,10 +889,7 @@ func BenchmarkOverload(b *testing.B) {
 	for _, limit := range []int{8, 16} {
 		b.Run(fmt.Sprintf("fanin=%d/maxinflight=%d", fanIn, limit), func(b *testing.B) {
 			b.ReportAllocs()
-			run(b,
-				orb.WithMaxInflight(limit),
-				orb.WithAdmissionQueue(limit, 5*time.Millisecond),
-			)
+			run(b, orb.WithMaxInflight(limit))
 		})
 	}
 }

@@ -298,14 +298,12 @@ func TestChaosSlowParticipantTimeout(t *testing.T) {
 func TestChaosSaturationShedsFastAndConverges(t *testing.T) {
 	const (
 		maxInflight = 4
-		queueDepth  = 4
 		fanIn       = 64
-		servantWork = 100 * time.Millisecond
+		// Three times the admission queue's 100ms shed deadline, so a
+		// shed (from the queue or on arrival) always beats the servant.
+		servantWork = 300 * time.Millisecond
 	)
-	node := orb.New(
-		orb.WithMaxInflight(maxInflight),
-		orb.WithAdmissionQueue(queueDepth, 50*time.Millisecond),
-	)
+	node := orb.New(orb.WithMaxInflight(maxInflight))
 	defer node.Shutdown()
 	// The servant gauges its own dispatch concurrency: the ground truth
 	// the admission bound must hold end to end.
@@ -390,7 +388,7 @@ func TestChaosSaturationShedsFastAndConverges(t *testing.T) {
 		t.Fatalf("servant saw %d concurrent dispatches, want <= %d", peak, maxInflight)
 	}
 	// The goroutine guard: with admission the server adds at most
-	// maxInflight+queueDepth handlers plus one shed writer per connection
+	// 3×maxInflight handlers (dispatches plus the 2×maxInflight queue) plus one shed writer per connection
 	// on top of the fan-in's caller goroutines and the connection read
 	// loops (~fanIn + 40 total); without admission, every one of the fanIn
 	// requests would hold a dispatch goroutine for the full servant
@@ -427,7 +425,7 @@ func TestChaosSaturationShedsFastAndConverges(t *testing.T) {
 }
 
 // TestChaosFlappingEndpointBreakerCapsProbes is the flap scenario the
-// retry budget and circuit breaker exist for: both participants of a 2PC
+// circuit breaker exists for: both participants of a 2PC
 // vote commit, then the network eats every request (a one-way flap) while
 // at-least-once delivery retries phase two. Documented behaviour: after
 // the breaker's threshold the retries stop reaching the network — probe
@@ -462,7 +460,6 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 		orb.WithTransport(chaos),
 		orb.WithCallTimeout(50*time.Millisecond),
 		orb.WithCircuitBreaker(threshold, openFor),
-		orb.WithRetryBudget(100, 5),
 		orb.WithReconnectBackoff(time.Millisecond, 5*time.Millisecond),
 	)
 	defer clientORB.Shutdown()

@@ -30,12 +30,15 @@
 //	                                        # servant and fan signals out
 //	                                        # through branching-factor-8
 //	                                        # relay trees (DeliverTree)
-//	activityd -max-inflight 64 -shed-after 50ms   # overload protection:
-//	                                        # bound concurrent dispatches,
-//	                                        # shed the excess with TRANSIENT
-//	activityd -breaker 5 -breaker-open 1s -retry-rate 10 -retry-burst 5
-//	                                        # client-side breaker + retry
-//	                                        # budget for outgoing calls
+//	activityd -max-inflight 64              # overload protection: bound
+//	                                        # concurrent dispatches, queue
+//	                                        # up to 128 more, shed the
+//	                                        # excess (or any wait past
+//	                                        # 100ms) with TRANSIENT
+//	activityd -breaker 5 -breaker-open 1s   # client-side circuit breaker
+//	                                        # for outgoing calls: 5
+//	                                        # failures in a row open it,
+//	                                        # one probe per 1s window
 //	activityd -max-inflight 64 -priority 8  # reserve 8 dispatch slots for
 //	                                        # completion/recovery verbs so
 //	                                        # overload sheds first-contact
@@ -69,6 +72,18 @@
 //	                                        # each other never
 //	                                        # self-promotes: restart the
 //	                                        # survivor without -peer
+//	activityd -shard-authority -shard a -shard-join
+//	                                        # host the fleet's shard map
+//	                                        # and serve as its member "a"
+//	activityd -shard b -shard-map hostA:7411 -shard-join
+//	                                        # fleet member "b": register
+//	                                        # into the map at hostA, follow
+//	                                        # it, and refuse begins for
+//	                                        # keys another member owns
+//
+// Settings that would do nothing are refused: -priority needs
+// -max-inflight, -breaker-open needs -breaker, and -rejoin=false needs
+// -ots-log.
 package main
 
 import (
@@ -78,6 +93,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -111,20 +127,15 @@ func (f *listFlag) Set(v string) error {
 type orbConfig struct {
 	advertise   listFlag
 	pool        int
-	warm        int
 	maxInflight int
-	admitQueue  int
-	shedAfter   time.Duration
 	priority    int
 	breaker     int
 	breakerOpen time.Duration
-	retryRate   float64
-	retryBurst  int
 	otsLog      string
 	standby     listFlag
 	memberID    string
 	peers       listFlag
-	rejoin      bool
+	noRejoin    bool // -rejoin=false
 
 	shardID        string
 	shardMap       listFlag
@@ -138,21 +149,14 @@ func (c orbConfig) options() []orb.ORBOption {
 	if c.pool > 0 {
 		opts = append(opts, orb.WithPoolSize(c.pool))
 	}
-	if c.warm > 0 {
-		opts = append(opts, orb.WithPoolWarm(c.warm))
-	}
 	if c.maxInflight > 0 {
 		opts = append(opts, orb.WithMaxInflight(c.maxInflight))
-		opts = append(opts, orb.WithAdmissionQueue(c.admitQueue, c.shedAfter))
 		if c.priority > 0 {
 			opts = append(opts, orb.WithPriorityOps(c.priority))
 		}
 	}
 	if c.breaker > 0 {
 		opts = append(opts, orb.WithCircuitBreaker(c.breaker, c.breakerOpen))
-	}
-	if c.retryBurst > 0 {
-		opts = append(opts, orb.WithRetryBudget(c.retryRate, c.retryBurst))
 	}
 	if len(c.advertise) > 0 {
 		opts = append(opts, orb.WithAdvertised(c.advertise...))
@@ -171,20 +175,19 @@ func main() {
 	var cfg orbConfig
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
 	flag.IntVar(&cfg.pool, "pool", 0, "client connections pooled per endpoint (0 = default)")
-	flag.IntVar(&cfg.warm, "warm", 0, "connections to pre-dial per endpoint on first use (0 = off)")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent server dispatches; excess is queued then shed with TRANSIENT (0 = unbounded)")
-	flag.IntVar(&cfg.admitQueue, "admit-queue", 0, "admission queue depth behind -max-inflight (0 = 2x max-inflight)")
-	flag.DurationVar(&cfg.shedAfter, "shed-after", 0, "max queue wait before an admitted request is shed (0 = default)")
+	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent server dispatches; up to 2x as many wait in a queue, shed with TRANSIENT when it is full or after 100ms (0 = unbounded)")
 	flag.IntVar(&cfg.priority, "priority", 0, "dispatch slots out of -max-inflight reserved for completion/recovery verbs (0 = off)")
 	flag.StringVar(&cfg.otsLog, "ots-log", "", "file-backed replicated log (transaction decisions + activity journal); makes this daemon a coordinator-group member: crash recovery on boot, the ots-recovery and wal-replication servants. Without -standby/-peer it leads a group of one")
 	flag.Var(&cfg.standby, "standby", "replication endpoint of the current leader to start streaming from; repeatable for a multi-homed leader. Only a stream starting point, not an elector: a standby with no -peer takes over alone when the leader is lost")
 	flag.StringVar(&cfg.memberID, "member-id", "", "this member's id in its coordinator group (ack watermarks, election tiebreak, term records); default: the first advertised endpoint")
 	flag.Var(&cfg.peers, "peer", "replication endpoint of another group member; repeatable. The electorate is this member plus every -peer, and both the election and the decision gate need a majority of it (n/2+1), so a member with peers never promotes itself alone")
-	flag.BoolVar(&cfg.rejoin, "rejoin", true, "after being deposed by a higher term, automatically truncate the unreplicated WAL suffix and re-join as a streaming standby; false makes deposal fatal so an operator can inspect the log first")
+	flag.BoolFunc("rejoin", "after being deposed by a higher term, automatically truncate the unreplicated WAL suffix and re-join as a streaming standby; false makes deposal fatal so an operator can inspect the log first (default true)", func(v string) error {
+		on, err := strconv.ParseBool(v)
+		cfg.noRejoin = !on
+		return err
+	})
 	flag.IntVar(&cfg.breaker, "breaker", 0, "consecutive call failures before an endpoint's circuit opens (0 = off)")
 	flag.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "open-circuit window before a half-open probe (0 = default)")
-	flag.Float64Var(&cfg.retryRate, "retry-rate", 0, "retry-budget refill rate in tokens/second")
-	flag.IntVar(&cfg.retryBurst, "retry-burst", 0, "retry-budget bucket size; attempts against a failing endpoint beyond it fail fast (0 = off)")
 	flag.StringVar(&cfg.shardID, "shard", "", "serve as the fleet member with this id: follow the shard map and refuse begins for keys this member does not own (needs -shard-map unless -shard-authority)")
 	flag.Var(&cfg.shardMap, "shard-map", "endpoint of the shard-map authority to follow; repeatable for a multi-homed authority")
 	flag.BoolVar(&cfg.shardJoin, "shard-join", false, "register this member (its listen endpoints) into the shard map on boot")
@@ -232,6 +235,15 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, delive
 	}
 	if cfg.otsLog == "" && (cfg.memberID != "" || len(cfg.standby) > 0 || len(cfg.peers) > 0) {
 		return errors.New("-member-id, -standby and -peer need -ots-log for this member's durable replica of the group's log")
+	}
+	if cfg.priority > 0 && cfg.maxInflight <= 0 {
+		return errors.New("-priority reserves slots out of -max-inflight and needs it")
+	}
+	if cfg.breakerOpen > 0 && cfg.breaker <= 0 {
+		return errors.New("-breaker-open sets the window of the -breaker circuit and needs it")
+	}
+	if cfg.noRejoin && cfg.otsLog == "" {
+		return errors.New("-rejoin=false governs a deposed group member and needs -ots-log")
 	}
 
 	var svcOpts []activityservice.Option
@@ -389,7 +401,7 @@ func runGroup(ctx context.Context, node *orb.ORB, svc *activityservice.Service, 
 		LeaderHint: cfg.standby,
 		Takeover:   takeover,
 		OnDemote: func(term uint64, leader string) {
-			if !cfg.rejoin {
+			if cfg.noRejoin {
 				fmt.Fprintf(os.Stderr, "activityd: deposed by term %d (leader %q); -rejoin=false, exiting for operator inspection\n", term, leader)
 				os.Exit(3)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,23 +54,40 @@ func TestDaemonDemoRelayTree(t *testing.T) {
 }
 
 // TestDaemonDemoOverloadProtected runs the round trip with the full
-// overload-protection surface switched on: admission control and pool
-// warm-up on the daemon, breaker and retry budget active for its outgoing
+// overload-protection surface switched on: admission control with a
+// priority reservation on the daemon, and the breaker on its outgoing
 // calls. A healthy round trip must be untouched by all of it.
 func TestDaemonDemoOverloadProtected(t *testing.T) {
 	cfg := orbConfig{
 		pool:        4,
-		warm:        2,
 		maxInflight: 32,
-		admitQueue:  16,
-		shedAfter:   50 * time.Millisecond,
+		priority:    4,
 		breaker:     5,
 		breakerOpen: time.Second,
-		retryRate:   10,
-		retryBurst:  5,
 	}
 	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, cfg, activityservice.DeliveryPolicy{}, false, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsInertSettings proves run refuses a flag whose effect
+// depends on another flag left unset, instead of silently ignoring it.
+func TestRunRejectsInertSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  orbConfig
+		want string
+	}{
+		{"priority without max-inflight", orbConfig{priority: 4}, "-priority"},
+		{"breaker-open without breaker", orbConfig{breakerOpen: time.Second}, "-breaker-open"},
+		{"rejoin=false without ots-log", orbConfig{noRejoin: true}, "-rejoin=false"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(context.Background(), []string{"127.0.0.1:0"}, true, tc.cfg, activityservice.DeliveryPolicy{}, false, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run = %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@
 // exported identifier in the packages whose API surface operators and
 // integrators touch (internal/orb, internal/core, internal/cdr,
 // internal/remote and the hls/* models) must carry a doc comment, so
-// `go doc` is always usable. It runs as an ordinary test,
+// `go doc` is always usable; the facades export only what their callers
+// use (facade_test.go); and activityd's package doc names exactly the
+// flags it registers (flags_test.go). It runs as an ordinary test,
 // which makes the CI docs job a plain `go test ./internal/doccheck`.
 package doccheck
 

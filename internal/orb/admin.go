@@ -210,7 +210,7 @@ func (st *EndpointStats) fields() []field {
 		num("conns", &st.Conns), num("pending", &st.Pending), num("dialing", &st.Dialing),
 		num("failures", &st.Failures), bit("down", &st.Down), num("breaker", &st.Breaker),
 		num("breaker_probes", &st.BreakerProbes), num("breaker_opens", &st.BreakerOpens),
-		num("retry_exhausted", &st.RetryExhausted), num("rtt_ns", &st.RTT),
+		num("rtt_ns", &st.RTT),
 	}
 }
 

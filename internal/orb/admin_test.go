@@ -18,7 +18,7 @@ func TestAdminScrapeServerAndEndpointStats(t *testing.T) {
 	ctx := context.Background()
 
 	// The daemon under observation.
-	daemon := New(WithMaxInflight(8), WithAdmissionQueue(4, 50*time.Millisecond))
+	daemon := New(WithMaxInflight(8))
 	defer daemon.Shutdown()
 	ServeAdmin(daemon)
 	ep1, err := daemon.Listen("127.0.0.1:0")
@@ -51,8 +51,8 @@ func TestAdminScrapeServerAndEndpointStats(t *testing.T) {
 	if st.Endpoint != ep1 || len(st.Endpoints) != 2 || st.Endpoints[1] != ep2 {
 		t.Fatalf("scraped endpoints = %q %v, want %q and %q", st.Endpoint, st.Endpoints, ep1, ep2)
 	}
-	if st.MaxInflight != 8 || st.QueueDepth != 4 || st.ShedAfter != 50*time.Millisecond {
-		t.Fatalf("scraped admission config = %+v, want the daemon's settings", st)
+	if st.MaxInflight != 8 || st.QueueDepth != 16 || st.ShedAfter != 100*time.Millisecond {
+		t.Fatalf("scraped admission config = %+v, want 8 slots, 16 queued, 100ms", st)
 	}
 	// Admin scrapes bypass the admission gate, so they never count as
 	// dispatched; a regular inbound call does.
@@ -163,7 +163,7 @@ func TestAdminRejectsUnknownOperation(t *testing.T) {
 // by the very gate it reports on.
 func TestAdminScrapeBypassesAdmission(t *testing.T) {
 	ctx := context.Background()
-	daemon := New(WithMaxInflight(1), WithAdmissionQueue(1, 20*time.Millisecond))
+	daemon := New(WithMaxInflight(1))
 	defer daemon.Shutdown()
 	ServeAdmin(daemon)
 	release := make(chan struct{})

@@ -5,13 +5,10 @@ import (
 	"time"
 )
 
-// Server admission defaults, applied when WithMaxInflight is set without a
-// matching WithAdmissionQueue.
-const (
-	// defaultShedAfter bounds how long an admitted-but-queued request may
-	// wait for a dispatch slot before it is shed with TRANSIENT.
-	defaultShedAfter = 100 * time.Millisecond
-)
+// shedAfter bounds how long an admitted-but-queued request may wait for a
+// dispatch slot before it is shed with TRANSIENT. The wait queue holds
+// 2×WithMaxInflight requests; WithMaxInflight is the one admission knob.
+const shedAfter = 100 * time.Millisecond
 
 // admission is the server-side overload gate: a fixed pool of dispatch
 // slots plus a bounded wait queue with deadline-aware shedding. A request
@@ -32,7 +29,6 @@ type admission struct {
 	prioSlots chan struct{} // reserved for priority operations; nil = no reservation
 	prioOps   map[string]bool
 	queueMax  int
-	shedAfter time.Duration
 
 	mu             sync.Mutex
 	queued         int
@@ -59,33 +55,24 @@ const (
 
 // newAdmission builds the gate; maxInflight <= 0 disables admission control
 // (nil gate, unbounded dispatch — the pre-admission behaviour). reserve > 0
-// carves that many of the maxInflight slots out as a reservation only
-// priority operations (prioOps) may use; it is clamped so at least one
-// shared slot remains.
-func newAdmission(maxInflight, queueMax int, shedAfter time.Duration, reserve int, prioOps map[string]bool) *admission {
+// carves that many of the maxInflight slots out as a reservation only the
+// DefaultPriorityOps may use; it is clamped so at least one shared slot
+// remains.
+func newAdmission(maxInflight, reserve int) *admission {
 	if maxInflight <= 0 {
 		return nil
 	}
-	if queueMax <= 0 {
-		queueMax = 2 * maxInflight
-	}
-	if shedAfter <= 0 {
-		shedAfter = defaultShedAfter
-	}
-	if reserve >= maxInflight {
-		reserve = maxInflight - 1
-	}
-	if reserve < 0 || len(prioOps) == 0 {
-		reserve = 0
-	}
+	reserve = min(reserve, maxInflight-1)
 	a := &admission{
-		slots:     make(chan struct{}, maxInflight-reserve),
-		queueMax:  queueMax,
-		shedAfter: shedAfter,
+		slots:    make(chan struct{}, maxInflight-reserve),
+		queueMax: 2 * maxInflight,
 	}
 	if reserve > 0 {
 		a.prioSlots = make(chan struct{}, reserve)
-		a.prioOps = prioOps
+		a.prioOps = make(map[string]bool, len(DefaultPriorityOps))
+		for _, op := range DefaultPriorityOps {
+			a.prioOps[op] = true
+		}
 	}
 	return a
 }
@@ -154,7 +141,7 @@ func (a *admission) enqueue(prio bool) bool {
 // returns the acquired slot's token, or slotNone when the request must be
 // shed. The queue seat is released either way.
 func (a *admission) await(done <-chan struct{}, prio bool) slotToken {
-	timer := time.NewTimer(a.shedAfter)
+	timer := time.NewTimer(shedAfter)
 	defer timer.Stop()
 	tok := slotNone
 	if prio && a.prioSlots != nil {
@@ -209,7 +196,7 @@ func (a *admission) shedError() *SystemError {
 	a.mu.Unlock()
 	return Systemf(CodeTransient,
 		"server overloaded: %d dispatches in flight, %d/%d queued (shed after %s)",
-		len(a.slots), queued, a.queueMax, a.shedAfter)
+		len(a.slots), queued, a.queueMax, shedAfter)
 }
 
 // ServerStats is a snapshot of the server transport's admission state, the
@@ -237,9 +224,9 @@ type ServerStats struct {
 	// MaxInflight is the configured dispatch bound (0 = unbounded),
 	// including any reserved priority slots.
 	MaxInflight int
-	// QueueDepth is the configured wait-queue bound.
+	// QueueDepth is the wait-queue bound, 2×MaxInflight.
 	QueueDepth int
-	// ShedAfter is the configured maximum queue wait.
+	// ShedAfter is the maximum queue wait.
 	ShedAfter time.Duration
 	// ReservedSlots is the number of dispatch slots reserved for the
 	// priority admission class (see WithPriorityOps); 0 = no reservation.
@@ -286,7 +273,7 @@ func (o *ORB) ServerStats() (ServerStats, bool) {
 		st.Inflight = len(a.slots)
 		st.MaxInflight = cap(a.slots)
 		st.QueueDepth = a.queueMax
-		st.ShedAfter = a.shedAfter
+		st.ShedAfter = shedAfter
 		if a.prioSlots != nil {
 			st.ReservedSlots = cap(a.prioSlots)
 			st.PriorityInflight = len(a.prioSlots)

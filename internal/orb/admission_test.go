@@ -56,20 +56,16 @@ func startAdmissionServer(t *testing.T, delay time.Duration, opts ...ORBOption) 
 
 // TestAdmissionShedsAtSaturation drives fan-in far above the dispatch
 // bound at a slow servant: the bounded few dispatch, the queue briefly
-// absorbs a couple more, and the excess is shed with TRANSIENT well before
+// absorbs a few more, and the excess is shed with TRANSIENT well before
 // the servant latency — while in-flight dispatches never exceed the bound.
 func TestAdmissionShedsAtSaturation(t *testing.T) {
 	const (
 		maxInflight = 2
-		queueDepth  = 2
+		queueDepth  = 2 * maxInflight
 		fanIn       = 16
-		servantWork = 300 * time.Millisecond
-		shedAfter   = 40 * time.Millisecond
+		servantWork = 3 * shedAfter
 	)
-	srv, servant, ref := startAdmissionServer(t, servantWork,
-		WithMaxInflight(maxInflight),
-		WithAdmissionQueue(queueDepth, shedAfter),
-	)
+	srv, servant, ref := startAdmissionServer(t, servantWork, WithMaxInflight(maxInflight))
 	client := New(WithCallTimeout(5 * time.Second))
 	defer client.Shutdown()
 
@@ -145,16 +141,15 @@ func TestAdmissionShedsAtSaturation(t *testing.T) {
 
 // TestAdmissionQueueDrainsWhenSlotsFree proves queued requests are
 // admitted — not shed — once running dispatches finish within the shed
-// deadline.
+// deadline: a burst that fills every slot and queue seat, at a servant
+// whose whole backlog clears well inside it, sheds nothing.
 func TestAdmissionQueueDrainsWhenSlotsFree(t *testing.T) {
-	srv, _, ref := startAdmissionServer(t, 10*time.Millisecond,
-		WithMaxInflight(1),
-		WithAdmissionQueue(8, 2*time.Second),
-	)
+	const maxInflight = 2
+	srv, _, ref := startAdmissionServer(t, 10*time.Millisecond, WithMaxInflight(maxInflight))
 	client := New(WithCallTimeout(5 * time.Second))
 	defer client.Shutdown()
 
-	const calls = 6
+	const calls = 3 * maxInflight // inflight + 2×maxInflight queued
 	var wg sync.WaitGroup
 	errs := make([]error, calls)
 	for i := 0; i < calls; i++ {
@@ -213,12 +208,12 @@ func TestServerStatsBeforeListen(t *testing.T) {
 	}
 }
 
-// TestAdmissionDefaultsFromMaxInflight checks WithMaxInflight alone
-// derives the documented queue depth and shed deadline.
+// TestAdmissionDefaultsFromMaxInflight checks WithMaxInflight derives the
+// documented queue depth and shed deadline.
 func TestAdmissionDefaultsFromMaxInflight(t *testing.T) {
 	srv, _, _ := startAdmissionServer(t, 0, WithMaxInflight(3))
 	st, _ := srv.ServerStats()
-	if st.MaxInflight != 3 || st.QueueDepth != 6 || st.ShedAfter != defaultShedAfter {
-		t.Fatalf("stats = %+v, want bounds 3/6/%s", st, defaultShedAfter)
+	if st.MaxInflight != 3 || st.QueueDepth != 6 || st.ShedAfter != 100*time.Millisecond {
+		t.Fatalf("stats = %+v, want bounds 3/6/100ms", st)
 	}
 }

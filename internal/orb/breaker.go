@@ -9,13 +9,6 @@ import (
 // WithCircuitBreaker is given an openFor of 0.
 const defaultBreakerOpenFor = time.Second
 
-// defaultRetryRate is the refill rate used when WithRetryBudget is given
-// a rate <= 0. A zero rate would be a trap: once the bucket empties during
-// an outage, no call could ever be admitted again — and clearing the debt
-// requires an admitted call to succeed — so the endpoint would stay
-// bricked after the peer recovered.
-const defaultRetryRate = 1.0
-
 // BreakerState is the circuit breaker position for one endpoint, exposed
 // through EndpointStats.
 type BreakerState int
@@ -51,23 +44,21 @@ func (s BreakerState) String() string {
 	}
 }
 
-// The call gates below are the pool's overload protection above the dial
-// health gate. The circuit breaker (WithCircuitBreaker) stops whole calls —
-// including ones that would ride an existing connection — once the
-// endpoint has failed threshold times in a row, and rations recovery to
-// one probe per half-open window. The retry budget (WithRetryBudget) is a
-// token bucket: while the endpoint is in debt (its last call failed) every
-// call withdraws a token, an empty bucket fails the call fast, and a
-// success makes calls free again; it bounds the aggregate attempt rate
-// that at-least-once retry loops — which the ORB cannot tell apart from
-// fresh calls — can aim at a failing endpoint. Both read the one
-// consecutive call-failure count in the pool, which only a success resets.
+// The circuit breaker is the pool's one call gate above the dial health
+// gate (WithCircuitBreaker). It stops whole calls — including ones that
+// would ride an existing connection — once the endpoint has failed
+// threshold times in a row, and rations recovery to one probe per
+// half-open window. So against a failing endpoint this ORB makes at most
+// threshold attempts, then one per open window, however many
+// at-least-once retry loops — which the ORB cannot tell apart from fresh
+// calls — aim at it. It reads the one consecutive call-failure count in
+// the pool, which only a success resets.
 
-// callGated reports whether the ORB configured a breaker or a retry budget.
-// Both knobs are fixed at New, so without them admitCall and observeCall
-// return before touching the pool lock.
+// callGated reports whether the ORB configured a breaker. The knob is
+// fixed at New, so without it admitCall and observeCall return before
+// touching the pool lock.
 func (o *ORB) callGated() bool {
-	return o.brkThreshold > 0 || o.retryBurst > 0
+	return o.brkThreshold > 0
 }
 
 // breakerLocked derives the effective breaker state at now: an open circuit
@@ -79,11 +70,8 @@ func (p *endpointPool) breakerLocked(now time.Time) BreakerState {
 	return p.brkState
 }
 
-// admitCall runs the pre-flight call gates: the breaker first, so its
-// fail-fast rejections never drain the retry budget, then the budget. The
-// half-open probe slot is taken only once the budget has admitted the call,
-// so an exhausted budget cannot eat the recovery probe. The first return
-// reports whether this call holds the probe slot.
+// admitCall runs the pre-flight breaker check. The first return reports
+// whether this call holds the half-open probe slot.
 func (p *endpointPool) admitCall(now time.Time) (bool, error) {
 	o := p.orb
 	if !o.callGated() {
@@ -91,7 +79,6 @@ func (p *endpointPool) admitCall(now time.Time) (bool, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	probe := false
 	switch p.breakerLocked(now) {
 	case BreakerOpen:
 		return false, Systemf(CodeTransient,
@@ -102,42 +89,25 @@ func (p *endpointPool) admitCall(now time.Time) (bool, error) {
 			return false, Systemf(CodeTransient,
 				"circuit breaker for %s half-open: probe already in flight", p.endpoint)
 		}
-		probe = true
-	}
-	if o.retryBurst > 0 && p.callFailures > 0 {
-		p.tokens += now.Sub(p.last).Seconds() * o.retryRate
-		if burst := float64(o.retryBurst); p.tokens > burst {
-			p.tokens = burst
-		}
-		p.last = now
-		if p.tokens < 1 {
-			p.exhausted++
-			return false, Systemf(CodeTransient,
-				"retry budget for %s exhausted (refills at %.3g tokens/s)", p.endpoint, o.retryRate)
-		}
-		p.tokens--
-	}
-	if probe {
 		p.brkState = BreakerHalfOpen
 		p.probing = true
 		p.probes++
+		return true, nil
 	}
-	return probe, nil
+	return false, nil
 }
 
-// observeCall feeds a finished call's outcome to the call gates. A success
-// closes the circuit, clears the debt and refills the bucket; a failure
-// extends the consecutive count, starts the debt, and opens the circuit at
-// the threshold — or re-opens it for a fresh window when the half-open
-// probe (or a straggler from before the circuit opened) fails. Fail-fast
-// rejections from admitCall never reach here, so the gates cannot feed on
-// their own output. Health-gate fail-fasts DO reach here and count as
-// failures deliberately: they are the endpoint's last known state, and
-// requiring real dials to trip the breaker would let the gate's own
-// backoff spacing delay it indefinitely.
+// observeCall feeds a finished call's outcome to the breaker. A success
+// closes the circuit; a failure extends the consecutive count and opens
+// the circuit at the threshold — or re-opens it for a fresh window when
+// the half-open probe (or a straggler from before the circuit opened)
+// fails. Fail-fast rejections from admitCall never reach here, so the
+// breaker cannot feed on its own output. Health-gate fail-fasts DO reach
+// here and count as failures deliberately: they are the endpoint's last
+// known state, and requiring real dials to trip the breaker would let the
+// gate's own backoff spacing delay it indefinitely.
 func (p *endpointPool) observeCall(err error) {
-	o := p.orb
-	if !o.callGated() {
+	if !p.orb.callGated() {
 		return
 	}
 	failed := transportFailure(err)
@@ -145,21 +115,15 @@ func (p *endpointPool) observeCall(err error) {
 	defer p.mu.Unlock()
 	if !failed {
 		p.callFailures = 0
-		p.tokens = float64(o.retryBurst)
 		p.probing = false
-		if p.brkState != BreakerInactive {
-			p.brkState = BreakerClosed
-		}
+		p.brkState = BreakerClosed
 		return
 	}
 	now := time.Now()
 	p.callFailures++
-	if p.callFailures == 1 {
-		p.last = now // the debt begins: the bucket refills from here
-	}
 	switch p.breakerLocked(now) {
 	case BreakerClosed:
-		if p.callFailures >= o.brkThreshold {
+		if p.callFailures >= p.orb.brkThreshold {
 			p.openLocked(now)
 		}
 	case BreakerHalfOpen:
@@ -184,14 +148,14 @@ func (p *endpointPool) releaseProbe() {
 	p.mu.Unlock()
 }
 
-// transportFailure classifies a call outcome for the breaker and retry
-// budget: true for errors that say the endpoint is unreachable or
-// overloaded (dial and send failures, lost connections, timeouts, and
-// TRANSIENT — which covers server-side admission shed and the local
-// health gate's fail-fast verdicts, both deliberate: "this endpoint is
-// not serving you right now" is exactly the signal the gates ration
-// traffic on). Decoded user and application-level system errors prove a
-// healthy round trip and count as success.
+// transportFailure classifies a call outcome for the breaker: true for
+// errors that say the endpoint is unreachable or overloaded (dial and send
+// failures, lost connections, timeouts, and TRANSIENT — which covers
+// server-side admission shed and the local health gate's fail-fast
+// verdicts, both deliberate: "this endpoint is not serving you right now"
+// is exactly the signal the breaker rations traffic on). Decoded user and
+// application-level system errors prove a healthy round trip and count as
+// success.
 func transportFailure(err error) bool {
 	if err == nil {
 		return false

@@ -250,37 +250,6 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	}
 }
 
-// TestBreakerRejectionsDoNotDrainRetryBudget proves gate ordering: while
-// the circuit is open, fail-fast rejections come from the breaker without
-// charging the retry budget.
-func TestBreakerRejectionsDoNotDrainRetryBudget(t *testing.T) {
-	ref := deadEndpoint(t)
-	client := New(
-		WithTransport(&blockingFailTransport{}),
-		WithCircuitBreaker(1, time.Minute),
-		WithRetryBudget(0.001, 2), // ~no refill within the test: any drain is visible
-		WithReconnectBackoff(time.Millisecond, time.Millisecond),
-	)
-	defer client.Shutdown()
-	ctx := context.Background()
-
-	// One failure opens the circuit (threshold 1) and starts the debt.
-	if _, err := client.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("opening failure: err = %v, want TRANSIENT", err)
-	}
-	// Many open-circuit rejections: all from the breaker, none budgeted.
-	for i := 0; i < 10; i++ {
-		_, err := client.Invoke(ctx, ref, "ping", nil)
-		if !IsSystem(err, CodeTransient) || !strings.Contains(err.Error(), "circuit breaker") {
-			t.Fatalf("open-circuit call %d: err = %v, want breaker rejection", i, err)
-		}
-	}
-	st, _ := client.EndpointStats(ref.Endpoint())
-	if st.RetryExhausted != 0 {
-		t.Fatalf("stats = %+v; breaker rejections must not drain the retry budget", st)
-	}
-}
-
 // TestBreakerInactiveWithoutOption pins the default: no breaker state in
 // stats and no breaker interference.
 func TestBreakerInactiveWithoutOption(t *testing.T) {
@@ -292,174 +261,5 @@ func TestBreakerInactiveWithoutOption(t *testing.T) {
 	}
 	if st, _ := client.EndpointStats(ref.Endpoint()); st.Breaker != BreakerInactive {
 		t.Fatalf("stats = %+v, want inactive breaker by default", st)
-	}
-}
-
-// TestRetryBudgetFailsFastWhenExhausted proves the token bucket: after a
-// failure puts the endpoint in debt, only burst further attempts reach the
-// pool; the rest are rejected without touching the health gate or the
-// network.
-func TestRetryBudgetFailsFastWhenExhausted(t *testing.T) {
-	ref := deadEndpoint(t)
-	transport := &blockingFailTransport{}
-	client := New(
-		WithTransport(transport),
-		WithRetryBudget(0.001, 2), // ~no refill within the test: 2 post-failure attempts
-		WithReconnectBackoff(time.Minute, time.Minute),
-	)
-	defer client.Shutdown()
-	ctx := context.Background()
-
-	// The first call is free (healthy endpoint) and fails: debt begins.
-	if _, err := client.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("first call: err = %v, want TRANSIENT", err)
-	}
-	// Two budgeted attempts pass the bucket (and fail fast on the health
-	// gate without dialing).
-	for i := 0; i < 2; i++ {
-		if _, err := client.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-			t.Fatalf("budgeted attempt %d: err = %v, want TRANSIENT", i+1, err)
-		}
-	}
-	// The bucket is empty: the rejection carries the budget detail.
-	_, err := client.Invoke(ctx, ref, "ping", nil)
-	if !IsSystem(err, CodeTransient) || !strings.Contains(err.Error(), "retry budget") {
-		t.Fatalf("exhausted attempt: err = %v, want retry-budget TRANSIENT", err)
-	}
-	if got := transport.dialCount(); got != 1 {
-		t.Fatalf("dials = %d, want 1 (debt attempts gated before the network)", got)
-	}
-	st, _ := client.EndpointStats(ref.Endpoint())
-	if st.RetryExhausted == 0 {
-		t.Fatalf("stats = %+v, want exhausted rejections recorded", st)
-	}
-}
-
-// TestRetryBudgetRefillsAndClearsOnSuccess proves both recovery paths: the
-// bucket refills with time, and one success returns the endpoint to the
-// free regime.
-func TestRetryBudgetRefillsAndClearsOnSuccess(t *testing.T) {
-	_, ref := startServer(t, &countingServant{})
-	flaky := &flakyTransport{failures: 1}
-	client := New(
-		WithTransport(flaky),
-		WithRetryBudget(100, 1), // one token, refills every 10ms
-		WithReconnectBackoff(time.Millisecond, time.Millisecond),
-	)
-	defer client.Shutdown()
-	ctx := context.Background()
-
-	// Fail once: in debt.
-	if _, err := client.Invoke(ctx, ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("first call: err = %v, want TRANSIENT", err)
-	}
-	// Burn the single token, then observe an exhausted rejection.
-	_, _ = client.Invoke(ctx, ref, "ping", nil)
-	if _, err := client.Invoke(ctx, ref, "ping", nil); err == nil ||
-		!strings.Contains(err.Error(), "retry budget") {
-		// The burn attempt may itself have succeeded (flaky only fails the
-		// first dial); in that case debt is already cleared — also fine.
-		if err != nil {
-			t.Fatalf("post-burn call: %v", err)
-		}
-	}
-	// Refill restores attempts; the endpoint is healthy now, so an attempt
-	// succeeds and clears the debt entirely.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := client.Invoke(ctx, ref, "ping", nil); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("budget never refilled to let the endpoint recover")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Free regime again: a burst passes untouched.
-	for i := 0; i < 5; i++ {
-		if _, err := client.Invoke(ctx, ref, "ping", nil); err != nil {
-			t.Fatalf("healthy call %d: %v", i, err)
-		}
-	}
-}
-
-// TestPoolWarmPreDials proves WithPoolWarm: after a single invocation the
-// pool grows to the warm target in the background, with no further calls.
-func TestPoolWarmPreDials(t *testing.T) {
-	_, ref := startServer(t, &countingServant{})
-	counter := &flakyTransport{} // counts dials, never fails
-	client := New(
-		WithTransport(counter),
-		WithPoolSize(3),
-		WithPoolWarm(3),
-	)
-	defer client.Shutdown()
-
-	if _, err := client.Invoke(context.Background(), ref, "ping", nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, _ := client.EndpointStats(ref.Endpoint())
-		if st.Conns == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never warmed to 3 conns: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Warm-up respects the bound: no extra dials beyond the target.
-	time.Sleep(20 * time.Millisecond)
-	if got := counter.dialCount(); got != 3 {
-		t.Fatalf("dials = %d, want exactly 3", got)
-	}
-}
-
-// TestPoolWarmCapsAtPoolSize pins the warm target clamp.
-func TestPoolWarmCapsAtPoolSize(t *testing.T) {
-	_, ref := startServer(t, &countingServant{})
-	client := New(WithPoolSize(2), WithPoolWarm(8))
-	defer client.Shutdown()
-
-	if _, err := client.Invoke(context.Background(), ref, "ping", nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, _ := client.EndpointStats(ref.Endpoint())
-		if st.Conns == 2 && st.Dialing == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool state %+v, want warm stop at the pool bound of 2", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if st, _ := client.EndpointStats(ref.Endpoint()); st.Conns != 2 {
-		t.Fatalf("pool holds %d conns, want the bound of 2", st.Conns)
-	}
-}
-
-// TestPoolWarmStopsOnDialFailure proves warm-up hands a refusing endpoint
-// to the health gate instead of spinning dials at it.
-func TestPoolWarmStopsOnDialFailure(t *testing.T) {
-	ref := deadEndpoint(t)
-	transport := &blockingFailTransport{}
-	client := New(
-		WithTransport(transport),
-		WithPoolSize(4),
-		WithPoolWarm(4),
-		WithReconnectBackoff(time.Minute, time.Minute),
-	)
-	defer client.Shutdown()
-
-	if _, err := client.Invoke(context.Background(), ref, "ping", nil); !IsSystem(err, CodeTransient) {
-		t.Fatalf("err = %v, want TRANSIENT", err)
-	}
-	time.Sleep(50 * time.Millisecond) // give a runaway warm loop time to misbehave
-	if got := transport.dialCount(); got > 2 {
-		t.Fatalf("dials = %d, want <= 2 (inline dial + at most one warm dial)", got)
 	}
 }

@@ -27,10 +27,9 @@ const (
 // ORB keeps state about it: a bounded pool of multiplexed connections with
 // least-pending pick, automatic reconnect under jittered exponential
 // backoff, a dial health gate so a dead peer fails fast instead of being
-// re-dialed on every call, and the optional call gates (circuit breaker
-// and retry budget, breaker.go). One mutex guards all of it, so the
-// selector's health verdict and EndpointStats are each one consistent
-// read.
+// re-dialed on every call, and the optional call gate (the circuit
+// breaker, breaker.go). One mutex guards all of it, so the selector's
+// health verdict and EndpointStats are each one consistent read.
 //
 // Pool growth is caller-driven: an invoke that finds the pool below its
 // bound dials a new connection inline (concurrent callers fill the pool in
@@ -61,8 +60,7 @@ type endpointPool struct {
 	downUntil    time.Time
 
 	// callFailures counts consecutive failed calls; only a success resets
-	// it. The breaker opens when it reaches the threshold, and the retry
-	// budget is in debt while it is above zero.
+	// it. The breaker opens when it reaches the threshold.
 	callFailures int
 
 	// Circuit breaker (BreakerInactive unless WithCircuitBreaker).
@@ -71,11 +69,6 @@ type endpointPool struct {
 	probing  bool   // a half-open probe is in flight
 	probes   uint64 // cumulative probes admitted
 	opens    uint64 // cumulative transitions to open
-
-	// Retry budget (unused unless WithRetryBudget).
-	tokens    float64
-	last      time.Time // last refill while in debt
-	exhausted uint64    // cumulative fail-fasts on an empty bucket
 }
 
 func newEndpointPool(o *ORB, endpoint, addr string) *endpointPool {
@@ -83,7 +76,6 @@ func newEndpointPool(o *ORB, endpoint, addr string) *endpointPool {
 		orb:      o,
 		endpoint: endpoint,
 		addr:     addr,
-		tokens:   float64(o.retryBurst),
 	}
 	if o.brkThreshold > 0 {
 		p.brkState = BreakerClosed
@@ -121,32 +113,6 @@ func (p *endpointPool) observeRTT(d time.Duration) {
 	}
 }
 
-// warm pre-dials up to n connections sequentially (WithPoolWarm), stopping
-// at the pool bound, the first failure, or close. Sequential dials avoid a
-// thundering herd on the peer; concurrent callers still grow the pool
-// inline in parallel through get.
-func (p *endpointPool) warm(n int) {
-	if n > p.orb.poolSize {
-		n = p.orb.poolSize
-	}
-	for {
-		p.mu.Lock()
-		// A concurrent caller's failed dial stops warming through the down
-		// window; this loop's own failure stops it below. Either way the
-		// endpoint is left to the health gate's single-flight probe.
-		down := time.Now().Before(p.downUntil)
-		if p.closed || down || len(p.conns)+p.dialing >= n {
-			p.mu.Unlock()
-			return
-		}
-		p.dialing++
-		p.mu.Unlock()
-		if _, err := p.dial(context.Background()); err != nil {
-			return
-		}
-	}
-}
-
 // clientConn multiplexes concurrent requests over one transport
 // connection. All writes flow through a combining frameWriter (writer.go)
 // draining a bounded queue of pooled frame encoders: frames enqueued by
@@ -169,9 +135,9 @@ type clientConn struct {
 // invokeRemote performs a remote invocation against ref: the endpoint
 // selector orders the reference's profiles by sticky affinity and endpoint
 // health, and the call fails over to the next profile on any TRANSIENT
-// outcome (dial failure, health gate, breaker, budget, admission shed —
-// all of which guarantee the servant never ran) while the caller's
-// deadline lasts. Non-TRANSIENT failures (timeouts, lost connections with
+// outcome (dial failure, health gate, breaker, admission shed — all of
+// which guarantee the servant never ran) while the caller's deadline
+// lasts. Non-TRANSIENT failures (timeouts, lost connections with
 // the request possibly delivered) are returned to the caller: completion
 // is unknown, so transparently re-running the operation elsewhere could
 // break exactly-once expectations. FENCED is returned too: it asserts the
@@ -237,9 +203,9 @@ func (o *ORB) invokeEndpoint(ctx, callerCtx context.Context, endpoint string, re
 	}
 	// A call abandoned because the *caller* died (a cancelled parallel
 	// straggler, an expired caller deadline) says nothing about the
-	// endpoint's health and must not feed the breaker or retry budget —
-	// the same exemption dial applies to the health gate. An ORB-installed
-	// call timeout firing is not the caller dying: it still counts.
+	// endpoint's health and must not feed the breaker — the same
+	// exemption dial applies to the health gate. An ORB-installed call
+	// timeout firing is not the caller dying: it still counts.
 	switch {
 	case err == nil || callerCtx.Err() == nil:
 		pool.observeCall(err)
@@ -491,11 +457,6 @@ func (o *ORB) pool(addr, endpoint string) (*endpointPool, error) {
 	if !ok {
 		p = newEndpointPool(o, endpoint, addr)
 		o.pools[endpoint] = p
-		if o.warmConns > 0 {
-			// First use of this endpoint: pre-dial toward the bound in the
-			// background so a following burst finds connections ready.
-			go p.warm(o.warmConns)
-		}
 	}
 	return p, nil
 }
@@ -733,9 +694,6 @@ type EndpointStats struct {
 	// BreakerOpens is the cumulative number of transitions to the open
 	// state.
 	BreakerOpens uint64
-	// RetryExhausted is the cumulative number of calls failed fast by an
-	// empty retry budget (see WithRetryBudget).
-	RetryExhausted uint64
 	// RTT is the EWMA of successful call round trips against the endpoint,
 	// zero until the first success (see ORB.EndpointRTT).
 	RTT time.Duration
@@ -753,16 +711,15 @@ func (o *ORB) EndpointStats(endpoint string) (EndpointStats, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := EndpointStats{
-		Endpoint:       p.endpoint,
-		Conns:          len(p.conns),
-		Dialing:        p.dialing,
-		Failures:       p.dialFailures,
-		Down:           now.Before(p.downUntil),
-		Breaker:        p.breakerLocked(now),
-		BreakerProbes:  p.probes,
-		BreakerOpens:   p.opens,
-		RetryExhausted: p.exhausted,
-		RTT:            time.Duration(p.rttNanos.Load()),
+		Endpoint:      p.endpoint,
+		Conns:         len(p.conns),
+		Dialing:       p.dialing,
+		Failures:      p.dialFailures,
+		Down:          now.Before(p.downUntil),
+		Breaker:       p.breakerLocked(now),
+		BreakerProbes: p.probes,
+		BreakerOpens:  p.opens,
+		RTT:           time.Duration(p.rttNanos.Load()),
 	}
 	for _, c := range p.conns {
 		st.Pending += c.load()

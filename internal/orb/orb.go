@@ -29,7 +29,9 @@
 // reconnect under jittered exponential backoff, and a dial health gate so
 // a dead peer fails fast (TRANSIENT) instead of being re-dialed on every
 // call. The pool is the only state this ORB keeps per endpoint — gate,
-// call gates and RTT estimate, under one lock. Above the pools, an
+// breaker and RTT estimate, under one lock. Pools grow only under callers:
+// an invoke that finds its pool below the bound dials inline, and
+// concurrent callers dial in parallel. Above the pools, an
 // endpoint selector orders a reference's profiles — sticky (endpoint,
 // key) affinity first, then healthy profiles nearest first — and fails
 // the call over to the next profile on any TRANSIENT outcome, within the
@@ -40,16 +42,17 @@
 //
 // # Overload protection
 //
-// Above the health gate each pool can run a retry budget
-// (WithRetryBudget) and a three-state circuit breaker
-// (WithCircuitBreaker), both fed by one consecutive call-failure count,
-// so at-least-once retry loops cannot turn a failing or flapping endpoint
-// into a retry storm; EndpointStats exposes the breaker state. The server
-// side is guarded by admission control
-// (WithMaxInflight, WithAdmissionQueue): a bounded number of concurrent
-// dispatches plus a bounded, deadline-aware wait queue shared by every
-// listener, with the excess shed fast as TRANSIENT instead of piling up
-// goroutines behind a slow servant; ServerStats exposes the gauges. The
+// Above the health gate each pool can run a three-state circuit breaker
+// (WithCircuitBreaker), fed by one consecutive call-failure count: against
+// a failing endpoint it admits threshold attempts, then one probe per open
+// window, so at-least-once retry loops cannot turn a failing or flapping
+// endpoint into a retry storm; EndpointStats exposes the breaker state.
+// The server side is guarded by admission control (WithMaxInflight): a
+// bounded number of concurrent dispatches plus a wait queue of twice that
+// many requests, each shed after 100ms, shared by every listener, with the
+// excess shed fast as TRANSIENT instead of piling up goroutines behind a
+// slow servant; WithPriorityOps reserves some of the slots for completion
+// and replication verbs. ServerStats exposes the gauges. The
 // well-known orb-admin servant (admin.go) answers one "metrics" scrape:
 // both stats surfaces and every SetMetrics source as a list of named
 // samples. See docs/ARCHITECTURE.md for the failure-semantics table tying
@@ -141,21 +144,15 @@ type ORB struct {
 	// at New.
 	transport    Transport
 	poolSize     int
-	warmConns    int
 	dialTimeout  time.Duration
 	backoffMin   time.Duration
 	backoffMax   time.Duration
 	brkThreshold int
 	brkOpenFor   time.Duration
-	retryRate    float64
-	retryBurst   int
 
 	// Server admission configuration (see admission.go).
 	maxInflight int
-	admitQueue  int
-	shedAfter   time.Duration
 	prioReserve int
-	prioOps     map[string]bool
 
 	mu         sync.RWMutex
 	servants   map[string]servantEntry
@@ -265,20 +262,6 @@ func WithReconnectBackoff(min, max time.Duration) ORBOption {
 	})
 }
 
-// WithPoolWarm pre-dials up to n connections (capped at the pool bound)
-// in the background the first time an endpoint's pool is created, so the
-// first burst of calls does not pay n inline dial round trips. Warm-up
-// stops at the first dial failure and hands the endpoint to the normal
-// health-gate machinery. The default is 0 (no warm-up; growth is entirely
-// caller-driven).
-func WithPoolWarm(n int) ORBOption {
-	return orbOptionFunc(func(o *ORB) {
-		if n > 0 {
-			o.warmConns = n
-		}
-	})
-}
-
 // WithCircuitBreaker layers a per-endpoint three-state circuit breaker
 // (closed / open / half-open) above the dial health gate: after threshold
 // consecutive call failures the endpoint's circuit opens and every call
@@ -299,35 +282,14 @@ func WithCircuitBreaker(threshold int, openFor time.Duration) ORBOption {
 	})
 }
 
-// WithRetryBudget bounds how hard this ORB hammers a failing endpoint: a
-// per-endpoint token bucket holding burst tokens that refills at rate
-// tokens per second. While an endpoint's last call failed, every further
-// call must withdraw a token; with the bucket empty the call fails fast
-// with TRANSIENT instead of touching the network. A success resets the
-// endpoint to the free (healthy) regime. This is what keeps at-least-once
-// retry loops from turning a flapping endpoint's recovery into a retry
-// storm. The budget is off unless burst > 0; a rate <= 0 selects a
-// default refill of one token per second (a zero rate could never admit
-// a recovery attempt once exhausted).
-func WithRetryBudget(rate float64, burst int) ORBOption {
-	return orbOptionFunc(func(o *ORB) {
-		if burst > 0 {
-			o.retryRate = rate
-			o.retryBurst = burst
-			if rate <= 0 {
-				o.retryRate = defaultRetryRate
-			}
-		}
-	})
-}
-
 // WithMaxInflight bounds the number of concurrently dispatched requests on
-// the server transport. Excess requests wait in a bounded queue (see
-// WithAdmissionQueue) and are shed with a TRANSIENT system exception when
-// the queue is full or the shed deadline passes, so a slow servant under
-// high fan-in degrades into fast, explicit rejections instead of an
-// unbounded goroutine pile-up. The default is 0 (unbounded, the historic
-// behaviour).
+// the server transport. Up to 2n excess requests wait in a queue and are
+// shed with a TRANSIENT system exception when the queue is full or a
+// request has waited 100ms, so a slow servant under high fan-in degrades
+// into fast, explicit rejections instead of an unbounded goroutine
+// pile-up. This is the one admission knob: the queue depth follows from
+// it and the shed deadline is fixed. The default is 0 (unbounded, the
+// historic behaviour).
 func WithMaxInflight(n int) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
 		if n > 0 {
@@ -336,60 +298,34 @@ func WithMaxInflight(n int) ORBOption {
 	})
 }
 
-// WithAdmissionQueue tunes the server admission queue that backs
-// WithMaxInflight: depth bounds how many requests may wait for a dispatch
-// slot (default 2×WithMaxInflight), and shedAfter bounds how long any of
-// them waits before being shed with TRANSIENT (default 100ms). Values <= 0
-// keep the defaults. The option has no effect unless WithMaxInflight is
-// set.
-func WithAdmissionQueue(depth int, shedAfter time.Duration) ORBOption {
-	return orbOptionFunc(func(o *ORB) {
-		if depth > 0 {
-			o.admitQueue = depth
-		}
-		if shedAfter > 0 {
-			o.shedAfter = shedAfter
-		}
-	})
-}
-
 // DefaultPriorityOps is the operation set WithPriorityOps reserves slots
-// for when no explicit list is given: the completion and recovery verbs of
-// the transaction surface, plus WAL replication. Shedding a "commit" or
+// for: the completion and recovery verbs of the transaction surface, plus
+// WAL replication and coordinator-group election. Shedding a "commit" or
 // "replay_completion" strands prepared participants in doubt, and shedding
 // "repl_fetch" lets the warm standby fall behind exactly when load makes a
-// primary most likely to die — while shedding a first-contact "begin"
-// merely refuses new work. So under overload the completion and
-// replication verbs must win.
+// primary most likely to die, and a shed "repl_claim" counts as no vote,
+// so a loaded group could not elect a leader — while shedding a
+// first-contact "begin" merely refuses new work. So under overload the
+// completion and replication verbs must win.
 var DefaultPriorityOps = []string{
 	"prepare", "commit", "rollback", "commit_one_phase", "forget",
 	"replay_completion", "recover", "complete",
-	"repl_state", "repl_fetch", "repl_snapshot",
+	"repl_state", "repl_fetch", "repl_snapshot", "repl_claim",
 }
 
 // WithPriorityOps reserves n of the WithMaxInflight dispatch slots for a
-// priority admission class: requests whose operation name is in ops (or
-// DefaultPriorityOps when ops is empty) may use any slot, while other
-// requests are confined to the remaining shared slots. Under overload the
+// priority admission class: requests whose operation name is in
+// DefaultPriorityOps may use any slot, while other requests are confined
+// to the remaining shared slots. Under overload the
 // shared pool saturates and first-contact traffic is shed, but completion
 // and recovery verbs still find the reservation — in-doubt transactions
 // converge instead of being starved by the very load that made them
 // in-doubt. The reservation is clamped to leave at least one shared slot
 // and has no effect unless WithMaxInflight is set.
-func WithPriorityOps(n int, ops ...string) ORBOption {
+func WithPriorityOps(n int) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
-		if n <= 0 {
-			return
-		}
-		o.prioReserve = n
-		if len(ops) == 0 {
-			ops = DefaultPriorityOps
-		}
-		o.prioOps = make(map[string]bool, len(ops))
-		for _, op := range ops {
-			if op != "" {
-				o.prioOps[op] = true
-			}
+		if n > 0 {
+			o.prioReserve = n
 		}
 	})
 }

@@ -33,12 +33,11 @@ func (s *opGateServant) Dispatch(ctx context.Context, op string, _ *cdr.Decoder)
 // completion verb still gets through on the reserved slot while further
 // first-contact work is shed.
 func TestPriorityOpsAdmittedUnderSaturation(t *testing.T) {
-	const shedAfter = 30 * time.Millisecond
-	srv := New(
-		WithMaxInflight(2), // 1 shared + 1 reserved
-		WithAdmissionQueue(1, shedAfter),
-		WithPriorityOps(1, "commit"),
+	const (
+		maxInflight = 2                 // 1 shared + 1 reserved
+		saturating  = 2*maxInflight + 1 // fills the queue, plus one
 	)
+	srv := New(WithMaxInflight(maxInflight), WithPriorityOps(1))
 	t.Cleanup(srv.Shutdown)
 	servant := &opGateServant{entered: make(chan struct{}, 4), release: make(chan struct{})}
 	ref := srv.RegisterServant("IDL:test/Gate:1.0", servant)
@@ -59,9 +58,9 @@ func TestPriorityOpsAdmittedUnderSaturation(t *testing.T) {
 	<-servant.entered
 
 	// Saturate the wait queue: these first-contact calls can only queue
-	// (depth 1) and shed; none may touch the reserved slot.
-	shedDone := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	// (depth 2×maxInflight) and shed; none may touch the reserved slot.
+	shedDone := make(chan error, saturating)
+	for i := 0; i < saturating; i++ {
 		go func() {
 			_, err := client.Invoke(ctx, ref, "begin", nil)
 			shedDone <- err
@@ -82,8 +81,8 @@ func TestPriorityOpsAdmittedUnderSaturation(t *testing.T) {
 		t.Fatalf("commit took %s, want fast reserved-slot admission", elapsed)
 	}
 
-	// Both saturating first-contact calls end up shed with TRANSIENT.
-	for i := 0; i < 2; i++ {
+	// Every saturating first-contact call ends up shed with TRANSIENT.
+	for i := 0; i < saturating; i++ {
 		if err := <-shedDone; !IsSystem(err, CodeTransient) {
 			t.Fatalf("saturating call %d: err = %v, want TRANSIENT shed", i, err)
 		}
@@ -105,8 +104,8 @@ func TestPriorityOpsAdmittedUnderSaturation(t *testing.T) {
 		t.Fatalf("priority counters = dispatched %d / shed %d, want 1 / 0",
 			st.PriorityDispatched, st.PriorityShed)
 	}
-	if st.Shed != 2 || st.Dispatched != 2 { // blocker + commit admitted
-		t.Fatalf("stats = %+v, want dispatched=2 shed=2", st)
+	if st.Shed != saturating || st.Dispatched != 2 { // blocker + commit admitted
+		t.Fatalf("stats = %+v, want dispatched=2 shed=%d", st, saturating)
 	}
 	// The server writes a reply before it releases the slot, so the gauges
 	// may trail the callers' return by a moment.

@@ -64,7 +64,7 @@ func (o *ORB) Listen(addr string) (string, error) {
 		return "", Systemf(CodeCommFailure, "orb shut down")
 	}
 	if len(o.srvs) == 0 {
-		o.adm = newAdmission(o.maxInflight, o.admitQueue, o.shedAfter, o.prioReserve, o.prioOps)
+		o.adm = newAdmission(o.maxInflight, o.prioReserve)
 	}
 	srv := &server{
 		orb:      o,

@@ -26,7 +26,9 @@ import (
 //
 // The verbs belong to the priority admission class
 // (orb.DefaultPriorityOps): shedding replication under overload would let
-// the followers fall behind exactly when the leader is most likely to die.
+// the followers fall behind exactly when the leader is most likely to die,
+// and a shed repl_claim counts as no vote, so a loaded group could not
+// elect a leader.
 const (
 	// ReplicationTypeID is the interface id of the WAL replication servant.
 	ReplicationTypeID = "IDL:ActivityService/WALReplication:1.0"

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,15 +374,13 @@ func TestReplicationAtNormalizesBareEndpoints(t *testing.T) {
 	}
 }
 
+// TestReplicationVerbsArePriorityClass pins every verb the replication
+// servant dispatches into the priority admission class: a shed fetch lets
+// a follower fall behind, and a shed claim counts as no vote, so a loaded
+// group could not elect a leader.
 func TestReplicationVerbsArePriorityClass(t *testing.T) {
-	for _, verb := range []string{"repl_state", "repl_fetch", "repl_snapshot"} {
-		found := false
-		for _, op := range orb.DefaultPriorityOps {
-			if op == verb {
-				found = true
-			}
-		}
-		if !found {
+	for _, verb := range []string{"repl_state", "repl_fetch", "repl_snapshot", "repl_claim"} {
+		if !slices.Contains(orb.DefaultPriorityOps, verb) {
 			t.Errorf("%s missing from orb.DefaultPriorityOps — replication would be shed under overload", verb)
 		}
 	}

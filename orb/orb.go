@@ -77,23 +77,13 @@ var WithPoolSize = iorb.WithPoolSize
 // WithReconnectBackoff sets the jittered reconnect backoff window.
 var WithReconnectBackoff = iorb.WithReconnectBackoff
 
-// WithPoolWarm pre-dials up to n connections on first pool use.
-var WithPoolWarm = iorb.WithPoolWarm
-
 // WithCircuitBreaker layers a three-state circuit breaker above the
 // per-endpoint health gate.
 var WithCircuitBreaker = iorb.WithCircuitBreaker
 
-// WithRetryBudget bounds call attempts against a failing endpoint with a
-// token bucket.
-var WithRetryBudget = iorb.WithRetryBudget
-
 // WithMaxInflight bounds concurrent server-side dispatches (admission
-// control).
+// control); the wait queue holds twice as many requests.
 var WithMaxInflight = iorb.WithMaxInflight
-
-// WithAdmissionQueue tunes the admission wait queue and shed deadline.
-var WithAdmissionQueue = iorb.WithAdmissionQueue
 
 // WithPriorityOps reserves dispatch slots for a priority admission class
 // (completion/recovery verbs by default), so overload sheds first-contact
