@@ -33,20 +33,20 @@
 // # Delivery policies
 //
 // The coordinator broadcasts each Signal to every Action registered with
-// the set. A DeliveryPolicy says how: one action at a time in
-// registration order (the default, the fig. 5 exchange as drawn), all
-// actions concurrently through a bounded worker pool (Parallel), or down
-// a branching-factor tree of relay-capable actions (Tree; see the orb
-// package's ServeRelay). Whatever the policy, responses are fed to the
-// SignalSet in registration order, so collation and the recorded trace
-// (WithTrace) are byte-identical between policies; responses after an
-// advancing one are discarded and in-flight stragglers cancelled. Actions
-// must be idempotent anyway: delivery is at least once (§3.4,
-// WithRetryPolicy).
+// the set. The set's own DeliveryPolicy (SequenceSet.SetDelivery) says
+// how; it is the only place a policy lives. The zero policy delivers to
+// one action at a time in registration order (the fig. 5 exchange as
+// drawn); Parallel delivers to all actions concurrently through a bounded
+// worker pool, and Tree down a branching-factor tree of relay-capable
+// actions (see the orb package's ServeRelay). Whatever the policy,
+// responses are fed to the SignalSet in registration order, so collation
+// and the recorded trace (WithTrace) are byte-identical between policies;
+// responses after an advancing one are discarded and in-flight
+// stragglers cancelled. Actions must be idempotent anyway: delivery is at
+// least once (§3.4, WithRetryPolicy).
 //
-// The implementation lives in internal/core, which also holds the
-// per-Service and per-SignalSet policy selection; this package
-// re-exports the part the examples, cmd and the benchmark call. The
+// The implementation lives in internal/core; this package re-exports the
+// part the examples, cmd and the benchmark call. The
 // companion packages ots (transaction service) and orb (GIOP-lite object
 // request broker) expose the substrates.
 package activityservice

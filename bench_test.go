@@ -122,18 +122,19 @@ var deliveryPolicies = []struct {
 	name   string
 	policy activityservice.DeliveryPolicy
 }{
-	{"serial", activityservice.DeliveryPolicy{Mode: core.DeliverSerial}},
+	{"serial", activityservice.DeliveryPolicy{}},
 	{"parallel", activityservice.Parallel()},
 }
 
 // broadcastRound returns one fig. 5 broadcast: begin an activity, register
 // every action on one sequence set, signal it and complete.
 func broadcastRound(tb testing.TB, policy activityservice.DeliveryPolicy, actions []core.Action) func() {
-	svc := activityservice.New(core.WithDelivery(policy))
+	svc := activityservice.New()
 	ctx := context.Background()
 	return func() {
 		a := svc.Begin("fanout")
 		set := activityservice.NewSequenceSet("s", "ping")
+		set.SetDelivery(policy)
 		if err := a.RegisterSignalSet(set); err != nil {
 			tb.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func TestChaosPartitionDuringConfirm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atom.SetDelivery(activityservice.DeliveryPolicy{Mode: core.DeliverSerial})
+	atom.SetDelivery(activityservice.DeliveryPolicy{})
 	for i, label := range []string{"p1", "p2"} {
 		proxy := orb.ImportAction(clientORB, refs[i])
 		if _, err := atom.Activity().AddNamedAction(btp.PrepareSetName, label, proxy); err != nil {

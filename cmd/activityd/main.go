@@ -26,10 +26,10 @@
 //	                                        # well-known "orb-admin" key
 //	activityd -pool 8 -parallel             # 8 pooled conns per endpoint,
 //	                                        # parallel signal fan-out
-//	activityd -relay -branching 8           # host the well-known "relay"
+//	activityd -relay                        # host the well-known "relay"
 //	                                        # servant and fan signals out
-//	                                        # through branching-factor-8
-//	                                        # relay trees (DeliverTree)
+//	                                        # through relay trees
+//	                                        # (DeliverTree)
 //	activityd -max-inflight 64              # overload protection: bound
 //	                                        # concurrent dispatches, queue
 //	                                        # up to 128 more, shed the
@@ -82,8 +82,9 @@
 //	                                        # keys another member owns
 //
 // Settings that would do nothing are refused: -priority needs
-// -max-inflight, -breaker-open needs -breaker, and -rejoin=false needs
-// -ots-log.
+// -max-inflight, -breaker-open needs -breaker, -rejoin=false needs
+// -ots-log, and -parallel and -relay each choose the fan-out, so they
+// cannot be combined.
 package main
 
 import (
@@ -123,7 +124,7 @@ func (f *listFlag) Set(v string) error {
 	return nil
 }
 
-// orbConfig collects the transport knobs forwarded to orb.New.
+// orbConfig collects the daemon's flag settings.
 type orbConfig struct {
 	advertise   listFlag
 	pool        int
@@ -136,6 +137,8 @@ type orbConfig struct {
 	memberID    string
 	peers       listFlag
 	noRejoin    bool // -rejoin=false
+	parallel    bool
+	relay       bool
 
 	shardID        string
 	shardMap       listFlag
@@ -168,11 +171,10 @@ func main() {
 	var listens listFlag
 	flag.Var(&listens, "listen", "host:port to serve on; repeat for multiple listeners (default 127.0.0.1:7411)")
 	demo := flag.Bool("demo", false, "run a self-test client and exit")
-	parallel := flag.Bool("parallel", false, "fan signals out to enrolled actions in parallel")
-	relay := flag.Bool("relay", false, "host the well-known relay servant and fan signals out through relay trees")
-	branching := flag.Int("branching", 0, "relay-tree children per node with -relay (0 = default)")
 	admin := flag.Bool("admin", false, "serve the metrics scrape (server, endpoint, activity, recovery, relay and group samples) on the well-known orb-admin key")
 	var cfg orbConfig
+	flag.BoolVar(&cfg.parallel, "parallel", false, "fan signals out to enrolled actions in parallel")
+	flag.BoolVar(&cfg.relay, "relay", false, "host the well-known relay servant and fan signals out through relay trees")
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
 	flag.IntVar(&cfg.pool, "pool", 0, "client connections pooled per endpoint (0 = default)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent server dispatches; up to 2x as many wait in a queue, shed with TRANSIENT when it is full or after 100ms (0 = unbounded)")
@@ -197,7 +199,7 @@ func main() {
 		listens = listFlag{"127.0.0.1:7411"}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, listens, *demo, cfg, deliveryFor(*parallel, *relay, *branching), *relay, *admin)
+	err := run(ctx, listens, *demo, cfg, *admin)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "activityd:", err)
@@ -205,22 +207,9 @@ func main() {
 	}
 }
 
-// deliveryFor resolves the daemon's fan-out flags into one delivery
-// policy (zero = serial).
-func deliveryFor(parallel, relay bool, branching int) activityservice.DeliveryPolicy {
-	switch {
-	case relay:
-		return activityservice.Tree(branching)
-	case parallel:
-		return activityservice.Parallel()
-	default:
-		return activityservice.DeliveryPolicy{}
-	}
-}
-
 // run serves until ctx ends (main cancels it on SIGINT or SIGTERM), or,
 // with demo, until the self-test client is done.
-func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, delivery activityservice.DeliveryPolicy, relay, admin bool) error {
+func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin bool) error {
 	if demo && len(cfg.advertise) > 0 {
 		// The demo drives a loopback client against the daemon's own
 		// references; references minted from advertised (externally
@@ -244,6 +233,9 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, delive
 	}
 	if cfg.noRejoin && cfg.otsLog == "" {
 		return errors.New("-rejoin=false governs a deposed group member and needs -ots-log")
+	}
+	if cfg.parallel && cfg.relay {
+		return errors.New("-parallel and -relay each choose the signal fan-out; pass one")
 	}
 
 	var svcOpts []activityservice.Option
@@ -271,16 +263,19 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, delive
 	defer node.Shutdown()
 	orb.InstallPropagation(node)
 	svc := activityservice.New(svcOpts...)
-	var factoryOpts []orb.FactoryOption
-	if delivery.Mode != 0 {
-		// Remotely created activities coordinate remote actions — the
-		// latency-bound regime parallel and tree fan-out target.
-		factoryOpts = append(factoryOpts, orb.WithFactoryDelivery(delivery))
+	// Remotely created activities coordinate remote actions — the
+	// latency-bound regime parallel and tree fan-out target.
+	var delivery activityservice.DeliveryPolicy // serial
+	if cfg.relay {
+		delivery = activityservice.Tree(0)
+	} else if cfg.parallel {
+		delivery = activityservice.Parallel()
 	}
+	factoryOpts := []orb.FactoryOption{orb.WithFactoryDelivery(delivery)}
 
 	ns := orb.NewNameServer()
 	ns.Serve(node)
-	if relay {
+	if cfg.relay {
 		orb.ServeRelay(node)
 	}
 	if admin {

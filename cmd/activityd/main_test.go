@@ -23,7 +23,7 @@ import (
 // the built-in client against it: factory resolution through naming,
 // remote activity creation, remote enlistment and remote completion.
 func TestDaemonDemoRoundTrip(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{}, activityservice.DeliveryPolicy{}, false, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -31,7 +31,7 @@ func TestDaemonDemoRoundTrip(t *testing.T) {
 // TestDaemonDemoPooledParallel runs the same round trip with a pooled
 // client transport and parallel signal fan-out enabled.
 func TestDaemonDemoPooledParallel(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{pool: 8}, activityservice.Parallel(), false, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{pool: 8, parallel: true}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -40,7 +40,7 @@ func TestDaemonDemoPooledParallel(t *testing.T) {
 // with two listeners (issued IORs carry both endpoints as profiles) and
 // the admin servant enabled.
 func TestDaemonDemoMultiListenerAdmin(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0", "127.0.0.1:0"}, true, orbConfig{}, activityservice.DeliveryPolicy{}, false, true); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0", "127.0.0.1:0"}, true, orbConfig{}, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestDaemonDemoMultiListenerAdmin(t *testing.T) {
 // TestDaemonDemoRelayTree runs the round trip with the relay servant
 // hosted and tree fan-out selected for remotely created activities.
 func TestDaemonDemoRelayTree(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{}, activityservice.Tree(4), true, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{relay: true}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,7 +65,7 @@ func TestDaemonDemoOverloadProtected(t *testing.T) {
 		breaker:     5,
 		breakerOpen: time.Second,
 	}
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, cfg, activityservice.DeliveryPolicy{}, false, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, cfg, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,9 +81,10 @@ func TestRunRejectsInertSettings(t *testing.T) {
 		{"priority without max-inflight", orbConfig{priority: 4}, "-priority"},
 		{"breaker-open without breaker", orbConfig{breakerOpen: time.Second}, "-breaker-open"},
 		{"rejoin=false without ots-log", orbConfig{noRejoin: true}, "-rejoin=false"},
+		{"parallel with relay", orbConfig{parallel: true, relay: true}, "-parallel"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(context.Background(), []string{"127.0.0.1:0"}, true, tc.cfg, activityservice.DeliveryPolicy{}, false, false)
+			err := run(context.Background(), []string{"127.0.0.1:0"}, true, tc.cfg, false)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run = %v, want an error naming %s", err, tc.want)
 			}
@@ -171,7 +172,7 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 	defer stop()
 	stopped := make(chan error, 1)
 	go func() {
-		stopped <- run(ctx, []string{addr}, false, orbConfig{otsLog: path}, activityservice.DeliveryPolicy{}, false, true)
+		stopped <- run(ctx, []string{addr}, false, orbConfig{otsLog: path}, true)
 	}()
 
 	// The boot pass finds the participants still down (the admin scrape
@@ -243,7 +244,7 @@ func TestDaemonRetiresCompletedActivities(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	stopped := make(chan error, 1)
 	go func() {
-		stopped <- run(ctx, []string{addr}, false, orbConfig{}, activityservice.DeliveryPolicy{}, false, true)
+		stopped <- run(ctx, []string{addr}, false, orbConfig{}, true)
 	}()
 	defer func() {
 		stop()

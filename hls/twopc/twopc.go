@@ -163,9 +163,7 @@ func (c *Coordinator) Begin(name string) (*Transaction, error) {
 // begin makes the begun activity a transaction.
 func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
 	set := NewSignalSet()
-	if c.delivery.Mode != 0 {
-		set.SetDelivery(c.delivery)
-	}
+	set.SetDelivery(c.delivery)
 	if err := a.RegisterSignalSet(set); err != nil {
 		return nil, err
 	}

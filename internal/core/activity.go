@@ -19,6 +19,9 @@ var (
 	// ErrActivitySuspended reports signalling or completing a suspended
 	// activity.
 	ErrActivitySuspended = errors.New("core: activity is suspended")
+	// ErrInvalidCompletionStatus reports a completion status other than
+	// Success, Fail and FailOnly.
+	ErrInvalidCompletionStatus = errors.New("core: invalid completion status")
 	// ErrChildrenActive reports completing an activity whose child
 	// activities have not completed.
 	ErrChildrenActive = errors.New("core: child activities still active")
@@ -65,13 +68,12 @@ const DefaultCompletionSet = "completion"
 // Actions register interest in SignalSets; signals may be transmitted at
 // arbitrary points in its lifetime, not just completion.
 type Activity struct {
-	svc      *Service
-	id       ids.UID
-	name     string
-	parent   *Activity
-	coord    Coordinator // by value: an activity and its coordinator are one allocation
-	timer    *time.Timer
-	delivery DeliveryPolicy // per-activity override (WithActivityDelivery)
+	svc    *Service
+	id     ids.UID
+	name   string
+	parent *Activity
+	coord  Coordinator // by value: an activity and its coordinator are one allocation
+	timer  *time.Timer
 
 	// mu guards the fields below. The maps are made on first write (put):
 	// most activities never nest, and few carry property groups.
@@ -115,7 +117,12 @@ func (a *Activity) CompletionStatus() CompletionStatus {
 // SetCompletionStatus changes the prospective completion status. Once
 // FailOnly, the status cannot change (§3.2.1): Success is refused, and
 // Fail is accepted as a no-op, since failure is the only possible outcome.
+// A value that is none of the three is refused with
+// ErrInvalidCompletionStatus.
 func (a *Activity) SetCompletionStatus(cs CompletionStatus) error {
+	if !cs.Valid() {
+		return fmt.Errorf("%w: %d", ErrInvalidCompletionStatus, int(cs))
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.state == ActivityCompleted || a.state == ActivityCompleting {

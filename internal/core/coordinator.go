@@ -66,12 +66,10 @@ type setEntry struct {
 // registered Actions in registration order, and feeds every response back
 // into the set.
 type Coordinator struct {
-	owner    string // activity name, for traces
-	gen      *ids.Generator
-	rec      *trace.Recorder
-	retry    RetryPolicy
-	delivery DeliveryPolicy
-	counters *deliveryCounters // service-wide speculative accounting, may be nil
+	owner string // activity name, for traces
+	gen   *ids.Generator
+	rec   *trace.Recorder
+	retry RetryPolicy
 
 	// mu guards the per-set-name entries (made on first write), the
 	// default-label counter and the enrolment gate.
@@ -83,11 +81,11 @@ type Coordinator struct {
 
 // init sets up a zero Coordinator in place, which lets an Activity hold
 // its coordinator by value instead of allocating it separately.
-func (c *Coordinator) init(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) {
+func (c *Coordinator) init(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy) {
 	if retry.Attempts < 1 {
 		retry.Attempts = 1
 	}
-	c.owner, c.gen, c.rec, c.retry, c.delivery, c.counters = owner, gen, rec, retry, delivery, counters
+	c.owner, c.gen, c.rec, c.retry = owner, gen, rec, retry
 }
 
 // AddAction registers action with the named SignalSet. Actions register
@@ -213,15 +211,15 @@ func (c *Coordinator) SetState(set SignalSet) SetState {
 // feed responses back, repeat until the set ends, then collate the final
 // outcome with GetOutcome.
 //
-// Each broadcast is delivered per the resolved DeliveryPolicy — the set's
-// own (DeliveryPolicyProvider), else the Service-wide default, else serial.
+// Each broadcast is delivered per the set's own DeliveryPolicy
+// (DeliveryPolicyProvider), serially when it declares none.
 // Whatever the policy, responses reach the set in registration order, so
 // collation, advance short-circuiting and the recorded trace are identical
 // across policies.
 func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outcome, error) {
 	driver := c.driverFor(set)
 	setName := set.Name()
-	policy := c.policyFor(set)
+	policy := policyFor(set)
 	for {
 		sig, last, err := driver.getSignal()
 		if errors.Is(err, ErrExhausted) {

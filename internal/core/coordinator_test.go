@@ -14,9 +14,9 @@ import (
 func testGen() *ids.Generator { return ids.NewSeeded(0xFEED) }
 
 // newCoordinator returns a coordinator outside any activity.
-func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) *Coordinator {
+func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy) *Coordinator {
 	c := new(Coordinator)
-	c.init(owner, gen, rec, retry, delivery, counters)
+	c.init(owner, gen, rec, retry)
 	return c
 }
 
@@ -52,7 +52,7 @@ func (c *collectingAction) Signals() []Signal {
 
 func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
 	var order []string
 	var mu sync.Mutex
 	for _, name := range []string{"a1", "a2", "a3"} {
@@ -80,7 +80,7 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 }
 
 func TestCoordinatorFeedsEveryResponse(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	for i := 0; i < 4; i++ {
 		coord.AddAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
 	}
@@ -133,7 +133,7 @@ func (s *advanceSet) GetOutcome() (Outcome, error) {
 }
 
 func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	a1 := &collectingAction{name: "a1"}
 	a2 := &collectingAction{name: "a2"}
 	coord.AddNamedAction("adv", "a1", a1)
@@ -156,7 +156,7 @@ func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
 }
 
 func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
 	flaky := &collectingAction{name: "flaky", fail: 2}
 	coord.AddAction("set", flaky)
 	set := NewSequenceSet("set", "ping")
@@ -173,7 +173,7 @@ func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
 }
 
 func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 2}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 2})
 	dead := &collectingAction{name: "dead", fail: 99}
 	coord.AddAction("set", dead)
 	set := NewSequenceSet("set", "ping")
@@ -187,7 +187,7 @@ func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
 }
 
 func TestRemoveAction(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	a := &collectingAction{name: "a"}
 	id := coord.AddAction("set", a)
 	if coord.ActionCount("set") != 1 {
@@ -211,7 +211,7 @@ func TestRemoveAction(t *testing.T) {
 func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 	// Fig. 6 multiplicity: one action may register with several sets, and
 	// an activity may use several sets over its lifetime.
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	shared := &collectingAction{name: "shared"}
 	coord.AddAction("setA", shared)
 	coord.AddAction("setB", shared)
@@ -231,7 +231,7 @@ func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 // get_outcome.
 func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("coordinator", testGen(), rec, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("coordinator", testGen(), rec, RetryPolicy{Attempts: 1})
 	for _, n := range []string{"action1", "action2"} {
 		coord.AddNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
 			return Outcome{Name: "done"}, nil
@@ -266,7 +266,7 @@ func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 }
 
 func TestCoordinatorErrorOnBrokenSet(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	set := &brokenSet{BaseSet: NewBaseSet("broken")}
 	if _, err := coord.ProcessSignalSet(context.Background(), set); err == nil {
 		t.Fatal("broken set did not error")
@@ -292,7 +292,7 @@ func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 // removal having reported true exactly once. Run under -race this also
 // pins the map's locking.
 func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
-	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1})
 	const (
 		sets       = 48
 		workers    = 8

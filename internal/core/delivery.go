@@ -19,8 +19,9 @@ type DeliveryMode int
 const (
 	// DeliverSerial transmits to one action at a time in registration
 	// order, waiting for each response before the next transmit — the
-	// fig. 5 exchange as literally drawn. This is the default.
-	DeliverSerial DeliveryMode = iota + 1
+	// fig. 5 exchange as literally drawn. It is the zero mode, so a set
+	// that names no policy delivers serially.
+	DeliverSerial DeliveryMode = iota
 	// DeliverParallel transmits to all registered actions concurrently
 	// through a worker pool bounded at max(16, 4×GOMAXPROCS). Responses
 	// are fed back to the SignalSet strictly in registration order, so
@@ -60,9 +61,8 @@ func (m DeliveryMode) String() string {
 	}
 }
 
-// DeliveryPolicy configures how broadcasts are delivered. The zero value
-// means "no preference": a set with a zero policy inherits the Service's
-// policy, and a Service with a zero policy delivers serially.
+// DeliveryPolicy configures how a set's broadcasts are delivered. The
+// zero value delivers serially.
 type DeliveryPolicy struct {
 	// Mode selects serial, parallel or relay-tree fan-out.
 	Mode DeliveryMode
@@ -80,87 +80,21 @@ func Tree(branching int) DeliveryPolicy {
 	return DeliveryPolicy{Mode: DeliverTree, Branching: branching}
 }
 
-// deliveryCounters aggregates speculative parallel-delivery accounting
-// for one Service: every coordinator feeds it, DeliveryStats snapshots it.
-type deliveryCounters struct {
-	discarded atomic.Uint64
-	skipped   atomic.Uint64
-	cancelled atomic.Uint64
-}
-
-// snapshot returns the counters as a DeliveryStats value.
-func (c *deliveryCounters) snapshot() DeliveryStats {
-	return DeliveryStats{
-		DiscardedResponses:  c.discarded.Load(),
-		SkippedDeliveries:   c.skipped.Load(),
-		CancelledDeliveries: c.cancelled.Load(),
-	}
-}
-
-// DeliveryStats is a snapshot of a Service's speculative-delivery
-// accounting (Service.DeliveryStats): what parallel fan-out delivered —or
-// started to deliver— that an advance then discarded. Serial delivery
-// never contributes: it stops transmitting the moment a response advances
-// the set.
-type DeliveryStats struct {
-	// DiscardedResponses counts deliveries that ran to completion — a
-	// response, or a final failure after exhausting retries — whose
-	// results were discarded because an earlier response in registration
-	// order advanced the set. Either way the action consumed real work
-	// that the advance threw away, which is what this gauge is for.
-	DiscardedResponses uint64
-	// SkippedDeliveries counts deliveries short-circuited before their
-	// first transmit by an advance: queued work that never ran.
-	SkippedDeliveries uint64
-	// CancelledDeliveries counts deliveries cancelled mid-flight (between
-	// retry attempts) by an advance.
-	CancelledDeliveries uint64
-}
-
-// Total returns the total number of deliveries affected by advance
-// short-circuits.
-func (s DeliveryStats) Total() uint64 {
-	return s.DiscardedResponses + s.SkippedDeliveries + s.CancelledDeliveries
-}
-
-// countSpeculative classifies one concurrent delivery discarded by an
-// advance into the service-wide counters.
-func (c *Coordinator) countSpeculative(r attemptResult) {
-	if c.counters == nil {
-		return
-	}
-	switch {
-	case r.skipped:
-		c.counters.skipped.Add(1)
-	case r.cancelled:
-		c.counters.cancelled.Add(1)
-	default:
-		c.counters.discarded.Add(1)
-	}
-}
-
-// DeliveryPolicyProvider is implemented by SignalSets that choose their own
-// delivery policy, overriding the Service-wide default for every broadcast
-// of that set. BaseSet provides the plumbing: any set embedding it can opt
-// in with SetDelivery.
+// DeliveryPolicyProvider is implemented by SignalSets that declare how
+// their broadcasts are delivered. BaseSet provides the plumbing: any set
+// embedding it declares a policy with SetDelivery.
 type DeliveryPolicyProvider interface {
-	// Delivery returns the set's chosen policy (zero = no preference).
+	// Delivery returns the set's policy (zero = serial).
 	Delivery() DeliveryPolicy
 }
 
-// policyFor resolves the delivery policy for one set: the set's own choice
-// when it makes one, otherwise the coordinator's (Service-wide) default,
-// otherwise serial.
-func (c *Coordinator) policyFor(set SignalSet) DeliveryPolicy {
+// policyFor is the one delivery rule: the set's declared policy, or
+// serial when it declares none.
+func policyFor(set SignalSet) DeliveryPolicy {
 	if p, ok := set.(DeliveryPolicyProvider); ok {
-		if sp := p.Delivery(); sp.Mode != 0 {
-			return sp
-		}
+		return p.Delivery()
 	}
-	if c.delivery.Mode != 0 {
-		return c.delivery
-	}
-	return DeliveryPolicy{Mode: DeliverSerial}
+	return DeliveryPolicy{}
 }
 
 // broadcastSerial delivers sig to each registration in order, feeding every
@@ -276,15 +210,8 @@ func (c *Coordinator) broadcastConcurrent(ctx context.Context, driver *setDriver
 		p := at[i]
 		f.landed[p].Wait()
 		r := f.results[p]
-		if advance || feedErr != nil {
-			// Discard speculative responses past the short-circuit,
-			// counting the ones an advance (not a feed error) threw away.
-			if advance {
-				c.countSpeculative(r)
-			}
-			continue
-		}
-		if r.skipped {
+		if advance || feedErr != nil || r.skipped {
+			// Discard speculative responses past the short-circuit.
 			continue
 		}
 		c.replayTrace(reg, sig, r)

@@ -80,7 +80,7 @@ func TestIdempotentUnderAtLeastOnceCoordinator(t *testing.T) {
 		effects.Add(1)
 		return Outcome{Name: "applied"}, nil
 	})
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3}, DeliveryPolicy{}, nil)
+	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
 	coord.AddAction("s", Idempotent(inner))
 	set := NewSequenceSet("s", "one", "two")
 	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {

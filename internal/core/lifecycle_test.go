@@ -64,9 +64,9 @@ func TestAddActionRacingComplete(t *testing.T) {
 // removal under the snapshot would skip the removed action and deliver to
 // its successor twice — and the removal takes effect from the next signal.
 func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
-	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(2)} {
+	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(2)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
+			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 			const n, remover, removed = 6, 1, 3
 			var heard [n]map[string]*atomic.Int32
 			ids := make([]ActionID, n)
@@ -85,7 +85,9 @@ func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 					return Outcome{Name: "ok"}, nil
 				}))
 			}
-			if _, err := coord.ProcessSignalSet(context.Background(), NewSequenceSet("s", "sig-a", "sig-b")); err != nil {
+			set := NewSequenceSet("s", "sig-a", "sig-b")
+			set.SetDelivery(policy)
+			if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -106,11 +108,13 @@ func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 // coordinator, across sets, skipping explicitly named registrations (an
 // empty name included), in every delivery mode.
 func TestDefaultTraceLabelsPinned(t *testing.T) {
-	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(2)} {
+	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(2)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
 			rec := trace.New()
-			a := New(WithTrace(rec), WithDelivery(policy), WithRetryPolicy(RetryPolicy{Attempts: 2})).Begin("A")
-			if err := a.RegisterSignalSet(NewSequenceSet("s", "go")); err != nil {
+			a := New(WithTrace(rec), WithRetryPolicy(RetryPolicy{Attempts: 2})).Begin("A")
+			set := NewSequenceSet("s", "go")
+			set.SetDelivery(policy)
+			if err := a.RegisterSignalSet(set); err != nil {
 				t.Fatal(err)
 			}
 			ok := ActionFunc(func(context.Context, Signal) (Outcome, error) { return Outcome{Name: "ok"}, nil })

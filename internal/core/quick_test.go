@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 	f := func(nSignals, nActions uint8) bool {
 		a := int(nSignals%5) + 1
 		n := int(nActions%8) + 1
-		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
+		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 		var (
 			mu    sync.Mutex
 			order []string
@@ -72,15 +73,23 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 
 // TestQuickCompletionStatusNeverEscapesFailOnly drives random status
 // sequences and verifies FailOnly is absorbing (§3.2.1): Success is
-// refused, and Fail is accepted as a no-op.
+// refused, and Fail is accepted as a no-op. The draw includes the invalid
+// values 0 and 4, which are always refused and change nothing.
 func TestQuickCompletionStatusNeverEscapesFailOnly(t *testing.T) {
 	f := func(seq []uint8) bool {
 		svc := New()
 		act := svc.Begin("q")
 		sawFailOnly := false
 		for _, b := range seq {
-			cs := CompletionStatus(int(b%3) + 1)
+			cs := CompletionStatus(int(b % 5))
+			before := act.CompletionStatus()
 			err := act.SetCompletionStatus(cs)
+			if !cs.Valid() {
+				if !errors.Is(err, ErrInvalidCompletionStatus) || act.CompletionStatus() != before {
+					return false
+				}
+				continue
+			}
 			if cs == CompletionFailOnly {
 				sawFailOnly = true
 			}

@@ -17,16 +17,11 @@ import (
 // of recovery. One Service per process is typical (it plays the role the
 // per-ORB service plays in the CORBA architecture of fig. 3).
 type Service struct {
-	gen      *ids.Generator
-	rec      *trace.Recorder
-	retry    RetryPolicy
-	delivery DeliveryPolicy
+	gen   *ids.Generator
+	rec   *trace.Recorder
+	retry RetryPolicy
 
 	journal *journal
-
-	// counters aggregates speculative-delivery accounting across every
-	// coordinator of this Service (see DeliveryStats).
-	counters deliveryCounters
 
 	// live holds every activity begun and not yet completed.
 	liveMu sync.RWMutex
@@ -66,14 +61,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	return optionFunc(func(s *Service) { s.retry = p })
 }
 
-// WithDelivery sets the Service-wide default delivery policy for signal
-// broadcasts. Individual SignalSets override it by implementing
-// DeliveryPolicyProvider (e.g. via BaseSet.SetDelivery). The zero policy
-// delivers serially.
-func WithDelivery(p DeliveryPolicy) Option {
-	return optionFunc(func(s *Service) { s.delivery = p })
-}
-
 // WithJournal persists activity structure events to log so the activity
 // tree can be rebuilt after a crash (§3.4).
 func WithJournal(log *wal.Log) Option {
@@ -98,16 +85,6 @@ func New(opts ...Option) *Service {
 
 // Trace returns the service's trace recorder (nil when tracing is off).
 func (s *Service) Trace() *trace.Recorder { return s.rec }
-
-// DeliveryStats returns a snapshot of the speculative-delivery accounting
-// aggregated across every coordinator of this Service: how much parallel
-// fan-out work an advance threw away. A high discard rate on an
-// advance-heavy workload says the set should deliver serially (or with a
-// tighter worker bound); all-zero counters say parallel delivery is pure
-// win.
-func (s *Service) DeliveryStats() DeliveryStats {
-	return s.counters.snapshot()
-}
 
 // BeginOption configures one activity.
 type BeginOption interface {
@@ -134,15 +111,6 @@ func withID(id ids.UID) BeginOption {
 	return beginOptionFunc(func(a *Activity) { a.id = id })
 }
 
-// WithActivityDelivery overrides the Service-wide delivery policy for one
-// activity's coordinator — the per-activity opt-in a host uses to fan
-// signals out in parallel for activities whose actions are remote (the
-// latency-bound regime the parallel engine targets) while local activities
-// keep the Service default. SignalSets choosing their own policy still win.
-func WithActivityDelivery(p DeliveryPolicy) BeginOption {
-	return beginOptionFunc(func(a *Activity) { a.delivery = p })
-}
-
 // Begin starts a new root activity.
 func (s *Service) Begin(name string, opts ...BeginOption) *Activity {
 	a := s.newActivity(name, nil, opts...)
@@ -163,11 +131,7 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 	for _, o := range opts {
 		o.applyBegin(a)
 	}
-	delivery := s.delivery
-	if a.delivery.Mode != 0 {
-		delivery = a.delivery
-	}
-	a.coord.init(name, s.gen, s.rec, s.retry, delivery, &s.counters)
+	a.coord.init(name, s.gen, s.rec, s.retry)
 	s.liveMu.Lock()
 	s.live[a.id] = a
 	s.liveMu.Unlock()

@@ -114,6 +114,11 @@ const (
 	CompletionFailOnly
 )
 
+// Valid reports whether c is Success, Fail or FailOnly.
+func (c CompletionStatus) Valid() bool {
+	return c >= CompletionSuccess && c <= CompletionFailOnly
+}
+
 // String returns the paper's enumeration spelling.
 func (c CompletionStatus) String() string {
 	switch c {

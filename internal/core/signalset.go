@@ -146,9 +146,9 @@ func (d *setDriver) getOutcome() (Outcome, error) {
 
 // BaseSet provides the completion-status bookkeeping every SignalSet
 // needs; embed it (unexported-field style) via composition in model
-// implementations. It also carries the set's delivery preference: a set
-// opted in with SetDelivery overrides the Service-wide policy for its own
-// broadcasts (it implements DeliveryPolicyProvider).
+// implementations. It also carries the set's delivery policy (it
+// implements DeliveryPolicyProvider): serial unless SetDelivery declares
+// another.
 type BaseSet struct {
 	name string
 
@@ -182,9 +182,9 @@ func (b *BaseSet) CompletionStatus() CompletionStatus {
 	return b.cs
 }
 
-// SetDelivery opts every broadcast of this set into the given delivery
-// policy, overriding the Service-wide default. The zero policy restores
-// "no preference" (inherit the Service's).
+// SetDelivery declares how every broadcast of this set is delivered. The
+// set's policy is the only one the coordinator consults; the zero policy,
+// the default, delivers serially.
 func (b *BaseSet) SetDelivery(p DeliveryPolicy) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -20,7 +20,7 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 		iterations = 25
 	)
 	rec := trace.New()
-	svc := New(WithTrace(rec), WithDelivery(Parallel()))
+	svc := New(WithTrace(rec))
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -33,8 +33,8 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				a := svc.Begin(fmt.Sprintf("g%d-i%d", g, i))
 				set := NewSequenceSet("work", "step1", "step2")
-				if g%2 == 0 {
-					set.SetDelivery(DeliveryPolicy{Mode: DeliverSerial})
+				if g%2 == 1 {
+					set.SetDelivery(Parallel())
 				}
 				if err := a.RegisterSignalSet(set); err != nil {
 					errs <- err
@@ -81,9 +81,9 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 // broadcast over that set is in flight, under every policy. The broadcast
 // must observe a consistent snapshot and never race.
 func TestStressAddRemoveDuringBroadcast(t *testing.T) {
-	for _, policy := range []DeliveryPolicy{{Mode: DeliverSerial}, Parallel(), Tree(4)} {
+	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(4)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1}, policy, nil)
+			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 			var delivered atomic.Int32
 			slowAction := ActionFunc(func(context.Context, Signal) (Outcome, error) {
 				delivered.Add(1)
@@ -121,6 +121,7 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 
 			for i := 0; i < 20; i++ {
 				set := NewSequenceSet("s", "sig-a", "sig-b")
+				set.SetDelivery(policy)
 				if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
 					t.Fatal(err)
 				}

@@ -66,6 +66,11 @@ func (s *coordinatorServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		if err := in.Err(); err != nil {
 			return nil, orb.Systemf(orb.CodeMarshal, "complete: %v", err)
 		}
+		if !status.Valid() {
+			// Refused before the activity is touched: the servant stays,
+			// so the caller can retry with a valid status.
+			return nil, orb.Systemf(orb.CodeMarshal, "complete: %v", status)
+		}
 		out, err := s.activity.CompleteWithStatus(ctx, status)
 		if s.activity.State() == core.ActivityCompleted {
 			// Retired before the reply leaves, so nothing the caller sends

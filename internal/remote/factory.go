@@ -41,9 +41,10 @@ type ActivityFactory struct {
 // FactoryOption configures a served activity factory.
 type FactoryOption func(*ActivityFactory)
 
-// WithFactoryDelivery stamps remotely begun activities with the given
-// delivery policy (remote activities coordinate remote actions — the
-// latency-bound regime parallel and tree fan-out target).
+// WithFactoryDelivery sets the delivery policy of the completion set the
+// factory declares for every remotely begun activity (remote activities
+// coordinate remote actions — the latency-bound regime parallel and tree
+// fan-out target). Without it that set delivers serially.
 func WithFactoryDelivery(p core.DeliveryPolicy) FactoryOption {
 	return func(f *ActivityFactory) { f.delivery = p }
 }
@@ -93,11 +94,7 @@ func (f *ActivityFactory) Dispatch(_ context.Context, op string, in *cdr.Decoder
 			return nil, err
 		}
 	}
-	var opts []core.BeginOption
-	if f.delivery.Mode != 0 {
-		opts = append(opts, core.WithActivityDelivery(f.delivery))
-	}
-	a, err := f.svc.TryBegin(name, opts...)
+	a, err := f.svc.TryBegin(name)
 	if errors.Is(err, core.ErrServiceDraining) {
 		// The map may not have marked this member draining yet (local
 		// drain beats map propagation); answer the same redirect a shard
@@ -123,6 +120,7 @@ func (f *ActivityFactory) Dispatch(_ context.Context, op string, in *cdr.Decoder
 		Collate(func(rs []core.Outcome) core.Outcome {
 			return core.Outcome{Name: "completed", Data: int64(len(rs))}
 		})
+	set.SetDelivery(f.delivery)
 	if err := a.RegisterSignalSet(set); err != nil {
 		_, _ = a.Complete(context.Background())
 		return nil, err

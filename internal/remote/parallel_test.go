@@ -97,7 +97,7 @@ func TestRemoteDifferentialParallelMatchesSerial(t *testing.T) {
 				return time.Duration((sh.seed+i*7)%5) * 200 * time.Microsecond
 			}
 			serialOut, serialTrace := runRemoteBroadcast(t,
-				core.DeliveryPolicy{Mode: core.DeliverSerial}, sh.signals, sh.actions, latency)
+				core.DeliveryPolicy{}, sh.signals, sh.actions, latency)
 			parallelOut, parallelTrace := runRemoteBroadcast(t,
 				core.Parallel(), sh.signals, sh.actions, latency)
 			if string(serialOut) != string(parallelOut) {
@@ -112,47 +112,58 @@ func TestRemoteDifferentialParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRemoteParallelFanoutIsConcurrent proves the delivery engine and the
-// connection pool compose end-to-end: a broadcast to remote actions that
-// each hold the wire for 40ms completes in far less than fanout×40ms.
+// connection pool compose end-to-end through the production path: an
+// activity begun through a factory serving WithFactoryDelivery(Parallel())
+// completes by broadcasting to remote actions that each hold the wire for
+// 40ms, in far less than fanout×40ms.
 func TestRemoteParallelFanoutIsConcurrent(t *testing.T) {
 	const fanout = 8
 	const actionLatency = 40 * time.Millisecond
+	ctx := context.Background()
 
-	serverORB := orb.New()
+	serverORB := orb.New(orb.WithPoolSize(4))
 	defer serverORB.Shutdown()
 	if _, err := serverORB.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	clientORB := orb.New(orb.WithPoolSize(4))
+	factory := ServeActivityFactory(serverORB, core.New(), WithFactoryDelivery(core.Parallel()))
+	clientORB := orb.New()
 	defer clientORB.Shutdown()
-
-	svc := core.New()
-	a := svc.Begin("concurrent", core.WithActivityDelivery(core.Parallel()))
-	set := core.NewSequenceSet("s", "ping")
-	if err := a.RegisterSignalSet(set); err != nil {
+	if _, err := clientORB.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+
+	e := cdr.NewEncoder(32)
+	e.WriteString("concurrent")
+	body, err := clientORB.Invoke(ctx, factory.Ref(), "begin", e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := decodeIORReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := NewActivityProxy(clientORB, ref)
 	for i := 0; i < fanout; i++ {
-		ref := ExportAction(serverORB, core.ActionFunc(
+		if _, err := proxy.AddAction(ctx, core.DefaultCompletionSet, core.ActionFunc(
 			func(context.Context, core.Signal) (core.Outcome, error) {
 				time.Sleep(actionLatency)
 				return core.Outcome{Name: "ok"}, nil
-			}))
-		ref, _ = serverORB.IOR(ref.Key)
-		if _, err := a.AddAction("s", ImportAction(clientORB, ref)); err != nil {
+			})); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	start := time.Now()
-	if _, err := a.Signal(context.Background(), "s"); err != nil {
+	out, err := proxy.Complete(ctx, core.CompletionSuccess)
+	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	if serialFloor := time.Duration(fanout) * actionLatency; elapsed >= serialFloor/2 {
 		t.Fatalf("parallel remote fan-out took %s, want well under the %s serial floor", elapsed, serialFloor)
 	}
-	if got := len(set.Responses()); got != fanout {
-		t.Fatalf("collated %d responses, want %d", got, fanout)
+	if out.Name != "completed" || out.Data != int64(fanout) {
+		t.Fatalf("outcome = %+v, want completed with %d responses", out, fanout)
 	}
 }

@@ -51,6 +51,39 @@ func wantObjectNotExist(t *testing.T, what string, err error) {
 	}
 }
 
+// TestActivityCompleteRefusesInvalidStatus sends complete with status
+// octets that name no completion status. Each is refused with MARSHAL
+// before the activity is touched: no signal is delivered, the activity
+// stays active with its status unchanged, and the servant stays, so a
+// retry with a valid status completes it.
+func TestActivityCompleteRefusesInvalidStatus(t *testing.T) {
+	fx := newRetireFixture(t)
+	ctx := context.Background()
+	a, proxy := hostedActivity(t, fx, "invalid-status")
+	var signals atomic.Int32
+	if _, err := proxy.AddAction(ctx, core.DefaultCompletionSet, countingAction(&signals)); err != nil {
+		t.Fatal(err)
+	}
+	for _, octet := range []byte{0, 9} {
+		if _, err := proxy.Complete(ctx, core.CompletionStatus(octet)); !orb.IsSystem(err, orb.CodeMarshal) {
+			t.Fatalf("complete(%d): err = %v, want MARSHAL", octet, err)
+		}
+		if st, cs := a.State(), a.CompletionStatus(); st != core.ActivityActive || cs != core.CompletionSuccess {
+			t.Fatalf("after complete(%d): state %s, status %s; want active, success", octet, st, cs)
+		}
+		if _, ok := fx.serverORB.IOR(proxy.Ref().Key); !ok {
+			t.Fatalf("servant retired by complete(%d)", octet)
+		}
+	}
+	if n := signals.Load(); n != 0 {
+		t.Fatalf("refused completes delivered %d signals", n)
+	}
+	out, err := proxy.Complete(ctx, core.CompletionSuccess)
+	if err != nil || out.Name != "completed" {
+		t.Fatalf("retry: outcome %+v, err %v", out, err)
+	}
+}
+
 // TestActivityRetireAfterComplete pins the coordinator's lifetime: a
 // successful complete retires the servant before its reply, so every
 // later operation on the reference raises OBJECT_NOT_EXIST and none of

@@ -43,8 +43,8 @@ var WithOnDrain = remote.WithOnDrain
 // WithFactoryShard).
 var ServeActivityFactory = remote.ServeActivityFactory
 
-// WithFactoryDelivery stamps remotely begun activities with a delivery
-// policy.
+// WithFactoryDelivery sets the delivery policy of the completion set the
+// factory declares for remotely begun activities.
 var WithFactoryDelivery = remote.WithFactoryDelivery
 
 // WithFactoryShard guards every factory begin with a member's shard

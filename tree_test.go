@@ -148,9 +148,10 @@ func (fx *diffFixture) snapshot(signals []activityservice.Signal) [][]int32 {
 func (fx *diffFixture) runScript(t *testing.T, policy activityservice.DeliveryPolicy, signals []activityservice.Signal, veto string) ([]byte, []string) {
 	t.Helper()
 	rec := activityservice.NewTraceRecorder()
-	svc := activityservice.New(core.WithDelivery(policy), activityservice.WithTrace(rec))
+	svc := activityservice.New(activityservice.WithTrace(rec))
 	a := svc.Begin("differential")
 	set := newScriptSet("script", signals, veto)
+	set.SetDelivery(policy)
 	if err := a.RegisterSignalSet(set); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestTreeDifferentialMatchesSerial(t *testing.T) {
 			for script := 0; script < 2; script++ {
 				signals := randomScript(rng, "script", 2+rng.Intn(2))
 
-				serialBytes, serialTrace := fx.runScript(t, activityservice.DeliveryPolicy{Mode: core.DeliverSerial}, signals, "")
+				serialBytes, serialTrace := fx.runScript(t, activityservice.DeliveryPolicy{}, signals, "")
 				serialCounts := fx.snapshot(signals)
 
 				treeBytes, treeTrace := fx.runScript(t, activityservice.Tree(branching), signals, "")
@@ -280,9 +281,10 @@ func TestTreeDifferentialAdvanceShortCircuit(t *testing.T) {
 	}
 	run := func(policy activityservice.DeliveryPolicy) ([]byte, []string) {
 		rec := activityservice.NewTraceRecorder()
-		svc := activityservice.New(core.WithDelivery(policy), activityservice.WithTrace(rec))
+		svc := activityservice.New(activityservice.WithTrace(rec))
 		a := svc.Begin("advance")
 		set := newScriptSet("script", signals, "veto")
+		set.SetDelivery(policy)
 		if err := a.RegisterSignalSet(set); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +305,7 @@ func TestTreeDifferentialAdvanceShortCircuit(t *testing.T) {
 		return append([]byte(nil), enc.Bytes()...), rec.Sequence()
 	}
 
-	serialBytes, serialTrace := run(activityservice.DeliveryPolicy{Mode: core.DeliverSerial})
+	serialBytes, serialTrace := run(activityservice.DeliveryPolicy{})
 	treeBytes, treeTrace := run(activityservice.Tree(4))
 	if !bytes.Equal(serialBytes, treeBytes) {
 		t.Fatalf("advance collation diverged: %d bytes (tree) vs %d (serial)", len(treeBytes), len(serialBytes))
