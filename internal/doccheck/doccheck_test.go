@@ -22,7 +22,7 @@ import (
 // checkedPackages are the directories whose exported surface must be
 // fully documented, relative to this package.
 var checkedPackages = []string{
-	"../orb", "../core", "../cdr", "../remote",
+	"../orb", "../core", "../cdr", "../remote", "../wal", "../ots",
 	"../../hls/btp", "../../hls/caaction", "../../hls/lruow", "../../hls/opennested",
 	"../../hls/saga", "../../hls/twopc", "../../hls/workflow", "../../hls/wscf",
 }

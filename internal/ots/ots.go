@@ -91,8 +91,10 @@ func WithDirectory(d *Directory) Option {
 	return optionFunc(func(s *Service) { s.dir = d })
 }
 
-// WithRetryPolicy sets how many times phase-two delivery is retried per
-// resource and the delay between attempts.
+// WithRetryPolicy sets how many times phase-two delivery is attempted per
+// resource and the delay between attempts. A heuristic outcome
+// (ErrHeuristicRollback, ErrHeuristicCommit) is not retried: it is the
+// participant's final answer.
 func WithRetryPolicy(attempts int, delay time.Duration) Option {
 	return optionFunc(func(s *Service) {
 		if attempts > 0 {
@@ -541,15 +543,18 @@ func (t *Transaction) deliverRollback(rr registeredResource) {
 	}
 }
 
-// deliverCommit retries phase-two delivery per the service retry policy.
+// deliverCommit retries phase-two delivery per the service retry policy,
+// sleeping only between attempts. A heuristic outcome is the participant's
+// definitive answer, so it is returned at once.
 func (t *Transaction) deliverCommit(r Resource) error {
 	var err error
 	for attempt := 0; attempt < t.svc.retries; attempt++ {
-		if err = r.Commit(); err == nil {
-			return nil
-		}
-		if t.svc.retryDelay > 0 {
+		if attempt > 0 && t.svc.retryDelay > 0 {
 			time.Sleep(t.svc.retryDelay)
+		}
+		err = r.Commit()
+		if err == nil || errors.Is(err, ErrHeuristicRollback) || errors.Is(err, ErrHeuristicCommit) {
+			return err
 		}
 	}
 	return err

@@ -321,6 +321,62 @@ func TestPhaseTwoRetriesTransientFailure(t *testing.T) {
 	}
 }
 
+// TestPhaseTwoHeuristicNotRetried: a heuristic answer is the
+// participant's final outcome, so phase two neither re-sends commit nor
+// waits out a retry delay for it.
+func TestPhaseTwoHeuristicNotRetried(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	svc := NewService(WithRetryPolicy(3, delay))
+	tx := svc.Begin()
+	rogue, other := newFake("rogue"), newFake("other")
+	rogue.commitErr = fmt.Errorf("resolved unilaterally: %w", ErrHeuristicRollback)
+	_ = tx.RegisterResource(rogue)
+	_ = tx.RegisterResource(other)
+	start := time.Now()
+	if err := tx.Commit(true); !errors.Is(err, ErrHeuristicMixed) {
+		t.Fatalf("err = %v, want ErrHeuristicMixed", err)
+	}
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Fatalf("commit took %v, want under one retry delay (%v)", elapsed, delay)
+	}
+	if n := commitCalls(rogue); n != 1 {
+		t.Fatalf("rogue received %d commit attempts, want 1", n)
+	}
+}
+
+// TestPhaseTwoNoSleepAfterLastAttempt: the retry delay separates attempts,
+// so a single failing attempt returns without waiting.
+func TestPhaseTwoNoSleepAfterLastAttempt(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	svc := NewService(WithRetryPolicy(1, delay))
+	tx := svc.Begin()
+	bad, other := newFake("bad"), newFake("other")
+	bad.commitErr = errors.New("permanently broken")
+	_ = tx.RegisterResource(bad)
+	_ = tx.RegisterResource(other)
+	start := time.Now()
+	if err := tx.Commit(true); !errors.Is(err, ErrHeuristicMixed) {
+		t.Fatalf("err = %v, want ErrHeuristicMixed", err)
+	}
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Fatalf("commit took %v, want under one retry delay (%v)", elapsed, delay)
+	}
+	if n := commitCalls(bad); n != 1 {
+		t.Fatalf("bad received %d commit attempts, want 1", n)
+	}
+}
+
+// commitCalls counts the commit deliveries f received.
+func commitCalls(f *fakeResource) int {
+	n := 0
+	for _, c := range f.Calls() {
+		if c == "commit" {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTimeoutMarksRollbackOnly(t *testing.T) {
 	svc := NewService()
 	tx := svc.Begin(WithTimeout(20 * time.Millisecond))

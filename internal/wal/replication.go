@@ -51,8 +51,8 @@ func (l *Log) LastLSN() uint64 {
 func (l *Log) RecordsSince(after uint64, max ...int) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return nil, err
 	}
 	first := l.firstAfterLocked(after)
 	end := len(l.index)
@@ -119,14 +119,14 @@ func (l *Log) WaitSince(epoch, after uint64, timeout time.Duration) bool {
 // torn tail from a failed append is repaired first, and a failed write or
 // sync applies none of the batch.
 //
-// Records AppendLazy buffered are dropped: their LSNs belong to the
-// shipped stream now, and losing them is what a crash before the next sync
-// would have done.
+// Records buffered locally are dropped: their LSNs belong to the shipped
+// stream now, and losing them is what a crash before the next sync would
+// have done. An Append waiting on one of them fails.
 func (l *Log) AppendRecords(recs []Record) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return 0, err
 	}
 	l.dropTailLocked()
 	var terms []Record
@@ -140,7 +140,7 @@ func (l *Log) AppendRecords(recs []Record) (int, error) {
 		}
 	}
 	applied := len(l.pending)
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return 0, err
 	}
 	for _, r := range terms {
@@ -154,12 +154,13 @@ func (l *Log) AppendRecords(recs []Record) (int, error) {
 // follower after the primary compacted records the follower had not yet
 // fetched. The swap is crash-atomic (same mechanism as Checkpoint): a
 // crash mid-install leaves either the old follower log or the complete
-// snapshot. Records AppendLazy buffered are dropped with the old contents.
+// snapshot. Records buffered locally are dropped with the old contents,
+// and an Append waiting on one of them fails.
 func (l *Log) InstallSnapshot(epoch uint64, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return err
 	}
 	if err := l.be.replace(data); err != nil {
 		return fmt.Errorf("wal: install snapshot: %w", err)

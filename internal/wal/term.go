@@ -113,8 +113,12 @@ func (l *Log) Fenced() bool {
 // Fence rejects all subsequent Append calls with ErrFenced because a
 // higher term than this log's durable one exists. It reports whether the
 // fence was raised (false when term is not beyond the durable term — stale
-// evidence must not fence a legitimate leader). The fence is in-memory:
-// the durable term record arrives through the replication stream once the
+// evidence must not fence a legitimate leader). Raising it fails every
+// buffered record with ErrFenced, the records of Appends queued behind a
+// flush in progress included, and then waits out that flush, whose batch
+// was taken before the fence: no local append becomes durable after Fence
+// returns. The fence is in-memory: the
+// durable term record arrives through the replication stream once the
 // member rejoins, and a restarted process re-discovers the higher term
 // from its peers before serving.
 func (l *Log) Fence(term uint64) bool {
@@ -127,7 +131,15 @@ func (l *Log) Fence(term uint64) bool {
 	if term > l.fencedTerm {
 		l.fencedTerm = term
 	}
+	l.failTailLocked(l.fencedErrLocked())
+	l.waitFlushLocked()
 	return true
+}
+
+// fencedErrLocked is the error a fenced log rejects local appends with.
+// The caller must hold l.mu.
+func (l *Log) fencedErrLocked() error {
+	return fmt.Errorf("%w: term %d", ErrFenced, l.fencedTerm)
 }
 
 // AdoptTerm durably claims term for leaderID: the term record is appended
@@ -139,8 +151,8 @@ func (l *Log) Fence(term uint64) bool {
 func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return 0, err
 	}
 	// <= on both bounds: a member fenced at term T must not itself claim T —
 	// the fence is evidence that some other member owns that epoch, and two
@@ -151,7 +163,7 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	}
 	lsn := l.nextFreeLocked()
 	l.bufferLocked(Record{LSN: lsn, Kind: KindTerm, Data: EncodeTermRecord(term, leaderID)})
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return 0, err
 	}
 	l.term = term
@@ -208,10 +220,10 @@ func (l *Log) TermStartAfter(term uint64) (uint64, bool) {
 func (l *Log) TruncateAfter(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return err
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return err
 	}
 	if err := l.repairLocked(); err != nil {

@@ -30,13 +30,23 @@
 //     (truncated, with the zeros past it, and synced) before the next
 //     append, so later records are never written behind garbage where
 //     replay cannot see them.
+//   - Appends commit in groups. An Append that finds no flush in progress
+//     becomes the flusher: it takes every buffered record as one batch and
+//     writes and syncs it with the log's lock released. Appends that arrive
+//     meanwhile buffer their records behind the batch and wait, and the
+//     next flusher takes them all with one write and one fsync. There is
+//     no batch size and no timer: a lone appender flushes at once. A failed
+//     flush drops its batch and every record buffered behind it, since
+//     their LSNs follow the failed ones and are reused; each of their
+//     Appends returns the error.
 //   - A lazy record is durable only once a sync covers it. AppendLazy only
-//     buffers; the next Append (or Records, Snapshot, Checkpoint,
-//     TruncateAfter, Close) writes the buffer with one write and one fsync.
-//     Until then no reader sees the record and the stream position does
-//     not count it, and a crash loses it. A failed write or sync drops it
-//     with the record that carried it, and their LSNs are reused; their
-//     bytes are truncated, with the zeros past them, before the next write.
+//     buffers, and never waits for a flush; the next flush (an Append, or
+//     Records, Snapshot, Checkpoint, TruncateAfter, Close) writes the
+//     buffer with one write and one fsync. Until then no reader sees the
+//     record and the stream position does not count it, and a crash loses
+//     it. A failed write or sync drops it with the records that carried it,
+//     and their LSNs are reused; their bytes are truncated, with the zeros
+//     past them, before the next write.
 //   - Checkpoint is atomic: the compacted log is written to a temporary
 //     file holding exactly the records, with no zeros past them, synced,
 //     and renamed over the old log (the in-memory backend swaps its buffer
@@ -80,8 +90,13 @@ type Kind uint16
 
 // Record is one durable log entry.
 type Record struct {
-	LSN  uint64
+	// LSN is the record's log sequence number: LSNs are contiguous from 1
+	// in log order, and a record keeps its LSN across checkpoints and
+	// replication.
+	LSN uint64
+	// Kind is the client-assigned record type.
 	Kind Kind
+	// Data is the record's payload, opaque to the log.
 	Data []byte
 }
 
@@ -142,8 +157,23 @@ type Log struct {
 	// Records buffered for the next write: tail holds them encoded, and
 	// pending their LSNs and offsets within tail. AppendLazy leaves them
 	// here; Append adds its own record and writes the lot (flushLocked).
-	tail    []byte
-	pending []indexEntry
+	// The flusher swaps in spareTail and sparePending, so records arriving
+	// during its write buffer behind the batch it took.
+	tail         []byte
+	pending      []indexEntry
+	spareTail    []byte
+	sparePending []indexEntry
+
+	// Group commit. While flushing, an Append's flusher is writing and
+	// syncing a batch with mu released, and flushEnd is the LSN past it:
+	// the flusher alone touches the backend, size, dirty and the crash
+	// injection state, so everything else that uses them waits on idle
+	// first (waitFlushLocked). open is the outcome shared by the Appends
+	// waiting on the records now buffered; nil until one waits.
+	flushing bool
+	flushEnd uint64
+	idle     sync.Cond
+	open     *batch
 
 	// Coordinator-group term state (see term.go). term/termStart/termLeader
 	// mirror the latest durable KindTerm record; termMarks caches every
@@ -163,6 +193,13 @@ type Log struct {
 	// fault matrix runs against memory and real files.
 	failAfter int
 	failArmed bool
+}
+
+// batch is the outcome of one flush, shared by the Appends whose records
+// it carried and that waited for it.
+type batch struct {
+	done bool
+	err  error
 }
 
 // indexEntry locates one durable record: its LSN and the byte offset of
@@ -234,6 +271,7 @@ func syncDir(dir string) error {
 
 func newLog(be backend) (*Log, error) {
 	l := &Log{be: be, nextLSN: 1, waitCh: make(chan struct{})}
+	l.idle.L = &l.mu
 	recs, valid, total, err := l.scan()
 	if err != nil {
 		return nil, err
@@ -256,10 +294,16 @@ func newLog(be backend) (*Log, error) {
 }
 
 // Append durably adds a record and returns its LSN. The record is written
-// and synced before Append returns, together with every record AppendLazy
-// buffered ahead of it: one write, one fsync. If a previous append failed
-// part-way, its torn bytes are truncated (and the truncation synced) first,
-// so a successful Append is always visible to replay.
+// and synced before Append returns, together with every record buffered
+// with it: those AppendLazy left and those of Appends that arrived while
+// the previous flush was in progress. One write and one fsync carry them
+// all, with the log's lock released, so Appends arriving meanwhile queue
+// for the next flush instead of each waiting out its own. If that write or
+// sync fails, Append returns the error, as does every Append whose record
+// was buffered with or behind the failed batch, and their LSNs are reused.
+// If a previous append failed part-way, its torn bytes are truncated (and
+// the truncation synced) first, so a successful Append is always visible
+// to replay.
 func (l *Log) Append(kind Kind, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -267,7 +311,26 @@ func (l *Log) Append(kind Kind, data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := l.flushLocked(); err != nil {
+	if l.flushing {
+		// Queue behind the flush in progress. Whoever flushes next takes
+		// this record with every other buffered one; once no flush is in
+		// progress and the record is still buffered, that is this Append.
+		b := l.open
+		if b == nil {
+			b = new(batch)
+			l.open = b
+		}
+		for l.flushing && !b.done {
+			l.idle.Wait()
+		}
+		if b.done {
+			if b.err != nil {
+				return 0, b.err
+			}
+			return lsn, nil
+		}
+	}
+	if err := l.flushLocked(true); err != nil {
 		return 0, err
 	}
 	return lsn, nil
@@ -292,7 +355,7 @@ func (l *Log) appendLazyLocked(kind Kind, data []byte) (uint64, error) {
 		return 0, ErrClosed
 	}
 	if l.fenced {
-		return 0, fmt.Errorf("%w: term %d", ErrFenced, l.fencedTerm)
+		return 0, l.fencedErrLocked()
 	}
 	lsn := l.nextFreeLocked()
 	l.bufferLocked(Record{LSN: lsn, Kind: kind, Data: data})
@@ -300,11 +363,14 @@ func (l *Log) appendLazyLocked(kind Kind, data []byte) (uint64, error) {
 }
 
 // nextFreeLocked returns the LSN the next buffered record receives: one
-// past the last buffered record, or the stream position when none is. The
-// caller must hold l.mu.
+// past the last buffered record, or, when none is, past the batch being
+// flushed or else the stream position. The caller must hold l.mu.
 func (l *Log) nextFreeLocked() uint64 {
 	if n := len(l.pending); n > 0 {
 		return l.pending[n-1].lsn + 1
+	}
+	if l.flushing {
+		return l.flushEnd
 	}
 	return l.nextLSN
 }
@@ -315,30 +381,92 @@ func (l *Log) bufferLocked(r Record) {
 	l.tail = appendRecord(l.tail, r)
 }
 
-// flushLocked writes every buffered record with one write and one fsync,
-// then extends the index and advances the stream position past them. On
-// failure every buffered record is dropped, so their LSNs are reused, and
-// the log is left dirty so the next write first truncates whatever reached
-// the medium. The caller must hold l.mu.
-func (l *Log) flushLocked() error {
+// flushLocked writes every buffered record as one batch with one write
+// and one fsync, then extends the index and advances the stream position
+// past them and settles the Appends waiting on them. With group, l.mu is
+// released for the write and sync (the group commit): records buffered
+// meanwhile go behind the batch, and everything else waits for the flush
+// to end (waitFlushLocked). On failure the batch is dropped, and so is
+// every record buffered behind it, since their LSNs follow the failed
+// ones; all their LSNs are reused, and the log is left dirty so the next
+// write first truncates whatever reached the medium. The caller must hold
+// l.mu, with no flush in progress.
+func (l *Log) flushLocked(group bool) error {
 	if len(l.pending) == 0 {
 		return nil
 	}
-	err := l.writeLocked(l.tail)
+	tail, pending, b := l.tail, l.pending, l.open
+	l.tail, l.pending, l.open = l.spareTail[:0], l.sparePending[:0], nil
+	var err error
+	if group {
+		l.flushing, l.flushEnd = true, pending[len(pending)-1].lsn+1
+		l.mu.Unlock()
+		err = l.write(tail)
+		l.mu.Lock()
+		l.flushing = false
+	} else {
+		err = l.write(tail)
+	}
 	if err == nil {
-		for _, e := range l.pending {
+		for _, e := range pending {
 			l.index = append(l.index, indexEntry{lsn: e.lsn, off: l.size + e.off})
 		}
-		l.size += len(l.tail)
-		l.nextLSN = l.pending[len(l.pending)-1].lsn + 1
+		l.size += len(tail)
+		l.nextLSN = pending[len(pending)-1].lsn + 1
 		l.notifyLocked()
+	} else {
+		l.failTailLocked(err)
 	}
-	l.dropTailLocked()
+	if b != nil {
+		b.done, b.err = true, err
+	}
+	if cap(tail) > maxTailRetain {
+		tail = nil
+	}
+	l.spareTail, l.sparePending = tail[:0], pending[:0]
+	l.idle.Broadcast()
 	return err
 }
 
-// dropTailLocked discards every buffered record. The caller must hold l.mu.
+// waitFlushLocked waits until no flush is in progress. Everything that
+// uses the backend, size, dirty, the crash injection state, the index or
+// the buffered records (AppendLazy aside) calls it first. The caller must
+// hold l.mu.
+func (l *Log) waitFlushLocked() {
+	for l.flushing {
+		l.idle.Wait()
+	}
+}
+
+// readyLocked waits out a flush in progress and reports ErrClosed on a
+// closed log. The caller must hold l.mu.
+func (l *Log) readyLocked() error {
+	l.waitFlushLocked()
+	if l.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// errSuperseded fails an Append whose buffered record a replicated write
+// dropped: the record's LSN now belongs to the shipped stream.
+var errSuperseded = errors.New("wal: buffered record superseded by a replicated write")
+
+// dropTailLocked discards every buffered record; an Append waiting on one
+// fails with errSuperseded. The caller must hold l.mu, with no flush in
+// progress.
 func (l *Log) dropTailLocked() {
+	l.failTailLocked(errSuperseded)
+}
+
+// failTailLocked discards every buffered record, and every Append waiting
+// on one returns err. The caller must hold l.mu.
+func (l *Log) failTailLocked(err error) {
+	if b := l.open; b != nil {
+		b.done, b.err = true, err
+		l.open = nil
+		l.idle.Broadcast()
+	}
 	if cap(l.tail) > maxTailRetain {
 		l.tail = nil
 	}
@@ -346,10 +474,12 @@ func (l *Log) dropTailLocked() {
 	l.pending = l.pending[:0]
 }
 
-// writeLocked repairs any torn tail, then writes b at the end of the last
-// valid record and syncs it. On failure the log is marked dirty so the
-// next write repairs the tail first. The caller must hold l.mu.
-func (l *Log) writeLocked(b []byte) error {
+// write repairs any torn tail, then writes b at the end of the last valid
+// record and syncs it. On failure the log is marked dirty so the next
+// write repairs the tail first. The caller must hold l.mu or be the
+// flusher: the backend, size, dirty and the crash injection state are the
+// flusher's while a flush is in progress.
+func (l *Log) write(b []byte) error {
 	if err := l.repairLocked(); err != nil {
 		return err
 	}
@@ -378,7 +508,7 @@ func (l *Log) writeLocked(b []byte) error {
 
 // repairLocked truncates torn bytes left by a failed append back to the
 // end of the last valid record and syncs the truncation; the next write
-// extends the file again. The caller must hold l.mu.
+// extends the file again. The caller must hold l.mu or be the flusher.
 func (l *Log) repairLocked() error {
 	if !l.dirty {
 		return nil
@@ -405,10 +535,10 @@ func (l *Log) notifyLocked() {
 func (l *Log) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return nil, err
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return nil, err
 	}
 	return l.durableLocked()
@@ -442,10 +572,10 @@ func (l *Log) Replay(fn func(Record) error) error {
 func (l *Log) Checkpoint(keep func(Record) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return err
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return err
 	}
 	recs, err := l.durableLocked()
@@ -498,10 +628,10 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 func (l *Log) Snapshot() ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
+	if err := l.readyLocked(); err != nil {
+		return nil, err
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.flushLocked(false); err != nil {
 		return nil, err
 	}
 	b, err := l.be.readAt(0, l.size)
@@ -518,10 +648,11 @@ func (l *Log) Snapshot() ([]byte, error) {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitFlushLocked()
 	if l.closed {
 		return nil
 	}
-	err := l.flushLocked()
+	err := l.flushLocked(false)
 	l.closed = true
 	l.notifyLocked()
 	if cerr := l.be.close(); err == nil {
@@ -533,13 +664,15 @@ func (l *Log) Close() error {
 // InjectCrashAfter arranges for the log to fail all writes (and
 // checkpoints) after n more successful writes, simulating a crash: the
 // failing write tears half its bytes onto the medium, and a failing
-// checkpoint stops before its atomic swap. AppendLazy writes nothing, so
-// it does not count; the write that syncs its record does. Supported by
-// every backend; a negative n disarms injection. It reports whether
-// injection is supported.
+// checkpoint stops before its atomic swap. A write is one flush, however
+// many records it carries. AppendLazy writes nothing, so it does not
+// count; the flush that syncs its record does. Supported by every backend;
+// a negative n disarms injection. It reports whether injection is
+// supported.
 func (l *Log) InjectCrashAfter(n int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitFlushLocked()
 	if n < 0 {
 		l.failArmed = false
 		return true
