@@ -24,7 +24,8 @@
 //	                                        # endpoint, activity, recovery,
 //	                                        # relay and group samples) on the
 //	                                        # well-known "orb-admin" key
-//	activityd -pool 8 -parallel             # 8 pooled conns per endpoint,
+//	activityd -pool 8 -parallel             # 8 conns per endpoint (7
+//	                                        # exclusive lanes, 1 shared),
 //	                                        # parallel signal fan-out
 //	activityd -relay                        # host the well-known "relay"
 //	                                        # servant and fan signals out
@@ -176,7 +177,7 @@ func main() {
 	flag.BoolVar(&cfg.parallel, "parallel", false, "fan signals out to enrolled actions in parallel")
 	flag.BoolVar(&cfg.relay, "relay", false, "host the well-known relay servant and fan signals out through relay trees")
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
-	flag.IntVar(&cfg.pool, "pool", 0, "client connections pooled per endpoint (0 = default)")
+	flag.IntVar(&cfg.pool, "pool", 0, "client connections per endpoint: n-1 exclusive lanes plus one shared (0 = default 4)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent server dispatches; up to 2x as many wait in a queue, shed with TRANSIENT when it is full or after 100ms (0 = unbounded)")
 	flag.IntVar(&cfg.priority, "priority", 0, "dispatch slots out of -max-inflight reserved for completion/recovery verbs (0 = off)")
 	flag.StringVar(&cfg.otsLog, "ots-log", "", "file-backed replicated log (transaction decisions + activity journal); makes this daemon a coordinator-group member: crash recovery on boot, the ots-recovery and wal-replication servants. Without -standby/-peer it leads a group of one")

@@ -33,7 +33,6 @@ type admission struct {
 	mu             sync.Mutex
 	queued         int
 	shed           uint64
-	dispatched     uint64
 	prioShed       uint64
 	prioDispatched uint64
 }
@@ -51,6 +50,10 @@ const (
 	slotShared
 	// slotReserved is a slot from the priority reservation.
 	slotReserved
+	// slotFree admits a request to a server without a gate.
+	slotFree
+	// slotAdmin is one of the admin scrapes' bypass slots (server.go).
+	slotAdmin
 )
 
 // newAdmission builds the gate; maxInflight <= 0 disables admission control
@@ -90,12 +93,11 @@ func (a *admission) isPriority(op []byte) bool {
 func (a *admission) tryAcquire(prio bool) slotToken {
 	select {
 	case a.slots <- struct{}{}:
-		a.mu.Lock()
-		a.dispatched++
 		if prio {
+			a.mu.Lock()
 			a.prioDispatched++
+			a.mu.Unlock()
 		}
-		a.mu.Unlock()
 		return slotShared
 	default:
 	}
@@ -103,7 +105,6 @@ func (a *admission) tryAcquire(prio bool) slotToken {
 		select {
 		case a.prioSlots <- struct{}{}:
 			a.mu.Lock()
-			a.dispatched++
 			a.prioDispatched++
 			a.mu.Unlock()
 			return slotReserved
@@ -164,7 +165,6 @@ func (a *admission) await(done <-chan struct{}, prio bool) slotToken {
 	a.mu.Lock()
 	a.queued--
 	if tok != slotNone {
-		a.dispatched++
 		if prio {
 			a.prioDispatched++
 		}
@@ -178,7 +178,8 @@ func (a *admission) await(done <-chan struct{}, prio bool) slotToken {
 	return tok
 }
 
-// release returns a dispatch slot to the pool it came from.
+// release returns a dispatch slot to the pool it came from; a nil gate's
+// slotFree needs no release.
 func (a *admission) release(tok slotToken) {
 	switch tok {
 	case slotShared:
@@ -199,10 +200,12 @@ func (a *admission) shedError() *SystemError {
 		len(a.slots), queued, a.queueMax, shedAfter)
 }
 
-// ServerStats is a snapshot of the server transport's admission state, the
-// server-side sibling of EndpointStats, plus the object adapter's servant
-// count. The cumulative counters cover the network transport only;
-// in-process fast-path dispatches bypass admission.
+// ServerStats is a snapshot of the server transport's dispatch and
+// admission state, the server-side sibling of EndpointStats, plus the
+// object adapter's servant count. The counters cover the network
+// transport only (in-process fast-path dispatches bypass it) and count
+// with or without an admission gate; admin scrapes on their bypass slots
+// are not counted.
 type ServerStats struct {
 	// Endpoint is the primary bound listen endpoint ("tcp:host:port").
 	Endpoint string
@@ -262,22 +265,21 @@ func (o *ORB) ServerStats() (ServerStats, bool) {
 		st.Conns += len(srv.conns)
 		srv.mu.Unlock()
 	}
+	st.Dispatched = o.dispatched.Load()
+	st.Inflight = int(o.inflight.Load())
 	if a := adm; a != nil {
 		a.mu.Lock()
 		st.Queued = a.queued
 		st.Shed = a.shed
-		st.Dispatched = a.dispatched
 		st.PriorityDispatched = a.prioDispatched
 		st.PriorityShed = a.prioShed
 		a.mu.Unlock()
-		st.Inflight = len(a.slots)
 		st.MaxInflight = cap(a.slots)
 		st.QueueDepth = a.queueMax
 		st.ShedAfter = shedAfter
 		if a.prioSlots != nil {
 			st.ReservedSlots = cap(a.prioSlots)
 			st.PriorityInflight = len(a.prioSlots)
-			st.Inflight += len(a.prioSlots)
 			st.MaxInflight += cap(a.prioSlots)
 		}
 	}

@@ -9,22 +9,25 @@ import (
 
 // TestAllocsWirePath gates BenchmarkWirePath's allocation budgets: a
 // steady-state echo, client and server together, must not regress toward
-// the 21–23 allocs/op the wire path cost before its rebuild.
+// the 21–23 allocs/op the wire path cost before its rebuild. The serial
+// budgets hold on the shared connection and on an exclusive lane alike.
 func TestAllocsWirePath(t *testing.T) {
 	for _, c := range []struct {
 		size, max int
 	}{{0, 3}, {64, 4}, {4096, 4}} {
-		t.Run(fmt.Sprintf("body=%d/serial", c.size), func(t *testing.T) {
-			echo := newWireEcho(t, c.size)
-			got := testing.AllocsPerRun(100, func() {
-				if err := echo(); err != nil {
-					t.Fatal(err)
+		for _, path := range []string{"serial", "lane"} {
+			t.Run(fmt.Sprintf("body=%d/%s", c.size, path), func(t *testing.T) {
+				echo := newWireEcho(t, c.size, path == "lane")
+				got := testing.AllocsPerRun(100, func() {
+					if err := echo(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if int(got) > c.max {
+					t.Errorf("%.0f allocs/op, budget %d", got, c.max)
 				}
 			})
-			if int(got) > c.max {
-				t.Errorf("%.0f allocs/op, budget %d", got, c.max)
-			}
-		})
+		}
 	}
 	for _, size := range []int{0, 4096} {
 		t.Run(fmt.Sprintf("body=%d/conc=64", size), func(t *testing.T) {

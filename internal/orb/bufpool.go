@@ -7,8 +7,9 @@ import (
 // Buffer ownership on the wire path (see also docs/ARCHITECTURE.md):
 //
 //   - Outgoing frames are built in pooled cdr.Encoders (cdr.GetEncoder,
-//     BeginFrame) and handed to the connection's writer goroutine, which
-//     releases them with cdr.PutEncoder after the gather write.
+//     BeginFrame) and handed to the connection's combining frameWriter —
+//     or, on an exclusive lane, written by the caller itself — and
+//     released with cdr.PutEncoder after the gather write.
 //   - Incoming frames land in pooled frameBufs. The reader that got the
 //     buffer from the pool is responsible for putting it back exactly once,
 //     after every borrowed view of it (decoded request body, reply body,

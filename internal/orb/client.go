@@ -24,19 +24,28 @@ const (
 )
 
 // endpointPool is the client side of one endpoint, and the only place this
-// ORB keeps state about it: a bounded pool of multiplexed connections with
-// least-pending pick, automatic reconnect under jittered exponential
-// backoff, a dial health gate so a dead peer fails fast instead of being
-// re-dialed on every call, and the optional call gate (the circuit
-// breaker, breaker.go). One mutex guards all of it, so the selector's
-// health verdict and EndpointStats are each one consistent read.
+// ORB keeps state about it: a bounded pool of connections, automatic
+// reconnect under jittered exponential backoff, a dial health gate so a
+// dead peer fails fast instead of being re-dialed on every call, and the
+// optional call gate (the circuit breaker, breaker.go). One mutex guards
+// all of it, so the selector's health verdict and EndpointStats are each
+// one consistent read.
+//
+// The pool holds up to poolSize−1 exclusive lanes (lane.go) and one
+// shared, multiplexed connection (clientConn). A call takes an idle lane,
+// or dials one while the pool may; only when every lane it may have is
+// busy does it go to the shared connection, whose least-pending pick,
+// reply reader and combining writer carry any number of concurrent calls.
+// A transport whose connections cannot be lanes (no laneConn) gets up to
+// poolSize shared connections instead, as every transport did before
+// lanes.
 //
 // Pool growth is caller-driven: an invoke that finds the pool below its
 // bound dials a new connection inline (concurrent callers fill the pool in
 // parallel, one dial each). A dial failure marks the endpoint down until a
-// backoff deadline; while it is down and no connection is live, calls fail
-// fast with TRANSIENT. The first call after the deadline probes again —
-// exactly one caller dials, the rest wait for its verdict.
+// backoff deadline; while it is down and nothing usable is live, calls
+// fail fast with TRANSIENT. The first call after the deadline probes
+// again — exactly one caller dials, the rest wait for its verdict.
 type endpointPool struct {
 	orb      *ORB
 	endpoint string // "tcp:host:port"
@@ -48,11 +57,14 @@ type endpointPool struct {
 	// latency-aware relay-tree planning consumes.
 	rttNanos atomic.Int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on any conns/dialing/closed change
-	conns   []*clientConn
-	dialing int
-	closed  bool
+	mu          sync.Mutex
+	cond        *sync.Cond    // broadcast on any conns/lanes/dialing/closed change
+	conns       []*clientConn // shared connections
+	lanes       []*lane       // every open lane, idle or busy
+	idle        []*lane       // idle lanes, the most recently returned last
+	dialing     int           // dials in flight, lanes included
+	laneDialing int           // dials in flight meant to become lanes
+	closed      bool
 
 	// Dial health gate: consecutive dial failures and the backoff deadline
 	// until which calls fail fast while nothing is live.
@@ -145,17 +157,27 @@ type clientConn struct {
 // deposed, so there is nowhere in the reference to fail over to.
 func (o *ORB) invokeRemote(ctx context.Context, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
 	callerCtx := ctx
+	// deadline is the call timeout of a single-profile call whose caller
+	// can never cancel (Done() == nil): the timeout is then only a
+	// deadline, which the call applies where it waits — a socket deadline
+	// on a lane, a timer context on the shared path — so the lane path
+	// allocates no context.
+	var deadline time.Time
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && o.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.callTimeout)
-		defer cancel()
+		if ctx.Done() == nil && len(ref.Profiles) == 1 {
+			deadline = time.Now().Add(o.callTimeout)
+		} else {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, o.callTimeout)
+			defer cancel()
+		}
 	}
 	if len(ref.Profiles) == 1 {
 		// The dominant single-profile path: no choice to rank, so it skips
 		// the affinity key, the selector and the ordered-endpoints slice —
 		// the steady-state invoke allocates nothing here.
 		if ep := ref.Profiles[0].Endpoint; strings.HasPrefix(ep, "tcp:") {
-			return o.invokeEndpoint(ctx, callerCtx, ep, ref, op, contexts, body)
+			return o.invokeEndpoint(ctx, callerCtx, deadline, ep, ref, op, contexts, body)
 		}
 		return nil, Systemf(CodeNoImplement, "object %q has no reachable profile (endpoints %v)", ref.Key, ref.Endpoints())
 	}
@@ -166,7 +188,7 @@ func (o *ORB) invokeRemote(ctx context.Context, ref IOR, op string, contexts []S
 	}
 	var lastErr error
 	for _, ep := range eps {
-		out, err := o.invokeEndpoint(ctx, callerCtx, ep, ref, op, contexts, body)
+		out, err := o.invokeEndpoint(ctx, callerCtx, time.Time{}, ep, ref, op, contexts, body)
 		if err == nil {
 			if len(eps) > 1 && ep != affinity {
 				o.recordAffinity(ep, affKey)
@@ -182,8 +204,9 @@ func (o *ORB) invokeRemote(ctx context.Context, ref IOR, op string, contexts []S
 }
 
 // invokeEndpoint performs one invocation attempt over the connection pool
-// for a single endpoint.
-func (o *ORB) invokeEndpoint(ctx, callerCtx context.Context, endpoint string, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
+// for a single endpoint. A non-zero deadline bounds the call when ctx
+// carries none (see invokeRemote).
+func (o *ORB) invokeEndpoint(ctx, callerCtx context.Context, deadline time.Time, endpoint string, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
 	addr, ok := strings.CutPrefix(endpoint, "tcp:")
 	if !ok {
 		return nil, Systemf(CodeNoImplement, "unreachable endpoint %q", endpoint)
@@ -197,7 +220,7 @@ func (o *ORB) invokeEndpoint(ctx, callerCtx context.Context, endpoint string, re
 	if err != nil {
 		return nil, err
 	}
-	body, err = o.invokeOverPool(ctx, pool, ref, op, contexts, body)
+	body, err = o.invokeOverPool(ctx, deadline, pool, ref, op, contexts, body)
 	if err == nil && !rttExemptOps[op] {
 		pool.observeRTT(time.Since(start))
 	}
@@ -374,42 +397,55 @@ func (o *ORB) recordAffinity(endpoint, key string) {
 }
 
 // invokeOverPool performs one admitted invocation through the endpoint's
-// connection pool. The steady-state path is allocation-free: the request
-// frame is built in a pooled encoder (released by the writer goroutine
-// after the coalesced write), the reply channel comes from a pool, and
+// connection pool: on an exclusive lane when the pool has or may dial
+// one (lane.go), else multiplexed on a shared connection. The steady-state
+// path is allocation-free either way: the request frame is built in a
+// pooled encoder, the shared path's reply channel comes from a pool, and
 // the reply body arrives in a pooled frame buffer that is cloned into a
 // caller-owned slice before the buffer is recycled.
-func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
-	reqID := o.reqID.Add(1)
-	ch := getReplyChan()
-	enc := encodeRequestFrame(request{
-		requestID: reqID,
+func (o *ORB) invokeOverPool(ctx context.Context, deadline time.Time, pool *endpointPool, ref IOR, op string, contexts []ServiceContext, body []byte) ([]byte, error) {
+	req := request{
+		requestID: o.reqID.Add(1),
 		objectKey: ref.Key,
 		operation: op,
 		contexts:  contexts,
 		body:      body,
-	})
-
-	// A connection picked from the pool can be torn down between the pick
-	// and the send (its read loop may observe the peer dying at any
-	// moment); the frame then never left this host, so pick again until it
-	// is queued on a live one.
-	var c *clientConn
+	}
+	// A shared connection picked from the pool can be torn down between
+	// the pick and the send (its read loop may observe the peer dying at
+	// any moment); the frame then never left this host, so pick again
+	// until it is queued on a live one.
 	for attempt := 0; ; attempt++ {
-		var err error
-		if c, err = pool.get(ctx); err == nil {
-			if err = c.send(reqID, ch, enc); err == nil {
-				break
-			}
+		c, l, err := pool.get(ctx, deadline)
+		if err != nil {
+			return nil, err
+		}
+		if l != nil {
+			req.sole = true
+			return l.invoke(ctx, deadline, req)
+		}
+		ch := getReplyChan()
+		enc := encodeRequestFrame(req)
+		if err := c.send(req.requestID, ch, enc); err != nil {
+			cdr.PutEncoder(enc)
+			putReplyChan(ch) // never registered, or unregistered by send
 			if attempt < o.poolSize {
 				continue
 			}
+			return nil, err
 		}
-		cdr.PutEncoder(enc)
-		putReplyChan(ch) // never registered, or unregistered by send
-		return nil, err
+		return c.await(ctx, deadline, req.requestID, ch, op)
 	}
+}
 
+// await waits for the reply to request id, sent on c with reply channel
+// ch, until ctx or the deadline ends the call.
+func (c *clientConn) await(ctx context.Context, deadline time.Time, id uint64, ch chan reply, op string) ([]byte, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	select {
 	case rep := <-ch:
 		// The sender removed the pending entry and completed its one send;
@@ -421,12 +457,12 @@ func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, o
 			// own inline write can overrun it): the call timed out, and a
 			// late success must not be reported as if it met the deadline.
 			rep.release()
-			return nil, Systemf(CodeTimeout, "invoking %s on %s: %v", op, pool.endpoint, ctx.Err())
+			return nil, timeoutError(op, c.pool.endpoint, ctx.Err())
 		default:
 		}
 		return replyToResult(rep)
 	case <-ctx.Done():
-		if c.unregister(reqID) {
+		if c.unregister(id) {
 			// This caller removed the entry itself: no send can ever happen.
 			putReplyChan(ch)
 		} else {
@@ -440,8 +476,14 @@ func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, o
 			default:
 			}
 		}
-		return nil, Systemf(CodeTimeout, "invoking %s on %s: %v", op, pool.endpoint, ctx.Err())
+		return nil, timeoutError(op, c.pool.endpoint, ctx.Err())
 	}
+}
+
+// timeoutError is the TIMEOUT a call ended by its context or deadline
+// reports.
+func timeoutError(op, endpoint string, cause error) error {
+	return Systemf(CodeTimeout, "invoking %s on %s: %v", op, endpoint, cause)
 }
 
 // pool returns the endpoint's connection pool, creating it if needed. It
@@ -474,28 +516,39 @@ func (o *ORB) PooledEndpoints() []string {
 	return eps
 }
 
-// get returns a live connection: the least-pending one when the pool is at
-// its bound, a freshly dialed one while it is below. While the endpoint is
-// marked down and nothing is live, get fails fast without touching the
-// network.
-func (p *endpointPool) get(ctx context.Context) (*clientConn, error) {
-	// Steady-state fast path: the pool is at its bound with live
-	// connections, so no dial or wait can be needed — skip the
-	// context.AfterFunc wake-up plumbing (an allocation per call) that
-	// only the blocking path uses.
+// get returns what the next call runs on: an idle lane, the least-pending
+// shared connection when the pool is at its bound, or — through getSlow —
+// a freshly dialed connection while the pool is below it. While the
+// endpoint is marked down and nothing usable is live, get fails fast
+// without touching the network.
+func (p *endpointPool) get(ctx context.Context, deadline time.Time) (*clientConn, *lane, error) {
+	// Steady-state fast path: an idle lane, or a full pool, needs no dial
+	// or wait — so skip the context.AfterFunc wake-up plumbing (an
+	// allocation per call) that only the blocking path uses.
 	p.mu.Lock()
-	if !p.closed && len(p.conns) >= p.orb.poolSize && ctx.Err() == nil {
-		if c := p.leastPendingLocked(); c != nil {
+	if !p.closed && ctx.Err() == nil {
+		if l := p.takeIdleLocked(); l != nil {
 			p.mu.Unlock()
-			return c, nil
+			return nil, l, nil
+		}
+		if len(p.conns)+len(p.lanes) >= p.orb.poolSize {
+			if c := p.leastPendingLocked(); c != nil {
+				p.mu.Unlock()
+				return c, nil, nil
+			}
 		}
 	}
 	p.mu.Unlock()
-	return p.getSlow(ctx)
+	return p.getSlow(ctx, deadline)
 }
 
 // getSlow is get's dial-or-wait path.
-func (p *endpointPool) getSlow(ctx context.Context) (*clientConn, error) {
+func (p *endpointPool) getSlow(ctx context.Context, deadline time.Time) (*clientConn, *lane, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	// Wake this waiter if its context dies while it blocks in Wait below.
 	stopWake := context.AfterFunc(ctx, func() {
 		p.mu.Lock()
@@ -508,47 +561,57 @@ func (p *endpointPool) getSlow(ctx context.Context) (*clientConn, error) {
 	defer p.mu.Unlock()
 	for {
 		if p.closed {
-			return nil, Systemf(CodeCommFailure, "orb shut down")
+			return nil, nil, Systemf(CodeCommFailure, "orb shut down")
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, Systemf(CodeTransient, "awaiting connection to %s: %v", p.endpoint, err)
+			return nil, nil, Systemf(CodeTransient, "awaiting connection to %s: %v", p.endpoint, err)
+		}
+		if l := p.takeIdleLocked(); l != nil {
+			return nil, l, nil
 		}
 		now := time.Now()
 		down := now.Before(p.downUntil)
 		if down && len(p.conns) == 0 && p.dialing == 0 {
-			return nil, Systemf(CodeTransient,
+			return nil, nil, Systemf(CodeTransient,
 				"endpoint %s down after %d consecutive dial failures (next probe in %s)",
 				p.endpoint, p.dialFailures, p.downUntil.Sub(now).Round(time.Millisecond))
 		}
 		// Growth is allowed when the pool is below its bound — but while
 		// the endpoint is recovering from failures, the probe is
 		// single-flight: one caller dials, the rest wait for its verdict.
-		if !down && len(p.conns)+p.dialing < p.orb.poolSize && (p.dialFailures == 0 || p.dialing == 0) {
+		// The last slot is kept for the shared connection.
+		if !down && len(p.conns)+len(p.lanes)+p.dialing < p.orb.poolSize && (p.dialFailures == 0 || p.dialing == 0) {
+			asLane := len(p.lanes)+p.laneDialing < p.orb.poolSize-1
 			p.dialing++
+			if asLane {
+				p.laneDialing++
+			}
 			p.mu.Unlock()
-			c, err := p.dial(ctx)
+			c, l, err := p.dial(ctx, asLane)
 			p.mu.Lock()
 			if err == nil {
-				return c, nil
+				return c, l, nil
 			}
-			if len(p.conns) > 0 {
+			if len(p.conns) > 0 || len(p.idle) > 0 {
 				continue // growth failed; fall back to a live connection
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		if c := p.leastPendingLocked(); c != nil {
-			return c, nil
+			return c, nil, nil
 		}
-		// Nothing live but a dial is in flight: wait for its verdict, or
-		// for this caller's own context to die (the AfterFunc above wakes
-		// us). The wait is otherwise bounded by the dialer's timeout.
+		// Nothing usable is live but a dial is in flight, or every lane is
+		// busy: wait for a verdict or a returned lane, or for this caller's
+		// own context to die (the AfterFunc above wakes us).
 		p.cond.Wait()
 	}
 }
 
 // dial opens one connection and publishes the outcome to the pool and its
-// dial health gate. The caller has already reserved a slot (p.dialing).
-func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
+// dial health gate. The caller has already reserved a slot (p.dialing,
+// and p.laneDialing when asLane). A connection dialed as a lane whose
+// transport cannot carry lanes joins the shared connections instead.
+func (p *endpointPool) dial(ctx context.Context, asLane bool) (*clientConn, *lane, error) {
 	// The dial timeout always applies; a sooner caller deadline still wins
 	// through context propagation.
 	dctx, cancel := context.WithTimeout(ctx, p.orb.dialTimeout)
@@ -557,6 +620,9 @@ func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 
 	p.mu.Lock()
 	p.dialing--
+	if asLane {
+		p.laneDialing--
+	}
 	if err != nil {
 		if ctx.Err() == nil {
 			// A real dial failure opens the down window. A dial aborted
@@ -567,13 +633,23 @@ func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		return nil, Systemf(CodeTransient, "dial %s: %v", p.addr, err)
+		return nil, nil, Systemf(CodeTransient, "dial %s: %v", p.addr, err)
 	}
 	if p.closed {
 		p.cond.Broadcast()
 		p.mu.Unlock()
 		tc.Close()
-		return nil, Systemf(CodeCommFailure, "orb shut down")
+		return nil, nil, Systemf(CodeCommFailure, "orb shut down")
+	}
+	p.dialFailures = 0
+	p.downUntil = time.Time{}
+	p.cond.Broadcast()
+	if lc, ok := tc.(laneConn); ok && asLane {
+		l := newLane(p, lc)
+		p.lanes = append(p.lanes, l)
+		p.mu.Unlock()
+		p.orb.armLaneSweep()
+		return nil, l, nil
 	}
 	c := &clientConn{
 		pool:    p,
@@ -596,13 +672,10 @@ func (p *endpointPool) dial(ctx context.Context) (*clientConn, error) {
 		c.failUnsent(unsent)
 	})
 	p.conns = append(p.conns, c)
-	p.dialFailures = 0
-	p.downUntil = time.Time{}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 
 	go c.readLoop()
-	return c, nil
+	return c, nil, nil
 }
 
 // backoffFor returns the jittered exponential backoff for the given
@@ -623,8 +696,8 @@ func (p *endpointPool) backoffFor(failures int) time.Duration {
 	return half + time.Duration(rand.Int64N(int64(half)+1))
 }
 
-// leastPendingLocked picks the live connection with the fewest in-flight
-// requests.
+// leastPendingLocked picks the shared connection with the fewest
+// in-flight requests.
 func (p *endpointPool) leastPendingLocked() *clientConn {
 	var best *clientConn
 	bestLoad := 0
@@ -657,14 +730,18 @@ func (p *endpointPool) drop(c *clientConn) {
 	c.close(Systemf(CodeCommFailure, "connection to %s lost", p.endpoint))
 }
 
-// closePool tears down every connection and rejects future gets.
+// closePool tears down every connection and rejects future gets. A busy
+// lane's caller sees its read fail and reports COMM_FAILURE.
 func (p *endpointPool) closePool(cause *SystemError) {
 	p.mu.Lock()
 	p.closed = true
-	conns := p.conns
-	p.conns = nil
+	conns, lanes := p.conns, p.lanes
+	p.conns, p.lanes, p.idle = nil, nil, nil
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	for _, l := range lanes {
+		l.c.Close()
+	}
 	for _, c := range conns {
 		c.close(cause)
 	}
@@ -675,9 +752,10 @@ func (p *endpointPool) closePool(cause *SystemError) {
 type EndpointStats struct {
 	// Endpoint is the pooled endpoint ("tcp:host:port").
 	Endpoint string
-	// Conns is the number of live connections.
+	// Conns is the number of live connections, lanes included.
 	Conns int
-	// Pending is the total number of in-flight requests across them.
+	// Pending is the total number of in-flight requests across them (a
+	// busy lane carries one).
 	Pending int
 	// Dialing is the number of dials in flight.
 	Dialing int
@@ -712,7 +790,8 @@ func (o *ORB) EndpointStats(endpoint string) (EndpointStats, bool) {
 	defer p.mu.Unlock()
 	st := EndpointStats{
 		Endpoint:      p.endpoint,
-		Conns:         len(p.conns),
+		Conns:         len(p.conns) + len(p.lanes),
+		Pending:       len(p.lanes) - len(p.idle),
 		Dialing:       p.dialing,
 		Failures:      p.dialFailures,
 		Down:          now.Before(p.downUntil),
@@ -849,34 +928,14 @@ func (c *clientConn) failUnsent(unsent []*cdr.Encoder) {
 }
 
 // readLoop delivers replies to waiting callers until the connection dies.
-// Frames are read into pooled buffers when the transport supports reuse
-// (rep.fb tracks ownership; the caller that consumes the reply releases
-// the buffer) and into fresh allocations otherwise.
 func (c *clientConn) readLoop() {
 	rr, _ := c.tc.(frameReuseReader)
 	for {
-		var (
-			frame []byte
-			fb    *frameBuf
-			err   error
-		)
-		if rr != nil {
-			fb = getFrameBuf()
-			fb.b, err = rr.ReadFrameReuse(fb.b)
-			frame = fb.b
-		} else {
-			frame, err = c.tc.ReadFrame()
-		}
-		var rep reply
-		if err == nil {
-			rep, err = decodeReply(frame)
-		}
+		rep, err := readReply(c.tc, rr)
 		if err != nil {
-			putFrameBuf(fb)
 			c.pool.drop(c)
 			return
 		}
-		rep.fb = fb
 		c.mu.Lock()
 		ch, ok := c.pending[rep.requestID]
 		if ok {
@@ -890,6 +949,36 @@ func (c *clientConn) readLoop() {
 			rep.release()
 		}
 	}
+}
+
+// readReply reads and decodes the next reply on tc — the one reply reader
+// of the shared connections' read loops and of the lanes. Frames are read
+// into pooled buffers when the transport supports reuse (rr non-nil;
+// rep.fb tracks ownership and the caller that consumes the reply releases
+// the buffer) and into fresh allocations otherwise.
+func readReply(tc Conn, rr frameReuseReader) (reply, error) {
+	var (
+		frame []byte
+		fb    *frameBuf
+		err   error
+	)
+	if rr != nil {
+		fb = getFrameBuf()
+		fb.b, err = rr.ReadFrameReuse(fb.b)
+		frame = fb.b
+	} else {
+		frame, err = tc.ReadFrame()
+	}
+	var rep reply
+	if err == nil {
+		rep, err = decodeReply(frame)
+	}
+	if err != nil {
+		putFrameBuf(fb)
+		return reply{}, err
+	}
+	rep.fb = fb
+	return rep, nil
 }
 
 // close shuts the connection and fails every pending call. A call whose

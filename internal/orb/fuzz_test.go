@@ -119,9 +119,10 @@ func FuzzDecodeSamples(f *testing.F) {
 }
 
 // FuzzDecodeRequest throws arbitrary payloads at the request decoder,
-// seeded with well-formed frames and a hostile context count. Every
-// accepted request must survive an encode→decode round trip unchanged;
-// rejections are fine, panics and lossy decodes are not.
+// seeded with well-formed frames (a sole one among them) and a hostile
+// context count. Every accepted request must survive an encode→decode
+// round trip unchanged; rejections are fine, panics and lossy decodes are
+// not.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(encodeRequestFrame(request{requestID: 1, objectKey: "k", operation: "op"}).FramePayload())
 	f.Add(encodeRequestFrame(request{
@@ -129,6 +130,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		contexts: []ServiceContext{{ID: 7, Data: []byte("ctx")}, {ID: 8}},
 		body:     []byte{1, 2, 3},
 	}).FramePayload())
+	f.Add(encodeRequestFrame(request{requestID: 3, sole: true, objectKey: "lane", operation: "op"}).FramePayload())
 	f.Add(hostileContextFrame())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,7 +148,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // requestsEqual compares decoded requests field by field, treating nil
 // and empty byte slices alike.
 func requestsEqual(a, b request) bool {
-	if a.requestID != b.requestID || a.objectKey != b.objectKey || a.operation != b.operation ||
+	if a.requestID != b.requestID || a.sole != b.sole || a.objectKey != b.objectKey || a.operation != b.operation ||
 		!bytes.Equal(a.body, b.body) || len(a.contexts) != len(b.contexts) {
 		return false
 	}

@@ -11,7 +11,12 @@ import (
 // Wire protocol ("GLOP" — GIOP-lite over plain TCP):
 //
 //	frame   = u32 length | payload               (length excludes itself)
-//	payload = "GLOP" | u8 version | u8 msgType | u16 reserved | content
+//	payload = "GLOP" | u8 version | u8 msgType | u16 flags | content
+//
+// The only flag is flagSole, set on a request sent over an exclusive lane
+// (client.go): the connection carries nothing else until its reply
+// leaves, so the server dispatches it on the connection's read loop.
+// Replies carry no flags, and a receiver ignores bits it does not know.
 //
 // Request content: u64 requestID, string objectKey, string operation,
 // service-context list, bytes body.
@@ -29,6 +34,10 @@ const (
 	replyOK        byte = 0
 	replySystemErr byte = 1
 	replyUserErr   byte = 2
+
+	// flagSole marks a request as the only one its connection carries
+	// until the reply leaves.
+	flagSole uint16 = 1
 
 	// maxFrameSize guards against corrupt length prefixes.
 	maxFrameSize = 64 << 20
@@ -58,6 +67,7 @@ const (
 // reply encoding on the server).
 type request struct {
 	requestID uint64
+	sole      bool // sent over an exclusive lane (flagSole)
 	objectKey string
 	operation string
 	contexts  []ServiceContext
@@ -124,7 +134,11 @@ func encodeRequestFrame(r request) *cdr.Encoder {
 	e.WriteRaw(protocolMagic[:])
 	e.WriteOctet(protocolVersion)
 	e.WriteOctet(msgRequest)
-	e.WriteUint16(0)
+	var flags uint16
+	if r.sole {
+		flags = flagSole
+	}
+	e.WriteUint16(flags)
 	e.WriteUint64(r.requestID)
 	e.WriteString(r.objectKey)
 	e.WriteString(r.operation)
@@ -154,28 +168,28 @@ func encodeReplyFrame(r reply) *cdr.Encoder {
 	return e
 }
 
-// decodeHeader validates magic and version and returns the message type.
-// The magic octets are compared individually: materializing a [4]byte for
-// the error formatter would heap-escape it on every call, not just the
-// error path.
-func decodeHeader(d *cdr.Decoder) (byte, error) {
+// decodeHeader validates magic and version and returns the message type
+// and flags. The magic octets are compared individually: materializing a
+// [4]byte for the error formatter would heap-escape it on every call, not
+// just the error path.
+func decodeHeader(d *cdr.Decoder) (byte, uint16, error) {
 	m0 := d.ReadOctet()
 	m1 := d.ReadOctet()
 	m2 := d.ReadOctet()
 	m3 := d.ReadOctet()
 	version := d.ReadOctet()
 	msgType := d.ReadOctet()
-	d.ReadUint16() // reserved
+	flags := d.ReadUint16()
 	if err := d.Err(); err != nil {
-		return 0, Systemf(CodeMarshal, "short header: %v", err)
+		return 0, 0, Systemf(CodeMarshal, "short header: %v", err)
 	}
 	if m0 != protocolMagic[0] || m1 != protocolMagic[1] || m2 != protocolMagic[2] || m3 != protocolMagic[3] {
-		return 0, Systemf(CodeMarshal, "bad magic %q", string([]byte{m0, m1, m2, m3}))
+		return 0, 0, Systemf(CodeMarshal, "bad magic %q", string([]byte{m0, m1, m2, m3}))
 	}
 	if version != protocolVersion {
-		return 0, Systemf(CodeMarshal, "unsupported version %d", version)
+		return 0, 0, Systemf(CodeMarshal, "unsupported version %d", version)
 	}
-	return msgType, nil
+	return msgType, flags, nil
 }
 
 // wireRequest is a request decoded without materializing its strings:
@@ -186,6 +200,7 @@ func decodeHeader(d *cdr.Decoder) (byte, error) {
 // goes through decodeRequest, which converts to the owned request form.
 type wireRequest struct {
 	requestID uint64
+	sole      bool
 	objectKey []byte // lent from the frame
 	operation []byte // lent from the frame
 	contexts  []ServiceContext
@@ -198,7 +213,7 @@ func decodeRequestWire(b []byte) (wireRequest, error) {
 	var dec cdr.Decoder
 	dec.Reset(b)
 	d := &dec
-	msgType, err := decodeHeader(d)
+	msgType, flags, err := decodeHeader(d)
 	if err != nil {
 		return wireRequest{}, err
 	}
@@ -207,6 +222,7 @@ func decodeRequestWire(b []byte) (wireRequest, error) {
 	}
 	r := wireRequest{
 		requestID: d.ReadUint64(),
+		sole:      flags&flagSole != 0,
 		objectKey: d.ReadStringBytes(),
 		operation: d.ReadStringBytes(),
 	}
@@ -225,6 +241,7 @@ func decodeRequest(b []byte) (request, error) {
 	}
 	return request{
 		requestID: w.requestID,
+		sole:      w.sole,
 		objectKey: string(w.objectKey),
 		operation: string(w.operation),
 		contexts:  w.contexts,
@@ -236,7 +253,7 @@ func decodeReply(b []byte) (reply, error) {
 	var dec cdr.Decoder
 	dec.Reset(b)
 	d := &dec
-	msgType, err := decodeHeader(d)
+	msgType, _, err := decodeHeader(d)
 	if err != nil {
 		return reply{}, err
 	}

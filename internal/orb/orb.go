@@ -25,10 +25,13 @@
 //
 // Outgoing TCP invocations run over a pluggable Transport (transport.go)
 // behind a per-endpoint connection pool (client.go): up to WithPoolSize
-// multiplexed connections per endpoint, least-pending pick, automatic
-// reconnect under jittered exponential backoff, and a dial health gate so
-// a dead peer fails fast (TRANSIENT) instead of being re-dialed on every
-// call. The pool is the only state this ORB keeps per endpoint — gate,
+// connections per endpoint — exclusive lanes (lane.go), on which a lone
+// call writes its request and reads its own reply and the server
+// dispatches it on the connection's read loop, plus one shared
+// connection multiplexing every call that finds the lanes busy
+// (least-pending pick) — automatic reconnect under jittered exponential
+// backoff, and a dial health gate so a dead peer fails fast (TRANSIENT)
+// instead of being re-dialed on every call. The pool is the only state this ORB keeps per endpoint — gate,
 // breaker and RTT estimate, under one lock. Pools grow only under callers:
 // an invoke that finds its pool below the bound dials inline, and
 // concurrent callers dial in parallel. Above the pools, an
@@ -171,6 +174,16 @@ type ORB struct {
 	poolsClosed bool
 	reqID       atomic.Uint64
 
+	// sweep is the idle-lane sweep's timer (lane.go), under connMu; nil
+	// until the first lane is dialed.
+	sweep *time.Timer
+
+	// Server dispatch counters (ServerStats), over every listener and
+	// both dispatch paths; admin scrapes on their bypass slots are not
+	// counted.
+	dispatched atomic.Uint64
+	inflight   atomic.Int64
+
 	// affMu guards the sticky (key → endpoint) affinity state the
 	// endpoint selector consults so multi-profile invocations for one
 	// object keep landing on the replica that served it last: affinity
@@ -222,8 +235,10 @@ func WithAdvertised(endpoints ...string) ORBOption {
 	})
 }
 
-// WithPoolSize bounds the number of multiplexed client connections the ORB
-// keeps per endpoint. The default is 4; 1 reproduces the single-connection
+// WithPoolSize bounds the number of client connections the ORB keeps per
+// endpoint: up to n−1 exclusive lanes, each carrying one call at a time,
+// plus one shared connection multiplexing every call that finds the lanes
+// busy. The default is 4; 1 keeps a single multiplexed connection, the
 // behaviour of earlier versions.
 func WithPoolSize(n int) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
@@ -483,6 +498,9 @@ func (o *ORB) Shutdown() {
 	o.poolsClosed = true
 	pools := o.pools
 	o.pools = nil
+	if o.sweep != nil {
+		o.sweep.Stop()
+	}
 	o.connMu.Unlock()
 	for _, p := range pools {
 		p.closePool(Systemf(CodeCommFailure, "orb shut down"))

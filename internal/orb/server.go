@@ -109,14 +109,18 @@ func (s *server) acceptLoop() {
 // combining frameWriter (writer.go) over a bounded queue of pooled frame
 // encoders: handlers enqueue their reply and drain the queue themselves
 // into vectored writes, coalescing with concurrent handlers' replies.
-// The read loop itself never writes — its admission sheds are enqueued
+// A multiplexed request runs on a handler goroutine, so the loop never
+// waits on a servant or a reply write: its admission sheds are enqueued
 // non-blocking and flushed by a small dedicated kicker goroutine, so a
 // reply write stalled on a client that has stopped draining its socket
-// never blocks frame reads (and with them the fast shedding). Request
-// frames are read into pooled buffers; the handler that dispatched a
-// request releases its buffer after the reply is encoded — the decoded
-// body and service-context data are lent from the buffer, which is why
-// servants must cdr.Clone anything they retain.
+// never blocks frame reads (and with them the fast shedding). A sole
+// request — an exclusive lane's, whose connection carries nothing else
+// until the reply leaves — is admitted the same way but runs, reply write
+// included, on the loop itself. Request frames are read into pooled
+// buffers; the handler that dispatched a request releases its buffer
+// after the reply is encoded — the decoded body and service-context data
+// are lent from the buffer, which is why servants must cdr.Clone anything
+// they retain.
 func (s *server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -172,91 +176,118 @@ func (s *server) serveConn(conn net.Conn) {
 			putFrameBuf(fb)
 			return
 		}
-		// Admission: a request either takes a dispatch slot now, waits in
-		// the bounded queue (its own goroutine, shed at the deadline), or —
-		// when the queue is full — is shed through a non-blocking enqueue to
-		// the writer without spawning anything. Handler goroutines are
-		// therefore bounded by maxInflight + queue (+ the writer). Admin
-		// scrapes for a registered admin servant bypass the gate through a
-		// small dedicated slot pool: the stats servant must stay answerable
-		// exactly while the gate is shedding, which is when an operator
-		// reads it — but the bypass is bounded (adminInflight) and requires
-		// ServeAdmin to have run, so a flood of client-chosen "orb-admin"
-		// keys cannot recreate the pile-up the gate prevents; overflow admin
-		// traffic queues like anything else.
-		// Priority admission class: completion/recovery verbs (see
-		// WithPriorityOps) are classified synchronously in the read loop —
-		// an allocation-free map lookup on the lent operation bytes — and
-		// may fall back to the reserved slot pool when the shared pool is
-		// saturated, so overload sheds first-contact work before it sheds
-		// the traffic that resolves in-doubt transactions.
-		if s.adm == nil {
+		tok, queued, prio := s.admit(req)
+		switch {
+		case req.sole && tok != slotNone:
+			// A sole request came over an exclusive lane: nothing else can
+			// arrive on this connection before its reply leaves, so it
+			// runs right here, with no goroutine hand-off.
+			s.run(fb, req, w, tok)
+		case req.sole && queued:
+			s.awaitRun(fb, req, w, prio)
+		case tok != slotNone:
 			reqWG.Add(1)
 			go func() {
 				defer reqWG.Done()
-				s.handle(fb, req, w)
+				s.run(fb, req, w, tok)
 			}()
-		} else if bytes.Equal(req.objectKey, adminKeyBytes) && s.orb.hasServant(AdminKey) && s.tryAdminSlot() {
+		case queued:
 			reqWG.Add(1)
 			go func() {
 				defer reqWG.Done()
-				defer func() { <-s.adminSem }()
-				s.handle(fb, req, w)
+				s.awaitRun(fb, req, w, prio)
 			}()
-		} else {
-			prio := s.adm.isPriority(req.operation)
-			if tok := s.adm.tryAcquire(prio); tok != slotNone {
-				reqWG.Add(1)
-				go func() {
-					defer reqWG.Done()
-					defer s.adm.release(tok)
-					s.handle(fb, req, w)
-				}()
-			} else if s.adm.enqueue(prio) {
-				reqWG.Add(1)
-				go func() {
-					defer reqWG.Done()
-					slot := s.adm.await(s.done, prio)
-					if slot == slotNone {
-						putFrameBuf(fb)
-						w.q <- encodeReplyFrame(errorReply(req.requestID, s.adm.shedError()))
-						w.combine()
-						return
-					}
-					defer s.adm.release(slot)
-					s.handle(fb, req, w)
-				}()
-			} else {
-				// Shed without spawning: only the request id is needed, so
-				// the frame goes straight back to the pool, and neither the
-				// enqueue nor the write may block the read loop — the kicker
-				// goroutine flushes the queue instead.
-				id := req.requestID
-				putFrameBuf(fb)
-				enc := encodeReplyFrame(errorReply(id, s.adm.shedError()))
-				if w.tryEnqueue(enc) {
-					select {
-					case kick <- struct{}{}:
-					default: // a kick is already pending
-					}
-				} else {
-					// The reply queue is full behind a stalled write: the
-					// client is not draining its socket, so this shed could
-					// never be delivered anyway. Drop it (the shed is already
-					// counted) and let the caller time out.
-					cdr.PutEncoder(enc)
+		default:
+			// Shed without spawning: only the request id is needed, so
+			// the frame goes straight back to the pool, and neither the
+			// enqueue nor the write may block the read loop — the kicker
+			// goroutine flushes the queue instead.
+			id := req.requestID
+			putFrameBuf(fb)
+			enc := encodeReplyFrame(errorReply(id, s.adm.shedError()))
+			if w.tryEnqueue(enc) {
+				select {
+				case kick <- struct{}{}:
+				default: // a kick is already pending
 				}
+			} else {
+				// The reply queue is full behind a stalled write: the
+				// client is not draining its socket, so this shed could
+				// never be delivered anyway. Drop it (the shed is already
+				// counted) and let the caller time out.
+				cdr.PutEncoder(enc)
 			}
 		}
 	}
+}
+
+// admit is the read loop's admission decision for one request: the
+// dispatch slot it runs on now (tok), or, when every slot it may use is
+// busy, either a seat in the bounded wait queue (queued) or neither — a
+// shed. Handler goroutines are therefore bounded by maxInflight + queue
+// (+ the writer); without a gate every request runs (slotFree).
+//
+// Admin scrapes for a registered admin servant bypass the gate through a
+// small dedicated slot pool: the stats servant must stay answerable
+// exactly while the gate is shedding, which is when an operator reads it
+// — but the bypass is bounded (adminInflight) and requires ServeAdmin to
+// have run, so a flood of client-chosen "orb-admin" keys cannot recreate
+// the pile-up the gate prevents; overflow admin traffic is admitted like
+// anything else. Priority admission class: completion/recovery verbs (see
+// WithPriorityOps) are classified synchronously — an allocation-free map
+// lookup on the lent operation bytes — and may fall back to the reserved
+// slot pool when the shared pool is saturated, so overload sheds
+// first-contact work before it sheds the traffic that resolves in-doubt
+// transactions.
+func (s *server) admit(req wireRequest) (tok slotToken, queued, prio bool) {
+	if bytes.Equal(req.objectKey, adminKeyBytes) && s.orb.hasServant(AdminKey) && s.tryAdminSlot() {
+		return slotAdmin, false, false
+	}
+	if s.adm == nil {
+		return slotFree, false, false
+	}
+	prio = s.adm.isPriority(req.operation)
+	if tok = s.adm.tryAcquire(prio); tok != slotNone {
+		return tok, false, prio
+	}
+	return slotNone, s.adm.enqueue(prio), prio
+}
+
+// run dispatches an admitted request on the slot it holds, then frees
+// the slot. Every admitted dispatch but an admin scrape's is counted.
+func (s *server) run(fb *frameBuf, req wireRequest, w *frameWriter, tok slotToken) {
+	if tok == slotAdmin {
+		s.handle(fb, req, w)
+		<-s.adminSem
+		return
+	}
+	s.orb.dispatched.Add(1)
+	s.orb.inflight.Add(1)
+	s.handle(fb, req, w)
+	s.orb.inflight.Add(-1)
+	s.adm.release(tok)
+}
+
+// awaitRun waits out a queued request's turn in the admission queue and
+// runs it, or sheds it at the deadline.
+func (s *server) awaitRun(fb *frameBuf, req wireRequest, w *frameWriter, prio bool) {
+	tok := s.adm.await(s.done, prio)
+	if tok == slotNone {
+		putFrameBuf(fb)
+		w.q <- encodeReplyFrame(errorReply(req.requestID, s.adm.shedError()))
+		w.combine()
+		return
+	}
+	s.run(fb, req, w, tok)
 }
 
 // adminKeyBytes is AdminKey as bytes, for the read loop's allocation-free
 // admin-bypass check against the lent wire key.
 var adminKeyBytes = []byte(AdminKey)
 
-// handle dispatches one request and enqueues-and-combines its reply. The
-// pooled request frame is released only after the reply is encoded: the
+// handle dispatches one request and enqueues-and-combines its reply — the
+// one dispatch function of both paths, a handler goroutine's and the read
+// loop's for a sole request. The pooled request frame is released only after the reply is encoded: the
 // reply body a servant returns may alias the request body it was lent (an
 // echo servant does exactly that), so the frame must outlive the encode.
 func (s *server) handle(fb *frameBuf, req wireRequest, w *frameWriter) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"syscall"
+	"time"
 )
 
 // Transport dials the framed byte streams the ORB's client side runs on.
@@ -29,12 +31,12 @@ type Transport interface {
 // connection through its combining frame writer itself (writer.go).
 // Close must unblock both directions.
 //
-// A Conn may additionally implement two optional fast-path extensions the
+// A Conn may additionally implement optional fast-path extensions the
 // wire path probes for: frameBatchWriter (one gather write for a batch of
-// complete frames — the write-coalescing path) and frameReuseReader
-// (reads into a caller-recycled buffer — the pooled-read path). Plain
-// Conns still work; they just pay one syscall pair and one allocation per
-// frame.
+// complete frames — the write-coalescing path), frameReuseReader (reads
+// into a caller-recycled buffer — the pooled-read path) and laneConn
+// (exclusive lanes). Plain Conns still work; they pay one syscall pair
+// and one allocation per frame, and every call is multiplexed.
 type Conn interface {
 	// WriteFrame sends one frame (the payload, excluding the length
 	// prefix).
@@ -68,6 +70,25 @@ type frameReuseReader interface {
 	ReadFrameReuse(buf []byte) ([]byte, error)
 }
 
+// laneConn is the optional Conn extension behind exclusive lanes
+// (client.go): a connection one call at a time writes its request to and
+// reads its own reply from. Besides the batch-write and reuse-read paths
+// it needs a deadline, for callers whose context cannot be cancelled,
+// and idleBroken: a non-blocking check, on an idle connection, that the
+// peer has not closed or reset it and that no unasked-for bytes arrived.
+// Nothing reads an idle lane, so this check is how the pool learns its
+// peer went away. TCPTransport connections implement it where the
+// platform can peek a socket without blocking (lane_peek.go);
+// ChaosTransport connections do not — faults are per frame, so chaos
+// runs keep every call on the multiplexed path.
+type laneConn interface {
+	Conn
+	frameBatchWriter
+	frameReuseReader
+	SetDeadline(t time.Time) error
+	idleBroken() bool
+}
+
 // TCPTransport is the real client transport: length-prefixed GLOP frames
 // over plain TCP, with buffered reads (adjacent frames arriving together
 // cost one syscall) and vectored batch writes. The zero value is ready to
@@ -93,11 +114,21 @@ func (TCPTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
+
+	// The idle peek's raw socket and its callback, made on first use so
+	// that each later peek allocates nothing; peekBroken is its result.
+	// Only the pool's idle-lane checks use them, one at a time.
+	rc         syscall.RawConn
+	peek       func(fd uintptr)
+	peekBroken bool
 }
 
 func (c *tcpConn) WriteFrame(payload []byte) error { return writeFrame(c.c, payload) }
 func (c *tcpConn) ReadFrame() ([]byte, error)      { return readFrame(c.br) }
 func (c *tcpConn) Close() error                    { return c.c.Close() }
+
+// SetDeadline bounds the connection's reads and writes (laneConn).
+func (c *tcpConn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
 // WriteFrames implements frameBatchWriter with one writev(2) for the
 // whole batch.

@@ -114,6 +114,40 @@ func TestWireFormatUnchangedByPooledEncoders(t *testing.T) {
 	}
 }
 
+// TestWireFormatSoleRequest pins every byte of a sole request — an
+// exclusive lane's — beside the multiplexed request it differs from only
+// in the header's flags field, and its decoding back to sole.
+func TestWireFormatSoleRequest(t *testing.T) {
+	const want = "0000002c" + // frame length
+		"474c4f50" + "01" + "01" + "0001" + // "GLOP", version, request, flags = sole
+		"0000000000000001" + // request id
+		"00000002" + "6b00" + "0000" + // object key "k", padded
+		"00000005" + "70696e6700" + "000000" + // operation "ping", padded
+		"00000000" + // no service contexts
+		"00000000" // empty body
+	r := request{requestID: 1, sole: true, objectKey: "k", operation: "ping"}
+	enc := encodeRequestFrame(r)
+	defer cdr.PutEncoder(enc)
+	if got := fmt.Sprintf("%x", enc.Frame()); got != want {
+		t.Fatalf("sole request frame:\n got %s\nwant %s", got, want)
+	}
+	r.sole = false
+	mux := encodeRequestFrame(r)
+	defer cdr.PutEncoder(mux)
+	sole := append([]byte(nil), enc.FramePayload()...)
+	sole[7] = 0
+	if !bytes.Equal(sole, mux.FramePayload()) || !bytes.Equal(mux.FramePayload(), legacyEncodeRequest(r)) {
+		t.Fatal("a sole request must differ from the multiplexed encoding in the flags field only")
+	}
+	got, err := decodeRequest(enc.FramePayload())
+	if err != nil || !got.sole {
+		t.Fatalf("decoded sole request = %+v, %v", got, err)
+	}
+	if got, err := decodeRequest(mux.FramePayload()); err != nil || got.sole {
+		t.Fatalf("decoded multiplexed request = %+v, %v", got, err)
+	}
+}
+
 // TestRemoteLegacyClientInterop drives the new server with a hand-rolled
 // PR-4-era client — raw TCP, two-write frames, fresh buffers, no
 // batching, several requests pipelined before any reply is read — and

@@ -21,10 +21,13 @@ func (echoBytesServant) Dispatch(_ context.Context, _ string, in *cdr.Decoder) (
 	return in.ReadBytes(), nil
 }
 
-// newWireEcho starts an echo server and a one-connection client for a
-// size-byte body and returns one warmed request/reply round trip. Both
-// ORBs shut down with tb's cleanups.
-func newWireEcho(tb testing.TB, size int) func() error {
+// newWireEcho starts an echo server and a client for a size-byte body and
+// returns one warmed request/reply round trip. The client keeps one
+// multiplexed connection and calls under a deadline, or, with lane, has
+// the default pool and calls with context.Background(), so a lone call
+// runs on an exclusive lane with the call timeout as its only deadline.
+// Both ORBs shut down with tb's cleanups.
+func newWireEcho(tb testing.TB, size int, lane bool) func() error {
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -41,8 +44,11 @@ func newWireEcho(tb testing.TB, size int) func() error {
 	}
 	ref, _ = srv.IOR(ref.Key)
 	cli := New(WithPoolSize(1))
-	tb.Cleanup(cli.Shutdown)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	if lane {
+		cli, ctx = New(), context.Background()
+	}
+	tb.Cleanup(cli.Shutdown)
 	tb.Cleanup(cancel)
 	echo := func() error {
 		_, err := cli.Invoke(ctx, ref, "echo", body)
@@ -82,7 +88,7 @@ func warmCallers(echo func() error, n int) error {
 // pooled connection after every one of them has been warmed.
 func benchWirePath(size, callers int) func(*testing.B) {
 	return func(b *testing.B) {
-		echo := newWireEcho(b, size)
+		echo := newWireEcho(b, size, false)
 		if callers > 1 {
 			if err := warmCallers(echo, callers*runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)

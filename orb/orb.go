@@ -71,7 +71,8 @@ var WithCallTimeout = iorb.WithCallTimeout
 // WithTransport replaces the client transport (default TCPTransport).
 var WithTransport = iorb.WithTransport
 
-// WithPoolSize bounds the multiplexed client connections per endpoint.
+// WithPoolSize bounds the client connections per endpoint: n−1 exclusive
+// lanes plus one shared, multiplexed connection.
 var WithPoolSize = iorb.WithPoolSize
 
 // WithReconnectBackoff sets the jittered reconnect backoff window.
