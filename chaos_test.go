@@ -66,10 +66,10 @@ func TestChaosResetBetweenPrepareAndCommit(t *testing.T) {
 	chaos := orb.NewChaosTransport(nil)
 	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(2*time.Second))
 	defer clientORB.Shutdown()
-	// The third process_signal request is the first commit (after the two
-	// prepares): reset the connection before it is sent.
+	// Reset the connection before the first commit request is sent, after
+	// both prepares.
 	fault := chaos.Inject(orb.ChaosRule{
-		Op: "process_signal", Stage: orb.StageRequest, After: 2, Count: 1, Reset: true,
+		Signal: "commit", Stage: orb.StageRequest, Count: 1, Reset: true,
 	})
 
 	svc := activityservice.New(activityservice.WithRetryPolicy(
@@ -463,10 +463,10 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 		orb.WithReconnectBackoff(time.Millisecond, 5*time.Millisecond),
 	)
 	defer clientORB.Shutdown()
-	// The first two process_signal requests are the prepares; everything
-	// after them vanishes into the flap until it heals.
+	// After the prepares, every commit request vanishes into the flap
+	// until it heals: the batched commit and each member redelivery alike.
 	fault := chaos.Inject(orb.ChaosRule{
-		Op: "process_signal", Stage: orb.StageRequest, After: 2, Drop: true,
+		Signal: "commit", Stage: orb.StageRequest, Drop: true,
 	})
 
 	svc := activityservice.New(activityservice.WithRetryPolicy(
@@ -496,6 +496,9 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 	// Let phase two grind against the flap, then heal it.
 	time.Sleep(downFor)
 	fault.Remove()
+	if fault.Hits() == 0 {
+		t.Fatal("the drop rule never fired: phase two never met the flap")
+	}
 
 	var out outcome
 	select {
@@ -593,14 +596,15 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	clientORB := orb.New(
 		orb.WithTransport(chaos),
 		orb.WithCallTimeout(2*time.Second),
-		orb.WithCircuitBreaker(2, 5*time.Second),
+		// Both participants share the primary, so their commit is one
+		// batched call: one failure is the dead profile's whole record.
+		orb.WithCircuitBreaker(1, 5*time.Second),
 	)
 	defer clientORB.Shutdown()
-	// The first two process_signal requests toward the primary are the
-	// prepares; after them, the primary endpoint is hard-reset: every
-	// further frame kills its connection before leaving.
+	// After the prepares, the primary endpoint is hard-reset for commits:
+	// every commit frame toward it kills its connection before leaving.
 	fault := chaos.Inject(orb.ChaosRule{
-		Op: "process_signal", Addr: ep1, Stage: orb.StageRequest, After: 2, Reset: true,
+		Signal: "commit", Addr: ep1, Stage: orb.StageRequest, Reset: true,
 	})
 
 	svc := activityservice.New(activityservice.WithRetryPolicy(
@@ -653,8 +657,10 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	}
 
 	// And the failover is sticky: a fresh 2PC on the same references runs
-	// entirely through the backup, without touching the dead primary.
-	hitsBefore := fault.Hits()
+	// entirely through the backup, without touching the dead primary. The
+	// reset rule sees only commits, so a rule that injects nothing counts
+	// every frame toward the primary, prepares included.
+	toPrimary := chaos.Inject(orb.ChaosRule{Addr: ep1, Stage: orb.StageRequest})
 	tx2, err := coord.Begin("after-failover")
 	if err != nil {
 		t.Fatal(err)
@@ -669,8 +675,8 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	if err != nil || !committed {
 		t.Fatalf("post-failover 2PC: committed=%v err=%v", committed, err)
 	}
-	if got := fault.Hits(); got != hitsBefore {
-		t.Fatalf("post-failover 2PC sent %d frames at the dead primary, want 0 (sticky affinity)", got-hitsBefore)
+	if got := toPrimary.Hits(); got != 0 {
+		t.Fatalf("post-failover 2PC sent %d frames at the dead primary, want 0 (sticky affinity)", got)
 	}
 	if got := r1.commits.Load(); got != 2 {
 		t.Fatalf("participant 1 committed %d times after second tx, want 2", got)

@@ -239,7 +239,7 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 		case (policy.Mode == DeliverParallel || policy.Mode == DeliverTree) && len(regs) > 1:
 			advance, berr = c.broadcastConcurrent(ctx, driver, regs, sig, policy)
 		default:
-			advance, berr = c.broadcastSerial(ctx, driver, regs, sig)
+			advance, berr = c.broadcastSerial(ctx, driver, regs, sig, last)
 		}
 		if berr != nil {
 			return Outcome{}, fmt.Errorf("core: set_response on %q: %w", setName, berr)

@@ -20,7 +20,12 @@ const (
 	// DeliverSerial transmits to one action at a time in registration
 	// order, waiting for each response before the next transmit — the
 	// fig. 5 exchange as literally drawn. It is the zero mode, so a set
-	// that names no policy delivers serially.
+	// that names no policy delivers serially. In a *SequenceSet round
+	// that cannot advance (no veto, the failure sequence, or the final
+	// round), a run of consecutive remote actions on one endpoint
+	// (EndpointBatcher) travels to its host as one call: the host still
+	// delivers one at a time in registration order, and collation,
+	// Responses and the trace are those of literal serial delivery.
 	DeliverSerial DeliveryMode = iota
 	// DeliverParallel transmits to all registered actions concurrently
 	// through a worker pool bounded at max(16, 4×GOMAXPROCS). Responses
@@ -97,9 +102,54 @@ func policyFor(set SignalSet) DeliveryPolicy {
 	return DeliveryPolicy{}
 }
 
+// EndpointBatcher is the optional interface of remote Actions whose host
+// can take a same-host run of a serial broadcast as one call. A serial
+// broadcast hands a run of two or more consecutive registrations with
+// equal endpoints to the run's first action, but only in a round that
+// cannot advance: the host delivers every member, so nothing could cut the
+// broadcast short between them.
+type EndpointBatcher interface {
+	// BatchEndpoint names the action's host; "" never batches.
+	BatchEndpoint() string
+	// DeliverBatch has the host deliver sig to run — actions on this
+	// action's endpoint, this one first — as DeliverRun does: one at a
+	// time, in order, with retry per member. It returns one result per
+	// member in run order, Index its position in run. An error (or any
+	// other shape of results) means the run's fate is unknown: the
+	// coordinator redelivers it member by member, so delivery stays at
+	// least once.
+	DeliverBatch(ctx context.Context, sig Signal, run []Action, retry RetryPolicy) ([]SubtreeResult, error)
+}
+
 // broadcastSerial delivers sig to each registration in order, feeding every
-// response back immediately; an advance stops the broadcast.
-func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
+// response back immediately; an advance stops the broadcast. In a round
+// that cannot advance (last: GetSignal called it the final one), each run
+// of consecutive registrations on one endpoint goes to its host as one
+// ordered batch (deliverRun); there a registration that cannot batch costs
+// one type assertion. Other rounds are delivered one by one.
+func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal, last bool) (bool, error) {
+	if !roundSettled(driver.set, last) {
+		return c.deliverEach(ctx, driver, regs, sig)
+	}
+	for len(regs) > 0 {
+		at, n := nextRun(regs)
+		if adv, err := c.deliverEach(ctx, driver, regs[:at], sig); adv || err != nil {
+			return adv, err
+		}
+		if n == 0 {
+			break
+		}
+		if adv, err := c.deliverRun(ctx, driver, regs[at:at+n], sig); adv || err != nil {
+			return adv, err
+		}
+		regs = regs[at+n:]
+	}
+	return false, nil
+}
+
+// deliverEach delivers sig to regs one at a time, each response fed back
+// before the next transmit.
+func (c *Coordinator) deliverEach(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
 	for _, reg := range regs {
 		outcome, aerr := c.deliver(ctx, reg, sig)
 		adv, serr := driver.setResponse(outcome, aerr)
@@ -111,6 +161,85 @@ func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, re
 		}
 	}
 	return false, nil
+}
+
+// nextRun finds the first run of two or more consecutive registrations
+// whose actions are EndpointBatchers on one endpoint. It returns where the
+// run starts and its length, or len(regs) and 0 when there is none.
+func nextRun(regs []registration) (at, n int) {
+	for at = range regs {
+		b, ok := regs[at].action.(EndpointBatcher)
+		if !ok {
+			continue
+		}
+		ep := b.BatchEndpoint()
+		for n = 1; ep != "" && at+n < len(regs); n++ {
+			next, ok := regs[at+n].action.(EndpointBatcher)
+			if !ok || next.BatchEndpoint() != ep {
+				break
+			}
+		}
+		if n > 1 {
+			return at, n
+		}
+	}
+	return len(regs), 0
+}
+
+// deliverRun ships a same-endpoint run to its host as one ordered batch,
+// then replays each member's trace and feeds its response exactly as the
+// serial path records them live. A batch that fails redelivers the run
+// member by member.
+func (c *Coordinator) deliverRun(ctx context.Context, driver *setDriver, run []registration, sig Signal) (bool, error) {
+	actions := make([]Action, len(run))
+	for i, reg := range run {
+		actions[i] = reg.action
+	}
+	res, err := run[0].action.(EndpointBatcher).DeliverBatch(ctx, sig, actions, c.retry)
+	if err != nil || !inRunOrder(res, len(run)) {
+		return c.deliverEach(ctx, driver, run, sig)
+	}
+	for i, reg := range run {
+		r := attemptResult{outcome: res[i].Outcome, err: res[i].Err, attempts: max(res[i].Attempts, 1)}
+		c.replayTrace(reg, sig, r)
+		adv, serr := driver.setResponse(r.outcome, r.err)
+		if serr != nil {
+			return false, serr
+		}
+		if adv {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// inRunOrder reports whether res holds exactly one result per member of an
+// n-member run, in run order.
+func inRunOrder(res []SubtreeResult, n int) bool {
+	if len(res) != n {
+		return false
+	}
+	for i, r := range res {
+		if r.Index != i {
+			return false
+		}
+	}
+	return true
+}
+
+// DeliverRun delivers sig to each action of run the way a serial broadcast
+// does: one at a time, in order, each through retry's at-least-once loop
+// and only after its predecessor answered. It returns one result per
+// action, Index its position in run. A host serving an EndpointBatcher's
+// batch calls it.
+func DeliverRun(ctx context.Context, sig Signal, run []Action, retry RetryPolicy) []SubtreeResult {
+	retry.Attempts = max(retry.Attempts, 1)
+	out := make([]SubtreeResult, len(run))
+	for i, a := range run {
+		r := runAttempts(ctx, a, sig, retry, nil)
+		out[i] = SubtreeResult{Index: i, Attempts: r.attempts, Outcome: r.outcome, Err: r.err}
+	}
+	return out
 }
 
 // attemptResult is the outcome of one action's at-least-once retry loop.

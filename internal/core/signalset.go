@@ -225,8 +225,8 @@ type SequenceSet struct {
 	signals   []Signal // shared, never written: callers may pass one slice to many sets
 	onFail    []Signal
 	veto      string
-	idx       int  // position in the current sequence
-	failed    bool // the current sequence is onFail
+	idx       int         // position in the current sequence
+	failed    atomic.Bool // the current sequence is onFail; set under mu, read lock-free
 	responses []Outcome
 	outcome   string
 	failure   string
@@ -285,20 +285,18 @@ func (s *SequenceSet) Collate(fn func(responses []Outcome) Outcome) *SequenceSet
 
 // Failed reports whether the set took its failure sequence.
 func (s *SequenceSet) Failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
+	return s.failed.Load()
 }
 
 // GetSignal implements SignalSet.
 func (s *SequenceSet) GetSignal() (Signal, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.idx == 0 && !s.failed && s.onFail != nil && s.CompletionStatus() != CompletionSuccess {
-		s.failed = true
+	if s.idx == 0 && !s.failed.Load() && s.onFail != nil && s.CompletionStatus() != CompletionSuccess {
+		s.failed.Store(true)
 	}
 	seq := s.signals
-	if s.failed {
+	if s.failed.Load() {
 		seq = s.onFail
 	}
 	if s.idx >= len(seq) {
@@ -329,11 +327,24 @@ func (s *SequenceSet) SetResponse(resp Outcome, deliveryErr error) (bool, error)
 	if record {
 		s.responses = append(s.responses, resp)
 	}
-	if vetoed && !s.failed && s.idx < len(s.signals) {
-		s.failed, s.idx = true, 0
+	if vetoed && !s.failed.Load() && s.idx < len(s.signals) {
+		s.failed.Store(true)
+		s.idx = 0
 		return true, nil
 	}
 	return false, nil
+}
+
+// roundSettled reports whether no response can advance set's current
+// round, last telling whether GetSignal called it the final one, so a
+// serial broadcast may ship same-host runs as ordered batches. Only a
+// *SequenceSet can tell: its round cannot advance when it names no veto,
+// runs its failure sequence, or is in its final round. Any other set may
+// advance on any response. It takes no lock: the veto is fixed before the
+// set is registered, and failed is atomic.
+func roundSettled(set SignalSet, last bool) bool {
+	s, ok := set.(*SequenceSet)
+	return ok && (s.veto == "" || last || s.failed.Load())
 }
 
 // GetOutcome implements SignalSet.

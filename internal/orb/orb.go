@@ -424,6 +424,15 @@ func (o *ORB) hasServant(key string) bool {
 	return ok
 }
 
+// Servant returns the servant active under key, so a servant can reach
+// its colocated peers without a call through the ORB.
+func (o *ORB) Servant(key string) (Servant, bool) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	e, ok := o.servants[key]
+	return e.servant, ok
+}
+
 // Deactivate removes the servant under key.
 func (o *ORB) Deactivate(key string) {
 	o.mu.Lock()

@@ -44,7 +44,10 @@ type FactoryOption func(*ActivityFactory)
 // WithFactoryDelivery sets the delivery policy of the completion set the
 // factory declares for every remotely begun activity (remote activities
 // coordinate remote actions — the latency-bound regime parallel and tree
-// fan-out target). Without it that set delivers serially.
+// fan-out target). Without it that set delivers serially: its one signal
+// cannot advance, so each run of consecutive actions one caller hosts
+// costs one endpoint batch (core.EndpointBatcher) rather than a call per
+// action.
 func WithFactoryDelivery(p core.DeliveryPolicy) FactoryOption {
 	return func(f *ActivityFactory) { f.delivery = p }
 }

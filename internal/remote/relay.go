@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -32,8 +33,8 @@ const (
 )
 
 // Relay batch kinds: the first octet after the signal encoding says whether
-// the frame carries the subtree membership inline or refers to one the
-// relay already planted.
+// the frame carries a subtree membership inline, refers to one the relay
+// already planted, or names a same-host run of a serial broadcast.
 const (
 	// relayBatchFull carries the membership blob inline; the relay checks
 	// that the blob hashes to the claimed plant id and caches it there.
@@ -42,6 +43,12 @@ const (
 	// membership. A relay that does not know the plant (restarted, evicted)
 	// raises unknown-plant and the sender falls back to a full batch.
 	relayBatchRef byte = 2
+	// relayBatchKeys carries the member keys of a same-host run of a
+	// serial broadcast (core.EndpointBatcher): no endpoints, no plant id,
+	// never planted, since a per-activity membership is never reused. The
+	// relay delivers the run itself, in order, and refuses the batch if it
+	// serves no Action under one of the keys.
+	relayBatchKeys byte = 3
 )
 
 // maxRelayDepth bounds membership-tree recursion against hostile frames.
@@ -122,7 +129,8 @@ type relayBatch struct {
 	kind    byte
 	plantID string
 	retry   core.RetryPolicy
-	root    *relayNode // nil for relayBatchRef
+	root    *relayNode // relayBatchFull only
+	keys    []string   // relayBatchKeys only
 }
 
 // encodeRelayBatch writes one relay_deliver request body. The signal is
@@ -140,7 +148,7 @@ func encodeRelayBatch(e *cdr.Encoder, sig core.Signal, kind byte, plantID string
 	e.WriteString(plantID)
 	e.WriteUint32(uint32(retry.Attempts))
 	e.WriteInt64(int64(retry.Backoff))
-	if kind == relayBatchFull {
+	if kind != relayBatchRef {
 		e.WriteBytes(membership)
 	}
 	return nil
@@ -168,13 +176,16 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	switch b.kind {
 	case relayBatchRef:
 		return b, nil
-	case relayBatchFull:
+	case relayBatchFull, relayBatchKeys:
 	default:
 		return relayBatch{}, fmt.Errorf("remote: relay batch kind %d", b.kind)
 	}
 	blob := d.ReadBytes() // lent; fully consumed by the nested decode below
 	if err := d.Err(); err != nil {
 		return relayBatch{}, err
+	}
+	if b.kind == relayBatchKeys {
+		return decodeRelayKeys(b, blob)
 	}
 	if id := plantIDOf(blob); id != b.plantID {
 		return relayBatch{}, fmt.Errorf("remote: relay batch claims plant %s for membership %s", b.plantID, id)
@@ -193,6 +204,36 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 		return relayBatch{}, fmt.Errorf("remote: relay membership is not canonical (%d bytes, %d decoded)", len(blob), len(me.Bytes()))
 	}
 	b.root = root
+	return b, nil
+}
+
+// encodeRelayKeys is the membership blob of an endpoint batch: the run's
+// servant keys, in run order.
+func encodeRelayKeys(keys []string) []byte {
+	e := cdr.NewEncoder(8 + 40*len(keys))
+	e.WriteStringList(keys)
+	return e.Bytes()
+}
+
+// decodeRelayKeys completes b, an endpoint batch, from its membership
+// blob. Like a full batch's, the blob must be canonical; it must also name
+// at least one key, and the batch no plant. The keys are owned copies.
+func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
+	if b.plantID != "" {
+		return relayBatch{}, fmt.Errorf("remote: endpoint batch names plant %q", b.plantID)
+	}
+	var md cdr.Decoder
+	md.Reset(blob)
+	b.keys = md.ReadStringList()
+	if err := md.Err(); err != nil {
+		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys: %w", err)
+	}
+	if len(b.keys) == 0 {
+		return relayBatch{}, fmt.Errorf("remote: endpoint batch names no member")
+	}
+	if !bytes.Equal(encodeRelayKeys(b.keys), blob) {
+		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys are not canonical (%d bytes)", len(blob))
+	}
 	return b, nil
 }
 
@@ -221,6 +262,15 @@ func encodeRelayResults(e *cdr.Encoder, results []relayResult) error {
 		e.WriteString(r.errText)
 	}
 	return nil
+}
+
+// encodeRelayReply is the body of a relay_deliver reply.
+func encodeRelayReply(results []relayResult) ([]byte, error) {
+	e := cdr.NewEncoder(64 * len(results))
+	if err := encodeRelayResults(e, results); err != nil {
+		return nil, orb.Systemf(orb.CodeMarshal, "encode relay results: %v", err)
+	}
+	return e.Bytes(), nil
 }
 
 // decodeRelayResults reads an aggregated reply. Owned, like every decode
@@ -270,7 +320,8 @@ func plantIDOf(membership []byte) string {
 // relays receiving sub-batches — and aggregates every member's outcome into
 // one reply. It also keeps the plant cache that makes coordinator traffic
 // sub-linear: a membership arrives once (full batch) and every later round
-// references it by plant id.
+// references it by plant id. An endpoint batch bypasses both: the servant
+// delivers it to this ORB's own actions in order (deliverRun).
 type relayServant struct {
 	o *orb.ORB
 
@@ -287,17 +338,37 @@ type relayServant struct {
 	order  []string                    // LRU order, most recently used last
 }
 
+// relayInstallMu serialises ServeRelay, so concurrent first exports on one
+// ORB install one relay servant.
+var relayInstallMu sync.Mutex
+
 // ServeRelay activates the relay servant on o under RelayKey and returns
-// its reference. Call it once per ORB that should act as an interior node
-// of relay trees. The servant also registers its plant-cache telemetry as
-// o's "relay" metrics source.
+// its reference. The servant also registers its plant-cache telemetry as
+// o's "relay" metrics source. ExportAction calls it on first use; a later
+// call returns the servant already active, plant cache and metrics intact.
 func ServeRelay(o *orb.ORB) orb.IOR {
+	relayInstallMu.Lock()
+	defer relayInstallMu.Unlock()
+	if sv, _ := o.Servant(RelayKey); sv != nil {
+		if _, ok := sv.(*relayServant); ok {
+			ref, _ := o.IOR(RelayKey)
+			return ref
+		}
+	}
 	s := &relayServant{
 		o:      o,
 		plants: make(map[string][]*core.TreeNode),
 	}
 	o.SetMetrics("relay", s.metrics)
 	return o.RegisterServantWithKey(RelayKey, RelayTypeID, s)
+}
+
+// installRelay serves a relay on o unless a servant already holds
+// RelayKey: the per-export check costs one map lookup.
+func installRelay(o *orb.ORB) {
+	if _, ok := o.Servant(RelayKey); !ok {
+		ServeRelay(o)
+	}
 }
 
 // metrics emits the plant-cache telemetry.
@@ -368,6 +439,9 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	if err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "relay_deliver: %v", err)
 	}
+	if batch.kind == relayBatchKeys {
+		return s.deliverRun(ctx, batch)
+	}
 	var forest []*core.TreeNode
 	if batch.kind == relayBatchRef {
 		var ok bool
@@ -386,11 +460,32 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 			results[i].errText = errText(r.Err)
 		}
 	}
-	e := cdr.NewEncoder(64 * len(results))
-	if err := encodeRelayResults(e, results); err != nil {
-		return nil, orb.Systemf(orb.CodeMarshal, "encode relay results: %v", err)
+	return encodeRelayReply(results)
+}
+
+// deliverRun serves an endpoint batch. It resolves every key to an Action
+// this ORB serves, refusing the batch before delivering anything if one is
+// not, then delivers the run in order (core.DeliverRun). A member's
+// failure is worded as a direct process_signal would have reported it.
+func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, error) {
+	run := make([]core.Action, len(b.keys))
+	for i, key := range b.keys {
+		sv, _ := s.o.Servant(key)
+		as, ok := sv.(*actionServant)
+		if !ok {
+			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action %q", key)
+		}
+		run[i] = as.action
 	}
-	return e.Bytes(), nil
+	delivered := core.DeliverRun(ctx, b.sig, run, b.retry)
+	results := make([]relayResult, len(delivered))
+	for i, r := range delivered {
+		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
+		if r.Err != nil {
+			results[i].errText = processSignalError(b.keys[i], r.Err).Error()
+		}
+	}
+	return encodeRelayReply(results)
 }
 
 // forestOf builds, once per planted membership, the forest this relay
@@ -583,7 +678,12 @@ func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Si
 		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", endpoint, err)
 	}
 	markPlanted(endpoint, plantID)
+	return decodeRelayReply(body, func(text string) error { return relayError(text) })
+}
 
+// decodeRelayReply reads a relay_deliver reply into owned per-member
+// results, turning each failure's text into an error with wrap.
+func decodeRelayReply(body []byte, wrap func(text string) error) ([]core.SubtreeResult, error) {
 	raw, err := decodeRelayResults(cdr.NewDecoder(body))
 	if err != nil {
 		return nil, fmt.Errorf("remote: decode relay results: %w", err)
@@ -592,10 +692,40 @@ func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Si
 	for i, rr := range raw {
 		results[i] = core.SubtreeResult{Index: rr.index, Attempts: rr.attempts, Outcome: rr.outcome}
 		if rr.errText != "" {
-			results[i].Err = relayError(rr.errText)
+			results[i].Err = wrap(rr.errText)
 		}
 	}
 	return results, nil
+}
+
+// BatchEndpoint implements core.EndpointBatcher: the proxy's primary
+// endpoint.
+func (r *remoteAction) BatchEndpoint() string { return r.ref.Endpoint() }
+
+// DeliverBatch implements core.EndpointBatcher: it sends the run's keys
+// inline to the relay servant on this proxy's endpoints as one endpoint
+// batch. Every member of run must be an Action proxy.
+func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	keys := make([]string, len(run))
+	for i, a := range run {
+		ra, ok := a.(*remoteAction)
+		if !ok {
+			return nil, fmt.Errorf("remote: endpoint batch member %d is not an Action proxy", i)
+		}
+		keys[i] = ra.ref.Key
+	}
+	membership := encodeRelayKeys(keys)
+	e := cdr.NewEncoder(len(membership) + 128)
+	if err := encodeRelayBatch(e, sig, relayBatchKeys, "", retry, membership); err != nil {
+		return nil, fmt.Errorf("remote: encode endpoint batch: %w", err)
+	}
+	target := orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...)
+	body, err := r.orb.Invoke(ctx, target, relayOp, e.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", target.Endpoint(), err)
+	}
+	// The host words each failure as the direct call's error reads.
+	return decodeRelayReply(body, errors.New)
 }
 
 // wireTree converts a planner tree into wire form, requiring every member

@@ -428,6 +428,21 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 	seed(core.Signal{Name: "prepare", SetName: "2pc"}, relayBatchFull, core.RetryPolicy{Attempts: 2}, sampleTree())
 	seed(core.Signal{Name: "commit", SetName: "2pc", Data: "x"}, relayBatchRef, core.RetryPolicy{Attempts: 1, Backoff: time.Millisecond}, nil)
 	seed(core.Signal{Name: "n", SetName: "s", Data: int64(-1)}, relayBatchFull, core.RetryPolicy{}, &relayNode{index: 0, key: "k", endpoints: []string{"inproc:x"}})
+	// Endpoint batches: keys inline, no plant id. The decoder accepts a key
+	// no host serves (the host refuses it), and refuses a membership with
+	// trailing bytes or no key, or a batch that names a plant.
+	seedKeys := func(plantID string, membership []byte) {
+		e := cdr.NewEncoder(256)
+		if err := encodeRelayBatch(e, core.Signal{Name: "commit", SetName: "2pc"}, relayBatchKeys, plantID, core.RetryPolicy{Attempts: 2}, membership); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cdr.Clone(e.Bytes()))
+	}
+	seedKeys("", encodeRelayKeys([]string{"a1", "a2", "a3"}))
+	seedKeys("", encodeRelayKeys([]string{"no-such-action"}))
+	seedKeys("", append(encodeRelayKeys([]string{"a1"}), 0, 0, 0, 0))
+	seedKeys("", encodeRelayKeys(nil))
+	seedKeys(plantIDOf(encodeRelayKeys([]string{"a1"})), encodeRelayKeys([]string{"a1"}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x00})
 
@@ -441,10 +456,13 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 		// Accepted batches must round-trip: re-encode the decoded view and
 		// decode it again to the same header and span.
 		var membership []byte
-		if b.root != nil {
+		switch {
+		case b.root != nil:
 			me := cdr.NewEncoder(128)
 			encodeRelayNode(me, b.root)
 			membership = me.Bytes()
+		case b.kind == relayBatchKeys:
+			membership = encodeRelayKeys(b.keys)
 		}
 		e := cdr.NewEncoder(256)
 		if err := encodeRelayBatch(e, b.sig, b.kind, b.plantID, b.retry, membership); err != nil {
@@ -465,7 +483,54 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 		if b.root != nil && len(b.root.span(nil)) != len(b2.root.span(nil)) {
 			t.Fatalf("round-trip span mismatch")
 		}
+		if strings.Join(b.keys, "\x00") != strings.Join(b2.keys, "\x00") || (b.kind == relayBatchKeys) != (len(b.keys) > 0) {
+			t.Fatalf("round-trip keys mismatch: %q vs %q", b.keys, b2.keys)
+		}
 	})
+}
+
+// TestRelayServeIsIdempotent calls ServeRelay again on an ORB whose relay
+// already planted a membership, as activityd -relay does after an export
+// installed the relay: the call returns the servant already active, so
+// the plant survives, the next round rides its id, and the "relay"
+// metrics source still reports it.
+func TestRelayServeIsIdempotent(t *testing.T) {
+	fx := newRelayFixture(t)
+	ctx := context.Background()
+	var counts [3]atomic.Int32
+	nodes := make([]*core.TreeNode, len(counts))
+	for i := range counts {
+		nodes[i] = &core.TreeNode{Member: core.TreeMember{Index: i, Action: ImportAction(fx.sender, fx.exportCounting(&counts[i]))}}
+	}
+	nodes[0].Children = nodes[1:]
+	deliverer := nodes[0].Member.Action.(core.SubtreeDeliverer)
+	sig := core.Signal{Name: "r", SetName: "s"}
+	if _, err := deliverer.DeliverSubtree(ctx, sig, nodes[0], core.RetryPolicy{Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	first, _ := fx.host.Servant(RelayKey)
+	if ref := ServeRelay(fx.host); ref.Key != RelayKey {
+		t.Fatalf("second ServeRelay returned key %q, want %q", ref.Key, RelayKey)
+	}
+	if second, _ := fx.host.Servant(RelayKey); second != first {
+		t.Fatal("second ServeRelay replaced the active relay servant")
+	}
+	if _, err := deliverer.DeliverSubtree(ctx, sig, nodes[0], core.RetryPolicy{Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	samples := fx.host.Metrics()
+	plants, _ := samples.Get("relay.plants", "")
+	hits, _ := samples.Get("relay.hits", "")
+	misses, _ := samples.Get("relay.misses", "")
+	if plants != 1 || hits != 1 || misses != 0 {
+		t.Fatalf("after re-serving: plants=%d hits=%d misses=%d, want 1/1/0", plants, hits, misses)
+	}
+	for i := range counts {
+		if got := counts[i].Load(); got != 2 {
+			t.Fatalf("member %d received %d signals, want 2", i, got)
+		}
+	}
 }
 
 // TestRelayPlantCacheTelemetry pins the plant-cache counters the "relay"

@@ -59,13 +59,18 @@ func (s *actionServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder
 	return e.Bytes(), nil
 }
 
-// ExportAction activates action on o and returns its reference.
+// ExportAction activates action on o and returns its reference. The first
+// export on o also installs o's relay servant (ServeRelay), so a serial
+// broadcast can reach every action o hosts with one call per signal.
 func ExportAction(o *orb.ORB, action core.Action) orb.IOR {
+	installRelay(o)
 	return o.RegisterServant(ActionTypeID, &actionServant{action: action})
 }
 
-// ExportActionWithKey activates action under a stable key (for recovery).
+// ExportActionWithKey activates action under a stable key (for recovery),
+// installing o's relay servant like ExportAction.
 func ExportActionWithKey(o *orb.ORB, key string, action core.Action) orb.IOR {
+	installRelay(o)
 	return o.RegisterServantWithKey(key, ActionTypeID, &actionServant{action: action})
 }
 
@@ -89,13 +94,20 @@ func (r *remoteAction) ProcessSignal(ctx context.Context, sig Signal) (core.Outc
 	}
 	body, err := r.orb.Invoke(ctx, r.ref, "process_signal", e.Bytes())
 	if err != nil {
-		return core.Outcome{}, fmt.Errorf("remote: process_signal on %s: %w", r.ref.Key, err)
+		return core.Outcome{}, processSignalError(r.ref.Key, err)
 	}
 	out, err := core.DecodeOutcome(cdr.NewDecoder(body))
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("remote: decode outcome: %w", err)
 	}
 	return out, nil
+}
+
+// processSignalError words a failed process_signal on the Action under key.
+// A relay serving an endpoint batch words its members' failures with it
+// too, so a batched delivery error reads as the direct call's would.
+func processSignalError(key string, err error) error {
+	return fmt.Errorf("remote: process_signal on %s: %w", key, err)
 }
 
 // Signal aliases core.Signal for the proxy signature.

@@ -133,6 +133,8 @@ func NewNameClient(o *ORB, ref IOR) *NameClient { return iorb.NewNameClient(o, r
 var NameServiceAt = iorb.NameServiceAt
 
 // ExportAction activates a core Action on o and returns its reference.
+// The first export on o also serves o's relay (ServeRelay), so a serial
+// broadcast reaches o's actions with one call per signal.
 func ExportAction(o *ORB, action core.Action) IOR { return remote.ExportAction(o, action) }
 
 // ImportAction returns an Action proxy for the Action at ref.
@@ -141,7 +143,9 @@ func ImportAction(o *ORB, ref IOR) core.Action { return remote.ImportAction(o, r
 // ServeRelay activates the well-known relay servant on o, making the node
 // an interior vertex of tree-structured signal fan-out: it accepts
 // subtree batches, delivers to its own span, forwards to child relays and
-// aggregates outcomes up the tree.
+// aggregates outcomes up the tree. It also serves serial endpoint batches
+// to the node's own actions. A second call returns the relay already
+// served.
 var ServeRelay = remote.ServeRelay
 
 // NewActivityProxy returns a proxy for a remote activity coordinator.

@@ -44,7 +44,8 @@ var WithOnDrain = remote.WithOnDrain
 var ServeActivityFactory = remote.ServeActivityFactory
 
 // WithFactoryDelivery sets the delivery policy of the completion set the
-// factory declares for remotely begun activities.
+// factory declares for remotely begun activities. Without it the set
+// delivers serially, one call per caller host.
 var WithFactoryDelivery = remote.WithFactoryDelivery
 
 // WithFactoryShard guards every factory begin with a member's shard
