@@ -56,15 +56,20 @@ func exportChaosResource(t *testing.T, r *chaosResource) orb.IOR {
 // transport dies before the first commit signal leaves the coordinator.
 // Documented behaviour: the commit decision stands; at-least-once delivery
 // re-dials through the pool and re-drives phase two, so both participants
-// commit exactly once.
+// commit exactly once, whether the commit rides an exclusive lane or the
+// shared connection.
 func TestChaosResetBetweenPrepareAndCommit(t *testing.T) {
+	forEachPool(t, testChaosResetBetweenPrepareAndCommit)
+}
+
+func testChaosResetBetweenPrepareAndCommit(t *testing.T, pool orb.ORBOption, lanes bool) {
 	ctx := context.Background()
 	p1, p2 := &chaosResource{}, &chaosResource{}
 	ref1 := exportChaosResource(t, p1)
 	ref2 := exportChaosResource(t, p2)
 
-	chaos := orb.NewChaosTransport(nil)
-	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(2*time.Second))
+	chaos := orb.NewChaosTransport()
+	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(2*time.Second), pool)
 	defer clientORB.Shutdown()
 	// Reset the connection before the first commit request is sent, after
 	// both prepares.
@@ -107,6 +112,29 @@ func TestChaosResetBetweenPrepareAndCommit(t *testing.T) {
 			t.Errorf("participant %d rolled back %d times, want 0", i+1, got)
 		}
 	}
+	assertLanes(t, clientORB, lanes, ref1.Endpoint(), ref2.Endpoint())
+}
+
+// forEachPool runs a chaos scenario on the default pool, whose lone calls
+// ride exclusive lanes, and at WithPoolSize(1), whose calls all share one
+// multiplexed connection.
+func forEachPool(t *testing.T, scenario func(t *testing.T, pool orb.ORBOption, lanes bool)) {
+	t.Run("lanes", func(t *testing.T) { scenario(t, orb.WithPoolSize(4), true) })
+	t.Run("shared", func(t *testing.T) { scenario(t, orb.WithPoolSize(1), false) })
+}
+
+// assertLanes checks which connections o's client pools to endpoints
+// hold: at least one exclusive lane when lanes, none otherwise.
+func assertLanes(t *testing.T, o *orb.ORB, lanes bool, endpoints ...string) {
+	t.Helper()
+	n := 0
+	for _, ep := range endpoints {
+		st, _ := o.EndpointStats(ep)
+		n += st.Lanes
+	}
+	if (n > 0) != lanes {
+		t.Fatalf("client pools to %v hold %d lanes, want lanes=%v", endpoints, n, lanes)
+	}
 }
 
 // chaosBTPParticipant is a remote BTP participant speaking the btp signal
@@ -138,8 +166,13 @@ func (p *chaosBTPParticipant) action() core.Action {
 // coordinator's calls time out. Documented behaviour: confirm is
 // at-least-once and participant confirm is idempotent, so the atom still
 // reports confirmed, the participants converge on confirmed, and after the
-// partition heals the transport works again.
+// partition heals the transport works again. It runs over lanes and over
+// the shared connection.
 func TestChaosPartitionDuringConfirm(t *testing.T) {
+	forEachPool(t, testChaosPartitionDuringConfirm)
+}
+
+func testChaosPartitionDuringConfirm(t *testing.T, pool orb.ORBOption, lanes bool) {
 	ctx := context.Background()
 	p1, p2 := &chaosBTPParticipant{}, &chaosBTPParticipant{}
 
@@ -154,8 +187,8 @@ func TestChaosPartitionDuringConfirm(t *testing.T) {
 		refs[i], _ = node.IOR(ref.Key)
 	}
 
-	chaos := orb.NewChaosTransport(nil)
-	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
+	chaos := orb.NewChaosTransport()
+	clientORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond), pool)
 	defer clientORB.Shutdown()
 
 	svc := activityservice.New(activityservice.WithRetryPolicy(
@@ -231,6 +264,7 @@ func TestChaosPartitionDuringConfirm(t *testing.T) {
 	if p3.confirmed.Load() == 0 {
 		t.Fatal("post-heal participant never confirmed")
 	}
+	assertLanes(t, clientORB, lanes, ref.Endpoint())
 }
 
 // TestChaosSlowParticipantTimeout runs a remote 2PC where one participant
@@ -245,7 +279,7 @@ func TestChaosSlowParticipantTimeout(t *testing.T) {
 
 	healthyORB := orb.New()
 	defer healthyORB.Shutdown()
-	chaos := orb.NewChaosTransport(nil)
+	chaos := orb.NewChaosTransport()
 	slowORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(100*time.Millisecond))
 	defer slowORB.Shutdown()
 	chaos.Inject(orb.ChaosRule{Latency: 400 * time.Millisecond}) // every request crawls
@@ -455,7 +489,7 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 		refs[i], _ = node.IOR(refs[i].Key)
 	}
 
-	chaos := orb.NewChaosTransport(nil)
+	chaos := orb.NewChaosTransport()
 	clientORB := orb.New(
 		orb.WithTransport(chaos),
 		orb.WithCallTimeout(50*time.Millisecond),
@@ -592,7 +626,7 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	ref1 := orb.NewIOR("IDL:ActivityService/Action:1.0", "part-1", ep1, ep2)
 	ref2 := orb.NewIOR("IDL:ActivityService/Action:1.0", "part-2", ep1, ep2)
 
-	chaos := orb.NewChaosTransport(nil)
+	chaos := orb.NewChaosTransport()
 	clientORB := orb.New(
 		orb.WithTransport(chaos),
 		orb.WithCallTimeout(2*time.Second),
@@ -655,6 +689,7 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	if bst.BreakerOpens != 0 || bst.Breaker == iorb.BreakerOpen || bst.Down {
 		t.Fatalf("backup endpoint stats = %+v, want a clean healthy profile", bst)
 	}
+	assertLanes(t, clientORB, true, ep2) // the failed-over calls rode a lane
 
 	// And the failover is sticky: a fresh 2PC on the same references runs
 	// entirely through the backup, without touching the dead primary. The

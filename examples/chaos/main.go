@@ -50,10 +50,10 @@ func main() {
 		refs[i], _ = node.IOR(ref.Key)
 	}
 
-	// The coordinator's node dials through a chaos transport wrapping the
-	// real TCP transport, with a bounded pool of 4 connections per
-	// endpoint and quick reconnect backoff.
-	chaos := orb.NewChaosTransport(nil)
+	// The coordinator's node dials TCP through a chaos transport, with a
+	// bounded pool of 4 connections per endpoint (3 exclusive lanes and a
+	// shared one) and quick reconnect backoff.
+	chaos := orb.NewChaosTransport()
 	client := orb.New(
 		orb.WithTransport(chaos),
 		orb.WithPoolSize(4),
@@ -87,8 +87,8 @@ func main() {
 				r.name, r.prepares.Load(), r.commits.Load(), r.rollbacks.Load())
 		}
 		if st, ok := client.EndpointStats(refs[0].Endpoint()); ok {
-			fmt.Printf("  pool: conns=%d pending=%d failures=%d down=%v\n",
-				st.Conns, st.Pending, st.Failures, st.Down)
+			fmt.Printf("  pool: conns=%d lanes=%d pending=%d failures=%d down=%v\n",
+				st.Conns, st.Lanes, st.Pending, st.Failures, st.Down)
 		}
 	}
 

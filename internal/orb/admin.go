@@ -207,10 +207,10 @@ func (st *ServerStats) fields() []field {
 
 func (st *EndpointStats) fields() []field {
 	return []field{
-		num("conns", &st.Conns), num("pending", &st.Pending), num("dialing", &st.Dialing),
-		num("failures", &st.Failures), bit("down", &st.Down), num("breaker", &st.Breaker),
-		num("breaker_probes", &st.BreakerProbes), num("breaker_opens", &st.BreakerOpens),
-		num("rtt_ns", &st.RTT),
+		num("conns", &st.Conns), num("lanes", &st.Lanes), num("pending", &st.Pending),
+		num("dialing", &st.Dialing), num("failures", &st.Failures), bit("down", &st.Down),
+		num("breaker", &st.Breaker), num("breaker_probes", &st.BreakerProbes),
+		num("breaker_opens", &st.BreakerOpens), num("rtt_ns", &st.RTT),
 	}
 }
 

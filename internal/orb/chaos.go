@@ -1,16 +1,19 @@
 package orb
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"time"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
 )
 
-// ChaosTransport wraps a Transport and injects faults into the frames that
-// cross it: added latency, dropped requests or replies, connection resets
+// ChaosTransport dials TCP and injects faults into the frames that cross
+// it: added latency, dropped requests or replies, connection resets
 // and one-way partitions, all selectable per operation. It exists so the
 // failure modes the extended-transaction models are designed to survive —
 // a participant vanishing between prepare and commit, a confirm whose
@@ -24,13 +27,11 @@ import (
 // whole directions independently of the rule list, and ResetAll abruptly
 // closes every live connection. Heal removes everything.
 //
-// A ChaosTransport may be shared by many connections and is safe for
-// concurrent use. Injected latency is applied while the owning connection's
-// write lock is held, so it also models head-of-line blocking on a slow
-// link.
+// Faults hit exclusive lanes and shared connections alike. A
+// ChaosTransport is safe for concurrent use. Injected latency holds the
+// owning connection's writer, modelling head-of-line blocking on a slow
+// link; closing the connection, or a lane's deadline, cuts it short.
 type ChaosTransport struct {
-	base Transport
-
 	mu       sync.Mutex
 	rules    []*activeRule
 	partSend bool
@@ -92,7 +93,7 @@ type ChaosRule struct {
 	// every match.
 	Count int
 
-	// Latency delays the frame before it proceeds.
+	// Latency delays a frame that is forwarded (not dropped or reset).
 	Latency time.Duration
 	// Drop swallows the frame: a lost request or a lost reply.
 	Drop bool
@@ -133,12 +134,10 @@ func (f *InjectedFault) Remove() {
 	}
 }
 
-// NewChaosTransport wraps base (TCPTransport when nil).
-func NewChaosTransport(base Transport) *ChaosTransport {
-	if base == nil {
-		base = TCPTransport{}
-	}
-	return &ChaosTransport{base: base, conns: make(map[*chaosConn]struct{})}
+// NewChaosTransport returns a fault-injecting TCP transport with no
+// faults yet.
+func NewChaosTransport() *ChaosTransport {
+	return &ChaosTransport{conns: make(map[*chaosConn]struct{})}
 }
 
 // Inject adds a fault rule and returns its handle.
@@ -193,11 +192,11 @@ func (t *ChaosTransport) ResetAll() {
 
 // Dial implements Transport.
 func (t *ChaosTransport) Dial(ctx context.Context, addr string) (Conn, error) {
-	bc, err := t.base.Dial(ctx, addr)
+	nc, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &chaosConn{t: t, base: bc, addr: addr, ops: make(map[uint64]opSig)}
+	c := &chaosConn{t: t, base: newTCPConn(nc), addr: addr, ops: make(map[uint64]opSig), done: make(chan struct{})}
 	t.mu.Lock()
 	t.conns[c] = struct{}{}
 	t.mu.Unlock()
@@ -283,78 +282,123 @@ func signalNameOf(op string, body []byte) string {
 	return name
 }
 
-// chaosConn applies the transport's fault rules to one connection.
+// chaosConn applies the transport's fault rules to one TCP connection.
 type chaosConn struct {
 	t    *ChaosTransport
-	base Conn
+	base *tcpConn
 	addr string // dialed "host:port", for Addr rules
 
 	mu  sync.Mutex
 	ops map[uint64]opSig // in-flight requestID → identity, for reply rules
+
+	done      chan struct{} // closed by Close; cuts injected latency short
+	closeOnce sync.Once
+	// The last SetDeadline, and a reply still on the slow link, due at
+	// lateAt. One caller at a time reads and sets them.
+	deadline time.Time
+	late     []byte
+	lateAt   time.Time
 }
+
+// delay holds a frame on the link until t, failing as the socket would
+// if the deadline passes or the connection closes first.
+func (c *chaosConn) delay(t time.Time) (err error) {
+	if !c.deadline.IsZero() && c.deadline.Before(t) {
+		t, err = c.deadline, os.ErrDeadlineExceeded
+	}
+	if d := time.Until(t); d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-c.done:
+			return net.ErrClosed
+		}
+	}
+	return err
+}
+
+// WriteFrames implements wireConn, faulting frames in order: a drop is
+// consumed unsent; a reset or a cut-short delay leaves the rest in *bufs.
+func (c *chaosConn) WriteFrames(bufs *net.Buffers) error { return plainConn{c}.WriteFrames(bufs) }
 
 // WriteFrame implements Conn, faulting client→server frames.
 func (c *chaosConn) WriteFrame(payload []byte) error {
-	op, sig := "", ""
-	var reqID uint64
-	tracked := false
-	if req, err := decodeRequest(payload); err == nil {
-		op = req.operation
-		sig = signalNameOf(op, req.body)
-		reqID = req.requestID
-		tracked = true
+	req, derr := decodeRequest(payload)
+	id := opSig{op: req.operation}
+	if derr == nil {
+		id.sig = signalNameOf(id.op, req.body)
 		c.mu.Lock()
-		c.ops[reqID] = opSig{op: op, sig: sig}
+		c.ops[req.requestID] = id
 		c.mu.Unlock()
 	}
-	v := c.t.decide(StageRequest, op, sig, c.addr)
-	if v.latency > 0 {
-		time.Sleep(v.latency)
-	}
-	if v.drop || v.reset {
-		// No reply will ever arrive for this request; forget its op so the
-		// in-flight map cannot grow without bound under a long partition.
-		if tracked {
-			c.mu.Lock()
-			delete(c.ops, reqID)
-			c.mu.Unlock()
+	v := c.t.decide(StageRequest, id.op, id.sig, c.addr)
+	var err error
+	if !v.drop && !v.reset {
+		if err = c.delay(time.Now().Add(v.latency)); err == nil {
+			return c.base.WriteFrame(payload)
 		}
-		if v.reset {
-			c.Close()
-			return fmt.Errorf("orb: chaos: connection reset before sending %q", op)
-		}
-		return nil // consumed, never sent
 	}
-	return c.base.WriteFrame(payload)
+	// No reply will ever arrive for this request; forget its op so the
+	// in-flight map cannot grow without bound under a long partition.
+	c.mu.Lock()
+	delete(c.ops, req.requestID)
+	c.mu.Unlock()
+	if v.reset {
+		c.Close()
+		err = fmt.Errorf("orb: chaos: connection reset before sending %q", id.op)
+	}
+	return err // nil for a drop: consumed, never sent
 }
 
-// ReadFrame implements Conn, faulting server→client frames.
-func (c *chaosConn) ReadFrame() ([]byte, error) {
-	for {
-		payload, err := c.base.ReadFrame()
+// ReadFrame implements Conn.
+func (c *chaosConn) ReadFrame() ([]byte, error) { return c.ReadFrameReuse(nil) }
+
+// ReadFrameReuse implements wireConn, faulting server→client frames. A
+// reply whose latency outlasts the deadline stays on the link, and the
+// next read delivers it.
+func (c *chaosConn) ReadFrameReuse(buf []byte) ([]byte, error) {
+	for c.late == nil {
+		frame, err := c.base.ReadFrameReuse(buf)
 		if err != nil {
 			return nil, err
 		}
 		var id opSig
-		if rep, err := decodeReply(payload); err == nil {
+		if rep, err := decodeReply(frame); err == nil {
 			c.mu.Lock()
 			id = c.ops[rep.requestID]
 			delete(c.ops, rep.requestID)
 			c.mu.Unlock()
 		}
 		v := c.t.decide(StageReply, id.op, id.sig, c.addr)
-		if v.latency > 0 {
-			time.Sleep(v.latency)
-		}
 		if v.reset {
 			c.Close()
 			return nil, fmt.Errorf("orb: chaos: connection reset dropping reply to %q", id.op)
 		}
-		if v.drop {
-			continue
+		if !v.drop {
+			c.late, c.lateAt = frame, time.Now().Add(v.latency)
 		}
-		return payload, nil
+		buf = frame
 	}
+	if err := c.delay(c.lateAt); err != nil {
+		c.late = bytes.Clone(c.late) // buf goes back to its owner
+		return nil, err
+	}
+	frame := c.late
+	c.late = nil
+	return frame, nil
+}
+
+// SetDeadline implements wireConn.
+func (c *chaosConn) SetDeadline(t time.Time) error {
+	c.deadline = t
+	return c.base.SetDeadline(t)
+}
+
+// idleBroken implements wireConn: an injected reset closed the base,
+// whose peek reports it, and a late reply counts once it is due.
+func (c *chaosConn) idleBroken() bool {
+	return c.late != nil && !time.Now().Before(c.lateAt) || c.base.idleBroken()
 }
 
 // Close implements Conn.
@@ -362,5 +406,6 @@ func (c *chaosConn) Close() error {
 	c.t.mu.Lock()
 	delete(c.t.conns, c)
 	c.t.mu.Unlock()
+	c.closeOnce.Do(func() { close(c.done) })
 	return c.base.Close()
 }

@@ -11,7 +11,7 @@ import (
 // ChaosTransport.
 func chaosClient(t *testing.T, opts ...ORBOption) (*ORB, *ChaosTransport) {
 	t.Helper()
-	ct := NewChaosTransport(nil)
+	ct := NewChaosTransport()
 	client := New(append([]ORBOption{WithTransport(ct)}, opts...)...)
 	t.Cleanup(client.Shutdown)
 	return client, ct

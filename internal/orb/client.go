@@ -36,9 +36,8 @@ const (
 // or dials one while the pool may; only when every lane it may have is
 // busy does it go to the shared connection, whose least-pending pick,
 // reply reader and combining writer carry any number of concurrent calls.
-// A transport whose connections cannot be lanes (no laneConn) gets up to
-// poolSize shared connections instead, as every transport did before
-// lanes.
+// A transport whose connections cannot be lanes (plainConn, or a platform
+// without lanesSupported) gets up to poolSize shared connections instead.
 //
 // Pool growth is caller-driven: an invoke that finds the pool below its
 // bound dials a new connection inline (concurrent callers fill the pool in
@@ -134,7 +133,7 @@ func (p *endpointPool) observeRTT(d time.Duration) {
 // goroutine handoff.
 type clientConn struct {
 	pool *endpointPool
-	tc   Conn
+	tc   wireConn
 	w    *frameWriter
 
 	stop chan struct{} // closed by close(); unblocks queued senders
@@ -581,7 +580,7 @@ func (p *endpointPool) getSlow(ctx context.Context, deadline time.Time) (*client
 		// single-flight: one caller dials, the rest wait for its verdict.
 		// The last slot is kept for the shared connection.
 		if !down && len(p.conns)+len(p.lanes)+p.dialing < p.orb.poolSize && (p.dialFailures == 0 || p.dialing == 0) {
-			asLane := len(p.lanes)+p.laneDialing < p.orb.poolSize-1
+			asLane := lanesSupported && len(p.lanes)+p.laneDialing < p.orb.poolSize-1
 			p.dialing++
 			if asLane {
 				p.laneDialing++
@@ -609,8 +608,8 @@ func (p *endpointPool) getSlow(ctx context.Context, deadline time.Time) (*client
 
 // dial opens one connection and publishes the outcome to the pool and its
 // dial health gate. The caller has already reserved a slot (p.dialing,
-// and p.laneDialing when asLane). A connection dialed as a lane whose
-// transport cannot carry lanes joins the shared connections instead.
+// and p.laneDialing when asLane). A connection dialed as a lane that
+// cannot be one (asWire) joins the shared connections instead.
 func (p *endpointPool) dial(ctx context.Context, asLane bool) (*clientConn, *lane, error) {
 	// The dial timeout always applies; a sooner caller deadline still wins
 	// through context propagation.
@@ -644,8 +643,9 @@ func (p *endpointPool) dial(ctx context.Context, asLane bool) (*clientConn, *lan
 	p.dialFailures = 0
 	p.downUntil = time.Time{}
 	p.cond.Broadcast()
-	if lc, ok := tc.(laneConn); ok && asLane {
-		l := newLane(p, lc)
+	wc, laneable := asWire(tc)
+	if asLane && laneable {
+		l := newLane(p, wc)
 		p.lanes = append(p.lanes, l)
 		p.mu.Unlock()
 		p.orb.armLaneSweep()
@@ -653,12 +653,11 @@ func (p *endpointPool) dial(ctx context.Context, asLane bool) (*clientConn, *lan
 	}
 	c := &clientConn{
 		pool:    p,
-		tc:      tc,
+		tc:      wc,
 		stop:    make(chan struct{}),
 		pending: make(map[uint64]chan reply),
 	}
-	bw, _ := tc.(frameBatchWriter)
-	c.w = newFrameWriter(writeQueueDepth, bw, tc.WriteFrame, func(unsent []*cdr.Encoder) {
+	c.w = newFrameWriter(writeQueueDepth, wc, func(unsent []*cdr.Encoder) {
 		// The connection is dead: take it out of the pool before waking
 		// anyone, so a caller failing over does not pick it again, and
 		// close the transport so the read loop drops it (close then fails
@@ -754,6 +753,8 @@ type EndpointStats struct {
 	Endpoint string
 	// Conns is the number of live connections, lanes included.
 	Conns int
+	// Lanes is the number of exclusive lanes among Conns.
+	Lanes int
 	// Pending is the total number of in-flight requests across them (a
 	// busy lane carries one).
 	Pending int
@@ -791,6 +792,7 @@ func (o *ORB) EndpointStats(endpoint string) (EndpointStats, bool) {
 	st := EndpointStats{
 		Endpoint:      p.endpoint,
 		Conns:         len(p.conns) + len(p.lanes),
+		Lanes:         len(p.lanes),
 		Pending:       len(p.lanes) - len(p.idle),
 		Dialing:       p.dialing,
 		Failures:      p.dialFailures,
@@ -929,9 +931,8 @@ func (c *clientConn) failUnsent(unsent []*cdr.Encoder) {
 
 // readLoop delivers replies to waiting callers until the connection dies.
 func (c *clientConn) readLoop() {
-	rr, _ := c.tc.(frameReuseReader)
 	for {
-		rep, err := readReply(c.tc, rr)
+		rep, err := readReply(c.tc)
 		if err != nil {
 			c.pool.drop(c)
 			return
@@ -953,25 +954,14 @@ func (c *clientConn) readLoop() {
 
 // readReply reads and decodes the next reply on tc — the one reply reader
 // of the shared connections' read loops and of the lanes. Frames are read
-// into pooled buffers when the transport supports reuse (rr non-nil;
-// rep.fb tracks ownership and the caller that consumes the reply releases
-// the buffer) and into fresh allocations otherwise.
-func readReply(tc Conn, rr frameReuseReader) (reply, error) {
-	var (
-		frame []byte
-		fb    *frameBuf
-		err   error
-	)
-	if rr != nil {
-		fb = getFrameBuf()
-		fb.b, err = rr.ReadFrameReuse(fb.b)
-		frame = fb.b
-	} else {
-		frame, err = tc.ReadFrame()
-	}
+// into pooled buffers: rep.fb tracks ownership, and the caller that
+// consumes the reply releases the buffer.
+func readReply(tc wireConn) (reply, error) {
+	fb := getFrameBuf()
 	var rep reply
-	if err == nil {
-		rep, err = decodeReply(frame)
+	var err error
+	if fb.b, err = tc.ReadFrameReuse(fb.b); err == nil {
+		rep, err = decodeReply(fb.b)
 	}
 	if err != nil {
 		putFrameBuf(fb)

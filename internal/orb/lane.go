@@ -25,7 +25,7 @@ const laneSweepEvery = 100 * time.Millisecond
 // answer the next call.
 type lane struct {
 	pool *endpointPool
-	c    laneConn
+	c    wireConn
 
 	bufs    [1][]byte   // the request frame, for the gather write
 	scratch net.Buffers // header over bufs, consumed by WriteFrames
@@ -33,7 +33,7 @@ type lane struct {
 	timed   bool        // c carries a deadline from the last call
 }
 
-func newLane(p *endpointPool, c laneConn) *lane {
+func newLane(p *endpointPool, c wireConn) *lane {
 	l := &lane{pool: p, c: c}
 	l.abort = func() { l.c.Close() }
 	return l
@@ -69,7 +69,7 @@ func (l *lane) invoke(ctx context.Context, deadline time.Time, req request) ([]b
 
 	var rep reply
 	if err == nil {
-		if rep, err = readReply(l.c, l.c); err == nil && rep.requestID != req.requestID {
+		if rep, err = readReply(l.c); err == nil && rep.requestID != req.requestID {
 			rep.release()
 			err = errors.New("reply to another request")
 		}
@@ -103,7 +103,7 @@ func (l *lane) invoke(ctx context.Context, deadline time.Time, req request) ([]b
 }
 
 // takeIdleLocked checks out the most recently returned idle lane, closing
-// any whose peer went away (laneConn.idleBroken) on the way. It returns
+// any whose peer went away (wireConn.idleBroken) on the way. It returns
 // nil when no live idle lane is left.
 func (p *endpointPool) takeIdleLocked() *lane {
 	for n := len(p.idle); n > 0; n = len(p.idle) {

@@ -4,7 +4,10 @@ package orb
 
 import "syscall"
 
-// idleBroken implements laneConn: it reports whether an idle connection
+// lanesSupported: exclusive lanes need idleBroken's non-blocking peek.
+const lanesSupported = true
+
+// idleBroken implements wireConn: it reports whether an idle connection
 // can no longer carry a call. Bytes already buffered, or readable on the
 // socket, were asked for by no request; a zero-byte peek is the peer's
 // FIN; any error but "nothing to read" is a reset or a dead socket. The

@@ -292,7 +292,7 @@ func laneCount(o *ORB, endpoint string) int {
 // poolSize−1 lanes and the rest share one connection, and WithPoolSize(1)
 // has no lanes at all.
 func TestLaneCarriesLoneCallsSharedCarriesRest(t *testing.T) {
-	if _, ok := any(&tcpConn{}).(laneConn); !ok {
+	if !lanesSupported {
 		t.Skip("TCP connections cannot be lanes on this platform")
 	}
 	srv := New()
@@ -353,4 +353,72 @@ func mustStats(t *testing.T, o *ORB, endpoint string) EndpointStats {
 		t.Fatalf("no pool for %s", endpoint)
 	}
 	return st
+}
+
+// TestChaosLaneReplyDelayedPastTimeout delays a lane's reply past the
+// call timeout, bounded either by the ORB's call timeout (a socket
+// deadline) or by the caller's context (which closes the lane): the
+// caller gets TIMEOUT without waiting out the latency, and the next calls
+// each get their own reply, never the late one still crossing the link.
+func TestChaosLaneReplyDelayedPastTimeout(t *testing.T) {
+	if !lanesSupported {
+		t.Skip("TCP connections cannot be lanes on this platform")
+	}
+	for _, bound := range []string{"deadline", "context"} {
+		t.Run(bound, func(t *testing.T) {
+			_, ref := startServer(t, echoServant{})
+			client, ct := chaosClient(t, WithCallTimeout(50*time.Millisecond))
+			if got, err := echoCall(t, client, ref, "warm"); err != nil || got != "warm" {
+				t.Fatalf("warm-up echo = %q, %v", got, err)
+			}
+			if st := mustStats(t, client, ref.Endpoint()); st.Lanes != 1 {
+				t.Fatalf("after one call: %+v, want it on a lane", st)
+			}
+			fault := ct.Inject(ChaosRule{Op: "echo", Stage: StageReply, Latency: time.Second, Count: 1})
+
+			ctx := context.Background()
+			if bound == "context" {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 50*time.Millisecond)
+				defer cancel()
+			}
+			start := time.Now()
+			if _, err := client.Invoke(ctx, ref, "echo", encodeEchoArg("late")); !IsSystem(err, CodeTimeout) {
+				t.Fatalf("delayed call: err = %v, want TIMEOUT", err)
+			}
+			if d := time.Since(start); d > 500*time.Millisecond {
+				t.Fatalf("delayed call returned after %s: the timeout did not cut the latency short", d)
+			}
+			if fault.Hits() != 1 {
+				t.Fatalf("reply delay fired %d times, want 1", fault.Hits())
+			}
+			for i := 0; i < 3; i++ {
+				msg := fmt.Sprintf("mine-%d", i)
+				if got, err := echoCall(t, client, ref, msg); err != nil || got != msg {
+					t.Fatalf("call after the timeout = %q, %v, want %q", got, err, msg)
+				}
+			}
+		})
+	}
+}
+
+// TestChaosLaneIdleResetCaughtAtCheckout resets an idle lane under the
+// pool: the next call's checkout peek finds it closed and the call
+// succeeds on a freshly dialed lane, before the idle sweep could notice.
+func TestChaosLaneIdleResetCaughtAtCheckout(t *testing.T) {
+	if !lanesSupported {
+		t.Skip("TCP connections cannot be lanes on this platform")
+	}
+	_, ref := startServer(t, echoServant{})
+	client, ct := chaosClient(t)
+	for i := 0; i < 3; i++ {
+		msg := fmt.Sprintf("call-%d", i)
+		if got, err := echoCall(t, client, ref, msg); err != nil || got != msg {
+			t.Fatalf("call %d after ResetAll = %q, %v", i, got, err)
+		}
+		if st := mustStats(t, client, ref.Endpoint()); st.Lanes != 1 || st.Conns != 1 {
+			t.Fatalf("call %d: %+v, want one lane and nothing else", i, st)
+		}
+		ct.ResetAll()
+	}
 }

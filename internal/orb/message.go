@@ -291,11 +291,6 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a fresh allocation.
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
 // readFrameInto reads one length-prefixed frame, reusing buf's capacity
 // when it suffices and allocating otherwise. The returned slice aliases
 // buf (or its replacement); callers recycling buffers own the lifetime.

@@ -216,7 +216,7 @@ func TestMultiProfileSelectorPrefersClosedBreaker(t *testing.T) {
 	}
 	ref := NewIOR("IDL:test/Replica:1.0", "svc", ep1, ep2)
 	otherRef := NewIOR("IDL:test/Replica:1.0", "other", ep1, ep2)
-	chaos := NewChaosTransport(nil)
+	chaos := NewChaosTransport()
 	// The primary endpoint accepts connections but resets every request,
 	// so the dial gate stays closed and only the breaker sees failures.
 	chaos.Inject(ChaosRule{Addr: ep1, Stage: StageRequest, Reset: true})

@@ -38,10 +38,11 @@
 // endpoint selector orders a reference's profiles — sticky (endpoint,
 // key) affinity first, then healthy profiles nearest first — and fails
 // the call over to the next profile on any TRANSIENT outcome, within the
-// caller's deadline. ChaosTransport (chaos.go) wraps any Transport with
+// caller's deadline. ChaosTransport (chaos.go) is a TCP transport whose
 // injectable faults — latency, drops, resets, one-way partitions, per-op
-// and per-address rules — so the failure modes extended transactions
-// exist to survive can be exercised deterministically in tests.
+// and per-address rules — hit lanes and shared connections alike, so the
+// failure modes extended transactions exist to survive can be exercised
+// deterministically in tests.
 //
 // # Overload protection
 //
@@ -210,8 +211,8 @@ func WithCallTimeout(d time.Duration) ORBOption {
 }
 
 // WithTransport replaces the client transport used for outgoing TCP
-// invocations (the default is TCPTransport). Wrap the default in a
-// ChaosTransport to inject faults.
+// invocations (the default is TCPTransport). Use a ChaosTransport to
+// inject faults.
 func WithTransport(t Transport) ORBOption {
 	return orbOptionFunc(func(o *ORB) {
 		if t != nil {

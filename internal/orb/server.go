@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -105,10 +104,11 @@ func (s *server) acceptLoop() {
 	}
 }
 
-// serveConn is one connection's read loop. All replies flow through a
-// combining frameWriter (writer.go) over a bounded queue of pooled frame
-// encoders: handlers enqueue their reply and drain the queue themselves
-// into vectored writes, coalescing with concurrent handlers' replies.
+// serveConn is one connection's read loop, over the same tcpConn framing
+// a client dials. All replies flow through a combining frameWriter
+// (writer.go) over a bounded queue of pooled frame encoders: handlers
+// enqueue their reply and drain the queue themselves into vectored
+// writes, coalescing with concurrent handlers' replies.
 // A multiplexed request runs on a handler goroutine, so the loop never
 // waits on a servant or a reply write: its admission sheds are enqueued
 // non-blocking and flushed by a small dedicated kicker goroutine, so a
@@ -130,7 +130,8 @@ func (s *server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	w := newFrameWriter(replyQueueDepth, connBatchWriter{conn}, nil, nil)
+	tc := newTCPConn(conn)
+	w := newFrameWriter(replyQueueDepth, tc, func([]*cdr.Encoder) {}) // an unsent reply has no caller here to fail
 	// The kicker only serves the admission-shed path (the default branch
 	// below, reachable only with a gate configured); an unbounded server
 	// skips the goroutine entirely.
@@ -161,11 +162,10 @@ func (s *server) serveConn(conn net.Conn) {
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 
-	br := bufio.NewReaderSize(conn, tcpReadBuffer)
 	for {
 		fb := getFrameBuf()
 		var err error
-		if fb.b, err = readFrameInto(br, fb.b); err != nil {
+		if fb.b, err = tc.ReadFrameReuse(fb.b); err != nil {
 			putFrameBuf(fb)
 			return
 		}
@@ -296,18 +296,6 @@ func (s *server) handle(fb *frameBuf, req wireRequest, w *frameWriter) {
 	putFrameBuf(fb)
 	w.q <- enc
 	w.combine()
-}
-
-// connBatchWriter adapts the server's raw net.Conn to the writer's
-// gather-write interface (one writev(2) per batch).
-type connBatchWriter struct {
-	conn net.Conn
-}
-
-// WriteFrames implements frameBatchWriter.
-func (c connBatchWriter) WriteFrames(bufs *net.Buffers) error {
-	_, err := bufs.WriteTo(c.conn)
-	return err
 }
 
 // tryAdminSlot grabs one admission-bypass slot without waiting.

@@ -15,10 +15,10 @@ import (
 // shared by every implementation.
 //
 // TCPTransport is the production implementation. ChaosTransport (chaos.go)
-// wraps any Transport to inject faults — latency, drops, resets, one-way
-// partitions — for resilience testing; the failure surface the wrapped
-// transport produces is exactly what a flaky network would produce, so the
-// client stack above it cannot tell the difference.
+// wraps its TCP connections to inject faults — latency, drops, resets,
+// one-way partitions — for resilience testing; the failure surface it
+// produces is exactly what a flaky network would produce, so the client
+// stack above it, lanes included, cannot tell the difference.
 type Transport interface {
 	// Dial opens a framed connection to addr ("host:port"). It honours
 	// ctx's deadline and cancellation.
@@ -31,12 +31,9 @@ type Transport interface {
 // connection through its combining frame writer itself (writer.go).
 // Close must unblock both directions.
 //
-// A Conn may additionally implement optional fast-path extensions the
-// wire path probes for: frameBatchWriter (one gather write for a batch of
-// complete frames — the write-coalescing path), frameReuseReader (reads
-// into a caller-recycled buffer — the pooled-read path) and laneConn
-// (exclusive lanes). Plain Conns still work; they pay one syscall pair
-// and one allocation per frame, and every call is multiplexed.
+// The ORB runs on a wireConn. A Conn that is not one (a Transport outside
+// this package) is adapted by plainConn: it pays one WriteFrame per frame
+// and one allocation per read, and every call on it is multiplexed.
 type Conn interface {
 	// WriteFrame sends one frame (the payload, excluding the length
 	// prefix).
@@ -48,46 +45,52 @@ type Conn interface {
 	Close() error
 }
 
-// frameBatchWriter is the optional Conn extension behind write
-// coalescing: WriteFrames sends a batch of complete frames (u32 length
-// prefix included in each buffer) in a single gather write, so concurrent
-// callers multiplexed onto one connection share one syscall. The
-// implementation may consume (re-slice) bufs. ChaosTransport connections
-// deliberately do not implement it — faults are per frame, so chaos runs
-// take the WriteFrame path.
-type frameBatchWriter interface {
-	// WriteFrames consumes *bufs (net.Buffers.WriteTo re-slices it); the
-	// caller passes a scratch header copy so its backing array survives.
+// wireConn is the connection the ORB runs on at both ends of the wire;
+// tcpConn and chaosConn implement it.
+type wireConn interface {
+	// WriteFrames sends complete frames (length prefix included),
+	// consuming *bufs as net.Buffers.WriteTo does: after a failure *bufs
+	// holds the frames that did not fully leave.
 	WriteFrames(bufs *net.Buffers) error
-}
-
-// frameReuseReader is the optional Conn extension behind pooled frame
-// reads: ReadFrameReuse reads the next frame into buf, growing it only
-// when the frame exceeds its capacity, and returns the filled slice. The
-// caller owns the buffer's lifecycle (the ORB recycles it once the frame
-// is fully consumed).
-type frameReuseReader interface {
+	// ReadFrameReuse reads the next frame into buf, growing it if need
+	// be; the caller owns the buffer's lifecycle.
 	ReadFrameReuse(buf []byte) ([]byte, error)
+	SetDeadline(t time.Time) error
+	// idleBroken reports, without blocking, that an idle lane's peer
+	// closed or reset it, or sent bytes no request asked for.
+	idleBroken() bool
+	Close() error
 }
 
-// laneConn is the optional Conn extension behind exclusive lanes
-// (client.go): a connection one call at a time writes its request to and
-// reads its own reply from. Besides the batch-write and reuse-read paths
-// it needs a deadline, for callers whose context cannot be cancelled,
-// and idleBroken: a non-blocking check, on an idle connection, that the
-// peer has not closed or reset it and that no unasked-for bytes arrived.
-// Nothing reads an idle lane, so this check is how the pool learns its
-// peer went away. TCPTransport connections implement it where the
-// platform can peek a socket without blocking (lane_peek.go);
-// ChaosTransport connections do not — faults are per frame, so chaos
-// runs keep every call on the multiplexed path.
-type laneConn interface {
-	Conn
-	frameBatchWriter
-	frameReuseReader
-	SetDeadline(t time.Time) error
-	idleBroken() bool
+// asWire returns the wireConn a dialed Conn runs on, and whether it may
+// be a lane: any other Conn is wrapped in plainConn, which never is.
+func asWire(c Conn) (wireConn, bool) {
+	if w, ok := c.(wireConn); ok {
+		return w, true
+	}
+	return plainConn{c}, false
 }
+
+// plainConn adapts a Conn that only frames one payload at a time.
+type plainConn struct{ Conn }
+
+// WriteFrames writes one frame at a time, consuming each as it is
+// accepted, so a failure leaves exactly the unsent frames in *bufs.
+func (c plainConn) WriteFrames(bufs *net.Buffers) error {
+	for ; len(*bufs) > 0; *bufs = (*bufs)[1:] {
+		if err := c.WriteFrame((*bufs)[0][4:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadFrameReuse returns ReadFrame's fresh frame in place of buf.
+func (c plainConn) ReadFrameReuse([]byte) ([]byte, error) { return c.ReadFrame() }
+
+// SetDeadline is never called: a plainConn is never a lane.
+func (plainConn) SetDeadline(time.Time) error { return nil }
+func (plainConn) idleBroken() bool            { return true }
 
 // TCPTransport is the real client transport: length-prefixed GLOP frames
 // over plain TCP, with buffered reads (adjacent frames arriving together
@@ -102,15 +105,14 @@ const tcpReadBuffer = 16 << 10
 
 // Dial implements Transport.
 func (TCPTransport) Dial(ctx context.Context, addr string) (Conn, error) {
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	nc, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: nc, br: bufio.NewReaderSize(nc, tcpReadBuffer)}, nil
+	return newTCPConn(nc), nil
 }
 
-// tcpConn frames a net.Conn.
+// tcpConn frames a TCP socket, dialed or accepted.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -123,21 +125,24 @@ type tcpConn struct {
 	peekBroken bool
 }
 
+func newTCPConn(nc net.Conn) *tcpConn {
+	return &tcpConn{c: nc, br: bufio.NewReaderSize(nc, tcpReadBuffer)}
+}
+
 func (c *tcpConn) WriteFrame(payload []byte) error { return writeFrame(c.c, payload) }
-func (c *tcpConn) ReadFrame() ([]byte, error)      { return readFrame(c.br) }
+func (c *tcpConn) ReadFrame() ([]byte, error)      { return readFrameInto(c.br, nil) }
 func (c *tcpConn) Close() error                    { return c.c.Close() }
 
-// SetDeadline bounds the connection's reads and writes (laneConn).
+// SetDeadline implements wireConn.
 func (c *tcpConn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
-// WriteFrames implements frameBatchWriter with one writev(2) for the
-// whole batch.
+// WriteFrames implements wireConn with one writev(2) for the whole batch.
 func (c *tcpConn) WriteFrames(bufs *net.Buffers) error {
 	_, err := bufs.WriteTo(c.c)
 	return err
 }
 
-// ReadFrameReuse implements frameReuseReader.
+// ReadFrameReuse implements wireConn.
 func (c *tcpConn) ReadFrameReuse(buf []byte) ([]byte, error) {
 	return readFrameInto(c.br, buf)
 }

@@ -292,7 +292,7 @@ func TestChaosConcurrentFanoutSharedConnBufferReuse(t *testing.T) {
 	}
 	ref, _ = srv.IOR(ref.Key)
 
-	ct := NewChaosTransport(nil)
+	ct := NewChaosTransport()
 	// Slow every 16th request a little: keeps the single conn's write
 	// path congested so frames genuinely queue behind each other, without
 	// stretching the test.
@@ -336,13 +336,14 @@ func TestChaosConcurrentFanoutSharedConnBufferReuse(t *testing.T) {
 
 // consumeNBatchWriter simulates a gather write that fully flushes the
 // first n buffers (consuming them, as net.Buffers.WriteTo does) and then
-// fails.
+// fails. Only WriteFrames is ever called on it.
 type consumeNBatchWriter struct {
+	wireConn
 	n   int
 	err error
 }
 
-// WriteFrames implements frameBatchWriter.
+// WriteFrames implements wireConn.
 func (c consumeNBatchWriter) WriteFrames(bufs *net.Buffers) error {
 	if c.n < len(*bufs) {
 		*bufs = (*bufs)[c.n:]
@@ -352,34 +353,50 @@ func (c consumeNBatchWriter) WriteFrames(bufs *net.Buffers) error {
 	return c.err
 }
 
+// failNthConn is a plain Conn whose nth WriteFrame fails.
+type failNthConn struct {
+	Conn
+	n, writes int
+}
+
+func (c *failNthConn) WriteFrame([]byte) error {
+	if c.writes++; c.writes == c.n {
+		return io.ErrClosedPipe
+	}
+	return nil
+}
+
 // TestWriterPartialBatchFailureSplitsSentFromUnsent pins the
 // exactly-once-critical split on a failed gather write: frames the
 // kernel fully consumed before the error must NOT be reported through
 // onFail (their callers get COMM_FAILURE — unknown completion — from the
 // connection drop), while the unwritten tail is reported (TRANSIENT: the
 // peer cannot have parsed a truncated or unsent frame, so retry and
-// failover stay safe).
+// failover stay safe). The plainConn row holds the adapter to the same
+// split, one WriteFrame per frame.
 func TestWriterPartialBatchFailureSplitsSentFromUnsent(t *testing.T) {
 	mkFrame := func(id uint64) *cdr.Encoder {
 		return encodeRequestFrame(request{requestID: id, objectKey: "k", operation: "op"})
 	}
+	fail := func(n int) wireConn { return consumeNBatchWriter{n: n, err: io.ErrClosedPipe} }
 	for _, tc := range []struct {
-		frames   int
-		consumed int
-		wantIDs  []uint64
+		name    string
+		frames  int
+		sink    wireConn
+		wantIDs []uint64
 	}{
-		{frames: 3, consumed: 1, wantIDs: []uint64{101, 102}}, // 100 flushed: not failed-unsent
-		{frames: 3, consumed: 0, wantIDs: []uint64{100, 101, 102}},
-		{frames: 2, consumed: 2, wantIDs: nil}, // everything flushed before the error
+		{"consumed=1", 3, fail(1), []uint64{101, 102}}, // 100 flushed: not failed-unsent
+		{"consumed=0", 3, fail(0), []uint64{100, 101, 102}},
+		{"consumed=2", 2, fail(2), nil}, // everything flushed before the error
+		{"plainConn", 3, plainConn{&failNthConn{n: 2}}, []uint64{101, 102}},
 	} {
 		var got []uint64
-		w := newFrameWriter(8, consumeNBatchWriter{n: tc.consumed, err: io.ErrClosedPipe},
-			nil, func(unsent []*cdr.Encoder) {
-				for _, e := range unsent {
-					p := e.FramePayload()
-					got = append(got, binary.BigEndian.Uint64(p[8:16]))
-				}
-			})
+		w := newFrameWriter(8, tc.sink, func(unsent []*cdr.Encoder) {
+			for _, e := range unsent {
+				p := e.FramePayload()
+				got = append(got, binary.BigEndian.Uint64(p[8:16]))
+			}
+		})
 		for i := 0; i < tc.frames; i++ {
 			if !w.tryEnqueue(mkFrame(uint64(100 + i))) {
 				t.Fatal("enqueue failed")
@@ -387,10 +404,10 @@ func TestWriterPartialBatchFailureSplitsSentFromUnsent(t *testing.T) {
 		}
 		w.combine()
 		if fmt.Sprint(got) != fmt.Sprint(tc.wantIDs) {
-			t.Fatalf("consumed=%d: onFail saw %v, want %v", tc.consumed, got, tc.wantIDs)
+			t.Fatalf("%s: onFail saw %v, want %v", tc.name, got, tc.wantIDs)
 		}
 		if !w.failed.Load() {
-			t.Fatal("writer did not enter failed mode")
+			t.Fatalf("%s: writer did not enter failed mode", tc.name)
 		}
 	}
 }

@@ -35,8 +35,7 @@ const (
 // then each discarded batch.
 type frameWriter struct {
 	q      chan *cdr.Encoder
-	bw     frameBatchWriter            // gather-write path; nil = per-frame fallback
-	wf     func(payload []byte) error  // per-frame fallback (e.g. chaos conns)
+	c      wireConn
 	onFail func(unsent []*cdr.Encoder) // frames not written, from the first write failure on
 
 	failed atomic.Bool
@@ -47,13 +46,11 @@ type frameWriter struct {
 	scratch net.Buffers // header copy handed to WriteFrames, which consumes it
 }
 
-// newFrameWriter builds a writer over a Conn-ish sink: batch writes when
-// bw is non-nil, per-frame writes through wf otherwise.
-func newFrameWriter(depth int, bw frameBatchWriter, wf func([]byte) error, onFail func([]*cdr.Encoder)) *frameWriter {
+// newFrameWriter builds a writer over c.
+func newFrameWriter(depth int, c wireConn, onFail func([]*cdr.Encoder)) *frameWriter {
 	return &frameWriter{
 		q:      make(chan *cdr.Encoder, depth),
-		bw:     bw,
-		wf:     wf,
+		c:      c,
 		onFail: onFail,
 		batch:  make([]*cdr.Encoder, 0, maxWriteBatch),
 		bufs:   make(net.Buffers, 0, maxWriteBatch),
@@ -122,59 +119,36 @@ func (w *frameWriter) discard() {
 	w.combine() // the post-unlock re-check combine's producers rely on
 }
 
-// writeBatchLocked writes w.batch (one gather write when supported) and
-// releases the pooled encoders. The first failure flips the writer into
-// discard mode; the unwritten tail, and every batch discarded after it,
-// goes to onFail before the encoders are released — the client uses it
-// to fail those calls with TRANSIENT (request never left) rather than
-// COMM_FAILURE.
+// writeBatchLocked writes w.batch in one gather write and releases the
+// pooled encoders. The first failure flips the writer into discard mode;
+// the unwritten tail, and every batch discarded after it, goes to onFail
+// before the encoders are released — the client uses it to fail those
+// calls with TRANSIENT (request never left) rather than COMM_FAILURE.
 func (w *frameWriter) writeBatchLocked() {
 	if w.failed.Load() {
-		if w.onFail != nil {
-			w.onFail(w.batch)
-		}
+		w.onFail(w.batch)
 		for _, e := range w.batch {
 			cdr.PutEncoder(e)
 		}
 		return
 	}
-	var err error
-	failedFrom := 0
-	if w.bw != nil {
-		w.bufs = w.bufs[:0]
-		for _, e := range w.batch {
-			w.bufs = append(w.bufs, e.Frame())
-		}
-		// Hand WriteFrames a header copy: WriteTo consumes its argument by
-		// re-slicing, and w.bufs must keep its backing array's capacity.
-		w.scratch = w.bufs
-		err = w.bw.WriteFrames(&w.scratch)
-		if err != nil {
-			// The consume semantics of net.Buffers tell us exactly which
-			// frames fully reached the kernel before the failure: those are
-			// NOT in the unsent tail — the peer may have executed them, so
-			// they must fail with COMM_FAILURE (unknown completion, via the
-			// connection drop), never TRANSIENT. A partially-written frame
-			// stays in the scratch tail: the peer cannot parse a truncated
-			// frame, so "never ran" (TRANSIENT) remains true for it.
-			failedFrom = len(w.batch) - len(w.scratch)
-			if failedFrom < 0 || failedFrom > len(w.batch) {
-				failedFrom = 0
-			}
-		}
-	} else {
-		for i, e := range w.batch {
-			if err = w.wf(e.FramePayload()); err != nil {
-				failedFrom = i
-				break
-			}
-		}
+	w.bufs = w.bufs[:0]
+	for _, e := range w.batch {
+		w.bufs = append(w.bufs, e.Frame())
 	}
-	if err != nil {
+	// Hand WriteFrames a header copy: WriteTo consumes its argument by
+	// re-slicing, and w.bufs must keep its backing array's capacity.
+	w.scratch = w.bufs
+	if err := w.c.WriteFrames(&w.scratch); err != nil {
+		// The consume semantics of WriteFrames tell us exactly which
+		// frames fully reached the kernel before the failure: those are
+		// NOT in the unsent tail — the peer may have executed them, so
+		// they must fail with COMM_FAILURE (unknown completion, via the
+		// connection drop), never TRANSIENT. A partially-written frame
+		// stays in the scratch tail: the peer cannot parse a truncated
+		// frame, so "never ran" (TRANSIENT) remains true for it.
 		w.failed.Store(true)
-		if w.onFail != nil {
-			w.onFail(w.batch[failedFrom:])
-		}
+		w.onFail(w.batch[len(w.batch)-len(w.scratch):])
 	}
 	for _, e := range w.batch {
 		cdr.PutEncoder(e)

@@ -285,7 +285,7 @@ func TestEndpointBatchDroppedFrameRedelivers(t *testing.T) {
 		t.Run(stage.String(), func(t *testing.T) {
 			ctx := context.Background()
 			host := batchHost(t)
-			chaos := orb.NewChaosTransport(nil)
+			chaos := orb.NewChaosTransport()
 			client := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(200*time.Millisecond))
 			defer client.Shutdown()
 			fault := chaos.Inject(orb.ChaosRule{Op: relayOp, Stage: stage, Count: 1, Drop: true})

@@ -91,8 +91,8 @@ var WithMaxInflight = iorb.WithMaxInflight
 // work before the traffic that resolves in-doubt transactions.
 var WithPriorityOps = iorb.WithPriorityOps
 
-// NewChaosTransport wraps base (TCPTransport when nil) with fault
-// injection.
+// NewChaosTransport returns a TCP transport with fault injection; its
+// connections carry lanes and shared calls as TCPTransport's do.
 var NewChaosTransport = iorb.NewChaosTransport
 
 // NewIOR builds a reference from a type id, key and endpoint profiles in

@@ -335,7 +335,7 @@ type relayChaosFixture struct {
 
 func newRelayChaosFixture(t *testing.T, sites int, wrap func(core.Action) core.Action) *relayChaosFixture {
 	t.Helper()
-	fx := &relayChaosFixture{chaos: orb.NewChaosTransport(nil)}
+	fx := &relayChaosFixture{chaos: orb.NewChaosTransport()}
 	fx.client = orb.New(orb.WithCallTimeout(2 * time.Second))
 	t.Cleanup(fx.client.Shutdown)
 
