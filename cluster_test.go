@@ -36,7 +36,6 @@ func newShardNode(t *testing.T, id string, authRef orb.IOR) *shardNode {
 	}
 	svc := activityservice.New()
 	member := orb.NewShardMember(node, id, authRef, orb.WithOnDrain(svc.Drain))
-	t.Cleanup(member.Stop)
 	factory := orb.ServeActivityFactory(node, svc, orb.WithFactoryShard(member))
 	return &shardNode{orb: node, svc: svc, member: member, factory: factory}
 }

@@ -326,8 +326,7 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin 
 		if err != nil {
 			return fmt.Errorf("shard map sync: %w", err)
 		}
-		go member.Run()
-		defer member.Stop()
+		go member.Run(ctx)
 		factoryOpts = append(factoryOpts, orb.WithFactoryShard(member))
 		fmt.Printf("activityd: sharded as member %q\n", cfg.shardID)
 	}

@@ -53,13 +53,9 @@ type ServiceContext struct {
 	Data []byte
 }
 
-// Well-known service context IDs.
-const (
-	// ContextActivity carries the activity propagation context.
-	ContextActivity uint32 = 0x41435456 // "ACTV"
-	// ContextTransaction carries the OTS propagation context.
-	ContextTransaction uint32 = 0x4F545358 // "OTSX"
-)
+// ContextActivity is the well-known service context ID carrying the
+// activity propagation context.
+const ContextActivity uint32 = 0x41435456 // "ACTV"
 
 // request is a decoded request message. body and the contexts' Data are
 // lent from the frame the request was decoded out of: they are valid only

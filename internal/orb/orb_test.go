@@ -205,6 +205,10 @@ func TestDeactivatedServant(t *testing.T) {
 	}
 }
 
+// contextOther is a service context ID no servant of this package
+// reads: contexts travel whether or not anything understands them.
+const contextOther uint32 = 0x4F544852 // "OTHR"
+
 func TestServiceContextPropagation(t *testing.T) {
 	server := New()
 	defer server.Shutdown()
@@ -222,7 +226,7 @@ func TestServiceContextPropagation(t *testing.T) {
 	client.AddClientInterceptor(func(ctx context.Context, _ IOR, _ string) ([]ServiceContext, error) {
 		return []ServiceContext{
 			{ID: ContextActivity, Data: []byte("activity-ctx")},
-			{ID: ContextTransaction, Data: []byte("tx-ctx")},
+			{ID: contextOther, Data: []byte("other-ctx")},
 		}, nil
 	})
 	body, err := client.Invoke(context.Background(), ref, "contexts", nil)

@@ -85,7 +85,7 @@ func TestWireFormatUnchangedByPooledEncoders(t *testing.T) {
 	reqs := []request{
 		{requestID: 1, objectKey: "k", operation: "ping"},
 		{requestID: 0xDEADBEEFCAFE, objectKey: "key-long-enough-to-misalign", operation: "process_signal",
-			contexts: []ServiceContext{{ID: ContextActivity, Data: []byte{9, 8, 7}}, {ID: ContextTransaction, Data: nil}},
+			contexts: []ServiceContext{{ID: ContextActivity, Data: []byte{9, 8, 7}}, {ID: contextOther, Data: nil}},
 			body:     []byte("hello wire")},
 	}
 	for i, r := range reqs {

@@ -497,7 +497,7 @@ func (t *Transaction) completeTopLevel(resources []registeredResource, reportHeu
 	t.setStatus(StatusCommitting)
 	committed, failed, damaged := 0, 0, 0
 	for _, p := range prepared {
-		err := t.deliverCommit(p.res)
+		err := t.svc.deliverCommit(p.res)
 		switch {
 		case err == nil:
 			committed++
@@ -546,11 +546,11 @@ func (t *Transaction) deliverRollback(rr registeredResource) {
 // deliverCommit retries phase-two delivery per the service retry policy,
 // sleeping only between attempts. A heuristic outcome is the participant's
 // definitive answer, so it is returned at once.
-func (t *Transaction) deliverCommit(r Resource) error {
+func (s *Service) deliverCommit(r Resource) error {
 	var err error
-	for attempt := 0; attempt < t.svc.retries; attempt++ {
-		if attempt > 0 && t.svc.retryDelay > 0 {
-			time.Sleep(t.svc.retryDelay)
+	for attempt := 0; attempt < s.retries; attempt++ {
+		if attempt > 0 && s.retryDelay > 0 {
+			time.Sleep(s.retryDelay)
 		}
 		err = r.Commit()
 		if err == nil || errors.Is(err, ErrHeuristicRollback) || errors.Is(err, ErrHeuristicCommit) {

@@ -172,8 +172,7 @@ func (s *Service) Recover() (RecoveryStats, error) {
 				stats.ResourcesMissing++
 				continue
 			}
-			carrier := &Transaction{svc: s, id: job.tx} // carrier for the retry policy
-			err := carrier.deliverCommit(r)
+			err := s.deliverCommit(r)
 			switch {
 			case err == nil:
 				stats.ResourcesCommitted++

@@ -98,22 +98,13 @@ func (f *ActivityFactory) Dispatch(_ context.Context, op string, in *cdr.Decoder
 		}
 	}
 	a, err := f.svc.TryBegin(name)
-	if errors.Is(err, core.ErrServiceDraining) {
+	if errors.Is(err, core.ErrServiceDraining) && f.member != nil {
 		// The map may not have marked this member draining yet (local
-		// drain beats map propagation); answer the same redirect a shard
-		// mismatch would so the client refreshes and retries elsewhere.
-		epoch := uint64(0)
-		owner := "<draining>"
-		if f.member != nil {
-			if m := f.member.Map(); m != nil {
-				epoch = m.Epoch
-				if o, ok := m.Owner(name); ok && o.ID != f.member.ID() {
-					owner = o.ID
-				}
-			}
-		}
-		return nil, wrongShard(epoch, owner, name)
-	} else if err != nil {
+		// drain beats map propagation); answer the member's redirect so
+		// the client refreshes and retries elsewhere.
+		return nil, f.member.redirect(name)
+	}
+	if err != nil {
 		return nil, err
 	}
 	f.begins.Add(1)

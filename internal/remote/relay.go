@@ -567,24 +567,6 @@ func errText(err error) string {
 	return "delivery failed"
 }
 
-// relayAddressable is implemented by Action proxies that can be described
-// to a relay on the wire: the servant key and endpoint list of the remote
-// Action. Only trees whose every member is addressable can be delivered as
-// batches; anything else falls back to direct delivery via the
-// coordinator's re-adoption path.
-type relayAddressable interface {
-	relayAddress() (key string, endpoints []string)
-}
-
-// relayAddress implements relayAddressable for the Action proxy.
-func (r *remoteAction) relayAddress() (string, []string) {
-	endpoints := make([]string, len(r.ref.Profiles))
-	for i, p := range r.ref.Profiles {
-		endpoints[i] = p.Endpoint
-	}
-	return r.ref.Key, endpoints
-}
-
 // RelayInfo implements core.SubtreeDeliverer: the proxy's node identity is
 // its primary endpoint, and its RTT is the client ORB's live EWMA for that
 // endpoint (zero until measured, which the planner treats as nearest).
@@ -659,26 +641,33 @@ func (r *remoteAction) DeliverSubtree(ctx context.Context, sig core.Signal, node
 // and a reference thereafter.
 func sendRelayBatch(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Signal, retry core.RetryPolicy, membership []byte, plantID string) ([]core.SubtreeResult, error) {
 	endpoint := target.Endpoint()
-	invoke := func(kind byte) ([]byte, error) {
-		e := cdr.NewEncoder(len(membership) + 128)
-		if err := encodeRelayBatch(e, sig, kind, plantID, retry, membership); err != nil {
-			return nil, fmt.Errorf("remote: encode relay batch: %w", err)
-		}
-		return o.Invoke(ctx, target, relayOp, e.Bytes())
-	}
 	kind := relayBatchFull
 	if wasPlanted(endpoint, plantID) {
 		kind = relayBatchRef
 	}
-	body, err := invoke(kind)
+	body, err := invokeRelay(ctx, o, target, sig, kind, plantID, retry, membership)
 	if err != nil && kind == relayBatchRef && isUnknownPlant(err) {
-		body, err = invoke(relayBatchFull)
+		body, err = invokeRelay(ctx, o, target, sig, relayBatchFull, plantID, retry, membership)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", endpoint, err)
+		return nil, err
 	}
 	markPlanted(endpoint, plantID)
 	return decodeRelayReply(body, func(text string) error { return relayError(text) })
+}
+
+// invokeRelay encodes one relay_deliver request and invokes it on the
+// relay servant at target, returning the reply body.
+func invokeRelay(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Signal, kind byte, plantID string, retry core.RetryPolicy, membership []byte) ([]byte, error) {
+	e := cdr.NewEncoder(len(membership) + 128)
+	if err := encodeRelayBatch(e, sig, kind, plantID, retry, membership); err != nil {
+		return nil, fmt.Errorf("remote: encode relay batch: %w", err)
+	}
+	body, err := o.Invoke(ctx, target, relayOp, e.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", target.Endpoint(), err)
+	}
+	return body, nil
 }
 
 // decodeRelayReply reads a relay_deliver reply into owned per-member
@@ -714,34 +703,30 @@ func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []
 		}
 		keys[i] = ra.ref.Key
 	}
-	membership := encodeRelayKeys(keys)
-	e := cdr.NewEncoder(len(membership) + 128)
-	if err := encodeRelayBatch(e, sig, relayBatchKeys, "", retry, membership); err != nil {
-		return nil, fmt.Errorf("remote: encode endpoint batch: %w", err)
-	}
 	target := orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...)
-	body, err := r.orb.Invoke(ctx, target, relayOp, e.Bytes())
+	body, err := invokeRelay(ctx, r.orb, target, sig, relayBatchKeys, "", retry, encodeRelayKeys(keys))
 	if err != nil {
-		return nil, fmt.Errorf("remote: relay_deliver on %s: %w", target.Endpoint(), err)
+		return nil, err
 	}
 	// The host words each failure as the direct call's error reads.
 	return decodeRelayReply(body, errors.New)
 }
 
 // wireTree converts a planner tree into wire form, requiring every member
-// to be a relay-addressable proxy. A member that is not (a local action, a
-// wrapped proxy) fails the whole subtree, which the coordinator then
-// re-adopts and delivers directly — correct, just flat.
+// to be an Action proxy, which the relay reaches by key and endpoints. A
+// member that is not (a local action, a wrapped proxy) fails the whole
+// subtree, which the coordinator then re-adopts and delivers directly —
+// correct, just flat.
 func wireTree(node *core.TreeNode) (*relayNode, error) {
-	ra, ok := node.Member.Action.(relayAddressable)
+	ra, ok := node.Member.Action.(*remoteAction)
 	if !ok {
-		return nil, fmt.Errorf("remote: member %q (index %d) is not relay-addressable", node.Member.Label, node.Member.Index)
+		return nil, fmt.Errorf("remote: member %q (index %d) is not an Action proxy", node.Member.Label, node.Member.Index)
 	}
-	key, endpoints := ra.relayAddress()
+	endpoints := ra.ref.Endpoints()
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("remote: member %q (index %d) has no endpoints", node.Member.Label, node.Member.Index)
 	}
-	n := &relayNode{index: node.Member.Index, key: key, endpoints: endpoints}
+	n := &relayNode{index: node.Member.Index, key: ra.ref.Key, endpoints: endpoints}
 	for _, c := range node.Children {
 		cn, err := wireTree(c)
 		if err != nil {

@@ -1,10 +1,13 @@
 package remote
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/orb"
 	"github.com/extendedtx/activityservice/internal/ots"
 	"github.com/extendedtx/activityservice/internal/wal"
@@ -179,4 +182,104 @@ func TestBindRemoteResourcesRejectsGarbage(t *testing.T) {
 	if err := BindRemoteResources(node, dir, []string{"not-an-ior"}); err == nil {
 		t.Fatal("garbage name accepted")
 	}
+}
+
+// outcomeResource answers every phase-two call with err.
+type outcomeResource struct{ err error }
+
+func (r outcomeResource) Prepare() (ots.Vote, error) { return ots.VoteCommit, nil }
+func (r outcomeResource) Commit() error              { return r.err }
+func (r outcomeResource) Rollback() error            { return r.err }
+func (r outcomeResource) CommitOnePhase() error      { return r.err }
+func (r outcomeResource) Forget() error              { return r.err }
+
+// rawReplyServant answers every operation with a fixed reply body.
+type rawReplyServant []byte
+
+func (s rawReplyServant) Dispatch(context.Context, string, *cdr.Decoder) ([]byte, error) {
+	return s, nil
+}
+
+// TestRemoteResourceHeuristicOutcomes drives each phase-two verb through
+// a resource proxy over a real ORB pair: a heuristic answer crosses the
+// wire as an outcome octet and comes back as the matching sentinel, while
+// a plain servant error stays an error and no heuristic.
+func TestRemoteResourceHeuristicOutcomes(t *testing.T) {
+	server := orb.New()
+	t.Cleanup(server.Shutdown)
+	if _, err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	client := orb.New()
+	t.Cleanup(client.Shutdown)
+	importErr := func(err error) ots.Resource {
+		ref := ExportResource(server, outcomeResource{err: err})
+		return ImportResource(client, ref)
+	}
+	plain := errors.New("disk on fire")
+
+	verbs := []struct {
+		name string
+		call func(ots.Resource) error
+	}{
+		{"commit", ots.Resource.Commit},
+		{"rollback", ots.Resource.Rollback},
+		{"commit_one_phase", ots.Resource.CommitOnePhase},
+	}
+	outcomes := []struct {
+		name string
+		err  error
+		want error // the sentinel the proxy must return; nil for clean
+	}{
+		{"clean", nil, nil},
+		{"heuristic_commit", ots.ErrHeuristicCommit, ots.ErrHeuristicCommit},
+		{"heuristic_rollback", ots.ErrHeuristicRollback, ots.ErrHeuristicRollback},
+		{"plain_error", plain, nil},
+	}
+	for _, v := range verbs {
+		for _, o := range outcomes {
+			t.Run(v.name+"/"+o.name, func(t *testing.T) {
+				err := v.call(importErr(o.err))
+				switch {
+				case o.err == nil:
+					if err != nil {
+						t.Fatalf("%s = %v, want nil", v.name, err)
+					}
+				case o.want != nil:
+					if !errors.Is(err, o.want) {
+						t.Fatalf("%s = %v, want %v", v.name, err, o.want)
+					}
+				default:
+					if err == nil || !strings.Contains(err.Error(), plain.Error()) {
+						t.Fatalf("%s = %v, want the servant's error", v.name, err)
+					}
+					if errors.Is(err, ots.ErrHeuristicCommit) || errors.Is(err, ots.ErrHeuristicRollback) {
+						t.Fatalf("%s: plain error decoded as heuristic: %v", v.name, err)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("forget", func(t *testing.T) {
+		if err := importErr(nil).Forget(); err != nil {
+			t.Fatalf("forget = %v, want nil", err)
+		}
+		if err := importErr(plain).Forget(); err == nil || !strings.Contains(err.Error(), plain.Error()) {
+			t.Fatalf("forget = %v, want the servant's error", err)
+		}
+	})
+
+	t.Run("raw_octets", func(t *testing.T) {
+		// An explicit clean octet is clean; an octet no outcome owns is a
+		// reply this proxy cannot read.
+		clean := server.RegisterServant(ResourceTypeID, rawReplyServant{outcomeClean})
+		if err := ImportResource(client, clean).Commit(); err != nil {
+			t.Fatalf("commit with the clean octet = %v, want nil", err)
+		}
+		unknown := server.RegisterServant(ResourceTypeID, rawReplyServant{7})
+		if err := ImportResource(client, unknown).Commit(); !orb.IsSystem(err, orb.CodeMarshal) {
+			t.Fatalf("commit with outcome octet 7 = %v, want MARSHAL", err)
+		}
+	})
 }

@@ -3,10 +3,12 @@ package remote
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/cluster"
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/orb"
@@ -32,7 +34,6 @@ func newShardHost(t *testing.T, id string, authorityRef orb.IOR) *shardHost {
 	}
 	svc := core.New()
 	member := NewShardMember(o, id, authorityRef, WithOnDrain(svc.Drain))
-	t.Cleanup(member.Stop)
 	factory := ServeActivityFactory(o, svc, WithFactoryShard(member))
 	return &shardHost{orb: o, svc: svc, member: member, factory: factory}
 }
@@ -70,9 +71,9 @@ func newShardFixture(t *testing.T, ids ...string) *shardFixture {
 		}
 		_ = ctx
 	}
-	for _, h := range fx.hosts {
+	for id, h := range fx.hosts {
 		if err := h.member.Sync(context.Background()); err != nil {
-			t.Fatalf("sync %s: %v", h.member.ID(), err)
+			t.Fatalf("sync %s: %v", id, err)
 		}
 	}
 	return fx
@@ -374,10 +375,57 @@ func TestDrainingMemberRedirectsAndQuiesces(t *testing.T) {
 	}
 }
 
+// TestShardLocalDrainRedirects covers the window where a member's core
+// service drained before its map marks it draining: a begin for a key
+// the member still owns answers the member's WrongShard redirect at its
+// map epoch, and nothing begins.
+func TestShardLocalDrainRedirects(t *testing.T) {
+	fx := newShardFixture(t, "m1", "m2")
+	h := fx.hosts["m1"]
+	cur := h.member.router.Map()
+	var name string
+	for i := 0; i < 4096; i++ {
+		if owner, ok := cur.Owner(nameForIndex(i)); ok && owner.ID == "m1" {
+			name = nameForIndex(i)
+			break
+		}
+	}
+	if name == "" {
+		t.Fatal("m1 owns nothing")
+	}
+	h.svc.Drain()
+
+	e := cdr.NewEncoder(32)
+	e.WriteString(name)
+	_, err := newClientORB(t).Invoke(context.Background(), h.factory.Ref(), "begin", e.Bytes())
+	epoch, ok := WrongShardEpoch(err)
+	if !ok {
+		t.Fatalf("begin on a locally drained owner = %v, want WRONG_SHARD", err)
+	}
+	if epoch != cur.Epoch {
+		t.Fatalf("redirect epoch = %d, want m1's map epoch %d", epoch, cur.Epoch)
+	}
+	if !strings.Contains(err.Error(), "owner=<draining>") {
+		t.Fatalf("redirect %v does not name the drained owner", err)
+	}
+	if got := h.factory.Begins(); got != 0 {
+		t.Fatalf("m1 began %d activities while drained", got)
+	}
+	if got := h.svc.Live(); got != 0 {
+		t.Fatalf("m1 holds %d live activities while drained", got)
+	}
+}
+
 func TestShardMemberRunFollowsMap(t *testing.T) {
 	fx := newShardFixture(t, "m1")
 	h := fx.hosts["m1"]
-	go h.member.Run()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		h.member.Run(ctx)
+	}()
 
 	if _, err := fx.auth.Drain("m1"); err != nil {
 		t.Fatal(err)
@@ -392,7 +440,8 @@ func TestShardMemberRunFollowsMap(t *testing.T) {
 	if !h.svc.Draining() {
 		t.Fatal("Run never observed the drain")
 	}
-	h.member.Stop()
+	cancel()
+	<-ran
 }
 
 func TestShardRouterResolveRetry(t *testing.T) {

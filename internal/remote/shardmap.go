@@ -34,9 +34,8 @@ const shardWatchPollCap = 10 * time.Second
 // ShardAuthority holds the authoritative, versioned shard map of an
 // activityd fleet. Mutations (Add, Drain, Remove) bump the epoch and
 // wake long-poll watchers; ServeShardMap exposes the authority over the
-// ORB and forwards the orb-admin servant's "shard_*" verbs to it, so
-// operators drive live resharding through the admin surface they
-// already scrape.
+// ORB as the shard-map servant, the one surface for the "shard_*" verbs
+// (operators drive live resharding through a ShardMapClient aimed at it).
 type ShardAuthority struct {
 	mu      sync.Mutex
 	cur     *cluster.Map
@@ -209,11 +208,8 @@ func ShardMapAt(endpoints ...string) orb.IOR {
 	return orb.NewIOR(ShardMapTypeID, ShardMapKey, endpoints...)
 }
 
-// ShardMapClient is the client-side proxy for a shard-map authority.
-// The same verbs are also served by any orb-admin servant whose process
-// hosts the authority (ServeShardMap wires the forwarding), so a client
-// may aim this proxy at either the shard-map or the orb-admin
-// reference.
+// ShardMapClient is the client-side proxy for a shard-map authority: it
+// invokes the "shard_*" verbs on the shard-map servant at its reference.
 type ShardMapClient struct {
 	orb *orb.ORB
 	ref orb.IOR

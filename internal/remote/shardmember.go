@@ -3,164 +3,90 @@ package remote
 import (
 	"context"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/extendedtx/activityservice/internal/cluster"
 	"github.com/extendedtx/activityservice/internal/orb"
 )
 
 // ShardMember is the replica-side half of the sharding protocol: it
-// tracks the cluster map (via the shard-map authority's watch verb) and
-// guards keyed operations with CheckOwner, answering WrongShard for
-// keys this member does not own under its current map. When the map
-// marks this member draining, the member fires its OnDrain hook exactly
-// once — the host wires that to core.Service.Drain so in-flight
-// activities finish here while new begins redirect to the successors.
+// follows the cluster map through a ShardRouter (so the map cache and
+// the shard_watch loop exist once in the code) and guards keyed
+// operations with CheckOwner, answering WrongShard for keys this member
+// does not own under its current map. When the map marks this member draining, the
+// member fires its OnDrain hook exactly once — the host wires that to
+// core.Service.Drain so in-flight activities finish here while new
+// begins redirect to the successors.
 type ShardMember struct {
-	o      *orb.ORB
 	id     string
-	client *ShardMapClient
-
-	cur atomic.Pointer[cluster.Map]
-
-	onDrain    func()
-	drainFired sync.Once
-
-	stop       chan struct{}
-	stopOnce   sync.Once
-	runStarted atomic.Bool
-	done       chan struct{}
+	router *ShardRouter
 }
 
 // MemberOption configures a ShardMember.
 type MemberOption func(*ShardMember)
 
-// WithOnDrain registers fn to run exactly once, the first time a
-// synced map shows this member in the draining state.
+// WithOnDrain registers fn to run exactly once, the first time an
+// installed map shows this member in the draining state. fn runs on the
+// goroutine installing that map and must return promptly without calling
+// the member (core.Service.Drain only flips the service's admission).
 func WithOnDrain(fn func()) MemberOption {
-	return func(m *ShardMember) { m.onDrain = fn }
+	return func(m *ShardMember) {
+		var once sync.Once
+		m.router.onInstall = func(mp *cluster.Map) {
+			if mem, ok := mp.Member(m.id); ok && mem.State == cluster.MemberDraining {
+				once.Do(fn)
+			}
+		}
+	}
 }
 
 // NewShardMember returns the shard guard for the member with the given
 // id, following maps from the shard-map authority at authorityRef.
 func NewShardMember(o *orb.ORB, id string, authorityRef orb.IOR, opts ...MemberOption) *ShardMember {
-	m := &ShardMember{
-		o:      o,
-		id:     id,
-		client: NewShardMapClient(o, authorityRef),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	m := &ShardMember{id: id, router: NewShardRouter(o, authorityRef)}
 	for _, opt := range opts {
 		opt(m)
 	}
 	return m
 }
 
-// ID returns the member's fleet id.
-func (m *ShardMember) ID() string { return m.id }
-
-// Map returns the member's current view of the cluster map (nil before
-// the first sync).
-func (m *ShardMember) Map() *cluster.Map { return m.cur.Load() }
-
-// install adopts a fetched map (never regressing the epoch) and fires
-// the drain hook if the map shows this member draining.
-func (m *ShardMember) install(next *cluster.Map) {
-	for {
-		cur := m.cur.Load()
-		if cur != nil && next.Epoch <= cur.Epoch {
-			break
-		}
-		if m.cur.CompareAndSwap(cur, next) {
-			break
-		}
-	}
-	if mem, ok := m.cur.Load().Member(m.id); ok && mem.State == cluster.MemberDraining {
-		m.drainFired.Do(func() {
-			if m.onDrain != nil {
-				m.onDrain()
-			}
-		})
-	}
-}
-
 // Sync fetches the current map once (e.g. at startup, before serving).
 func (m *ShardMember) Sync(ctx context.Context) error {
-	mp, err := m.client.Fetch(ctx)
-	if err != nil {
-		return err
-	}
-	m.install(mp)
-	return nil
+	_, err := m.router.Refresh(ctx)
+	return err
 }
 
-// Run follows the authority's map with long-poll watches until Stop.
-// Watch errors back off briefly and retry; the member keeps serving on
-// its last good map meanwhile.
-func (m *ShardMember) Run() {
-	m.runStarted.Store(true)
-	defer close(m.done)
-	for {
-		select {
-		case <-m.stop:
-			return
-		default:
-		}
-		var after uint64
-		if cur := m.cur.Load(); cur != nil {
-			after = cur.Epoch
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*shardWatchPollCap)
-		go func() {
-			// Stop aborts a parked watch instead of waiting out the poll.
-			select {
-			case <-m.stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		mp, err := m.client.Watch(ctx, after, shardWatchPollCap)
-		cancel()
-		if err != nil {
-			select {
-			case <-m.stop:
-				return
-			case <-time.After(200 * time.Millisecond):
-			}
-			continue
-		}
-		m.install(mp)
-	}
-}
-
-// Stop ends Run and waits for it to return (immediately when Run was
-// never started).
-func (m *ShardMember) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	if m.runStarted.Load() {
-		<-m.done
-	}
-}
+// Run follows the authority's map with long-poll watches until ctx is
+// cancelled; the member keeps serving on its last good map while a
+// watch fails.
+func (m *ShardMember) Run(ctx context.Context) { m.router.Run(ctx) }
 
 // CheckOwner admits a keyed operation: nil when this member owns key
-// under its current map and is not draining, a WrongShard redirect
-// (carrying this member's epoch and the owner it routes to) otherwise.
-// Before the first sync it answers TRANSIENT — the caller may retry
-// once the member has a map.
+// under its current map, the member's WrongShard redirect otherwise.
 func (m *ShardMember) CheckOwner(key string) error {
-	cur := m.cur.Load()
+	if cur := m.router.Map(); cur != nil {
+		if owner, ok := cur.Owner(key); ok && owner.ID == m.id {
+			return nil
+		}
+	}
+	return m.redirect(key)
+}
+
+// redirect is the member's WrongShard answer for key: its map epoch and
+// the owner that map routes key to, or "<draining>" when that owner is
+// this member (its service drained before the map said so). Before the
+// first sync it answers TRANSIENT — the caller may retry once the member
+// has a map.
+func (m *ShardMember) redirect(key string) error {
+	cur := m.router.Map()
 	if cur == nil {
 		return orb.Systemf(orb.CodeTransient, "shard member %s: no cluster map yet", m.id)
 	}
-	owner, ok := cur.Owner(key)
-	if ok && owner.ID == m.id {
-		return nil
+	owner := "<none>"
+	if o, ok := cur.Owner(key); ok {
+		owner = o.ID
+		if owner == m.id {
+			owner = "<draining>"
+		}
 	}
-	ownerID := "<none>"
-	if ok {
-		ownerID = owner.ID
-	}
-	return wrongShard(cur.Epoch, ownerID, key)
+	return wrongShard(cur.Epoch, owner, key)
 }

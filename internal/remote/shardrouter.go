@@ -50,6 +50,13 @@ type ShardRouter struct {
 
 	cur atomic.Pointer[cluster.Map]
 
+	// onInstall, when set, is shown each map that install advances the
+	// cache to (a ShardMember's drain hook). Set before the router is
+	// shared. It runs on the installing goroutine, under refreshMu when
+	// Refresh installs, so it must return promptly and never call the
+	// router.
+	onInstall func(*cluster.Map)
+
 	// refreshMu single-flights map refreshes so a burst of redirected
 	// invocations costs one fetch.
 	refreshMu sync.Mutex
@@ -99,7 +106,8 @@ func (r *ShardRouter) Stats() RouterStats {
 
 // install adopts a fetched map without ever regressing the epoch (a
 // racing refresh or watch may have installed a newer one). It reports
-// whether the map actually advanced.
+// whether the map actually advanced, and hands an advancing map to the
+// onInstall observer.
 func (r *ShardRouter) install(next *cluster.Map) bool {
 	for {
 		cur := r.cur.Load()
@@ -107,6 +115,9 @@ func (r *ShardRouter) install(next *cluster.Map) bool {
 			return false
 		}
 		if r.cur.CompareAndSwap(cur, next) {
+			if r.onInstall != nil {
+				r.onInstall(next)
+			}
 			return true
 		}
 	}
