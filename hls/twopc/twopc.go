@@ -68,7 +68,7 @@ func NewSignalSet() *core.SequenceSet {
 type ResourceAction struct {
 	mu       sync.Mutex
 	resource ots.Resource
-	voted    ots.Vote
+	voted    ots.Vote // zero until Prepare answers: rollback then reaches the resource
 }
 
 var _ core.Action = (*ResourceAction)(nil)
@@ -86,7 +86,9 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 	case SignalPrepare:
 		vote, err := a.resource.Prepare()
 		if err != nil {
-			vote = ots.VoteRollback
+			// The resource may be prepared all the same (its reply was
+			// lost): left unvoted, it is told to roll back.
+			return core.Outcome{Name: OutcomeAbort}, nil
 		}
 		a.voted = vote
 		switch vote {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 )
 
 // scriptedResource is a 2PC participant with scriptable votes and a call
-// log.
+// log. A non-nil prepareErr fails Prepare after it is logged.
 type scriptedResource struct {
-	mu    sync.Mutex
-	vote  ots.Vote
-	calls []string
+	mu         sync.Mutex
+	vote       ots.Vote
+	prepareErr error
+	calls      []string
 }
 
 func newResource(vote ots.Vote) *scriptedResource {
@@ -39,7 +41,7 @@ func (r *scriptedResource) Calls() []string {
 
 func (r *scriptedResource) Prepare() (ots.Vote, error) {
 	r.log("prepare")
-	return r.vote, nil
+	return r.vote, r.prepareErr
 }
 
 func (r *scriptedResource) Commit() error         { r.log("commit"); return nil }
@@ -285,11 +287,15 @@ func TestManyParticipantsScale(t *testing.T) {
 	}
 }
 
+// TestPrepareErrorTreatedAsVeto fails one participant's Prepare: the
+// transaction rolls back, and the failed participant — which may be
+// prepared all the same, its reply lost — hears exactly one rollback.
 func TestPrepareErrorTreatedAsVeto(t *testing.T) {
 	svc := core.New()
 	coord := NewCoordinator(svc)
 	tx, _ := coord.Begin("T")
-	bad := &failingResource{}
+	bad := newResource(ots.VoteCommit)
+	bad.prepareErr = errors.New("prepare exploded")
 	good := newResource(ots.VoteCommit)
 	_ = tx.Enlist(good)
 	_ = tx.Enlist(bad)
@@ -304,17 +310,10 @@ func TestPrepareErrorTreatedAsVeto(t *testing.T) {
 	if len(gc) != 2 || gc[1] != "rollback" {
 		t.Fatalf("good calls = %v", gc)
 	}
+	if bc := bad.Calls(); !slices.Equal(bc, []string{"prepare", "rollback"}) {
+		t.Fatalf("bad calls = %v, want [prepare rollback]", bc)
+	}
 }
-
-type failingResource struct{}
-
-func (f *failingResource) Prepare() (ots.Vote, error) {
-	return 0, errors.New("prepare exploded")
-}
-func (f *failingResource) Commit() error         { return nil }
-func (f *failingResource) Rollback() error       { return nil }
-func (f *failingResource) CommitOnePhase() error { return nil }
-func (f *failingResource) Forget() error         { return nil }
 
 // TestParallelPrepareCommits drives 2PC with parallel delivery: every
 // participant votes concurrently, the outcome and each participant's call

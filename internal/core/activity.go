@@ -81,7 +81,7 @@ type Activity struct {
 	state         ActivityState
 	cs            CompletionStatus
 	children      map[ids.UID]*Activity
-	sets          map[string]SignalSet
+	sets          []SignalSet // registered sets, one per name
 	pgroups       map[string]PropertyGroup
 	completionSet string
 	outcome       Outcome
@@ -147,19 +147,29 @@ func (a *Activity) RegisterSignalSet(set SignalSet) error {
 	if a.state == ActivityCompleted {
 		return fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
-	if _, dup := a.sets[set.Name()]; dup {
+	if _, dup := a.signalSet(set.Name()); dup {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicateSignalSet, set.Name(), a.name)
 	}
-	put(&a.sets, set.Name(), set)
+	a.sets = append(a.sets, set)
 	return nil
+}
+
+// signalSet finds the registered set named name, newest first. The caller
+// holds a.mu.
+func (a *Activity) signalSet(name string) (SignalSet, bool) {
+	for i := len(a.sets) - 1; i >= 0; i-- {
+		if a.sets[i].Name() == name {
+			return a.sets[i], true
+		}
+	}
+	return nil, false
 }
 
 // SignalSet returns the registered set with the given name.
 func (a *Activity) SignalSet(name string) (SignalSet, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s, ok := a.sets[name]
-	return s, ok
+	return a.signalSet(name)
 }
 
 // SetCompletionSet chooses which registered SignalSet Complete drives.
@@ -302,7 +312,7 @@ func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) 
 		a.mu.Unlock()
 		return Outcome{}, fmt.Errorf("%w: %s in state %s", ErrActivityInactive, a.name, st)
 	}
-	set, ok := a.sets[setName]
+	set, ok := a.signalSet(setName)
 	cs := a.cs
 	a.mu.Unlock()
 	if !ok {
@@ -339,7 +349,7 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 	if setName == "" {
 		setName = DefaultCompletionSet
 	}
-	set, hasSet := a.sets[setName]
+	set, hasSet := a.signalSet(setName)
 	a.mu.Unlock()
 	// Before the completion set's first snapshot: from here on, enrolment
 	// is refused rather than missing a signal.

@@ -53,6 +53,7 @@ func (r registration) name() string {
 // setEntry is what a coordinator keeps per set name: the registrations,
 // and the fig. 7 driver of each set instance driven under that name.
 type setEntry struct {
+	name string
 	// regs is copy-on-write: a broadcast delivers over a capped snapshot
 	// of it, so registering appends past every snapshot and removing
 	// builds a new slice.
@@ -71,10 +72,11 @@ type Coordinator struct {
 	rec   *trace.Recorder
 	retry RetryPolicy
 
-	// mu guards the per-set-name entries (made on first write), the
-	// default-label counter and the enrolment gate.
+	// mu guards the per-set-name entries, the default-label counter and
+	// the enrolment gate. sets holds one entry per name in first-use
+	// order; an append may move them, so no pointer into it outlives mu.
 	mu     sync.Mutex
-	sets   map[string]setEntry
+	sets   []setEntry
 	seq    int64 // the last default label number handed out
 	closed bool  // enrolment refused: the owning activity is completing
 }
@@ -119,10 +121,39 @@ func (c *Coordinator) register(setName string, reg registration, numbered, gated
 		reg.seq = c.seq
 	}
 	reg.id = c.gen.New()
-	e := c.sets[setName]
+	e := c.entryFor(setName)
+	if e.regs == nil {
+		// A model enrols its participants one by one: reserve room for a
+		// few more rather than regrowing 1, 2, 4.
+		e.regs = make([]registration, 0, regReserve)
+	}
 	e.regs = append(e.regs, reg)
-	put(&c.sets, setName, e)
 	return reg.id, true
+}
+
+// regReserve is the room a set name's first registration reserves.
+const regReserve = 4
+
+// entry returns name's entry, nil if it has none. Entries are searched
+// newest first: a model enrols with, and drives, the set it named last.
+// The caller holds c.mu.
+func (c *Coordinator) entry(name string) *setEntry {
+	for i := len(c.sets) - 1; i >= 0; i-- {
+		if c.sets[i].name == name {
+			return &c.sets[i]
+		}
+	}
+	return nil
+}
+
+// entryFor returns name's entry, adding an empty one on first use. The
+// caller holds c.mu.
+func (c *Coordinator) entryFor(name string) *setEntry {
+	if e := c.entry(name); e != nil {
+		return e
+	}
+	c.sets = append(c.sets, setEntry{name: name})
+	return &c.sets[len(c.sets)-1]
 }
 
 // closeEnrolment refuses every later gated registration. An activity calls
@@ -137,13 +168,15 @@ func (c *Coordinator) closeEnrolment() {
 func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.sets[setName]
+	e := c.entry(setName)
+	if e == nil {
+		return false
+	}
 	for i, reg := range e.regs {
 		if reg.id == id {
 			// A new slice, never a shift in place: a running broadcast's
 			// snapshot shares the old one.
 			e.regs = slices.Concat(e.regs[:i], e.regs[i+1:])
-			c.sets[setName] = e
 			return true
 		}
 	}
@@ -154,7 +187,10 @@ func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
 func (c *Coordinator) ActionCount(setName string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sets[setName].regs)
+	if e := c.entry(setName); e != nil {
+		return len(e.regs)
+	}
+	return 0
 }
 
 // actions snapshots the registrations for a set, in registration order.
@@ -163,8 +199,11 @@ func (c *Coordinator) ActionCount(setName string) int {
 func (c *Coordinator) actions(setName string) []registration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	regs := c.sets[setName].regs
-	return regs[:len(regs):len(regs)]
+	e := c.entry(setName)
+	if e == nil {
+		return nil
+	}
+	return e.regs[:len(e.regs):len(e.regs)]
 }
 
 // driverFor returns the fig. 7 state machine for a set instance, creating
@@ -173,18 +212,21 @@ func (c *Coordinator) driverFor(set SignalSet) *setDriver {
 	name := set.Name()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.sets[name]
+	e := c.entryFor(name)
 	if d := e.driver(set); d != nil {
 		return d
 	}
 	d := newSetDriver(set)
 	d.next, e.drivers = e.drivers, d
-	put(&c.sets, name, e)
 	return d
 }
 
-// driver returns the driver of set, nil if it has never been driven.
-func (e setEntry) driver(set SignalSet) *setDriver {
+// driver returns the driver of set, nil if it has never been driven (or
+// e is nil: its name has no entry).
+func (e *setEntry) driver(set SignalSet) *setDriver {
+	if e == nil {
+		return nil
+	}
 	for d := e.drivers; d != nil; d = d.next {
 		if d.set == set {
 			return d
@@ -198,7 +240,7 @@ func (e setEntry) driver(set SignalSet) *setDriver {
 func (c *Coordinator) SetState(set SignalSet) SetState {
 	name := set.Name()
 	c.mu.Lock()
-	d := c.sets[name].driver(set)
+	d := c.entry(name).driver(set)
 	c.mu.Unlock()
 	if d == nil {
 		return StateWaiting
@@ -257,17 +299,16 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 	return out, nil
 }
 
-// deliver transmits one signal to one action with at-least-once retry,
-// recording transmit events live and the response at the end (the same
-// event shape replayTrace reproduces for concurrent deliveries).
-func (c *Coordinator) deliver(ctx context.Context, reg registration, sig Signal) (Outcome, error) {
+// deliver transmits one signal to one action with at-least-once retry
+// into r, recording transmit events live and the response at the end (the
+// same event shape replayTrace reproduces for concurrent deliveries).
+func (c *Coordinator) deliver(ctx context.Context, reg *registration, sig Signal, r *attemptResult) {
 	var onTransmit func(attempt int)
 	if c.rec != nil {
 		onTransmit = func(attempt int) {
 			c.rec.Record(trace.KindTransmit, c.owner, reg.name(), sig.Name, transmitDetail(attempt))
 		}
 	}
-	r := runAttempts(ctx, reg.action, sig, c.retry, onTransmit)
+	runAttempts(ctx, reg.action, sig, c.retry, onTransmit, r)
 	c.recordResponse(reg, sig, r)
-	return r.outcome, r.err
 }

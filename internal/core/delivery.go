@@ -150,9 +150,10 @@ func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, re
 // deliverEach delivers sig to regs one at a time, each response fed back
 // before the next transmit.
 func (c *Coordinator) deliverEach(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
-	for _, reg := range regs {
-		outcome, aerr := c.deliver(ctx, reg, sig)
-		adv, serr := driver.setResponse(outcome, aerr)
+	for i := range regs {
+		var r attemptResult
+		c.deliver(ctx, &regs[i], sig, &r)
+		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			return false, serr
 		}
@@ -199,9 +200,9 @@ func (c *Coordinator) deliverRun(ctx context.Context, driver *setDriver, run []r
 	if err != nil || !inRunOrder(res, len(run)) {
 		return c.deliverEach(ctx, driver, run, sig)
 	}
-	for i, reg := range run {
+	for i := range run {
 		r := attemptResult{outcome: res[i].Outcome, err: res[i].Err, attempts: max(res[i].Attempts, 1)}
-		c.replayTrace(reg, sig, r)
+		c.replayTrace(&run[i], sig, &r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			return false, serr
@@ -236,7 +237,8 @@ func DeliverRun(ctx context.Context, sig Signal, run []Action, retry RetryPolicy
 	retry.Attempts = max(retry.Attempts, 1)
 	out := make([]SubtreeResult, len(run))
 	for i, a := range run {
-		r := runAttempts(ctx, a, sig, retry, nil)
+		var r attemptResult
+		runAttempts(ctx, a, sig, retry, nil, &r)
 		out[i] = SubtreeResult{Index: i, Attempts: r.attempts, Outcome: r.outcome, Err: r.err}
 	}
 	return out
@@ -256,12 +258,12 @@ type attemptResult struct {
 }
 
 // runAttempts is the single at-least-once retry loop behind every delivery
-// mode and every relay. onTransmit, when non-nil, is invoked before each
-// attempt — the serial path records live; the concurrent engine passes nil
-// and the collator replays the events, so there is exactly one encoding of
-// the retry-and-trace contract.
-func runAttempts(ctx context.Context, action Action, sig Signal, retry RetryPolicy, onTransmit func(attempt int)) attemptResult {
-	var r attemptResult
+// mode and every relay; it fills r, which the caller passes zeroed.
+// onTransmit, when non-nil, is invoked before each attempt — the serial
+// path records live; the concurrent engine passes nil and the collator
+// replays the events, so there is exactly one encoding of the
+// retry-and-trace contract.
+func runAttempts(ctx context.Context, action Action, sig Signal, retry RetryPolicy, onTransmit func(attempt int), r *attemptResult) {
 	for attempt := 1; attempt <= retry.Attempts; attempt++ {
 		if onTransmit != nil {
 			onTransmit(attempt)
@@ -269,22 +271,22 @@ func runAttempts(ctx context.Context, action Action, sig Signal, retry RetryPoli
 		r.attempts = attempt
 		r.outcome, r.err = action.ProcessSignal(ctx, sig)
 		if r.err == nil {
-			return r
+			return
 		}
 		if retry.Backoff > 0 && attempt < retry.Attempts {
 			select {
 			case <-ctx.Done():
-				return attemptResult{
+				*r = attemptResult{
 					err:       fmt.Errorf("core: delivery cancelled: %w", ctx.Err()),
 					attempts:  attempt,
 					cancelled: true,
 				}
+				return
 			case <-time.After(retry.Backoff):
 			}
 		}
 	}
 	r.outcome = Outcome{}
-	return r
 }
 
 // transmitDetail is the trace annotation for the n-th transmit attempt.
@@ -298,7 +300,7 @@ func transmitDetail(attempt int) string {
 // recordResponse records the response event for a finished delivery:
 // success or final failure, but nothing for a delivery cancelled
 // mid-backoff — the same shape in serial and parallel mode.
-func (c *Coordinator) recordResponse(reg registration, sig Signal, r attemptResult) {
+func (c *Coordinator) recordResponse(reg *registration, sig Signal, r *attemptResult) {
 	switch {
 	case c.rec == nil || r.cancelled:
 	case r.err == nil:
@@ -335,15 +337,15 @@ func (c *Coordinator) broadcastConcurrent(ctx context.Context, driver *setDriver
 
 	advance := false
 	var feedErr error
-	for i, reg := range regs {
+	for i := range regs {
 		p := at[i]
 		f.landed[p].Wait()
-		r := f.results[p]
+		r := &f.results[p]
 		if advance || feedErr != nil || r.skipped {
 			// Discard speculative responses past the short-circuit.
 			continue
 		}
-		c.replayTrace(reg, sig, r)
+		c.replayTrace(&regs[i], sig, r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			feedErr = serr
@@ -447,7 +449,7 @@ func (f *fanOut) deliver(s span) {
 			// A childless root, or a member the batch missed: deliver
 			// directly, idempotency absorbing any duplicate a dying relay
 			// already managed.
-			f.results[p] = runAttempts(f.ctx, m.Action, f.sig, f.retry, nil)
+			runAttempts(f.ctx, m.Action, f.sig, f.retry, nil, &f.results[p])
 		}
 		f.landed[p].Done()
 	}
@@ -474,7 +476,7 @@ func (f *fanOut) relay(root *TreeNode) map[int]SubtreeResult {
 
 // replayTrace records the transmit/response events for one concurrent
 // delivery in the same shape the serial path records them live.
-func (c *Coordinator) replayTrace(reg registration, sig Signal, r attemptResult) {
+func (c *Coordinator) replayTrace(reg *registration, sig Signal, r *attemptResult) {
 	if c.rec == nil {
 		return
 	}

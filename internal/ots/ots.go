@@ -448,11 +448,15 @@ func (t *Transaction) completeTopLevel(resources []registeredResource, reportHeu
 		case VoteReadOnly:
 			// Drop: no phase two for read-only participants.
 		default: // VoteRollback or error
-			// The vetoing resource has rolled itself back. Roll back the
-			// already-prepared and the not-yet-asked participants.
+			// A vetoing resource has rolled itself back; one whose prepare
+			// failed may be prepared all the same (its reply was lost), so
+			// it is rolled back with the prepared and the not-yet-asked.
 			t.setStatus(StatusRollingBack)
 			for _, p := range prepared {
 				t.deliverRollback(p)
+			}
+			if err != nil {
+				t.deliverRollback(rr)
 			}
 			for _, rest := range resources[i+1:] {
 				t.deliverRollback(rest)

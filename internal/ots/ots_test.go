@@ -3,6 +3,7 @@ package ots
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +170,10 @@ func TestPrepareErrorTreatedAsVeto(t *testing.T) {
 	_ = tx.RegisterResource(b)
 	if err := tx.Commit(true); !errors.Is(err, ErrRolledBack) {
 		t.Fatalf("err = %v", err)
+	}
+	// b may be prepared all the same (its reply lost): it is rolled back.
+	if bc := b.Calls(); !slices.Equal(bc, []string{"prepare", "rollback"}) {
+		t.Fatalf("b calls = %v, want [prepare rollback]", bc)
 	}
 }
 

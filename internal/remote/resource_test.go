@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/orb"
@@ -15,9 +16,10 @@ import (
 
 // slotResource is a capacity-1 participant with observable state.
 type slotResource struct {
-	mu    sync.Mutex
-	vote  ots.Vote
-	state string
+	mu        sync.Mutex
+	vote      ots.Vote
+	state     string
+	rollbacks int
 }
 
 func (s *slotResource) set(v string) {
@@ -38,9 +40,23 @@ func (s *slotResource) Prepare() (ots.Vote, error) {
 }
 
 func (s *slotResource) Commit() error         { s.set("committed"); return nil }
-func (s *slotResource) Rollback() error       { s.set("rolledback"); return nil }
 func (s *slotResource) CommitOnePhase() error { return s.Commit() }
 func (s *slotResource) Forget() error         { return nil }
+
+// Rollback counts, so a test can tell one rollback from a repeat.
+func (s *slotResource) Rollback() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.state = "rolledback"
+	s.rollbacks++
+	return nil
+}
+
+func (s *slotResource) Rollbacks() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rollbacks
+}
 
 func TestDistributedOTSTwoPhaseCommit(t *testing.T) {
 	coordinatorORB := orb.New()
@@ -103,6 +119,45 @@ func TestDistributedOTSVetoRollsBack(t *testing.T) {
 	}
 	if good.State() != "rolledback" {
 		t.Fatalf("good state = %q", good.State())
+	}
+}
+
+// TestDistributedOTSLostPrepareReplyRollsBack drops the reply to a
+// servant's prepare after the servant prepared. The coordinator sees an
+// error, not a vote, and rolls the transaction back; since the servant may
+// be prepared, it is told to roll back exactly once.
+func TestDistributedOTSLostPrepareReplyRollsBack(t *testing.T) {
+	chaos := orb.NewChaosTransport()
+	coordinatorORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(200*time.Millisecond))
+	t.Cleanup(coordinatorORB.Shutdown)
+	node := orb.New()
+	t.Cleanup(node.Shutdown)
+
+	lost := &slotResource{vote: ots.VoteCommit}
+	other := &slotResource{vote: ots.VoteCommit}
+	lostRef := ExportResource(node, lost)
+	otherRef := ExportResource(node, other)
+	if _, err := node.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	lostRef, _ = node.IOR(lostRef.Key)
+	otherRef, _ = node.IOR(otherRef.Key)
+
+	fault := chaos.Inject(orb.ChaosRule{Op: "prepare", Stage: orb.StageReply, Drop: true, Count: 1})
+	tx := ots.NewService().Begin()
+	_ = tx.RegisterResource(ImportResource(coordinatorORB, lostRef))
+	_ = tx.RegisterResource(ImportResource(coordinatorORB, otherRef))
+	if err := tx.Commit(true); !errors.Is(err, ots.ErrRolledBack) {
+		t.Fatalf("err = %v, want ErrRolledBack", err)
+	}
+	if fault.Hits() != 1 {
+		t.Fatalf("drop fired %d times, want 1", fault.Hits())
+	}
+	if n := lost.Rollbacks(); n != 1 || lost.State() != "rolledback" {
+		t.Fatalf("prepared servant whose reply was lost: %d rollbacks, state %q; want 1, rolledback", n, lost.State())
+	}
+	if n := other.Rollbacks(); n != 1 {
+		t.Fatalf("not-yet-asked servant: %d rollbacks, want 1", n)
 	}
 }
 
