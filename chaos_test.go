@@ -586,6 +586,20 @@ func TestChaosFlappingEndpointBreakerCapsProbes(t *testing.T) {
 	}
 }
 
+// replicatedAction is one participant exported on several nodes. It
+// orders the deliveries it gets through any of them, which no single
+// node's action servant can do.
+type replicatedAction struct {
+	mu     sync.Mutex
+	action core.Action
+}
+
+func (a *replicatedAction) ProcessSignal(ctx context.Context, sig core.Signal) (core.Outcome, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.action.ProcessSignal(ctx, sig)
+}
+
 // TestChaosFailoverCommitConvergesViaBackupProfile is the multi-profile
 // failover scenario the IOR redesign exists for: both 2PC participants are
 // replicated behind two-profile references (a primary and a backup node
@@ -605,8 +619,11 @@ func TestChaosFailoverCommitConvergesViaBackupProfile(t *testing.T) {
 	// replicated-participant deployment the ROADMAP points at. The action
 	// state (including the recorded vote) is shared between the nodes, as
 	// a real replicated participant's durable state would be — the wire
-	// endpoints are what differ.
-	a1, a2 := twopc.NewResourceAction(r1), twopc.NewResourceAction(r2)
+	// endpoints are what differ. Each node's action servant orders the
+	// deliveries to its own export only, so the shared participant orders
+	// its deliveries across the nodes itself, as a replicated store would.
+	a1 := &replicatedAction{action: twopc.NewResourceAction(r1)}
+	a2 := &replicatedAction{action: twopc.NewResourceAction(r2)}
 	newNode := func() *orb.ORB {
 		node := orb.New()
 		t.Cleanup(node.Shutdown)

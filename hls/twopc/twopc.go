@@ -14,7 +14,6 @@ package twopc
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ots"
@@ -65,8 +64,14 @@ func NewSignalSet() *core.SequenceSet {
 
 // ResourceAction adapts an ots.Resource to the Action protocol, letting
 // any transaction-service participant join an activity-coordinated 2PC.
+//
+// It takes no lock: it relies on its caller to deliver one signal at a
+// time, with each delivery ordered before the next. A coordinator does so
+// in-process (serial rounds run in sequence; a concurrent round's workers
+// finish before the next round starts), and internal/remote's action
+// servant does so for every delivery that crosses the wire, so a
+// redelivery never overlaps an earlier one.
 type ResourceAction struct {
-	mu       sync.Mutex
 	resource ots.Resource
 	voted    ots.Vote // zero until Prepare answers: rollback then reaches the resource
 }
@@ -80,8 +85,6 @@ func NewResourceAction(r ots.Resource) *ResourceAction {
 
 // ProcessSignal implements core.Action.
 func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core.Outcome, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	switch sig.Name {
 	case SignalPrepare:
 		vote, err := a.resource.Prepare()

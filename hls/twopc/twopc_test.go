@@ -317,7 +317,10 @@ func TestPrepareErrorTreatedAsVeto(t *testing.T) {
 
 // TestParallelPrepareCommits drives 2PC with parallel delivery: every
 // participant votes concurrently, the outcome and each participant's call
-// sequence are identical to serial delivery.
+// sequence are identical to serial delivery. ResourceAction takes no lock,
+// so under -race this also checks that each vote, written by a prepare
+// worker and read by a commit worker, is ordered by the fan-out engine's
+// WaitGroups.
 func TestParallelPrepareCommits(t *testing.T) {
 	svc := core.New()
 	coord := NewCoordinator(svc, WithDelivery(core.Parallel()))
@@ -352,7 +355,10 @@ func TestParallelPrepareCommits(t *testing.T) {
 // parallel 2PC matches serial: rolled back, with every prepared
 // participant released. (Parallel prepare is speculative, so unlike the
 // serial short-circuit, participants enlisted after the vetoer may also
-// have been asked to prepare — but all of them hear the rollback.)
+// have been asked to prepare — but all of them hear the rollback.) Under
+// -race it checks, too, that a straggler's vote is written before the
+// rollback round reads it: the engine waits for every worker before the
+// round ends.
 func TestParallelVetoRollsBack(t *testing.T) {
 	svc := core.New()
 	coord := NewCoordinator(svc, WithDelivery(core.Parallel()))

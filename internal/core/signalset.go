@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -148,54 +149,75 @@ func (d *setDriver) getOutcome() (Outcome, error) {
 // needs; embed it (unexported-field style) via composition in model
 // implementations. It also carries the set's delivery policy (it
 // implements DeliveryPolicyProvider): serial unless SetDelivery declares
-// another.
+// another. It takes no lock: the coordinator reads both on every drive
+// or round, so each is one atomic word.
 type BaseSet struct {
 	name string
 
-	mu       sync.Mutex
-	cs       CompletionStatus
-	delivery DeliveryPolicy
+	// status is the completion status less CompletionSuccess, so a zero
+	// BaseSet reads Success.
+	status atomic.Int32
+	// delivery is the policy packed by packPolicy, so a reader never sees
+	// half of a concurrent SetDelivery.
+	delivery atomic.Uint64
 }
 
 // NewBaseSet returns a BaseSet with the given name and a Success status.
 func NewBaseSet(name string) BaseSet {
-	return BaseSet{name: name, cs: CompletionSuccess}
+	return BaseSet{name: name}
 }
 
 // Name implements SignalSet.
 func (b *BaseSet) Name() string { return b.name }
 
-// SetCompletionStatus implements SignalSet.
+// SetCompletionStatus implements SignalSet. FailOnly is sticky, per
+// §3.2.1: the compare-and-swap loop never overwrites it.
 func (b *BaseSet) SetCompletionStatus(cs CompletionStatus) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cs == CompletionFailOnly {
-		return // fail-only is sticky, per §3.2.1
+	next := int32(cs - CompletionSuccess)
+	for {
+		cur := b.status.Load()
+		if cur == int32(CompletionFailOnly-CompletionSuccess) || cur == next {
+			return
+		}
+		if b.status.CompareAndSwap(cur, next) {
+			return
+		}
 	}
-	b.cs = cs
 }
 
 // CompletionStatus implements SignalSet.
 func (b *BaseSet) CompletionStatus() CompletionStatus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cs
+	return CompletionSuccess + CompletionStatus(b.status.Load())
 }
 
 // SetDelivery declares how every broadcast of this set is delivered. The
 // set's policy is the only one the coordinator consults; the zero policy,
 // the default, delivers serially.
 func (b *BaseSet) SetDelivery(p DeliveryPolicy) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.delivery = p
+	b.delivery.Store(packPolicy(p))
 }
 
 // Delivery implements DeliveryPolicyProvider.
 func (b *BaseSet) Delivery() DeliveryPolicy {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.delivery
+	return unpackPolicy(b.delivery.Load())
+}
+
+// packPolicy packs p into one word: the mode in the high half, the
+// branching factor in the low half, each saturated to the int32 range (a
+// branching factor that large already exceeds any set's registrations,
+// so it delivers the same). The zero policy packs to zero.
+func packPolicy(p DeliveryPolicy) uint64 {
+	return uint64(uint32(saturate32(int(p.Mode))))<<32 | uint64(uint32(saturate32(p.Branching)))
+}
+
+// unpackPolicy inverts packPolicy.
+func unpackPolicy(w uint64) DeliveryPolicy {
+	return DeliveryPolicy{Mode: DeliveryMode(int32(w >> 32)), Branching: int(int32(w))}
+}
+
+// saturate32 clamps v to the int32 range.
+func saturate32(v int) int32 {
+	return int32(min(max(v, math.MinInt32), math.MaxInt32))
 }
 
 // SequenceSet is the ready-made SignalSet: every extended transaction

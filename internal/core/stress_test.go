@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -336,5 +338,86 @@ func TestBeginChildVsSuspendNeverLeaks(t *testing.T) {
 	}
 	if live := svc.Live(); live != 0 {
 		t.Fatalf("Live() = %d after completing everything, want 0 (stillborn children leaked)", live)
+	}
+}
+
+// TestStressBaseSetFailOnlySticky races SetCompletionStatus(FailOnly)
+// against Success and Fail writers, and Delivery readers against
+// SetDelivery, on the lock-free BaseSet. FailOnly, once set, is never
+// overwritten, and a reader sees only whole policies that were stored.
+// FailOnly lands only once every writer is running, and the writers keep
+// going for as long again afterwards.
+func TestStressBaseSetFailOnlySticky(t *testing.T) {
+	policies := []DeliveryPolicy{
+		{},
+		{Mode: DeliverTree, Branching: 7},
+		{Mode: DeliverParallel, Branching: -3},
+		{Mode: DeliverSerial, Branching: 1 << 30},
+	}
+	const writes = 2000 // per writer, before and after FailOnly
+	for round := 0; round < 20; round++ {
+		b := NewBaseSet("s")
+		if cs := b.CompletionStatus(); cs != CompletionSuccess {
+			t.Fatalf("zero status = %v, want Success", cs)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var done [2]atomic.Int64 // writes per writer
+		var torn atomic.Value    // the first bad read, if any
+		for w, cs := range []CompletionStatus{CompletionSuccess, CompletionFail} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					b.SetCompletionStatus(cs)
+					b.SetDelivery(policies[(i+w)%len(policies)])
+					done[w].Add(1)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if p := b.Delivery(); !slices.Contains(policies, p) {
+					torn.Store(fmt.Sprintf("torn policy read: %+v", p))
+					return
+				}
+				if cs := b.CompletionStatus(); !cs.Valid() {
+					torn.Store(fmt.Sprintf("invalid status read: %v", cs))
+					return
+				}
+			}
+		}()
+		waitWrites := func(n int64) {
+			for done[0].Load() < n || done[1].Load() < n {
+				runtime.Gosched()
+			}
+		}
+		waitWrites(writes)
+		b.SetCompletionStatus(CompletionFailOnly)
+		waitWrites(2 * writes)
+		lost := b.CompletionStatus()
+		close(stop)
+		wg.Wait()
+		if msg := torn.Load(); msg != nil {
+			t.Fatalf("round %d: %s", round, msg)
+		}
+		if lost != CompletionFailOnly {
+			t.Fatalf("round %d: FailOnly lost to %v", round, lost)
+		}
+		if cs := b.CompletionStatus(); cs != CompletionFailOnly {
+			t.Fatalf("round %d: final status %v, want FailOnly", round, cs)
+		}
 	}
 }

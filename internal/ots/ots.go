@@ -428,6 +428,13 @@ func (t *Transaction) completeTopLevel(resources []registeredResource, reportHeu
 	if len(resources) == 1 {
 		t.setStatus(StatusCommitting)
 		if err := resources[0].res.CommitOnePhase(); err != nil {
+			if errors.Is(err, ErrHeuristicCommit) {
+				// Committed on its own: the outcome stands, and the
+				// heuristic is recorded as phase two records it.
+				t.svc.recordHeuristic(t.id, resources[0].name, StatusCommitted)
+				t.setStatus(StatusCommitted)
+				return nil
+			}
 			t.setStatus(StatusRolledBack)
 			return fmt.Errorf("%w: one-phase commit: %v", ErrRolledBack, err)
 		}

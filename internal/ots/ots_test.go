@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/extendedtx/activityservice/internal/wal"
 )
 
 // fakeResource is a scriptable participant that records protocol calls.
@@ -113,6 +115,44 @@ func TestOnePhaseFailureRollsBack(t *testing.T) {
 	}
 	if tx.Status() != StatusRolledBack {
 		t.Fatalf("status = %s", tx.Status())
+	}
+}
+
+// TestOnePhaseHeuristicCommitIsCommitted: a sole participant that answers
+// CommitOnePhase with a heuristic commit did commit, so the transaction
+// commits and the heuristic is recorded, as phase two records it. A
+// heuristic rollback still rolls the transaction back.
+func TestOnePhaseHeuristicCommitIsCommitted(t *testing.T) {
+	svc := NewService(WithLog(wal.NewMemory()))
+	tx := svc.Begin()
+	r := newFake("solo")
+	r.commitErr = fmt.Errorf("resolved unilaterally: %w", ErrHeuristicCommit)
+	if err := tx.RegisterResource(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(true); err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+	if tx.Status() != StatusCommitted {
+		t.Fatalf("status = %s, want committed", tx.Status())
+	}
+	recs, err := svc.Heuristics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Resource != "solo" || recs[0].Outcome != StatusCommitted || recs[0].Tx != tx.ID() {
+		t.Fatalf("heuristics = %+v", recs)
+	}
+
+	tx = svc.Begin()
+	r = newFake("solo2")
+	r.commitErr = fmt.Errorf("resolved unilaterally: %w", ErrHeuristicRollback)
+	_ = tx.RegisterResource(r)
+	if err := tx.Commit(true); !errors.Is(err, ErrRolledBack) {
+		t.Fatalf("heuristic rollback: err = %v, want ErrRolledBack", err)
+	}
+	if tx.Status() != StatusRolledBack {
+		t.Fatalf("heuristic rollback: status = %s", tx.Status())
 	}
 }
 

@@ -461,3 +461,130 @@ func TestEndpointBatchDecodeRefusesNonCanonical(t *testing.T) {
 		}
 	}
 }
+
+// oneAtATime is an exported action that records how many of its
+// deliveries run at once, holding each for hold.
+type oneAtATime struct {
+	hold     time.Duration
+	inFlight atomic.Int32
+	peak     atomic.Int32
+	runs     atomic.Int32
+}
+
+func (a *oneAtATime) ProcessSignal(context.Context, core.Signal) (core.Outcome, error) {
+	n := a.inFlight.Add(1)
+	for p := a.peak.Load(); n > p && !a.peak.CompareAndSwap(p, n); p = a.peak.Load() {
+	}
+	time.Sleep(a.hold)
+	a.inFlight.Add(-1)
+	a.runs.Add(1)
+	return core.Outcome{Name: "ok"}, nil
+}
+
+// TestEndpointBatchOverlappingDeliveriesRunOneAtATime sends one exported
+// action deliveries that overlap on the wire and checks that its servant
+// runs them one at a time: a coordinator's retries after call timeouts
+// arrive while the first delivery still runs, and direct calls, an
+// endpoint batch naming the action twice and a relay-tree span race each
+// other.
+func TestEndpointBatchOverlappingDeliveriesRunOneAtATime(t *testing.T) {
+	sig := core.Signal{Name: "go", SetName: "s"}
+	t.Run("retry-after-timeout", func(t *testing.T) {
+		host := batchHost(t)
+		client := orb.New(orb.WithCallTimeout(15 * time.Millisecond))
+		defer client.Shutdown()
+		slow := &oneAtATime{hold: 60 * time.Millisecond}
+		ref := ExportAction(host, slow)
+		ref, _ = host.IOR(ref.Key)
+
+		a := core.New(core.WithRetryPolicy(core.RetryPolicy{Attempts: 3})).Begin("retried")
+		if err := a.RegisterSignalSet(completeSet()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.AddAction("s", ImportAction(client, ref)); err != nil {
+			t.Fatal(err)
+		}
+		before := dispatched(t, host)
+		// Every attempt times out while the first delivery holds the
+		// action, so the outcome is a delivery error; what matters is
+		// that the queued redeliveries never ran beside it.
+		if _, err := a.Signal(context.Background(), "s"); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			arrived := dispatched(t, host) - before
+			if arrived >= 2 && uint64(slow.runs.Load()) == arrived {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d deliveries arrived, %d ran, want at least 2 and all", arrived, slow.runs.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if p := slow.peak.Load(); p != 1 {
+			t.Fatalf("%d deliveries ran at once, want 1", p)
+		}
+	})
+	t.Run("direct-batch-tree", func(t *testing.T) {
+		host := batchHost(t)
+		client := orb.New()
+		defer client.Shutdown()
+		x, y := &oneAtATime{hold: 5 * time.Millisecond}, &oneAtATime{}
+		refX, refY := ExportAction(host, x), ExportAction(host, y)
+		refX, _ = host.IOR(refX.Key)
+		refY, _ = host.IOR(refY.Key)
+		px, py := ImportAction(client, refX), ImportAction(client, refY)
+		retry := core.RetryPolicy{Attempts: 1}
+
+		start := make(chan struct{})
+		errs := make(chan error, 5)
+		var wg sync.WaitGroup
+		deliver := func(f func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs <- f()
+			}()
+		}
+		for range 3 {
+			deliver(func() error {
+				_, err := px.ProcessSignal(context.Background(), sig)
+				return err
+			})
+		}
+		deliver(func() error { // x twice in one ordered batch
+			rs, err := px.(core.EndpointBatcher).DeliverBatch(context.Background(), sig, []core.Action{px, py, px}, retry)
+			if err == nil && len(rs) != 3 {
+				err = fmt.Errorf("batch: %d results, want 3", len(rs))
+			}
+			return err
+		})
+		deliver(func() error { // a relay tree rooted at y, x its leaf
+			tree := &core.TreeNode{
+				Member:   core.TreeMember{Index: 0, Action: py},
+				Children: []*core.TreeNode{{Member: core.TreeMember{Index: 1, Action: px}}},
+			}
+			rs, err := py.(core.SubtreeDeliverer).DeliverSubtree(context.Background(), sig, tree, retry)
+			if err == nil && len(rs) != 2 {
+				err = fmt.Errorf("tree: %d results, want 2", len(rs))
+			}
+			return err
+		})
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := x.runs.Load(); got != 6 {
+			t.Fatalf("x ran %d deliveries, want 6", got)
+		}
+		if p := x.peak.Load(); p != 1 {
+			t.Fatalf("%d deliveries ran at once, want 1", p)
+		}
+	})
+}

@@ -464,9 +464,11 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 }
 
 // deliverRun serves an endpoint batch. It resolves every key to an Action
-// this ORB serves, refusing the batch before delivering anything if one is
-// not, then delivers the run in order (core.DeliverRun). A member's
-// failure is worded as a direct process_signal would have reported it.
+// servant this ORB serves, refusing the batch before delivering anything
+// if one is not, then delivers the run in order through the servants
+// (core.DeliverRun), so a member never runs two signals at once. A
+// member's failure is worded as a direct process_signal would have
+// reported it.
 func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, error) {
 	run := make([]core.Action, len(b.keys))
 	for i, key := range b.keys {
@@ -475,7 +477,7 @@ func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, er
 		if !ok {
 			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action %q", key)
 		}
-		run[i] = as.action
+		run[i] = as
 	}
 	delivered := core.DeliverRun(ctx, b.sig, run, b.retry)
 	results := make([]relayResult, len(delivered))

@@ -19,6 +19,7 @@ package remote
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/core"
@@ -34,9 +35,27 @@ const (
 	CoordinatorTypeID = "IDL:ActivityService/ActivityCoordinator:1.0"
 )
 
-// actionServant adapts a core.Action to the ORB.
+// actionServant adapts a core.Action to the ORB. Every delivery to an
+// exported Action goes through its servant — a direct process_signal, an
+// endpoint batch (relayServant.deliverRun) and a relay-tree member alike —
+// and the servant delivers one signal at a time. Over the wire deliveries
+// can overlap: a retry after a timeout, a failed endpoint batch
+// redelivered member by member, or a re-adopted tree span can arrive while
+// an earlier delivery still runs. The servant orders them, so an Action
+// may keep per-delivery state without a lock of its own.
 type actionServant struct {
+	mu     sync.Mutex
 	action core.Action
+}
+
+var _ core.Action = (*actionServant)(nil)
+
+// ProcessSignal implements core.Action: it delivers sig to the exported
+// Action once every earlier delivery through this servant has returned.
+func (s *actionServant) ProcessSignal(ctx context.Context, sig core.Signal) (core.Outcome, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.action.ProcessSignal(ctx, sig)
 }
 
 // Dispatch implements orb.Servant.
@@ -48,7 +67,7 @@ func (s *actionServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder
 	if err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "process_signal: %v", err)
 	}
-	out, err := s.action.ProcessSignal(ctx, sig)
+	out, err := s.ProcessSignal(ctx, sig)
 	if err != nil {
 		return nil, err // user errors surface as RemoteError at the caller
 	}
