@@ -575,8 +575,7 @@ func BenchmarkLRUOW(b *testing.B) {
 }
 
 // BenchmarkDelivery compares §3.4 delivery guarantees: plain at-least-once
-// (idempotence left to the action), dedup-wrapped, and transactional
-// exactly-once.
+// (idempotence left to the action) and dedup-wrapped.
 func BenchmarkDelivery(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
@@ -605,10 +604,6 @@ func BenchmarkDelivery(b *testing.B) {
 	}
 	b.Run("at-least-once", mk(func(a core.Action) core.Action { return a }))
 	b.Run("idempotent-dedup", mk(core.Idempotent))
-	txsvc := ots.NewService()
-	b.Run("exactly-once-tx", mk(func(a core.Action) core.Action {
-		return core.ExactlyOnce(txsvc, a)
-	}))
 }
 
 // BenchmarkPropertyGroup measures §3.3 nesting behaviours across child

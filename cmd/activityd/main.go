@@ -24,13 +24,14 @@
 //	                                        # endpoint, activity, recovery,
 //	                                        # relay and group samples) on the
 //	                                        # well-known "orb-admin" key
-//	activityd -pool 8 -parallel             # 8 conns per endpoint (7
+//	activityd -pool 8 -fanout parallel      # 8 conns per endpoint (7
 //	                                        # exclusive lanes, 1 shared),
 //	                                        # parallel signal fan-out
-//	activityd -relay                        # host the well-known "relay"
+//	activityd -fanout tree                  # host the well-known "relay"
 //	                                        # servant and fan signals out
 //	                                        # through relay trees
-//	                                        # (DeliverTree)
+//	                                        # (DeliverTree); the default
+//	                                        # fan-out is serial
 //	activityd -max-inflight 64              # overload protection: bound
 //	                                        # concurrent dispatches, queue
 //	                                        # up to 128 more, shed the
@@ -47,9 +48,11 @@
 //	activityd -ots-log /var/lib/activityd/decisions.wal
 //	                                        # durable coordinator: a
 //	                                        # one-member group leading its
-//	                                        # own log — replay decisions and
-//	                                        # the activity journal on boot,
-//	                                        # serve "ots-recovery"
+//	                                        # own log — replay decisions on
+//	                                        # boot and presume abort for
+//	                                        # the activities the journal
+//	                                        # left in flight, serve
+//	                                        # "ots-recovery"
 //	                                        # (replay_completion) and
 //	                                        # "wal-replication"
 //	activityd -ots-log replica.wal -standby hostA:7411
@@ -65,8 +68,9 @@
 //	                                        # and the decision gate; finds
 //	                                        # the leader by probing peers,
 //	                                        # or elects one (highest
-//	                                        # durable LSN wins and re-drives
-//	                                        # 2PC branches + the journal).
+//	                                        # durable LSN wins, re-drives
+//	                                        # 2PC branches and aborts the
+//	                                        # journal's open activities).
 //	                                        # A deposed leader auto-rejoins
 //	                                        # (-rejoin=false makes deposal
 //	                                        # fatal instead). A pair naming
@@ -83,9 +87,8 @@
 //	                                        # keys another member owns
 //
 // Settings that would do nothing are refused: -priority needs
-// -max-inflight, -breaker-open needs -breaker, -rejoin=false needs
-// -ots-log, and -parallel and -relay each choose the fan-out, so they
-// cannot be combined.
+// -max-inflight, -breaker-open needs -breaker, and -rejoin=false needs
+// -ots-log.
 package main
 
 import (
@@ -102,6 +105,7 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/wal"
 	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
@@ -137,9 +141,8 @@ type orbConfig struct {
 	standby     listFlag
 	memberID    string
 	peers       listFlag
-	noRejoin    bool // -rejoin=false
-	parallel    bool
-	relay       bool
+	noRejoin    bool   // -rejoin=false
+	fanout      string // serial (""), parallel or tree
 
 	shardID        string
 	shardMap       listFlag
@@ -174,8 +177,7 @@ func main() {
 	demo := flag.Bool("demo", false, "run a self-test client and exit")
 	admin := flag.Bool("admin", false, "serve the metrics scrape (server, endpoint, activity, recovery, relay and group samples) on the well-known orb-admin key")
 	var cfg orbConfig
-	flag.BoolVar(&cfg.parallel, "parallel", false, "fan signals out to enrolled actions in parallel")
-	flag.BoolVar(&cfg.relay, "relay", false, "host the well-known relay servant and fan signals out through relay trees")
+	flag.StringVar(&cfg.fanout, "fanout", "serial", "signal fan-out to enrolled actions: serial, parallel, or tree (through relay trees; also hosts the well-known relay servant)")
 	flag.Var(&cfg.advertise, "advertise", "endpoint minted into issued IORs instead of the bound address; repeatable")
 	flag.IntVar(&cfg.pool, "pool", 0, "client connections per endpoint: n-1 exclusive lanes plus one shared (0 = default 4)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent server dispatches; up to 2x as many wait in a queue, shed with TRANSIENT when it is full or after 100ms (0 = unbounded)")
@@ -235,8 +237,17 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin 
 	if cfg.noRejoin && cfg.otsLog == "" {
 		return errors.New("-rejoin=false governs a deposed group member and needs -ots-log")
 	}
-	if cfg.parallel && cfg.relay {
-		return errors.New("-parallel and -relay each choose the signal fan-out; pass one")
+	// Remotely created activities coordinate remote actions — the
+	// latency-bound regime parallel and tree fan-out target.
+	var delivery activityservice.DeliveryPolicy
+	switch cfg.fanout {
+	case "", "serial":
+	case "parallel":
+		delivery = activityservice.Parallel()
+	case "tree":
+		delivery = activityservice.Tree(0)
+	default:
+		return fmt.Errorf("-fanout %q: want serial, parallel or tree", cfg.fanout)
 	}
 
 	var svcOpts []activityservice.Option
@@ -257,26 +268,18 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin 
 			}
 		}()
 		// The activity journal shares the group's replicated log, so an
-		// elected leader can re-activate in-flight activity state too.
+		// elected leader learns which activities were left in flight.
 		svcOpts = append(svcOpts, activityservice.WithJournal(l))
 	}
 	node := orb.New(cfg.options()...)
 	defer node.Shutdown()
 	orb.InstallPropagation(node)
 	svc := activityservice.New(svcOpts...)
-	// Remotely created activities coordinate remote actions — the
-	// latency-bound regime parallel and tree fan-out target.
-	var delivery activityservice.DeliveryPolicy // serial
-	if cfg.relay {
-		delivery = activityservice.Tree(0)
-	} else if cfg.parallel {
-		delivery = activityservice.Parallel()
-	}
 	factoryOpts := []orb.FactoryOption{orb.WithFactoryDelivery(delivery)}
 
 	ns := orb.NewNameServer()
 	ns.Serve(node)
-	if cfg.relay {
+	if cfg.fanout == "tree" {
 		orb.ServeRelay(node)
 	}
 	if admin {
@@ -333,11 +336,6 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin 
 
 	orb.ServeActivityFactory(node, svc, factoryOpts...)
 	factoryRef, _ := node.IOR(orb.ActivityFactoryKey)
-	ns.Bind("activityservice", factoryRef)
-	fmt.Printf("activityd: factory IOR %s\n", factoryRef)
-	if admin {
-		fmt.Printf("activityd: admin servant at key %q\n", orb.AdminKey)
-	}
 	if groupLog != nil {
 		if cfg.memberID == "" {
 			// Unique in any group by construction, and stable across
@@ -347,6 +345,14 @@ func run(ctx context.Context, listens []string, demo bool, cfg orbConfig, admin 
 		if err := runGroup(ctx, node, svc, groupLog, cfg); err != nil {
 			return err
 		}
+	}
+	// Named only now: a member that boots as leader has settled its
+	// journal, so a client that resolves the factory begins beside no
+	// recovered activity.
+	ns.Bind("activityservice", factoryRef)
+	fmt.Printf("activityd: factory IOR %s\n", factoryRef)
+	if admin {
+		fmt.Printf("activityd: admin servant at key %q\n", orb.AdminKey)
 	}
 
 	if demo {
@@ -367,7 +373,7 @@ const gateFenceRecheck = 2 * time.Second
 // journal; replication ships it to every follower, and fenced leader
 // election picks the member with the highest durable watermark when the
 // leader dies. Takeover re-drives in-doubt transaction branches and
-// re-activates the in-flight activity tree from the journal. A deposed
+// presumes abort for the activities the journal left in flight. A deposed
 // leader truncates its unreplicated suffix and re-joins as a streaming
 // follower of the new term (unless -rejoin=false, which makes deposal
 // fatal so an operator can inspect the log first). The member runs until
@@ -387,7 +393,20 @@ func runGroup(ctx context.Context, node *orb.ORB, svc *activityservice.Service, 
 		if err != nil {
 			return fmt.Errorf("activity journal takeover: %w", err)
 		}
-		fmt.Printf("activityd: activity journal activated %d in-flight root activities\n", len(roots))
+		// No coordinator servant is exported for a recovered activity, so
+		// no party can ever complete it: presume abort. Breadth-first
+		// order lists every child after its parent, so completing it
+		// backwards finishes children first; each completion is journaled.
+		all := roots
+		for i := 0; i < len(all); i++ {
+			all = append(all, all[i].Children()...)
+		}
+		for i := len(all) - 1; i >= 0; i-- {
+			if _, err := all[i].CompleteWithStatus(ctx, core.CompletionFail); err != nil {
+				return fmt.Errorf("activity journal takeover: presume abort: %w", err)
+			}
+		}
+		fmt.Printf("activityd: activity journal: presumed abort for %d in-flight activities\n", len(all))
 		return nil
 	}
 	g = orb.NewGroupMember(node, log, orb.GroupConfig{

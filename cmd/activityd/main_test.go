@@ -31,7 +31,7 @@ func TestDaemonDemoRoundTrip(t *testing.T) {
 // TestDaemonDemoPooledParallel runs the same round trip with a pooled
 // client transport and parallel signal fan-out enabled.
 func TestDaemonDemoPooledParallel(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{pool: 8, parallel: true}, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{pool: 8, fanout: "parallel"}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestDaemonDemoMultiListenerAdmin(t *testing.T) {
 // TestDaemonDemoRelayTree runs the round trip with the relay servant
 // hosted and tree fan-out selected for remotely created activities.
 func TestDaemonDemoRelayTree(t *testing.T) {
-	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{relay: true}, false); err != nil {
+	if err := run(context.Background(), []string{"127.0.0.1:0"}, true, orbConfig{fanout: "tree"}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,7 +71,8 @@ func TestDaemonDemoOverloadProtected(t *testing.T) {
 }
 
 // TestRunRejectsInertSettings proves run refuses a flag whose effect
-// depends on another flag left unset, instead of silently ignoring it.
+// depends on another flag left unset, or a value it does not know,
+// instead of silently ignoring it.
 func TestRunRejectsInertSettings(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -81,7 +82,7 @@ func TestRunRejectsInertSettings(t *testing.T) {
 		{"priority without max-inflight", orbConfig{priority: 4}, "-priority"},
 		{"breaker-open without breaker", orbConfig{breakerOpen: time.Second}, "-breaker-open"},
 		{"rejoin=false without ots-log", orbConfig{noRejoin: true}, "-rejoin=false"},
-		{"parallel with relay", orbConfig{parallel: true, relay: true}, "-parallel"},
+		{"unknown fanout", orbConfig{fanout: "star"}, "-fanout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(context.Background(), []string{"127.0.0.1:0"}, true, tc.cfg, false)
@@ -225,6 +226,68 @@ func TestDaemonGracefulStopSealsRecoveredDecisions(t *testing.T) {
 	for i, r := range res {
 		if n := r.committed(); n != 1 {
 			t.Fatalf("participant %d committed %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestDaemonPresumesAbortForRecoveredActivities begins an activity
+// through a durable daemon's factory and stops the daemon without
+// completing it. Restarted on the same log, the daemon finds the activity
+// in its journal; nothing can reach it, so it must be presumed aborted,
+// not left live: activity.live reads 0, and still 0 after a second restart
+// (the abort was journaled).
+func TestDaemonPresumesAbortForRecoveredActivities(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "group.wal")
+	client := orb.New()
+	defer client.Shutdown()
+	for boot := range 3 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		ctx, stop := context.WithCancel(context.Background())
+		stopped := make(chan error, 1)
+		go func() {
+			stopped <- run(ctx, []string{addr}, false, orbConfig{otsLog: path}, true)
+		}()
+
+		// The factory is named once the member leads, after its takeover.
+		naming := orb.NewNameClient(client, orb.NameServiceAt(addr))
+		var factory orb.IOR
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			callCtx, cancel := context.WithTimeout(ctx, time.Second)
+			factory, err = naming.Resolve(callCtx, "activityservice")
+			cancel()
+			if err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("boot %d: resolve factory: %v", boot, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		want := int64(0)
+		if boot == 0 {
+			e := cdr.NewEncoder(32)
+			e.WriteString("abandoned")
+			if _, err := client.Invoke(ctx, factory, "begin", e.Bytes()); err != nil {
+				t.Fatalf("begin: %v", err)
+			}
+			want = 1
+		}
+		ss, err := orb.NewAdminClient(client, orb.AdminAt(addr)).Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live, _ := ss.Get("activity.live", ""); live != want {
+			t.Errorf("boot %d: activity.live = %d, want %d", boot, live, want)
+		}
+
+		stop()
+		if err := <-stopped; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

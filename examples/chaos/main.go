@@ -12,7 +12,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -35,13 +35,20 @@ func (r *resource) CommitOnePhase() error      { r.commits.Add(1); return nil }
 func (r *resource) Forget() error              { return nil }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "chaos:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	ctx := context.Background()
 
 	// One node hosts the participants; they are reachable only over TCP.
 	node := orb.New()
 	defer node.Shutdown()
 	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	participants := []*resource{{name: "inventory"}, {name: "billing"}}
 	refs := make([]orb.IOR, len(participants))
@@ -66,20 +73,20 @@ func main() {
 		activityservice.RetryPolicy{Attempts: 3, Backoff: 10 * time.Millisecond}))
 	coord := twopc.NewCoordinator(svc, twopc.WithDelivery(activityservice.Parallel()))
 
-	commit := func(label string) {
+	commit := func(label string) error {
 		tx, err := coord.Begin(label)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, ref := range refs {
 			if err := tx.EnlistAction(orb.ImportAction(client, ref)); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		start := time.Now()
 		committed, err := tx.Commit(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("%-28s committed=%v in %s\n", label+":", committed, time.Since(start).Round(time.Millisecond))
 		for _, r := range participants {
@@ -90,10 +97,13 @@ func main() {
 			fmt.Printf("  pool: conns=%d lanes=%d pending=%d failures=%d down=%v\n",
 				st.Conns, st.Lanes, st.Pending, st.Failures, st.Down)
 		}
+		return nil
 	}
 
 	// 1. A healthy distributed commit through the pooled transport.
-	commit("healthy network")
+	if err := commit("healthy network"); err != nil {
+		return err
+	}
 
 	// 2. Inject 20ms of link latency on every request, plus a connection
 	//    reset between the prepare and commit phases. The pool re-dials and
@@ -102,7 +112,9 @@ func main() {
 	chaos.Inject(orb.ChaosRule{
 		Op: "process_signal", Stage: orb.StageRequest, After: 2, Count: 1, Reset: true,
 	})
-	commit("slow link + reset mid-2PC")
+	if err := commit("slow link + reset mid-2PC"); err != nil {
+		return err
+	}
 	chaos.Heal()
 
 	// 3. Kill the participant node: once the pool notices, the first call
@@ -122,4 +134,5 @@ func main() {
 	if st, ok := client.EndpointStats(refs[0].Endpoint()); ok {
 		fmt.Printf("  pool: conns=%d failures=%d down=%v\n", st.Conns, st.Failures, st.Down)
 	}
+	return nil
 }

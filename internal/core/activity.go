@@ -197,16 +197,11 @@ func (a *Activity) AddNamedAction(setName, label string, action Action) (ActionI
 }
 
 func (a *Activity) enrol(setName string, reg registration, numbered bool) (ActionID, error) {
-	id, ok := a.coord.register(setName, reg, numbered, true)
+	id, ok := a.coord.register(setName, reg, numbered)
 	if !ok {
 		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
 	return id, nil
-}
-
-// RemoveAction cancels a registration.
-func (a *Activity) RemoveAction(setName string, id ActionID) bool {
-	return a.coord.RemoveAction(setName, id)
 }
 
 // Suspend pauses the activity; a suspended activity rejects signalling,
@@ -319,7 +314,7 @@ func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) 
 		return Outcome{}, fmt.Errorf("%w: %q on %s", ErrUnknownSignalSet, setName, a.name)
 	}
 	set.SetCompletionStatus(cs)
-	return a.coord.ProcessSignalSet(ctx, set)
+	return a.coord.processSignalSet(ctx, set)
 }
 
 // Complete finishes the activity with its current completion status,
@@ -363,7 +358,7 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 	var err error
 	if hasSet {
 		set.SetCompletionStatus(cs)
-		outcome, err = a.coord.ProcessSignalSet(ctx, set)
+		outcome, err = a.coord.processSignalSet(ctx, set)
 	}
 
 	a.mu.Lock()

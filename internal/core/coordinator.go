@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -13,8 +12,8 @@ import (
 	"github.com/extendedtx/activityservice/internal/trace"
 )
 
-// ActionID identifies a registration with a coordinator, so an action can
-// later be removed.
+// ActionID identifies a registration with a coordinator. Registrations
+// are append-only, so no operation takes one back.
 type ActionID = ids.UID
 
 // ErrUnknownSignalSet reports driving or registering with a set name the
@@ -23,7 +22,8 @@ var ErrUnknownSignalSet = errors.New("core: unknown signal set")
 
 // RetryPolicy controls at-least-once signal delivery (§3.4): a failed
 // ProcessSignal is retried up to Attempts times with Backoff between tries.
-// Actions must therefore be idempotent (or wrapped with Idempotent).
+// Actions must therefore be idempotent (or wrapped with Idempotent); the
+// service offers no exactly-once delivery.
 type RetryPolicy struct {
 	// Attempts bounds deliveries of one signal to one action.
 	Attempts int
@@ -54,9 +54,8 @@ func (r registration) name() string {
 // and the fig. 7 driver of each set instance driven under that name.
 type setEntry struct {
 	name string
-	// regs is copy-on-write: a broadcast delivers over a capped snapshot
-	// of it, so registering appends past every snapshot and removing
-	// builds a new slice.
+	// regs is append-only: a broadcast delivers over a capped snapshot of
+	// it, and a registration appends past every snapshot.
 	regs    []registration
 	drivers *setDriver // linked through setDriver.next
 }
@@ -90,30 +89,15 @@ func (c *Coordinator) init(owner string, gen *ids.Generator, rec *trace.Recorder
 	c.owner, c.gen, c.rec, c.retry = owner, gen, rec, retry
 }
 
-// AddAction registers action with the named SignalSet. Actions register
-// interest in SignalSets, not individual Signals (§3.2.3): they receive
-// every signal the set generates. Its trace label is "action-N" for the
-// coordinator's N-th such registration.
-func (c *Coordinator) AddAction(setName string, action Action) ActionID {
-	id, _ := c.register(setName, registration{action: action}, true, false)
-	return id
-}
-
-// AddNamedAction registers action under an explicit trace label.
-func (c *Coordinator) AddNamedAction(setName, label string, action Action) ActionID {
-	id, _ := c.register(setName, registration{label: label, action: action}, false, false)
-	return id
-}
-
 // register appends reg to setName's registrations, numbering its default
-// label first when numbered is set. An enrolment — gated set — is refused,
-// reporting false, once closeEnrolment has run: checking the gate and
-// appending in one critical section leaves no window in which completion
-// can snapshot the registrations without it.
-func (c *Coordinator) register(setName string, reg registration, numbered, gated bool) (ActionID, bool) {
+// label first when numbered is set. It is refused, reporting false, once
+// closeEnrolment has run: checking the gate and appending in one critical
+// section leaves no window in which completion can snapshot the
+// registrations without it.
+func (c *Coordinator) register(setName string, reg registration, numbered bool) (ActionID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gated && c.closed {
+	if c.closed {
 		return ActionID{}, false
 	}
 	if numbered {
@@ -156,31 +140,12 @@ func (c *Coordinator) entryFor(name string) *setEntry {
 	return &c.sets[len(c.sets)-1]
 }
 
-// closeEnrolment refuses every later gated registration. An activity calls
+// closeEnrolment refuses every later registration. An activity calls
 // it as it starts completing, before the completion set's first snapshot.
 func (c *Coordinator) closeEnrolment() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-}
-
-// RemoveAction removes a registration, reporting whether it existed.
-func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entry(setName)
-	if e == nil {
-		return false
-	}
-	for i, reg := range e.regs {
-		if reg.id == id {
-			// A new slice, never a shift in place: a running broadcast's
-			// snapshot shares the old one.
-			e.regs = slices.Concat(e.regs[:i], e.regs[i+1:])
-			return true
-		}
-	}
-	return false
 }
 
 // ActionCount returns the number of actions registered with setName.
@@ -194,7 +159,7 @@ func (c *Coordinator) ActionCount(setName string) int {
 }
 
 // actions snapshots the registrations for a set, in registration order.
-// The snapshot shares the copy-on-write slice, capped so that a later
+// The snapshot shares the append-only slice, capped so that a later
 // append cannot reach into it.
 func (c *Coordinator) actions(setName string) []registration {
 	c.mu.Lock()
@@ -248,7 +213,7 @@ func (c *Coordinator) SetState(set SignalSet) SetState {
 	return d.State()
 }
 
-// ProcessSignalSet drives the full protocol of figs. 5 and 8: pull a
+// processSignalSet drives the full protocol of figs. 5 and 8: pull a
 // signal, broadcast it to every action registered with the set's name,
 // feed responses back, repeat until the set ends, then collate the final
 // outcome with GetOutcome.
@@ -258,7 +223,7 @@ func (c *Coordinator) SetState(set SignalSet) SetState {
 // Whatever the policy, responses reach the set in registration order, so
 // collation, advance short-circuiting and the recorded trace are identical
 // across policies.
-func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outcome, error) {
+func (c *Coordinator) processSignalSet(ctx context.Context, set SignalSet) (Outcome, error) {
 	driver := c.driverFor(set)
 	setName := set.Name()
 	policy := policyFor(set)

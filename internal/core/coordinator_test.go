@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,6 +19,19 @@ func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry
 	c := new(Coordinator)
 	c.init(owner, gen, rec, retry)
 	return c
+}
+
+// addAction enrols action with setName under a default label, as
+// Activity.AddAction does.
+func (c *Coordinator) addAction(setName string, action Action) ActionID {
+	id, _ := c.register(setName, registration{action: action}, true)
+	return id
+}
+
+// addNamedAction enrols action with setName under an explicit label.
+func (c *Coordinator) addNamedAction(setName, label string, action Action) ActionID {
+	id, _ := c.register(setName, registration{label: label, action: action}, false)
+	return id
 }
 
 // collectingAction records the signals it receives.
@@ -57,7 +71,7 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 	var mu sync.Mutex
 	for _, name := range []string{"a1", "a2", "a3"} {
 		name := name
-		coord.AddNamedAction("set", name, ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+		coord.addNamedAction("set", name, ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
 			mu.Lock()
 			order = append(order, name+":"+sig.Name)
 			mu.Unlock()
@@ -65,7 +79,7 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 		}))
 	}
 	set := NewSequenceSet("set", "s1", "s2")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a1:s1", "a2:s1", "a3:s1", "a1:s2", "a2:s2", "a3:s2"}
@@ -82,10 +96,10 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 func TestCoordinatorFeedsEveryResponse(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	for i := 0; i < 4; i++ {
-		coord.AddAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
+		coord.addAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
 	}
 	set := NewSequenceSet("set", "only")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(set.Responses()); got != 4 {
@@ -136,10 +150,10 @@ func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	a1 := &collectingAction{name: "a1"}
 	a2 := &collectingAction{name: "a2"}
-	coord.AddNamedAction("adv", "a1", a1)
-	coord.AddNamedAction("adv", "a2", a2)
+	coord.addNamedAction("adv", "a1", a1)
+	coord.addNamedAction("adv", "a2", a2)
 	set := &advanceSet{BaseSet: NewBaseSet("adv")}
-	out, err := coord.ProcessSignalSet(context.Background(), set)
+	out, err := coord.processSignalSet(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +172,9 @@ func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
 func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
 	flaky := &collectingAction{name: "flaky", fail: 2}
-	coord.AddAction("set", flaky)
+	coord.addAction("set", flaky)
 	set := NewSequenceSet("set", "ping")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if sigs := flaky.Signals(); len(sigs) != 1 {
@@ -175,9 +189,9 @@ func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
 func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 2})
 	dead := &collectingAction{name: "dead", fail: 99}
-	coord.AddAction("set", dead)
+	coord.addAction("set", dead)
 	set := NewSequenceSet("set", "ping")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	rs := set.Responses()
@@ -186,37 +200,15 @@ func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
 	}
 }
 
-func TestRemoveAction(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-	a := &collectingAction{name: "a"}
-	id := coord.AddAction("set", a)
-	if coord.ActionCount("set") != 1 {
-		t.Fatal("count != 1")
-	}
-	if !coord.RemoveAction("set", id) {
-		t.Fatal("remove failed")
-	}
-	if coord.RemoveAction("set", id) {
-		t.Fatal("second remove succeeded")
-	}
-	set := NewSequenceSet("set", "ping")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Signals()) != 0 {
-		t.Fatal("removed action still received signals")
-	}
-}
-
 func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 	// Fig. 6 multiplicity: one action may register with several sets, and
 	// an activity may use several sets over its lifetime.
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	shared := &collectingAction{name: "shared"}
-	coord.AddAction("setA", shared)
-	coord.AddAction("setB", shared)
+	coord.addAction("setA", shared)
+	coord.addAction("setB", shared)
 	for _, set := range []*SequenceSet{NewSequenceSet("setA", "x"), NewSequenceSet("setB", "y", "z")} {
-		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,12 +225,12 @@ func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 	rec := trace.New()
 	coord := newCoordinator("coordinator", testGen(), rec, RetryPolicy{Attempts: 1})
 	for _, n := range []string{"action1", "action2"} {
-		coord.AddNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
+		coord.addNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
 			return Outcome{Name: "done"}, nil
 		}))
 	}
 	set := NewSequenceSet("2pc", "prepare", "commit")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -268,7 +260,7 @@ func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 func TestCoordinatorErrorOnBrokenSet(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	set := &brokenSet{BaseSet: NewBaseSet("broken")}
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err == nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err == nil {
 		t.Fatal("broken set did not error")
 	}
 }
@@ -286,61 +278,56 @@ func (b *brokenSet) SetResponse(Outcome, error) (bool, error) { return false, ni
 func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 
 // TestCoordinatorConcurrentRegistrationStress hammers the registration
-// map from many goroutines — concurrent AddAction, RemoveAction and
-// ActionCount across many sets — and then verifies no registration was
-// lost or double-removed: the exact survivor count per set, with every
-// removal having reported true exactly once. Run under -race this also
+// map from many goroutines — concurrent enrolment and ActionCount across
+// many sets — and then verifies no registration was lost: the exact count
+// per set, each in one worker's enrolment order. Run under -race this also
 // pins the map's locking.
 func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1})
 	const (
-		sets       = 48
-		workers    = 8
-		perWorker  = 50 // adds per worker per set
-		removeEach = 20 // removals per worker per set
+		sets      = 48
+		workers   = 8
+		perWorker = 30 // adds per worker per set
 	)
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 
-	type rm struct {
-		set string
-		id  ActionID
-	}
 	var wg sync.WaitGroup
-	removedCh := make(chan rm, sets*workers*removeEach)
+	added := make([][]ActionID, workers) // per worker, all sets in order
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for s := 0; s < sets; s++ {
 				name := setName(s)
-				ids := make([]ActionID, 0, perWorker)
 				for i := 0; i < perWorker; i++ {
-					ids = append(ids, coord.AddAction(name, noopTestAction{}))
+					added[w] = append(added[w], coord.addAction(name, noopTestAction{}))
 					coord.ActionCount(name) // reader mixed into the storm
 				}
-				for i := 0; i < removeEach; i++ {
-					if !coord.RemoveAction(name, ids[i]) {
-						t.Errorf("RemoveAction(%s, %v) lost a registration it owned", name, ids[i])
-						return
-					}
-					removedCh <- rm{set: name, id: ids[i]}
-				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	close(removedCh)
 
-	// Every removal reported true exactly once; removing again must fail.
-	for r := range removedCh {
-		if coord.RemoveAction(r.set, r.id) {
-			t.Fatalf("RemoveAction(%s, %v) succeeded twice", r.set, r.id)
+	owner := make(map[ActionID]int, workers*sets*perWorker)
+	for w, ids := range added {
+		for _, id := range ids {
+			owner[id] = w
 		}
 	}
-	want := workers * (perWorker - removeEach)
 	for s := 0; s < sets; s++ {
-		if got := coord.ActionCount(setName(s)); got != want {
-			t.Fatalf("set %s: %d registrations survived, want %d", setName(s), got, want)
+		regs := coord.actions(setName(s))
+		if got, want := len(regs), workers*perWorker; got != want || coord.ActionCount(setName(s)) != want {
+			t.Fatalf("set %s: %d registrations, want %d", setName(s), got, want)
+		}
+		// Each worker's enrolments keep their order within the set.
+		seen := make([][]ActionID, workers)
+		for _, id := range regIDs(regs) {
+			seen[owner[id]] = append(seen[owner[id]], id)
+		}
+		for w := range seen {
+			if mine := added[w][s*perWorker : (s+1)*perWorker]; !slices.Equal(seen[w], mine) {
+				t.Fatalf("set %s: worker %d's registrations %v, want %v", setName(s), w, seen[w], mine)
+			}
 		}
 	}
 }

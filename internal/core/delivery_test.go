@@ -83,7 +83,7 @@ func runBroadcast(t *testing.T, policy DeliveryPolicy, sh declShape, latency fun
 	rec := trace.New()
 	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
 	for i := range sh.script {
-		coord.AddNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
+		coord.addNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
 			func(_ context.Context, sig Signal) (Outcome, error) {
 				if latency != nil {
 					if d := latency(i); d > 0 {
@@ -130,7 +130,7 @@ func runBroadcast(t *testing.T, policy DeliveryPolicy, sh declShape, latency fun
 		set.SetCompletionStatus(CompletionFailOnly)
 	}
 	set.SetDelivery(policy)
-	out, err := coord.ProcessSignalSet(context.Background(), set)
+	out, err := coord.processSignalSet(context.Background(), set)
 	if err != nil {
 		t.Fatalf("ProcessSignalSet(%s): %v", policy.Mode, err)
 	}
@@ -236,12 +236,12 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 			coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
 			var cancelled atomic.Int32
 			// act0 aborts immediately; the rest block until their context dies.
-			coord.AddNamedAction("adv", "act0", ActionFunc(
+			coord.addNamedAction("adv", "act0", ActionFunc(
 				func(context.Context, Signal) (Outcome, error) {
 					return Outcome{Name: "abort"}, nil
 				}))
 			for i := 1; i < 8; i++ {
-				coord.AddNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
+				coord.addNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
 					func(ctx context.Context, _ Signal) (Outcome, error) {
 						select {
 						case <-ctx.Done():
@@ -255,7 +255,7 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 			set := newVoteAdvanceSet()
 			set.SetDelivery(policy)
 			start := time.Now()
-			out, err := coord.ProcessSignalSet(context.Background(), set)
+			out, err := coord.processSignalSet(context.Background(), set)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 		coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 3})
 		for i := 0; i < 3; i++ {
 			var failures atomic.Int32
-			coord.AddNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
+			coord.addNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
 				func(context.Context, Signal) (Outcome, error) {
 					if failures.Add(1) == 1 {
 						return Outcome{}, errors.New("transient")
@@ -301,7 +301,7 @@ func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 		}
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Sequence()
@@ -392,11 +392,11 @@ func TestParallelWorkerBound(t *testing.T) {
 		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 		probe := &concurrencyProbe{}
 		for i := 0; i < 3*bound; i++ {
-			coord.AddAction("s", probe.action())
+			coord.addAction("s", probe.action())
 		}
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 		if got := probe.max.Load(); int(got) > bound {
@@ -425,17 +425,17 @@ func TestPolicyWorkersResolution(t *testing.T) {
 func TestParallelDeliveryErrorFeedsSet(t *testing.T) {
 	for _, policy := range append([]DeliveryPolicy{{}}, concurrentPolicies...) {
 		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-		coord.AddNamedAction("s", "good", ActionFunc(
+		coord.addNamedAction("s", "good", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
 				return Outcome{Name: "ok"}, nil
 			}))
-		coord.AddNamedAction("s", "bad", ActionFunc(
+		coord.addNamedAction("s", "bad", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
 				return Outcome{}, errors.New("boom")
 			}))
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 			t.Fatalf("%s: %v", policy.Mode, err)
 		}
 		resp := set.Responses()

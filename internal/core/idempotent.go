@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
-	"github.com/extendedtx/activityservice/internal/ots"
 )
 
 // idempotentAction deduplicates signal deliveries: §3.4 requires Actions to
@@ -61,76 +60,3 @@ func signalKey(sig Signal) (string, error) {
 	}
 	return string(e.Bytes()), nil
 }
-
-// exactlyOnceAction provides the stronger delivery guarantee of §3.4 by
-// running each delivery inside a transaction from the underlying
-// transaction service: the outcome record and the action's effect commit
-// atomically, so a redelivery after a crash either sees the recorded
-// outcome or re-runs an action whose previous attempt rolled back.
-type exactlyOnceAction struct {
-	svc   *ots.Service
-	inner Action
-
-	mu   sync.Mutex
-	seen map[string]Outcome
-}
-
-// ExactlyOnce wraps inner with transactional delivery through svc, per the
-// paper: "Stronger delivery semantics — exactly once — can be provided by
-// the activity service itself making use of the underlying transaction
-// service."
-func ExactlyOnce(svc *ots.Service, inner Action) Action {
-	return &exactlyOnceAction{svc: svc, inner: inner, seen: make(map[string]Outcome)}
-}
-
-// ProcessSignal implements Action.
-func (x *exactlyOnceAction) ProcessSignal(ctx context.Context, sig Signal) (Outcome, error) {
-	key, err := signalKey(sig)
-	if err != nil {
-		return Outcome{}, err
-	}
-	x.mu.Lock()
-	if out, ok := x.seen[key]; ok {
-		x.mu.Unlock()
-		return out, nil
-	}
-	x.mu.Unlock()
-
-	tx := x.svc.Begin()
-	outcome, perr := x.inner.ProcessSignal(ots.WithTransaction(ctx, tx), sig)
-	if perr != nil {
-		_ = tx.Rollback()
-		return Outcome{}, perr
-	}
-	if err := tx.RegisterResource(&outcomeRecord{owner: x, key: key, outcome: outcome}); err != nil {
-		_ = tx.Rollback()
-		return Outcome{}, err
-	}
-	if err := tx.Commit(false); err != nil {
-		return Outcome{}, fmt.Errorf("core: exactly-once delivery: %w", err)
-	}
-	return outcome, nil
-}
-
-// outcomeRecord installs the memoized outcome only when the delivery
-// transaction commits.
-type outcomeRecord struct {
-	owner   *exactlyOnceAction
-	key     string
-	outcome Outcome
-}
-
-func (o *outcomeRecord) Prepare() (ots.Vote, error) { return ots.VoteCommit, nil }
-
-func (o *outcomeRecord) Commit() error {
-	o.owner.mu.Lock()
-	defer o.owner.mu.Unlock()
-	o.owner.seen[o.key] = o.outcome
-	return nil
-}
-
-func (o *outcomeRecord) Rollback() error { return nil }
-
-func (o *outcomeRecord) CommitOnePhase() error { return o.Commit() }
-
-func (o *outcomeRecord) Forget() error { return nil }

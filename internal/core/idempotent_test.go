@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-
-	"github.com/extendedtx/activityservice/internal/ots"
 )
 
 func TestIdempotentDeduplicates(t *testing.T) {
@@ -81,66 +79,12 @@ func TestIdempotentUnderAtLeastOnceCoordinator(t *testing.T) {
 		return Outcome{Name: "applied"}, nil
 	})
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
-	coord.AddAction("s", Idempotent(inner))
+	coord.addAction("s", Idempotent(inner))
 	set := NewSequenceSet("s", "one", "two")
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if effects.Load() != 2 {
 		t.Fatalf("effects = %d, want 2 (one per distinct signal)", effects.Load())
-	}
-}
-
-func TestExactlyOnceCommitsEffect(t *testing.T) {
-	txsvc := ots.NewService()
-	var effects atomic.Int32
-	a := ExactlyOnce(txsvc, ActionFunc(func(ctx context.Context, sig Signal) (Outcome, error) {
-		if _, ok := ots.FromContext(ctx); !ok {
-			t.Error("inner action did not run inside a transaction")
-		}
-		effects.Add(1)
-		return Outcome{Name: "applied"}, nil
-	}))
-	ctx := context.Background()
-	sig := Signal{Name: "do", SetName: "s"}
-	for i := 0; i < 3; i++ {
-		out, err := a.ProcessSignal(ctx, sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Name != "applied" {
-			t.Fatalf("outcome = %+v", out)
-		}
-	}
-	if effects.Load() != 1 {
-		t.Fatalf("effects = %d, want 1", effects.Load())
-	}
-	if txsvc.Inflight() != 0 {
-		t.Fatalf("inflight transactions = %d", txsvc.Inflight())
-	}
-}
-
-func TestExactlyOnceRollsBackOnFailure(t *testing.T) {
-	txsvc := ots.NewService()
-	calls := 0
-	a := ExactlyOnce(txsvc, ActionFunc(func(context.Context, Signal) (Outcome, error) {
-		calls++
-		if calls == 1 {
-			return Outcome{}, errors.New("boom")
-		}
-		return Outcome{Name: "second-try"}, nil
-	}))
-	ctx := context.Background()
-	sig := Signal{Name: "do", SetName: "s"}
-	if _, err := a.ProcessSignal(ctx, sig); err == nil {
-		t.Fatal("failure swallowed")
-	}
-	// Nothing memoized: a redelivery re-runs the action.
-	out, err := a.ProcessSignal(ctx, sig)
-	if err != nil || out.Name != "second-try" {
-		t.Fatalf("out=%+v err=%v", out, err)
-	}
-	if txsvc.Inflight() != 0 {
-		t.Fatalf("inflight transactions = %d", txsvc.Inflight())
 	}
 }

@@ -58,45 +58,46 @@ func TestAddActionRacingComplete(t *testing.T) {
 	}
 }
 
-// TestBroadcastSnapshotSurvivesRemoval removes a later registration from
-// inside ProcessSignal. The running broadcast delivers over the snapshot it
-// took, so every action in it hears that signal exactly once — an in-place
-// removal under the snapshot would skip the removed action and deliver to
-// its successor twice — and the removal takes effect from the next signal.
+// TestBroadcastSnapshotSurvivesRemoval has an Action enrol a new
+// registration from inside ProcessSignal. The running broadcast delivers
+// over the snapshot it took, so every action in it hears that signal
+// exactly once and the newcomer does not hear it; the next signal reaches
+// the newcomer too.
 func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(2)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
 			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-			const n, remover, removed = 6, 1, 3
-			var heard [n]map[string]*atomic.Int32
-			ids := make([]ActionID, n)
+			const n, enroller = 6, 1
+			var heard [n + 1]map[string]*atomic.Int32
+			listen := func(i int) Action {
+				heard[i] = map[string]*atomic.Int32{"sig-a": {}, "sig-b": {}}
+				return ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+					heard[i][sig.Name].Add(1)
+					return Outcome{Name: "ok"}, nil
+				})
+			}
 			var once sync.Once
 			for i := 0; i < n; i++ {
-				heard[i] = map[string]*atomic.Int32{"sig-a": {}, "sig-b": {}}
-				ids[i] = coord.AddAction("s", ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
-					heard[i][sig.Name].Add(1)
-					if i == remover {
-						once.Do(func() {
-							if !coord.RemoveAction("s", ids[removed]) {
-								t.Error("RemoveAction lost the registration")
-							}
-						})
+				inner := listen(i)
+				coord.addAction("s", ActionFunc(func(ctx context.Context, sig Signal) (Outcome, error) {
+					if i == enroller {
+						once.Do(func() { coord.addAction("s", listen(n)) })
 					}
-					return Outcome{Name: "ok"}, nil
+					return inner.ProcessSignal(ctx, sig)
 				}))
 			}
 			set := NewSequenceSet("s", "sig-a", "sig-b")
 			set.SetDelivery(policy)
-			if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+			if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				wantB := int32(1)
-				if i == removed {
-					wantB = 0
+			for i := 0; i <= n; i++ {
+				wantA := int32(1)
+				if i == n {
+					wantA = 0
 				}
-				if a, b := heard[i]["sig-a"].Load(), heard[i]["sig-b"].Load(); a != 1 || b != wantB {
-					t.Errorf("action %d heard sig-a %d times and sig-b %d times, want 1 and %d", i, a, b, wantB)
+				if a, b := heard[i]["sig-a"].Load(), heard[i]["sig-b"].Load(); a != wantA || b != 1 {
+					t.Errorf("action %d heard sig-a %d times and sig-b %d times, want %d and 1", i, a, b, wantA)
 				}
 			}
 		})

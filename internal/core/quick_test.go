@@ -35,7 +35,7 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 		)
 		for i := 0; i < n; i++ {
 			label := fmt.Sprintf("act%d", i)
-			coord.AddNamedAction("s", label, ActionFunc(
+			coord.addNamedAction("s", label, ActionFunc(
 				func(_ context.Context, sig Signal) (Outcome, error) {
 					mu.Lock()
 					order = append(order, label+"/"+sig.Name)
@@ -48,7 +48,7 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 			names = append(names, fmt.Sprintf("sig%d", i))
 		}
 		set := NewSequenceSet("s", names...)
-		if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 			return false
 		}
 		if len(order) != a*n {

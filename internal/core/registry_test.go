@@ -26,9 +26,9 @@ type enrolled struct {
 }
 
 // TestRegistryManySetNames spreads registrations over more set names than
-// any reserved room, interleaving AddAction, AddNamedAction and
-// RemoveAction across the names, and checks that each set keeps its own
-// registration order, count and labels, and delivers in that order.
+// any reserved room, interleaving default-labelled and named enrolments
+// across the names, and checks that each set keeps its own registration
+// order, count and labels, and delivers in that order.
 func TestRegistryManySetNames(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	const names = 11
@@ -49,25 +49,11 @@ func TestRegistryManySetNames(t *testing.T) {
 			name := setName(n)
 			e := enrolled{label: fmt.Sprintf("%s/r%d", name, round), named: (round+n)%2 == 1}
 			if e.named {
-				e.id = coord.AddNamedAction(name, e.label, recorder(name, e.label))
+				e.id = coord.addNamedAction(name, e.label, recorder(name, e.label))
 			} else {
-				e.id = coord.AddAction(name, recorder(name, e.label))
+				e.id = coord.addAction(name, recorder(name, e.label))
 			}
 			want[name] = append(want[name], e)
-			if round%3 == 2 {
-				// Remove this set's oldest survivor and another set's newest.
-				if !coord.RemoveAction(name, want[name][0].id) {
-					t.Fatalf("RemoveAction(%s) of a live id reported false", name)
-				}
-				want[name] = want[name][1:]
-				other := setName((n + 5) % names)
-				if es := want[other]; len(es) > 1 {
-					if !coord.RemoveAction(other, es[len(es)-1].id) {
-						t.Fatalf("RemoveAction(%s) of a live id reported false", other)
-					}
-					want[other] = es[:len(es)-1]
-				}
-			}
 		}
 	}
 
@@ -86,23 +72,13 @@ func TestRegistryManySetNames(t *testing.T) {
 			}
 		}
 	}
-	first := want[setName(0)][0].id
-	if coord.RemoveAction("no-such-set", first) {
-		t.Fatal("RemoveAction under an unknown set name reported true")
-	}
-	if coord.RemoveAction(setName(1), first) {
-		t.Fatal("RemoveAction of another set's id reported true")
-	}
-	if coord.RemoveAction(setName(0), ActionID{}) {
-		t.Fatal("RemoveAction of an unknown id reported true")
-	}
 	if coord.ActionCount("no-such-set") != 0 || coord.actions("no-such-set") != nil {
 		t.Fatal("an unknown set name has registrations")
 	}
 
 	for n := 0; n < names; n++ {
 		name := setName(n)
-		if _, err := coord.ProcessSignalSet(context.Background(), NewSequenceSet(name, "ping")); err != nil {
+		if _, err := coord.processSignalSet(context.Background(), NewSequenceSet(name, "ping")); err != nil {
 			t.Fatal(err)
 		}
 		var labels []string
@@ -116,34 +92,27 @@ func TestRegistryManySetNames(t *testing.T) {
 }
 
 // TestRegistrySnapshotOutlivesMutation takes the snapshot a broadcast
-// delivers over, then appends within the set's reserved room, removes a
-// registration and grows the table of set names: the snapshot is
-// unchanged by each.
+// delivers over, then appends within the set's reserved room and grows the
+// table of set names: the snapshot is unchanged by each.
 func TestRegistrySnapshotOutlivesMutation(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-	a := coord.AddAction("s", noopTestAction{})
-	b := coord.AddAction("s", noopTestAction{})
+	a := coord.addAction("s", noopTestAction{})
+	b := coord.addAction("s", noopTestAction{})
 	snap := coord.actions("s")
 	want := []ActionID{a, b}
 
-	c := coord.AddAction("s", noopTestAction{}) // fits the reserved room
+	c := coord.addAction("s", noopTestAction{}) // fits the reserved room
 	if got := regIDs(snap); !slices.Equal(got, want) {
 		t.Fatalf("after an append: snapshot %v, want %v", got, want)
 	}
-	if !coord.RemoveAction("s", a) {
-		t.Fatal("remove failed")
-	}
-	if got := regIDs(snap); !slices.Equal(got, want) {
-		t.Fatalf("after a remove: snapshot %v, want %v", got, want)
-	}
 	for i := 0; i < 9; i++ {
-		coord.AddAction(fmt.Sprintf("other-%d", i), noopTestAction{})
+		coord.addAction(fmt.Sprintf("other-%d", i), noopTestAction{})
 	}
-	d := coord.AddAction("s", noopTestAction{})
+	d := coord.addAction("s", noopTestAction{})
 	if got := regIDs(snap); !slices.Equal(got, want) {
 		t.Fatalf("after new set names: snapshot %v, want %v", got, want)
 	}
-	if got, now := regIDs(coord.actions("s")), []ActionID{b, c, d}; !slices.Equal(got, now) {
+	if got, now := regIDs(coord.actions("s")), []ActionID{a, b, c, d}; !slices.Equal(got, now) {
 		t.Fatalf("current registrations %v, want %v", got, now)
 	}
 }
@@ -155,17 +124,17 @@ func TestRegistrySnapshotOutlivesMutation(t *testing.T) {
 func TestRegistryDriverReusedForSetDrivenTwice(t *testing.T) {
 	ctx := context.Background()
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-	coord.AddAction("s", noopTestAction{})
+	coord.addAction("s", noopTestAction{})
 	set := NewSequenceSet("s", "ping")
 	if coord.SetState(set) != StateWaiting {
 		t.Fatalf("undriven set in state %s", coord.SetState(set))
 	}
 	d := coord.driverFor(set)
-	if _, err := coord.ProcessSignalSet(ctx, set); err != nil {
+	if _, err := coord.processSignalSet(ctx, set); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ {
-		coord.AddAction(fmt.Sprintf("other-%d", i), noopTestAction{})
+		coord.addAction(fmt.Sprintf("other-%d", i), noopTestAction{})
 		coord.driverFor(NewSequenceSet(fmt.Sprintf("other-%d", i), "x"))
 	}
 	if coord.driverFor(set) != d {
@@ -174,14 +143,14 @@ func TestRegistryDriverReusedForSetDrivenTwice(t *testing.T) {
 	if coord.SetState(set) != StateEnd {
 		t.Fatalf("driven set in state %s, want %s", coord.SetState(set), StateEnd)
 	}
-	if _, err := coord.ProcessSignalSet(ctx, set); !errors.Is(err, ErrSignalSetInactive) {
+	if _, err := coord.processSignalSet(ctx, set); !errors.Is(err, ErrSignalSetInactive) {
 		t.Fatalf("second drive: err = %v, want ErrSignalSetInactive", err)
 	}
 	fresh := NewSequenceSet("s", "ping")
 	if coord.SetState(fresh) != StateWaiting {
 		t.Fatalf("fresh instance in state %s", coord.SetState(fresh))
 	}
-	if _, err := coord.ProcessSignalSet(ctx, fresh); err != nil {
+	if _, err := coord.processSignalSet(ctx, fresh); err != nil {
 		t.Fatal(err)
 	}
 	if coord.driverFor(set) != d || coord.driverFor(fresh) == d {
@@ -215,18 +184,17 @@ func TestRegistryDuplicateSignalSetAmongMany(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegistrationAcrossSetNames races enrolment, removal,
-// snapshots and driver lookups over overlapping set names, more of them
-// than any reserved room, so the table of entries grows while others read
-// it. Each snapshot must stay as it was taken, and every set ends with the
-// exact survivor count. Run under -race it pins the registry's locking.
+// TestConcurrentRegistrationAcrossSetNames races enrolment, snapshots and
+// driver lookups over overlapping set names, more of them than any
+// reserved room, so the table of entries grows while others read it. Each
+// snapshot must stay as it was taken, and every set ends with the exact
+// count. Run under -race it pins the registry's locking.
 func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 	coord := newCoordinator("race", testGen(), nil, RetryPolicy{Attempts: 1})
 	const (
 		names   = 12
 		workers = 4
-		adds    = 30 // per worker per name
-		removes = 10 // per worker per name
+		adds    = 20 // per worker per name
 	)
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 	var wg sync.WaitGroup
@@ -258,21 +226,14 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 			defer writers.Done()
 			for k := 0; k < names; k++ {
 				name := setName((k + w*3) % names)
-				ids := make([]ActionID, 0, adds)
 				for i := 0; i < adds; i++ {
 					if i%2 == 0 {
-						ids = append(ids, coord.AddAction(name, noopTestAction{}))
+						coord.addAction(name, noopTestAction{})
 					} else {
-						ids = append(ids, coord.AddNamedAction(name, "n", noopTestAction{}))
+						coord.addNamedAction(name, "n", noopTestAction{})
 					}
 				}
 				coord.driverFor(NewSequenceSet(name, "x"))
-				for _, id := range ids[:removes] {
-					if !coord.RemoveAction(name, id) {
-						t.Errorf("RemoveAction(%s, %v) lost a registration it owned", name, id)
-						return
-					}
-				}
 			}
 		}(w)
 	}
@@ -280,8 +241,8 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	for n := 0; n < names; n++ {
-		if got, want := coord.ActionCount(setName(n)), workers*(adds-removes); got != want {
-			t.Fatalf("%s: %d registrations survived, want %d", setName(n), got, want)
+		if got, want := coord.ActionCount(setName(n)), workers*adds; got != want {
+			t.Fatalf("%s: %d registrations, want %d", setName(n), got, want)
 		}
 	}
 }

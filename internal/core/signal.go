@@ -140,7 +140,9 @@ func (c CompletionStatus) String() string {
 //	};
 //
 // Signal delivery is at least once (§3.4): implementations must make
-// ProcessSignal idempotent, or be wrapped with Idempotent.
+// ProcessSignal idempotent, or be wrapped with Idempotent. An Action
+// enrols through Activity.AddAction and stays enrolled for the life of
+// the activity; there is no remove_action.
 type Action interface {
 	// ProcessSignal reacts to one delivered signal.
 	ProcessSignal(ctx context.Context, sig Signal) (Outcome, error)

@@ -81,14 +81,14 @@ func TestBaseSetCompletionStatusSticky(t *testing.T) {
 func TestSignalSetStateMachine(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("s", "one", "two")
-	coord.AddAction("s", ActionFunc(func(context.Context, Signal) (Outcome, error) {
+	coord.addAction("s", ActionFunc(func(context.Context, Signal) (Outcome, error) {
 		return Outcome{Name: "ok"}, nil
 	}))
 
 	if st := coord.SetState(set); st != StateWaiting {
 		t.Fatalf("initial state = %s", st)
 	}
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if st := coord.SetState(set); st != StateEnd {
@@ -97,7 +97,7 @@ func TestSignalSetStateMachine(t *testing.T) {
 	// A set in End cannot be reused (fig. 7: "Once in the End state the
 	// SignalSet cannot provide any further Signals and will not be
 	// reused").
-	if _, err := coord.ProcessSignalSet(context.Background(), set); err == nil {
+	if _, err := coord.processSignalSet(context.Background(), set); err == nil {
 		t.Fatal("reuse after End succeeded")
 	}
 }
@@ -107,7 +107,7 @@ func TestSignalSetStateMachine(t *testing.T) {
 func TestSignalSetWaitingToEndDirectly(t *testing.T) {
 	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("empty")
-	out, err := coord.ProcessSignalSet(context.Background(), set)
+	out, err := coord.processSignalSet(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,10 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-// TestStressAddRemoveDuringBroadcast mutates a set's registrations while a
-// broadcast over that set is in flight, under every policy. The broadcast
-// must observe a consistent snapshot and never race.
+// TestStressAddRemoveDuringBroadcast enrols into a set while broadcasts
+// over that set are in flight, under every policy. Each broadcast must
+// observe a consistent snapshot and never race, and no enrolment may be
+// lost.
 func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(4)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
@@ -92,30 +93,25 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 				return Outcome{Name: "ok"}, nil
 			})
 			for i := 0; i < 32; i++ {
-				coord.AddAction("s", slowAction)
+				coord.addAction("s", slowAction)
 			}
 
+			const churners, perChurner = 4, 64
 			stop := make(chan struct{})
 			var churn sync.WaitGroup
-			for w := 0; w < 4; w++ {
+			var added atomic.Int32
+			for w := 0; w < churners; w++ {
 				churn.Add(1)
 				go func() {
 					defer churn.Done()
-					var mine []ActionID
-					for {
+					for i := 0; i < perChurner; i++ {
 						select {
 						case <-stop:
-							for _, id := range mine {
-								coord.RemoveAction("s", id)
-							}
 							return
 						default:
-							id := coord.AddAction("s", slowAction)
-							mine = append(mine, id)
-							if len(mine) > 8 {
-								coord.RemoveAction("s", mine[0])
-								mine = mine[1:]
-							}
+							coord.addAction("s", slowAction)
+							added.Add(1)
+							runtime.Gosched()
 						}
 					}
 				}()
@@ -124,7 +120,7 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				set := NewSequenceSet("s", "sig-a", "sig-b")
 				set.SetDelivery(policy)
-				if _, err := coord.ProcessSignalSet(context.Background(), set); err != nil {
+				if _, err := coord.processSignalSet(context.Background(), set); err != nil {
 					t.Fatal(err)
 				}
 				// Each broadcast snapshots registrations: at least the 32
@@ -137,6 +133,9 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 			churn.Wait()
 			if delivered.Load() == 0 {
 				t.Fatal("nothing delivered")
+			}
+			if got, want := coord.ActionCount("s"), 32+int(added.Load()); got != want {
+				t.Fatalf("ActionCount = %d, want %d: an enrolment was lost", got, want)
 			}
 		})
 	}

@@ -3,9 +3,11 @@
 // integrators touch (internal/orb, internal/core, internal/cdr,
 // internal/remote and the hls/* models) must carry a doc comment, so
 // `go doc` is always usable; the facades export only what their callers
-// use (facade_test.go); and activityd's package doc names exactly the
-// flags it registers (flags_test.go). It runs as an ordinary test,
-// which makes the CI docs job a plain `go test ./internal/doccheck`.
+// use (facade_test.go); activityd's package doc names exactly the flags
+// it registers (flags_test.go); and internal/core imports no repo package
+// above cdr, ids, trace and wal (layering_test.go). It runs as an
+// ordinary test, which makes the CI docs job a plain
+// `go test ./internal/doccheck`.
 package doccheck
 
 import (

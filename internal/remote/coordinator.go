@@ -44,13 +44,8 @@ func (s *coordinatorServant) Dispatch(ctx context.Context, op string, in *cdr.De
 			return nil, orb.Systemf(orb.CodeMarshal, "add_action: %v", err)
 		}
 		// The registered action is a proxy back to the caller's node.
-		id, err := s.activity.AddNamedAction(setName, "remote:"+ref.Key, ImportAction(s.orb, ref))
-		if err != nil {
-			return nil, err
-		}
-		e := cdr.NewEncoder(32)
-		e.WriteRaw(id[:])
-		return e.Bytes(), nil
+		_, err := s.activity.AddNamedAction(setName, "remote:"+ref.Key, ImportAction(s.orb, ref))
+		return nil, err
 	case "signal":
 		setName := in.ReadString()
 		if err := in.Err(); err != nil {

@@ -4,8 +4,7 @@
 // decision log and crash recovery.
 //
 // The Activity Service uses it for transactional activities (fig. 4 of the
-// paper), exactly-once signal delivery (§3.4), and as the baseline in the
-// framework-overhead ablation. The implementation lives in internal/ots;
+// paper) and as the baseline in the framework-overhead ablation. The implementation lives in internal/ots;
 // this package re-exports the part the examples, cmd and the benchmark
 // call.
 package ots
