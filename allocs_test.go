@@ -18,18 +18,23 @@ func TestAllocsShardRouterRoute(t *testing.T) {
 	}
 }
 
-// TestAllocsTwoPhaseCommit gates BenchmarkFig08TwoPhaseCommit's
-// 8-participant commit at 16 allocs/op: the activity with its embedded
-// coordinator, the transaction and its signal set (3), the activity's
-// one-set slice and the coordinator's one-entry slice (2), the set's
-// driver (1), the registrations — room for four reserved by the first
-// enrolment, then one regrowth to eight (2) — and the eight participants'
-// ResourceActions (8). Trace labels are not formatted without a recorder,
+// TestAllocsTwoPhaseCommit gates BenchmarkFig08TwoPhaseCommit's commits
+// at 8 allocs/op, for 8 participants and for 1: the activity with its
+// embedded coordinator, the transaction and its signal set (3), the
+// activity's one-set slice and the coordinator's one-entry slice (2), the
+// set's driver (1), the staged ResourceActions — one backing array, sized
+// by the coordinator's previous transaction (1) — and the registrations,
+// grown once by the run that enrols them (1). The run's action slice
+// lives on the stack, trace labels are not formatted without a recorder,
 // no map is made and a broadcast's snapshot is not a copy.
 func TestAllocsTwoPhaseCommit(t *testing.T) {
-	got := testing.AllocsPerRun(200, twoPhaseCommit(t, 8))
-	if got > 16 {
-		t.Errorf("%.0f allocs/op, budget 16", got)
+	for _, participants := range []int{1, 8} {
+		t.Run(fmt.Sprintf("participants=%d", participants), func(t *testing.T) {
+			got := testing.AllocsPerRun(200, twoPhaseCommit(t, participants))
+			if got > 8 {
+				t.Errorf("%.0f allocs/op, budget 8", got)
+			}
+		})
 	}
 }
 

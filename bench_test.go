@@ -351,7 +351,7 @@ func twoPhaseCommit(tb testing.TB, participants int) func() {
 
 // BenchmarkFig08TwoPhaseCommit measures the fig. 8 protocol over a sweep
 // of participant counts. TestAllocsTwoPhaseCommit gates the allocations
-// of the 8-participant configuration.
+// of the 1- and 8-participant configurations.
 func BenchmarkFig08TwoPhaseCommit(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{1, 2, 8, 32, 128} {

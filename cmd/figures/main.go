@@ -374,7 +374,7 @@ func fig13(ctx context.Context, w io.Writer) error {
 	if err := am.RegisterSignalSet(actx, set); err != nil {
 		return err
 	}
-	if _, err := am.AddAction(actx, "hls-protocol", activityservice.ActionFunc(
+	if err := am.AddAction(actx, "hls-protocol", activityservice.ActionFunc(
 		func(context.Context, activityservice.Signal) (activityservice.Outcome, error) {
 			return activityservice.Outcome{Name: "done"}, nil
 		})); err != nil {

@@ -13,7 +13,11 @@ package twopc
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ots"
@@ -128,6 +132,7 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 type Coordinator struct {
 	svc      *core.Service
 	delivery core.DeliveryPolicy
+	reserve  atomic.Int64 // participants the last transaction staged: the next reserves as many
 }
 
 // CoordinatorOption configures a Coordinator.
@@ -155,9 +160,20 @@ func NewCoordinator(svc *core.Service, opts ...CoordinatorOption) *Coordinator {
 	return c
 }
 
-// Transaction is one activity-coordinated transaction.
+// Transaction is one activity-coordinated transaction. It is safe for
+// concurrent use. No signal reaches a participant before completion, so
+// Enlist stages its participant; the staged run is enrolled in one step
+// before an EnlistNamed or EnlistAction enrols its own (keeping enlistment
+// order) and when Commit, Rollback or Activity ends the staging. After
+// that, Enlist enrols at once, and is refused with core.ErrActivityInactive
+// once completion has started.
 type Transaction struct {
 	activity *core.Activity
+	coord    *Coordinator
+
+	mu     sync.Mutex
+	staged []ResourceAction // enlisted, not yet enrolled; one backing array
+	ended  bool             // staging is over
 }
 
 // Begin starts a transaction as an activity whose completion runs 2PC.
@@ -173,34 +189,74 @@ func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
 		return nil, err
 	}
 	a.SetCompletionSet(SetName)
-	return &Transaction{activity: a}, nil
+	return &Transaction{activity: a, coord: c, staged: make([]ResourceAction, 0, c.reserve.Load())}, nil
 }
 
-// Activity exposes the backing activity.
-func (t *Transaction) Activity() *core.Activity { return t.activity }
+// Activity exposes the backing activity, ending the staging first so that
+// code reaching the activity directly sees every participant.
+func (t *Transaction) Activity() *core.Activity {
+	_ = t.flush(true) // only this call hands the activity out: nothing has completed it
+	return t.activity
+}
 
 // Enlist registers a resource as a participant.
 func (t *Transaction) Enlist(r ots.Resource) error {
-	_, err := t.activity.AddAction(SetName, NewResourceAction(r))
-	return err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ended {
+		_, err := t.activity.AddAction(SetName, NewResourceAction(r))
+		return err
+	}
+	t.staged = append(t.staged, ResourceAction{resource: r})
+	return nil
 }
 
 // EnlistNamed registers a participant with an explicit trace label.
 func (t *Transaction) EnlistNamed(label string, r ots.Resource) error {
+	if err := t.flush(false); err != nil {
+		return err
+	}
 	_, err := t.activity.AddNamedAction(SetName, label, NewResourceAction(r))
 	return err
 }
 
 // EnlistAction registers a raw Action (e.g. a remote participant proxy).
 func (t *Transaction) EnlistAction(a core.Action) error {
+	if err := t.flush(false); err != nil {
+		return err
+	}
 	_, err := t.activity.AddAction(SetName, a)
 	return err
 }
 
+// flush enrols the staged participants as one run, first ending the
+// staging if end is set; the first end leaves the count as the room the
+// coordinator's next transaction reserves. Room left in the backing array
+// stays staged: appending there moves no enrolled participant.
+func (t *Transaction) flush(end bool) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if end && !t.ended {
+		t.coord.reserve.Store(int64(len(t.staged)))
+		t.ended = true
+	}
+	if len(t.staged) == 0 {
+		return nil
+	}
+	var buf [8]core.Action // a run of up to eight needs no heap slice
+	run := slices.Grow(buf[:0], len(t.staged))
+	for i := range t.staged {
+		run = append(run, &t.staged[i])
+	}
+	t.staged = t.staged[len(t.staged):]
+	return t.activity.AddActions(SetName, run...)
+}
+
 // Commit drives prepare/commit through the activity, reporting whether the
-// transaction committed.
+// transaction committed. An activity already FailOnly (marked, or timed
+// out) rolls back: Commit reports false with no error.
 func (t *Transaction) Commit(ctx context.Context) (bool, error) {
-	out, err := t.activity.CompleteWithStatus(ctx, core.CompletionSuccess)
+	out, err := t.complete(ctx, core.CompletionSuccess)
 	if err != nil {
 		return false, fmt.Errorf("twopc: complete: %w", err)
 	}
@@ -209,8 +265,20 @@ func (t *Transaction) Commit(ctx context.Context) (bool, error) {
 
 // Rollback drives rollback through the activity.
 func (t *Transaction) Rollback(ctx context.Context) error {
-	if _, err := t.activity.CompleteWithStatus(ctx, core.CompletionFail); err != nil {
+	if _, err := t.complete(ctx, core.CompletionFail); err != nil {
 		return fmt.Errorf("twopc: rollback: %w", err)
 	}
 	return nil
+}
+
+// complete ends the staging and completes the activity with cs, or with
+// the FailOnly status it already has.
+func (t *Transaction) complete(ctx context.Context, cs core.CompletionStatus) (core.Outcome, error) {
+	if err := t.flush(true); err != nil {
+		return core.Outcome{}, err
+	}
+	if err := t.activity.SetCompletionStatus(cs); err != nil && !errors.Is(err, core.ErrCompletionStatusFixed) {
+		return core.Outcome{}, err
+	}
+	return t.activity.Complete(ctx)
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -451,5 +453,207 @@ func TestFailOnlyRollbackCompletes(t *testing.T) {
 				t.Fatalf("Live() = %d, want 0", n)
 			}
 		})
+	}
+}
+
+// TestCommitFailOnlyRollsBack covers Commit on an activity whose status is
+// already FailOnly — marked by the application, or by a WithTimeout that
+// fired: Commit completes it with that status, every resource hears one
+// rollback and no prepare, and Commit reports false with no error.
+func TestCommitFailOnlyRollsBack(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		begin func(svc *core.Service, c *Coordinator) (*Transaction, error)
+	}{
+		{"marked", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
+			tx, err := c.Begin("T")
+			if err != nil {
+				return nil, err
+			}
+			return tx, tx.Activity().SetCompletionStatus(core.CompletionFailOnly)
+		}},
+		{"timed-out", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
+			a := svc.Begin("T", core.WithTimeout(time.Millisecond))
+			for a.CompletionStatus() != core.CompletionFailOnly {
+				time.Sleep(time.Millisecond)
+			}
+			return c.begin(a)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := core.New()
+			tx, err := tc.begin(svc, NewCoordinator(svc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
+			for _, r := range rs {
+				if err := tx.Enlist(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			committed, err := tx.Commit(context.Background())
+			if err != nil || committed {
+				t.Fatalf("Commit = %v, %v; want false, nil", committed, err)
+			}
+			for i, r := range rs {
+				if calls := r.Calls(); !slices.Equal(calls, []string{"rollback"}) {
+					t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
+				}
+			}
+			if st := tx.Activity().State(); st != core.ActivityCompleted {
+				t.Fatalf("activity state = %s", st)
+			}
+			if n := svc.Live(); n != 0 {
+				t.Fatalf("Live() = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestStagedEnlistment pins what staging Enlist must not change: mixed
+// Enlist, EnlistNamed and EnlistAction calls enrol in enlistment order
+// with the default labels one-by-one enrolment would give; Activity sees
+// every staged participant; Rollback reaches staged participants; and an
+// Enlist after Commit is refused.
+func TestStagedEnlistment(t *testing.T) {
+	t.Run("order", func(t *testing.T) {
+		rec := trace.New()
+		tx, err := NewCoordinator(core.New(core.WithTrace(rec))).Begin("T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []func() error{
+			func() error { return tx.Enlist(newResource(ots.VoteCommit)) },
+			func() error { return tx.EnlistNamed("named", newResource(ots.VoteCommit)) },
+			func() error { return tx.Enlist(newResource(ots.VoteCommit)) },
+			func() error { return tx.Enlist(newResource(ots.VoteCommit)) },
+			func() error { return tx.EnlistAction(NewResourceAction(newResource(ots.VoteCommit))) },
+			func() error { return tx.Enlist(newResource(ots.VoteCommit)) },
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if committed, err := tx.Commit(context.Background()); err != nil || !committed {
+			t.Fatalf("Commit = %v, %v", committed, err)
+		}
+		var prepared []string
+		for _, ev := range rec.Sequence() {
+			if to, ok := strings.CutPrefix(ev, "transmit:T->"); ok && strings.HasSuffix(to, ":"+SignalPrepare) {
+				prepared = append(prepared, strings.TrimSuffix(to, ":"+SignalPrepare))
+			}
+		}
+		want := []string{"action-1", "named", "action-2", "action-3", "action-4", "action-5"}
+		if !slices.Equal(prepared, want) {
+			t.Fatalf("prepared %v, want %v", prepared, want)
+		}
+	})
+	t.Run("activity-sees-staged", func(t *testing.T) {
+		tx, _ := NewCoordinator(core.New()).Begin("T")
+		for i := 0; i < 3; i++ {
+			if err := tx.Enlist(newResource(ots.VoteCommit)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := tx.Activity().Coordinator().ActionCount(SetName); n != 3 {
+			t.Fatalf("ActionCount = %d, want 3", n)
+		}
+		if err := tx.Enlist(newResource(ots.VoteCommit)); err != nil {
+			t.Fatal(err)
+		}
+		if n := tx.Activity().Coordinator().ActionCount(SetName); n != 4 {
+			t.Fatalf("ActionCount after a later Enlist = %d, want 4", n)
+		}
+	})
+	t.Run("rollback-reaches-staged", func(t *testing.T) {
+		tx, _ := NewCoordinator(core.New()).Begin("T")
+		rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
+		for _, r := range rs {
+			if err := tx.Enlist(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Rollback(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rs {
+			if calls := r.Calls(); !slices.Equal(calls, []string{"rollback"}) {
+				t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
+			}
+		}
+	})
+	t.Run("enlist-after-commit", func(t *testing.T) {
+		tx, _ := NewCoordinator(core.New()).Begin("T")
+		if err := tx.Enlist(newResource(ots.VoteCommit)); err != nil {
+			t.Fatal(err)
+		}
+		if committed, err := tx.Commit(context.Background()); err != nil || !committed {
+			t.Fatalf("Commit = %v, %v", committed, err)
+		}
+		late := newResource(ots.VoteCommit)
+		for name, enlist := range map[string]func() error{
+			"Enlist":       func() error { return tx.Enlist(late) },
+			"EnlistNamed":  func() error { return tx.EnlistNamed("late", late) },
+			"EnlistAction": func() error { return tx.EnlistAction(NewResourceAction(late)) },
+		} {
+			if err := enlist(); !errors.Is(err, core.ErrActivityInactive) {
+				t.Fatalf("%s after Commit: err = %v, want core.ErrActivityInactive", name, err)
+			}
+		}
+		if calls := late.Calls(); len(calls) != 0 {
+			t.Fatalf("refused participant calls = %v", calls)
+		}
+	})
+}
+
+// TestStressEnlistRacingCommit races concurrent Enlist calls against
+// Commit. Each participant is either refused with
+// core.ErrActivityInactive and never called, or prepared and committed
+// exactly once. Run under -race it pins the staging's locking.
+func TestStressEnlistRacingCommit(t *testing.T) {
+	coord := NewCoordinator(core.New())
+	const enlisters, each = 4, 16
+	for round := 0; round < 20; round++ {
+		tx, err := coord.Begin(fmt.Sprintf("T%d", round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := make([]*scriptedResource, enlisters*each)
+		errs := make([]error, len(rs))
+		var wg, started sync.WaitGroup
+		for w := 0; w < enlisters; w++ {
+			wg.Add(1)
+			started.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w * each; i < (w+1)*each; i++ {
+					rs[i] = newResource(ots.VoteCommit)
+					errs[i] = tx.Enlist(rs[i])
+					if i == w*each {
+						started.Done()
+					}
+					runtime.Gosched() // let Commit in between two Enlists
+				}
+			}(w)
+		}
+		started.Wait() // each enlister is under way: Commit lands mid-stream
+		committed, err := tx.Commit(context.Background())
+		wg.Wait()
+		if err != nil || !committed {
+			t.Fatalf("round %d: Commit = %v, %v", round, committed, err)
+		}
+		for i, r := range rs {
+			calls := r.Calls()
+			switch {
+			case errs[i] != nil:
+				if !errors.Is(errs[i], core.ErrActivityInactive) || len(calls) != 0 {
+					t.Fatalf("round %d participant %d: refused with %v, calls %v", round, i, errs[i], calls)
+				}
+			case !slices.Equal(calls, []string{"prepare", "commit"}):
+				t.Fatalf("round %d participant %d: enrolled, calls %v, want [prepare commit]", round, i, calls)
+			}
+		}
 	}
 }

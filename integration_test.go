@@ -250,7 +250,7 @@ func TestActivityRecoveryEndToEnd(t *testing.T) {
 	if _, err := step.RegisterRecoverableSignalSet("completion-seq", []byte("undo")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := step.AddRecoverableAction(activityservice.DefaultCompletionSet, "compensator", []byte("step-2")); err != nil {
+	if err := step.AddRecoverableAction(activityservice.DefaultCompletionSet, "compensator", []byte("step-2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := step.SetCompletionStatus(core.CompletionFail); err != nil {

@@ -187,21 +187,26 @@ func (a *Activity) SetCompletionSet(name string) {
 // Enrolment is ordered against completion: once Complete has started, it
 // fails with ErrActivityInactive; an enrolment that succeeds is in every
 // snapshot the completion set's broadcasts take, so it hears every signal.
+//
+// The ActionID is always zero. AddAction and AddNamedAction keep it only
+// because bench/probes.go, which is frozen with the benchmark, calls them
+// with two results.
 func (a *Activity) AddAction(setName string, action Action) (ActionID, error) {
-	return a.enrol(setName, registration{action: action}, true)
+	return ActionID{}, a.coord.register(setName, "", true, []Action{action})
 }
 
 // AddNamedAction is AddAction with an explicit trace label.
 func (a *Activity) AddNamedAction(setName, label string, action Action) (ActionID, error) {
-	return a.enrol(setName, registration{label: label, action: action}, false)
+	return ActionID{}, a.coord.register(setName, label, false, []Action{action})
 }
 
-func (a *Activity) enrol(setName string, reg registration, numbered bool) (ActionID, error) {
-	id, ok := a.coord.register(setName, reg, numbered)
-	if !ok {
-		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
-	}
-	return id, nil
+// AddActions registers a run of actions with the named SignalSet in one
+// step, as AddAction would one by one: in order, under default labels,
+// behind the same completion gate. The run takes the coordinator's lock
+// once and grows the set's registrations at most once. Either every
+// action is enrolled or, once Complete has started, none is.
+func (a *Activity) AddActions(setName string, actions ...Action) error {
+	return a.coord.register(setName, "", true, actions)
 }
 
 // Suspend pauses the activity; a suspended activity rejects signalling,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -12,8 +13,9 @@ import (
 	"github.com/extendedtx/activityservice/internal/trace"
 )
 
-// ActionID identifies a registration with a coordinator. Registrations
-// are append-only, so no operation takes one back.
+// ActionID is the first result of Activity.AddAction and AddNamedAction.
+// Registrations carry no identity (the registry is append-only, so nothing
+// takes one back), and every ActionID handed out is zero.
 type ActionID = ids.UID
 
 // ErrUnknownSignalSet reports driving or registering with a set name the
@@ -31,9 +33,8 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// registration pairs an Action with its identity and trace label.
+// registration pairs an Action with its trace label.
 type registration struct {
-	id     ActionID
 	action Action
 	// seq numbers a default-labelled registration, "action-<seq>"; zero
 	// marks an explicitly labelled one, whose label is label.
@@ -67,7 +68,6 @@ type setEntry struct {
 // into the set.
 type Coordinator struct {
 	owner string // activity name, for traces
-	gen   *ids.Generator
 	rec   *trace.Recorder
 	retry RetryPolicy
 
@@ -82,40 +82,44 @@ type Coordinator struct {
 
 // init sets up a zero Coordinator in place, which lets an Activity hold
 // its coordinator by value instead of allocating it separately.
-func (c *Coordinator) init(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy) {
+func (c *Coordinator) init(owner string, rec *trace.Recorder, retry RetryPolicy) {
 	if retry.Attempts < 1 {
 		retry.Attempts = 1
 	}
-	c.owner, c.gen, c.rec, c.retry = owner, gen, rec, retry
+	c.owner, c.rec, c.retry = owner, rec, retry
 }
 
-// register appends reg to setName's registrations, numbering its default
-// label first when numbered is set. It is refused, reporting false, once
-// closeEnrolment has run: checking the gate and appending in one critical
-// section leaves no window in which completion can snapshot the
-// registrations without it.
-func (c *Coordinator) register(setName string, reg registration, numbered bool) (ActionID, bool) {
+// register appends actions to setName's registrations in order, each
+// labelled label, or numbered with the next default label when numbered
+// is set, growing them at most once. It is refused with
+// ErrActivityInactive once closeEnrolment has run: checking the gate and
+// appending in one critical section leaves no window in which completion
+// can snapshot the registrations without them.
+func (c *Coordinator) register(setName, label string, numbered bool, actions []Action) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ActionID{}, false
+		return fmt.Errorf("%w: %s", ErrActivityInactive, c.owner)
 	}
-	if numbered {
-		c.seq++
-		reg.seq = c.seq
-	}
-	reg.id = c.gen.New()
 	e := c.entryFor(setName)
 	if e.regs == nil {
-		// A model enrols its participants one by one: reserve room for a
-		// few more rather than regrowing 1, 2, 4.
-		e.regs = make([]registration, 0, regReserve)
+		// A run is sized exactly; a model enrolling one by one reserves
+		// room for a few more rather than regrowing 1, 2, 4.
+		e.regs = make([]registration, 0, max(len(actions), regReserve))
 	}
-	e.regs = append(e.regs, reg)
-	return reg.id, true
+	e.regs = slices.Grow(e.regs, len(actions))
+	for _, action := range actions {
+		reg := registration{action: action, label: label}
+		if numbered {
+			c.seq++
+			reg.seq = c.seq
+		}
+		e.regs = append(e.regs, reg)
+	}
+	return nil
 }
 
-// regReserve is the room a set name's first registration reserves.
+// regReserve is the least room a set name's first registration reserves.
 const regReserve = 4
 
 // entry returns name's entry, nil if it has none. Entries are searched

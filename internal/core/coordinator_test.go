@@ -8,30 +8,43 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/extendedtx/activityservice/internal/ids"
 	"github.com/extendedtx/activityservice/internal/trace"
 )
 
-func testGen() *ids.Generator { return ids.NewSeeded(0xFEED) }
-
 // newCoordinator returns a coordinator outside any activity.
-func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy) *Coordinator {
+func newCoordinator(owner string, rec *trace.Recorder, retry RetryPolicy) *Coordinator {
 	c := new(Coordinator)
-	c.init(owner, gen, rec, retry)
+	c.init(owner, rec, retry)
 	return c
 }
 
 // addAction enrols action with setName under a default label, as
 // Activity.AddAction does.
-func (c *Coordinator) addAction(setName string, action Action) ActionID {
-	id, _ := c.register(setName, registration{action: action}, true)
-	return id
+func (c *Coordinator) addAction(setName string, action Action) {
+	c.register(setName, "", true, []Action{action})
 }
 
 // addNamedAction enrols action with setName under an explicit label.
-func (c *Coordinator) addNamedAction(setName, label string, action Action) ActionID {
-	id, _ := c.register(setName, registration{label: label, action: action}, false)
-	return id
+func (c *Coordinator) addNamedAction(setName, label string, action Action) {
+	c.register(setName, label, false, []Action{action})
+}
+
+// tagAction is an Action a registry test can tell apart from every other
+// tag: registrations carry no identity of their own.
+type tagAction int
+
+// ProcessSignal implements Action.
+func (tagAction) ProcessSignal(context.Context, Signal) (Outcome, error) {
+	return Outcome{Name: "ok"}, nil
+}
+
+// regActions lists a snapshot's actions, in order.
+func regActions(regs []registration) []Action {
+	out := make([]Action, len(regs))
+	for i := range regs {
+		out[i] = regs[i].action
+	}
+	return out
 }
 
 // collectingAction records the signals it receives.
@@ -66,7 +79,7 @@ func (c *collectingAction) Signals() []Signal {
 
 func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
 	var order []string
 	var mu sync.Mutex
 	for _, name := range []string{"a1", "a2", "a3"} {
@@ -94,7 +107,7 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 }
 
 func TestCoordinatorFeedsEveryResponse(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	for i := 0; i < 4; i++ {
 		coord.addAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
 	}
@@ -147,7 +160,7 @@ func (s *advanceSet) GetOutcome() (Outcome, error) {
 }
 
 func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	a1 := &collectingAction{name: "a1"}
 	a2 := &collectingAction{name: "a2"}
 	coord.addNamedAction("adv", "a1", a1)
@@ -170,7 +183,7 @@ func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
 }
 
 func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 3})
 	flaky := &collectingAction{name: "flaky", fail: 2}
 	coord.addAction("set", flaky)
 	set := NewSequenceSet("set", "ping")
@@ -187,7 +200,7 @@ func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
 }
 
 func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 2})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 2})
 	dead := &collectingAction{name: "dead", fail: 99}
 	coord.addAction("set", dead)
 	set := NewSequenceSet("set", "ping")
@@ -203,7 +216,7 @@ func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
 func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 	// Fig. 6 multiplicity: one action may register with several sets, and
 	// an activity may use several sets over its lifetime.
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	shared := &collectingAction{name: "shared"}
 	coord.addAction("setA", shared)
 	coord.addAction("setB", shared)
@@ -223,7 +236,7 @@ func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 // get_outcome.
 func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("coordinator", testGen(), rec, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("coordinator", rec, RetryPolicy{Attempts: 1})
 	for _, n := range []string{"action1", "action2"} {
 		coord.addNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
 			return Outcome{Name: "done"}, nil
@@ -258,7 +271,7 @@ func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 }
 
 func TestCoordinatorErrorOnBrokenSet(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	set := &brokenSet{BaseSet: NewBaseSet("broken")}
 	if _, err := coord.processSignalSet(context.Background(), set); err == nil {
 		t.Fatal("broken set did not error")
@@ -283,7 +296,7 @@ func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 // per set, each in one worker's enrolment order. Run under -race this also
 // pins the map's locking.
 func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
-	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("stress", nil, RetryPolicy{Attempts: 1})
 	const (
 		sets      = 48
 		workers   = 8
@@ -292,7 +305,7 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 
 	var wg sync.WaitGroup
-	added := make([][]ActionID, workers) // per worker, all sets in order
+	added := make([][]Action, workers) // per worker, all sets in order
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -300,7 +313,9 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 			for s := 0; s < sets; s++ {
 				name := setName(s)
 				for i := 0; i < perWorker; i++ {
-					added[w] = append(added[w], coord.addAction(name, noopTestAction{}))
+					tag := tagAction(len(added[w]) + w*sets*perWorker)
+					coord.addAction(name, tag)
+					added[w] = append(added[w], tag)
 					coord.ActionCount(name) // reader mixed into the storm
 				}
 			}
@@ -308,10 +323,10 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	owner := make(map[ActionID]int, workers*sets*perWorker)
-	for w, ids := range added {
-		for _, id := range ids {
-			owner[id] = w
+	owner := make(map[Action]int, workers*sets*perWorker)
+	for w, tags := range added {
+		for _, tag := range tags {
+			owner[tag] = w
 		}
 	}
 	for s := 0; s < sets; s++ {
@@ -320,9 +335,9 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 			t.Fatalf("set %s: %d registrations, want %d", setName(s), got, want)
 		}
 		// Each worker's enrolments keep their order within the set.
-		seen := make([][]ActionID, workers)
-		for _, id := range regIDs(regs) {
-			seen[owner[id]] = append(seen[owner[id]], id)
+		seen := make([][]Action, workers)
+		for _, tag := range regActions(regs) {
+			seen[owner[tag]] = append(seen[owner[tag]], tag)
 		}
 		for w := range seen {
 			if mine := added[w][s*perWorker : (s+1)*perWorker]; !slices.Equal(seen[w], mine) {

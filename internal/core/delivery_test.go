@@ -81,26 +81,41 @@ type broadcastResult struct {
 func runBroadcast(t *testing.T, policy DeliveryPolicy, sh declShape, latency func(i int) time.Duration) broadcastResult {
 	t.Helper()
 	rec := trace.New()
-	coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
 	for i := range sh.script {
-		coord.addNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
-			func(_ context.Context, sig Signal) (Outcome, error) {
-				if latency != nil {
-					if d := latency(i); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				switch sh.script[i][sig.Data.(int64)] {
-				case answerVeto:
-					return Outcome{Name: "veto"}, nil
-				case answerOther:
-					return Outcome{Name: fmt.Sprintf("other-%d-%s", i, sig.Name)}, nil
-				case answerError:
-					return Outcome{}, fmt.Errorf("act%d refused %s", i, sig.Name)
-				}
-				return Outcome{Name: fmt.Sprintf("ok-%d-%s", i, sig.Name)}, nil
-			}))
+		coord.addNamedAction("s", fmt.Sprintf("act%d", i), shapeAction(sh, i, latency))
 	}
+	set := shapeSet(sh, policy)
+	out, err := coord.processSignalSet(context.Background(), set)
+	if err != nil {
+		t.Fatalf("ProcessSignalSet(%s): %v", policy.Mode, err)
+	}
+	return shapeResult(t, out, set, rec)
+}
+
+// shapeAction is action i of a shape: it answers each signal by its script,
+// after latency(i) when latency is set.
+func shapeAction(sh declShape, i int, latency func(i int) time.Duration) Action {
+	return ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+		if latency != nil {
+			if d := latency(i); d > 0 {
+				time.Sleep(d)
+			}
+		}
+		switch sh.script[i][sig.Data.(int64)] {
+		case answerVeto:
+			return Outcome{Name: "veto"}, nil
+		case answerOther:
+			return Outcome{Name: fmt.Sprintf("other-%d-%s", i, sig.Name)}, nil
+		case answerError:
+			return Outcome{}, fmt.Errorf("act%d refused %s", i, sig.Name)
+		}
+		return Outcome{Name: fmt.Sprintf("ok-%d-%s", i, sig.Name)}, nil
+	})
+}
+
+// shapeSet declares a fresh set "s" of the shape, delivering by policy.
+func shapeSet(sh declShape, policy DeliveryPolicy) *SequenceSet {
 	signals := func(prefix string, from, n int) []Signal {
 		var sigs []Signal
 		for k := 0; k < n; k++ {
@@ -130,10 +145,12 @@ func runBroadcast(t *testing.T, policy DeliveryPolicy, sh declShape, latency fun
 		set.SetCompletionStatus(CompletionFailOnly)
 	}
 	set.SetDelivery(policy)
-	out, err := coord.processSignalSet(context.Background(), set)
-	if err != nil {
-		t.Fatalf("ProcessSignalSet(%s): %v", policy.Mode, err)
-	}
+	return set
+}
+
+// shapeResult encodes what a driven set of a shape was left with.
+func shapeResult(t *testing.T, out Outcome, set *SequenceSet, rec *trace.Recorder) broadcastResult {
+	t.Helper()
 	encode := func(outs ...Outcome) []byte {
 		e := cdr.NewEncoder(64)
 		for _, o := range outs {
@@ -233,7 +250,7 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 	for _, policy := range concurrentPolicies {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
 			rec := trace.New()
-			coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 1})
+			coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
 			var cancelled atomic.Int32
 			// act0 aborts immediately; the rest block until their context dies.
 			coord.addNamedAction("adv", "act0", ActionFunc(
@@ -288,7 +305,7 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 	run := func(policy DeliveryPolicy) []string {
 		rec := trace.New()
-		coord := newCoordinator("A", testGen(), rec, RetryPolicy{Attempts: 3})
+		coord := newCoordinator("A", rec, RetryPolicy{Attempts: 3})
 		for i := 0; i < 3; i++ {
 			var failures atomic.Int32
 			coord.addNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
@@ -389,7 +406,7 @@ func TestDeliveryPolicyResolution(t *testing.T) {
 func TestParallelWorkerBound(t *testing.T) {
 	bound := workers(1 << 20)
 	for _, policy := range concurrentPolicies {
-		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 		probe := &concurrencyProbe{}
 		for i := 0; i < 3*bound; i++ {
 			coord.addAction("s", probe.action())
@@ -424,7 +441,7 @@ func TestPolicyWorkersResolution(t *testing.T) {
 // set as a delivery error under concurrent delivery, exactly like serial.
 func TestParallelDeliveryErrorFeedsSet(t *testing.T) {
 	for _, policy := range append([]DeliveryPolicy{{}}, concurrentPolicies...) {
-		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 		coord.addNamedAction("s", "good", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
 				return Outcome{Name: "ok"}, nil

@@ -78,7 +78,7 @@ func TestIdempotentUnderAtLeastOnceCoordinator(t *testing.T) {
 		effects.Add(1)
 		return Outcome{Name: "applied"}, nil
 	})
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 3})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 3})
 	coord.addAction("s", Idempotent(inner))
 	set := NewSequenceSet("s", "one", "two")
 	if _, err := coord.processSignalSet(context.Background(), set); err != nil {

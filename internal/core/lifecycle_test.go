@@ -66,7 +66,7 @@ func TestAddActionRacingComplete(t *testing.T) {
 func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(2)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+			coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 			const n, enroller = 6, 1
 			var heard [n + 1]map[string]*atomic.Int32
 			listen := func(i int) Action {

@@ -131,12 +131,13 @@ func (m *ActivityManager) RegisterSignalSet(ctx context.Context, set SignalSet) 
 }
 
 // AddAction registers action with the named set on the context's activity.
-func (m *ActivityManager) AddAction(ctx context.Context, setName string, action Action) (ActionID, error) {
+func (m *ActivityManager) AddAction(ctx context.Context, setName string, action Action) error {
 	a, ok := FromContext(ctx)
 	if !ok {
-		return ActionID{}, ErrNoCurrentActivity
+		return ErrNoCurrentActivity
 	}
-	return a.AddAction(setName, action)
+	_, err := a.AddAction(setName, action)
+	return err
 }
 
 // Broadcast drives the named SignalSet on the context's activity now.

@@ -114,7 +114,7 @@ func TestActivityManagerPlugsHLSIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	act := &collectingAction{name: "hls-action"}
-	if _, err := am.AddAction(ctx, "hls-proto", act); err != nil {
+	if err := am.AddAction(ctx, "hls-proto", act); err != nil {
 		t.Fatal(err)
 	}
 	out, err := am.Broadcast(ctx, "hls-proto")
@@ -159,7 +159,7 @@ func TestActivityManagerNoContext(t *testing.T) {
 	if err := am.RegisterSignalSet(ctx, NewSequenceSet("s")); !errors.Is(err, ErrNoCurrentActivity) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := am.AddAction(ctx, "s", okAction()); !errors.Is(err, ErrNoCurrentActivity) {
+	if err := am.AddAction(ctx, "s", okAction()); !errors.Is(err, ErrNoCurrentActivity) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := am.Broadcast(ctx, "s"); !errors.Is(err, ErrNoCurrentActivity) {

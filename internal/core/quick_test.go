@@ -28,7 +28,7 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 	f := func(nSignals, nActions uint8) bool {
 		a := int(nSignals%5) + 1
 		n := int(nActions%8) + 1
-		coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 		var (
 			mu    sync.Mutex
 			order []string

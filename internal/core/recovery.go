@@ -109,21 +109,20 @@ func (a *Activity) RegisterRecoverableSignalSet(factoryName string, params []byt
 
 // AddRecoverableAction creates an Action through the service's named
 // factory, registers it with the named set and journals the registration.
-func (a *Activity) AddRecoverableAction(setName, factoryName string, params []byte) (ActionID, error) {
+func (a *Activity) AddRecoverableAction(setName, factoryName string, params []byte) error {
 	f, err := a.svc.actionFactory(factoryName)
 	if err != nil {
-		return ActionID{}, err
+		return err
 	}
 	action, err := f(params)
 	if err != nil {
-		return ActionID{}, fmt.Errorf("core: action factory %q: %w", factoryName, err)
+		return fmt.Errorf("core: action factory %q: %w", factoryName, err)
 	}
-	id, err := a.AddAction(setName, action)
-	if err != nil {
-		return ActionID{}, err
+	if _, err := a.AddAction(setName, action); err != nil {
+		return err
 	}
 	a.svc.journal.actionRegistered(a.id, setName, factoryName, params)
-	return id, nil
+	return nil
 }
 
 // recoveredRecord accumulates one activity's journaled history.

@@ -32,7 +32,7 @@ func TestRecoverRebuildsInFlightTree(t *testing.T) {
 	if _, err := child.RegisterRecoverableSignalSet("seq", []byte("wrap-up")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := child.AddRecoverableAction(DefaultCompletionSet, "ok", []byte("p1")); err != nil {
+	if err := child.AddRecoverableAction(DefaultCompletionSet, "ok", []byte("p1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := child.SetCompletionStatus(CompletionFail); err != nil {
@@ -156,7 +156,7 @@ func TestRecoverableRegistrationRequiresFactory(t *testing.T) {
 	if _, err := a.RegisterRecoverableSignalSet("ghost", nil); err == nil {
 		t.Fatal("unknown set factory accepted")
 	}
-	if _, err := a.AddRecoverableAction("s", "ghost", nil); err == nil {
+	if err := a.AddRecoverableAction("s", "ghost", nil); err == nil {
 		t.Fatal("unknown action factory accepted")
 	}
 }

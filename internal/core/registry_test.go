@@ -1,26 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-)
+	"testing/quick"
 
-// regIDs lists a snapshot's registration ids, in order.
-func regIDs(regs []registration) []ActionID {
-	out := make([]ActionID, len(regs))
-	for i := range regs {
-		out[i] = regs[i].id
-	}
-	return out
-}
+	"github.com/extendedtx/activityservice/internal/trace"
+)
 
 // enrolled is one registration a registry test expects to find.
 type enrolled struct {
-	id    ActionID
 	label string // what its action records when signalled
 	named bool   // registered with AddNamedAction under label
 }
@@ -30,7 +26,7 @@ type enrolled struct {
 // across the names, and checks that each set keeps its own registration
 // order, count and labels, and delivers in that order.
 func TestRegistryManySetNames(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	const names = 11
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 	var mu sync.Mutex
@@ -49,9 +45,9 @@ func TestRegistryManySetNames(t *testing.T) {
 			name := setName(n)
 			e := enrolled{label: fmt.Sprintf("%s/r%d", name, round), named: (round+n)%2 == 1}
 			if e.named {
-				e.id = coord.addNamedAction(name, e.label, recorder(name, e.label))
+				coord.addNamedAction(name, e.label, recorder(name, e.label))
 			} else {
-				e.id = coord.addAction(name, recorder(name, e.label))
+				coord.addAction(name, recorder(name, e.label))
 			}
 			want[name] = append(want[name], e)
 		}
@@ -64,8 +60,8 @@ func TestRegistryManySetNames(t *testing.T) {
 			t.Fatalf("%s: %d registrations, ActionCount %d, want %d", name, len(regs), coord.ActionCount(name), len(want[name]))
 		}
 		for i, e := range want[name] {
-			if regs[i].id != e.id {
-				t.Fatalf("%s: registration %d is %v, want %v", name, i, regs[i].id, e.id)
+			if !e.named && regs[i].seq == 0 {
+				t.Fatalf("%s: registration %d has no default label", name, i)
 			}
 			if e.named && regs[i].name() != e.label {
 				t.Fatalf("%s: registration %d labelled %q, want %q", name, i, regs[i].name(), e.label)
@@ -95,24 +91,24 @@ func TestRegistryManySetNames(t *testing.T) {
 // delivers over, then appends within the set's reserved room and grows the
 // table of set names: the snapshot is unchanged by each.
 func TestRegistrySnapshotOutlivesMutation(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
-	a := coord.addAction("s", noopTestAction{})
-	b := coord.addAction("s", noopTestAction{})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	coord.addAction("s", tagAction(1))
+	coord.addAction("s", tagAction(2))
 	snap := coord.actions("s")
-	want := []ActionID{a, b}
+	want := []Action{tagAction(1), tagAction(2)}
 
-	c := coord.addAction("s", noopTestAction{}) // fits the reserved room
-	if got := regIDs(snap); !slices.Equal(got, want) {
+	coord.addAction("s", tagAction(3)) // fits the reserved room
+	if got := regActions(snap); !slices.Equal(got, want) {
 		t.Fatalf("after an append: snapshot %v, want %v", got, want)
 	}
 	for i := 0; i < 9; i++ {
 		coord.addAction(fmt.Sprintf("other-%d", i), noopTestAction{})
 	}
-	d := coord.addAction("s", noopTestAction{})
-	if got := regIDs(snap); !slices.Equal(got, want) {
+	coord.addAction("s", tagAction(4))
+	if got := regActions(snap); !slices.Equal(got, want) {
 		t.Fatalf("after new set names: snapshot %v, want %v", got, want)
 	}
-	if got, now := regIDs(coord.actions("s")), []ActionID{a, b, c, d}; !slices.Equal(got, now) {
+	if got, now := regActions(coord.actions("s")), []Action{tagAction(1), tagAction(2), tagAction(3), tagAction(4)}; !slices.Equal(got, now) {
 		t.Fatalf("current registrations %v, want %v", got, now)
 	}
 }
@@ -123,7 +119,7 @@ func TestRegistrySnapshotOutlivesMutation(t *testing.T) {
 // gets its own.
 func TestRegistryDriverReusedForSetDrivenTwice(t *testing.T) {
 	ctx := context.Background()
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	coord.addAction("s", noopTestAction{})
 	set := NewSequenceSet("s", "ping")
 	if coord.SetState(set) != StateWaiting {
@@ -184,17 +180,19 @@ func TestRegistryDuplicateSignalSetAmongMany(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegistrationAcrossSetNames races enrolment, snapshots and
-// driver lookups over overlapping set names, more of them than any
-// reserved room, so the table of entries grows while others read it. Each
-// snapshot must stay as it was taken, and every set ends with the exact
-// count. Run under -race it pins the registry's locking.
+// TestConcurrentRegistrationAcrossSetNames races enrolment, one by one and
+// in runs, against snapshots and driver lookups over overlapping set
+// names, more of them than any reserved room, so the table of entries
+// grows while others read it. Each snapshot must stay as it was taken, and
+// every set ends with the exact count. Run under -race it pins the
+// registry's locking.
 func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
-	coord := newCoordinator("race", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("race", nil, RetryPolicy{Attempts: 1})
 	const (
 		names   = 12
 		workers = 4
-		adds    = 20 // per worker per name
+		adds    = 20 // one by one, per worker per name
+		run     = 3  // then in one run
 	)
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 	var wg sync.WaitGroup
@@ -210,10 +208,10 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 			}
 			name := setName(i % names)
 			snap := coord.actions(name)
-			before := regIDs(snap)
+			before := regActions(snap)
 			coord.SetState(NewSequenceSet(name, "x"))
 			coord.ActionCount(name)
-			if after := regIDs(snap); !slices.Equal(before, after) {
+			if after := regActions(snap); !slices.Equal(before, after) {
 				t.Errorf("%s: snapshot changed from %v to %v", name, before, after)
 				return
 			}
@@ -226,13 +224,15 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 			defer writers.Done()
 			for k := 0; k < names; k++ {
 				name := setName((k + w*3) % names)
+				tag := func(i int) tagAction { return tagAction((w*names+k)*(adds+run) + i) }
 				for i := 0; i < adds; i++ {
 					if i%2 == 0 {
-						coord.addAction(name, noopTestAction{})
+						coord.addAction(name, tag(i))
 					} else {
-						coord.addNamedAction(name, "n", noopTestAction{})
+						coord.addNamedAction(name, "n", tag(i))
 					}
 				}
+				coord.register(name, "", true, []Action{tag(adds), tag(adds + 1), tag(adds + 2)})
 				coord.driverFor(NewSequenceSet(name, "x"))
 			}
 		}(w)
@@ -241,8 +241,102 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	for n := 0; n < names; n++ {
-		if got, want := coord.ActionCount(setName(n)), workers*adds; got != want {
+		if got, want := coord.ActionCount(setName(n)), workers*(adds+run); got != want {
 			t.Fatalf("%s: %d registrations, want %d", setName(n), got, want)
 		}
+	}
+}
+
+// TestDifferentialEnrolRunMatchesOneByOne enrols the same generated
+// actions by one AddActions call and by one AddAction per action, after a
+// default-labelled enrolment in another set that offsets the numbering,
+// and completes the activity. Under serial, Parallel() and Tree(4)
+// delivery both must leave byte-identical traces (default labels
+// included), responses, collated outcomes and failure choices.
+func TestDifferentialEnrolRunMatchesOneByOne(t *testing.T) {
+	complete := func(policy DeliveryPolicy, sh declShape, asRun bool) broadcastResult {
+		rec := trace.New()
+		a := New(WithTrace(rec)).Begin("A")
+		set := shapeSet(sh, policy)
+		if err := a.RegisterSignalSet(set); err != nil {
+			t.Fatal(err)
+		}
+		a.SetCompletionSet("s")
+		if _, err := a.AddAction("other", noopTestAction{}); err != nil {
+			t.Fatal(err)
+		}
+		actions := make([]Action, len(sh.script))
+		for i := range actions {
+			actions[i] = shapeAction(sh, i, nil)
+		}
+		if asRun {
+			if err := a.AddActions("s", actions...); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, action := range actions {
+				if _, err := a.AddAction("s", action); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := a.Coordinator().ActionCount("s"); n != len(actions) {
+			t.Fatalf("%d registrations, want %d", n, len(actions))
+		}
+		out, err := a.Complete(context.Background())
+		if err != nil {
+			t.Fatalf("Complete(%s): %v", policy.Mode, err)
+		}
+		return shapeResult(t, out, set, rec)
+	}
+	f := func(nSignals, nActions, decl uint8, scriptSeed int64) bool {
+		sh := genShape(int(nSignals%4)+1, int(nActions%16)+1, decl, scriptSeed)
+		for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(4)} {
+			run, one := complete(policy, sh, true), complete(policy, sh, false)
+			if !bytes.Equal(run.outcome, one.outcome) || !bytes.Equal(run.responses, one.responses) || run.failed != one.failed {
+				t.Logf("shape %+v, %s: run outcome=%x responses=%x failed=%v, one by one outcome=%x responses=%x failed=%v",
+					sh, policy.Mode, run.outcome, run.responses, run.failed, one.outcome, one.responses, one.failed)
+				return false
+			}
+			if !slices.Equal(run.trace, one.trace) {
+				t.Logf("shape %+v, %s: trace mismatch:\nrun:\n%s\none by one:\n%s", sh, policy.Mode,
+					strings.Join(run.trace, "\n"), strings.Join(one.trace, "\n"))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnrolRunRefusedOnceCompleting checks the completion gate holds for a
+// run as a whole: a run enrolled before Complete hears the completion set,
+// one after it is refused with none of its actions enrolled.
+func TestEnrolRunRefusedOnceCompleting(t *testing.T) {
+	a := New().Begin("A")
+	var heard atomic.Int32
+	hear := ActionFunc(func(context.Context, Signal) (Outcome, error) {
+		heard.Add(1)
+		return Outcome{Name: "ok"}, nil
+	})
+	if err := a.RegisterSignalSet(NewSequenceSet(DefaultCompletionSet, "go")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddActions(DefaultCompletionSet, hear, hear, hear); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddActions(DefaultCompletionSet); err != nil {
+		t.Fatalf("empty run: %v", err)
+	}
+	if _, err := a.Complete(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddActions(DefaultCompletionSet, hear, hear); !errors.Is(err, ErrActivityInactive) {
+		t.Fatalf("run after Complete: err = %v, want ErrActivityInactive", err)
+	}
+	if n, c := heard.Load(), a.Coordinator().ActionCount(DefaultCompletionSet); n != 3 || c != 3 {
+		t.Fatalf("%d deliveries over %d registrations, want 3 and 3", n, c)
 	}
 }

@@ -131,7 +131,7 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 	for _, o := range opts {
 		o.applyBegin(a)
 	}
-	a.coord.init(name, s.gen, s.rec, s.retry)
+	a.coord.init(name, s.rec, s.retry)
 	s.liveMu.Lock()
 	s.live[a.id] = a
 	s.liveMu.Unlock()

@@ -79,7 +79,7 @@ func TestBaseSetCompletionStatusSticky(t *testing.T) {
 // TestSignalSetStateMachine exercises fig. 7: Waiting → GetSignal → End,
 // with no reuse after End.
 func TestSignalSetStateMachine(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("s", "one", "two")
 	coord.addAction("s", ActionFunc(func(context.Context, Signal) (Outcome, error) {
 		return Outcome{Name: "ok"}, nil
@@ -105,7 +105,7 @@ func TestSignalSetStateMachine(t *testing.T) {
 // TestSignalSetWaitingToEndDirectly covers the fig. 7 edge where a set has
 // no signals at all: Waiting → End without passing through GetSignal.
 func TestSignalSetWaitingToEndDirectly(t *testing.T) {
-	coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("empty")
 	out, err := coord.processSignalSet(context.Background(), set)
 	if err != nil {

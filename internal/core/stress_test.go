@@ -86,7 +86,7 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(4)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", testGen(), nil, RetryPolicy{Attempts: 1})
+			coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
 			var delivered atomic.Int32
 			slowAction := ActionFunc(func(context.Context, Signal) (Outcome, error) {
 				delivered.Add(1)

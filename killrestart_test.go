@@ -224,10 +224,10 @@ func TestCrashRestartHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range strings.Split(os.Getenv(crashEnvActions), "\n") {
-			if _, err := atom.Activity().AddRecoverableAction(btp.PrepareSetName, remoteActionFactory, []byte(s)); err != nil {
+			if err := atom.Activity().AddRecoverableAction(btp.PrepareSetName, remoteActionFactory, []byte(s)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := atom.Activity().AddRecoverableAction(btp.CompleteSetName, remoteActionFactory, []byte(s)); err != nil {
+			if err := atom.Activity().AddRecoverableAction(btp.CompleteSetName, remoteActionFactory, []byte(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
