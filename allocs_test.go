@@ -22,11 +22,12 @@ func TestAllocsShardRouterRoute(t *testing.T) {
 // at 8 allocs/op, for 8 participants and for 1: the activity with its
 // embedded coordinator, the transaction and its signal set (3), the
 // activity's one-set slice and the coordinator's one-entry slice (2), the
-// set's driver (1), the staged ResourceActions — one backing array, sized
-// by the coordinator's previous transaction (1) — and the registrations,
-// grown once by the run that enrols them (1). The run's action slice
-// lives on the stack, trace labels are not formatted without a recorder,
-// no map is made and a broadcast's snapshot is not a copy.
+// set's driver (1), the staged ResourceActions — one backing array of
+// twopc's eight reserved slots, whatever the participant count (1) — and
+// the registrations, grown once by the run that enrols them (1). The
+// run's action slice lives on the stack, trace labels are not formatted
+// without a recorder, no map is made and a broadcast's snapshot is not a
+// copy.
 func TestAllocsTwoPhaseCommit(t *testing.T) {
 	for _, participants := range []int{1, 8} {
 		t.Run(fmt.Sprintf("participants=%d", participants), func(t *testing.T) {

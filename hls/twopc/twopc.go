@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ots"
@@ -132,7 +131,6 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 type Coordinator struct {
 	svc      *core.Service
 	delivery core.DeliveryPolicy
-	reserve  atomic.Int64 // participants the last transaction staged: the next reserves as many
 }
 
 // CoordinatorOption configures a Coordinator.
@@ -160,21 +158,23 @@ func NewCoordinator(svc *core.Service, opts ...CoordinatorOption) *Coordinator {
 	return c
 }
 
-// Transaction is one activity-coordinated transaction. It is safe for
-// concurrent use. No signal reaches a participant before completion, so
-// Enlist stages its participant; the staged run is enrolled in one step
-// before an EnlistNamed or EnlistAction enrols its own (keeping enlistment
-// order) and when Commit, Rollback or Activity ends the staging. After
-// that, Enlist enrols at once, and is refused with core.ErrActivityInactive
-// once completion has started.
+// Transaction is one activity-coordinated transaction, safe for concurrent
+// use. Enlist stages its participant; the staged run is enrolled in one
+// step before an EnlistNamed or EnlistAction enrols its own, and when
+// Commit, Rollback or Activity ends the staging. After that, Enlist enrols
+// at once, refused with core.ErrActivityInactive once completion starts.
 type Transaction struct {
 	activity *core.Activity
-	coord    *Coordinator
 
 	mu     sync.Mutex
 	staged []ResourceAction // enlisted, not yet enrolled; one backing array
 	ended  bool             // staging is over
 }
+
+// stageRoom is the room a transaction reserves for staged participants: a
+// run of up to this many costs one allocation and enrols from the stack; a
+// longer one costs one more, and another per doubling of the staging.
+const stageRoom = 8
 
 // Begin starts a transaction as an activity whose completion runs 2PC.
 func (c *Coordinator) Begin(name string) (*Transaction, error) {
@@ -189,7 +189,7 @@ func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
 		return nil, err
 	}
 	a.SetCompletionSet(SetName)
-	return &Transaction{activity: a, coord: c, staged: make([]ResourceAction, 0, c.reserve.Load())}, nil
+	return &Transaction{activity: a, staged: make([]ResourceAction, 0, stageRoom)}, nil
 }
 
 // Activity exposes the backing activity, ending the staging first so that
@@ -230,20 +230,16 @@ func (t *Transaction) EnlistAction(a core.Action) error {
 }
 
 // flush enrols the staged participants as one run, first ending the
-// staging if end is set; the first end leaves the count as the room the
-// coordinator's next transaction reserves. Room left in the backing array
-// stays staged: appending there moves no enrolled participant.
+// staging if end is set. Room left in the backing array stays staged:
+// appending there moves no enrolled participant.
 func (t *Transaction) flush(end bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if end && !t.ended {
-		t.coord.reserve.Store(int64(len(t.staged)))
-		t.ended = true
-	}
+	t.ended = t.ended || end
 	if len(t.staged) == 0 {
 		return nil
 	}
-	var buf [8]core.Action // a run of up to eight needs no heap slice
+	var buf [stageRoom]core.Action
 	run := slices.Grow(buf[:0], len(t.staged))
 	for i := range t.staged {
 		run = append(run, &t.staged[i])

@@ -402,110 +402,63 @@ func TestParallelVetoRollsBack(t *testing.T) {
 
 // TestFailOnlyRollbackCompletes covers an activity whose status is already
 // FailOnly — marked by the application, or by a WithTimeout that fired:
-// Rollback still completes it, and every resource is rolled back once.
+// Rollback, and Commit too, completes it with that status, and every
+// resource hears one rollback and no prepare. Commit reports false with no
+// error, as ots's commit of a rollback-only transaction does.
 func TestFailOnlyRollbackCompletes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		begin func(svc *core.Service, c *Coordinator) (*Transaction, error)
+		begin func(svc *core.Service) (*core.Activity, error)
 	}{
-		{"marked", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
-			tx, err := c.Begin("T")
-			if err != nil {
-				return nil, err
-			}
-			return tx, tx.Activity().SetCompletionStatus(core.CompletionFailOnly)
+		{"marked", func(svc *core.Service) (*core.Activity, error) {
+			a := svc.Begin("T")
+			return a, a.SetCompletionStatus(core.CompletionFailOnly)
 		}},
-		{"timed-out", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
-			tx, err := c.begin(svc.Begin("T", core.WithTimeout(time.Millisecond)))
-			if err != nil {
-				return nil, err
-			}
-			for tx.Activity().CompletionStatus() != core.CompletionFailOnly {
-				time.Sleep(time.Millisecond)
-			}
-			return tx, nil
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			svc := core.New()
-			tx, err := tc.begin(svc, NewCoordinator(svc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
-			for _, r := range rs {
-				if err := tx.Enlist(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tx.Rollback(context.Background()); err != nil {
-				t.Fatalf("rollback: %v", err)
-			}
-			for i, r := range rs {
-				if calls := r.Calls(); len(calls) != 1 || calls[0] != "rollback" {
-					t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
-				}
-			}
-			if st := tx.Activity().State(); st != core.ActivityCompleted {
-				t.Fatalf("activity state = %s", st)
-			}
-			if n := svc.Live(); n != 0 {
-				t.Fatalf("Live() = %d, want 0", n)
-			}
-		})
-	}
-}
-
-// TestCommitFailOnlyRollsBack covers Commit on an activity whose status is
-// already FailOnly — marked by the application, or by a WithTimeout that
-// fired: Commit completes it with that status, every resource hears one
-// rollback and no prepare, and Commit reports false with no error.
-func TestCommitFailOnlyRollsBack(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		begin func(svc *core.Service, c *Coordinator) (*Transaction, error)
-	}{
-		{"marked", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
-			tx, err := c.Begin("T")
-			if err != nil {
-				return nil, err
-			}
-			return tx, tx.Activity().SetCompletionStatus(core.CompletionFailOnly)
-		}},
-		{"timed-out", func(svc *core.Service, c *Coordinator) (*Transaction, error) {
+		{"timed-out", func(svc *core.Service) (*core.Activity, error) {
 			a := svc.Begin("T", core.WithTimeout(time.Millisecond))
 			for a.CompletionStatus() != core.CompletionFailOnly {
 				time.Sleep(time.Millisecond)
 			}
-			return c.begin(a)
+			return a, nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := core.New()
-			tx, err := tc.begin(svc, NewCoordinator(svc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
-			for _, r := range rs {
-				if err := tx.Enlist(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			committed, err := tx.Commit(context.Background())
-			if err != nil || committed {
-				t.Fatalf("Commit = %v, %v; want false, nil", committed, err)
-			}
-			for i, r := range rs {
-				if calls := r.Calls(); !slices.Equal(calls, []string{"rollback"}) {
-					t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
-				}
-			}
-			if st := tx.Activity().State(); st != core.ActivityCompleted {
-				t.Fatalf("activity state = %s", st)
-			}
-			if n := svc.Live(); n != 0 {
-				t.Fatalf("Live() = %d, want 0", n)
+			for _, complete := range []string{"rollback", "commit"} {
+				t.Run(complete, func(t *testing.T) {
+					svc := core.New()
+					a, err := tc.begin(svc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tx, err := NewCoordinator(svc).begin(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs := []*scriptedResource{newResource(ots.VoteCommit), newResource(ots.VoteCommit)}
+					for _, r := range rs {
+						if err := tx.Enlist(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if complete == "commit" {
+						if committed, err := tx.Commit(context.Background()); err != nil || committed {
+							t.Fatalf("Commit = %v, %v; want false, nil", committed, err)
+						}
+					} else if err := tx.Rollback(context.Background()); err != nil {
+						t.Fatalf("rollback: %v", err)
+					}
+					for i, r := range rs {
+						if calls := r.Calls(); !slices.Equal(calls, []string{"rollback"}) {
+							t.Fatalf("resource %d calls = %v, want [rollback]", i, calls)
+						}
+					}
+					if st := a.State(); st != core.ActivityCompleted {
+						t.Fatalf("activity state = %s", st)
+					}
+					if n := svc.Live(); n != 0 {
+						t.Fatalf("Live() = %d, want 0", n)
+					}
+				})
 			}
 		})
 	}
