@@ -330,7 +330,11 @@ func BenchmarkTreeFanout(b *testing.B) {
 // twoPhaseCommit returns one BenchmarkFig08TwoPhaseCommit commit: begin an
 // in-process 2PC activity, enlist participants no-op resources, commit.
 func twoPhaseCommit(tb testing.TB, participants int) func() {
-	coord := twopc.NewCoordinator(activityservice.New())
+	return twoPhaseCommitOn(tb, twopc.NewCoordinator(activityservice.New()), participants)
+}
+
+// twoPhaseCommitOn is twoPhaseCommit on a given coordinator.
+func twoPhaseCommitOn(tb testing.TB, coord *twopc.Coordinator, participants int) func() {
 	ctx := context.Background()
 	return func() {
 		tx, err := coord.Begin("bench")

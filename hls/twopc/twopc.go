@@ -55,11 +55,11 @@ var (
 	rollBack       = []core.Signal{{Name: SignalRollback}}
 )
 
-// NewSignalSet returns a fresh 2PCSignalSet of fig. 8 (sets are
-// single-use, per fig. 7).
-func NewSignalSet() *core.SequenceSet {
-	return core.NewSequenceSet(SetName).
-		Signals(voteThenCommit...).
+// initSignalSet makes s, a zero SequenceSet, a fresh 2PCSignalSet of
+// fig. 8 (sets are single-use, per fig. 7).
+func initSignalSet(s *core.SequenceSet) *core.SequenceSet {
+	s.BaseSet = core.NewBaseSet(SetName)
+	return s.Signals(voteThenCommit...).
 		OnFailure(rollBack...).
 		Veto(OutcomeAbort).
 		Outcomes(ResultCommitted, ResultRolledBack)
@@ -165,15 +165,16 @@ func NewCoordinator(svc *core.Service, opts ...CoordinatorOption) *Coordinator {
 // at once, refused with core.ErrActivityInactive once completion starts.
 type Transaction struct {
 	activity *core.Activity
+	set      core.SequenceSet // the activity's completion set
 
 	mu     sync.Mutex
-	staged []ResourceAction // enlisted, not yet enrolled; one backing array
-	ended  bool             // staging is over
+	staged []ResourceAction // enlisted, not yet enrolled; nil once staging is over
+	room   [stageRoom]ResourceAction
 }
 
-// stageRoom is the room a transaction reserves for staged participants: a
-// run of up to this many costs one allocation and enrols from the stack; a
-// longer one costs one more, and another per doubling of the staging.
+// stageRoom is the room a transaction carries for staged participants: a
+// run of up to this many enrols from the stack and allocates nothing; a
+// longer one costs one allocation, and another per doubling.
 const stageRoom = 8
 
 // Begin starts a transaction as an activity whose completion runs 2PC.
@@ -183,13 +184,15 @@ func (c *Coordinator) Begin(name string) (*Transaction, error) {
 
 // begin makes the begun activity a transaction.
 func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
-	set := NewSignalSet()
+	t := &Transaction{activity: a}
+	t.staged = t.room[:0]
+	set := initSignalSet(&t.set)
 	set.SetDelivery(c.delivery)
 	if err := a.RegisterSignalSet(set); err != nil {
 		return nil, err
 	}
 	a.SetCompletionSet(SetName)
-	return &Transaction{activity: a, staged: make([]ResourceAction, 0, stageRoom)}, nil
+	return t, nil
 }
 
 // Activity exposes the backing activity, ending the staging first so that
@@ -203,7 +206,7 @@ func (t *Transaction) Activity() *core.Activity {
 func (t *Transaction) Enlist(r ots.Resource) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ended {
+	if t.staged == nil {
 		_, err := t.activity.AddAction(SetName, NewResourceAction(r))
 		return err
 	}
@@ -235,16 +238,19 @@ func (t *Transaction) EnlistAction(a core.Action) error {
 func (t *Transaction) flush(end bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ended = t.ended || end
-	if len(t.staged) == 0 {
+	staged := t.staged
+	t.staged = staged[len(staged):]
+	if end {
+		t.staged = nil
+	}
+	if len(staged) == 0 {
 		return nil
 	}
 	var buf [stageRoom]core.Action
-	run := slices.Grow(buf[:0], len(t.staged))
-	for i := range t.staged {
-		run = append(run, &t.staged[i])
+	run := slices.Grow(buf[:0], len(staged))
+	for i := range staged {
+		run = append(run, &staged[i])
 	}
-	t.staged = t.staged[len(t.staged):]
 	return t.activity.AddActions(SetName, run...)
 }
 
@@ -253,7 +259,7 @@ func (t *Transaction) flush(end bool) error {
 // out) rolls back: Commit reports false with no error.
 func (t *Transaction) Commit(ctx context.Context) (bool, error) {
 	out, err := t.complete(ctx, core.CompletionSuccess)
-	if err != nil {
+	if err != nil && !errors.Is(err, core.ErrCompletionStatusFixed) {
 		return false, fmt.Errorf("twopc: complete: %w", err)
 	}
 	return out.Name == ResultCommitted, nil
@@ -273,8 +279,5 @@ func (t *Transaction) complete(ctx context.Context, cs core.CompletionStatus) (c
 	if err := t.flush(true); err != nil {
 		return core.Outcome{}, err
 	}
-	if err := t.activity.SetCompletionStatus(cs); err != nil && !errors.Is(err, core.ErrCompletionStatusFixed) {
-		return core.Outcome{}, err
-	}
-	return t.activity.Complete(ctx)
+	return t.activity.CompleteWithStatus(ctx, cs)
 }

@@ -81,7 +81,8 @@ type Activity struct {
 	state         ActivityState
 	cs            CompletionStatus
 	children      map[ids.UID]*Activity
-	sets          []SignalSet // registered sets, one per name
+	sets          []SignalSet  // registered sets, one per name
+	setRoom       [1]SignalSet // sets' first backing array
 	pgroups       map[string]PropertyGroup
 	completionSet string
 	outcome       Outcome
@@ -326,6 +327,23 @@ func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) 
 // driving the completion SignalSet (if one is registered) and recording
 // the collated outcome. All child activities must have completed.
 func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
+	return a.complete(ctx, 0)
+}
+
+// CompleteWithStatus sets the completion status and completes, under one
+// lock. A FailOnly activity cannot take Success (§3.2.1): it completes
+// with its failure outcome, returned with an error wrapping
+// ErrCompletionStatusFixed, as a rollback-only OTS commit rolls back and
+// raises. A value that is no status is refused, completing nothing.
+func (a *Activity) CompleteWithStatus(ctx context.Context, cs CompletionStatus) (Outcome, error) {
+	if !cs.Valid() {
+		return Outcome{}, fmt.Errorf("%w: %d", ErrInvalidCompletionStatus, int(cs))
+	}
+	return a.complete(ctx, cs)
+}
+
+// complete is Complete, first setting the status to cs unless it is zero.
+func (a *Activity) complete(ctx context.Context, cs CompletionStatus) (Outcome, error) {
 	a.mu.Lock()
 	// Checked under a.mu, together with the state change below, so a
 	// BeginChild cannot slip a child in between.
@@ -343,17 +361,22 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 		a.mu.Unlock()
 		return Outcome{}, fmt.Errorf("%w: %s in state %s", ErrActivityInactive, a.name, st)
 	}
+	fixed := a.cs == CompletionFailOnly && cs == CompletionSuccess
+	if cs != 0 && a.cs != CompletionFailOnly {
+		a.cs = cs
+		a.svc.journal.statusSet(a.id, cs)
+	}
 	a.state = ActivityCompleting
-	cs := a.cs
+	cs = a.cs
 	setName := a.completionSet
 	if setName == "" {
 		setName = DefaultCompletionSet
 	}
-	set, hasSet := a.signalSet(setName)
+	set, _ := a.signalSet(setName)
 	a.mu.Unlock()
-	// Before the completion set's first snapshot: from here on, enrolment
-	// is refused rather than missing a signal.
-	a.coord.closeEnrolment()
+	// Before the completion set's snapshot: from here on, enrolment is
+	// refused rather than missing a signal.
+	driver, regs := a.coord.start(set, true)
 
 	if a.timer != nil {
 		a.timer.Stop()
@@ -361,9 +384,9 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 
 	outcome := Outcome{Name: defaultOutcomeName(cs)}
 	var err error
-	if hasSet {
+	if driver != nil {
 		set.SetCompletionStatus(cs)
-		outcome, err = a.coord.processSignalSet(ctx, set)
+		outcome, err = a.coord.drive(ctx, driver, regs, true)
 	}
 
 	a.mu.Lock()
@@ -378,15 +401,10 @@ func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("core: complete %s: %w", a.name, err)
 	}
-	return outcome, nil
-}
-
-// CompleteWithStatus sets the completion status, then completes.
-func (a *Activity) CompleteWithStatus(ctx context.Context, cs CompletionStatus) (Outcome, error) {
-	if err := a.SetCompletionStatus(cs); err != nil {
-		return Outcome{}, err
+	if fixed {
+		return outcome, fmt.Errorf("%w: %s completed with %q", ErrCompletionStatusFixed, a.name, outcome.Name)
 	}
-	return a.Complete(ctx)
+	return outcome, nil
 }
 
 // Outcome returns the recorded completion outcome once completed.

@@ -119,6 +119,48 @@ func TestFailOnlyCompletesWithFail(t *testing.T) {
 	}
 }
 
+// TestFailOnlyCompleteWithSuccessFails: Success cannot be set on a
+// FailOnly activity, yet completing with it still completes the activity,
+// through the failure sequence, and records the failure outcome; the
+// error tells the caller its status was not taken.
+func TestFailOnlyCompleteWithSuccessFails(t *testing.T) {
+	svc := New()
+	a := svc.Begin("A")
+	set := NewSequenceSet(DefaultCompletionSet).
+		Signals(Signal{Name: "commit"}).
+		OnFailure(Signal{Name: "undo"}).
+		Outcomes("done", "undone")
+	if err := a.RegisterSignalSet(set); err != nil {
+		t.Fatal(err)
+	}
+	var heard []string
+	if _, err := a.AddAction(DefaultCompletionSet, ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+		heard = append(heard, sig.Name)
+		return Outcome{Name: "ok"}, nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetCompletionStatus(CompletionFailOnly); err != nil {
+		t.Fatal(err)
+	}
+	out, err := a.CompleteWithStatus(context.Background(), CompletionSuccess)
+	if !errors.Is(err, ErrCompletionStatusFixed) {
+		t.Fatalf("err = %v, want ErrCompletionStatusFixed", err)
+	}
+	if out.Name != "undone" || len(heard) != 1 || heard[0] != "undo" || !set.Failed() {
+		t.Fatalf("outcome %q, heard %v, failed %v: want the failure sequence", out.Name, heard, set.Failed())
+	}
+	if a.State() != ActivityCompleted || svc.Live() != 0 {
+		t.Fatalf("state %s, live %d: want completed and forgotten", a.State(), svc.Live())
+	}
+	if stored, ok := a.Outcome(); !ok || stored.Name != "undone" {
+		t.Fatalf("stored outcome %+v ok=%v", stored, ok)
+	}
+	if cs := a.CompletionStatus(); cs != CompletionFailOnly {
+		t.Fatalf("status = %s, want FailOnly", cs)
+	}
+}
+
 func TestCompleteRejectsActiveChildren(t *testing.T) {
 	svc := New()
 	a := svc.Begin("parent")

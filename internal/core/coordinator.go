@@ -71,13 +71,17 @@ type Coordinator struct {
 	rec   *trace.Recorder
 	retry RetryPolicy
 
-	// mu guards the per-set-name entries, the default-label counter and
-	// the enrolment gate. sets holds one entry per name in first-use
-	// order; an append may move them, so no pointer into it outlives mu.
+	// mu guards the fields below. sets holds one entry per name in
+	// first-use order; an append may move them, so no pointer into it
+	// outlives mu.
 	mu     sync.Mutex
 	sets   []setEntry
 	seq    int64 // the last default label number handed out
 	closed bool  // enrolment refused: the owning activity is completing
+	// The first name's entry and the first driven set's driver: later ones
+	// go to the heap. A driver pointer outlives mu, so it is never in sets.
+	entryRoom  [1]setEntry
+	driverRoom setDriver
 }
 
 // init sets up a zero Coordinator in place, which lets an Activity hold
@@ -87,6 +91,7 @@ func (c *Coordinator) init(owner string, rec *trace.Recorder, retry RetryPolicy)
 		retry.Attempts = 1
 	}
 	c.owner, c.rec, c.retry = owner, rec, retry
+	c.sets = c.entryRoom[:0]
 }
 
 // register appends actions to setName's registrations in order, each
@@ -144,12 +149,28 @@ func (c *Coordinator) entryFor(name string) *setEntry {
 	return &c.sets[len(c.sets)-1]
 }
 
-// closeEnrolment refuses every later registration. An activity calls
-// it as it starts completing, before the completion set's first snapshot.
-func (c *Coordinator) closeEnrolment() {
+// start returns the fig. 7 driver of a set instance, made on first use,
+// and a snapshot of its name's registrations. With close, it first refuses
+// every later registration: an activity starting completion calls it so
+// (with a nil set if it has none), and every round delivers over that one
+// snapshot. A set that reached End stays ended forever.
+func (c *Coordinator) start(set SignalSet, close bool) (*setDriver, []registration) {
 	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	c.closed = c.closed || close
+	if set == nil {
+		return nil, nil
+	}
+	e := c.entryFor(set.Name())
+	d := e.driver(set)
+	if d == nil {
+		if d = &c.driverRoom; d.set != nil {
+			d = new(setDriver)
+		}
+		d.init(set)
+		d.next, e.drivers = e.drivers, d
+	}
+	return d, e.regs[:len(e.regs):len(e.regs)]
 }
 
 // ActionCount returns the number of actions registered with setName.
@@ -173,21 +194,6 @@ func (c *Coordinator) actions(setName string) []registration {
 		return nil
 	}
 	return e.regs[:len(e.regs):len(e.regs)]
-}
-
-// driverFor returns the fig. 7 state machine for a set instance, creating
-// it on first use. A set that reached End stays ended forever.
-func (c *Coordinator) driverFor(set SignalSet) *setDriver {
-	name := set.Name()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entryFor(name)
-	if d := e.driver(set); d != nil {
-		return d
-	}
-	d := newSetDriver(set)
-	d.next, e.drivers = e.drivers, d
-	return d
 }
 
 // driver returns the driver of set, nil if it has never been driven (or
@@ -228,7 +234,14 @@ func (c *Coordinator) SetState(set SignalSet) SetState {
 // collation, advance short-circuiting and the recorded trace are identical
 // across policies.
 func (c *Coordinator) processSignalSet(ctx context.Context, set SignalSet) (Outcome, error) {
-	driver := c.driverFor(set)
+	driver, _ := c.start(set, false)
+	return c.drive(ctx, driver, nil, false)
+}
+
+// drive is processSignalSet with driver. With fixed set, every round
+// delivers over regs; otherwise each takes a fresh snapshot.
+func (c *Coordinator) drive(ctx context.Context, driver *setDriver, regs []registration, fixed bool) (Outcome, error) {
+	set := driver.set
 	setName := set.Name()
 	policy := policyFor(set)
 	for {
@@ -241,7 +254,9 @@ func (c *Coordinator) processSignalSet(ctx context.Context, set SignalSet) (Outc
 		}
 		c.rec.Record(trace.KindGetSignal, c.owner, setName, sig.Name, "")
 
-		regs := c.actions(setName)
+		if !fixed {
+			regs = c.actions(setName)
+		}
 		var (
 			advance bool
 			berr    error

@@ -18,6 +18,12 @@ func newCoordinator(owner string, rec *trace.Recorder, retry RetryPolicy) *Coord
 	return c
 }
 
+// driverFor returns set's driver, made on first use.
+func (c *Coordinator) driverFor(set SignalSet) *setDriver {
+	d, _ := c.start(set, false)
+	return d
+}
+
 // addAction enrols action with setName under a default label, as
 // Activity.AddAction does.
 func (c *Coordinator) addAction(setName string, action Action) {

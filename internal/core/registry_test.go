@@ -340,3 +340,97 @@ func TestEnrolRunRefusedOnceCompleting(t *testing.T) {
 		t.Fatalf("%d deliveries over %d registrations, want 3 and 3", n, c)
 	}
 }
+
+// TestInlineRoomSpillMatchesAcrossPolicies drives an activity past every
+// inline room: two registered sets, enrolments under three set names, a
+// set driven by Signal before Complete, a second instance driven under
+// that set's name, and the completion set. The first driver must stay in
+// the coordinator's room and every later one on the heap, each set ending
+// in its own driver; serial, Parallel() and Tree(4) delivery must leave
+// byte-identical traces, responses, outcomes and set states.
+func TestInlineRoomSpillMatchesAcrossPolicies(t *testing.T) {
+	// drive returns what each set was left with, in the order pre, its
+	// second instance, the completion set, and the three sets' states.
+	drive := func(policy DeliveryPolicy, sh declShape) ([]broadcastResult, []SetState) {
+		ctx := context.Background()
+		rec := trace.New()
+		a := New(WithTrace(rec)).Begin("A")
+		pre := NewSequenceSet("pre", "p1", "p2")
+		pre.SetDelivery(policy)
+		set := shapeSet(sh, policy)
+		for _, s := range []SignalSet{pre, set} {
+			if err := a.RegisterSignalSet(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.SetCompletionSet("s")
+		if _, err := a.AddNamedAction("pre", "early", okAction()); err != nil {
+			t.Fatal(err)
+		}
+		for i := range sh.script {
+			if _, err := a.AddAction("s", shapeAction(sh, i, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.AddActions("other", noopTestAction{}, noopTestAction{}); err != nil {
+			t.Fatal(err)
+		}
+		preOut, err := a.Signal(ctx, "pre")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := a.coord.driverFor(pre); d != &a.coord.driverRoom {
+			t.Fatalf("%s: the first set driven is not in the driver room", policy.Mode)
+		}
+		if _, err := a.AddNamedAction("pre", "late", okAction()); err != nil {
+			t.Fatal(err)
+		}
+		again := NewSequenceSet("pre", "p3")
+		again.SetDelivery(policy)
+		againOut, err := a.coord.processSignalSet(ctx, again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := a.Complete(ctx)
+		if err != nil {
+			t.Fatalf("Complete(%s): %v", policy.Mode, err)
+		}
+		if len(a.sets) != 2 || len(a.coord.sets) != 3 || &a.coord.sets[0] == &a.coord.entryRoom[0] {
+			t.Fatalf("%s: %d sets, %d entries: want 2 and 3, spilled past the rooms", policy.Mode, len(a.sets), len(a.coord.sets))
+		}
+		results := []broadcastResult{shapeResult(t, preOut, pre, rec), shapeResult(t, againOut, again, rec), shapeResult(t, out, set, rec)}
+		states := []SetState{a.coord.SetState(pre), a.coord.SetState(again), a.coord.SetState(set)}
+		return results, states
+	}
+	f := func(nSignals, nActions, decl uint8, scriptSeed int64) bool {
+		sh := genShape(int(nSignals%4)+1, int(nActions%16)+1, decl, scriptSeed)
+		serial, serialStates := drive(DeliveryPolicy{}, sh)
+		if !slices.Equal(serialStates, []SetState{StateEnd, StateEnd, StateEnd}) {
+			t.Fatalf("serial: set states %v, want every set ended in its own driver", serialStates)
+		}
+		for _, policy := range concurrentPolicies {
+			got, states := drive(policy, sh)
+			if !slices.Equal(serialStates, states) {
+				t.Logf("shape %+v, %s: set states %v, serial %v", sh, policy.Mode, states, serialStates)
+				return false
+			}
+			for i := range serial {
+				s, g := serial[i], got[i]
+				if !bytes.Equal(s.outcome, g.outcome) || !bytes.Equal(s.responses, g.responses) || s.failed != g.failed {
+					t.Logf("shape %+v, %s, set %d: serial outcome=%x responses=%x failed=%v, got outcome=%x responses=%x failed=%v",
+						sh, policy.Mode, i, s.outcome, s.responses, s.failed, g.outcome, g.responses, g.failed)
+					return false
+				}
+			}
+			if !slices.Equal(serial[2].trace, got[2].trace) {
+				t.Logf("shape %+v, %s: trace mismatch:\nserial:\n%s\n%s:\n%s", sh, policy.Mode,
+					strings.Join(serial[2].trace, "\n"), policy.Mode, strings.Join(got[2].trace, "\n"))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}

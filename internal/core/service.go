@@ -132,6 +132,7 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 		o.applyBegin(a)
 	}
 	a.coord.init(name, s.rec, s.retry)
+	a.sets = a.setRoom[:0]
 	s.liveMu.Lock()
 	s.live[a.id] = a
 	s.liveMu.Unlock()

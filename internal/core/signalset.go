@@ -105,10 +105,10 @@ type setDriver struct {
 	state atomic.Int32
 }
 
-func newSetDriver(set SignalSet) *setDriver {
-	d := &setDriver{set: set}
+// init makes d the Waiting driver of set, in place.
+func (d *setDriver) init(set SignalSet) {
+	d.set = set
 	d.state.Store(int32(StateWaiting))
-	return d
 }
 
 func (d *setDriver) State() SetState { return SetState(d.state.Load()) }
@@ -240,19 +240,21 @@ func saturate32(v int) int32 {
 // A set records every response for Collate and Responses, unless it
 // declares its outcomes and has no Collate: then a response that is not a
 // veto takes no lock.
+// A zero SequenceSet given a NewBaseSet and declared Outcomes acts as one
+// from NewSequenceSet, so a model may embed one and set it up in place.
 type SequenceSet struct {
 	BaseSet
 
 	mu        sync.Mutex
+	failed    atomic.Bool // the current sequence is onFail; set under mu, read lock-free
+	declared  bool
 	signals   []Signal // shared, never written: callers may pass one slice to many sets
 	onFail    []Signal
 	veto      string
-	idx       int         // position in the current sequence
-	failed    atomic.Bool // the current sequence is onFail; set under mu, read lock-free
+	idx       int // position in the current sequence
 	responses []Outcome
 	outcome   string
 	failure   string
-	declared  bool
 	// collate, when non-nil, computes the final outcome from all responses.
 	collate func(responses []Outcome) Outcome
 }

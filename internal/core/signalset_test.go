@@ -348,3 +348,10 @@ func TestNewSequenceSetRecordsResponses(t *testing.T) {
 		t.Fatalf("failed=%v outcome=%s", s.Failed(), outcome(t, s))
 	}
 }
+
+// newSetDriver returns a Waiting driver of set, outside any coordinator.
+func newSetDriver(set SignalSet) *setDriver {
+	d := new(setDriver)
+	d.init(set)
+	return d
+}

@@ -69,10 +69,10 @@ func (s *coordinatorServant) Dispatch(ctx context.Context, op string, in *cdr.De
 		out, err := s.activity.CompleteWithStatus(ctx, status)
 		if s.activity.State() == core.ActivityCompleted {
 			// Retired before the reply leaves, so nothing the caller sends
-			// after it reaches this servant. A failed completion broadcast
-			// still completes the activity; a complete refused before the
-			// state changed (children active, suspended) keeps the servant
-			// so the caller can retry.
+			// after it reaches this servant. A failed broadcast, or a FailOnly
+			// activity refusing Success, still completes the activity; a
+			// complete refused before the state changed (children active,
+			// suspended) keeps the servant so the caller can retry.
 			s.orb.Deactivate(s.key)
 		}
 		if err != nil {

@@ -137,6 +137,37 @@ func TestActivityRetireInProcessCompletion(t *testing.T) {
 	}
 }
 
+// TestActivityRetireFailOnlyComplete: a complete with Success on a
+// FailOnly activity cannot take its status, but completes it all the same
+// with the failure status. The caller gets the error, the completion set
+// runs once, and the servant is retired like any completed activity's.
+func TestActivityRetireFailOnlyComplete(t *testing.T) {
+	fx := newRetireFixture(t)
+	ctx := context.Background()
+	a, proxy := hostedActivity(t, fx, "fail-only")
+	var signals atomic.Int32
+	if _, err := proxy.AddAction(ctx, core.DefaultCompletionSet, countingAction(&signals)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetCompletionStatus(core.CompletionFailOnly); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proxy.Complete(ctx, core.CompletionSuccess); err == nil || orb.IsSystem(err, orb.CodeObjectNotExist) {
+		t.Fatalf("complete(Success) on FailOnly: err = %v, want the activity's refusal of the status", err)
+	}
+	if a.State() != core.ActivityCompleted || fx.svc.Live() != 0 {
+		t.Fatalf("state %s, live %d: want completed and forgotten", a.State(), fx.svc.Live())
+	}
+	if n := signals.Load(); n != 1 {
+		t.Fatalf("action saw %d completion signals, want 1", n)
+	}
+	if _, ok := fx.serverORB.IOR(proxy.Ref().Key); ok {
+		t.Fatalf("servant %q still active after a completing complete", proxy.Ref().Key)
+	}
+	_, _, err := proxy.Status(ctx)
+	wantObjectNotExist(t, "status", err)
+}
+
 // TestActivityRetireRefusedCompleteKeepsServant pins that a complete
 // refused before the activity's state changed — children still active,
 // or the activity suspended — leaves the coordinator callable, so the
