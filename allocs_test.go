@@ -21,8 +21,8 @@ func TestAllocsShardRouterRoute(t *testing.T) {
 
 // TestAllocsTwoPhaseCommit gates BenchmarkFig08TwoPhaseCommit's commits
 // at 3 allocs/op, for 8 participants and for 1: the activity, which holds
-// its coordinator, its first signal set, that set's name entry and its
-// driver (1); the transaction, which holds its signal set and the room
+// its first set name's entry, with the registered set and its fig. 7
+// state (1); the transaction, which holds its signal set and the room
 // for eight staged ResourceActions (1); and the registrations, grown once
 // by the run that enrols them (1). The run's action slice lives on the
 // stack, trace labels are not formatted without a recorder, no map is

@@ -224,12 +224,11 @@ func fig7(ctx context.Context, w io.Writer) error {
 	if err := a.RegisterSignalSet(set); err != nil {
 		return err
 	}
-	coord := a.Coordinator()
-	fmt.Fprintf(w, "state before first get_signal: %s\n", coord.SetState(set))
+	fmt.Fprintf(w, "state before first get_signal: %s\n", a.SetState(set))
 	if _, err := a.Signal(ctx, "demo"); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "state after protocol run:      %s\n", coord.SetState(set))
+	fmt.Fprintf(w, "state after protocol run:      %s\n", a.SetState(set))
 	if _, err := a.Signal(ctx, "demo"); err != nil {
 		fmt.Fprintf(w, "reuse after End rejected:      %v\n", err)
 	}

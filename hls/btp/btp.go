@@ -172,7 +172,7 @@ type Atom struct {
 	prep     *core.SequenceSet
 	complete *core.SequenceSet
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards state and orders enrolment
 	state AtomState
 }
 
@@ -217,13 +217,25 @@ func (a *Atom) State() AtomState {
 	return a.state
 }
 
-// Enroll registers a participant with both signal sets.
+// Enroll registers a participant with both signal sets, labelled
+// participant-N, N its place in the atom's enrolment order.
 func (a *Atom) Enroll(p Participant) error {
-	return a.EnrollNamed(fmt.Sprintf("participant-%d", a.activity.Coordinator().ActionCount(PrepareSetName)+1), p)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.enroll(fmt.Sprintf("participant-%d", a.activity.ActionCount(PrepareSetName)+1), p)
 }
 
 // EnrollNamed registers a participant with an explicit trace label.
 func (a *Atom) EnrollNamed(label string, p Participant) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.enroll(label, p)
+}
+
+// enroll registers p with both signal sets under label. The caller holds
+// a.mu, so labels are taken in enrolment order and both sets list the
+// participants in that one order.
+func (a *Atom) enroll(label string, p Participant) error {
 	action := &participantAction{p: p}
 	if _, err := a.activity.AddNamedAction(PrepareSetName, label, action); err != nil {
 		return err

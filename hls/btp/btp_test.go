@@ -3,6 +3,8 @@ package btp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -350,4 +352,63 @@ func TestCohesionPreparedMembersConfirmDirectly(t *testing.T) {
 	if p.State() != "booked" {
 		t.Fatalf("state = %q", p.State())
 	}
+}
+
+// TestAtomEnrollLabelsUniqueUnderConcurrency enrols an atom's participants
+// from as many goroutines at once, round after round: every participant
+// gets its own label, participant-1 to participant-N, and the prepare and
+// complete sets list the participants in one order.
+func TestAtomEnrollLabelsUniqueUnderConcurrency(t *testing.T) {
+	const rounds, n = 200, 64
+	ctx := context.Background()
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("participant-%d", i+1)
+	}
+	slices.Sort(want)
+	for r := 0; r < rounds; r++ {
+		rec := trace.New()
+		atom, err := NewAtom(core.New(core.WithTrace(rec)), "atom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := atom.Enroll(newReservation("r")); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if err := atom.Prepare(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := atom.Confirm(ctx); err != nil {
+			t.Fatal(err)
+		}
+		prepared, confirmed := transmittedTo(rec, SignalPrepare), transmittedTo(rec, SignalConfirm)
+		if !slices.Equal(prepared, confirmed) {
+			t.Fatalf("round %d: prepare set lists %v, complete set %v", r, prepared, confirmed)
+		}
+		if slices.Sort(prepared); !slices.Equal(prepared, want) {
+			t.Fatalf("round %d: labels %v, want each of participant-1 to participant-%d once", r, prepared, n)
+		}
+	}
+}
+
+// transmittedTo lists the targets of rec's transmits of sig, in order.
+func transmittedTo(rec *trace.Recorder, sig string) []string {
+	var out []string
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindTransmit && e.Signal == sig {
+			out = append(out, e.Target)
+		}
+	}
+	return out
 }

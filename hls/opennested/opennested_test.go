@@ -45,7 +45,7 @@ func TestBCommitsACommits_NoCompensation(t *testing.T) {
 	if comp.Done() || comp.Ran() {
 		t.Fatal("compensation finished prematurely")
 	}
-	if a.Activity().Coordinator().ActionCount(SetName) != 1 {
+	if a.Activity().ActionCount(SetName) != 1 {
 		t.Fatal("compensation did not propagate to A")
 	}
 	// A commits: Success signal, no compensation.

@@ -510,13 +510,13 @@ func TestStagedEnlistment(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := tx.Activity().Coordinator().ActionCount(SetName); n != 3 {
+		if n := tx.Activity().ActionCount(SetName); n != 3 {
 			t.Fatalf("ActionCount = %d, want 3", n)
 		}
 		if err := tx.Enlist(newResource(ots.VoteCommit)); err != nil {
 			t.Fatal(err)
 		}
-		if n := tx.Activity().Coordinator().ActionCount(SetName); n != 4 {
+		if n := tx.Activity().ActionCount(SetName); n != 4 {
 			t.Fatalf("ActionCount after a later Enlist = %d, want 4", n)
 		}
 	})

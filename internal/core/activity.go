@@ -64,15 +64,15 @@ func (s ActivityState) String() string {
 const DefaultCompletionSet = "completion"
 
 // Activity is a unit of (distributed) work that may or may not be
-// transactional (§3.1). Each activity has a coordinator through which
-// Actions register interest in SignalSets; signals may be transmitted at
-// arbitrary points in its lifetime, not just completion.
+// transactional (§3.1). An activity is its own coordinator (fig. 5):
+// Actions register interest in SignalSets by name through it, and it
+// drives each registered set through fig. 7 when the set is transmitted,
+// at arbitrary points in its lifetime, not just completion.
 type Activity struct {
 	svc    *Service
 	id     ids.UID
 	name   string
 	parent *Activity
-	coord  Coordinator // by value: an activity and its coordinator are one allocation
 	timer  *time.Timer
 
 	// mu guards the fields below. The maps are made on first write (put):
@@ -81,12 +81,13 @@ type Activity struct {
 	state         ActivityState
 	cs            CompletionStatus
 	children      map[ids.UID]*Activity
-	sets          []SignalSet  // registered sets, one per name
-	setRoom       [1]SignalSet // sets' first backing array
 	pgroups       map[string]PropertyGroup
 	completionSet string
 	outcome       Outcome
 	hasOutcome    bool
+	entries       *setEntry // one per set name, newest first
+	firstEntry    setEntry  // the first entry's room
+	seq           int64     // the last default label number handed out
 }
 
 // ID returns the globally unique activity identifier.
@@ -97,9 +98,6 @@ func (a *Activity) Name() string { return a.name }
 
 // Parent returns the enclosing activity, nil for a root.
 func (a *Activity) Parent() *Activity { return a.parent }
-
-// Coordinator returns the activity's coordinator.
-func (a *Activity) Coordinator() *Coordinator { return &a.coord }
 
 // State returns the lifecycle state.
 func (a *Activity) State() ActivityState {
@@ -148,29 +146,22 @@ func (a *Activity) RegisterSignalSet(set SignalSet) error {
 	if a.state == ActivityCompleted {
 		return fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
-	if _, dup := a.signalSet(set.Name()); dup {
+	e := a.entryFor(set.Name())
+	if e.set != nil {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicateSignalSet, set.Name(), a.name)
 	}
-	a.sets = append(a.sets, set)
+	e.init(set)
 	return nil
-}
-
-// signalSet finds the registered set named name, newest first. The caller
-// holds a.mu.
-func (a *Activity) signalSet(name string) (SignalSet, bool) {
-	for i := len(a.sets) - 1; i >= 0; i-- {
-		if a.sets[i].Name() == name {
-			return a.sets[i], true
-		}
-	}
-	return nil, false
 }
 
 // SignalSet returns the registered set with the given name.
 func (a *Activity) SignalSet(name string) (SignalSet, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.signalSet(name)
+	if e := a.entry(name); e != nil && e.set != nil {
+		return e.set, true
+	}
+	return nil, false
 }
 
 // SetCompletionSet chooses which registered SignalSet Complete drives.
@@ -180,10 +171,9 @@ func (a *Activity) SetCompletionSet(name string) {
 	a.completionSet = name
 }
 
-// AddAction registers action with the named SignalSet through the
-// coordinator. The set does not need to be registered yet: per §3.2.3 the
-// set of Signals cannot be known beforehand, so Actions register interest
-// in a SignalSet by name.
+// AddAction registers action with the named SignalSet. The set does not
+// need to be registered yet: per §3.2.3 the set of Signals cannot be
+// known beforehand, so Actions register interest in a SignalSet by name.
 //
 // Enrolment is ordered against completion: once Complete has started, it
 // fails with ErrActivityInactive; an enrolment that succeeds is in every
@@ -193,21 +183,21 @@ func (a *Activity) SetCompletionSet(name string) {
 // because bench/probes.go, which is frozen with the benchmark, calls them
 // with two results.
 func (a *Activity) AddAction(setName string, action Action) (ActionID, error) {
-	return ActionID{}, a.coord.register(setName, "", true, []Action{action})
+	return ActionID{}, a.register(setName, "", true, []Action{action})
 }
 
 // AddNamedAction is AddAction with an explicit trace label.
 func (a *Activity) AddNamedAction(setName, label string, action Action) (ActionID, error) {
-	return ActionID{}, a.coord.register(setName, label, false, []Action{action})
+	return ActionID{}, a.register(setName, label, false, []Action{action})
 }
 
 // AddActions registers a run of actions with the named SignalSet in one
 // step, as AddAction would one by one: in order, under default labels,
-// behind the same completion gate. The run takes the coordinator's lock
+// behind the same completion gate. The run takes the activity's lock
 // once and grows the set's registrations at most once. Either every
 // action is enrolled or, once Complete has started, none is.
 func (a *Activity) AddActions(setName string, actions ...Action) error {
-	return a.coord.register(setName, "", true, actions)
+	return a.register(setName, "", true, actions)
 }
 
 // Suspend pauses the activity; a suspended activity rejects signalling,
@@ -300,7 +290,10 @@ func (a *Activity) activeChildNames() []string {
 // Signal drives the named registered SignalSet immediately — the paper's
 // "Signals may be communicated at arbitrary points during the lifetime of
 // an activity and not just when it terminates" (§3.1). The set is told the
-// activity's current completion status before the protocol runs.
+// activity's current completion status before the protocol runs. A set
+// is driven by one caller at a time: while it is being driven, by Signal
+// or by Complete, Signal is refused with an error wrapping
+// ErrSignalSetActive before anything is delivered.
 func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) {
 	a.mu.Lock()
 	switch a.state {
@@ -313,19 +306,25 @@ func (a *Activity) Signal(ctx context.Context, setName string) (Outcome, error) 
 		a.mu.Unlock()
 		return Outcome{}, fmt.Errorf("%w: %s in state %s", ErrActivityInactive, a.name, st)
 	}
-	set, ok := a.signalSet(setName)
+	e, err := a.claim(setName)
 	cs := a.cs
 	a.mu.Unlock()
-	if !ok {
+	if err != nil {
+		return Outcome{}, err
+	}
+	if e == nil {
 		return Outcome{}, fmt.Errorf("%w: %q on %s", ErrUnknownSignalSet, setName, a.name)
 	}
-	set.SetCompletionStatus(cs)
-	return a.coord.processSignalSet(ctx, set)
+	defer a.release(e)
+	e.set.SetCompletionStatus(cs)
+	return a.drive(ctx, e, nil, false)
 }
 
 // Complete finishes the activity with its current completion status,
 // driving the completion SignalSet (if one is registered) and recording
-// the collated outcome. All child activities must have completed.
+// the collated outcome. All child activities must have completed. While
+// Signal drives the completion set, Complete is refused with an error
+// wrapping ErrSignalSetActive, changing nothing.
 func (a *Activity) Complete(ctx context.Context) (Outcome, error) {
 	return a.complete(ctx, 0)
 }
@@ -361,35 +360,44 @@ func (a *Activity) complete(ctx context.Context, cs CompletionStatus) (Outcome, 
 		a.mu.Unlock()
 		return Outcome{}, fmt.Errorf("%w: %s in state %s", ErrActivityInactive, a.name, st)
 	}
+	setName := a.completionSet
+	if setName == "" {
+		setName = DefaultCompletionSet
+	}
+	e, err := a.claim(setName)
+	if err != nil {
+		a.mu.Unlock()
+		return Outcome{}, err
+	}
 	fixed := a.cs == CompletionFailOnly && cs == CompletionSuccess
 	if cs != 0 && a.cs != CompletionFailOnly {
 		a.cs = cs
 		a.svc.journal.statusSet(a.id, cs)
 	}
+	// Completing refuses every later enrolment, so the registry cannot
+	// change and every round delivers over this one snapshot.
 	a.state = ActivityCompleting
 	cs = a.cs
-	setName := a.completionSet
-	if setName == "" {
-		setName = DefaultCompletionSet
+	var regs []registration
+	if e != nil {
+		regs = e.regs[:len(e.regs):len(e.regs)]
 	}
-	set, _ := a.signalSet(setName)
 	a.mu.Unlock()
-	// Before the completion set's snapshot: from here on, enrolment is
-	// refused rather than missing a signal.
-	driver, regs := a.coord.start(set, true)
 
 	if a.timer != nil {
 		a.timer.Stop()
 	}
 
 	outcome := Outcome{Name: defaultOutcomeName(cs)}
-	var err error
-	if driver != nil {
-		set.SetCompletionStatus(cs)
-		outcome, err = a.coord.drive(ctx, driver, regs, true)
+	if e != nil {
+		e.set.SetCompletionStatus(cs)
+		outcome, err = a.drive(ctx, e, regs, true)
 	}
 
 	a.mu.Lock()
+	if e != nil {
+		e.driving = false
+	}
 	a.state = ActivityCompleted
 	a.outcome = outcome
 	a.hasOutcome = err == nil

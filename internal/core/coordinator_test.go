@@ -11,28 +11,31 @@ import (
 	"github.com/extendedtx/activityservice/internal/trace"
 )
 
-// newCoordinator returns a coordinator outside any activity.
-func newCoordinator(owner string, rec *trace.Recorder, retry RetryPolicy) *Coordinator {
-	c := new(Coordinator)
-	c.init(owner, rec, retry)
-	return c
+// beginTraced begins an activity named owner on a service of its own that
+// traces into rec and retries per retry. The trace of the begin itself is
+// dropped, so rec holds only what the activity's drives record.
+func beginTraced(owner string, rec *trace.Recorder, retry RetryPolicy) *Activity {
+	a := New(WithTrace(rec), WithRetryPolicy(retry)).Begin(owner)
+	rec.Reset()
+	return a
 }
 
-// driverFor returns set's driver, made on first use.
-func (c *Coordinator) driverFor(set SignalSet) *setDriver {
-	d, _ := c.start(set, false)
-	return d
+// transmit registers set with a, unless it is the set registered under its
+// name already, and drives it with Signal.
+func (a *Activity) transmit(ctx context.Context, set SignalSet) (Outcome, error) {
+	if got, ok := a.SignalSet(set.Name()); !ok || got != set {
+		if err := a.RegisterSignalSet(set); err != nil {
+			return Outcome{}, err
+		}
+	}
+	return a.Signal(ctx, set.Name())
 }
 
-// addAction enrols action with setName under a default label, as
-// Activity.AddAction does.
-func (c *Coordinator) addAction(setName string, action Action) {
-	c.register(setName, "", true, []Action{action})
-}
-
-// addNamedAction enrols action with setName under an explicit label.
-func (c *Coordinator) addNamedAction(setName, label string, action Action) {
-	c.register(setName, label, false, []Action{action})
+// entryOf returns name's entry, nil if it has none.
+func (a *Activity) entryOf(name string) *setEntry {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.entry(name)
 }
 
 // tagAction is an Action a registry test can tell apart from every other
@@ -85,12 +88,12 @@ func (c *collectingAction) Signals() []Signal {
 
 func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", rec, RetryPolicy{Attempts: 1})
 	var order []string
 	var mu sync.Mutex
 	for _, name := range []string{"a1", "a2", "a3"} {
 		name := name
-		coord.addNamedAction("set", name, ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+		act.AddNamedAction("set", name, ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
 			mu.Lock()
 			order = append(order, name+":"+sig.Name)
 			mu.Unlock()
@@ -98,7 +101,7 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 		}))
 	}
 	set := NewSequenceSet("set", "s1", "s2")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a1:s1", "a2:s1", "a3:s1", "a1:s2", "a2:s2", "a3:s2"}
@@ -113,12 +116,12 @@ func TestCoordinatorBroadcastsToAllActionsInOrder(t *testing.T) {
 }
 
 func TestCoordinatorFeedsEveryResponse(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	for i := 0; i < 4; i++ {
-		coord.addAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
+		act.AddAction("set", &collectingAction{name: fmt.Sprintf("a%d", i)})
 	}
 	set := NewSequenceSet("set", "only")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(set.Responses()); got != 4 {
@@ -166,13 +169,13 @@ func (s *advanceSet) GetOutcome() (Outcome, error) {
 }
 
 func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	a1 := &collectingAction{name: "a1"}
 	a2 := &collectingAction{name: "a2"}
-	coord.addNamedAction("adv", "a1", a1)
-	coord.addNamedAction("adv", "a2", a2)
+	act.AddNamedAction("adv", "a1", a1)
+	act.AddNamedAction("adv", "a2", a2)
 	set := &advanceSet{BaseSet: NewBaseSet("adv")}
-	out, err := coord.processSignalSet(context.Background(), set)
+	out, err := act.transmit(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +192,11 @@ func TestCoordinatorHonoursEarlyAdvance(t *testing.T) {
 }
 
 func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 3})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 3})
 	flaky := &collectingAction{name: "flaky", fail: 2}
-	coord.addAction("set", flaky)
+	act.AddAction("set", flaky)
 	set := NewSequenceSet("set", "ping")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if sigs := flaky.Signals(); len(sigs) != 1 {
@@ -206,11 +209,11 @@ func TestCoordinatorAtLeastOnceRetry(t *testing.T) {
 }
 
 func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 2})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 2})
 	dead := &collectingAction{name: "dead", fail: 99}
-	coord.addAction("set", dead)
+	act.AddAction("set", dead)
 	set := NewSequenceSet("set", "ping")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	rs := set.Responses()
@@ -222,12 +225,12 @@ func TestCoordinatorDeliveryFailureReachesSet(t *testing.T) {
 func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 	// Fig. 6 multiplicity: one action may register with several sets, and
 	// an activity may use several sets over its lifetime.
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	shared := &collectingAction{name: "shared"}
-	coord.addAction("setA", shared)
-	coord.addAction("setB", shared)
+	act.AddAction("setA", shared)
+	act.AddAction("setB", shared)
 	for _, set := range []*SequenceSet{NewSequenceSet("setA", "x"), NewSequenceSet("setB", "y", "z")} {
-		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+		if _, err := act.transmit(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,14 +245,14 @@ func TestActionsRegisterWithSetsNotSignals(t *testing.T) {
 // get_outcome.
 func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 	rec := trace.New()
-	coord := newCoordinator("coordinator", rec, RetryPolicy{Attempts: 1})
+	act := beginTraced("coordinator", rec, RetryPolicy{Attempts: 1})
 	for _, n := range []string{"action1", "action2"} {
-		coord.addNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
+		act.AddNamedAction("2pc", n, ActionFunc(func(context.Context, Signal) (Outcome, error) {
 			return Outcome{Name: "done"}, nil
 		}))
 	}
 	set := NewSequenceSet("2pc", "prepare", "commit")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -277,9 +280,9 @@ func TestFig8TwoPhaseCommitTrace(t *testing.T) {
 }
 
 func TestCoordinatorErrorOnBrokenSet(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	set := &brokenSet{BaseSet: NewBaseSet("broken")}
-	if _, err := coord.processSignalSet(context.Background(), set); err == nil {
+	if _, err := act.transmit(context.Background(), set); err == nil {
 		t.Fatal("broken set did not error")
 	}
 }
@@ -302,7 +305,7 @@ func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 // per set, each in one worker's enrolment order. Run under -race this also
 // pins the map's locking.
 func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
-	coord := newCoordinator("stress", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("stress", nil, RetryPolicy{Attempts: 1})
 	const (
 		sets      = 48
 		workers   = 8
@@ -320,9 +323,9 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 				name := setName(s)
 				for i := 0; i < perWorker; i++ {
 					tag := tagAction(len(added[w]) + w*sets*perWorker)
-					coord.addAction(name, tag)
+					act.AddAction(name, tag)
 					added[w] = append(added[w], tag)
-					coord.ActionCount(name) // reader mixed into the storm
+					act.ActionCount(name) // reader mixed into the storm
 				}
 			}
 		}(w)
@@ -336,8 +339,8 @@ func TestCoordinatorConcurrentRegistrationStress(t *testing.T) {
 		}
 	}
 	for s := 0; s < sets; s++ {
-		regs := coord.actions(setName(s))
-		if got, want := len(regs), workers*perWorker; got != want || coord.ActionCount(setName(s)) != want {
+		regs := act.actions(setName(s))
+		if got, want := len(regs), workers*perWorker; got != want || act.ActionCount(setName(s)) != want {
 			t.Fatalf("set %s: %d registrations, want %d", setName(s), got, want)
 		}
 		// Each worker's enrolments keep their order within the set.

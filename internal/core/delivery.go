@@ -127,19 +127,19 @@ type EndpointBatcher interface {
 // of consecutive registrations on one endpoint goes to its host as one
 // ordered batch (deliverRun); there a registration that cannot batch costs
 // one type assertion. Other rounds are delivered one by one.
-func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal, last bool) (bool, error) {
+func (a *Activity) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal, last bool) (bool, error) {
 	if !roundSettled(driver.set, last) {
-		return c.deliverEach(ctx, driver, regs, sig)
+		return a.deliverEach(ctx, driver, regs, sig)
 	}
 	for len(regs) > 0 {
 		at, n := nextRun(regs)
-		if adv, err := c.deliverEach(ctx, driver, regs[:at], sig); adv || err != nil {
+		if adv, err := a.deliverEach(ctx, driver, regs[:at], sig); adv || err != nil {
 			return adv, err
 		}
 		if n == 0 {
 			break
 		}
-		if adv, err := c.deliverRun(ctx, driver, regs[at:at+n], sig); adv || err != nil {
+		if adv, err := a.deliverRun(ctx, driver, regs[at:at+n], sig); adv || err != nil {
 			return adv, err
 		}
 		regs = regs[at+n:]
@@ -149,10 +149,10 @@ func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, re
 
 // deliverEach delivers sig to regs one at a time, each response fed back
 // before the next transmit.
-func (c *Coordinator) deliverEach(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
+func (a *Activity) deliverEach(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
 	for i := range regs {
 		var r attemptResult
-		c.deliver(ctx, &regs[i], sig, &r)
+		a.deliver(ctx, &regs[i], sig, &r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			return false, serr
@@ -191,18 +191,18 @@ func nextRun(regs []registration) (at, n int) {
 // then replays each member's trace and feeds its response exactly as the
 // serial path records them live. A batch that fails redelivers the run
 // member by member.
-func (c *Coordinator) deliverRun(ctx context.Context, driver *setDriver, run []registration, sig Signal) (bool, error) {
+func (a *Activity) deliverRun(ctx context.Context, driver *setDriver, run []registration, sig Signal) (bool, error) {
 	actions := make([]Action, len(run))
 	for i, reg := range run {
 		actions[i] = reg.action
 	}
-	res, err := run[0].action.(EndpointBatcher).DeliverBatch(ctx, sig, actions, c.retry)
+	res, err := run[0].action.(EndpointBatcher).DeliverBatch(ctx, sig, actions, a.svc.retry)
 	if err != nil || !inRunOrder(res, len(run)) {
-		return c.deliverEach(ctx, driver, run, sig)
+		return a.deliverEach(ctx, driver, run, sig)
 	}
 	for i := range run {
 		r := attemptResult{outcome: res[i].Outcome, err: res[i].Err, attempts: max(res[i].Attempts, 1)}
-		c.replayTrace(&run[i], sig, &r)
+		a.replayTrace(&run[i], sig, &r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			return false, serr
@@ -300,13 +300,13 @@ func transmitDetail(attempt int) string {
 // recordResponse records the response event for a finished delivery:
 // success or final failure, but nothing for a delivery cancelled
 // mid-backoff — the same shape in serial and parallel mode.
-func (c *Coordinator) recordResponse(reg *registration, sig Signal, r *attemptResult) {
+func (a *Activity) recordResponse(reg *registration, sig Signal, r *attemptResult) {
 	switch {
-	case c.rec == nil || r.cancelled:
+	case a.svc.rec == nil || r.cancelled:
 	case r.err == nil:
-		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, r.outcome.Name, "")
+		a.svc.rec.Record(trace.KindResponse, reg.name(), sig.SetName, r.outcome.Name, "")
 	default:
-		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, "", fmt.Sprintf("error: %v", r.err))
+		a.svc.rec.Record(trace.KindResponse, reg.name(), sig.SetName, "", fmt.Sprintf("error: %v", r.err))
 	}
 }
 
@@ -321,10 +321,10 @@ func (c *Coordinator) recordResponse(reg *registration, sig Signal, r *attemptRe
 // stragglers are cancelled through their context. Trace events are recorded
 // at collation time, so the recorded sequence is byte-identical to serial
 // delivery's.
-func (c *Coordinator) broadcastConcurrent(ctx context.Context, driver *setDriver, regs []registration, sig Signal, policy DeliveryPolicy) (bool, error) {
+func (a *Activity) broadcastConcurrent(ctx context.Context, driver *setDriver, regs []registration, sig Signal, policy DeliveryPolicy) (bool, error) {
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	f := startFanOut(dctx, sig, c.retry, forestFor(regs, policy))
+	f := startFanOut(dctx, sig, a.svc.retry, forestFor(regs, policy))
 	// All workers drain their remaining (skipped) work before we return, so
 	// no goroutine outlives the broadcast.
 	defer f.wg.Wait()
@@ -345,7 +345,7 @@ func (c *Coordinator) broadcastConcurrent(ctx context.Context, driver *setDriver
 			// Discard speculative responses past the short-circuit.
 			continue
 		}
-		c.replayTrace(&regs[i], sig, r)
+		a.replayTrace(&regs[i], sig, r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			feedErr = serr
@@ -476,13 +476,13 @@ func (f *fanOut) relay(root *TreeNode) map[int]SubtreeResult {
 
 // replayTrace records the transmit/response events for one concurrent
 // delivery in the same shape the serial path records them live.
-func (c *Coordinator) replayTrace(reg *registration, sig Signal, r *attemptResult) {
-	if c.rec == nil {
+func (a *Activity) replayTrace(reg *registration, sig Signal, r *attemptResult) {
+	if a.svc.rec == nil {
 		return
 	}
 	label := reg.name()
 	for attempt := 1; attempt <= r.attempts; attempt++ {
-		c.rec.Record(trace.KindTransmit, c.owner, label, sig.Name, transmitDetail(attempt))
+		a.svc.rec.Record(trace.KindTransmit, a.name, label, sig.Name, transmitDetail(attempt))
 	}
-	c.recordResponse(reg, sig, r)
+	a.recordResponse(reg, sig, r)
 }

@@ -81,12 +81,12 @@ type broadcastResult struct {
 func runBroadcast(t *testing.T, policy DeliveryPolicy, sh declShape, latency func(i int) time.Duration) broadcastResult {
 	t.Helper()
 	rec := trace.New()
-	coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", rec, RetryPolicy{Attempts: 1})
 	for i := range sh.script {
-		coord.addNamedAction("s", fmt.Sprintf("act%d", i), shapeAction(sh, i, latency))
+		act.AddNamedAction("s", fmt.Sprintf("act%d", i), shapeAction(sh, i, latency))
 	}
 	set := shapeSet(sh, policy)
-	out, err := coord.processSignalSet(context.Background(), set)
+	out, err := act.transmit(context.Background(), set)
 	if err != nil {
 		t.Fatalf("ProcessSignalSet(%s): %v", policy.Mode, err)
 	}
@@ -250,15 +250,15 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 	for _, policy := range concurrentPolicies {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
 			rec := trace.New()
-			coord := newCoordinator("A", rec, RetryPolicy{Attempts: 1})
+			act := beginTraced("A", rec, RetryPolicy{Attempts: 1})
 			var cancelled atomic.Int32
 			// act0 aborts immediately; the rest block until their context dies.
-			coord.addNamedAction("adv", "act0", ActionFunc(
+			act.AddNamedAction("adv", "act0", ActionFunc(
 				func(context.Context, Signal) (Outcome, error) {
 					return Outcome{Name: "abort"}, nil
 				}))
 			for i := 1; i < 8; i++ {
-				coord.addNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
+				act.AddNamedAction("adv", fmt.Sprintf("act%d", i), ActionFunc(
 					func(ctx context.Context, _ Signal) (Outcome, error) {
 						select {
 						case <-ctx.Done():
@@ -272,7 +272,7 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 			set := newVoteAdvanceSet()
 			set.SetDelivery(policy)
 			start := time.Now()
-			out, err := coord.processSignalSet(context.Background(), set)
+			out, err := act.transmit(context.Background(), set)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,10 +305,10 @@ func TestParallelAdvanceShortCircuit(t *testing.T) {
 func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 	run := func(policy DeliveryPolicy) []string {
 		rec := trace.New()
-		coord := newCoordinator("A", rec, RetryPolicy{Attempts: 3})
+		act := beginTraced("A", rec, RetryPolicy{Attempts: 3})
 		for i := 0; i < 3; i++ {
 			var failures atomic.Int32
-			coord.addNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
+			act.AddNamedAction("s", fmt.Sprintf("act%d", i), ActionFunc(
 				func(context.Context, Signal) (Outcome, error) {
 					if failures.Add(1) == 1 {
 						return Outcome{}, errors.New("transient")
@@ -318,7 +318,7 @@ func TestParallelRetryTraceMatchesSerial(t *testing.T) {
 		}
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+		if _, err := act.transmit(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Sequence()
@@ -406,14 +406,14 @@ func TestDeliveryPolicyResolution(t *testing.T) {
 func TestParallelWorkerBound(t *testing.T) {
 	bound := workers(1 << 20)
 	for _, policy := range concurrentPolicies {
-		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+		act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 		probe := &concurrencyProbe{}
 		for i := 0; i < 3*bound; i++ {
-			coord.addAction("s", probe.action())
+			act.AddAction("s", probe.action())
 		}
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+		if _, err := act.transmit(context.Background(), set); err != nil {
 			t.Fatal(err)
 		}
 		if got := probe.max.Load(); int(got) > bound {
@@ -441,18 +441,18 @@ func TestPolicyWorkersResolution(t *testing.T) {
 // set as a delivery error under concurrent delivery, exactly like serial.
 func TestParallelDeliveryErrorFeedsSet(t *testing.T) {
 	for _, policy := range append([]DeliveryPolicy{{}}, concurrentPolicies...) {
-		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
-		coord.addNamedAction("s", "good", ActionFunc(
+		act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
+		act.AddNamedAction("s", "good", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
 				return Outcome{Name: "ok"}, nil
 			}))
-		coord.addNamedAction("s", "bad", ActionFunc(
+		act.AddNamedAction("s", "bad", ActionFunc(
 			func(context.Context, Signal) (Outcome, error) {
 				return Outcome{}, errors.New("boom")
 			}))
 		set := NewSequenceSet("s", "ping")
 		set.SetDelivery(policy)
-		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+		if _, err := act.transmit(context.Background(), set); err != nil {
 			t.Fatalf("%s: %v", policy.Mode, err)
 		}
 		resp := set.Responses()

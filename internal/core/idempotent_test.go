@@ -78,10 +78,10 @@ func TestIdempotentUnderAtLeastOnceCoordinator(t *testing.T) {
 		effects.Add(1)
 		return Outcome{Name: "applied"}, nil
 	})
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 3})
-	coord.addAction("s", Idempotent(inner))
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 3})
+	act.AddAction("s", Idempotent(inner))
 	set := NewSequenceSet("s", "one", "two")
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
 	if effects.Load() != 2 {

@@ -58,6 +58,74 @@ func TestAddActionRacingComplete(t *testing.T) {
 	}
 }
 
+// TestSignalSetDrivenByOneCallerAtATime holds a Signal's first delivery
+// while a second Signal, and a Complete whose completion set is the same
+// set, try to drive that set: both are refused with ErrSignalSetActive
+// before anything is delivered, and the activity stays active. The first
+// drive then delivers every signal, one at a time, and once it has ended
+// the set, a later drive is refused as ended, not as active.
+func TestSignalSetDrivenByOneCallerAtATime(t *testing.T) {
+	ctx := context.Background()
+	a := New().Begin("A")
+	if err := a.RegisterSignalSet(NewSequenceSet("s", "one", "two", "three")); err != nil {
+		t.Fatal(err)
+	}
+	a.SetCompletionSet("s")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var (
+		mu                   sync.Mutex
+		heard                []string
+		inFlight, overlapped atomic.Int32
+	)
+	if _, err := a.AddAction("s", ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
+		if inFlight.Add(1) > 1 {
+			overlapped.Add(1)
+		}
+		defer inFlight.Add(-1)
+		mu.Lock()
+		heard = append(heard, sig.Name)
+		first := len(heard) == 1
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-release
+		}
+		return Outcome{Name: "ok"}, nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Signal(ctx, "s")
+		done <- err
+	}()
+	<-entered
+	if _, err := a.Signal(ctx, "s"); !errors.Is(err, ErrSignalSetActive) {
+		t.Errorf("second Signal: err = %v, want ErrSignalSetActive", err)
+	}
+	if _, err := a.Complete(ctx); !errors.Is(err, ErrSignalSetActive) {
+		t.Errorf("Complete: err = %v, want ErrSignalSetActive", err)
+	}
+	if st := a.State(); st != ActivityActive {
+		t.Errorf("state after refused Complete = %s, want %s", st, ActivityActive)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("first Signal: %v", err)
+	}
+	mu.Lock()
+	got := slices.Clone(heard)
+	mu.Unlock()
+	if !slices.Equal(got, []string{"one", "two", "three"}) || overlapped.Load() != 0 {
+		t.Fatalf("action heard %v with %d overlapping deliveries, want one, two, three one at a time", got, overlapped.Load())
+	}
+	for i := 0; i < 2; i++ { // the failed drive releases the set too
+		if _, err := a.Signal(ctx, "s"); !errors.Is(err, ErrSignalSetInactive) {
+			t.Fatalf("Signal after End: err = %v, want ErrSignalSetInactive", err)
+		}
+	}
+}
+
 // TestBroadcastSnapshotSurvivesRemoval has an Action enrol a new
 // registration from inside ProcessSignal. The running broadcast delivers
 // over the snapshot it took, so every action in it hears that signal
@@ -66,7 +134,7 @@ func TestAddActionRacingComplete(t *testing.T) {
 func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(2)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+			act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 			const n, enroller = 6, 1
 			var heard [n + 1]map[string]*atomic.Int32
 			listen := func(i int) Action {
@@ -79,16 +147,16 @@ func TestBroadcastSnapshotSurvivesRemoval(t *testing.T) {
 			var once sync.Once
 			for i := 0; i < n; i++ {
 				inner := listen(i)
-				coord.addAction("s", ActionFunc(func(ctx context.Context, sig Signal) (Outcome, error) {
+				act.AddAction("s", ActionFunc(func(ctx context.Context, sig Signal) (Outcome, error) {
 					if i == enroller {
-						once.Do(func() { coord.addAction("s", listen(n)) })
+						once.Do(func() { act.AddAction("s", listen(n)) })
 					}
 					return inner.ProcessSignal(ctx, sig)
 				}))
 			}
 			set := NewSequenceSet("s", "sig-a", "sig-b")
 			set.SetDelivery(policy)
-			if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+			if _, err := act.transmit(context.Background(), set); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i <= n; i++ {

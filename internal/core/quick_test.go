@@ -28,14 +28,14 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 	f := func(nSignals, nActions uint8) bool {
 		a := int(nSignals%5) + 1
 		n := int(nActions%8) + 1
-		coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+		act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 		var (
 			mu    sync.Mutex
 			order []string
 		)
 		for i := 0; i < n; i++ {
 			label := fmt.Sprintf("act%d", i)
-			coord.addNamedAction("s", label, ActionFunc(
+			act.AddNamedAction("s", label, ActionFunc(
 				func(_ context.Context, sig Signal) (Outcome, error) {
 					mu.Lock()
 					order = append(order, label+"/"+sig.Name)
@@ -48,7 +48,7 @@ func TestQuickBroadcastInvariant(t *testing.T) {
 			names = append(names, fmt.Sprintf("sig%d", i))
 		}
 		set := NewSequenceSet("s", names...)
-		if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+		if _, err := act.transmit(context.Background(), set); err != nil {
 			return false
 		}
 		if len(order) != a*n {

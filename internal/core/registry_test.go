@@ -26,7 +26,7 @@ type enrolled struct {
 // across the names, and checks that each set keeps its own registration
 // order, count and labels, and delivers in that order.
 func TestRegistryManySetNames(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	const names = 11
 	setName := func(i int) string { return fmt.Sprintf("set-%d", i) }
 	var mu sync.Mutex
@@ -45,9 +45,9 @@ func TestRegistryManySetNames(t *testing.T) {
 			name := setName(n)
 			e := enrolled{label: fmt.Sprintf("%s/r%d", name, round), named: (round+n)%2 == 1}
 			if e.named {
-				coord.addNamedAction(name, e.label, recorder(name, e.label))
+				act.AddNamedAction(name, e.label, recorder(name, e.label))
 			} else {
-				coord.addAction(name, recorder(name, e.label))
+				act.AddAction(name, recorder(name, e.label))
 			}
 			want[name] = append(want[name], e)
 		}
@@ -55,9 +55,9 @@ func TestRegistryManySetNames(t *testing.T) {
 
 	for n := 0; n < names; n++ {
 		name := setName(n)
-		regs := coord.actions(name)
-		if len(regs) != len(want[name]) || coord.ActionCount(name) != len(want[name]) {
-			t.Fatalf("%s: %d registrations, ActionCount %d, want %d", name, len(regs), coord.ActionCount(name), len(want[name]))
+		regs := act.actions(name)
+		if len(regs) != len(want[name]) || act.ActionCount(name) != len(want[name]) {
+			t.Fatalf("%s: %d registrations, ActionCount %d, want %d", name, len(regs), act.ActionCount(name), len(want[name]))
 		}
 		for i, e := range want[name] {
 			if !e.named && regs[i].seq == 0 {
@@ -68,13 +68,13 @@ func TestRegistryManySetNames(t *testing.T) {
 			}
 		}
 	}
-	if coord.ActionCount("no-such-set") != 0 || coord.actions("no-such-set") != nil {
+	if act.ActionCount("no-such-set") != 0 || act.actions("no-such-set") != nil {
 		t.Fatal("an unknown set name has registrations")
 	}
 
 	for n := 0; n < names; n++ {
 		name := setName(n)
-		if _, err := coord.processSignalSet(context.Background(), NewSequenceSet(name, "ping")); err != nil {
+		if _, err := act.transmit(context.Background(), NewSequenceSet(name, "ping")); err != nil {
 			t.Fatal(err)
 		}
 		var labels []string
@@ -91,65 +91,67 @@ func TestRegistryManySetNames(t *testing.T) {
 // delivers over, then appends within the set's reserved room and grows the
 // table of set names: the snapshot is unchanged by each.
 func TestRegistrySnapshotOutlivesMutation(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
-	coord.addAction("s", tagAction(1))
-	coord.addAction("s", tagAction(2))
-	snap := coord.actions("s")
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
+	act.AddAction("s", tagAction(1))
+	act.AddAction("s", tagAction(2))
+	snap := act.actions("s")
 	want := []Action{tagAction(1), tagAction(2)}
 
-	coord.addAction("s", tagAction(3)) // fits the reserved room
+	act.AddAction("s", tagAction(3)) // fits the reserved room
 	if got := regActions(snap); !slices.Equal(got, want) {
 		t.Fatalf("after an append: snapshot %v, want %v", got, want)
 	}
 	for i := 0; i < 9; i++ {
-		coord.addAction(fmt.Sprintf("other-%d", i), noopTestAction{})
+		act.AddAction(fmt.Sprintf("other-%d", i), noopTestAction{})
 	}
-	coord.addAction("s", tagAction(4))
+	act.AddAction("s", tagAction(4))
 	if got := regActions(snap); !slices.Equal(got, want) {
 		t.Fatalf("after new set names: snapshot %v, want %v", got, want)
 	}
-	if got, now := regActions(coord.actions("s")), []Action{tagAction(1), tagAction(2), tagAction(3), tagAction(4)}; !slices.Equal(got, now) {
+	if got, now := regActions(act.actions("s")), []Action{tagAction(1), tagAction(2), tagAction(3), tagAction(4)}; !slices.Equal(got, now) {
 		t.Fatalf("current registrations %v, want %v", got, now)
 	}
 }
 
-// TestRegistryDriverReusedForSetDrivenTwice drives one set instance, grows
-// the table of set names, and drives it again: the second run finds the
-// same ended driver and is refused, while a fresh instance of the same name
-// gets its own.
+// TestRegistryDriverReusedForSetDrivenTwice drives one set, grows the
+// table of set names, and drives it again: the second run finds the same
+// ended entry and is refused, while a fresh instance of the same name is
+// refused registration and never driven.
 func TestRegistryDriverReusedForSetDrivenTwice(t *testing.T) {
 	ctx := context.Background()
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
-	coord.addAction("s", noopTestAction{})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
+	act.AddAction("s", noopTestAction{})
 	set := NewSequenceSet("s", "ping")
-	if coord.SetState(set) != StateWaiting {
-		t.Fatalf("undriven set in state %s", coord.SetState(set))
+	if act.SetState(set) != StateWaiting {
+		t.Fatalf("undriven set in state %s", act.SetState(set))
 	}
-	d := coord.driverFor(set)
-	if _, err := coord.processSignalSet(ctx, set); err != nil {
+	if _, err := act.transmit(ctx, set); err != nil {
 		t.Fatal(err)
 	}
+	d := act.entryOf("s")
 	for i := 0; i < 9; i++ {
-		coord.addAction(fmt.Sprintf("other-%d", i), noopTestAction{})
-		coord.driverFor(NewSequenceSet(fmt.Sprintf("other-%d", i), "x"))
+		act.AddAction(fmt.Sprintf("other-%d", i), noopTestAction{})
+		if err := act.RegisterSignalSet(NewSequenceSet(fmt.Sprintf("other-%d", i), "x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if coord.driverFor(set) != d {
+	if act.entryOf("s") != d {
 		t.Fatal("a set driven twice got a second driver")
 	}
-	if coord.SetState(set) != StateEnd {
-		t.Fatalf("driven set in state %s, want %s", coord.SetState(set), StateEnd)
+	if act.SetState(set) != StateEnd {
+		t.Fatalf("driven set in state %s, want %s", act.SetState(set), StateEnd)
 	}
-	if _, err := coord.processSignalSet(ctx, set); !errors.Is(err, ErrSignalSetInactive) {
+	if _, err := act.transmit(ctx, set); !errors.Is(err, ErrSignalSetInactive) {
 		t.Fatalf("second drive: err = %v, want ErrSignalSetInactive", err)
 	}
 	fresh := NewSequenceSet("s", "ping")
-	if coord.SetState(fresh) != StateWaiting {
-		t.Fatalf("fresh instance in state %s", coord.SetState(fresh))
+	if act.SetState(fresh) != StateWaiting {
+		t.Fatalf("fresh instance in state %s", act.SetState(fresh))
 	}
-	if _, err := coord.processSignalSet(ctx, fresh); err != nil {
-		t.Fatal(err)
+	if _, err := act.transmit(ctx, fresh); !errors.Is(err, ErrDuplicateSignalSet) {
+		t.Fatalf("fresh instance: err = %v, want ErrDuplicateSignalSet", err)
 	}
-	if coord.driverFor(set) != d || coord.driverFor(fresh) == d {
+	if act.entryOf("s") != d || d.set != SignalSet(set) || act.SetState(fresh) != StateWaiting {
 		t.Fatal("two instances of one set name share a driver")
 	}
 }
@@ -181,13 +183,13 @@ func TestRegistryDuplicateSignalSetAmongMany(t *testing.T) {
 }
 
 // TestConcurrentRegistrationAcrossSetNames races enrolment, one by one and
-// in runs, against snapshots and driver lookups over overlapping set
-// names, more of them than any reserved room, so the table of entries
+// in runs, and set registration against snapshots and state lookups over
+// overlapping set names, more of them than any reserved room, so the table of entries
 // grows while others read it. Each snapshot must stay as it was taken, and
 // every set ends with the exact count. Run under -race it pins the
 // registry's locking.
 func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
-	coord := newCoordinator("race", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("race", nil, RetryPolicy{Attempts: 1})
 	const (
 		names   = 12
 		workers = 4
@@ -207,10 +209,10 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 			default:
 			}
 			name := setName(i % names)
-			snap := coord.actions(name)
+			snap := act.actions(name)
 			before := regActions(snap)
-			coord.SetState(NewSequenceSet(name, "x"))
-			coord.ActionCount(name)
+			act.SetState(NewSequenceSet(name, "x"))
+			act.ActionCount(name)
 			if after := regActions(snap); !slices.Equal(before, after) {
 				t.Errorf("%s: snapshot changed from %v to %v", name, before, after)
 				return
@@ -227,13 +229,14 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 				tag := func(i int) tagAction { return tagAction((w*names+k)*(adds+run) + i) }
 				for i := 0; i < adds; i++ {
 					if i%2 == 0 {
-						coord.addAction(name, tag(i))
+						act.AddAction(name, tag(i))
 					} else {
-						coord.addNamedAction(name, "n", tag(i))
+						act.AddNamedAction(name, "n", tag(i))
 					}
 				}
-				coord.register(name, "", true, []Action{tag(adds), tag(adds + 1), tag(adds + 2)})
-				coord.driverFor(NewSequenceSet(name, "x"))
+				act.AddActions(name, tag(adds), tag(adds+1), tag(adds+2))
+				// Only the first registration under a name succeeds.
+				_ = act.RegisterSignalSet(NewSequenceSet(name, "x"))
 			}
 		}(w)
 	}
@@ -241,7 +244,7 @@ func TestConcurrentRegistrationAcrossSetNames(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	for n := 0; n < names; n++ {
-		if got, want := coord.ActionCount(setName(n)), workers*(adds+run); got != want {
+		if got, want := act.ActionCount(setName(n)), workers*(adds+run); got != want {
 			t.Fatalf("%s: %d registrations, want %d", setName(n), got, want)
 		}
 	}
@@ -280,7 +283,7 @@ func TestDifferentialEnrolRunMatchesOneByOne(t *testing.T) {
 				}
 			}
 		}
-		if n := a.Coordinator().ActionCount("s"); n != len(actions) {
+		if n := a.ActionCount("s"); n != len(actions) {
 			t.Fatalf("%d registrations, want %d", n, len(actions))
 		}
 		out, err := a.Complete(context.Background())
@@ -336,21 +339,21 @@ func TestEnrolRunRefusedOnceCompleting(t *testing.T) {
 	if err := a.AddActions(DefaultCompletionSet, hear, hear); !errors.Is(err, ErrActivityInactive) {
 		t.Fatalf("run after Complete: err = %v, want ErrActivityInactive", err)
 	}
-	if n, c := heard.Load(), a.Coordinator().ActionCount(DefaultCompletionSet); n != 3 || c != 3 {
+	if n, c := heard.Load(), a.ActionCount(DefaultCompletionSet); n != 3 || c != 3 {
 		t.Fatalf("%d deliveries over %d registrations, want 3 and 3", n, c)
 	}
 }
 
-// TestInlineRoomSpillMatchesAcrossPolicies drives an activity past every
+// TestInlineRoomSpillMatchesAcrossPolicies drives an activity past its
 // inline room: two registered sets, enrolments under three set names, a
-// set driven by Signal before Complete, a second instance driven under
-// that set's name, and the completion set. The first driver must stay in
-// the coordinator's room and every later one on the heap, each set ending
-// in its own driver; serial, Parallel() and Tree(4) delivery must leave
-// byte-identical traces, responses, outcomes and set states.
+// set driven by Signal before Complete, and the completion set. The first
+// name's entry must stay in the activity's room and every later one on
+// the heap, each set ending in its own entry; serial, Parallel() and
+// Tree(4) delivery must leave byte-identical traces, responses, outcomes
+// and set states.
 func TestInlineRoomSpillMatchesAcrossPolicies(t *testing.T) {
-	// drive returns what each set was left with, in the order pre, its
-	// second instance, the completion set, and the three sets' states.
+	// drive returns what each set was left with, in the order pre, the
+	// completion set, and the two sets' states.
 	drive := func(policy DeliveryPolicy, sh declShape) ([]broadcastResult, []SetState) {
 		ctx := context.Background()
 		rec := trace.New()
@@ -379,34 +382,26 @@ func TestInlineRoomSpillMatchesAcrossPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := a.coord.driverFor(pre); d != &a.coord.driverRoom {
-			t.Fatalf("%s: the first set driven is not in the driver room", policy.Mode)
-		}
-		if _, err := a.AddNamedAction("pre", "late", okAction()); err != nil {
-			t.Fatal(err)
-		}
-		again := NewSequenceSet("pre", "p3")
-		again.SetDelivery(policy)
-		againOut, err := a.coord.processSignalSet(ctx, again)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out, err := a.Complete(ctx)
 		if err != nil {
 			t.Fatalf("Complete(%s): %v", policy.Mode, err)
 		}
-		if len(a.sets) != 2 || len(a.coord.sets) != 3 || &a.coord.sets[0] == &a.coord.entryRoom[0] {
-			t.Fatalf("%s: %d sets, %d entries: want 2 and 3, spilled past the rooms", policy.Mode, len(a.sets), len(a.coord.sets))
+		entries := 0
+		for e := a.entries; e != nil; e = e.next {
+			entries++
 		}
-		results := []broadcastResult{shapeResult(t, preOut, pre, rec), shapeResult(t, againOut, again, rec), shapeResult(t, out, set, rec)}
-		states := []SetState{a.coord.SetState(pre), a.coord.SetState(again), a.coord.SetState(set)}
+		if first, s := a.entryOf("pre"), a.entryOf("s"); entries != 3 || first != &a.firstEntry || s == &a.firstEntry || a.entryOf("other") == &a.firstEntry {
+			t.Fatalf("%s: %d entries, want 3, the first in the activity's room and the rest spilled past it", policy.Mode, entries)
+		}
+		results := []broadcastResult{shapeResult(t, preOut, pre, rec), shapeResult(t, out, set, rec)}
+		states := []SetState{a.SetState(pre), a.SetState(set)}
 		return results, states
 	}
 	f := func(nSignals, nActions, decl uint8, scriptSeed int64) bool {
 		sh := genShape(int(nSignals%4)+1, int(nActions%16)+1, decl, scriptSeed)
 		serial, serialStates := drive(DeliveryPolicy{}, sh)
-		if !slices.Equal(serialStates, []SetState{StateEnd, StateEnd, StateEnd}) {
-			t.Fatalf("serial: set states %v, want every set ended in its own driver", serialStates)
+		if !slices.Equal(serialStates, []SetState{StateEnd, StateEnd}) {
+			t.Fatalf("serial: set states %v, want every set ended in its own entry", serialStates)
 		}
 		for _, policy := range concurrentPolicies {
 			got, states := drive(policy, sh)
@@ -422,9 +417,9 @@ func TestInlineRoomSpillMatchesAcrossPolicies(t *testing.T) {
 					return false
 				}
 			}
-			if !slices.Equal(serial[2].trace, got[2].trace) {
+			if !slices.Equal(serial[1].trace, got[1].trace) {
 				t.Logf("shape %+v, %s: trace mismatch:\nserial:\n%s\n%s:\n%s", sh, policy.Mode,
-					strings.Join(serial[2].trace, "\n"), policy.Mode, strings.Join(got[2].trace, "\n"))
+					strings.Join(serial[1].trace, "\n"), policy.Mode, strings.Join(got[1].trace, "\n"))
 				return false
 			}
 		}

@@ -80,6 +80,7 @@ func New(opts ...Option) *Service {
 	for _, o := range opts {
 		o.apply(s)
 	}
+	s.retry.Attempts = max(s.retry.Attempts, 1)
 	return s
 }
 
@@ -131,8 +132,6 @@ func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption
 	for _, o := range opts {
 		o.applyBegin(a)
 	}
-	a.coord.init(name, s.rec, s.retry)
-	a.sets = a.setRoom[:0]
 	s.liveMu.Lock()
 	s.live[a.id] = a
 	s.liveMu.Unlock()

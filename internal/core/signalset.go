@@ -96,8 +96,7 @@ func (s SetState) String() string {
 // that a set is never reused after End and that GetOutcome only runs in
 // End.
 type setDriver struct {
-	set  SignalSet
-	next *setDriver // the next instance driven under the same set name
+	set SignalSet
 
 	// state holds a SetState. Every transition is one store and every
 	// check one load, so an atomic orders them without a lock — the

@@ -79,25 +79,25 @@ func TestBaseSetCompletionStatusSticky(t *testing.T) {
 // TestSignalSetStateMachine exercises fig. 7: Waiting → GetSignal → End,
 // with no reuse after End.
 func TestSignalSetStateMachine(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("s", "one", "two")
-	coord.addAction("s", ActionFunc(func(context.Context, Signal) (Outcome, error) {
+	act.AddAction("s", ActionFunc(func(context.Context, Signal) (Outcome, error) {
 		return Outcome{Name: "ok"}, nil
 	}))
 
-	if st := coord.SetState(set); st != StateWaiting {
+	if st := act.SetState(set); st != StateWaiting {
 		t.Fatalf("initial state = %s", st)
 	}
-	if _, err := coord.processSignalSet(context.Background(), set); err != nil {
+	if _, err := act.transmit(context.Background(), set); err != nil {
 		t.Fatal(err)
 	}
-	if st := coord.SetState(set); st != StateEnd {
+	if st := act.SetState(set); st != StateEnd {
 		t.Fatalf("state after protocol = %s", st)
 	}
 	// A set in End cannot be reused (fig. 7: "Once in the End state the
 	// SignalSet cannot provide any further Signals and will not be
 	// reused").
-	if _, err := coord.processSignalSet(context.Background(), set); err == nil {
+	if _, err := act.transmit(context.Background(), set); err == nil {
 		t.Fatal("reuse after End succeeded")
 	}
 }
@@ -105,16 +105,16 @@ func TestSignalSetStateMachine(t *testing.T) {
 // TestSignalSetWaitingToEndDirectly covers the fig. 7 edge where a set has
 // no signals at all: Waiting → End without passing through GetSignal.
 func TestSignalSetWaitingToEndDirectly(t *testing.T) {
-	coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+	act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 	set := NewSequenceSet("empty")
-	out, err := coord.processSignalSet(context.Background(), set)
+	out, err := act.transmit(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "completed" {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if st := coord.SetState(set); st != StateEnd {
+	if st := act.SetState(set); st != StateEnd {
 		t.Fatalf("state = %s", st)
 	}
 }

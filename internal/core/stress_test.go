@@ -86,14 +86,19 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 	for _, policy := range []DeliveryPolicy{{}, Parallel(), Tree(4)} {
 		t.Run(policy.Mode.String(), func(t *testing.T) {
-			coord := newCoordinator("A", nil, RetryPolicy{Attempts: 1})
+			act := beginTraced("A", nil, RetryPolicy{Attempts: 1})
 			var delivered atomic.Int32
-			slowAction := ActionFunc(func(context.Context, Signal) (Outcome, error) {
+			var heardMu sync.Mutex
+			heard := map[string]int{}
+			slowAction := ActionFunc(func(_ context.Context, sig Signal) (Outcome, error) {
 				delivered.Add(1)
+				heardMu.Lock()
+				heard[sig.Name]++
+				heardMu.Unlock()
 				return Outcome{Name: "ok"}, nil
 			})
 			for i := 0; i < 32; i++ {
-				coord.addAction("s", slowAction)
+				act.AddAction("s", slowAction)
 			}
 
 			const churners, perChurner = 4, 64
@@ -109,7 +114,7 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 						case <-stop:
 							return
 						default:
-							coord.addAction("s", slowAction)
+							act.AddAction("s", slowAction)
 							added.Add(1)
 							runtime.Gosched()
 						}
@@ -117,24 +122,31 @@ func TestStressAddRemoveDuringBroadcast(t *testing.T) {
 				}()
 			}
 
-			for i := 0; i < 20; i++ {
-				set := NewSequenceSet("s", "sig-a", "sig-b")
-				set.SetDelivery(policy)
-				if _, err := coord.processSignalSet(context.Background(), set); err != nil {
-					t.Fatal(err)
-				}
-				// Each broadcast snapshots registrations: at least the 32
-				// stable actions hear both signals.
-				if got := len(set.Responses()); got < 64 {
-					t.Fatalf("responses = %d, want >= 64", got)
+			// One set of 40 signals: each round is one broadcast.
+			sigs := make([]string, 40)
+			for i := range sigs {
+				sigs[i] = fmt.Sprintf("sig-%d", i)
+			}
+			set := NewSequenceSet("s", sigs...)
+			set.SetDelivery(policy)
+			if _, err := act.transmit(context.Background(), set); err != nil {
+				t.Fatal(err)
+			}
+			// Each broadcast snapshots registrations: at least the 32
+			// stable actions hear every signal.
+			heardMu.Lock()
+			for _, sig := range sigs {
+				if heard[sig] < 32 {
+					t.Fatalf("%s heard by %d actions, want >= 32", sig, heard[sig])
 				}
 			}
+			heardMu.Unlock()
 			close(stop)
 			churn.Wait()
 			if delivered.Load() == 0 {
 				t.Fatal("nothing delivered")
 			}
-			if got, want := coord.ActionCount("s"), 32+int(added.Load()); got != want {
+			if got, want := act.ActionCount("s"), 32+int(added.Load()); got != want {
 				t.Fatalf("ActionCount = %d, want %d: an enrolment was lost", got, want)
 			}
 		})
