@@ -8,6 +8,7 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/twopc"
+	"github.com/extendedtx/activityservice/ots"
 )
 
 // TestAllocsShardRouterRoute gates BenchmarkShardRouterRoute: routing from
@@ -46,6 +47,41 @@ func TestAllocsTwoPhaseCommit(t *testing.T) {
 			t.Errorf("%.0f allocs per pair of commits, budget 6", got)
 		}
 	})
+}
+
+// TestAllocsOTSCommit gates the transaction service's top-level commit —
+// Begin, RegisterResource per no-op participant, Commit(true) — at 6
+// allocs/op for 2 participants and 8 for 8 with no log, and at 10 and 12
+// with an in-memory decision log, whose decision and done records cost
+// four more. durable-2pc and replicated-2pc commit through this path.
+func TestAllocsOTSCommit(t *testing.T) {
+	for _, c := range []struct {
+		log          bool
+		participants int
+		budget       float64
+	}{{false, 2, 6}, {false, 8, 8}, {true, 2, 10}, {true, 8, 12}} {
+		t.Run(fmt.Sprintf("log=%v/participants=%d", c.log, c.participants), func(t *testing.T) {
+			var opts []ots.Option
+			if c.log {
+				opts = append(opts, ots.WithLog(ots.NewMemoryLog()))
+			}
+			svc := ots.NewService(opts...)
+			got := testing.AllocsPerRun(200, func() {
+				tx := svc.Begin()
+				for range c.participants {
+					if err := tx.RegisterResource(okResource{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(true); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > c.budget {
+				t.Errorf("%.0f allocs/op, budget %.0f", got, c.budget)
+			}
+		})
+	}
 }
 
 // TestAllocsTreeFanout gates BenchmarkTreeFanout's tree configurations:

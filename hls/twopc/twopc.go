@@ -5,10 +5,11 @@
 // interface.
 //
 // This is the paper's demonstration that even the most classical
-// transaction protocol is expressible in the generic framework; the
-// repository benchmark reports the framework's overhead against the
-// hand-coded protocol in internal/ots as ots.framework_ratio
-// (bench/README.md).
+// transaction protocol is expressible in the generic framework. The
+// declaration and the adapter live in internal/ots, whose own top-level
+// commits run through them too, so there is one 2PC engine; this package
+// is a Coordinator that runs it over an application's activities, with
+// staged enlistment and a choice of delivery policy.
 package twopc
 
 import (
@@ -22,109 +23,32 @@ import (
 	"github.com/extendedtx/activityservice/internal/ots"
 )
 
-// Signal and outcome names used by the protocol.
+// The 2PCSignalSet's names, declared with the set in internal/ots: the set,
+// its signals, the outcomes a ResourceAction answers with ("done" is fig.
+// 8's acknowledgement, "abort" a veto) and the collated results.
 const (
-	// SetName is the 2PC signal set name.
-	SetName = "2pc"
-	// SignalPrepare asks participants to vote.
-	SignalPrepare = "prepare"
-	// SignalCommit makes prepared work durable.
-	SignalCommit = "commit"
-	// SignalRollback undoes the work.
-	SignalRollback = "rollback"
+	SetName        = ots.SetName
+	SignalPrepare  = ots.SignalPrepare
+	SignalCommit   = ots.SignalCommit
+	SignalRollback = ots.SignalRollback
 
-	// OutcomeDone acknowledges a phase-two signal (fig. 8's "done").
-	OutcomeDone = "done"
-	// OutcomeReadOnly reports no undoable work at prepare.
-	OutcomeReadOnly = "read-only"
-	// OutcomeAbort vetoes at prepare.
-	OutcomeAbort = "abort"
+	OutcomeDone     = ots.OutcomeDone
+	OutcomeReadOnly = ots.OutcomeReadOnly
+	OutcomeAbort    = ots.OutcomeAbort
 
-	// ResultCommitted is the collated outcome of a committed protocol.
-	ResultCommitted = "committed"
-	// ResultRolledBack is the collated outcome of a rolled-back protocol.
-	ResultRolledBack = "rolled-back"
+	ResultCommitted  = ots.ResultCommitted
+	ResultRolledBack = ots.ResultRolledBack
 )
-
-// The 2PCSignalSet's sequences, shared by every transaction: "prepare"
-// then "commit", or "rollback" after an "abort" vote (or a delivery
-// failure during voting). An activity completing in a failure status skips
-// the vote and rolls straight back.
-var (
-	voteThenCommit = []core.Signal{{Name: SignalPrepare}, {Name: SignalCommit}}
-	rollBack       = []core.Signal{{Name: SignalRollback}}
-)
-
-// initSignalSet makes s, a zero SequenceSet, a fresh 2PCSignalSet of
-// fig. 8 (sets are single-use, per fig. 7).
-func initSignalSet(s *core.SequenceSet) *core.SequenceSet {
-	s.BaseSet = core.NewBaseSet(SetName)
-	return s.Signals(voteThenCommit...).
-		OnFailure(rollBack...).
-		Veto(OutcomeAbort).
-		Outcomes(ResultCommitted, ResultRolledBack)
-}
 
 // ResourceAction adapts an ots.Resource to the Action protocol, letting
-// any transaction-service participant join an activity-coordinated 2PC.
-//
-// It takes no lock: it relies on its caller to deliver one signal at a
-// time, with each delivery ordered before the next. A coordinator does so
-// in-process (serial rounds run in sequence; a concurrent round's workers
-// finish before the next round starts), and internal/remote's action
-// servant does so for every delivery that crosses the wire, so a
-// redelivery never overlaps an earlier one.
-type ResourceAction struct {
-	resource ots.Resource
-	voted    ots.Vote // zero until Prepare answers: rollback then reaches the resource
-}
-
-var _ core.Action = (*ResourceAction)(nil)
+// any transaction-service participant join an activity-coordinated 2PC. It
+// is internal/ots's adapter: a heuristic phase-two reply is an outcome,
+// delivered once, and only a transient error is retried.
+type ResourceAction = ots.ResourceAction
 
 // NewResourceAction wraps r.
 func NewResourceAction(r ots.Resource) *ResourceAction {
-	return &ResourceAction{resource: r}
-}
-
-// ProcessSignal implements core.Action.
-func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core.Outcome, error) {
-	switch sig.Name {
-	case SignalPrepare:
-		vote, err := a.resource.Prepare()
-		if err != nil {
-			// The resource may be prepared all the same (its reply was
-			// lost): left unvoted, it is told to roll back.
-			return core.Outcome{Name: OutcomeAbort}, nil
-		}
-		a.voted = vote
-		switch vote {
-		case ots.VoteReadOnly:
-			return core.Outcome{Name: OutcomeReadOnly}, nil
-		case ots.VoteCommit:
-			return core.Outcome{Name: OutcomeDone}, nil
-		default:
-			// A vetoing resource has already rolled itself back.
-			return core.Outcome{Name: OutcomeAbort}, nil
-		}
-	case SignalCommit:
-		if a.voted != ots.VoteCommit {
-			return core.Outcome{Name: OutcomeDone}, nil // read-only: no phase two
-		}
-		if err := a.resource.Commit(); err != nil {
-			return core.Outcome{}, fmt.Errorf("twopc: commit: %w", err)
-		}
-		return core.Outcome{Name: OutcomeDone}, nil
-	case SignalRollback:
-		if a.voted == ots.VoteRollback || a.voted == ots.VoteReadOnly {
-			return core.Outcome{Name: OutcomeDone}, nil // nothing to undo
-		}
-		if err := a.resource.Rollback(); err != nil {
-			return core.Outcome{}, fmt.Errorf("twopc: rollback: %w", err)
-		}
-		return core.Outcome{Name: OutcomeDone}, nil
-	default:
-		return core.Outcome{}, fmt.Errorf("twopc: unexpected signal %q", sig.Name)
-	}
+	return ots.NewResourceAction(r)
 }
 
 // Coordinator runs activity-coordinated two-phase commits.
@@ -186,7 +110,7 @@ func (c *Coordinator) Begin(name string) (*Transaction, error) {
 func (c *Coordinator) begin(a *core.Activity) (*Transaction, error) {
 	t := &Transaction{activity: a}
 	t.staged = t.room[:0]
-	set := initSignalSet(&t.set)
+	set := ots.InitSignalSet(&t.set)
 	set.SetDelivery(c.delivery)
 	if err := a.RegisterSignalSet(set); err != nil {
 		return nil, err
@@ -210,7 +134,7 @@ func (t *Transaction) Enlist(r ots.Resource) error {
 		_, err := t.activity.AddAction(SetName, NewResourceAction(r))
 		return err
 	}
-	t.staged = append(t.staged, ResourceAction{resource: r})
+	t.staged = append(t.staged, *NewResourceAction(r))
 	return nil
 }
 

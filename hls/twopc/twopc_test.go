@@ -317,6 +317,72 @@ func TestPrepareErrorTreatedAsVeto(t *testing.T) {
 	}
 }
 
+// heuristicResource answers phase two with a heuristic outcome: err on
+// Commit, or on Rollback, as its call names.
+type heuristicResource struct {
+	*scriptedResource
+	call string // "commit" or "rollback"
+	err  error
+}
+
+func (r *heuristicResource) Commit() error {
+	r.log("commit")
+	if r.call == "commit" {
+		return fmt.Errorf("resolved unilaterally: %w", r.err)
+	}
+	return nil
+}
+
+func (r *heuristicResource) Rollback() error {
+	r.log("rollback")
+	if r.call == "rollback" {
+		return fmt.Errorf("resolved unilaterally: %w", r.err)
+	}
+	return nil
+}
+
+// TestHeuristicReplyNotRetried: a heuristic reply is the participant's
+// final answer, so a retrying coordinator delivers that phase-two signal
+// to it once — a heuristic rollback on the commit path and a heuristic
+// commit on the rollback path after a veto alike — and the transaction
+// keeps its outcome.
+func TestHeuristicReplyNotRetried(t *testing.T) {
+	for _, tc := range []struct {
+		call string
+		err  error
+		veto bool
+	}{
+		{"commit", ots.ErrHeuristicRollback, false},
+		{"rollback", ots.ErrHeuristicCommit, true},
+	} {
+		t.Run(tc.call, func(t *testing.T) {
+			svc := core.New(core.WithRetryPolicy(core.RetryPolicy{Attempts: 3}))
+			tx, err := NewCoordinator(svc).Begin("T")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rogue := &heuristicResource{scriptedResource: newResource(ots.VoteCommit), call: tc.call, err: tc.err}
+			if err := tx.Enlist(rogue); err != nil {
+				t.Fatal(err)
+			}
+			vote := ots.VoteCommit
+			if tc.veto {
+				vote = ots.VoteRollback
+			}
+			if err := tx.Enlist(newResource(vote)); err != nil {
+				t.Fatal(err)
+			}
+			committed, err := tx.Commit(context.Background())
+			if err != nil || committed == tc.veto {
+				t.Fatalf("Commit = %v, %v; want %v, nil", committed, err, !tc.veto)
+			}
+			if calls := rogue.Calls(); !slices.Equal(calls, []string{"prepare", tc.call}) {
+				t.Fatalf("rogue calls = %v, want [prepare %s]", calls, tc.call)
+			}
+		})
+	}
+}
+
 // TestParallelPrepareCommits drives 2PC with parallel delivery: every
 // participant votes concurrently, the outcome and each participant's call
 // sequence are identical to serial delivery. ResourceAction takes no lock,

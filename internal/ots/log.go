@@ -116,16 +116,17 @@ func decodeDone(b []byte) (ids.UID, error) {
 	return u, nil
 }
 
-// logDecision forces the commit decision for the prepared participants.
+// logDecision forces the commit decision naming the participants of rs
+// that voted commit; read-only voters have no phase two to recover.
 // Without a log the service runs non-durably and the decision is a no-op.
-func (t *Transaction) logDecision(prepared []registeredResource) error {
+func (t *Transaction) logDecision(rs []ResourceAction) error {
 	if t.svc.log == nil {
 		return nil
 	}
-	names := make([]string, 0, len(prepared))
-	for _, p := range prepared {
-		if p.name != "" {
-			names = append(names, p.name)
+	names := make([]string, 0, len(rs))
+	for _, r := range rs {
+		if r.voted == VoteCommit && r.name != "" {
+			names = append(names, r.name)
 		}
 	}
 	lsn, err := t.svc.log.Append(RecordDecision, encodeDecision(t.id, names))
@@ -144,17 +145,24 @@ func (t *Transaction) logDecision(prepared []registeredResource) error {
 	return nil
 }
 
-// logDone marks the decision delivered. The record is lazy — it rides the
-// log's next sync instead of paying for its own — and best-effort: losing
-// it to a crash before that sync only causes harmless re-delivery of
-// idempotent commits on recovery.
-func (t *Transaction) logDone() {
-	if t.svc.log == nil {
-		return
+// logDone marks tx's decision delivered, for a commit and for a recovery
+// pass alike, and emits StageDone. The record is lazy — it rides the log's
+// next sync instead of paying for its own — and losing it to a crash
+// before that sync only causes harmless re-delivery of idempotent commits
+// on recovery.
+func (s *Service) logDone(tx ids.UID) error {
+	if s.log != nil {
+		if _, err := s.log.AppendLazy(RecordDone, encodeDone(tx)); err != nil {
+			return err
+		}
+		s.viewMu.Lock()
+		if s.view != nil {
+			s.view.done[tx] = true
+		}
+		s.viewMu.Unlock()
 	}
-	if _, err := t.svc.log.AppendLazy(RecordDone, encodeDone(t.id)); err == nil {
-		t.svc.noteDone(t.id)
-	}
+	s.emit(Event{Tx: tx, Stage: StageDone})
+	return nil
 }
 
 // recordHeuristic durably records one participant's heuristic outcome,

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ids"
 	"github.com/extendedtx/activityservice/internal/wal"
 )
@@ -48,11 +49,13 @@ var (
 // Service is the transaction factory and recovery home. It corresponds to
 // the TransactionFactory plus the per-ORB recovery machinery.
 type Service struct {
-	gen        *ids.Generator
-	log        *wal.Log
-	dir        *Directory
-	retries    int
-	retryDelay time.Duration
+	gen   *ids.Generator
+	log   *wal.Log
+	dir   *Directory
+	retry core.RetryPolicy
+	// core drives each two-phase commit as an activity. It has no journal
+	// and no recorder: the decision log is the commit's only record.
+	core *core.Service
 
 	hook         func(Event)
 	decisionGate func(lsn uint64) error
@@ -92,15 +95,16 @@ func WithDirectory(d *Directory) Option {
 }
 
 // WithRetryPolicy sets how many times phase-two delivery is attempted per
-// resource and the delay between attempts. A heuristic outcome
+// resource and the delay between attempts: the core.RetryPolicy the
+// service's commits and recovery passes deliver with. A heuristic outcome
 // (ErrHeuristicRollback, ErrHeuristicCommit) is not retried: it is the
 // participant's final answer.
 func WithRetryPolicy(attempts int, delay time.Duration) Option {
 	return optionFunc(func(s *Service) {
 		if attempts > 0 {
-			s.retries = attempts
+			s.retry.Attempts = attempts
 		}
-		s.retryDelay = delay
+		s.retry.Backoff = delay
 	})
 }
 
@@ -139,15 +143,15 @@ func WithDecisionGate(fn func(lsn uint64) error) Option {
 // NewService returns a transaction service.
 func NewService(opts ...Option) *Service {
 	s := &Service{
-		gen:        ids.NewGenerator(),
-		dir:        NewDirectory(),
-		retries:    3,
-		retryDelay: time.Millisecond,
-		inflight:   make(map[ids.UID]*Transaction),
+		gen:      ids.NewGenerator(),
+		dir:      NewDirectory(),
+		retry:    core.RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+		inflight: make(map[ids.UID]*Transaction),
 	}
 	for _, o := range opts {
 		o.apply(s)
 	}
+	s.core = core.New(core.WithRetryPolicy(s.retry))
 	return s
 }
 
@@ -180,11 +184,10 @@ func (s *Service) Begin(opts ...BeginOption) *Transaction {
 
 func (s *Service) newTransaction(parent *Transaction, opts ...BeginOption) *Transaction {
 	t := &Transaction{
-		svc:      s,
-		id:       s.gen.New(),
-		parent:   parent,
-		status:   StatusActive,
-		children: make(map[ids.UID]*Transaction),
+		svc:    s,
+		id:     s.gen.New(),
+		parent: parent,
+		status: StatusActive,
 	}
 	for _, o := range opts {
 		o.applyBegin(t)
@@ -218,12 +221,6 @@ func (s *Service) forget(t *Transaction) {
 	s.mu.Unlock()
 }
 
-// registeredResource pairs a resource with its optional recovery name.
-type registeredResource struct {
-	res  Resource
-	name string // empty when not recoverable
-}
-
 // Transaction is a transaction in the CosTransactions sense: it exposes the
 // Control surface (identity), the Coordinator surface (registration,
 // subtransactions) and the Terminator surface (commit/rollback).
@@ -236,9 +233,9 @@ type Transaction struct {
 
 	mu        sync.Mutex
 	status    Status
-	resources []registeredResource
+	resources []ResourceAction // registered, with their recovery names
 	syncs     []Synchronization
-	children  map[ids.UID]*Transaction
+	children  map[ids.UID]*Transaction // made by the first BeginSubtransaction
 }
 
 // ID returns the transaction identifier.
@@ -291,7 +288,7 @@ func (t *Transaction) RegisterResource(r Resource) error {
 	if t.status != StatusActive && t.status != StatusMarkedRollback {
 		return fmt.Errorf("%w: cannot register resource in status %s", ErrInactive, t.status)
 	}
-	t.resources = append(t.resources, registeredResource{res: r, name: name})
+	t.resources = append(t.resources, ResourceAction{resource: r, name: name})
 	return nil
 }
 
@@ -330,6 +327,9 @@ func (t *Transaction) BeginSubtransaction() (*Transaction, error) {
 		return nil, fmt.Errorf("%w: cannot nest under status %s", ErrInactive, t.status)
 	}
 	child := t.svc.newTransaction(t)
+	if t.children == nil {
+		t.children = make(map[ids.UID]*Transaction)
+	}
 	t.children[child.id] = child
 	return child, nil
 }
@@ -409,166 +409,41 @@ func (t *Transaction) Commit(reportHeuristics bool) error {
 		return fmt.Errorf("%w: marked rollback-only", ErrRolledBack)
 	}
 	t.status = StatusPreparing
-	resources := append([]registeredResource(nil), t.resources...)
+	// The completion owns the participants from here on: it marks their
+	// votes in place, and a late adoption appends to a fresh slice.
+	resources := t.resources
+	t.resources = nil
 	t.mu.Unlock()
 
-	err := t.completeTopLevel(resources, reportHeuristics)
+	var err error
+	switch len(resources) {
+	case 0:
+		t.setStatus(StatusCommitted)
+	case 1:
+		err = t.commitOnePhase(resources[0])
+	default:
+		err = t.commitTwoPhase(resources, reportHeuristics)
+	}
 	t.finish(syncs)
 	return err
 }
 
-// completeTopLevel runs the commit protocol over the snapshot of
-// registered resources. The caller has set status to StatusPreparing.
-func (t *Transaction) completeTopLevel(resources []registeredResource, reportHeuristics bool) error {
-	// One-phase optimisation.
-	if len(resources) == 0 {
-		t.setStatus(StatusCommitted)
-		return nil
-	}
-	if len(resources) == 1 {
-		t.setStatus(StatusCommitting)
-		if err := resources[0].res.CommitOnePhase(); err != nil {
-			if errors.Is(err, ErrHeuristicCommit) {
-				// Committed on its own: the outcome stands, and the
-				// heuristic is recorded as phase two records it.
-				t.svc.recordHeuristic(t.id, resources[0].name, StatusCommitted)
-				t.setStatus(StatusCommitted)
-				return nil
-			}
-			t.setStatus(StatusRolledBack)
-			return fmt.Errorf("%w: one-phase commit: %v", ErrRolledBack, err)
-		}
-		t.setStatus(StatusCommitted)
-		return nil
-	}
-
-	// Phase one.
-	prepared := make([]registeredResource, 0, len(resources))
-	for i, rr := range resources {
-		vote, err := rr.res.Prepare()
-		if err != nil {
-			vote = VoteRollback
-		}
-		switch vote {
-		case VoteCommit:
-			prepared = append(prepared, rr)
-		case VoteReadOnly:
-			// Drop: no phase two for read-only participants.
-		default: // VoteRollback or error
-			// A vetoing resource has rolled itself back; one whose prepare
-			// failed may be prepared all the same (its reply was lost), so
-			// it is rolled back with the prepared and the not-yet-asked.
-			t.setStatus(StatusRollingBack)
-			for _, p := range prepared {
-				t.deliverRollback(p)
-			}
-			if err != nil {
-				t.deliverRollback(rr)
-			}
-			for _, rest := range resources[i+1:] {
-				t.deliverRollback(rest)
-			}
-			t.setStatus(StatusRolledBack)
-			if err != nil {
-				return fmt.Errorf("%w: prepare failed: %v", ErrRolledBack, err)
-			}
-			return fmt.Errorf("%w: participant voted rollback", ErrRolledBack)
-		}
-	}
-	if len(prepared) == 0 { // everyone read-only
-		t.setStatus(StatusCommitted)
-		return nil
-	}
-	t.setStatus(StatusPrepared)
-	t.svc.emit(Event{Tx: t.id, Stage: StagePrepared})
-
-	// Commit point: the decision record must be durable before phase two
-	// (presumed abort — without it, recovery rolls back).
-	if err := t.logDecision(prepared); err != nil {
-		t.setStatus(StatusRollingBack)
-		for _, p := range prepared {
-			t.deliverRollback(p)
+// commitOnePhase commits a sole participant in one step.
+func (t *Transaction) commitOnePhase(r ResourceAction) error {
+	t.setStatus(StatusCommitting)
+	if err := r.resource.CommitOnePhase(); err != nil {
+		if errors.Is(err, ErrHeuristicCommit) {
+			// Committed on its own: the outcome stands, and the heuristic
+			// is recorded as phase two records it.
+			t.svc.recordHeuristic(t.id, r.name, StatusCommitted)
+			t.setStatus(StatusCommitted)
+			return nil
 		}
 		t.setStatus(StatusRolledBack)
-		// Both wrapped: callers unwind on ErrRolledBack, and a decision-gate
-		// veto keeps its cause inspectable (a deposed coordinator's FENCED
-		// system exception carries the leader hint clients redirect on).
-		return fmt.Errorf("%w: decision log: %w", ErrRolledBack, err)
-	}
-	t.svc.emit(Event{Tx: t.id, Stage: StageDecisionLogged})
-
-	// Phase two. Three outcomes per participant: delivered, heuristically
-	// resolved (the participant decided unilaterally after prepare — a
-	// definitive, durably recorded divergence), or failed (outcome
-	// unknown). Only delivery failures keep the decision record live: the
-	// participant is still prepared and Recover() must re-drive it, so the
-	// done record may be appended only when no delivery failed and the
-	// participant must NOT be told to Forget — forgetting would discard
-	// the very recovery state the replay needs.
-	t.setStatus(StatusCommitting)
-	committed, failed, damaged := 0, 0, 0
-	for _, p := range prepared {
-		err := t.svc.deliverCommit(p.res)
-		switch {
-		case err == nil:
-			committed++
-			t.svc.emit(Event{Tx: t.id, Stage: StageCommitDelivered, Resource: p.name})
-		case errors.Is(err, ErrHeuristicRollback):
-			damaged++
-			t.svc.recordHeuristic(t.id, p.name, StatusRolledBack)
-		case errors.Is(err, ErrHeuristicCommit):
-			// The participant jumped the gun in the direction the decision
-			// took anyway: converged, but the heuristic is still recorded
-			// so operators can audit it until ForgetHeuristics.
-			committed++
-			t.svc.recordHeuristic(t.id, p.name, StatusCommitted)
-		default:
-			failed++
-		}
+		return fmt.Errorf("%w: one-phase commit: %v", ErrRolledBack, err)
 	}
 	t.setStatus(StatusCommitted)
-	if failed == 0 {
-		t.logDone()
-		t.svc.emit(Event{Tx: t.id, Stage: StageDone})
-	}
-	if reportHeuristics {
-		switch {
-		case damaged > 0:
-			return fmt.Errorf("%w: %d committed, %d heuristically rolled back, %d undelivered",
-				ErrHeuristicMixed, committed, damaged, failed)
-		case failed > 0 && committed > 0:
-			return fmt.Errorf("%w: %d committed, %d failed", ErrHeuristicMixed, committed, failed)
-		case failed > 0:
-			return fmt.Errorf("%w: all %d phase-two deliveries failed", ErrHeuristicHazard, failed)
-		}
-	}
 	return nil
-}
-
-// deliverRollback rolls one participant back, capturing a heuristic
-// commit (the participant unilaterally committed after prepare) as
-// durable heuristic damage.
-func (t *Transaction) deliverRollback(rr registeredResource) {
-	if err := rr.res.Rollback(); err != nil && errors.Is(err, ErrHeuristicCommit) {
-		t.svc.recordHeuristic(t.id, rr.name, StatusCommitted)
-	}
-}
-
-// deliverCommit retries phase-two delivery per the service retry policy,
-// sleeping only between attempts. A heuristic outcome is the participant's
-// definitive answer, so it is returned at once.
-func (s *Service) deliverCommit(r Resource) error {
-	var err error
-	for attempt := 0; attempt < s.retries; attempt++ {
-		if attempt > 0 && s.retryDelay > 0 {
-			time.Sleep(s.retryDelay)
-		}
-		err = r.Commit()
-		if err == nil || errors.Is(err, ErrHeuristicRollback) || errors.Is(err, ErrHeuristicCommit) {
-			return err
-		}
-	}
-	return err
 }
 
 // commitNested provisionally commits a subtransaction: resources propagate
@@ -587,11 +462,11 @@ func (t *Transaction) commitNested() error {
 		return fmt.Errorf("%w: status %s", ErrInactive, st)
 	}
 	t.status = StatusCommitting
-	resources := append([]registeredResource(nil), t.resources...)
+	resources := t.resources[:len(t.resources):len(t.resources)]
 	t.mu.Unlock()
 
 	for _, rr := range resources {
-		if aware, ok := rr.res.(SubtransactionAwareResource); ok {
+		if aware, ok := rr.resource.(SubtransactionAwareResource); ok {
 			if err := aware.CommitSubtransaction(t.parent); err != nil {
 				// A refusal vetoes the provisional commit.
 				t.setStatus(StatusActive)
@@ -609,7 +484,7 @@ func (t *Transaction) commitNested() error {
 	return nil
 }
 
-func (t *Transaction) adopt(resources []registeredResource) {
+func (t *Transaction) adopt(resources []ResourceAction) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.resources = append(t.resources, resources...)
@@ -636,20 +511,23 @@ func (t *Transaction) Rollback() error {
 		return fmt.Errorf("%w: status %s", ErrInactive, st)
 	}
 	t.status = StatusRollingBack
-	resources := append([]registeredResource(nil), t.resources...)
+	resources := t.resources
+	t.resources = nil // owned by the rollback, as by a commit
 	syncs := append([]Synchronization(nil), t.syncs...)
 	t.mu.Unlock()
 
-	for _, rr := range resources {
-		if !t.IsTopLevel() {
-			if aware, ok := rr.res.(SubtransactionAwareResource); ok {
+	switch {
+	case !t.IsTopLevel():
+		for _, rr := range resources {
+			if aware, ok := rr.resource.(SubtransactionAwareResource); ok {
 				_ = aware.RollbackSubtransaction()
 				continue
 			}
-			_ = rr.res.Rollback()
-			continue
+			_ = rr.resource.Rollback()
 		}
-		t.deliverRollback(rr)
+	case len(resources) > 0:
+		// The failure status skips the vote: the set rolls straight back.
+		t.drive(resources, core.CompletionFail)
 	}
 	t.setStatus(StatusRolledBack)
 	if t.parent != nil {

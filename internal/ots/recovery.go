@@ -1,10 +1,11 @@
 package ots
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 
+	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/ids"
 	"github.com/extendedtx/activityservice/internal/wal"
 )
@@ -54,7 +55,7 @@ type RecoveryTotals struct {
 
 // logView is the decoded state of the decision log: the one shared scan
 // every recovery entry point reads. It is built lazily, kept current by
-// the append paths (noteDecision/noteDone/recordHeuristic) and dropped on
+// the append paths (noteDecision/logDone/recordHeuristic) and dropped on
 // checkpoint, so a recovery pass — however many Recover, ReplayCompletion
 // and Heuristics calls it makes — costs a single log scan.
 type logView struct {
@@ -119,15 +120,6 @@ func (s *Service) noteDecision(rec decisionRecord) {
 	s.viewMu.Unlock()
 }
 
-// noteDone folds a freshly appended done marker into the cached view.
-func (s *Service) noteDone(tx ids.UID) {
-	s.viewMu.Lock()
-	if s.view != nil {
-		s.view.done[tx] = true
-	}
-	s.viewMu.Unlock()
-}
-
 // Recover replays the decision log after a restart: every transaction with
 // a durable commit decision but no done marker has commit re-delivered to
 // its named participants (participants must be idempotent — delivery is
@@ -149,55 +141,45 @@ func (s *Service) Recover() (RecoveryStats, error) {
 		s.viewMu.Unlock()
 		return stats, err
 	}
-	type pending struct {
-		tx    ids.UID
-		names []string
-	}
-	var jobs []pending
+	var jobs []decisionRecord
 	for tx, rec := range v.decisions {
-		if v.done[tx] {
-			continue
+		if !v.done[tx] {
+			jobs = append(jobs, rec)
 		}
-		jobs = append(jobs, pending{tx: tx, names: append([]string(nil), rec.names...)})
 	}
 	s.viewMu.Unlock()
 
+	commit := core.Signal{Name: SignalCommit, SetName: SetName}
 	for _, job := range jobs {
 		stats.DecisionsReplayed++
-		undone := false
+		// Phase two is re-driven as a live commit drives it: through
+		// ResourceAction, one participant at a time, with the service's
+		// RetryPolicy.
+		tx := &Transaction{svc: s, id: job.tx}
+		rs := make([]ResourceAction, 0, len(job.names))
 		for _, name := range job.names {
-			r, ok := s.dir.Lookup(name)
-			if !ok {
-				undone = true
-				stats.ResourcesMissing++
-				continue
-			}
-			err := s.deliverCommit(r)
-			switch {
-			case err == nil:
-				stats.ResourcesCommitted++
-				s.emit(Event{Tx: job.tx, Stage: StageCommitDelivered, Resource: name})
-			case errors.Is(err, ErrHeuristicRollback):
-				stats.ResourcesHeuristic++
-				s.recordHeuristic(job.tx, name, StatusRolledBack)
-			case errors.Is(err, ErrHeuristicCommit):
-				stats.ResourcesCommitted++
-				stats.ResourcesHeuristic++
-				s.recordHeuristic(job.tx, name, StatusCommitted)
-			default:
-				undone = true
-				stats.ResourcesFailed++
+			if r, ok := s.dir.Lookup(name); ok {
+				rs = append(rs, ResourceAction{resource: r, name: name, voted: VoteCommit, tx: tx})
 			}
 		}
-		if !undone {
-			// Lazy, like logDone: a crash before the next sync only makes
-			// the next pass re-drive this decision once more.
-			if _, err := s.log.AppendLazy(RecordDone, encodeDone(job.tx)); err != nil {
+		run := make([]core.Action, len(rs))
+		for i := range rs {
+			run[i] = &rs[i]
+		}
+		var p phaseTwo
+		for _, r := range core.DeliverRun(context.TODO(), commit, run, s.retry) {
+			p.add(r.Outcome, r.Err)
+		}
+		missing := len(job.names) - len(rs)
+		stats.ResourcesMissing += missing
+		stats.ResourcesCommitted += p.committed
+		stats.ResourcesHeuristic += p.heuristic
+		stats.ResourcesFailed += p.failed
+		if missing == 0 && p.failed == 0 {
+			if err := s.logDone(job.tx); err != nil {
 				s.accumulate(stats)
 				return stats, fmt.Errorf("ots: recovery done record: %w", err)
 			}
-			s.noteDone(job.tx)
-			s.emit(Event{Tx: job.tx, Stage: StageDone})
 		}
 	}
 	s.accumulate(stats)

@@ -4,9 +4,10 @@
 // decision log and crash recovery.
 //
 // The Activity Service uses it for transactional activities (fig. 4 of the
-// paper) and as the baseline in the framework-overhead ablation. The implementation lives in internal/ots;
-// this package re-exports the part the examples, cmd and the benchmark
-// call.
+// paper), and its two-phase commit is the framework's own 2PC model: a
+// top-level commit runs through an activity with the fig. 8 signal set.
+// The implementation lives in internal/ots; this package re-exports the
+// part the examples, cmd and the benchmark call.
 package ots
 
 import (
