@@ -78,17 +78,15 @@ type Participant interface {
 
 // Coordinator is the WSCF activation + registration service: it creates
 // coordination contexts and registers participants, backed entirely by the
-// activity service.
+// activity service. A context is its activity: the service's live registry
+// is the one record of which contexts exist.
 type Coordinator struct {
 	svc *core.Service
-
-	mu       sync.Mutex
-	contexts map[ids.UID]*core.Activity // the coordinated activities
 }
 
 // NewCoordinator returns a WSCF coordinator over svc.
 func NewCoordinator(svc *core.Service) *Coordinator {
-	return &Coordinator{svc: svc, contexts: make(map[ids.UID]*core.Activity)}
+	return &Coordinator{svc: svc}
 }
 
 // CreateCoordinationContext starts a coordinated activity of the given
@@ -104,11 +102,7 @@ func (c *Coordinator) CreateCoordinationContext(name, coordType string) (Coordin
 		return CoordinationContext{}, err
 	}
 	a.SetCompletionSet(ProtocolCompletion)
-	info := CoordinationContext{Identifier: a.ID(), Type: coordType, Registration: name}
-	c.mu.Lock()
-	c.contexts[a.ID()] = a
-	c.mu.Unlock()
-	return info, nil
+	return CoordinationContext{Identifier: a.ID(), Type: coordType, Registration: name}, nil
 }
 
 // Register enrolls a participant for the context's protocol (the
@@ -145,7 +139,6 @@ func (c *Coordinator) Complete(ctx context.Context, cc CoordinationContext) erro
 	if err != nil {
 		return fmt.Errorf("wscf: complete: %w", err)
 	}
-	c.drop(cc)
 	if out.Name != "committed" {
 		return fmt.Errorf("%w: outcome %s", ErrAborted, out.Name)
 	}
@@ -161,24 +154,21 @@ func (c *Coordinator) Abort(ctx context.Context, cc CoordinationContext) error {
 	if _, err := a.CompleteWithStatus(ctx, core.CompletionFail); err != nil {
 		return fmt.Errorf("wscf: abort: %w", err)
 	}
-	c.drop(cc)
 	return nil
 }
 
+// lookup returns the live activity cc names, if it is a coordination
+// context: one that carries the completion protocol. An identifier naming
+// another model's activity on the same service is refused.
 func (c *Coordinator) lookup(cc CoordinationContext) (*core.Activity, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a, ok := c.contexts[cc.Identifier]
+	a, ok := c.svc.Find(cc.Identifier)
+	if ok {
+		_, ok = a.SignalSet(ProtocolCompletion)
+	}
 	if !ok {
 		return nil, fmt.Errorf("wscf: unknown coordination context %s", cc.Identifier.Short())
 	}
 	return a, nil
-}
-
-func (c *Coordinator) drop(cc CoordinationContext) {
-	c.mu.Lock()
-	delete(c.contexts, cc.Identifier)
-	c.mu.Unlock()
 }
 
 // The completion protocol's sequences, shared by every context. It is

@@ -188,3 +188,94 @@ func TestContextReusableAcrossRegistrations(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignActivityContextRejected: a context is a live activity that
+// carries the completion protocol. An identifier naming another model's
+// activity on the same service, or a context already completed, is
+// refused like an unknown one.
+func TestForeignActivityContextRejected(t *testing.T) {
+	svc := core.New()
+	coord := NewCoordinator(svc)
+	ctx := context.Background()
+	other := svc.Begin("other-model")
+	foreign := CoordinationContext{Identifier: other.ID(), Type: TypeAtomic, Registration: "other-model"}
+	if err := coord.Register(foreign, "p", &wsParticipant{}); err == nil {
+		t.Fatal("register on another model's activity succeeded")
+	}
+	if err := coord.Complete(ctx, foreign); err == nil {
+		t.Fatal("complete on another model's activity succeeded")
+	}
+	if other.State() != core.ActivityActive {
+		t.Fatalf("foreign activity state = %v, want untouched", other.State())
+	}
+
+	cc, err := coord.CreateCoordinationContext("once", TypeAtomic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Complete(ctx, cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Register(cc, "late", &wsParticipant{}); err == nil {
+		t.Fatal("register on a completed context succeeded")
+	}
+	if err := coord.Abort(ctx, cc); err == nil {
+		t.Fatal("abort of a completed context succeeded")
+	}
+}
+
+// TestStressContextsCompleteConcurrently runs many contexts through one
+// coordinator at once, each with registrations racing its completion: a
+// registration either lands before the protocol runs, and then sees it,
+// or is refused, and every context leaves the service's live registry.
+func TestStressContextsCompleteConcurrently(t *testing.T) {
+	svc := core.New()
+	coord := NewCoordinator(svc)
+	ctx := context.Background()
+	const contexts, racers = 16, 4
+	var wg sync.WaitGroup
+	for i := 0; i < contexts; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			kind := TypeAtomic
+			if i%2 == 1 {
+				kind = TypeBusiness
+			}
+			cc, err := coord.CreateCoordinationContext("stress", kind)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ps := make([]*wsParticipant, racers)
+			admitted := make([]bool, racers)
+			var reg sync.WaitGroup
+			for j := range ps {
+				ps[j] = &wsParticipant{name: "p"}
+				reg.Add(1)
+				go func(j int) {
+					defer reg.Done()
+					admitted[j] = coord.Register(cc, "p", ps[j]) == nil
+				}(j)
+			}
+			if i%3 == 2 {
+				err = coord.Abort(ctx, cc)
+			} else {
+				err = coord.Complete(ctx, cc)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			reg.Wait()
+			for j, p := range ps {
+				if calls := p.Calls(); admitted[j] != (len(calls) > 0) {
+					t.Errorf("participant admitted=%v saw %v", admitted[j], calls)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := svc.Live(); n != 0 {
+		t.Fatalf("%d activities still live after every context completed", n)
+	}
+}

@@ -124,7 +124,7 @@ func verdict(err error) string {
 }
 
 // logContents writes the decision log's records to the transcript: each
-// decision with the recovery names it carries, and each done record.
+// decision with the recovery names it carries, and each done or void record.
 func logContents(t *testing.T, tr *transcript, log *wal.Log) {
 	t.Helper()
 	recs, err := log.Records()
@@ -141,6 +141,8 @@ func logContents(t *testing.T, tr *transcript, log *wal.Log) {
 			tr.add("log decision [%s]", strings.Join(dec.names, " "))
 		case RecordDone:
 			tr.add("log done")
+		case RecordVoid:
+			tr.add("log void")
 		case RecordHeuristic:
 			h, err := decodeHeuristic(r.Data)
 			if err != nil {
@@ -241,8 +243,8 @@ func TestOTSConformance(t *testing.T) {
 				err := tx.Commit(true)
 				tr.add("commit %s wraps-cause=%v", verdict(err), errors.Is(err, fenced))
 				tr.add("status %s", tx.Status())
-				// The gate saw an appended decision; a deposed leader's
-				// rejoin truncation removes it.
+				// The gate saw an appended decision; the void marker
+				// retracts it.
 				logContents(t, tr, log)
 			},
 			want: []string{
@@ -255,6 +257,7 @@ func TestOTSConformance(t *testing.T) {
 				"commit ErrRolledBack wraps-cause=true",
 				"status rolled-back",
 				"log decision [a b]",
+				"log void",
 			},
 		},
 		{

@@ -273,3 +273,40 @@ func TestHeuristicRecordRoundTrip(t *testing.T) {
 		t.Fatal("short heuristic record accepted")
 	}
 }
+
+// TestHeuristicForgottenThenRecordedAgainSurvivesCheckpoint: a recovery
+// pass that re-drives a still-pending decision after ForgetHeuristics
+// records the participant's heuristic again. A checkpoint must bring back
+// that one record, not the forgotten one beside it, so it keeps the
+// forget marker while its transaction still has heuristics.
+func TestHeuristicForgottenThenRecordedAgainSurvivesCheckpoint(t *testing.T) {
+	log := wal.NewMemory()
+	svc := NewService(WithLog(log), WithRetryPolicy(1, 0))
+	disk := map[string]string{}
+	rogue := &heuristicDurable{durableResource: newDurable("rogue", &disk), outcome: ErrHeuristicRollback}
+	flaky := &failingDurable{durableResource: newDurable("flaky", &disk), failures: 1}
+	svc.Directory().Register("rogue", rogue)
+	svc.Directory().Register("flaky", flaky)
+	tx := svc.Begin()
+	enlist(t, tx, rogue, flaky)
+	if err := tx.Commit(true); !errors.Is(err, ErrHeuristicMixed) {
+		t.Fatalf("commit err = %v", err)
+	}
+	if err := svc.ForgetHeuristics(tx.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := svc.Recover(); err != nil || stats.ResourcesHeuristic != 1 {
+		t.Fatalf("Recover = %+v, %v; want the heuristic met again", stats, err)
+	}
+	before, err := svc.Heuristics()
+	if err != nil || len(before) != 1 {
+		t.Fatalf("heuristics before checkpoint = %+v, %v; want one", before, err)
+	}
+	if err := svc.CheckpointLog(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := svc.Heuristics()
+	if err != nil || len(after) != 1 || after[0] != before[0] {
+		t.Fatalf("heuristics after checkpoint = %+v, %v; want %+v", after, err, before)
+	}
+}

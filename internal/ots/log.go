@@ -29,7 +29,15 @@ const (
 	// records: they stop being reported and are garbage-collected at the
 	// next checkpoint.
 	RecordHeuristicForget wal.Kind = 0x14
+	// RecordVoid retracts a decision the decision gate vetoed: the
+	// transaction rolled back, so recovery must not replay the decision
+	// record left before it. It is forced like the decision, and the next
+	// checkpoint drops both.
+	RecordVoid wal.Kind = 0x15
 )
+
+// Every record kind above starts with the 16-byte transaction id, which is
+// all RecordDone, RecordHeuristicForget and RecordVoid hold.
 
 // decisionRecord is the decoded form of a RecordDecision entry.
 type decisionRecord struct {
@@ -101,16 +109,16 @@ func decodeHeuristic(b []byte) (HeuristicRecord, error) {
 	return rec, nil
 }
 
-func encodeDone(tx ids.UID) []byte {
+func encodeTx(tx ids.UID) []byte {
 	out := make([]byte, 16)
 	copy(out, tx[:])
 	return out
 }
 
-func decodeDone(b []byte) (ids.UID, error) {
+func decodeTx(b []byte) (ids.UID, error) {
 	var u ids.UID
 	if len(b) < 16 {
-		return u, fmt.Errorf("ots: done record too short (%d bytes)", len(b))
+		return u, fmt.Errorf("ots: record too short for a transaction id (%d bytes)", len(b))
 	}
 	copy(u[:], b[:16])
 	return u, nil
@@ -120,28 +128,34 @@ func decodeDone(b []byte) (ids.UID, error) {
 // that voted commit; read-only voters have no phase two to recover.
 // Without a log the service runs non-durably and the decision is a no-op.
 func (t *Transaction) logDecision(rs []ResourceAction) error {
-	if t.svc.log == nil {
+	s := t.svc
+	if s.log == nil {
 		return nil
 	}
-	names := make([]string, 0, len(rs))
+	rec := decisionRecord{tx: t.id, names: make([]string, 0, len(rs))}
 	for _, r := range rs {
 		if r.voted == VoteCommit && r.name != "" {
-			names = append(names, r.name)
+			rec.names = append(rec.names, r.name)
 		}
 	}
-	lsn, err := t.svc.log.Append(RecordDecision, encodeDecision(t.id, names))
+	lsn, err := s.log.Append(RecordDecision, encodeDecision(t.id, rec.names))
 	if err != nil {
 		return err
 	}
-	if t.svc.decisionGate != nil {
-		// A veto (the leader was deposed mid-commit) unwinds to rollback
-		// before the decision reaches the recovery view: the orphan record
-		// below is cut by the rejoin truncation, never replayed.
-		if err := t.svc.decisionGate(lsn); err != nil {
+	if s.decisionGate != nil {
+		if err := s.decisionGate(lsn); err != nil {
+			// A veto (the leader was deposed mid-commit) unwinds to
+			// rollback, so the decision is voided before anything can
+			// replay it. On a fenced log the void cannot be written: the
+			// rejoin truncation cuts the orphan decision instead, and this
+			// service no longer answers for the log (loadViewLocked).
+			if _, verr := s.log.Append(RecordVoid, encodeTx(t.id)); verr == nil {
+				s.fold(func(v *logView) { v.void(t.id) })
+			}
 			return fmt.Errorf("decision gate vetoed: %w", err)
 		}
 	}
-	t.svc.noteDecision(decisionRecord{tx: t.id, names: names})
+	s.fold(func(v *logView) { v.decision(rec) })
 	return nil
 }
 
@@ -152,14 +166,10 @@ func (t *Transaction) logDecision(rs []ResourceAction) error {
 // on recovery.
 func (s *Service) logDone(tx ids.UID) error {
 	if s.log != nil {
-		if _, err := s.log.AppendLazy(RecordDone, encodeDone(tx)); err != nil {
+		if _, err := s.log.AppendLazy(RecordDone, encodeTx(tx)); err != nil {
 			return err
 		}
-		s.viewMu.Lock()
-		if s.view != nil {
-			s.view.done[tx] = true
-		}
-		s.viewMu.Unlock()
+		s.fold(func(v *logView) { v.done(tx) })
 	}
 	s.emit(Event{Tx: tx, Stage: StageDone})
 	return nil
@@ -177,19 +187,15 @@ func (s *Service) recordHeuristic(tx ids.UID, resource string, outcome Status) {
 	s.viewMu.Lock()
 	defer s.viewMu.Unlock()
 	v, err := s.loadViewLocked()
-	if err == nil {
-		for _, r := range v.heuristics[tx] {
-			if r.Resource == resource {
-				return
-			}
-		}
+	if err == nil && v.hasHeuristic(tx, resource) {
+		return
 	}
 	rec := HeuristicRecord{Tx: tx, Resource: resource, Outcome: outcome}
 	if _, err := s.log.Append(RecordHeuristic, encodeHeuristic(rec)); err != nil {
 		return
 	}
 	if v != nil {
-		v.heuristics[tx] = append(v.heuristics[tx], rec)
+		v.heuristic(rec)
 	}
 	s.totMu.Lock()
 	s.totals.HeuristicsRecorded++

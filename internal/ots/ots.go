@@ -60,8 +60,9 @@ type Service struct {
 	hook         func(Event)
 	decisionGate func(lsn uint64) error
 
-	mu       sync.Mutex
-	inflight map[ids.UID]*Transaction
+	// term is the log's known term when the service was made: the one
+	// term its recovery view answers for (loadViewLocked).
+	term uint64
 
 	// viewMu guards the cached decision-log view shared by every recovery
 	// entry point (see recovery.go): one scan serves Recover,
@@ -128,14 +129,15 @@ func WithEventHook(fn func(Event)) Option {
 // history does not contain the decision, so delivering commits from it
 // would split the outcome. A vetoed decision unwinds exactly like a failed
 // append: every prepared participant is rolled back and the terminator
-// sees ErrRolledBack. The orphan decision record left in the deposed
-// leader's log is removed by its automatic rejoin truncation (it is beyond
-// the new term's start, so it is never replayed by any elected leader);
-// the deposed process must rejoin before running Recover on that log. A
-// slow standby must NOT veto — only a raised fence should; a gate waiting
-// on acknowledgements blocks (see remote.ReplicationPrimary.DecisionGateN
-// for why neither degrading nor vetoing is safe). The gate runs inline on
-// the committing goroutine.
+// sees ErrRolledBack, and a RecordVoid marker retracts the decision
+// record. On a fenced log that marker cannot be written; the orphan
+// decision is then removed by the automatic rejoin truncation (it is
+// beyond the new term's start, so it is never replayed by any elected
+// leader), and this service refuses recovery once its log knows the new
+// term. A slow standby must NOT veto — only a raised fence should; a gate
+// waiting on acknowledgements blocks (see
+// remote.ReplicationPrimary.DecisionGateN for why neither degrading nor
+// vetoing is safe). The gate runs inline on the committing goroutine.
 func WithDecisionGate(fn func(lsn uint64) error) Option {
 	return optionFunc(func(s *Service) { s.decisionGate = fn })
 }
@@ -143,13 +145,15 @@ func WithDecisionGate(fn func(lsn uint64) error) Option {
 // NewService returns a transaction service.
 func NewService(opts ...Option) *Service {
 	s := &Service{
-		gen:      ids.NewGenerator(),
-		dir:      NewDirectory(),
-		retry:    core.RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
-		inflight: make(map[ids.UID]*Transaction),
+		gen:   ids.NewGenerator(),
+		dir:   NewDirectory(),
+		retry: core.RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
 	}
 	for _, o := range opts {
 		o.apply(s)
+	}
+	if s.log != nil {
+		s.term = s.log.KnownTerm()
 	}
 	s.core = core.New(core.WithRetryPolicy(s.retry))
 	return s
@@ -175,11 +179,7 @@ func WithTimeout(d time.Duration) BeginOption {
 
 // Begin creates a new top-level transaction.
 func (s *Service) Begin(opts ...BeginOption) *Transaction {
-	t := s.newTransaction(nil, opts...)
-	s.mu.Lock()
-	s.inflight[t.id] = t
-	s.mu.Unlock()
-	return t
+	return s.newTransaction(nil, opts...)
 }
 
 func (s *Service) newTransaction(parent *Transaction, opts ...BeginOption) *Transaction {
@@ -201,24 +201,11 @@ func (s *Service) newTransaction(parent *Transaction, opts ...BeginOption) *Tran
 	return t
 }
 
-// Inflight returns the number of live top-level transactions.
-func (s *Service) Inflight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inflight)
-}
-
 // emit delivers e to the installed event hook, if any.
 func (s *Service) emit(e Event) {
 	if s.hook != nil {
 		s.hook(e)
 	}
-}
-
-func (s *Service) forget(t *Transaction) {
-	s.mu.Lock()
-	delete(s.inflight, t.id)
-	s.mu.Unlock()
 }
 
 // Transaction is a transaction in the CosTransactions sense: it exposes the
@@ -539,14 +526,12 @@ func (t *Transaction) Rollback() error {
 	return nil
 }
 
-// finish runs after-completion synchronizations and forgets the
-// transaction.
+// finish runs after-completion synchronizations.
 func (t *Transaction) finish(syncs []Synchronization) {
 	st := t.Status()
 	for _, s := range syncs {
 		s.AfterCompletion(st)
 	}
-	t.svc.forget(t)
 }
 
 func (t *Transaction) setStatus(s Status) {

@@ -83,9 +83,6 @@ func TestEmptyTransactionCommits(t *testing.T) {
 	if tx.Status() != StatusCommitted {
 		t.Fatalf("status = %s", tx.Status())
 	}
-	if svc.Inflight() != 0 {
-		t.Fatalf("inflight = %d", svc.Inflight())
-	}
 }
 
 func TestOnePhaseOptimisation(t *testing.T) {

@@ -54,68 +54,113 @@ type RecoveryTotals struct {
 }
 
 // logView is the decoded state of the decision log: the one shared scan
-// every recovery entry point reads. It is built lazily, kept current by
-// the append paths (noteDecision/logDone/recordHeuristic) and dropped on
-// checkpoint, so a recovery pass — however many Recover, ReplayCompletion
-// and Heuristics calls it makes — costs a single log scan.
+// every recovery entry point reads. It is a fold of the log's records, one
+// mutator per record kind: a scan (loadViewLocked) applies each record it
+// reads, and each writer applies the record it just wrote, so a cached
+// view answers as a fresh scan of the same log would. It is built lazily
+// and dropped on checkpoint, so a recovery pass — however many Recover,
+// ReplayCompletion and Heuristics calls it makes — costs a single scan.
 type logView struct {
 	decisions  map[ids.UID]decisionRecord
-	done       map[ids.UID]bool
+	finished   map[ids.UID]bool
 	heuristics map[ids.UID][]HeuristicRecord
 }
 
+// decision folds a RecordDecision.
+func (v *logView) decision(rec decisionRecord) { v.decisions[rec.tx] = rec }
+
+// done folds a RecordDone.
+func (v *logView) done(tx ids.UID) { v.finished[tx] = true }
+
+// void folds a RecordVoid: the vetoed decision never happened.
+func (v *logView) void(tx ids.UID) { delete(v.decisions, tx) }
+
+// heuristic folds a RecordHeuristic, keeping one per (transaction,
+// resource).
+func (v *logView) heuristic(rec HeuristicRecord) {
+	if !v.hasHeuristic(rec.Tx, rec.Resource) {
+		v.heuristics[rec.Tx] = append(v.heuristics[rec.Tx], rec)
+	}
+}
+
+// forget folds a RecordHeuristicForget.
+func (v *logView) forget(tx ids.UID) { delete(v.heuristics, tx) }
+
+func (v *logView) hasHeuristic(tx ids.UID, resource string) bool {
+	for _, r := range v.heuristics[tx] {
+		if r.Resource == resource {
+			return true
+		}
+	}
+	return false
+}
+
+// pending reports whether tx has a live decision: one without a done
+// marker, which recovery must still deliver.
+func (v *logView) pending(tx ids.UID) bool {
+	_, ok := v.decisions[tx]
+	return ok && !v.finished[tx]
+}
+
+// apply decodes r and folds it; records owned by other subsystems sharing
+// the log are ignored. A record that fails to decode fails the whole scan,
+// so the partial value it folds is never read.
+func (v *logView) apply(r wal.Record) error {
+	switch r.Kind {
+	case RecordDecision:
+		rec, err := decodeDecision(r.Data)
+		v.decision(rec)
+		return err
+	case RecordHeuristic:
+		rec, err := decodeHeuristic(r.Data)
+		v.heuristic(rec)
+		return err
+	}
+	tx, err := decodeTx(r.Data)
+	switch r.Kind {
+	case RecordDone:
+		v.done(tx)
+	case RecordHeuristicForget:
+		v.forget(tx)
+	case RecordVoid:
+		v.void(tx)
+	default:
+		return nil
+	}
+	return err
+}
+
 // loadViewLocked returns the cached view, scanning the log to build it if
-// needed. The caller must hold s.viewMu.
+// needed. The caller must hold s.viewMu. It fails with wal.ErrFenced once
+// the log knows a term later than the one the service was made in: a
+// deposed member's view may predate the new leader's decisions, so it
+// must not answer for them. The next leader's takeover hosts a fresh
+// service.
 func (s *Service) loadViewLocked() (*logView, error) {
+	if known := s.log.KnownTerm(); known > s.term {
+		return nil, fmt.Errorf("ots: service of term %d, log knows term %d: %w", s.term, known, wal.ErrFenced)
+	}
 	if s.view != nil {
 		return s.view, nil
 	}
 	v := &logView{
 		decisions:  make(map[ids.UID]decisionRecord),
-		done:       make(map[ids.UID]bool),
+		finished:   make(map[ids.UID]bool),
 		heuristics: make(map[ids.UID][]HeuristicRecord),
 	}
-	err := s.log.Replay(func(r wal.Record) error {
-		switch r.Kind {
-		case RecordDecision:
-			rec, err := decodeDecision(r.Data)
-			if err != nil {
-				return err
-			}
-			v.decisions[rec.tx] = rec
-		case RecordDone:
-			tx, err := decodeDone(r.Data)
-			if err != nil {
-				return err
-			}
-			v.done[tx] = true
-		case RecordHeuristic:
-			rec, err := decodeHeuristic(r.Data)
-			if err != nil {
-				return err
-			}
-			v.heuristics[rec.Tx] = append(v.heuristics[rec.Tx], rec)
-		case RecordHeuristicForget:
-			tx, err := decodeDone(r.Data) // same 16-byte layout
-			if err != nil {
-				return err
-			}
-			delete(v.heuristics, tx)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.log.Replay(v.apply); err != nil {
 		return nil, fmt.Errorf("ots: scan log: %w", err)
 	}
 	s.view = v
 	return v, nil
 }
 
-// noteDecision folds a freshly appended decision into the cached view.
-func (s *Service) noteDecision(rec decisionRecord) {
+// fold applies a record the service just wrote to the cached view, if one
+// is built.
+func (s *Service) fold(apply func(*logView)) {
 	s.viewMu.Lock()
 	if s.view != nil {
-		s.view.decisions[rec.tx] = rec
+		apply(s.view)
 	}
 	s.viewMu.Unlock()
 }
@@ -143,7 +188,7 @@ func (s *Service) Recover() (RecoveryStats, error) {
 	}
 	var jobs []decisionRecord
 	for tx, rec := range v.decisions {
-		if !v.done[tx] {
+		if v.pending(tx) {
 			jobs = append(jobs, rec)
 		}
 	}
@@ -200,7 +245,8 @@ func (s *Service) accumulate(stats RecoveryStats) {
 // RecoveryTotals reports the lifetime recovery counters plus gauges of the
 // outstanding recovery state (decisions without a done marker, heuristic
 // records not yet forgotten). Gauges read the shared log view; if the log
-// cannot be scanned they are zero.
+// cannot be scanned, or the service no longer answers for the log's term,
+// they are zero.
 func (s *Service) RecoveryTotals() RecoveryTotals {
 	s.totMu.Lock()
 	t := s.totals
@@ -215,7 +261,7 @@ func (s *Service) RecoveryTotals() RecoveryTotals {
 		return t
 	}
 	for tx := range v.decisions {
-		if !v.done[tx] {
+		if v.pending(tx) {
 			t.PendingDecisions++
 		}
 	}
@@ -272,7 +318,7 @@ func (s *Service) InDoubtResources() ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
 	for tx, rec := range v.decisions {
-		if v.done[tx] {
+		if !v.pending(tx) {
 			continue
 		}
 		for _, n := range rec.names {
@@ -333,11 +379,11 @@ func (s *Service) ForgetHeuristics(tx ids.UID) error {
 		s.viewMu.Unlock()
 		return nil
 	}
-	if _, err := s.log.Append(RecordHeuristicForget, encodeDone(tx)); err != nil {
+	if _, err := s.log.Append(RecordHeuristicForget, encodeTx(tx)); err != nil {
 		s.viewMu.Unlock()
 		return fmt.Errorf("ots: heuristic forget record: %w", err)
 	}
-	delete(v.heuristics, tx)
+	v.forget(tx)
 	s.viewMu.Unlock()
 
 	for _, rec := range recs {
@@ -349,9 +395,12 @@ func (s *Service) ForgetHeuristics(tx ids.UID) error {
 }
 
 // CheckpointLog compacts the decision log: decision/done pairs whose done
-// marker is present are dropped, as are heuristic records that have been
-// forgotten (and the forget markers themselves, once applied). Records
-// owned by other subsystems sharing the log are kept.
+// marker is present are dropped, as are vetoed decisions with their void
+// markers and heuristic records that have been forgotten (with the forget
+// markers). A transaction that recorded heuristics after a forget keeps
+// all of its heuristic and forget records, so the compacted log folds to
+// the same heuristics. Records owned by other subsystems sharing the log
+// are kept.
 func (s *Service) CheckpointLog() error {
 	if s.log == nil {
 		return nil
@@ -363,32 +412,20 @@ func (s *Service) CheckpointLog() error {
 		return err
 	}
 	err = s.log.Checkpoint(func(r wal.Record) bool {
+		if r.Kind < RecordDecision || r.Kind > RecordVoid {
+			return true // owned by another subsystem sharing the log
+		}
+		tx, err := decodeTx(r.Data)
+		if err != nil {
+			return false
+		}
 		switch r.Kind {
 		case RecordDecision:
-			rec, err := decodeDecision(r.Data)
-			if err != nil {
-				return false
-			}
-			return !v.done[rec.tx]
-		case RecordDone:
-			tx, err := decodeDone(r.Data)
-			if err != nil {
-				return false
-			}
-			// A done marker is only needed while its decision remains.
-			return !v.done[tx]
-		case RecordHeuristic:
-			rec, err := decodeHeuristic(r.Data)
-			if err != nil {
-				return false
-			}
-			return len(v.heuristics[rec.Tx]) > 0
-		case RecordHeuristicForget:
-			// Applied during the scan; its targets are dropped with it.
+			return v.pending(tx)
+		case RecordHeuristic, RecordHeuristicForget:
+			return len(v.heuristics[tx]) > 0
+		default: // done and void: their decision goes with them
 			return false
-		default:
-			// Records owned by other subsystems sharing the log are kept.
-			return true
 		}
 	})
 	// The compacted log is the new truth; rebuild the view on next use.

@@ -256,7 +256,7 @@ func TestDecisionRecordRoundTrip(t *testing.T) {
 	if _, err := decodeDecision(b[:10]); err == nil {
 		t.Fatal("short decision record accepted")
 	}
-	if _, err := decodeDone([]byte{1, 2}); err == nil {
+	if _, err := decodeTx([]byte{1, 2}); err == nil {
 		t.Fatal("short done record accepted")
 	}
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
@@ -69,7 +70,7 @@ func (s *recoveryServant) Dispatch(_ context.Context, op string, in *cdr.Decoder
 		}
 		status, err := s.svc.ReplayCompletion(name)
 		if err != nil {
-			return nil, err
+			return nil, recoveryErr(err)
 		}
 		e := cdr.NewEncoder(4)
 		e.WriteOctet(byte(status))
@@ -77,7 +78,7 @@ func (s *recoveryServant) Dispatch(_ context.Context, op string, in *cdr.Decoder
 	case "recover":
 		stats, err := s.svc.Recover()
 		if err != nil {
-			return nil, err
+			return nil, recoveryErr(err)
 		}
 		e := cdr.NewEncoder(32)
 		e.WriteUint32(uint32(stats.DecisionsReplayed))
@@ -89,6 +90,15 @@ func (s *recoveryServant) Dispatch(_ context.Context, op string, in *cdr.Decoder
 	default:
 		return nil, orb.Systemf(orb.CodeBadOperation, "RecoveryCoordinator has no operation %q", op)
 	}
+}
+
+// recoveryErr raises a service that no longer answers for its log's term
+// as FENCED: the caller must ask the current leader's recovery servant.
+func recoveryErr(err error) error {
+	if errors.Is(err, wal.ErrFenced) {
+		return orb.Systemf(orb.CodeFenced, "%v", err)
+	}
+	return err
 }
 
 // HostRecoveryResult reports what HostRecovery set up.

@@ -307,3 +307,85 @@ func TestRecoveryAndReplicationAtInproc(t *testing.T) {
 		t.Fatalf("in-process repl_state = %+v, want member m at next LSN 3", st)
 	}
 }
+
+// namedSlot is a slotResource with a recovery name, so a commit decision
+// names it.
+type namedSlot struct {
+	slotResource
+	name string
+}
+
+func (n *namedSlot) RecoveryName() string { return n.name }
+
+// TestRecoveryDeposedMemberRefusesToAnswer: a transaction service answers
+// for the term it was made in. a leads term 1 and hosts recovery; b claims
+// term 2 and commits a transaction naming x; a rejoins and streams b's
+// log. a's service, whose view predates term 2, must refuse
+// replay_completion with FENCED — it used to answer rolled-back while b
+// answered committed — and b's must answer committed.
+func TestRecoveryDeposedMemberRefusesToAnswer(t *testing.T) {
+	ctx := context.Background()
+	aLog, bLog := wal.NewMemory(), wal.NewMemory()
+	aORB, aEps := listenORB(t)
+	bORB, bEps := listenORB(t)
+	var aSvc, bSvc *ots.Service
+	a := &testMember{o: aORB, log: aLog, eps: aEps}
+	a.g = NewGroupMember(aORB, aLog, GroupConfig{
+		MemberID: "a",
+		Poll:     50 * time.Millisecond, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+		Takeover: func(context.Context) error {
+			res, err := HostRecovery(aORB, aLog)
+			aSvc = res.Service
+			return err
+		},
+	})
+	if err := a.g.Promote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b := &testMember{o: bORB, log: bLog, eps: bEps}
+	b.g = NewGroupMember(bORB, bLog, GroupConfig{
+		MemberID: "b", LeaderHint: aEps,
+		Poll: 50 * time.Millisecond, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+		Takeover: func(context.Context) error {
+			res, err := HostRecovery(bORB, bLog)
+			bSvc = res.Service
+			return err
+		},
+	})
+	b.start(t)
+	waitLSN(t, bLog, aLog.LastLSN())
+	b.stop(t)
+
+	// b claims term 2, which deposes a, and commits a transaction naming x.
+	if !b.g.claimFrom(ctx, []peerState{{endpoint: aEps[0]}}, 2, bLog.LastLSN()) {
+		t.Fatal("claim for term 2 rejected")
+	}
+	if err := b.g.becomeLeader(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	tx := bSvc.Begin()
+	for _, name := range []string{"x", "y"} {
+		if err := tx.RegisterResource(&namedSlot{slotResource: slotResource{vote: ots.VoteCommit}, name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(true); err != nil {
+		t.Fatal(err)
+	}
+
+	// a rejoins as b's follower and streams the decision.
+	a.start(t)
+	waitLSN(t, aLog, bLog.LastLSN())
+
+	client := orb.New()
+	t.Cleanup(client.Shutdown)
+	if st, err := NewRecoveryClient(client, RecoveryAt(bEps...)).ReplayCompletion(ctx, "x"); err != nil || st != ots.StatusCommitted {
+		t.Fatalf("leader's replay_completion(x) = %s, %v; want committed", st, err)
+	}
+	if st, err := NewRecoveryClient(client, RecoveryAt(aEps...)).ReplayCompletion(ctx, "x"); !orb.IsSystem(err, orb.CodeFenced) {
+		t.Fatalf("deposed member's replay_completion(x) = %s, %v; want FENCED", st, err)
+	}
+	if _, err := aSvc.Recover(); !errors.Is(err, wal.ErrFenced) {
+		t.Fatalf("deposed member's Recover = %v, want ErrFenced", err)
+	}
+}

@@ -399,10 +399,12 @@ func NewReplicationFollower(o *orb.ORB, ref orb.IOR, log *wal.Log, id string, po
 
 // Sync runs one replication round: fetch the records beyond the follower's
 // position and apply them, or resynchronise from a snapshot after an epoch
-// mismatch. It returns the number of records (or snapshots, counted as
+// mismatch. From the first round on, the log refuses local appends until
+// the member adopts a term (wal.Log.Follow). It returns the number of records (or snapshots, counted as
 // one) applied. A healthy caught-up round long-polls on the primary until
 // something happens or the poll timeout elapses, then returns (0, nil).
 func (f *ReplicationFollower) Sync(ctx context.Context) (int, error) {
+	f.log.Follow()
 	epoch, next := f.log.State()
 	e := cdr.NewEncoder(64)
 	e.WriteUint64(epoch)

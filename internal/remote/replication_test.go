@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -383,5 +384,53 @@ func TestReplicationVerbsArePriorityClass(t *testing.T) {
 		if !slices.Contains(orb.DefaultPriorityOps, verb) {
 			t.Errorf("%s missing from orb.DefaultPriorityOps — replication would be shed under overload", verb)
 		}
+	}
+}
+
+// TestReplicationFollowerRefusesLocalAppends: a follower's log holds the
+// leader's stream, so a local append there would take an LSN the leader
+// fills next; the leader's record at that LSN would then be skipped, while
+// the follower's ack claimed it. Once the follower has fetched, its log
+// refuses local appends (without reporting a fence), and the leader's
+// next record lands at its own LSN.
+func TestReplicationFollowerRefusesLocalAppends(t *testing.T) {
+	aLog := wal.NewMemory()
+	aORB, aEps := listenORB(t)
+	a := &testMember{o: aORB, log: aLog, eps: aEps}
+	a.g = NewGroupMember(aORB, aLog, GroupConfig{MemberID: "a"})
+	if err := a.g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	bLog := wal.NewMemory()
+	b := newTestMember(t, "b", bLog, nil, aEps, nil)
+	b.start(t)
+	waitLSN(t, bLog, aLog.LastLSN())
+
+	if _, err := bLog.Append(wal.Kind(7), []byte("local")); !errors.Is(err, wal.ErrFenced) {
+		t.Fatalf("local append on a follower = %v, want ErrFenced", err)
+	}
+	if _, err := bLog.AppendLazy(wal.Kind(7), []byte("local-lazy")); !errors.Is(err, wal.ErrFenced) {
+		t.Fatalf("local lazy append on a follower = %v, want ErrFenced", err)
+	}
+	if ts := bLog.TermState(); ts.Fenced {
+		t.Fatalf("follower term state = %+v, want unfenced", ts)
+	}
+
+	lsn, err := aLog.Append(wal.Kind(7), []byte("decision"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.g.Primary().WaitForAckN(lsn, 1, 5*time.Second) {
+		t.Fatalf("follower never acked LSN %d", lsn)
+	}
+	if ack := a.g.Primary().FollowerAcks()["b"]; ack < lsn {
+		t.Fatalf("follower ack = %d, want >= %d", ack, lsn)
+	}
+	recs, err := bLog.RecordsSince(lsn - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].LSN != lsn || string(recs[0].Data) != "decision" {
+		t.Fatalf("follower's record at LSN %d = %+v, want the leader's decision", lsn, recs)
 	}
 }

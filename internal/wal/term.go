@@ -28,7 +28,7 @@ import (
 
 // KindTerm is the record kind of durable term records. It is owned by the
 // log itself and lives at the top of the kind space so client packages
-// (OTS 0x11–0x14, activity journal 0x21–0x25) can never collide with it.
+// (OTS 0x11–0x15, activity journal 0x21–0x25) can never collide with it.
 // Replay switches in those packages ignore unknown kinds, so term records
 // flow through shared logs harmlessly.
 const KindTerm Kind = 0xFFF0
@@ -103,6 +103,19 @@ func (l *Log) KnownTerm() uint64 {
 	return l.term
 }
 
+// Follow marks the log as a follower's: from now on it holds the
+// leader's stream, whose LSNs local Append and AppendLazy would take
+// (AppendRecords then skips the leader's record at such an LSN), so they
+// fail with ErrFenced until the log adopts a term of its own (AdoptTerm).
+// Unlike a fence it is no evidence of a higher term: TermState does not
+// report it. A reopened log takes local appends until its member fetches
+// again.
+func (l *Log) Follow() {
+	l.mu.Lock()
+	l.following = true
+	l.mu.Unlock()
+}
+
 // Fenced reports whether local appends are currently rejected.
 func (l *Log) Fenced() bool {
 	l.mu.Lock()
@@ -143,8 +156,9 @@ func (l *Log) fencedErrLocked() error {
 }
 
 // AdoptTerm durably claims term for leaderID: the term record is appended
-// (and synced) to the log, the fence — if any — is cleared, and the
-// record's LSN (the new term's start) is returned. The term must be
+// (and synced) to the log, the fence — if any — is cleared, a following
+// log takes local appends again, and the record's LSN (the new term's
+// start) is returned. The term must be
 // strictly beyond both the durable term and any fence term, or ErrFenced
 // is returned: claiming a term at or below one that is known to exist
 // would let two leaders share a fencing epoch.
@@ -172,6 +186,7 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	l.termMarks = append(l.termMarks, termMark{term: term, lsn: lsn, leader: leaderID})
 	l.fenced = false
 	l.fencedTerm = 0
+	l.following = false
 	return lsn, nil
 }
 

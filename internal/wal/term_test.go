@@ -378,3 +378,49 @@ func BenchmarkFencedAppend(b *testing.B) {
 		op()
 	}
 }
+
+// TestAppendRecordsFollowRefusesLocalAppends: a follower's log refuses
+// local appends, lazy ones included, while it applies the leader's stream
+// (a local record would take the LSN of the leader's next one, which
+// AppendRecords would then skip). The refusal is no fence — TermState
+// does not report it — and adopting a term lifts it.
+func TestAppendRecordsFollowRefusesLocalAppends(t *testing.T) {
+	primary := NewMemory()
+	if _, err := primary.AdoptTerm(1, "m1"); err != nil {
+		t.Fatal(err)
+	}
+	follower := NewMemory()
+	follower.Follow()
+	recs, err := primary.RecordsSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.AppendRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.Append(Kind(7), []byte("local")); !errors.Is(err, ErrFenced) {
+		t.Fatalf("local append on a follower = %v, want ErrFenced", err)
+	}
+	if _, err := follower.AppendLazy(Kind(7), []byte("lazy")); !errors.Is(err, ErrFenced) {
+		t.Fatalf("local lazy append on a follower = %v, want ErrFenced", err)
+	}
+	if ts := follower.TermState(); ts.Fenced || ts.Term != 1 {
+		t.Fatalf("follower term state = %+v, want term 1 unfenced", ts)
+	}
+	lsn, err := primary.Append(Kind(7), []byte("decision"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = primary.RecordsSince(lsn - 1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := follower.AppendRecords(recs); err != nil || n != 1 {
+		t.Fatalf("apply the leader's decision: %d applied, %v", n, err)
+	}
+	if _, err := follower.AdoptTerm(2, "m2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.Append(Kind(7), []byte("as leader")); err != nil {
+		t.Fatalf("append after adopting a term: %v", err)
+	}
+}

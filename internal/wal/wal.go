@@ -187,6 +187,9 @@ type Log struct {
 	termMarks  []termMark
 	fenced     bool
 	fencedTerm uint64
+	// following refuses local appends on a follower's log (Follow) until
+	// it adopts a term of its own.
+	following bool
 
 	// Crash injection (tests): when armed, the append path tears after
 	// failAfter more successful appends. Backend-agnostic so the same
@@ -356,6 +359,9 @@ func (l *Log) appendLazyLocked(kind Kind, data []byte) (uint64, error) {
 	}
 	if l.fenced {
 		return 0, l.fencedErrLocked()
+	}
+	if l.following {
+		return 0, fmt.Errorf("%w: following term %d takes no local appends", ErrFenced, l.term)
 	}
 	lsn := l.nextFreeLocked()
 	l.bufferLocked(Record{LSN: lsn, Kind: kind, Data: data})
