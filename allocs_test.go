@@ -8,6 +8,7 @@ import (
 
 	"github.com/extendedtx/activityservice"
 	"github.com/extendedtx/activityservice/hls/twopc"
+	"github.com/extendedtx/activityservice/orb"
 	"github.com/extendedtx/activityservice/ots"
 )
 
@@ -81,6 +82,41 @@ func TestAllocsOTSCommit(t *testing.T) {
 				t.Errorf("%.0f allocs/op, budget %.0f", got, c.budget)
 			}
 		})
+	}
+}
+
+// TestAllocsBatchedResourceCommit gates a top-level commit over two
+// resources exported on one ORB and imported through another: prepare and
+// commit each reach the host as one resource batch, so the budget covers
+// two calls, coordinator and host side both. It reads 70.
+func TestAllocsBatchedResourceCommit(t *testing.T) {
+	host := orb.New()
+	defer host.Shutdown()
+	if _, err := host.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	client := orb.New()
+	defer client.Shutdown()
+	var res []ots.NamedResource
+	for range 2 {
+		ref := orb.ExportResource(host, okResource{})
+		ref, _ = host.IOR(ref.Key)
+		res = append(res, orb.ImportResource(client, ref))
+	}
+	svc := ots.NewService()
+	got := testing.AllocsPerRun(200, func() {
+		tx := svc.Begin()
+		for _, r := range res {
+			if err := tx.RegisterResource(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 70 {
+		t.Errorf("%.0f allocs/op, budget 70", got)
 	}
 }
 

@@ -87,7 +87,7 @@ type Activity struct {
 	hasOutcome    bool
 	entries       *setEntry // one per set name, newest first
 	firstEntry    setEntry  // the first entry's room
-	seq           int64     // the last default label number handed out
+	seq           uint32    // the last default label number handed out
 }
 
 // ID returns the globally unique activity identifier.

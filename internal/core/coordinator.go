@@ -32,13 +32,17 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// registration pairs an Action with its trace label.
+// registration pairs an Action with its trace label. It is 40 bytes: an
+// activity enrols every participant into one of these.
 type registration struct {
 	action Action
 	// seq numbers a default-labelled registration, "action-<seq>"; zero
 	// marks an explicitly labelled one, whose label is label.
-	seq   int64
-	label string
+	seq uint32
+	// batches records, once at enrolment, whether action is an
+	// EndpointBatcher, so a broadcast asks no other registration.
+	batches bool
+	label   string
 }
 
 // name returns the registration's trace label. A default label is
@@ -47,7 +51,16 @@ func (r registration) name() string {
 	if r.seq == 0 {
 		return r.label
 	}
-	return "action-" + strconv.FormatInt(r.seq, 10)
+	return "action-" + strconv.FormatUint(uint64(r.seq), 10)
+}
+
+// batchEndpoint returns the registration's batch endpoint, "" when it
+// cannot batch.
+func (r *registration) batchEndpoint() string {
+	if !r.batches {
+		return ""
+	}
+	return r.action.(EndpointBatcher).BatchEndpoint()
 }
 
 // setEntry is what an activity keeps per set name: the SignalSet
@@ -87,6 +100,7 @@ func (a *Activity) register(setName, label string, numbered bool, actions []Acti
 	e.regs = slices.Grow(e.regs, len(actions))
 	for _, action := range actions {
 		reg := registration{action: action, label: label}
+		_, reg.batches = action.(EndpointBatcher)
 		if numbered {
 			a.seq++
 			reg.seq = a.seq

@@ -20,11 +20,12 @@ const (
 	// DeliverSerial transmits to one action at a time in registration
 	// order, waiting for each response before the next transmit — the
 	// fig. 5 exchange as literally drawn. It is the zero mode, so a set
-	// that names no policy delivers serially. In a *SequenceSet round
-	// that cannot advance (no veto, the failure sequence, or the final
-	// round), a run of consecutive remote actions on one endpoint
-	// (EndpointBatcher) travels to its host as one call: the host still
-	// delivers one at a time in registration order, and collation,
+	// that names no policy delivers serially. In every round of a set
+	// that embeds a SequenceSet, a run of consecutive remote participants
+	// on one endpoint (EndpointBatcher) travels to its host as one call:
+	// the host still delivers one at a time in registration order, and in
+	// a round a veto can cut short it stops after the first member that
+	// vetoes or fails, so no later member receives the signal. Collation,
 	// Responses and the trace are those of literal serial delivery.
 	DeliverSerial DeliveryMode = iota
 	// DeliverParallel transmits to all registered actions concurrently
@@ -104,31 +105,38 @@ func policyFor(set SignalSet) DeliveryPolicy {
 
 // EndpointBatcher is the optional interface of remote Actions whose host
 // can take a same-host run of a serial broadcast as one call. A serial
-// broadcast hands a run of two or more consecutive registrations with
-// equal endpoints to the run's first action, but only in a round that
-// cannot advance: the host delivers every member, so nothing could cut the
-// broadcast short between them.
+// broadcast of a SequenceSet round hands a run of two or more consecutive
+// registrations with equal endpoints to the run's first action. The host
+// delivers the members one at a time, in order; in a round a veto can cut
+// short it stops where serial delivery would stop.
 type EndpointBatcher interface {
-	// BatchEndpoint names the action's host; "" never batches.
+	// BatchEndpoint names the action's host; "" never batches. It must not
+	// change once the action is enrolled.
 	BatchEndpoint() string
 	// DeliverBatch has the host deliver sig to run — actions on this
 	// action's endpoint, this one first — as DeliverRun does: one at a
-	// time, in order, with retry per member. It returns one result per
-	// member in run order, Index its position in run. An error (or any
-	// other shape of results) means the run's fate is unknown: the
-	// coordinator redelivers it member by member, so delivery stays at
-	// least once.
-	DeliverBatch(ctx context.Context, sig Signal, run []Action, retry RetryPolicy) ([]SubtreeResult, error)
+	// time, in order, with retry per member. When stop is not "" (the
+	// set's veto), the host stops after the first member that answers
+	// stop or whose delivery fails. It returns one result per member it
+	// delivered to, a prefix of run in run order, Index its position in
+	// run; unless the set advanced, the coordinator delivers the members
+	// past the prefix one by one. An error (or results that are no prefix)
+	// means the run's fate is unknown: the coordinator redelivers it member
+	// by member, so delivery stays at least once. A batcher that cannot
+	// honour stop returns an error before it sends anything.
+	DeliverBatch(ctx context.Context, sig Signal, run []Action, stop string, retry RetryPolicy) ([]SubtreeResult, error)
 }
 
 // broadcastSerial delivers sig to each registration in order, feeding every
-// response back immediately; an advance stops the broadcast. In a round
-// that cannot advance (last: GetSignal called it the final one), each run
-// of consecutive registrations on one endpoint goes to its host as one
-// ordered batch (deliverRun); there a registration that cannot batch costs
-// one type assertion. Other rounds are delivered one by one.
+// response back immediately; an advance stops the broadcast. In a
+// SequenceSet round (roundStop) each run of consecutive registrations on
+// one endpoint goes to its host as one ordered batch (deliverRun), which
+// stops at the round's veto; a registration that cannot batch costs one
+// flag test, since enrolment asked once whether it batches. Other sets'
+// rounds are delivered one by one.
 func (a *Activity) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal, last bool) (bool, error) {
-	if !roundSettled(driver.set, last) {
+	stop, ok := driver.roundStop(last)
+	if !ok {
 		return a.deliverEach(ctx, driver, regs, sig)
 	}
 	for len(regs) > 0 {
@@ -139,7 +147,7 @@ func (a *Activity) broadcastSerial(ctx context.Context, driver *setDriver, regs 
 		if n == 0 {
 			break
 		}
-		if adv, err := a.deliverRun(ctx, driver, regs[at:at+n], sig); adv || err != nil {
+		if adv, err := a.deliverRun(ctx, driver, regs[at:at+n], sig, stop); adv || err != nil {
 			return adv, err
 		}
 		regs = regs[at+n:]
@@ -165,20 +173,15 @@ func (a *Activity) deliverEach(ctx context.Context, driver *setDriver, regs []re
 }
 
 // nextRun finds the first run of two or more consecutive registrations
-// whose actions are EndpointBatchers on one endpoint. It returns where the
-// run starts and its length, or len(regs) and 0 when there is none.
+// with one batch endpoint. It returns where the run starts and its length,
+// or len(regs) and 0 when there is none.
 func nextRun(regs []registration) (at, n int) {
-	for at = range regs {
-		b, ok := regs[at].action.(EndpointBatcher)
-		if !ok {
+	for at = 0; at+1 < len(regs); at++ {
+		ep := regs[at].batchEndpoint()
+		if ep == "" {
 			continue
 		}
-		ep := b.BatchEndpoint()
-		for n = 1; ep != "" && at+n < len(regs); n++ {
-			next, ok := regs[at+n].action.(EndpointBatcher)
-			if !ok || next.BatchEndpoint() != ep {
-				break
-			}
+		for n = 1; at+n < len(regs) && regs[at+n].batchEndpoint() == ep; n++ {
 		}
 		if n > 1 {
 			return at, n
@@ -188,19 +191,20 @@ func nextRun(regs []registration) (at, n int) {
 }
 
 // deliverRun ships a same-endpoint run to its host as one ordered batch,
-// then replays each member's trace and feeds its response exactly as the
-// serial path records them live. A batch that fails redelivers the run
-// member by member.
-func (a *Activity) deliverRun(ctx context.Context, driver *setDriver, run []registration, sig Signal) (bool, error) {
+// then replays each delivered member's trace and feeds its response
+// exactly as the serial path records them live. Members past the prefix
+// the host returned are delivered one by one unless the set advanced; a
+// batch that fails redelivers the run member by member.
+func (a *Activity) deliverRun(ctx context.Context, driver *setDriver, run []registration, sig Signal, stop string) (bool, error) {
 	actions := make([]Action, len(run))
 	for i, reg := range run {
 		actions[i] = reg.action
 	}
-	res, err := run[0].action.(EndpointBatcher).DeliverBatch(ctx, sig, actions, a.svc.retry)
-	if err != nil || !inRunOrder(res, len(run)) {
+	res, err := run[0].action.(EndpointBatcher).DeliverBatch(ctx, sig, actions, stop, a.svc.retry)
+	if err != nil || !runPrefix(res, len(run)) {
 		return a.deliverEach(ctx, driver, run, sig)
 	}
-	for i := range run {
+	for i := range res {
 		r := attemptResult{outcome: res[i].Outcome, err: res[i].Err, attempts: max(res[i].Attempts, 1)}
 		a.replayTrace(&run[i], sig, &r)
 		adv, serr := driver.setResponse(r.outcome, r.err)
@@ -211,13 +215,13 @@ func (a *Activity) deliverRun(ctx context.Context, driver *setDriver, run []regi
 			return true, nil
 		}
 	}
-	return false, nil
+	return a.deliverEach(ctx, driver, run[len(res):], sig)
 }
 
-// inRunOrder reports whether res holds exactly one result per member of an
-// n-member run, in run order.
-func inRunOrder(res []SubtreeResult, n int) bool {
-	if len(res) != n {
+// runPrefix reports whether res holds one result per member of a prefix
+// of an n-member run, in run order.
+func runPrefix(res []SubtreeResult, n int) bool {
+	if len(res) > n {
 		return false
 	}
 	for i, r := range res {
@@ -230,16 +234,20 @@ func inRunOrder(res []SubtreeResult, n int) bool {
 
 // DeliverRun delivers sig to each action of run the way a serial broadcast
 // does: one at a time, in order, each through retry's at-least-once loop
-// and only after its predecessor answered. It returns one result per
-// action, Index its position in run. A host serving an EndpointBatcher's
-// batch calls it.
-func DeliverRun(ctx context.Context, sig Signal, run []Action, retry RetryPolicy) []SubtreeResult {
+// and only after its predecessor answered. When stop is not "" it stops
+// after the first action that answers stop or whose delivery fails. It
+// returns one result per action it delivered to, Index its position in
+// run. A host serving an EndpointBatcher's batch calls it.
+func DeliverRun(ctx context.Context, sig Signal, run []Action, stop string, retry RetryPolicy) []SubtreeResult {
 	retry.Attempts = max(retry.Attempts, 1)
-	out := make([]SubtreeResult, len(run))
+	out := make([]SubtreeResult, 0, len(run))
 	for i, a := range run {
 		var r attemptResult
 		runAttempts(ctx, a, sig, retry, nil, &r)
-		out[i] = SubtreeResult{Index: i, Attempts: r.attempts, Outcome: r.outcome, Err: r.err}
+		out = append(out, SubtreeResult{Index: i, Attempts: r.attempts, Outcome: r.outcome, Err: r.err})
+		if stop != "" && (r.err != nil || r.outcome.Name == stop) {
+			break
+		}
 	}
 	return out
 }

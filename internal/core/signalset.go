@@ -97,6 +97,9 @@ func (s SetState) String() string {
 // End.
 type setDriver struct {
 	set SignalSet
+	// seq is the SequenceSet set embeds, nil if it embeds none; looked up
+	// once, at registration (roundStop).
+	seq *SequenceSet
 
 	// state holds a SetState. Every transition is one store and every
 	// check one load, so an atomic orders them without a lock — the
@@ -106,7 +109,13 @@ type setDriver struct {
 
 // init makes d the Waiting driver of set, in place.
 func (d *setDriver) init(set SignalSet) {
-	d.set = set
+	d.set, d.seq = set, nil
+	switch s := set.(type) {
+	case *SequenceSet:
+		d.seq = s
+	case sequenced:
+		d.seq = s.sequence()
+	}
 	d.state.Store(int32(StateWaiting))
 }
 
@@ -358,16 +367,31 @@ func (s *SequenceSet) SetResponse(resp Outcome, deliveryErr error) (bool, error)
 	return false, nil
 }
 
-// roundSettled reports whether no response can advance set's current
-// round, last telling whether GetSignal called it the final one, so a
-// serial broadcast may ship same-host runs as ordered batches. Only a
-// *SequenceSet can tell: its round cannot advance when it names no veto,
-// runs its failure sequence, or is in its final round. Any other set may
-// advance on any response. It takes no lock: the veto is fixed before the
-// set is registered, and failed is atomic.
-func roundSettled(set SignalSet, last bool) bool {
-	s, ok := set.(*SequenceSet)
-	return ok && (s.veto == "" || last || s.failed.Load())
+// sequenced is implemented by *SequenceSet, and so by every set that
+// embeds one.
+type sequenced interface{ sequence() *SequenceSet }
+
+func (s *SequenceSet) sequence() *SequenceSet { return s }
+
+// roundStop reports whether a serial broadcast of the driven set's
+// current round may ship same-host runs as ordered batches, and the
+// response at which a batch must stop: "" when no response can advance
+// the round. last tells whether GetSignal called the round the final one.
+// Any set that embeds a SequenceSet batches, for its rounds advance only as
+// the SequenceSet's do: a round names the set's veto as its stop unless
+// the set names none, runs its failure sequence, or is in its final round.
+// Any other set may advance on any response and is delivered one by one.
+// It takes no lock: the veto is fixed before the set is registered, and
+// failed is atomic.
+func (d *setDriver) roundStop(last bool) (stop string, ok bool) {
+	s := d.seq
+	if s == nil {
+		return "", false
+	}
+	if s.veto == "" || last || s.failed.Load() {
+		return "", true
+	}
+	return s.veto, true
 }
 
 // GetOutcome implements SignalSet.

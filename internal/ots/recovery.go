@@ -212,7 +212,7 @@ func (s *Service) Recover() (RecoveryStats, error) {
 			run[i] = &rs[i]
 		}
 		var p phaseTwo
-		for _, r := range core.DeliverRun(context.TODO(), commit, run, s.retry) {
+		for _, r := range core.DeliverRun(context.TODO(), commit, run, "", s.retry) {
 			p.add(r.Outcome, r.Err)
 		}
 		missing := len(job.names) - len(rs)

@@ -58,6 +58,10 @@ func InitSignalSet(s *core.SequenceSet) *core.SequenceSet {
 // retries, recorded against the transaction. Any other phase-two error is a
 // delivery error, which the coordinator's RetryPolicy retries.
 //
+// A transaction enrols a participant over a ResourceBatcher as a
+// batchingAction, so a same-host run of participants takes each round in
+// one call.
+//
 // It takes no lock: it relies on its caller to deliver one signal at a
 // time, with each delivery ordered before the next. A coordinator does so
 // in-process (serial rounds run in sequence; a concurrent round's workers
@@ -71,7 +75,10 @@ type ResourceAction struct {
 	tx       *Transaction // gets the replies' events and heuristic records; nil for none
 }
 
-var _ core.Action = (*ResourceAction)(nil)
+var (
+	_ core.Action          = (*ResourceAction)(nil)
+	_ core.EndpointBatcher = (*batchingAction)(nil)
+)
 
 // NewResourceAction wraps r.
 func NewResourceAction(r Resource) *ResourceAction {
@@ -84,31 +91,55 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 	case SignalPrepare:
 		vote, err := a.resource.Prepare()
 		if err != nil {
-			return core.Outcome{Name: OutcomeAbort, Data: err.Error()}, nil
+			return prepareFailed(err), nil
 		}
-		a.voted = vote
-		switch vote {
-		case VoteReadOnly:
-			return core.Outcome{Name: OutcomeReadOnly}, nil
-		case VoteCommit:
-			return core.Outcome{Name: OutcomeDone}, nil
-		default:
-			// A vetoing resource has already rolled itself back.
-			return core.Outcome{Name: OutcomeAbort}, nil
-		}
+		return a.vote(vote), nil
 	case SignalCommit:
-		if a.voted != VoteCommit {
-			return core.Outcome{Name: OutcomeReadOnly}, nil // no phase two
+		if out, ok := a.noCall(SignalCommit); ok {
+			return out, nil
 		}
 		return a.settle(sig.Name, a.resource.Commit())
 	case SignalRollback:
-		if a.voted == VoteRollback || a.voted == VoteReadOnly {
-			return core.Outcome{Name: OutcomeDone}, nil // nothing to undo
+		if out, ok := a.noCall(SignalRollback); ok {
+			return out, nil
 		}
 		return a.settle(sig.Name, a.resource.Rollback())
 	default:
 		return core.Outcome{}, fmt.Errorf("ots: unexpected signal %q", sig.Name)
 	}
+}
+
+// prepareFailed is the reply to a Prepare that failed: an abort carrying
+// the error, which leaves the participant unvoted.
+func prepareFailed(err error) core.Outcome {
+	return core.Outcome{Name: OutcomeAbort, Data: err.Error()}
+}
+
+// vote records the participant's vote and classifies it.
+func (a *ResourceAction) vote(vote Vote) core.Outcome {
+	a.voted = vote
+	switch vote {
+	case VoteReadOnly:
+		return core.Outcome{Name: OutcomeReadOnly}
+	case VoteCommit:
+		return core.Outcome{Name: OutcomeDone}
+	default:
+		// A vetoing resource has already rolled itself back.
+		return core.Outcome{Name: OutcomeAbort}
+	}
+}
+
+// noCall answers phase-two signal sig when the participant needs no call:
+// commit when it did not vote commit, rollback when it voted rollback or
+// read-only and so has nothing to undo.
+func (a *ResourceAction) noCall(sig string) (core.Outcome, bool) {
+	switch {
+	case sig == SignalCommit && a.voted != VoteCommit:
+		return core.Outcome{Name: OutcomeReadOnly}, true
+	case sig == SignalRollback && (a.voted == VoteRollback || a.voted == VoteReadOnly):
+		return core.Outcome{Name: OutcomeDone}, true
+	}
+	return core.Outcome{}, false
 }
 
 // settle classifies err, the participant's reply to phase-two signal sig.
@@ -134,6 +165,97 @@ func (a *ResourceAction) settle(sig string, err error) (core.Outcome, error) {
 		return core.Outcome{Name: OutcomeHeuristicCommit}, nil
 	}
 	return core.Outcome{Name: OutcomeHeuristicRollback}, nil
+}
+
+// adapter returns the Action a transaction enrols the participant as: a
+// batchingAction when its resource is a ResourceBatcher, the
+// ResourceAction itself otherwise. Asking here, once per participant, keeps
+// an in-process participant as cheap to broadcast to as a plain Action.
+func (a *ResourceAction) adapter() core.Action {
+	if _, ok := a.resource.(ResourceBatcher); ok {
+		return (*batchingAction)(a)
+	}
+	return a
+}
+
+// batchingAction is a ResourceAction over a ResourceBatcher, made a
+// core.EndpointBatcher whose endpoint is its resource proxy's.
+type batchingAction ResourceAction
+
+// ProcessSignal implements core.Action, as the ResourceAction does.
+func (b *batchingAction) ProcessSignal(ctx context.Context, sig core.Signal) (core.Outcome, error) {
+	return (*ResourceAction)(b).ProcessSignal(ctx, sig)
+}
+
+// BatchEndpoint implements core.EndpointBatcher.
+func (b *batchingAction) BatchEndpoint() string {
+	return b.resource.(ResourceBatcher).BatchEndpoint()
+}
+
+// DeliverBatch implements core.EndpointBatcher. It sends the run's
+// resources that need a call to the host in one BatchResources call,
+// answers the others itself, and classifies every reply as ProcessSignal
+// would. A prepare round must stop at the abort vote and a phase-two
+// round must not stop; it refuses any other stop. A prepare batch whose
+// reply is lost counts as a failed
+// Prepare of its first member, so no member counts as voted and rollback
+// reaches them all; prepare is never sent twice. A failed phase-two batch
+// is the coordinator's to redeliver member by member.
+func (b *batchingAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	want := ""
+	if sig.Name == SignalPrepare {
+		want = OutcomeAbort
+	}
+	if stop != want {
+		return nil, ErrBatchRefused
+	}
+	members := make([]*ResourceAction, len(run))
+	send := make([]Resource, 0, len(run))
+	for i, m := range run {
+		ba, ok := m.(*batchingAction)
+		if !ok {
+			return nil, ErrBatchRefused
+		}
+		members[i] = (*ResourceAction)(ba)
+		if _, local := members[i].noCall(sig.Name); !local {
+			send = append(send, ba.resource)
+		}
+	}
+	var replies []BatchReply
+	if len(send) > 0 {
+		var err error
+		replies, err = b.resource.(ResourceBatcher).BatchResources(ctx, sig.Name, send, stop != "", retry)
+		switch {
+		case err == nil:
+		case sig.Name == SignalPrepare && !errors.Is(err, ErrBatchRefused):
+			return []core.SubtreeResult{{Index: 0, Attempts: 1, Outcome: prepareFailed(err)}}, nil
+		default:
+			return nil, err
+		}
+	}
+	res := make([]core.SubtreeResult, 0, len(run))
+	for i, m := range members {
+		r := core.SubtreeResult{Index: i, Attempts: 1}
+		if out, local := m.noCall(sig.Name); local {
+			r.Outcome = out
+		} else if len(replies) > 0 {
+			rep := replies[0]
+			replies = replies[1:]
+			r.Attempts = max(rep.Attempts, 1)
+			switch {
+			case sig.Name != SignalPrepare:
+				r.Outcome, r.Err = m.settle(sig.Name, rep.Err)
+			case rep.Err != nil:
+				r.Outcome = prepareFailed(rep.Err)
+			default:
+				r.Outcome = m.vote(rep.Vote)
+			}
+		} else {
+			break // past the prefix the host ran
+		}
+		res = append(res, r)
+	}
+	return res, nil
 }
 
 // phaseTwo tallies commit replies as ResourceAction classifies them:
@@ -247,7 +369,7 @@ func (t *Transaction) drive(rs []ResourceAction, cs core.CompletionStatus) *comm
 	run := slices.Grow(buf[:0], len(rs))
 	for i := range rs {
 		rs[i].tx = t
-		run = append(run, &rs[i])
+		run = append(run, rs[i].adapter())
 	}
 	a := t.svc.core.Begin(SetName)
 	// None of these can fail: the activity is fresh, nothing else holds it,

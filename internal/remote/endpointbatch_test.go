@@ -555,7 +555,7 @@ func TestEndpointBatchOverlappingDeliveriesRunOneAtATime(t *testing.T) {
 			})
 		}
 		deliver(func() error { // x twice in one ordered batch
-			rs, err := px.(core.EndpointBatcher).DeliverBatch(context.Background(), sig, []core.Action{px, py, px}, retry)
+			rs, err := px.(core.EndpointBatcher).DeliverBatch(context.Background(), sig, []core.Action{px, py, px}, "", retry)
 			if err == nil && len(rs) != 3 {
 				err = fmt.Errorf("batch: %d results, want 3", len(rs))
 			}

@@ -15,6 +15,7 @@ import (
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/orb"
+	"github.com/extendedtx/activityservice/internal/ots"
 )
 
 // Relay servant identity. Every node that participates in tree-structured
@@ -34,7 +35,8 @@ const (
 
 // Relay batch kinds: the first octet after the signal encoding says whether
 // the frame carries a subtree membership inline, refers to one the relay
-// already planted, or names a same-host run of a serial broadcast.
+// already planted, or names a same-host run of a serial broadcast: of
+// Actions, or of transaction resources.
 const (
 	// relayBatchFull carries the membership blob inline; the relay checks
 	// that the blob hashes to the claimed plant id and caches it there.
@@ -49,6 +51,12 @@ const (
 	// relay delivers the run itself, in order, and refuses the batch if it
 	// serves no Action under one of the keys.
 	relayBatchKeys byte = 3
+	// relayBatchResources carries the member keys of a same-host run of
+	// transaction resources (ots.ResourceBatcher) and its stop rule; the
+	// signal's name is the resource operation. The relay runs the
+	// operation on each member in order, and refuses the batch if it
+	// serves no resource under one of the keys.
+	relayBatchResources byte = 4
 )
 
 // maxRelayDepth bounds membership-tree recursion against hostile frames.
@@ -130,7 +138,8 @@ type relayBatch struct {
 	plantID string
 	retry   core.RetryPolicy
 	root    *relayNode // relayBatchFull only
-	keys    []string   // relayBatchKeys only
+	keys    []string   // relayBatchKeys and relayBatchResources only
+	stop    bool       // relayBatchResources only: stop at a failed or vetoing prepare
 }
 
 // encodeRelayBatch writes one relay_deliver request body. The signal is
@@ -176,7 +185,7 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	switch b.kind {
 	case relayBatchRef:
 		return b, nil
-	case relayBatchFull, relayBatchKeys:
+	case relayBatchFull, relayBatchKeys, relayBatchResources:
 	default:
 		return relayBatch{}, fmt.Errorf("remote: relay batch kind %d", b.kind)
 	}
@@ -184,7 +193,7 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	if err := d.Err(); err != nil {
 		return relayBatch{}, err
 	}
-	if b.kind == relayBatchKeys {
+	if b.kind != relayBatchFull {
 		return decodeRelayKeys(b, blob)
 	}
 	if id := plantIDOf(blob); id != b.plantID {
@@ -215,9 +224,19 @@ func encodeRelayKeys(keys []string) []byte {
 	return e.Bytes()
 }
 
-// decodeRelayKeys completes b, an endpoint batch, from its membership
-// blob. Like a full batch's, the blob must be canonical; it must also name
-// at least one key, and the batch no plant. The keys are owned copies.
+// encodeResourceKeys is the membership blob of a resource batch: the run's
+// servant keys, in run order, then the stop rule.
+func encodeResourceKeys(keys []string, stop bool) []byte {
+	e := cdr.NewEncoder(9 + 40*len(keys))
+	e.WriteStringList(keys)
+	e.WriteBool(stop)
+	return e.Bytes()
+}
+
+// decodeRelayKeys completes b, an endpoint or resource batch, from its
+// membership blob. Like a full batch's, the blob must be canonical; it must
+// also name at least one key, and the batch no plant. The keys are owned
+// copies.
 func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
 	if b.plantID != "" {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch names plant %q", b.plantID)
@@ -225,13 +244,18 @@ func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
 	var md cdr.Decoder
 	md.Reset(blob)
 	b.keys = md.ReadStringList()
+	canonical := encodeRelayKeys
+	if b.kind == relayBatchResources {
+		b.stop = md.ReadBool()
+		canonical = func(keys []string) []byte { return encodeResourceKeys(keys, b.stop) }
+	}
 	if err := md.Err(); err != nil {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys: %w", err)
 	}
 	if len(b.keys) == 0 {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch names no member")
 	}
-	if !bytes.Equal(encodeRelayKeys(b.keys), blob) {
+	if !bytes.Equal(canonical(b.keys), blob) {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys are not canonical (%d bytes)", len(blob))
 	}
 	return b, nil
@@ -439,8 +463,11 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	if err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "relay_deliver: %v", err)
 	}
-	if batch.kind == relayBatchKeys {
+	switch batch.kind {
+	case relayBatchKeys:
 		return s.deliverRun(ctx, batch)
+	case relayBatchResources:
+		return s.runResources(ctx, batch)
 	}
 	var forest []*core.TreeNode
 	if batch.kind == relayBatchRef {
@@ -479,7 +506,7 @@ func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, er
 		}
 		run[i] = as
 	}
-	delivered := core.DeliverRun(ctx, b.sig, run, b.retry)
+	delivered := core.DeliverRun(ctx, b.sig, run, "", b.retry)
 	results := make([]relayResult, len(delivered))
 	for i, r := range delivered {
 		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
@@ -488,6 +515,67 @@ func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, er
 		}
 	}
 	return encodeRelayReply(results)
+}
+
+// runResources serves a resource batch. It resolves every key to a
+// resource servant this ORB serves, refusing the batch before running
+// anything if one is not, then runs the operation on each member in order
+// through core.DeliverRun: a phase-two member retried per the carried
+// policy until it answers, a prepare run once. With the stop rule it stops
+// after the first prepare that fails or votes neither commit nor
+// read-only. Each member's reply is the body, or the error text, its
+// direct call would have returned.
+func (s *relayServant) runResources(ctx context.Context, b relayBatch) ([]byte, error) {
+	op := b.sig.Name
+	if op != ots.SignalPrepare && op != ots.SignalCommit && op != ots.SignalRollback {
+		return nil, orb.Systemf(orb.CodeBadOperation, "relay runs no resource operation %q", op)
+	}
+	run := make([]core.Action, len(b.keys))
+	for i, key := range b.keys {
+		sv, _ := s.o.Servant(key)
+		rs, ok := sv.(*resourceServant)
+		if !ok {
+			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no resource %q", key)
+		}
+		run[i] = resourceMember{rs}
+	}
+	retry, stop := b.retry, ""
+	if op == ots.SignalPrepare {
+		retry.Attempts = 1
+	}
+	if b.stop {
+		stop = ots.OutcomeAbort
+	}
+	delivered := core.DeliverRun(ctx, b.sig, run, stop, retry)
+	results := make([]relayResult, len(delivered))
+	for i, r := range delivered {
+		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
+		if r.Err != nil {
+			results[i].errText = errText(r.Err)
+		}
+	}
+	return encodeRelayReply(results)
+}
+
+// resourceMember is one member of a resource batch as core.DeliverRun runs
+// it: the operation named by the signal, its reply body the outcome's
+// data. A prepare that votes neither commit nor read-only answers
+// ots.OutcomeAbort, where a stopping batch stops.
+type resourceMember struct{ *resourceServant }
+
+// ProcessSignal implements core.Action.
+func (m resourceMember) ProcessSignal(_ context.Context, sig core.Signal) (core.Outcome, error) {
+	body, err := m.call(sig.Name)
+	if err != nil {
+		return core.Outcome{}, err
+	}
+	out := core.Outcome{Data: body}
+	if sig.Name == ots.SignalPrepare {
+		if vote, err := decodeVote(body); err != nil || vote != ots.VoteCommit && vote != ots.VoteReadOnly {
+			out.Name = ots.OutcomeAbort
+		}
+	}
+	return out, nil
 }
 
 // forestOf builds, once per planted membership, the forest this relay
@@ -693,10 +781,18 @@ func decodeRelayReply(body []byte, wrap func(text string) error) ([]core.Subtree
 // endpoint.
 func (r *remoteAction) BatchEndpoint() string { return r.ref.Endpoint() }
 
+// errStopUnsupported declines an Action batch in a round a veto can cut
+// short: the Action batch format carries no stop rule.
+var errStopUnsupported = errors.New("remote: an Action batch cannot stop at a veto")
+
 // DeliverBatch implements core.EndpointBatcher: it sends the run's keys
 // inline to the relay servant on this proxy's endpoints as one endpoint
-// batch. Every member of run must be an Action proxy.
-func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+// batch. Every member of run must be an Action proxy. It declines a round
+// a veto can cut short, which is then delivered one call per action.
+func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	if stop != "" {
+		return nil, errStopUnsupported
+	}
 	keys := make([]string, len(run))
 	for i, a := range run {
 		ra, ok := a.(*remoteAction)

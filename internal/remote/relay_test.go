@@ -443,6 +443,20 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 	seedKeys("", append(encodeRelayKeys([]string{"a1"}), 0, 0, 0, 0))
 	seedKeys("", encodeRelayKeys(nil))
 	seedKeys(plantIDOf(encodeRelayKeys([]string{"a1"})), encodeRelayKeys([]string{"a1"}))
+	// Resource batches: keys then the stop rule, the signal naming the
+	// resource operation. A stop octet that is not a bool, or missing, is
+	// refused as not canonical.
+	seedResources := func(op string, membership []byte) {
+		e := cdr.NewEncoder(256)
+		if err := encodeRelayBatch(e, core.Signal{Name: op, SetName: "2pc"}, relayBatchResources, "", core.RetryPolicy{Attempts: 3}, membership); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cdr.Clone(e.Bytes()))
+	}
+	seedResources("prepare", encodeResourceKeys([]string{"r1", "r2"}, true))
+	seedResources("commit", encodeResourceKeys([]string{"r1"}, false))
+	seedResources("prepare", append(encodeRelayKeys([]string{"r1"}), 2))
+	seedResources("rollback", encodeRelayKeys([]string{"r1"}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x00})
 
@@ -463,6 +477,8 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 			membership = me.Bytes()
 		case b.kind == relayBatchKeys:
 			membership = encodeRelayKeys(b.keys)
+		case b.kind == relayBatchResources:
+			membership = encodeResourceKeys(b.keys, b.stop)
 		}
 		e := cdr.NewEncoder(256)
 		if err := encodeRelayBatch(e, b.sig, b.kind, b.plantID, b.retry, membership); err != nil {
@@ -483,7 +499,8 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 		if b.root != nil && len(b.root.span(nil)) != len(b2.root.span(nil)) {
 			t.Fatalf("round-trip span mismatch")
 		}
-		if strings.Join(b.keys, "\x00") != strings.Join(b2.keys, "\x00") || (b.kind == relayBatchKeys) != (len(b.keys) > 0) {
+		if strings.Join(b.keys, "\x00") != strings.Join(b2.keys, "\x00") || b.stop != b2.stop ||
+			(b.kind == relayBatchKeys || b.kind == relayBatchResources) != (len(b.keys) > 0) {
 			t.Fatalf("round-trip keys mismatch: %q vs %q", b.keys, b2.keys)
 		}
 	})

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
+	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/orb"
 	"github.com/extendedtx/activityservice/internal/ots"
 )
@@ -78,6 +80,12 @@ type resourceServant struct {
 
 // Dispatch implements orb.Servant.
 func (s *resourceServant) Dispatch(_ context.Context, op string, _ *cdr.Decoder) ([]byte, error) {
+	return s.call(op)
+}
+
+// call runs op on the resource and returns its reply body, the one reply
+// encoding of a direct call and of a resource batch member.
+func (s *resourceServant) call(op string) ([]byte, error) {
 	switch op {
 	case "prepare":
 		vote, err := s.res.Prepare()
@@ -100,15 +108,19 @@ func (s *resourceServant) Dispatch(_ context.Context, op string, _ *cdr.Decoder)
 	}
 }
 
-// ExportResource activates r on o and returns its reference.
+// ExportResource activates r on o and returns its reference. Like
+// ExportAction it serves o's relay, which runs a coordinator's resource
+// batches.
 func ExportResource(o *orb.ORB, r ots.Resource) orb.IOR {
+	installRelay(o)
 	return o.RegisterServant(ResourceTypeID, &resourceServant{res: r})
 }
 
 // ExportResourceWithKey activates r under a stable key, so a restarted
 // server can re-register the resource at the reference persisted in a
-// coordinator's decision log.
+// coordinator's decision log. It serves o's relay as ExportResource does.
 func ExportResourceWithKey(o *orb.ORB, key string, r ots.Resource) orb.IOR {
+	installRelay(o)
 	return o.RegisterServantWithKey(key, ResourceTypeID, &resourceServant{res: r})
 }
 
@@ -121,7 +133,10 @@ type remoteResource struct {
 	ref orb.IOR
 }
 
-var _ ots.NamedResource = (*remoteResource)(nil)
+var (
+	_ ots.NamedResource   = (*remoteResource)(nil)
+	_ ots.ResourceBatcher = (*remoteResource)(nil)
+)
 
 // ImportResource returns an ots.Resource proxy for the resource at ref.
 func ImportResource(o *orb.ORB, ref orb.IOR) ots.NamedResource {
@@ -145,6 +160,12 @@ func (r *remoteResource) Prepare() (ots.Vote, error) {
 	if err != nil {
 		return ots.VoteRollback, err
 	}
+	return decodeVote(body)
+}
+
+// decodeVote reads a prepare reply. The vote is a copy: nothing aliases
+// body.
+func decodeVote(body []byte) (ots.Vote, error) {
 	d := cdr.NewDecoder(body)
 	vote := ots.Vote(d.ReadOctet())
 	if err := d.Err(); err != nil {
@@ -184,6 +205,79 @@ func (r *remoteResource) CommitOnePhase() error {
 func (r *remoteResource) Forget() error {
 	_, err := r.invoke("forget")
 	return err
+}
+
+// BatchEndpoint implements ots.ResourceBatcher: the proxy's primary
+// endpoint.
+func (r *remoteResource) BatchEndpoint() string { return r.ref.Endpoint() }
+
+// BatchResources implements ots.ResourceBatcher: it sends the run's keys,
+// op and stop rule to the relay servant on this proxy's endpoints as one
+// resource batch, and decodes each member's reply as the direct call
+// decodes it. Every member of run must be a resource proxy. A host that
+// refuses the batch before running it — no relay, an unknown batch kind or
+// an unknown member — is reported as ots.ErrBatchRefused.
+func (r *remoteResource) BatchResources(ctx context.Context, op string, run []ots.Resource, stop bool, retry core.RetryPolicy) ([]ots.BatchReply, error) {
+	keys := make([]string, len(run))
+	for i, m := range run {
+		rr, ok := m.(*remoteResource)
+		if !ok {
+			return nil, fmt.Errorf("%w: member %d is not a resource proxy", ots.ErrBatchRefused, i)
+		}
+		keys[i] = rr.ref.Key
+	}
+	target := orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...)
+	sig := core.Signal{Name: op, SetName: ots.SetName}
+	body, err := invokeRelay(ctx, r.orb, target, sig, relayBatchResources, "", retry, encodeResourceKeys(keys, stop))
+	if err != nil {
+		if refusedBatch(err) {
+			return nil, fmt.Errorf("%w: %w", ots.ErrBatchRefused, err)
+		}
+		return nil, err
+	}
+	raw, err := decodeRelayResults(cdr.NewDecoder(body))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) > len(run) {
+		return nil, fmt.Errorf("remote: resource batch reply: %d results for %d members", len(raw), len(run))
+	}
+	replies := make([]ots.BatchReply, len(raw))
+	for i, rr := range raw {
+		rep := &replies[i]
+		rep.Attempts = rr.attempts
+		body, _ := rr.outcome.Data.([]byte)
+		switch {
+		case rr.index != i:
+			return nil, fmt.Errorf("remote: resource batch reply: result %d for member %d", rr.index, i)
+		case rr.errText != "":
+			// Worded as the direct call's error reads.
+			rep.Err = fmt.Errorf("remote: resource %s on %s: %w", op, keys[i], errors.New(rr.errText))
+		case op == ots.SignalPrepare:
+			rep.Vote, rep.Err = decodeVote(body)
+		default:
+			rep.Err = decodePhaseTwoReply(op, body)
+		}
+	}
+	return replies, nil
+}
+
+// refusedBatch reports whether err says the host ran none of a batch: it
+// serves no relay, its relay refused the request before delivering (an
+// unknown member, or a batch kind it does not know), or the request never
+// reached it.
+func refusedBatch(err error) bool {
+	var se *orb.SystemError
+	if !errors.As(err, &se) {
+		return false
+	}
+	switch se.Code {
+	case orb.CodeObjectNotExist, orb.CodeBadOperation, orb.CodeTransient:
+		return true
+	case orb.CodeMarshal:
+		return strings.HasPrefix(se.Detail, relayOp+":")
+	}
+	return false
 }
 
 // BindRemoteResources registers a directory resolver that turns the

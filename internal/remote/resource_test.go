@@ -123,41 +123,54 @@ func TestDistributedOTSVetoRollsBack(t *testing.T) {
 }
 
 // TestDistributedOTSLostPrepareReplyRollsBack drops the reply to a
-// servant's prepare after the servant prepared. The coordinator sees an
-// error, not a vote, and rolls the transaction back; since the servant may
-// be prepared, it is told to roll back exactly once.
+// prepare after the servants prepared. The coordinator sees an error, not
+// a vote, and rolls the transaction back; since the servants may be
+// prepared, each is told to roll back exactly once. With both resources on
+// one host the reply lost is the prepare batch's; with each on its own
+// host it is the first resource's own prepare.
 func TestDistributedOTSLostPrepareReplyRollsBack(t *testing.T) {
-	chaos := orb.NewChaosTransport()
-	coordinatorORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(200*time.Millisecond))
-	t.Cleanup(coordinatorORB.Shutdown)
-	node := orb.New()
-	t.Cleanup(node.Shutdown)
+	for _, tc := range []struct {
+		name     string
+		sameHost bool
+		rule     orb.ChaosRule
+	}{
+		{"batch", true, orb.ChaosRule{Op: relayOp, Signal: ots.SignalPrepare, Stage: orb.StageReply, Drop: true, Count: 1}},
+		{"per-call", false, orb.ChaosRule{Op: "prepare", Stage: orb.StageReply, Drop: true, Count: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chaos := orb.NewChaosTransport()
+			coordinatorORB := orb.New(orb.WithTransport(chaos), orb.WithCallTimeout(200*time.Millisecond))
+			t.Cleanup(coordinatorORB.Shutdown)
+			lostHost := batchHost(t)
+			otherHost := lostHost
+			if !tc.sameHost {
+				otherHost = batchHost(t)
+			}
 
-	lost := &slotResource{vote: ots.VoteCommit}
-	other := &slotResource{vote: ots.VoteCommit}
-	lostRef := ExportResource(node, lost)
-	otherRef := ExportResource(node, other)
-	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	lostRef, _ = node.IOR(lostRef.Key)
-	otherRef, _ = node.IOR(otherRef.Key)
+			lost := &slotResource{vote: ots.VoteCommit}
+			other := &slotResource{vote: ots.VoteCommit}
+			lostRef := ExportResource(lostHost, lost)
+			otherRef := ExportResource(otherHost, other)
+			lostRef, _ = lostHost.IOR(lostRef.Key)
+			otherRef, _ = otherHost.IOR(otherRef.Key)
 
-	fault := chaos.Inject(orb.ChaosRule{Op: "prepare", Stage: orb.StageReply, Drop: true, Count: 1})
-	tx := ots.NewService().Begin()
-	_ = tx.RegisterResource(ImportResource(coordinatorORB, lostRef))
-	_ = tx.RegisterResource(ImportResource(coordinatorORB, otherRef))
-	if err := tx.Commit(true); !errors.Is(err, ots.ErrRolledBack) {
-		t.Fatalf("err = %v, want ErrRolledBack", err)
-	}
-	if fault.Hits() != 1 {
-		t.Fatalf("drop fired %d times, want 1", fault.Hits())
-	}
-	if n := lost.Rollbacks(); n != 1 || lost.State() != "rolledback" {
-		t.Fatalf("prepared servant whose reply was lost: %d rollbacks, state %q; want 1, rolledback", n, lost.State())
-	}
-	if n := other.Rollbacks(); n != 1 {
-		t.Fatalf("not-yet-asked servant: %d rollbacks, want 1", n)
+			fault := chaos.Inject(tc.rule)
+			tx := ots.NewService().Begin()
+			_ = tx.RegisterResource(ImportResource(coordinatorORB, lostRef))
+			_ = tx.RegisterResource(ImportResource(coordinatorORB, otherRef))
+			if err := tx.Commit(true); !errors.Is(err, ots.ErrRolledBack) {
+				t.Fatalf("err = %v, want ErrRolledBack", err)
+			}
+			if fault.Hits() != 1 {
+				t.Fatalf("drop fired %d times, want 1", fault.Hits())
+			}
+			if n := lost.Rollbacks(); n != 1 || lost.State() != "rolledback" {
+				t.Fatalf("prepared servant whose reply was lost: %d rollbacks, state %q; want 1, rolledback", n, lost.State())
+			}
+			if n := other.Rollbacks(); n != 1 {
+				t.Fatalf("other servant: %d rollbacks, want 1", n)
+			}
+		})
 	}
 }
 

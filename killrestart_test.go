@@ -369,22 +369,46 @@ type crashFixture struct {
 	refs    []string
 }
 
+// newCrashFixture exports each participant on its own ORB and listener.
+// A serial round reaches each participant host in one call, so only
+// participants on separate hosts leave a crash point between two phase-two
+// deliveries.
 func newCrashFixture(t *testing.T) *crashFixture {
+	t.Helper()
+	return crashFixtureOn(t, survivorHost(t), survivorHost(t))
+}
+
+// newSameHostCrashFixture exports both participants on one ORB, so each
+// round reaches them as one resource batch.
+func newSameHostCrashFixture(t *testing.T) *crashFixture {
+	t.Helper()
+	node := survivorHost(t)
+	return crashFixtureOn(t, node, node)
+}
+
+// survivorHost starts a listening ORB in this process for participants.
+func survivorHost(t *testing.T) *orb.ORB {
 	t.Helper()
 	node := orb.New()
 	t.Cleanup(node.Shutdown)
+	if _, err := node.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	return node
+}
+
+// crashFixtureOn exports participant a on nodeA and b on nodeB.
+func crashFixtureOn(t *testing.T, nodeA, nodeB *orb.ORB) *crashFixture {
+	t.Helper()
 	f := &crashFixture{
 		walPath: filepath.Join(t.TempDir(), "coordinator.wal"),
 		a:       &survivorResource{},
 		b:       &survivorResource{},
 	}
-	refA := remote.ExportResourceWithKey(node, "survivor-a", f.a)
-	refB := remote.ExportResourceWithKey(node, "survivor-b", f.b)
-	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	refA, _ = node.IOR(refA.Key)
-	refB, _ = node.IOR(refB.Key)
+	refA := remote.ExportResourceWithKey(nodeA, "survivor-a", f.a)
+	refB := remote.ExportResourceWithKey(nodeB, "survivor-b", f.b)
+	refA, _ = nodeA.IOR(refA.Key)
+	refB, _ = nodeB.IOR(refB.Key)
 	f.refs = []string{refA.String(), refB.String()}
 	return f
 }
@@ -523,6 +547,37 @@ func TestCrashRestart2PC(t *testing.T) {
 		}
 		if st != iots.StatusCommitted {
 			t.Fatalf("in-doubt participant fate = %s, want committed", st)
+		}
+	})
+
+	t.Run("mid-phase2-same-host", func(t *testing.T) {
+		// Both participants on one host: phase two reaches them as one
+		// batch, so the kill at the first commit delivery lands after the
+		// batch committed both. Restart re-drives the whole decision and
+		// each participant absorbs the duplicate: applied exactly once.
+		f := newSameHostCrashFixture(t)
+		runCoordinatorUntilKilled(t, "phase2", f.walPath, f.refs)
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies at crash = %d/%d, want 1/1 (the batch landed)",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+
+		rc := restartCoordinator(t, f.walPath)
+		if rc.replayed != 1 || rc.committed != 2 || rc.failed != 0 || rc.missing != 0 {
+			t.Fatalf("recovery pass = replayed %d committed %d missing %d failed %d, want 1/2/0/0",
+				rc.replayed, rc.committed, rc.missing, rc.failed)
+		}
+		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
+			t.Fatalf("applies = %d/%d, want exactly once each",
+				f.a.applies.Load(), f.b.applies.Load())
+		}
+		if f.a.commitCalls.Load() != 2 || f.b.commitCalls.Load() != 2 {
+			t.Fatalf("commit deliveries = %d/%d, want 2/2 (the batch + one re-drive)",
+				f.a.commitCalls.Load(), f.b.commitCalls.Load())
+		}
+		if f.a.prepares.Load() != 1 || f.b.prepares.Load() != 1 || f.a.rollbacks.Load()+f.b.rollbacks.Load() != 0 {
+			t.Fatalf("prepares %d/%d rollbacks %d/%d, want 1/1 and none",
+				f.a.prepares.Load(), f.b.prepares.Load(), f.a.rollbacks.Load(), f.b.rollbacks.Load())
 		}
 	})
 
@@ -929,24 +984,18 @@ type btpTakeover struct {
 // exactly once, the already-confirmed one absorbing the redelivery.
 func killBTPSuperiorMidConfirm(t *testing.T) btpTakeover {
 	t.Helper()
-	node := orb.New()
-	t.Cleanup(node.Shutdown)
 	walPath := filepath.Join(t.TempDir(), "superior.wal")
 	inferiors := []*btpInferior{{}, {}, {}}
-	actionKeys := make([]string, len(inferiors))
-	resourceKeys := make([]string, len(inferiors))
-	for i, p := range inferiors {
-		actionKeys[i] = orb.ExportAction(node, p.action()).Key
-		resourceKeys[i] = remote.ExportResourceWithKey(node, fmt.Sprintf("inferior-%d", i), p).Key
-	}
-	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	actionRefs := make([]string, len(inferiors))
 	resourceRefs := make([]string, len(inferiors))
-	for i := range inferiors {
-		aref, _ := node.IOR(actionKeys[i])
-		rref, _ := node.IOR(resourceKeys[i])
+	for i, p := range inferiors {
+		// Each inferior on its own host, so the superior can die between
+		// two confirm deliveries: one host's confirms are one batch.
+		node := survivorHost(t)
+		aref := orb.ExportAction(node, p.action())
+		rref := remote.ExportResourceWithKey(node, fmt.Sprintf("inferior-%d", i), p)
+		aref, _ = node.IOR(aref.Key)
+		rref, _ = node.IOR(rref.Key)
 		actionRefs[i] = aref.String()
 		resourceRefs[i] = rref.String()
 	}
