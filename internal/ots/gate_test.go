@@ -2,6 +2,7 @@ package ots
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/extendedtx/activityservice/internal/wal"
@@ -43,6 +44,55 @@ func TestDecisionGateVetoRollsBack(t *testing.T) {
 	}
 	if tx.Status() != StatusRolledBack {
 		t.Fatalf("status = %s, want rolled back", tx.Status())
+	}
+}
+
+// TestDecisionGateFencedLeavesInDoubt: a gate that fails with
+// wal.ErrFenced (the coordinator was deposed, and a follower may already
+// hold the decision) delivers no phase two: each participant saw prepare
+// only, no void record retracts the decision, and the terminator gets the
+// fence, not ErrRolledBack, with the outcome unknown. A decision append
+// that fails with wal.ErrFenced does the same.
+func TestDecisionGateFencedLeavesInDoubt(t *testing.T) {
+	for _, where := range []string{"gate", "append"} {
+		t.Run(where, func(t *testing.T) {
+			log := wal.NewMemory()
+			gate := func(uint64) error { return fmt.Errorf("deposed mid-commit: %w", wal.ErrFenced) }
+			if where == "append" {
+				gate = nil
+				log.Follow() // local appends now fail with wal.ErrFenced
+			}
+			svc := NewService(WithLog(log), WithDecisionGate(gate))
+			tx := svc.Begin()
+			a, b := newFake("a"), newFake("b")
+			if err := tx.RegisterResource(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.RegisterResource(b); err != nil {
+				t.Fatal(err)
+			}
+			err := tx.Commit(true)
+			if !errors.Is(err, wal.ErrFenced) || errors.Is(err, ErrRolledBack) {
+				t.Fatalf("fenced commit = %v, want wal.ErrFenced and not ErrRolledBack", err)
+			}
+			for _, r := range []*fakeResource{a, b} {
+				if calls := r.Calls(); len(calls) != 1 || calls[0] != "prepare" {
+					t.Fatalf("%s calls = %v, want prepare only", r.name, calls)
+				}
+			}
+			if tx.Status() != StatusUnknown {
+				t.Fatalf("status = %s, want unknown", tx.Status())
+			}
+			recs, err := log.Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if r.Kind == RecordVoid {
+					t.Fatal("a fenced decision was voided")
+				}
+			}
+		})
 	}
 }
 

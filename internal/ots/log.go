@@ -1,6 +1,7 @@
 package ots
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/extendedtx/activityservice/internal/cdr"
@@ -144,11 +145,16 @@ func (t *Transaction) logDecision(rs []ResourceAction) error {
 	}
 	if s.decisionGate != nil {
 		if err := s.decisionGate(lsn); err != nil {
-			// A veto (the leader was deposed mid-commit) unwinds to
-			// rollback, so the decision is voided before anything can
-			// replay it. On a fenced log the void cannot be written: the
-			// rejoin truncation cuts the orphan decision instead, and this
-			// service no longer answers for the log (loadViewLocked).
+			if errors.Is(err, wal.ErrFenced) {
+				// A deposed leader cannot tell whether the decision
+				// reached the follower that succeeds it (an ack rides the
+				// follower's next fetch): the outcome is the next
+				// leader's to settle, so it is neither voided nor rolled
+				// back here.
+				return fmt.Errorf("decision gate: %w", err)
+			}
+			// Any other veto unwinds to rollback, so the decision is
+			// voided before anything can replay it.
 			if _, verr := s.log.Append(RecordVoid, encodeTx(t.id)); verr == nil {
 				s.fold(func(v *logView) { v.void(t.id) })
 			}

@@ -125,17 +125,19 @@ func WithEventHook(fn func(Event)) Option {
 // the recovery view or any phase-two delivery starts. A replicated
 // coordinator uses it to hold the decision until a quorum of its group
 // durably has it, and to detect that it was deposed (fenced) between
-// appending the decision and releasing phase two — the new leader's
-// history does not contain the decision, so delivering commits from it
-// would split the outcome. A vetoed decision unwinds exactly like a failed
-// append: every prepared participant is rolled back and the terminator
-// sees ErrRolledBack, and a RecordVoid marker retracts the decision
-// record. On a fenced log that marker cannot be written; the orphan
-// decision is then removed by the automatic rejoin truncation (it is
-// beyond the new term's start, so it is never replayed by any elected
-// leader), and this service refuses recovery once its log knows the new
-// term. A slow standby must NOT veto — only a raised fence should; a gate
-// waiting on acknowledgements blocks (see
+// appending the decision and releasing phase two.
+//
+// A gate error that wraps wal.ErrFenced, like a decision append that
+// fails with it, leaves the transaction in doubt: a follower may already
+// hold the decision durably (its ack rides its next fetch) and win the
+// next election, or may not, so this coordinator delivers neither commit
+// nor rollback and writes no record; Commit returns the error, not
+// ErrRolledBack, with the status StatusUnknown, and the group's next
+// leader resolves the transaction. Any other veto unwinds exactly like a
+// failed append: every prepared participant is rolled back, the
+// terminator sees ErrRolledBack, and a RecordVoid marker retracts the
+// decision record. A slow standby must NOT veto — only a raised fence
+// should; a gate waiting on acknowledgements blocks (see
 // remote.ReplicationPrimary.DecisionGateN for why neither degrading nor
 // vetoing is safe). The gate runs inline on the committing goroutine.
 func WithDecisionGate(fn func(lsn uint64) error) Option {

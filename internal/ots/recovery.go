@@ -194,12 +194,8 @@ func (s *Service) Recover() (RecoveryStats, error) {
 	}
 	s.viewMu.Unlock()
 
-	commit := core.Signal{Name: SignalCommit, SetName: SetName}
 	for _, job := range jobs {
 		stats.DecisionsReplayed++
-		// Phase two is re-driven as a live commit drives it: through
-		// ResourceAction, one participant at a time, with the service's
-		// RetryPolicy.
 		tx := &Transaction{svc: s, id: job.tx}
 		rs := make([]ResourceAction, 0, len(job.names))
 		for _, name := range job.names {
@@ -207,14 +203,7 @@ func (s *Service) Recover() (RecoveryStats, error) {
 				rs = append(rs, ResourceAction{resource: r, name: name, voted: VoteCommit, tx: tx})
 			}
 		}
-		run := make([]core.Action, len(rs))
-		for i := range rs {
-			run[i] = &rs[i]
-		}
-		var p phaseTwo
-		for _, r := range core.DeliverRun(context.TODO(), commit, run, "", s.retry) {
-			p.add(r.Outcome, r.Err)
-		}
+		p := s.redeliver(rs)
 		missing := len(job.names) - len(rs)
 		stats.ResourcesMissing += missing
 		stats.ResourcesCommitted += p.committed
@@ -229,6 +218,56 @@ func (s *Service) Recover() (RecoveryStats, error) {
 	}
 	s.accumulate(stats)
 	return stats, nil
+}
+
+// redeliver re-drives commit to rs as a live commit's phase two drives
+// it, through each participant's adapter with the service's RetryPolicy,
+// and tallies the replies: a run of consecutive participants on one host
+// goes to it as one batch (batchingAction.DeliverBatch), and every other
+// participant, or a run whose batch is refused (ErrBatchRefused) or
+// fails, gets one call each. Commit is idempotent, so a batch whose
+// outcome is unknown is safely delivered again one by one.
+func (s *Service) redeliver(rs []ResourceAction) phaseTwo {
+	ctx := context.TODO()
+	commit := core.Signal{Name: SignalCommit, SetName: SetName}
+	run := make([]core.Action, len(rs))
+	for i := range rs {
+		run[i] = rs[i].adapter()
+	}
+	var p phaseTwo
+	for len(run) > 0 {
+		n := hostRun(run)
+		var res []core.SubtreeResult
+		if n > 1 {
+			var err error
+			res, err = run[0].(*batchingAction).DeliverBatch(ctx, commit, run[:n], "", s.retry)
+			if err != nil || len(res) > n {
+				res = nil
+			}
+		}
+		res = append(res, core.DeliverRun(ctx, commit, run[len(res):n], "", s.retry)...)
+		for _, r := range res {
+			p.add(r.Outcome, r.Err)
+		}
+		run = run[n:]
+	}
+	return p
+}
+
+// hostRun returns the length of the run of consecutive participants that
+// batch on run[0]'s host: 1 when run[0] does not batch.
+func hostRun(run []core.Action) int {
+	first, ok := run[0].(*batchingAction)
+	if !ok {
+		return 1
+	}
+	ep, n := first.BatchEndpoint(), 1
+	for ; ep != "" && n < len(run); n++ {
+		if b, ok := run[n].(*batchingAction); !ok || b.BatchEndpoint() != ep {
+			break
+		}
+	}
+	return n
 }
 
 // accumulate folds one pass's stats into the lifetime totals.

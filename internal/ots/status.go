@@ -7,7 +7,8 @@ import "fmt"
 type Status int
 
 // StatusUnknown is the zero Status: the outcome could not be determined
-// (for example, a recovery query that failed in transit).
+// (for example, a recovery query that failed in transit, or a commit whose
+// decision failed on a fenced log or gate and is left to the next leader).
 const StatusUnknown Status = 0
 
 // Transaction statuses.

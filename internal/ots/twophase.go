@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"github.com/extendedtx/activityservice/internal/core"
+	"github.com/extendedtx/activityservice/internal/wal"
 )
 
 // The 2PCSignalSet of fig. 8: its name, its signals, the outcomes a
@@ -296,11 +297,14 @@ type commitSet struct {
 
 // GetSignal implements core.SignalSet, setting the transaction's status
 // for the broadcast it returns. Turning from prepare to commit, it takes
-// the decision, and returns rollback instead if that fails.
+// the decision, and returns rollback instead if that fails, or ends the
+// set with no phase two if it failed with wal.ErrFenced (inDoubt).
 func (s *commitSet) GetSignal() (core.Signal, bool, error) {
 	sig, last, err := s.SequenceSet.GetSignal()
 	if err == nil && sig.Name == SignalCommit {
-		if s.err = s.decide(); s.err != nil {
+		if s.err = s.decide(); s.inDoubt() {
+			return core.Signal{}, false, core.ErrExhausted
+		} else if s.err != nil {
 			sig = core.Signal{Name: SignalRollback, SetName: SetName}
 		}
 	}
@@ -336,6 +340,16 @@ func (s *commitSet) decide() error {
 	}
 	t.svc.emit(Event{Tx: t.id, Stage: StageDecisionLogged})
 	return nil
+}
+
+// inDoubt reports whether the decision failed on a fenced log or gate:
+// this coordinator was deposed, or its log faulted after shipping the
+// decision, so a follower may hold the decision durably and commit it
+// once it leads. Neither phase two is safe to deliver from here; the
+// group's next leader resolves the transaction (recovery commits a
+// decision it holds, and presumes abort otherwise).
+func (s *commitSet) inDoubt() bool {
+	return errors.Is(s.err, wal.ErrFenced)
 }
 
 // SetResponse implements core.SignalSet, keeping the first failed
@@ -389,6 +403,10 @@ func (t *Transaction) drive(rs []ResourceAction, cs core.CompletionStatus) *comm
 // told to Forget.
 func (t *Transaction) commitTwoPhase(rs []ResourceAction, reportHeuristics bool) error {
 	set := t.drive(rs, core.CompletionSuccess)
+	if set.inDoubt() {
+		t.setStatus(StatusUnknown)
+		return fmt.Errorf("ots: outcome unknown, left to the group's next leader: %w", set.err)
+	}
 	if set.Failed() || set.err != nil {
 		t.setStatus(StatusRolledBack)
 		switch {
@@ -398,8 +416,7 @@ func (t *Transaction) commitTwoPhase(rs []ResourceAction, reportHeuristics bool)
 			return fmt.Errorf("%w: participant voted rollback", ErrRolledBack)
 		}
 		// Both wrapped: callers unwind on ErrRolledBack, and a decision-gate
-		// veto keeps its cause inspectable (a deposed coordinator's FENCED
-		// system exception carries the leader hint clients redirect on).
+		// veto keeps its cause inspectable.
 		return fmt.Errorf("%w: decision log: %w", ErrRolledBack, set.err)
 	}
 	t.setStatus(StatusCommitted)

@@ -41,7 +41,8 @@ import (
 //     decision.
 //   - A deposed leader is fenced, not corrupted: the claim (or any fetch
 //     from a follower that out-terms it) fences its local append path, so
-//     a decision racing phase two fails FENCED and unwinds to rollback.
+//     a decision racing phase two fails FENCED and delivers neither
+//     outcome; the next leader's recovery settles it.
 //   - Re-join is automatic: a dead leader restarted on its old WAL
 //     streams from the new leader, is answered replFenced with the exact
 //     truncation bound (the first term start beyond its own), cuts its

@@ -155,8 +155,11 @@ func (p *ReplicationPrimary) WaitForAckN(lsn uint64, n int, timeout time.Duratio
 // releases a freshly-logged commit decision only once n distinct
 // followers have durably acknowledged its LSN — so every member a later
 // election could pick already holds the decision — and a fence raised at
-// any point vetoes the commit with FENCED: a deposed leader's decision is
-// an orphan the rejoin truncation cuts, so it must never reach phase two.
+// any point stops the commit with FENCED, wrapping wal.ErrFenced: a
+// deposed leader cannot know whether its successor holds the decision
+// (a follower's ack rides its next fetch), so the transaction service
+// delivers no phase two and leaves the outcome to the next leader, whose
+// recovery commits the decision if it has it and presumes abort if not.
 //
 // A missing ack does NOT degrade to asynchronous shipping: the gate
 // blocks, re-checking the fence every interval, until the acks arrive or
@@ -184,12 +187,14 @@ func (p *ReplicationPrimary) DecisionGateN(n int, interval time.Duration) func(l
 	}
 }
 
-// fenceCheck surfaces a raised fence as the FENCED system exception.
+// fenceCheck surfaces a raised fence as the FENCED system exception,
+// wrapping wal.ErrFenced so the transaction service knows the outcome is
+// not its own to settle.
 func (p *ReplicationPrimary) fenceCheck() error {
 	if !p.log.Fenced() {
 		return nil
 	}
-	return orb.Systemf(orb.CodeFenced, "term=%d deposed mid-commit", p.log.KnownTerm())
+	return fmt.Errorf("%w: %w", orb.Systemf(orb.CodeFenced, "term=%d deposed mid-commit", p.log.KnownTerm()), wal.ErrFenced)
 }
 
 // replicationServant exposes a group member's wal.Log over the ORB and

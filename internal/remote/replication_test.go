@@ -80,9 +80,10 @@ func TestDecisionGateQuorumBlocksUntilAcks(t *testing.T) {
 
 // TestDecisionGateFenceVetoesWhileBlocked deposes the leader while its
 // gate is parked waiting for acks that will never come: the gate must
-// observe the fence on its next re-check and veto with FENCED instead of
-// blocking forever (the vetoed decision is the orphan the rejoin
-// truncation cuts).
+// observe the fence on its next re-check and stop with FENCED, wrapping
+// wal.ErrFenced, instead of blocking forever. The decision is not
+// necessarily an orphan: a follower may hold it unacknowledged and lead
+// next, so the transaction service leaves it in doubt for that leader.
 func TestDecisionGateFenceVetoesWhileBlocked(t *testing.T) {
 	log := wal.NewMemory()
 	if _, err := log.AdoptTerm(1, "leader"); err != nil {
@@ -101,8 +102,8 @@ func TestDecisionGateFenceVetoesWhileBlocked(t *testing.T) {
 	log.Fence(2)
 	select {
 	case err := <-done:
-		if !orb.IsSystem(err, orb.CodeFenced) {
-			t.Fatalf("deposed gate = %v, want the FENCED system exception", err)
+		if !orb.IsSystem(err, orb.CodeFenced) || !errors.Is(err, wal.ErrFenced) {
+			t.Fatalf("deposed gate = %v, want the FENCED system exception wrapping wal.ErrFenced", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked gate never observed the fence")

@@ -128,9 +128,13 @@ func ExportResourceWithKey(o *orb.ORB, key string, r ots.Resource) orb.IOR {
 // protocol methods are remote invocations. Its recovery name is the
 // stringified IOR, so a logged commit decision can be re-driven against
 // the same object after a coordinator restart (see BindRemoteResources).
+// The name and the relay on the resource's endpoints, which takes its
+// batches, are worked out once, at import.
 type remoteResource struct {
-	orb *orb.ORB
-	ref orb.IOR
+	orb   *orb.ORB
+	ref   orb.IOR
+	name  string
+	relay orb.IOR
 }
 
 var (
@@ -140,11 +144,16 @@ var (
 
 // ImportResource returns an ots.Resource proxy for the resource at ref.
 func ImportResource(o *orb.ORB, ref orb.IOR) ots.NamedResource {
-	return &remoteResource{orb: o, ref: ref}
+	return &remoteResource{
+		orb:   o,
+		ref:   ref,
+		name:  ref.String(),
+		relay: orb.NewIOR(RelayTypeID, RelayKey, ref.Endpoints()...),
+	}
 }
 
 // RecoveryName implements ots.NamedResource.
-func (r *remoteResource) RecoveryName() string { return r.ref.String() }
+func (r *remoteResource) RecoveryName() string { return r.name }
 
 func (r *remoteResource) invoke(op string) ([]byte, error) {
 	body, err := r.orb.Invoke(context.Background(), r.ref, op, nil)
@@ -226,9 +235,8 @@ func (r *remoteResource) BatchResources(ctx context.Context, op string, run []ot
 		}
 		keys[i] = rr.ref.Key
 	}
-	target := orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...)
 	sig := core.Signal{Name: op, SetName: ots.SetName}
-	body, err := invokeRelay(ctx, r.orb, target, sig, relayBatchResources, "", retry, encodeResourceKeys(keys, stop))
+	body, err := invokeRelay(ctx, r.orb, r.relay, sig, relayBatchResources, "", retry, encodeResourceKeys(keys, stop))
 	if err != nil {
 		if refusedBatch(err) {
 			return nil, fmt.Errorf("%w: %w", ots.ErrBatchRefused, err)

@@ -1038,3 +1038,84 @@ func TestInstallSnapshotResynchronises(t *testing.T) {
 	}
 	wantRecords(t, follower, []string{"rec-3", "rec-4"})
 }
+
+// heldWrite wraps a backend so that each writeAt announces itself on
+// entered and waits for release before it writes.
+type heldWrite struct {
+	backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *heldWrite) writeAt(off int, b []byte) error {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.backend.writeAt(off, b)
+}
+
+// TestShippedNotSyncedOnLeaderCut is the early-shipping crash boundary: a
+// parked follower fetch reads the leader's batch, the follower makes it
+// durable, and the leader crashes in the write of that batch
+// (InjectCrashAfter tears it). The leader's Append fails with ErrFenced,
+// never reporting the record lost, and its log takes no further local
+// append. Reopened, it lacks the record the follower holds; streaming
+// from the follower (the next leader) gives it the same record at the
+// same LSN, so no LSN ever names two records.
+func TestShippedNotSyncedOnLeaderCut(t *testing.T) {
+	for _, be := range indexBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			leader := be.open(t)
+			fill(t, leader, 2)
+			follower := NewMemory()
+			stream, err := leader.RecordsSince(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := follower.AppendRecords(stream); err != nil {
+				t.Fatal(err)
+			}
+
+			f := parkFetch(t, leader)
+			leader.InjectCrashAfter(0)
+			inner := leader.be
+			held := &heldWrite{backend: inner, entered: make(chan struct{}), release: make(chan struct{})}
+			leader.be = held
+			appended := make(chan error, 1)
+			go func() {
+				_, err := leader.Append(1, []byte("decision"))
+				appended <- err
+			}()
+			<-held.entered // the leader's batch is in flight, not on its medium
+			<-f.woke
+			close(f.read)
+			shipped := <-f.got
+			wantLSNs(t, shipped, 3, "decision")
+			if n, err := follower.AppendRecords(shipped); err != nil || n != 1 {
+				t.Fatalf("follower applied %d shipped records, %v", n, err)
+			}
+			close(held.release)
+			if err := <-appended; !errors.Is(err, ErrFenced) || !errors.Is(err, ErrCrashed) {
+				t.Fatalf("leader append crashed after shipping = %v, want ErrFenced wrapping ErrCrashed", err)
+			}
+			leader.be = inner
+			if _, err := leader.Append(1, []byte("late")); !errors.Is(err, ErrFenced) {
+				t.Fatalf("leader append after the crash cut = %v, want ErrFenced", err)
+			}
+
+			reopened := be.crash(t, leader)
+			if last := reopened.LastLSN(); last != 2 {
+				t.Fatalf("reopened leader at LSN %d, want the 2 it synced", last)
+			}
+			rest, err := follower.RecordsSince(reopened.LastLSN())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reopened.AppendRecords(rest); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mustRecords(t, reopened), mustRecords(t, follower); !sameRecords(got, want) {
+				t.Fatalf("rejoined leader holds %v, the follower %v", got, want)
+			}
+		})
+	}
+}

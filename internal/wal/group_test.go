@@ -410,3 +410,187 @@ func BenchmarkAppendFileParallel(b *testing.B) {
 		})
 	}
 }
+
+// parkedFetch is a replication fetch parked at a log's stream position:
+// it waits in WaitSince, reports on woke whether the stream moved, and
+// once read is closed sends what RecordsSince returns past that position.
+type parkedFetch struct {
+	woke chan bool
+	read chan struct{}
+	got  chan []Record
+}
+
+// parkFetch parks a fetch at l's stream position and returns once it
+// waits.
+func parkFetch(t *testing.T, l *Log) *parkedFetch {
+	t.Helper()
+	f := &parkedFetch{woke: make(chan bool, 1), read: make(chan struct{}), got: make(chan []Record, 1)}
+	epoch, next := l.State()
+	go func() {
+		f.woke <- l.WaitSince(epoch, next-1, 5*time.Second)
+		<-f.read
+		recs, err := l.RecordsSince(next-1, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		f.got <- recs
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		parked := l.parked
+		l.mu.Unlock()
+		if parked > 0 {
+			return f
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fetch never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantLSNs fails unless recs are exactly the given payloads at LSNs from
+// first on.
+func wantLSNs(t *testing.T, recs []Record, first uint64, data ...string) {
+	t.Helper()
+	ok := len(recs) == len(data)
+	for i := 0; ok && i < len(recs); i++ {
+		ok = recs[i].LSN == first+uint64(i) && string(recs[i].Data) == data[i]
+	}
+	if !ok {
+		t.Fatalf("read %v, want %q from LSN %d", recs, data, first)
+	}
+}
+
+// stillBlocked fails if a read delivered on ch within 20ms.
+func stillBlocked(t *testing.T, ch <-chan []Record, what string) {
+	t.Helper()
+	select {
+	case recs := <-ch:
+		t.Fatalf("%s returned %v while a flush was in progress", what, recs)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestEarlyShipParkedFetchReadsInFlightBatch: a flush that starts while a
+// fetch is parked wakes it and lends it its batch, lazy record included,
+// before the batch is durable, but not a record buffered behind the batch.
+// A reader behind the durable position still waits for the flush, and so
+// does every reader of a flush that started with no fetch parked.
+func TestEarlyShipParkedFetchReadsInFlightBatch(t *testing.T) {
+	l := NewMemory()
+	fill(t, l, 1) // "rec-0" at LSN 1
+	g := gate(l)
+	f := parkFetch(t, l)
+	if _, err := l.AppendLazy(1, []byte("lazy")); err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan appendResult, 1)
+	holdFirstAppend(t, l, g, first) // the batch is "lazy" and "first", LSNs 2 and 3
+	if !<-f.woke {
+		t.Fatal("the flush did not wake the parked fetch")
+	}
+	queued := make(chan appendResult, 1)
+	goAppend(l, "q-0", queued)
+	waitBuffered(t, l, 1)
+	behind := make(chan []Record, 1)
+	go func() {
+		recs, _ := l.RecordsSince(0)
+		behind <- recs
+	}()
+	close(f.read)
+	wantLSNs(t, <-f.got, 2, "lazy", "first")
+	if last := l.LastLSN(); last != 1 {
+		t.Fatalf("LastLSN %d while the shipped batch syncs, want the durable 1", last)
+	}
+	stillBlocked(t, behind, "a reader behind the durable position")
+
+	g.release <- nil // the batch is durable; q-0 flushes next, with no fetch parked
+	<-g.entered
+	unlent := make(chan []Record, 1)
+	go func() {
+		recs, _ := l.RecordsSince(3)
+		unlent <- recs
+	}()
+	stillBlocked(t, unlent, "a reader of a flush no fetch was parked for")
+	g.held.Store(false)
+	g.release <- nil
+	wantLSNs(t, <-unlent, 4, "q-0")
+	if r := <-first; r.err != nil || r.lsn != 3 {
+		t.Fatalf("first append: LSN %d, %v", r.lsn, r.err)
+	}
+	if r := <-queued; r.err != nil || r.lsn != 4 {
+		t.Fatalf("queued append: LSN %d, %v", r.lsn, r.err)
+	}
+	if recs := <-behind; len(recs) < 3 {
+		t.Fatalf("reader behind the durable position got %v", recs)
+	} else {
+		wantLSNs(t, recs[:3], 1, "rec-0", "lazy", "first")
+	}
+}
+
+// TestEarlyShipFailedFlushFencesLog: a flush whose batch a fetch read and
+// whose sync then fails gives none of its LSNs back: its Append, and every
+// one queued behind it, fail with ErrFenced, and so does every later local
+// append until the log is reopened. A failed flush whose batch the woken
+// fetch did not read still reuses its LSNs.
+func TestEarlyShipFailedFlushFencesLog(t *testing.T) {
+	l := NewMemory()
+	fill(t, l, 1) // "rec-0" at LSN 1
+	g := gate(l)
+
+	unread := parkFetch(t, l)
+	first := make(chan appendResult, 1)
+	holdFirstAppend(t, l, g, first)
+	<-unread.woke
+	g.release <- errInjected
+	if r := <-first; !errors.Is(r.err, errInjected) || errors.Is(r.err, ErrFenced) {
+		t.Fatalf("failed flush nobody read: %v, want the sync error alone", r.err)
+	}
+	close(unread.read)
+	wantLSNs(t, <-unread.got, 2)
+
+	f := parkFetch(t, l)
+	holdFirstAppend(t, l, g, first) // LSN 2 again: the unread batch gave it back
+	<-f.woke
+	queued := make(chan appendResult, 1)
+	goAppend(l, "q-0", queued)
+	waitBuffered(t, l, 1)
+	close(f.read)
+	wantLSNs(t, <-f.got, 2, "first")
+	g.held.Store(false)
+	g.release <- errInjected
+
+	if r := <-first; !errors.Is(r.err, ErrFenced) || !errors.Is(r.err, errInjected) {
+		t.Fatalf("shipped append whose sync failed: LSN %d, %v; want ErrFenced wrapping the sync error", r.lsn, r.err)
+	}
+	if r := <-queued; !errors.Is(r.err, ErrFenced) {
+		t.Fatalf("append queued behind the shipped batch: LSN %d, %v; want ErrFenced", r.lsn, r.err)
+	}
+	if _, err := l.Append(1, []byte("after")); !errors.Is(err, ErrFenced) {
+		t.Fatalf("append after the failed shipped flush: %v, want ErrFenced", err)
+	}
+	if _, err := l.AppendLazy(1, []byte("lazy")); !errors.Is(err, ErrFenced) {
+		t.Fatalf("lazy append after the failed shipped flush: %v, want ErrFenced", err)
+	}
+	if _, err := l.AdoptTerm(1, "m"); !errors.Is(err, ErrFenced) {
+		t.Fatalf("term claim after the failed shipped flush: %v, want ErrFenced", err)
+	}
+	if last := l.LastLSN(); last != 1 {
+		t.Fatalf("LastLSN %d, want 1", last)
+	}
+	wantRecords(t, l, []string{"rec-0"})
+
+	snap, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenMemory(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := r.Append(1, []byte("reopened")); err != nil || lsn != 2 {
+		t.Fatalf("append on the reopened log: LSN %d, %v", lsn, err)
+	}
+}

@@ -18,9 +18,27 @@ import (
 // Snapshot instead of chasing LSNs that no longer exist.
 
 // The stream position is durable: records AppendLazy buffered are not part
-// of it until a sync covers them, so State, LastLSN, RecordsSince and
-// WaitSince never report them — an election never counts an unsynced LSN,
-// a follower never fetches one, and a parked fetch is not woken by one.
+// of it until a sync covers them, so State and LastLSN never report them,
+// and neither does the record index — an election never counts an
+// unsynced LSN, and a lazy record alone never wakes a parked fetch.
+//
+// A fetch may read one batch early (after Ongaro's thesis, §10.2.1: a
+// leader writes its own disk in parallel with replicating). A group flush
+// that starts while a WaitSince is parked wakes it and lends the batch it
+// is writing to RecordsSince, which serves a reader caught up with the
+// durable stream the batch's records, parsed from the flusher's buffer,
+// and never a record past the batch; once the flush ends the stream reads
+// from the medium again. The follower writes and syncs the batch while the
+// leader does, and acknowledges only what it synced, so a decision costs
+// the slower of the two writes instead of their sum. A flush with no fetch
+// parked, and every other flush (a follower's AppendRecords, Records,
+// Checkpoint, Close), lends nothing: a reader waits for it as before.
+//
+// Early reads cost one guarantee. A batch some reader took whose write or
+// sync then fails cannot give its LSNs back, since a follower may hold
+// them: the log faults, and every later local append (Append, AppendLazy,
+// AdoptTerm) fails with an error wrapping ErrFenced until the log is
+// reopened. A failed batch nobody read drops its LSNs for reuse, as ever.
 
 // State returns the log's replication position: the current epoch and one
 // past the LSN of the last durable record.
@@ -42,6 +60,9 @@ func (l *Log) LastLSN() uint64 {
 // than after — at most max of them when max is given and positive, all of
 // them otherwise. Records compacted away by a checkpoint are not
 // resurrected — callers track the epoch (State) to detect compaction.
+// While a flush lends its batch (see above), a reader at the durable
+// stream position gets the batch's records instead, before they are
+// durable; any other reader waits for the flush.
 //
 // The first record is found by binary search in the in-memory record
 // index and the batch is read with one positional read of exactly its
@@ -51,13 +72,20 @@ func (l *Log) LastLSN() uint64 {
 func (l *Log) RecordsSince(after uint64, max ...int) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	limit := 0
+	if len(max) > 0 {
+		limit = max[0]
+	}
+	if l.flight != nil && after+1 == l.nextLSN {
+		return l.flightLocked(limit), nil
+	}
 	if err := l.readyLocked(); err != nil {
 		return nil, err
 	}
 	first := l.firstAfterLocked(after)
 	end := len(l.index)
-	if len(max) > 0 && max[0] > 0 && end-first > max[0] {
-		end = first + max[0]
+	if limit > 0 && end-first > limit {
+		end = first + limit
 	}
 	if first == end {
 		return nil, nil
@@ -75,6 +103,30 @@ func (l *Log) RecordsSince(after uint64, max ...int) ([]Record, error) {
 	return recs, nil
 }
 
+// flightLocked parses the first limit records (all when limit is not
+// positive) of the batch a flush in progress lends, and marks it shipped.
+// The caller must hold l.mu.
+func (l *Log) flightLocked(limit int) []Record {
+	to := len(l.flight)
+	if limit > 0 && limit < len(l.flightAt) {
+		to = l.flightAt[limit].off
+	}
+	recs, _ := parseRecords(l.flight[:to])
+	l.shipped = true
+	return recs
+}
+
+// faultLocked is the end of a flush whose batch a reader took and whose
+// write or sync failed with err: the batch's LSNs may live on in a
+// follower's log, so instead of leaving them for reuse the log refuses
+// every later local append with the error it returns, which wraps both
+// ErrFenced and err. The caller must hold l.mu.
+func (l *Log) faultLocked(batch []indexEntry, err error) error {
+	l.fault = fmt.Errorf("%w: LSNs %d-%d were shipped before their flush failed: %w",
+		ErrFenced, batch[0].lsn, batch[len(batch)-1].lsn, err)
+	return l.fault
+}
+
 // firstAfterLocked returns the position in the record index of the first
 // record with LSN greater than lsn (len(l.index) if there is none). The
 // caller must hold l.mu.
@@ -83,32 +135,41 @@ func (l *Log) firstAfterLocked(lsn uint64) int {
 }
 
 // WaitSince blocks until the log's stream state has moved past (epoch,
-// after) — a record with LSN greater than after became durable, the epoch
-// changed (checkpoint), or the log closed — or until timeout elapses. It
-// reports whether the state moved; false means the timeout fired with the
-// log still exactly at (epoch, after). Replication fetch long-polls on it.
+// after) — a record with LSN greater than after became durable or is
+// lent by a flush in progress, the epoch changed (checkpoint), or the log
+// closed — or until timeout elapses. It reports whether the state moved;
+// false means the timeout fired with the log still exactly at (epoch,
+// after). Replication fetch long-polls on it, and a group flush that
+// starts while it waits lends its batch to RecordsSince.
 func (l *Log) WaitSince(epoch, after uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for {
-		l.mu.Lock()
-		if l.closed || l.epoch != epoch || l.nextLSN > after+1 {
-			l.mu.Unlock()
-			return true
-		}
-		ch := l.waitCh
-		l.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !l.movedLocked(epoch, after) {
 		wait := time.Until(deadline)
 		if wait <= 0 {
 			return false
 		}
+		ch := l.waitCh
+		l.parked++
+		l.mu.Unlock()
 		timer := time.NewTimer(wait)
 		select {
 		case <-ch:
-			timer.Stop()
 		case <-timer.C:
-			return false
 		}
+		timer.Stop()
+		l.mu.Lock()
+		l.parked--
 	}
+	return true
+}
+
+// movedLocked reports whether the stream state is past (epoch, after).
+// The caller must hold l.mu.
+func (l *Log) movedLocked(epoch, after uint64) bool {
+	return l.closed || l.epoch != epoch || l.nextLSN > after+1 ||
+		l.flight != nil && l.flushEnd > after+1
 }
 
 // AppendRecords durably appends a batch of records shipped from a primary,

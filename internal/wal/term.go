@@ -168,6 +168,9 @@ func (l *Log) AdoptTerm(term uint64, leaderID string) (uint64, error) {
 	if err := l.readyLocked(); err != nil {
 		return 0, err
 	}
+	if l.fault != nil {
+		return 0, l.fault
+	}
 	// <= on both bounds: a member fenced at term T must not itself claim T —
 	// the fence is evidence that some other member owns that epoch, and two
 	// leaders sharing one fencing epoch is exactly what terms exist to

@@ -38,7 +38,10 @@
 //     no batch size and no timer: a lone appender flushes at once. A failed
 //     flush drops its batch and every record buffered behind it, since
 //     their LSNs follow the failed ones and are reused; each of their
-//     Appends returns the error.
+//     Appends returns the error. The one exception is a batch a parked
+//     replication fetch read while it was being written (replication.go):
+//     its LSNs are never reused, and the log refuses local appends with
+//     ErrFenced until it is reopened.
 //   - A lazy record is durable only once a sync covers it. AppendLazy only
 //     buffers, and never waits for a flush; the next flush (an Append, or
 //     Records, Snapshot, Checkpoint, TruncateAfter, Close) writes the
@@ -81,6 +84,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 )
 
@@ -175,6 +179,19 @@ type Log struct {
 	idle     sync.Cond
 	open     *batch
 
+	// Early shipping (see replication.go). parked counts the WaitSince
+	// calls waiting for the stream to move. A group flush that starts
+	// while one is parked lends its batch to readers: flight and flightAt
+	// are the batch's bytes and entries, which RecordsSince may parse
+	// while the flusher writes them, and shipped records that it did.
+	// fault is set when a shipped batch fails to become durable: its LSNs
+	// are a follower's now, so every later local append fails with it.
+	parked   int
+	flight   []byte
+	flightAt []indexEntry
+	shipped  bool
+	fault    error
+
 	// Coordinator-group term state (see term.go). term/termStart/termLeader
 	// mirror the latest durable KindTerm record; termMarks caches every
 	// durable term record's position and leader so TermStartAfter and
@@ -196,6 +213,9 @@ type Log struct {
 	// fault matrix runs against memory and real files.
 	failAfter int
 	failArmed bool
+	// syncFault, when set, runs after every write's sync, which fails
+	// with its error (InjectSyncFault).
+	syncFault func() error
 }
 
 // batch is the outcome of one flush, shared by the Appends whose records
@@ -357,6 +377,9 @@ func (l *Log) appendLazyLocked(kind Kind, data []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
+	if l.fault != nil {
+		return 0, l.fault
+	}
 	if l.fenced {
 		return 0, l.fencedErrLocked()
 	}
@@ -392,10 +415,13 @@ func (l *Log) bufferLocked(r Record) {
 // past them and settles the Appends waiting on them. With group, l.mu is
 // released for the write and sync (the group commit): records buffered
 // meanwhile go behind the batch, and everything else waits for the flush
-// to end (waitFlushLocked). On failure the batch is dropped, and so is
-// every record buffered behind it, since their LSNs follow the failed
-// ones; all their LSNs are reused, and the log is left dirty so the next
-// write first truncates whatever reached the medium. The caller must hold
+// to end (waitFlushLocked), except a fetch that was parked when the flush
+// started: it may read the batch before it is durable (RecordsSince). On
+// failure the batch is dropped, and so is every record buffered behind
+// it, since their LSNs follow the failed ones; all their LSNs are reused,
+// and the log is left dirty so the next write first truncates whatever
+// reached the medium. A batch a fetch read is the exception: its LSNs are
+// not reused, the log faults instead (faultLocked). The caller must hold
 // l.mu, with no flush in progress.
 func (l *Log) flushLocked(group bool) error {
 	if len(l.pending) == 0 {
@@ -406,10 +432,26 @@ func (l *Log) flushLocked(group bool) error {
 	var err error
 	if group {
 		l.flushing, l.flushEnd = true, pending[len(pending)-1].lsn+1
+		lent := l.parked > 0
+		if lent {
+			l.flight, l.flightAt = tail, pending
+			l.notifyLocked()
+		}
 		l.mu.Unlock()
+		if lent {
+			// Waking the parked fetch queued it to run next on this
+			// goroutine's processor, where it would sit through the write
+			// and sync below unless another processor steals it: yield, so
+			// the batch ships before the leader's own write starts.
+			runtime.Gosched()
+		}
 		err = l.write(tail)
 		l.mu.Lock()
 		l.flushing = false
+		if err != nil && l.shipped {
+			err = l.faultLocked(pending, err)
+		}
+		l.flight, l.flightAt, l.shipped = nil, nil, false
 	} else {
 		err = l.write(tail)
 	}
@@ -502,7 +544,11 @@ func (l *Log) write(b []byte) error {
 		l.dirty = true
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if err := l.be.sync(); err != nil {
+	err := l.be.sync()
+	if l.syncFault != nil && err == nil {
+		err = l.syncFault()
+	}
+	if err != nil {
 		// The bytes may or may not have reached the medium; treat them as
 		// torn so the next append truncates back to the last known-durable
 		// offset instead of writing behind an uncertain tail.
@@ -686,6 +732,19 @@ func (l *Log) InjectCrashAfter(n int) bool {
 	l.failAfter = n
 	l.failArmed = true
 	return true
+}
+
+// InjectSyncFault arranges for every later write to call fn once its
+// sync returns, and to fail as a failed sync does with the error fn
+// returns; a nil fn removes the hook. An Append's group flush calls fn
+// with the log's lock released, so a test can hold the flush inside it,
+// let a parked fetch read the batch, and then fail it. Supported by every
+// backend.
+func (l *Log) InjectSyncFault(fn func() error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.waitFlushLocked()
+	l.syncFault = fn
 }
 
 // durableLocked parses every durable record. Bytes a failed append left

@@ -367,6 +367,7 @@ type crashFixture struct {
 	walPath string
 	a, b    *survivorResource
 	refs    []string
+	host    *orb.ORB // the one ORB both participants share, when they do
 }
 
 // newCrashFixture exports each participant on its own ORB and listener.
@@ -383,7 +384,9 @@ func newCrashFixture(t *testing.T) *crashFixture {
 func newSameHostCrashFixture(t *testing.T) *crashFixture {
 	t.Helper()
 	node := survivorHost(t)
-	return crashFixtureOn(t, node, node)
+	f := crashFixtureOn(t, node, node)
+	f.host = node
+	return f
 }
 
 // survivorHost starts a listening ORB in this process for participants.
@@ -411,6 +414,16 @@ func crashFixtureOn(t *testing.T, nodeA, nodeB *orb.ORB) *crashFixture {
 	refB, _ = nodeB.IOR(refB.Key)
 	f.refs = []string{refA.String(), refB.String()}
 	return f
+}
+
+// hostDispatched returns how many requests a participant host has served.
+func hostDispatched(t *testing.T, host *orb.ORB) uint64 {
+	t.Helper()
+	st, ok := host.ServerStats()
+	if !ok {
+		t.Fatal("participant host is not listening")
+	}
+	return st.Dispatched
 }
 
 // recoveryClient dials the restarted coordinator's wire recovery surface.
@@ -562,10 +575,14 @@ func TestCrashRestart2PC(t *testing.T) {
 				f.a.applies.Load(), f.b.applies.Load())
 		}
 
+		before := hostDispatched(t, f.host)
 		rc := restartCoordinator(t, f.walPath)
 		if rc.replayed != 1 || rc.committed != 2 || rc.failed != 0 || rc.missing != 0 {
 			t.Fatalf("recovery pass = replayed %d committed %d missing %d failed %d, want 1/2/0/0",
 				rc.replayed, rc.committed, rc.missing, rc.failed)
+		}
+		if got := hostDispatched(t, f.host) - before; got != 1 {
+			t.Fatalf("recovery pass cost the host %d calls, want 1: one commit batch", got)
 		}
 		if f.a.applies.Load() != 1 || f.b.applies.Load() != 1 {
 			t.Fatalf("applies = %d/%d, want exactly once each",

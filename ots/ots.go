@@ -65,8 +65,9 @@ func WithEventHook(fn func(Event)) Option { return iots.WithEventHook(fn) }
 // barrier between the decision append and phase two: a coordinator-group
 // leader wires orb.GroupMember's DecisionGate here so each decision is
 // held until a quorum of the group durably has it, and a deposed (fenced)
-// leader vetoes its in-flight commits instead of delivering outcomes the
-// new leader's history does not contain. A veto unwinds to a rollback.
+// leader delivers no phase two, leaving its in-flight commits to the next
+// leader (Commit returns the fence, with the status unknown). Any other
+// veto unwinds to a rollback.
 func WithDecisionGate(fn func(lsn uint64) error) Option { return iots.WithDecisionGate(fn) }
 
 // NewMemoryLog returns an in-memory decision log (tests, examples).
