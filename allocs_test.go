@@ -89,7 +89,7 @@ func TestAllocsOTSCommit(t *testing.T) {
 // resources exported on one ORB and imported through another: prepare and
 // commit each reach the host as one resource batch, so the budget covers
 // two calls, coordinator and host side both. The proxies' recovery names
-// and relay references are built once, at import. It reads 56.
+// and relay references are built once, at import. It reads 55.
 func TestAllocsBatchedResourceCommit(t *testing.T) {
 	host := orb.New()
 	defer host.Shutdown()

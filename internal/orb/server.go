@@ -254,17 +254,17 @@ func (s *server) admit(req wireRequest) (tok slotToken, queued, prio bool) {
 }
 
 // run dispatches an admitted request on the slot it holds, then frees
-// the slot. Every admitted dispatch but an admin scrape's is counted.
+// the slot. Every admitted dispatch but an admin scrape's is counted, and
+// shows in Inflight until its servant returns.
 func (s *server) run(fb *frameBuf, req wireRequest, w *frameWriter, tok slotToken) {
 	if tok == slotAdmin {
-		s.handle(fb, req, w)
+		s.handle(fb, req, w, false)
 		<-s.adminSem
 		return
 	}
 	s.orb.dispatched.Add(1)
 	s.orb.inflight.Add(1)
-	s.handle(fb, req, w)
-	s.orb.inflight.Add(-1)
+	s.handle(fb, req, w, true)
 	s.adm.release(tok)
 }
 
@@ -290,8 +290,14 @@ var adminKeyBytes = []byte(AdminKey)
 // loop's for a sole request. The pooled request frame is released only after the reply is encoded: the
 // reply body a servant returns may alias the request body it was lent (an
 // echo servant does exactly that), so the frame must outlive the encode.
-func (s *server) handle(fb *frameBuf, req wireRequest, w *frameWriter) {
+//
+// A counted dispatch leaves Inflight before its reply is queued, so a
+// caller holding the reply never reads its dispatch as still running.
+func (s *server) handle(fb *frameBuf, req wireRequest, w *frameWriter, counted bool) {
 	rep := s.orb.dispatchWire(s.baseCtx, req)
+	if counted {
+		s.orb.inflight.Add(-1)
+	}
 	enc := encodeReplyFrame(rep)
 	putFrameBuf(fb)
 	w.q <- enc

@@ -1,7 +1,6 @@
 package ots
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -220,54 +219,28 @@ func (s *Service) Recover() (RecoveryStats, error) {
 	return stats, nil
 }
 
-// redeliver re-drives commit to rs as a live commit's phase two drives
-// it, through each participant's adapter with the service's RetryPolicy,
-// and tallies the replies: a run of consecutive participants on one host
-// goes to it as one batch (batchingAction.DeliverBatch), and every other
-// participant, or a run whose batch is refused (ErrBatchRefused) or
-// fails, gets one call each. Commit is idempotent, so a batch whose
-// outcome is unknown is safely delivered again one by one.
+// redeliver re-drives commit to rs as a live commit's phase two drives it,
+// through the service's broadcast of a one-signal 2PCSignalSet, and
+// tallies the replies.
 func (s *Service) redeliver(rs []ResourceAction) phaseTwo {
-	ctx := context.TODO()
-	commit := core.Signal{Name: SignalCommit, SetName: SetName}
-	run := make([]core.Action, len(rs))
-	for i := range rs {
-		run[i] = rs[i].adapter()
-	}
-	var p phaseTwo
-	for len(run) > 0 {
-		n := hostRun(run)
-		var res []core.SubtreeResult
-		if n > 1 {
-			var err error
-			res, err = run[0].(*batchingAction).DeliverBatch(ctx, commit, run[:n], "", s.retry)
-			if err != nil || len(res) > n {
-				res = nil
-			}
-		}
-		res = append(res, core.DeliverRun(ctx, commit, run[len(res):n], "", s.retry)...)
-		for _, r := range res {
-			p.add(r.Outcome, r.Err)
-		}
-		run = run[n:]
-	}
-	return p
+	set := &redriveSet{}
+	set.BaseSet = core.NewBaseSet(SetName)
+	set.Signals(core.Signal{Name: SignalCommit}).Outcomes(ResultCommitted, ResultRolledBack)
+	s.broadcast(set, rs, core.CompletionSuccess)
+	return set.replies
 }
 
-// hostRun returns the length of the run of consecutive participants that
-// batch on run[0]'s host: 1 when run[0] does not batch.
-func hostRun(run []core.Action) int {
-	first, ok := run[0].(*batchingAction)
-	if !ok {
-		return 1
-	}
-	ep, n := first.BatchEndpoint(), 1
-	for ; ep != "" && n < len(run); n++ {
-		if b, ok := run[n].(*batchingAction); !ok || b.BatchEndpoint() != ep {
-			break
-		}
-	}
-	return n
+// redriveSet is recovery's 2PCSignalSet: commit alone, its replies
+// tallied.
+type redriveSet struct {
+	core.SequenceSet
+	replies phaseTwo
+}
+
+// SetResponse implements core.SignalSet.
+func (s *redriveSet) SetResponse(resp core.Outcome, deliveryErr error) (bool, error) {
+	s.replies.add(resp, deliveryErr)
+	return s.SequenceSet.SetResponse(resp, deliveryErr)
 }
 
 // accumulate folds one pass's stats into the lifetime totals.

@@ -1,12 +1,6 @@
 package ots
 
-import (
-	"context"
-	"errors"
-	"sync"
-
-	"github.com/extendedtx/activityservice/internal/core"
-)
+import "sync"
 
 // Resource is a two-phase-commit participant, mirroring the CosTransactions
 // Resource interface. Implementations must tolerate repeated Commit and
@@ -61,42 +55,6 @@ type NamedResource interface {
 	// RecoveryName returns a name stable across process restarts.
 	RecoveryName() string
 }
-
-// ResourceBatcher is a Resource proxy whose host can run one protocol
-// operation over a same-host run of resources in one call. A transaction
-// enrols a participant over one as a core.EndpointBatcher, so each round
-// of a commit reaches a participant host once, not once per participant.
-type ResourceBatcher interface {
-	// BatchEndpoint names the proxy's host; "" never batches. It must not
-	// change once the participant is enrolled.
-	BatchEndpoint() string
-	// BatchResources has the host run op — SignalPrepare, SignalCommit or
-	// SignalRollback — on each resource of run, proxies on this proxy's
-	// host with this one first, one at a time and in order. A phase-two
-	// member is retried per retry until it answers, a heuristic answer
-	// included; prepare is never retried. With stop set the host stops
-	// after the first member that fails, or whose prepare votes neither
-	// commit nor read-only. It returns one reply per member it ran, a
-	// prefix of run in run order. An error wrapping ErrBatchRefused means
-	// the host ran nothing; any other error leaves the run's fate unknown.
-	BatchResources(ctx context.Context, op string, run []Resource, stop bool, retry core.RetryPolicy) ([]BatchReply, error)
-}
-
-// BatchReply is one member's reply to a resource batch: what a direct call
-// of the operation would have returned.
-type BatchReply struct {
-	// Vote is prepare's vote.
-	Vote Vote
-	// Err is the operation's error, a heuristic sentinel included.
-	Err error
-	// Attempts counts the host's calls of the operation.
-	Attempts int
-}
-
-// ErrBatchRefused reports a resource batch that ran no member: the host
-// refused it (an unknown member, or a host that does not serve batches),
-// or it never reached the host.
-var ErrBatchRefused = errors.New("ots: resource batch refused")
 
 // Directory maps recovery names to resource instances after a restart.
 // It plays the role the ORB's persistent object references play in a real

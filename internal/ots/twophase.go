@@ -59,9 +59,10 @@ func InitSignalSet(s *core.SequenceSet) *core.SequenceSet {
 // retries, recorded against the transaction. Any other phase-two error is a
 // delivery error, which the coordinator's RetryPolicy retries.
 //
-// A transaction enrols a participant over a ResourceBatcher as a
-// batchingAction, so a same-host run of participants takes each round in
-// one call.
+// It is a core.EndpointBatcher over its resource: when the resource is
+// one too (a remote resource proxy, whose runs are of ResourceActions), a
+// same-host run of participants takes each round in one call, each reply
+// classified here (Skip, Answer) as a direct call's is.
 //
 // It takes no lock: it relies on its caller to deliver one signal at a
 // time, with each delivery ordered before the next. A coordinator does so
@@ -78,7 +79,7 @@ type ResourceAction struct {
 
 var (
 	_ core.Action          = (*ResourceAction)(nil)
-	_ core.EndpointBatcher = (*batchingAction)(nil)
+	_ core.EndpointBatcher = (*ResourceAction)(nil)
 )
 
 // NewResourceAction wraps r.
@@ -96,12 +97,12 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 		}
 		return a.vote(vote), nil
 	case SignalCommit:
-		if out, ok := a.noCall(SignalCommit); ok {
+		if out, ok := a.Skip(SignalCommit); ok {
 			return out, nil
 		}
 		return a.settle(sig.Name, a.resource.Commit())
 	case SignalRollback:
-		if out, ok := a.noCall(SignalRollback); ok {
+		if out, ok := a.Skip(SignalRollback); ok {
 			return out, nil
 		}
 		return a.settle(sig.Name, a.resource.Rollback())
@@ -110,11 +111,27 @@ func (a *ResourceAction) ProcessSignal(_ context.Context, sig core.Signal) (core
 	}
 }
 
+// Answer classifies the participant's reply to signal sig, which a batch
+// gave, as ProcessSignal classifies a direct call's: prepare's vote, and
+// the operation's error.
+func (a *ResourceAction) Answer(sig string, vote Vote, err error) (core.Outcome, error) {
+	switch {
+	case sig != SignalPrepare:
+		return a.settle(sig, err)
+	case err != nil:
+		return prepareFailed(err), nil
+	}
+	return a.vote(vote), nil
+}
+
 // prepareFailed is the reply to a Prepare that failed: an abort carrying
 // the error, which leaves the participant unvoted.
 func prepareFailed(err error) core.Outcome {
 	return core.Outcome{Name: OutcomeAbort, Data: err.Error()}
 }
+
+// Resource returns the participant's resource.
+func (a *ResourceAction) Resource() Resource { return a.resource }
 
 // vote records the participant's vote and classifies it.
 func (a *ResourceAction) vote(vote Vote) core.Outcome {
@@ -130,10 +147,10 @@ func (a *ResourceAction) vote(vote Vote) core.Outcome {
 	}
 }
 
-// noCall answers phase-two signal sig when the participant needs no call:
+// Skip answers phase-two signal sig when the participant needs no call:
 // commit when it did not vote commit, rollback when it voted rollback or
 // read-only and so has nothing to undo.
-func (a *ResourceAction) noCall(sig string) (core.Outcome, bool) {
+func (a *ResourceAction) Skip(sig string) (core.Outcome, bool) {
 	switch {
 	case sig == SignalCommit && a.voted != VoteCommit:
 		return core.Outcome{Name: OutcomeReadOnly}, true
@@ -168,95 +185,19 @@ func (a *ResourceAction) settle(sig string, err error) (core.Outcome, error) {
 	return core.Outcome{Name: OutcomeHeuristicRollback}, nil
 }
 
-// adapter returns the Action a transaction enrols the participant as: a
-// batchingAction when its resource is a ResourceBatcher, the
-// ResourceAction itself otherwise. Asking here, once per participant, keeps
-// an in-process participant as cheap to broadcast to as a plain Action.
-func (a *ResourceAction) adapter() core.Action {
-	if _, ok := a.resource.(ResourceBatcher); ok {
-		return (*batchingAction)(a)
+// BatchEndpoint implements core.EndpointBatcher: its resource's endpoint
+// when the resource is a core.EndpointBatcher, "" otherwise.
+func (a *ResourceAction) BatchEndpoint() string {
+	if b, ok := a.resource.(core.EndpointBatcher); ok {
+		return b.BatchEndpoint()
 	}
-	return a
+	return ""
 }
 
-// batchingAction is a ResourceAction over a ResourceBatcher, made a
-// core.EndpointBatcher whose endpoint is its resource proxy's.
-type batchingAction ResourceAction
-
-// ProcessSignal implements core.Action, as the ResourceAction does.
-func (b *batchingAction) ProcessSignal(ctx context.Context, sig core.Signal) (core.Outcome, error) {
-	return (*ResourceAction)(b).ProcessSignal(ctx, sig)
-}
-
-// BatchEndpoint implements core.EndpointBatcher.
-func (b *batchingAction) BatchEndpoint() string {
-	return b.resource.(ResourceBatcher).BatchEndpoint()
-}
-
-// DeliverBatch implements core.EndpointBatcher. It sends the run's
-// resources that need a call to the host in one BatchResources call,
-// answers the others itself, and classifies every reply as ProcessSignal
-// would. A prepare round must stop at the abort vote and a phase-two
-// round must not stop; it refuses any other stop. A prepare batch whose
-// reply is lost counts as a failed
-// Prepare of its first member, so no member counts as voted and rollback
-// reaches them all; prepare is never sent twice. A failed phase-two batch
-// is the coordinator's to redeliver member by member.
-func (b *batchingAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
-	want := ""
-	if sig.Name == SignalPrepare {
-		want = OutcomeAbort
-	}
-	if stop != want {
-		return nil, ErrBatchRefused
-	}
-	members := make([]*ResourceAction, len(run))
-	send := make([]Resource, 0, len(run))
-	for i, m := range run {
-		ba, ok := m.(*batchingAction)
-		if !ok {
-			return nil, ErrBatchRefused
-		}
-		members[i] = (*ResourceAction)(ba)
-		if _, local := members[i].noCall(sig.Name); !local {
-			send = append(send, ba.resource)
-		}
-	}
-	var replies []BatchReply
-	if len(send) > 0 {
-		var err error
-		replies, err = b.resource.(ResourceBatcher).BatchResources(ctx, sig.Name, send, stop != "", retry)
-		switch {
-		case err == nil:
-		case sig.Name == SignalPrepare && !errors.Is(err, ErrBatchRefused):
-			return []core.SubtreeResult{{Index: 0, Attempts: 1, Outcome: prepareFailed(err)}}, nil
-		default:
-			return nil, err
-		}
-	}
-	res := make([]core.SubtreeResult, 0, len(run))
-	for i, m := range members {
-		r := core.SubtreeResult{Index: i, Attempts: 1}
-		if out, local := m.noCall(sig.Name); local {
-			r.Outcome = out
-		} else if len(replies) > 0 {
-			rep := replies[0]
-			replies = replies[1:]
-			r.Attempts = max(rep.Attempts, 1)
-			switch {
-			case sig.Name != SignalPrepare:
-				r.Outcome, r.Err = m.settle(sig.Name, rep.Err)
-			case rep.Err != nil:
-				r.Outcome = prepareFailed(rep.Err)
-			default:
-				r.Outcome = m.vote(rep.Vote)
-			}
-		} else {
-			break // past the prefix the host ran
-		}
-		res = append(res, r)
-	}
-	return res, nil
+// DeliverBatch implements core.EndpointBatcher: its resource delivers the
+// run. A serial broadcast asks it only when BatchEndpoint is not "".
+func (a *ResourceAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	return a.resource.(core.EndpointBatcher).DeliverBatch(ctx, sig, run, stop, retry)
 }
 
 // phaseTwo tallies commit replies as ResourceAction classifies them:
@@ -373,26 +314,35 @@ func (s *commitSet) GetOutcome() (core.Outcome, error) {
 }
 
 // drive runs a commitSet over rs, the transaction's participants, through
-// a fresh activity of the service's core, completed with cs: Success votes
-// and decides, Fail rolls straight back. Delivery is serial, retried by the
-// service's RetryPolicy.
+// the service's broadcast: Success votes and decides, Fail rolls straight
+// back.
 func (t *Transaction) drive(rs []ResourceAction, cs core.CompletionStatus) *commitSet {
 	set := &commitSet{t: t, rs: rs}
 	InitSignalSet(&set.SequenceSet)
+	for i := range rs {
+		rs[i].tx = t
+	}
+	t.svc.broadcast(set, rs, cs)
+	return set
+}
+
+// broadcast enrols rs with a fresh activity of the service's core, in
+// order, and completes it with cs, set its completion set. Delivery is
+// serial, retried by the service's RetryPolicy, so a same-host run of
+// remote participants takes each round in one call.
+func (s *Service) broadcast(set core.SignalSet, rs []ResourceAction, cs core.CompletionStatus) {
 	var buf [8]core.Action
 	run := slices.Grow(buf[:0], len(rs))
 	for i := range rs {
-		rs[i].tx = t
-		run = append(run, rs[i].adapter())
+		run = append(run, &rs[i])
 	}
-	a := t.svc.core.Begin(SetName)
+	a := s.core.Begin(SetName)
 	// None of these can fail: the activity is fresh, nothing else holds it,
 	// and the set's GetSignal and SetResponse never err.
 	_ = a.RegisterSignalSet(set)
 	_ = a.AddActions(SetName, run...)
 	a.SetCompletionSet(SetName)
 	_, _ = a.CompleteWithStatus(context.TODO(), cs)
-	return set
 }
 
 // commitTwoPhase commits over two or more participants. Each phase-two

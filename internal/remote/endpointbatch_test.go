@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,8 +153,8 @@ func TestEndpointBatchCompleteCostsOneDispatch(t *testing.T) {
 }
 
 // TestEndpointBatchTwoPhaseCommit runs twopc over three actions on one
-// host: prepare, which a veto may cut short, stays one call per action;
-// commit, the final round, is one call.
+// host: prepare, which a veto may cut short, is one call that carries the
+// veto as its stop outcome; commit, the final round, is one call.
 func TestEndpointBatchTwoPhaseCommit(t *testing.T) {
 	ctx := context.Background()
 	host := batchHost(t)
@@ -186,8 +187,8 @@ func TestEndpointBatchTwoPhaseCommit(t *testing.T) {
 	total := dispatched(t, host) - before
 	// The commit batch is counted as its dispatch starts, before the first
 	// action sees commit.
-	if prepares, commits := atFirstCommit.Load()-1, total-(atFirstCommit.Load()-1); prepares != 3 || commits != 1 {
-		t.Fatalf("dispatches: %d for prepare, %d for commit; want 3 and 1", prepares, commits)
+	if prepares, commits := atFirstCommit.Load()-1, total-(atFirstCommit.Load()-1); prepares != 1 || commits != 1 {
+		t.Fatalf("dispatches: %d for prepare, %d for commit; want 1 and 1", prepares, commits)
 	}
 	for _, sig := range []string{twopc.SignalPrepare, twopc.SignalCommit} {
 		if got := strings.Join(log.of(sig), ","); got != "p0,p1,p2" {
@@ -587,4 +588,72 @@ func TestEndpointBatchOverlappingDeliveriesRunOneAtATime(t *testing.T) {
 			t.Fatalf("%d deliveries ran at once, want 1", p)
 		}
 	})
+}
+
+// TestDifferentialActionBatchMatchesPerHost scripts every prepare vote
+// vector over three remote Actions — done, abort or a delivery error each
+// — and commits each twopc transaction twice: with all three Actions on
+// one host, where every round is one keyed batch that stops at the veto,
+// and with each on its own host, one call per Action. The outcome, the
+// trace and the global order of every delivery the Actions receive must
+// be identical, retries included.
+func TestDifferentialActionBatchMatchesPerHost(t *testing.T) {
+	client := orb.New()
+	defer client.Shutdown()
+	shared := batchHost(t)
+	oneHost := []*orb.ORB{shared, shared, shared}
+	perHost := []*orb.ORB{batchHost(t), batchHost(t), batchHost(t)}
+	const failed = "delivery-error" // scripted as a prepare that always fails
+	answers := []string{twopc.OutcomeDone, twopc.OutcomeAbort, failed}
+
+	type run struct {
+		outcome string
+		trace   []string
+		calls   []string
+	}
+	commit := func(hosts []*orb.ORB, votes []string) run {
+		var log deliveryLog
+		rec := trace.New()
+		svc := core.New(core.WithTrace(rec), core.WithRetryPolicy(core.RetryPolicy{Attempts: 2}))
+		tx, err := twopc.NewCoordinator(svc).Begin("differential")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, host := range hosts {
+			ref := exportLogged(host, &log, fmt.Sprintf("p%d", i), func(sig core.Signal) (core.Outcome, error) {
+				switch {
+				case sig.Name != twopc.SignalPrepare:
+					return core.Outcome{Name: twopc.OutcomeDone}, nil
+				case votes[i] == failed:
+					return core.Outcome{}, fmt.Errorf("p%d cannot prepare", i)
+				}
+				return core.Outcome{Name: votes[i]}, nil
+			})
+			ref, _ = host.IOR(ref.Key)
+			if err := tx.EnlistAction(ImportAction(client, ref)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dispatched(t, shared)
+		committed, err := tx.Commit(context.Background())
+		if calls := dispatched(t, shared) - before; hosts[0] == shared && calls != 2 {
+			t.Fatalf("votes %v: one host took %d dispatches, want 2: one per round", votes, calls)
+		}
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		return run{fmt.Sprintf("committed=%v err=%v", committed, err), rec.Sequence(), log.events}
+	}
+	for _, a := range answers {
+		for _, b := range answers {
+			for _, c := range answers {
+				votes := []string{a, b, c}
+				batched, direct := commit(oneHost, votes), commit(perHost, votes)
+				if batched.outcome != direct.outcome ||
+					!slices.Equal(batched.trace, direct.trace) ||
+					!slices.Equal(batched.calls, direct.calls) {
+					t.Fatalf("votes %v:\none host    %+v\nthree hosts %+v", votes, batched, direct)
+				}
+			}
+		}
+	}
 }

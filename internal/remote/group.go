@@ -528,8 +528,8 @@ func (g *GroupMember) DecisionGate(interval time.Duration) func(lsn uint64) erro
 
 // metrics emits the member's group state, its "replication" metrics
 // source: identity, role, term and leaders as info samples, the durable
-// position and fence, election history, and — while leading — each
-// follower's ack watermark and lag behind the last durable LSN.
+// position, fence and log fault, election history, and — while leading —
+// each follower's ack watermark and lag behind the last durable LSN.
 func (g *GroupMember) metrics(emit func(orb.Sample)) {
 	g.mu.Lock()
 	role, leaderID, elections := g.role, g.leaderID, g.elections
@@ -540,9 +540,12 @@ func (g *GroupMember) metrics(emit func(orb.Sample)) {
 	g.mu.Unlock()
 	ts := g.log.TermState()
 	last := g.log.LastLSN()
-	var fenced int64
+	var fenced, faulted int64
 	if ts.Fenced {
 		fenced = 1
+	}
+	if ts.Faulted {
+		faulted = 1
 	}
 	for _, s := range []orb.Sample{
 		{Name: "member", Label: g.cfg.MemberID, Value: 1},
@@ -552,6 +555,7 @@ func (g *GroupMember) metrics(emit func(orb.Sample)) {
 		{Name: "leader", Label: leaderID, Value: 1},
 		{Name: "last_lsn", Value: int64(last)},
 		{Name: "fenced", Value: fenced},
+		{Name: "faulted", Value: faulted},
 		{Name: "last_election_ns", Value: lastElection},
 		{Name: "elections", Value: int64(elections)},
 	} {

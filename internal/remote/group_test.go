@@ -817,3 +817,62 @@ func (a *atomic32) load() int {
 	defer a.mu.Unlock()
 	return a.n
 }
+
+// TestGroupMetricsReportsFaultedLog fails the sync of a leader's batch
+// after its follower's parked fetch read it. The leader's log faults: its
+// appends fail with ErrFenced, and both its term state and its group
+// scrape report the fault, while the fence, which means a higher term,
+// stays down.
+func TestGroupMetricsReportsFaultedLog(t *testing.T) {
+	aLog, bLog := wal.NewMemory(), wal.NewMemory()
+	aORB, aEps := listenORB(t)
+	a := &testMember{o: aORB, log: aLog, eps: aEps}
+	a.g = NewGroupMember(aORB, aLog, GroupConfig{MemberID: "a"})
+	if err := a.g.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	bORB, bEps := listenORB(t)
+	b := &testMember{o: bORB, log: bLog, eps: bEps}
+	b.g = NewGroupMember(bORB, bLog, GroupConfig{
+		MemberID: "b", LeaderHint: aEps,
+		Poll: 5 * time.Second, Policy: groupTestPolicy, ElectionRetry: 20 * time.Millisecond,
+	})
+	b.start(t)
+	waitLSN(t, bLog, aLog.LastLSN())
+	if !a.g.Primary().WaitForAckN(aLog.LastLSN(), 1, 5*time.Second) {
+		t.Fatal("b never acknowledged a's log")
+	}
+	time.Sleep(20 * time.Millisecond) // b's next fetch parks
+
+	faulted := func() (wal.TermState, int64, int64) {
+		ss := aORB.Metrics()
+		fenced, _ := ss.Get("replication.fenced", "")
+		faulted, ok := ss.Get("replication.faulted", "")
+		if !ok {
+			t.Fatalf("scrape has no replication.faulted: %+v", ss)
+		}
+		return aLog.TermState(), fenced, faulted
+	}
+	if ts, fenced, fault := faulted(); ts.Faulted || ts.Fenced || fenced != 0 || fault != 0 {
+		t.Fatalf("before the fault: term state %+v, fenced %d, faulted %d; want neither", ts, fenced, fault)
+	}
+	shipped := aLog.LastLSN() + 1
+	aLog.InjectSyncFault(func() error {
+		for deadline := time.Now().Add(5 * time.Second); bLog.LastLSN() < shipped && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return errors.New("injected sync failure")
+	})
+	if _, err := aLog.Append(wal.Kind(7), []byte("shipped")); err == nil {
+		t.Fatal("append whose sync failed succeeded")
+	}
+	if bLog.LastLSN() != shipped {
+		t.Fatalf("follower at LSN %d, want the shipped record %d", bLog.LastLSN(), shipped)
+	}
+	if _, err := aLog.Append(wal.Kind(7), []byte("late")); !errors.Is(err, wal.ErrFenced) {
+		t.Fatalf("append on the faulted log = %v, want ErrFenced", err)
+	}
+	if ts, fenced, fault := faulted(); !ts.Faulted || ts.Fenced || fenced != 0 || fault != 1 {
+		t.Fatalf("after the fault: term state %+v, fenced %d, faulted %d; want faulted alone", ts, fenced, fault)
+	}
+}

@@ -35,8 +35,8 @@ const (
 
 // Relay batch kinds: the first octet after the signal encoding says whether
 // the frame carries a subtree membership inline, refers to one the relay
-// already planted, or names a same-host run of a serial broadcast: of
-// Actions, or of transaction resources.
+// already planted, or names a same-host run of a serial broadcast by its
+// servants' keys.
 const (
 	// relayBatchFull carries the membership blob inline; the relay checks
 	// that the blob hashes to the claimed plant id and caches it there.
@@ -45,18 +45,20 @@ const (
 	// membership. A relay that does not know the plant (restarted, evicted)
 	// raises unknown-plant and the sender falls back to a full batch.
 	relayBatchRef byte = 2
-	// relayBatchKeys carries the member keys of a same-host run of a
-	// serial broadcast (core.EndpointBatcher): no endpoints, no plant id,
+	// relayBatchKeys and relayBatchResources are the keyed kind's
+	// predecessors, which a coordinator one release old still sends: the
+	// keys alone, and the keys then a bool that stops the run at
+	// ots.OutcomeAbort. The relay serves both as keyed batches; nothing
+	// here sends them.
+	relayBatchKeys      byte = 3
+	relayBatchResources byte = 4
+	// relayBatchKeyed carries the servant keys of a same-host run of a
+	// serial broadcast (core.EndpointBatcher), in run order, then the
+	// outcome the run stops at, "" for none: no endpoints, no plant id,
 	// never planted, since a per-activity membership is never reused. The
 	// relay delivers the run itself, in order, and refuses the batch if it
-	// serves no Action under one of the keys.
-	relayBatchKeys byte = 3
-	// relayBatchResources carries the member keys of a same-host run of
-	// transaction resources (ots.ResourceBatcher) and its stop rule; the
-	// signal's name is the resource operation. The relay runs the
-	// operation on each member in order, and refuses the batch if it
-	// serves no resource under one of the keys.
-	relayBatchResources byte = 4
+	// serves neither an Action nor a resource under one of the keys.
+	relayBatchKeyed byte = 5
 )
 
 // maxRelayDepth bounds membership-tree recursion against hostile frames.
@@ -138,8 +140,8 @@ type relayBatch struct {
 	plantID string
 	retry   core.RetryPolicy
 	root    *relayNode // relayBatchFull only
-	keys    []string   // relayBatchKeys and relayBatchResources only
-	stop    bool       // relayBatchResources only: stop at a failed or vetoing prepare
+	keys    []string   // keyed kinds only
+	stop    string     // keyed kinds only: the outcome the run stops at, "" for none
 }
 
 // encodeRelayBatch writes one relay_deliver request body. The signal is
@@ -185,7 +187,7 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	switch b.kind {
 	case relayBatchRef:
 		return b, nil
-	case relayBatchFull, relayBatchKeys, relayBatchResources:
+	case relayBatchFull, relayBatchKeys, relayBatchResources, relayBatchKeyed:
 	default:
 		return relayBatch{}, fmt.Errorf("remote: relay batch kind %d", b.kind)
 	}
@@ -216,27 +218,29 @@ func decodeRelayBatch(d *cdr.Decoder) (relayBatch, error) {
 	return b, nil
 }
 
-// encodeRelayKeys is the membership blob of an endpoint batch: the run's
-// servant keys, in run order.
-func encodeRelayKeys(keys []string) []byte {
-	e := cdr.NewEncoder(8 + 40*len(keys))
+// keyedBlob is the membership blob of a keyed batch of kind: the run's
+// servant keys, in run order, then its stop outcome as kind carries it —
+// a string in a keyed batch, a bool meaning ots.OutcomeAbort in a
+// relayBatchResources one, nothing in a relayBatchKeys one.
+func keyedBlob(kind byte, keys []string, stop string) []byte {
+	n := 12 + len(stop) // the key count, then stop's length, nul and padding
+	for _, k := range keys {
+		n += 8 + len(k)
+	}
+	e := cdr.NewEncoder(n)
 	e.WriteStringList(keys)
+	switch kind {
+	case relayBatchKeyed:
+		e.WriteString(stop)
+	case relayBatchResources:
+		e.WriteBool(stop != "")
+	}
 	return e.Bytes()
 }
 
-// encodeResourceKeys is the membership blob of a resource batch: the run's
-// servant keys, in run order, then the stop rule.
-func encodeResourceKeys(keys []string, stop bool) []byte {
-	e := cdr.NewEncoder(9 + 40*len(keys))
-	e.WriteStringList(keys)
-	e.WriteBool(stop)
-	return e.Bytes()
-}
-
-// decodeRelayKeys completes b, an endpoint or resource batch, from its
-// membership blob. Like a full batch's, the blob must be canonical; it must
-// also name at least one key, and the batch no plant. The keys are owned
-// copies.
+// decodeRelayKeys completes b, a batch of a keyed kind, from its membership
+// blob. Like a full batch's, the blob must be canonical; it must also name
+// at least one key, and the batch no plant. The keys are owned copies.
 func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
 	if b.plantID != "" {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch names plant %q", b.plantID)
@@ -244,10 +248,13 @@ func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
 	var md cdr.Decoder
 	md.Reset(blob)
 	b.keys = md.ReadStringList()
-	canonical := encodeRelayKeys
-	if b.kind == relayBatchResources {
-		b.stop = md.ReadBool()
-		canonical = func(keys []string) []byte { return encodeResourceKeys(keys, b.stop) }
+	switch b.kind {
+	case relayBatchKeyed:
+		b.stop = md.ReadString()
+	case relayBatchResources:
+		if md.ReadBool() {
+			b.stop = ots.OutcomeAbort
+		}
 	}
 	if err := md.Err(); err != nil {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys: %w", err)
@@ -255,7 +262,7 @@ func decodeRelayKeys(b relayBatch, blob []byte) (relayBatch, error) {
 	if len(b.keys) == 0 {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch names no member")
 	}
-	if !bytes.Equal(canonical(b.keys), blob) {
+	if !bytes.Equal(keyedBlob(b.kind, b.keys, b.stop), blob) {
 		return relayBatch{}, fmt.Errorf("remote: endpoint batch keys are not canonical (%d bytes)", len(blob))
 	}
 	return b, nil
@@ -288,8 +295,16 @@ func encodeRelayResults(e *cdr.Encoder, results []relayResult) error {
 	return nil
 }
 
-// encodeRelayReply is the body of a relay_deliver reply.
-func encodeRelayReply(results []relayResult) ([]byte, error) {
+// encodeRelayReply is the body of a relay_deliver reply: one result per
+// delivered member, each failure worded by errText.
+func encodeRelayReply(delivered []core.SubtreeResult) ([]byte, error) {
+	results := make([]relayResult, len(delivered))
+	for i, r := range delivered {
+		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
+		if r.Err != nil {
+			results[i].errText = errText(r.Err)
+		}
+	}
 	e := cdr.NewEncoder(64 * len(results))
 	if err := encodeRelayResults(e, results); err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "encode relay results: %v", err)
@@ -344,8 +359,8 @@ func plantIDOf(membership []byte) string {
 // relays receiving sub-batches — and aggregates every member's outcome into
 // one reply. It also keeps the plant cache that makes coordinator traffic
 // sub-linear: a membership arrives once (full batch) and every later round
-// references it by plant id. An endpoint batch bypasses both: the servant
-// delivers it to this ORB's own actions in order (deliverRun).
+// references it by plant id. A keyed batch bypasses both: the servant
+// delivers it to this ORB's own servants in order (deliverKeyed).
 type relayServant struct {
 	o *orb.ORB
 
@@ -463,11 +478,8 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	if err != nil {
 		return nil, orb.Systemf(orb.CodeMarshal, "relay_deliver: %v", err)
 	}
-	switch batch.kind {
-	case relayBatchKeys:
-		return s.deliverRun(ctx, batch)
-	case relayBatchResources:
-		return s.runResources(ctx, batch)
+	if batch.keys != nil {
+		return s.deliverKeyed(ctx, batch)
 	}
 	var forest []*core.TreeNode
 	if batch.kind == relayBatchRef {
@@ -479,87 +491,49 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 		forest = s.forestOf(batch.root)
 		s.plant(batch.plantID, forest)
 	}
-	delivered := core.DeliverForest(ctx, batch.sig, forest, batch.retry)
-	results := make([]relayResult, len(delivered))
-	for i, r := range delivered {
-		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
-		if r.Err != nil {
-			results[i].errText = errText(r.Err)
-		}
-	}
-	return encodeRelayReply(results)
+	return encodeRelayReply(core.DeliverForest(ctx, batch.sig, forest, batch.retry))
 }
 
-// deliverRun serves an endpoint batch. It resolves every key to an Action
-// servant this ORB serves, refusing the batch before delivering anything
-// if one is not, then delivers the run in order through the servants
-// (core.DeliverRun), so a member never runs two signals at once. A
-// member's failure is worded as a direct process_signal would have
-// reported it.
-func (s *relayServant) deliverRun(ctx context.Context, b relayBatch) ([]byte, error) {
+// deliverKeyed serves a batch of a keyed kind. It resolves every key to
+// an Action or a resource servant this ORB serves, refusing the batch
+// before delivering anything if one is neither, then delivers the run in
+// order through the servants (core.DeliverRun), so a member never runs two
+// signals at once, and stops after the first member that answers b.stop
+// or fails. A resource member runs the operation the signal names, which
+// must be prepare, commit or rollback, and a prepare runs once. A
+// member's failure is worded as its direct call would have reported it.
+func (s *relayServant) deliverKeyed(ctx context.Context, b relayBatch) ([]byte, error) {
 	run := make([]core.Action, len(b.keys))
+	retry := b.retry
 	for i, key := range b.keys {
-		sv, _ := s.o.Servant(key)
-		as, ok := sv.(*actionServant)
-		if !ok {
-			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action %q", key)
+		switch sv, _ := s.o.Servant(key); m := sv.(type) {
+		case *actionServant:
+			run[i] = m
+		case *resourceServant:
+			switch b.sig.Name {
+			case ots.SignalPrepare:
+				retry.Attempts = 1
+			case ots.SignalCommit, ots.SignalRollback:
+			default:
+				return nil, orb.Systemf(orb.CodeBadOperation, "relay runs no resource operation %q", b.sig.Name)
+			}
+			run[i] = resourceMember{m}
+		default:
+			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action or resource %q", key)
 		}
-		run[i] = as
 	}
-	delivered := core.DeliverRun(ctx, b.sig, run, "", b.retry)
-	results := make([]relayResult, len(delivered))
+	delivered := core.DeliverRun(ctx, b.sig, run, b.stop, retry)
 	for i, r := range delivered {
-		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
-		if r.Err != nil {
-			results[i].errText = processSignalError(b.keys[i], r.Err).Error()
+		if _, ok := run[i].(*actionServant); ok && r.Err != nil {
+			delivered[i].Err = processSignalError(b.keys[i], r.Err)
 		}
 	}
-	return encodeRelayReply(results)
+	return encodeRelayReply(delivered)
 }
 
-// runResources serves a resource batch. It resolves every key to a
-// resource servant this ORB serves, refusing the batch before running
-// anything if one is not, then runs the operation on each member in order
-// through core.DeliverRun: a phase-two member retried per the carried
-// policy until it answers, a prepare run once. With the stop rule it stops
-// after the first prepare that fails or votes neither commit nor
-// read-only. Each member's reply is the body, or the error text, its
-// direct call would have returned.
-func (s *relayServant) runResources(ctx context.Context, b relayBatch) ([]byte, error) {
-	op := b.sig.Name
-	if op != ots.SignalPrepare && op != ots.SignalCommit && op != ots.SignalRollback {
-		return nil, orb.Systemf(orb.CodeBadOperation, "relay runs no resource operation %q", op)
-	}
-	run := make([]core.Action, len(b.keys))
-	for i, key := range b.keys {
-		sv, _ := s.o.Servant(key)
-		rs, ok := sv.(*resourceServant)
-		if !ok {
-			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no resource %q", key)
-		}
-		run[i] = resourceMember{rs}
-	}
-	retry, stop := b.retry, ""
-	if op == ots.SignalPrepare {
-		retry.Attempts = 1
-	}
-	if b.stop {
-		stop = ots.OutcomeAbort
-	}
-	delivered := core.DeliverRun(ctx, b.sig, run, stop, retry)
-	results := make([]relayResult, len(delivered))
-	for i, r := range delivered {
-		results[i] = relayResult{index: r.Index, attempts: r.Attempts, outcome: r.Outcome}
-		if r.Err != nil {
-			results[i].errText = errText(r.Err)
-		}
-	}
-	return encodeRelayReply(results)
-}
-
-// resourceMember is one member of a resource batch as core.DeliverRun runs
-// it: the operation named by the signal, its reply body the outcome's
-// data. A prepare that votes neither commit nor read-only answers
+// resourceMember is a resource servant as a keyed batch runs it: the
+// operation named by the signal, its reply body the outcome's data. A
+// prepare that votes neither commit nor read-only answers
 // ots.OutcomeAbort, where a stopping batch stops.
 type resourceMember struct{ *resourceServant }
 
@@ -781,18 +755,10 @@ func decodeRelayReply(body []byte, wrap func(text string) error) ([]core.Subtree
 // endpoint.
 func (r *remoteAction) BatchEndpoint() string { return r.ref.Endpoint() }
 
-// errStopUnsupported declines an Action batch in a round a veto can cut
-// short: the Action batch format carries no stop rule.
-var errStopUnsupported = errors.New("remote: an Action batch cannot stop at a veto")
-
-// DeliverBatch implements core.EndpointBatcher: it sends the run's keys
-// inline to the relay servant on this proxy's endpoints as one endpoint
-// batch. Every member of run must be an Action proxy. It declines a round
-// a veto can cut short, which is then delivered one call per action.
+// DeliverBatch implements core.EndpointBatcher: it sends the run's keys and
+// stop outcome to the relay servant on this proxy's endpoints as one keyed
+// batch. Every member of run must be an Action proxy.
 func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
-	if stop != "" {
-		return nil, errStopUnsupported
-	}
 	keys := make([]string, len(run))
 	for i, a := range run {
 		ra, ok := a.(*remoteAction)
@@ -801,12 +767,18 @@ func (r *remoteAction) DeliverBatch(ctx context.Context, sig core.Signal, run []
 		}
 		keys[i] = ra.ref.Key
 	}
-	target := orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...)
-	body, err := invokeRelay(ctx, r.orb, target, sig, relayBatchKeys, "", retry, encodeRelayKeys(keys))
+	return sendKeyed(ctx, r.orb, orb.NewIOR(RelayTypeID, RelayKey, r.ref.Endpoints()...), sig, keys, stop, retry)
+}
+
+// sendKeyed has the relay at target deliver sig to the run of its servants
+// under keys as one keyed batch, stopping at stop, and returns one result
+// per member it delivered to, each failure worded as the host worded it:
+// as the member's direct call reads.
+func sendKeyed(ctx context.Context, o *orb.ORB, target orb.IOR, sig core.Signal, keys []string, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	body, err := invokeRelay(ctx, o, target, sig, relayBatchKeyed, "", retry, keyedBlob(relayBatchKeyed, keys, stop))
 	if err != nil {
 		return nil, err
 	}
-	// The host words each failure as the direct call's error reads.
 	return decodeRelayReply(body, errors.New)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"github.com/extendedtx/activityservice/internal/cdr"
 	"github.com/extendedtx/activityservice/internal/core"
 	"github.com/extendedtx/activityservice/internal/orb"
+	"github.com/extendedtx/activityservice/internal/ots"
 )
 
 // sampleTree builds a three-level membership: root → two children, first
@@ -73,6 +75,53 @@ func TestRelayBatchRoundTrip(t *testing.T) {
 	if len(e2.Bytes()) >= len(e.Bytes()) {
 		t.Fatalf("ref batch (%d bytes) not smaller than full batch (%d bytes)", len(e2.Bytes()), len(e.Bytes()))
 	}
+
+	// Keyed batches carry keys and a stop outcome, no plant: the keyed kind
+	// with and without a stop, and its predecessors' frames, built with
+	// their own encoders.
+	keys := []string{"a1", "a2"}
+	for _, tc := range []struct {
+		name       string
+		kind       byte
+		membership []byte
+		stop       string
+	}{
+		{"keyed", relayBatchKeyed, keyedBlob(relayBatchKeyed, keys, ""), ""},
+		{"keyed-stop", relayBatchKeyed, keyedBlob(relayBatchKeyed, keys, "veto"), "veto"},
+		{"kind-3", relayBatchKeys, encodeRelayKeys(keys), ""},
+		{"kind-4", relayBatchResources, encodeResourceKeys(keys, false), ""},
+		{"kind-4-stop", relayBatchResources, encodeResourceKeys(keys, true), ots.OutcomeAbort},
+	} {
+		e := cdr.NewEncoder(128)
+		if err := encodeRelayBatch(e, sig, tc.kind, "", retry, tc.membership); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeRelayBatch(cdr.NewDecoder(e.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.sig != sig || got.kind != tc.kind || got.retry != retry || got.root != nil ||
+			got.stop != tc.stop || strings.Join(got.keys, ",") != "a1,a2" {
+			t.Fatalf("%s: decoded %+v", tc.name, got)
+		}
+	}
+}
+
+// encodeRelayKeys and encodeResourceKeys are the membership encoders of
+// the keyed kind's predecessors (kinds 3 and 4) as a coordinator one
+// release old runs them, so tests build those frames independently of
+// keyedBlob.
+func encodeRelayKeys(keys []string) []byte {
+	e := cdr.NewEncoder(8 + 40*len(keys))
+	e.WriteStringList(keys)
+	return e.Bytes()
+}
+
+func encodeResourceKeys(keys []string, stop bool) []byte {
+	e := cdr.NewEncoder(9 + 40*len(keys))
+	e.WriteStringList(keys)
+	e.WriteBool(stop)
+	return e.Bytes()
 }
 
 // span appends every node of the subtree to dst in preorder.
@@ -457,6 +506,18 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 	seedResources("commit", encodeResourceKeys([]string{"r1"}, false))
 	seedResources("prepare", append(encodeRelayKeys([]string{"r1"}), 2))
 	seedResources("rollback", encodeRelayKeys([]string{"r1"}))
+	// Keyed batches: keys then the stop outcome's name, "" for none.
+	seedKeyed := func(sig core.Signal, membership []byte) {
+		e := cdr.NewEncoder(256)
+		if err := encodeRelayBatch(e, sig, relayBatchKeyed, "", core.RetryPolicy{Attempts: 2}, membership); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cdr.Clone(e.Bytes()))
+	}
+	seedKeyed(core.Signal{Name: "complete", SetName: "s"}, keyedBlob(relayBatchKeyed, []string{"a1", "a2"}, ""))
+	seedKeyed(core.Signal{Name: "prepare", SetName: "2pc"}, keyedBlob(relayBatchKeyed, []string{"a1", "r1"}, "abort"))
+	seedKeyed(core.Signal{Name: "prepare", SetName: "2pc"}, encodeRelayKeys([]string{"a1"}))
+	seedKeyed(core.Signal{Name: "commit", SetName: "2pc"}, keyedBlob(relayBatchKeyed, nil, "abort"))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x00})
 
@@ -475,10 +536,8 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 			me := cdr.NewEncoder(128)
 			encodeRelayNode(me, b.root)
 			membership = me.Bytes()
-		case b.kind == relayBatchKeys:
-			membership = encodeRelayKeys(b.keys)
-		case b.kind == relayBatchResources:
-			membership = encodeResourceKeys(b.keys, b.stop)
+		case b.keys != nil:
+			membership = keyedBlob(b.kind, b.keys, b.stop)
 		}
 		e := cdr.NewEncoder(256)
 		if err := encodeRelayBatch(e, b.sig, b.kind, b.plantID, b.retry, membership); err != nil {
@@ -499,8 +558,9 @@ func FuzzDecodeRelayBatch(f *testing.F) {
 		if b.root != nil && len(b.root.span(nil)) != len(b2.root.span(nil)) {
 			t.Fatalf("round-trip span mismatch")
 		}
+		keyed := b.kind == relayBatchKeys || b.kind == relayBatchResources || b.kind == relayBatchKeyed
 		if strings.Join(b.keys, "\x00") != strings.Join(b2.keys, "\x00") || b.stop != b2.stop ||
-			(b.kind == relayBatchKeys || b.kind == relayBatchResources) != (len(b.keys) > 0) {
+			keyed != (len(b.keys) > 0) {
 			t.Fatalf("round-trip keys mismatch: %q vs %q", b.keys, b2.keys)
 		}
 	})
@@ -634,5 +694,86 @@ func TestRelayPlantCacheTelemetry(t *testing.T) {
 	}
 	if _, ok := ss.Get("relay.capacity", ""); ok {
 		t.Fatalf("bare ORB reports relay samples: %+v", ss)
+	}
+}
+
+// TestRelayServesLegacyKeyedKinds sends a relay the keyed frames a
+// coordinator one release old sends, built with that release's encoders,
+// and pins every member's reply. A kind-3 batch delivers to each Action
+// with the carried retry policy and no stop, a failure worded as its
+// direct process_signal's. A kind-4 batch runs the operation on each
+// resource, prepare once, and stops after a rollback vote when its stop
+// bool is set; a commit is retried until it answers.
+func TestRelayServesLegacyKeyedKinds(t *testing.T) {
+	fx := newRelayFixture(t)
+	relay, _ := fx.host.IOR(RelayKey)
+	send := func(op string, kind byte, membership []byte) string {
+		t.Helper()
+		e := cdr.NewEncoder(128)
+		if err := encodeRelayBatch(e, core.Signal{Name: op, SetName: "2pc"}, kind, "", core.RetryPolicy{Attempts: 3}, membership); err != nil {
+			t.Fatal(err)
+		}
+		body, err := fx.sender.Invoke(context.Background(), relay, relayOp, e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := decodeRelayResults(cdr.NewDecoder(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range rs {
+			out = append(out, fmt.Sprintf("%d/%d/%q/%v/%s", r.index, r.attempts, r.outcome.Name, r.outcome.Data, r.errText))
+		}
+		return strings.Join(out, " ")
+	}
+
+	var tries atomic.Int32
+	ok := ExportAction(fx.host, core.ActionFunc(func(_ context.Context, sig core.Signal) (core.Outcome, error) {
+		return core.Outcome{Name: "ack:" + sig.Name}, nil
+	}))
+	flaky := ExportAction(fx.host, core.ActionFunc(func(context.Context, core.Signal) (core.Outcome, error) {
+		return core.Outcome{}, fmt.Errorf("refused attempt %d", tries.Add(1))
+	}))
+	got := send("prepare", relayBatchKeys, encodeRelayKeys([]string{ok.Key, flaky.Key, ok.Key}))
+	want := fmt.Sprintf(`0/1/"ack:prepare"/<nil>/ 1/3/""/<nil>/remote: process_signal on %s: refused attempt 3 2/1/"ack:prepare"/<nil>/`, flaky.Key)
+	if got != want {
+		t.Fatalf("kind 3:\n got %s\nwant %s", got, want)
+	}
+
+	var log callLog
+	resources := func(ps ...*scriptedParticipant) []string {
+		keys := make([]string, len(ps))
+		for i, p := range ps {
+			keys[i] = ExportResource(fx.host, p).Key
+		}
+		return keys
+	}
+	votes := voting(&log, ots.VoteCommit, ots.VoteRollback, ots.VoteCommit)
+	keys := resources(votes...)
+	commit, rollback := byte(ots.VoteCommit), byte(ots.VoteRollback)
+	for _, tc := range []struct {
+		stop bool
+		want string
+	}{
+		{true, fmt.Sprintf(`0/1/""/[%d]/ 1/1/"abort"/[%d]/`, commit, rollback)},
+		{false, fmt.Sprintf(`0/1/""/[%d]/ 1/1/"abort"/[%d]/ 2/1/""/[%d]/`, commit, rollback, commit)},
+	} {
+		if got := send("prepare", relayBatchResources, encodeResourceKeys(keys, tc.stop)); got != tc.want {
+			t.Fatalf("kind 4, stop %v:\n got %s\nwant %s", tc.stop, got, tc.want)
+		}
+	}
+	if got, want := log.all(), []string{"p0:prepare", "p1:prepare", "p0:prepare", "p1:prepare", "p2:prepare"}; !slices.Equal(got, want) {
+		t.Fatalf("prepare calls = %v, want %v", got, want)
+	}
+	failing := voting(&log, ots.VoteCommit)[0]
+	failing.name = "busy"
+	failing.commitErrs = []error{errors.New("disk busy"), errors.New("disk busy")}
+	heuristic := voting(&log, ots.VoteCommit)[0]
+	heuristic.name = "heuristic"
+	heuristic.commitErrs = []error{ots.ErrHeuristicRollback}
+	if got, want := send("commit", relayBatchResources, encodeResourceKeys(resources(failing, heuristic), false)),
+		fmt.Sprintf(`0/3/""/[]/ 1/1/""/[%d]/`, outcomeHeuristicRollback); got != want {
+		t.Fatalf("kind 4 commit:\n got %s\nwant %s", got, want)
 	}
 }

@@ -36,8 +36,8 @@ const (
 )
 
 // actionServant adapts a core.Action to the ORB. Every delivery to an
-// exported Action goes through its servant — a direct process_signal, an
-// endpoint batch (relayServant.deliverRun) and a relay-tree member alike —
+// exported Action goes through its servant — a direct process_signal, a
+// keyed batch (relayServant.deliverKeyed) and a relay-tree member alike —
 // and the servant delivers one signal at a time. Over the wire deliveries
 // can overlap: a retry after a timeout, a failed endpoint batch
 // redelivered member by member, or a re-adopted tree span can arrive while

@@ -264,7 +264,7 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 			if wait > maxFetchWait {
 				wait = maxFetchWait
 			}
-			s.g.log.WaitSince(epoch, after, wait)
+			s.g.log.WaitSince(ctx, epoch, after, wait)
 			// The epoch may have moved while parked; re-read and report
 			// honestly so the follower resyncs rather than mixing streams.
 			if curEpoch, _ = s.g.log.State(); curEpoch != epoch {

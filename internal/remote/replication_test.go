@@ -435,3 +435,47 @@ func TestReplicationFollowerRefusesLocalAppends(t *testing.T) {
 		t.Fatalf("follower's record at LSN %d = %+v, want the leader's decision", lsn, recs)
 	}
 }
+
+// TestReplicationShutdownReleasesParkedFetch parks a follower's fetch on a
+// caught-up leader with a 5 s poll, then shuts the leader's ORB down: the
+// parked fetch ends with its dispatch, so Shutdown returns at once instead
+// of waiting out the poll, and the follower's round fails rather than
+// hanging.
+func TestReplicationShutdownReleasesParkedFetch(t *testing.T) {
+	leaderLog := wal.NewMemory()
+	leaderORB, p, eps := startPrimary(t, leaderLog)
+	if _, err := leaderLog.Append(wal.Kind(7), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	client := orb.New()
+	defer client.Shutdown()
+	f := testFollower(client, eps, wal.NewMemory(), 5*time.Second)
+	if n, err := f.Sync(context.Background()); n != 1 || err != nil {
+		t.Fatalf("first round = %d, %v; want the leader's record", n, err)
+	}
+	synced := make(chan error, 1)
+	go func() {
+		_, err := f.Sync(context.Background())
+		synced <- err
+	}()
+	// The caught-up fetch acknowledges the record just before it parks.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.FollowerAcks()["f"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower's fetch never reached the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	start := time.Now()
+	leaderORB.Shutdown()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Shutdown took %v with a fetch parked, want under 100ms", took)
+	}
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked fetch never returned to the follower")
+	}
+}

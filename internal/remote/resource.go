@@ -138,8 +138,8 @@ type remoteResource struct {
 }
 
 var (
-	_ ots.NamedResource   = (*remoteResource)(nil)
-	_ ots.ResourceBatcher = (*remoteResource)(nil)
+	_ ots.NamedResource    = (*remoteResource)(nil)
+	_ core.EndpointBatcher = (*remoteResource)(nil)
 )
 
 // ImportResource returns an ots.Resource proxy for the resource at ref.
@@ -216,58 +216,94 @@ func (r *remoteResource) Forget() error {
 	return err
 }
 
-// BatchEndpoint implements ots.ResourceBatcher: the proxy's primary
+// BatchEndpoint implements core.EndpointBatcher: the proxy's primary
 // endpoint.
 func (r *remoteResource) BatchEndpoint() string { return r.ref.Endpoint() }
 
-// BatchResources implements ots.ResourceBatcher: it sends the run's keys,
-// op and stop rule to the relay servant on this proxy's endpoints as one
-// resource batch, and decodes each member's reply as the direct call
-// decodes it. Every member of run must be a resource proxy. A host that
-// refuses the batch before running it — no relay, an unknown batch kind or
-// an unknown member — is reported as ots.ErrBatchRefused.
-func (r *remoteResource) BatchResources(ctx context.Context, op string, run []ots.Resource, stop bool, retry core.RetryPolicy) ([]ots.BatchReply, error) {
-	keys := make([]string, len(run))
+// DeliverBatch implements core.EndpointBatcher for a run of
+// ots.ResourceActions over proxies on this proxy's host (the
+// ResourceAction of this one first). It sends the members that need a call
+// to the relay on this proxy's endpoints as one keyed batch, decodes each
+// member's reply as the direct call decodes it, and has the member's
+// ResourceAction classify it. A host that refuses the batch before running
+// it — no relay, an unknown batch kind or member — is an error, so the
+// coordinator calls each member directly. A prepare batch that fails
+// otherwise counts as a failed Prepare of its first member: no member
+// counts as voted, so rollback reaches them all, and prepare is never sent
+// twice.
+func (r *remoteResource) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	op := sig.Name
+	if stop != "" && stop != ots.OutcomeAbort {
+		return nil, fmt.Errorf("remote: a resource batch cannot stop at %q", stop)
+	}
+	members := make([]*ots.ResourceAction, len(run))
+	keys := make([]string, 0, len(run))
 	for i, m := range run {
-		rr, ok := m.(*remoteResource)
+		ra, ok := m.(*ots.ResourceAction)
+		var rr *remoteResource
+		if ok {
+			rr, ok = ra.Resource().(*remoteResource)
+		}
 		if !ok {
-			return nil, fmt.Errorf("%w: member %d is not a resource proxy", ots.ErrBatchRefused, i)
+			return nil, fmt.Errorf("remote: resource batch member %d is not a resource proxy", i)
 		}
-		keys[i] = rr.ref.Key
-	}
-	sig := core.Signal{Name: op, SetName: ots.SetName}
-	body, err := invokeRelay(ctx, r.orb, r.relay, sig, relayBatchResources, "", retry, encodeResourceKeys(keys, stop))
-	if err != nil {
-		if refusedBatch(err) {
-			return nil, fmt.Errorf("%w: %w", ots.ErrBatchRefused, err)
-		}
-		return nil, err
-	}
-	raw, err := decodeRelayResults(cdr.NewDecoder(body))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) > len(run) {
-		return nil, fmt.Errorf("remote: resource batch reply: %d results for %d members", len(raw), len(run))
-	}
-	replies := make([]ots.BatchReply, len(raw))
-	for i, rr := range raw {
-		rep := &replies[i]
-		rep.Attempts = rr.attempts
-		body, _ := rr.outcome.Data.([]byte)
-		switch {
-		case rr.index != i:
-			return nil, fmt.Errorf("remote: resource batch reply: result %d for member %d", rr.index, i)
-		case rr.errText != "":
-			// Worded as the direct call's error reads.
-			rep.Err = fmt.Errorf("remote: resource %s on %s: %w", op, keys[i], errors.New(rr.errText))
-		case op == ots.SignalPrepare:
-			rep.Vote, rep.Err = decodeVote(body)
-		default:
-			rep.Err = decodePhaseTwoReply(op, body)
+		members[i] = ra
+		if _, local := ra.Skip(op); !local {
+			keys = append(keys, rr.ref.Key)
 		}
 	}
-	return replies, nil
+	var replies []core.SubtreeResult
+	if len(keys) > 0 {
+		var err error
+		if replies, err = sendKeyed(ctx, r.orb, r.relay, sig, keys, stop, retry); err != nil {
+			if op != ots.SignalPrepare || refusedBatch(err) {
+				return nil, err
+			}
+			out, _ := members[0].Answer(op, ots.VoteRollback, err)
+			return []core.SubtreeResult{{Attempts: 1, Outcome: out}}, nil
+		}
+	}
+	if len(replies) > len(keys) {
+		return nil, fmt.Errorf("remote: resource batch reply: %d results for %d members", len(replies), len(keys))
+	}
+	for i, rep := range replies {
+		if rep.Index != i {
+			return nil, fmt.Errorf("remote: resource batch reply: result %d for member %d", rep.Index, i)
+		}
+	}
+	results := make([]core.SubtreeResult, 0, len(run))
+	for i, m := range members {
+		skipped, local := m.Skip(op)
+		if !local && len(replies) == 0 {
+			break // past the prefix the host ran
+		}
+		res := core.SubtreeResult{Index: i, Attempts: 1, Outcome: skipped}
+		if !local {
+			rep := replies[0]
+			replies = replies[1:]
+			res.Attempts = max(rep.Attempts, 1)
+			vote, err := decodeReply(op, keys[rep.Index], rep)
+			res.Outcome, res.Err = m.Answer(op, vote, err)
+		}
+		results = append(results, res)
+	}
+	return results, nil
+}
+
+// decodeReply reads a keyed batch member's reply to resource operation op
+// as the direct call reads its own: prepare's vote, and the operation's
+// error, worded as the direct call's. Both are copies; nothing aliases the
+// reply.
+func decodeReply(op, key string, rep core.SubtreeResult) (ots.Vote, error) {
+	body, _ := rep.Outcome.Data.([]byte)
+	switch {
+	case rep.Err != nil:
+		return ots.VoteRollback, fmt.Errorf("remote: resource %s on %s: %w", op, key, rep.Err)
+	case op == ots.SignalPrepare:
+		return decodeVote(body)
+	default:
+		return ots.VoteRollback, decodePhaseTwoReply(op, body)
+	}
 }
 
 // refusedBatch reports whether err says the host ran none of a batch: it

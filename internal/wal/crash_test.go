@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -753,12 +754,12 @@ func TestWaitSinceWakesOnAppendCheckpointClose(t *testing.T) {
 		t.Fatalf("state = (%d, %d), want (0, 1)", epoch, next)
 	}
 
-	if l.WaitSince(0, 0, 10*time.Millisecond) {
+	if l.WaitSince(context.Background(), 0, 0, 10*time.Millisecond) {
 		t.Fatal("WaitSince reported movement on an idle log")
 	}
 
 	done := make(chan bool, 1)
-	go func() { done <- l.WaitSince(0, 0, 5*time.Second) }()
+	go func() { done <- l.WaitSince(context.Background(), 0, 0, 5*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	if _, err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -768,11 +769,11 @@ func TestWaitSinceWakesOnAppendCheckpointClose(t *testing.T) {
 	}
 
 	// Already-satisfied watermark returns immediately.
-	if !l.WaitSince(0, 0, 0) {
+	if !l.WaitSince(context.Background(), 0, 0, 0) {
 		t.Fatal("WaitSince(0,0) false with a record present")
 	}
 
-	go func() { done <- l.WaitSince(0, 1, 5*time.Second) }()
+	go func() { done <- l.WaitSince(context.Background(), 0, 1, 5*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	if err := l.Checkpoint(func(Record) bool { return true }); err != nil {
 		t.Fatal(err)
@@ -784,13 +785,40 @@ func TestWaitSinceWakesOnAppendCheckpointClose(t *testing.T) {
 		t.Fatalf("epoch after checkpoint = %d, want 1", epoch)
 	}
 
-	go func() { done <- l.WaitSince(1, 1, 5*time.Second) }()
+	go func() { done <- l.WaitSince(context.Background(), 1, 1, 5*time.Second) }()
 	time.Sleep(10 * time.Millisecond)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !<-done {
 		t.Fatal("WaitSince missed the close")
+	}
+}
+
+// TestWaitSinceReturnsWhenContextEnds parks a wait with a long timeout on
+// an idle log and cancels its context: the wait returns at once, reporting
+// no movement, and a wait on an ended context does not park at all.
+func TestWaitSinceReturnsWhenContextEnds(t *testing.T) {
+	l := NewMemory()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan bool, 1)
+	go func() { done <- l.WaitSince(ctx, 0, 0, 5*time.Second) }()
+	for parked := 0; parked == 0; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		parked = l.parked
+		l.mu.Unlock()
+	}
+	start := time.Now()
+	cancel()
+	if <-done {
+		t.Fatal("WaitSince reported movement on an idle log")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("WaitSince returned %v after its context ended", waited)
+	}
+	start = time.Now()
+	if l.WaitSince(ctx, 0, 0, 5*time.Second) || time.Since(start) > time.Second {
+		t.Fatal("WaitSince on an ended context parked or reported movement")
 	}
 }
 
@@ -981,7 +1009,7 @@ func TestWaitSinceIgnoresLazyAppend(t *testing.T) {
 	fill(t, l, 1)
 	epoch, next := l.State()
 	woke := make(chan bool, 1)
-	go func() { woke <- l.WaitSince(epoch, next-1, 200*time.Millisecond) }()
+	go func() { woke <- l.WaitSince(context.Background(), epoch, next-1, 200*time.Millisecond) }()
 	time.Sleep(20 * time.Millisecond)
 	if _, err := l.AppendLazy(1, []byte("lazy")); err != nil {
 		t.Fatal(err)
@@ -990,7 +1018,7 @@ func TestWaitSinceIgnoresLazyAppend(t *testing.T) {
 		t.Fatal("WaitSince woke for a record no sync covers")
 	}
 
-	go func() { woke <- l.WaitSince(epoch, next-1, 5*time.Second) }()
+	go func() { woke <- l.WaitSince(context.Background(), epoch, next-1, 5*time.Second) }()
 	time.Sleep(20 * time.Millisecond)
 	if _, err := l.Append(1, []byte("carrier")); err != nil {
 		t.Fatal(err)

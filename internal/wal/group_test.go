@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -427,7 +428,7 @@ func parkFetch(t *testing.T, l *Log) *parkedFetch {
 	f := &parkedFetch{woke: make(chan bool, 1), read: make(chan struct{}), got: make(chan []Record, 1)}
 	epoch, next := l.State()
 	go func() {
-		f.woke <- l.WaitSince(epoch, next-1, 5*time.Second)
+		f.woke <- l.WaitSince(context.Background(), epoch, next-1, 5*time.Second)
 		<-f.read
 		recs, err := l.RecordsSince(next-1, 0)
 		if err != nil {

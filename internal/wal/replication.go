@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -137,17 +138,19 @@ func (l *Log) firstAfterLocked(lsn uint64) int {
 // WaitSince blocks until the log's stream state has moved past (epoch,
 // after) — a record with LSN greater than after became durable or is
 // lent by a flush in progress, the epoch changed (checkpoint), or the log
-// closed — or until timeout elapses. It reports whether the state moved;
-// false means the timeout fired with the log still exactly at (epoch,
-// after). Replication fetch long-polls on it, and a group flush that
-// starts while it waits lends its batch to RecordsSince.
-func (l *Log) WaitSince(epoch, after uint64, timeout time.Duration) bool {
+// closed — or until timeout elapses or ctx ends. It reports whether the
+// state moved; false means the timeout fired, or ctx ended, with the log
+// still exactly at (epoch, after). Replication fetch long-polls on it
+// with its dispatch context, so a shutting-down server never waits out a
+// parked fetch, and a group flush that starts while it waits lends its
+// batch to RecordsSince.
+func (l *Log) WaitSince(ctx context.Context, epoch, after uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for !l.movedLocked(epoch, after) {
 		wait := time.Until(deadline)
-		if wait <= 0 {
+		if wait <= 0 || ctx.Err() != nil {
 			return false
 		}
 		ch := l.waitCh
@@ -157,6 +160,7 @@ func (l *Log) WaitSince(epoch, after uint64, timeout time.Duration) bool {
 		select {
 		case <-ch:
 		case <-timer.C:
+		case <-ctx.Done():
 		}
 		timer.Stop()
 		l.mu.Lock()

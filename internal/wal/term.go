@@ -63,12 +63,18 @@ type TermState struct {
 	Start uint64
 	// Leader is the member ID that claimed Term.
 	Leader string
-	// Fenced reports whether local appends are rejected with ErrFenced.
+	// Fenced reports whether a fence raised for a higher term rejects
+	// local appends with ErrFenced.
 	Fenced bool
 	// FencedAt is the higher term the fence was raised for (0 when not
 	// fenced). It can exceed Term: the fence is in-memory evidence, the
 	// durable record arrives later via the replication stream.
 	FencedAt uint64
+	// Faulted reports whether a batch a reader took failed to sync, so
+	// local appends fail with ErrFenced though no higher term is known.
+	// Fenced does not cover it: it is evidence of a higher term, which a
+	// fault is not.
+	Faulted bool
 }
 
 // TermState returns the log's current term position.
@@ -81,6 +87,7 @@ func (l *Log) TermState() TermState {
 		Leader:   l.termLeader,
 		Fenced:   l.fenced,
 		FencedAt: l.fencedTerm,
+		Faulted:  l.fault != nil,
 	}
 }
 
