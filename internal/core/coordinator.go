@@ -40,8 +40,7 @@ type registration struct {
 	// marks an explicitly labelled one, whose label is label.
 	seq uint32
 	// batches records, once at enrolment, whether action is an
-	// EndpointBatcher enrolled with one that names an endpoint, so a
-	// broadcast asks no other registration.
+	// EndpointBatcher, so a broadcast asks no other registration.
 	batches bool
 	label   string
 }
@@ -87,15 +86,6 @@ type setEntry struct {
 // appending in one critical section leaves no window in which completion
 // can snapshot the registrations without them.
 func (a *Activity) register(setName, label string, numbered bool, actions []Action) error {
-	// Asked before the lock is taken: when no action names a batch
-	// endpoint, none is registered as batching, and no broadcast asks.
-	batching := false
-	for _, action := range actions {
-		if b, ok := action.(EndpointBatcher); ok && b.BatchEndpoint() != "" {
-			batching = true
-			break
-		}
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.state == ActivityCompleting || a.state == ActivityCompleted {
@@ -110,9 +100,7 @@ func (a *Activity) register(setName, label string, numbered bool, actions []Acti
 	e.regs = slices.Grow(e.regs, len(actions))
 	for _, action := range actions {
 		reg := registration{action: action, label: label}
-		if batching {
-			_, reg.batches = action.(EndpointBatcher)
-		}
+		_, reg.batches = action.(EndpointBatcher)
 		if numbered {
 			a.seq++
 			reg.seq = a.seq

@@ -253,18 +253,23 @@ func (s *server) admit(req wireRequest) (tok slotToken, queued, prio bool) {
 	return slotNone, s.adm.enqueue(prio), prio
 }
 
-// run dispatches an admitted request on the slot it holds, then frees
-// the slot. Every admitted dispatch but an admin scrape's is counted, and
-// shows in Inflight until its servant returns.
+// run dispatches an admitted request on the slot it holds, queues its
+// reply, then frees the slot. Every admitted dispatch but an admin
+// scrape's is counted, and leaves Inflight before its reply is queued, so
+// a caller holding the reply never reads its dispatch as still running.
 func (s *server) run(fb *frameBuf, req wireRequest, w *frameWriter, tok slotToken) {
 	if tok == slotAdmin {
-		s.handle(fb, req, w, false)
+		w.q <- s.handle(fb, req)
+		w.combine()
 		<-s.adminSem
 		return
 	}
 	s.orb.dispatched.Add(1)
 	s.orb.inflight.Add(1)
-	s.handle(fb, req, w, true)
+	enc := s.handle(fb, req)
+	s.orb.inflight.Add(-1)
+	w.q <- enc
+	w.combine()
 	s.adm.release(tok)
 }
 
@@ -285,23 +290,15 @@ func (s *server) awaitRun(fb *frameBuf, req wireRequest, w *frameWriter, prio bo
 // admin-bypass check against the lent wire key.
 var adminKeyBytes = []byte(AdminKey)
 
-// handle dispatches one request and enqueues-and-combines its reply — the
-// one dispatch function of both paths, a handler goroutine's and the read
+// handle dispatches one request and returns its encoded reply — the one
+// dispatch function of both paths, a handler goroutine's and the read
 // loop's for a sole request. The pooled request frame is released only after the reply is encoded: the
 // reply body a servant returns may alias the request body it was lent (an
 // echo servant does exactly that), so the frame must outlive the encode.
-//
-// A counted dispatch leaves Inflight before its reply is queued, so a
-// caller holding the reply never reads its dispatch as still running.
-func (s *server) handle(fb *frameBuf, req wireRequest, w *frameWriter, counted bool) {
-	rep := s.orb.dispatchWire(s.baseCtx, req)
-	if counted {
-		s.orb.inflight.Add(-1)
-	}
-	enc := encodeReplyFrame(rep)
+func (s *server) handle(fb *frameBuf, req wireRequest) *cdr.Encoder {
+	enc := encodeReplyFrame(s.orb.dispatchWire(s.baseCtx, req))
 	putFrameBuf(fb)
-	w.q <- enc
-	w.combine()
+	return enc
 }
 
 // tryAdminSlot grabs one admission-bypass slot without waiting.

@@ -59,10 +59,12 @@ func InitSignalSet(s *core.SequenceSet) *core.SequenceSet {
 // retries, recorded against the transaction. Any other phase-two error is a
 // delivery error, which the coordinator's RetryPolicy retries.
 //
-// It is a core.EndpointBatcher over its resource: when the resource is
-// one too (a remote resource proxy, whose runs are of ResourceActions), a
+// A transaction enrols a participant whose resource is a
+// core.EndpointBatcher (a remote resource proxy) as a batchingAction, so a
 // same-host run of participants takes each round in one call, each reply
-// classified here (Skip, Answer) as a direct call's is.
+// classified here (Skip, Answer) as a direct call's is. Any other
+// participant is enrolled as itself, no batcher, and costs a broadcast no
+// more than a plain Action.
 //
 // It takes no lock: it relies on its caller to deliver one signal at a
 // time, with each delivery ordered before the next. A coordinator does so
@@ -79,7 +81,7 @@ type ResourceAction struct {
 
 var (
 	_ core.Action          = (*ResourceAction)(nil)
-	_ core.EndpointBatcher = (*ResourceAction)(nil)
+	_ core.EndpointBatcher = (*batchingAction)(nil)
 )
 
 // NewResourceAction wraps r.
@@ -185,19 +187,31 @@ func (a *ResourceAction) settle(sig string, err error) (core.Outcome, error) {
 	return core.Outcome{Name: OutcomeHeuristicRollback}, nil
 }
 
-// BatchEndpoint implements core.EndpointBatcher: its resource's endpoint
-// when the resource is a core.EndpointBatcher, "" otherwise.
-func (a *ResourceAction) BatchEndpoint() string {
-	if b, ok := a.resource.(core.EndpointBatcher); ok {
-		return b.BatchEndpoint()
-	}
-	return ""
+// batchingAction is a ResourceAction over a resource that is a
+// core.EndpointBatcher, made one itself: the resource names the endpoint
+// and delivers the run, whose members are batchingActions too.
+type batchingAction ResourceAction
+
+// ProcessSignal implements core.Action, as the ResourceAction does.
+func (b *batchingAction) ProcessSignal(ctx context.Context, sig core.Signal) (core.Outcome, error) {
+	return (*ResourceAction)(b).ProcessSignal(ctx, sig)
 }
 
-// DeliverBatch implements core.EndpointBatcher: its resource delivers the
-// run. A serial broadcast asks it only when BatchEndpoint is not "".
-func (a *ResourceAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
-	return a.resource.(core.EndpointBatcher).DeliverBatch(ctx, sig, run, stop, retry)
+// BatchEndpoint implements core.EndpointBatcher.
+func (b *batchingAction) BatchEndpoint() string {
+	return b.resource.(core.EndpointBatcher).BatchEndpoint()
+}
+
+// DeliverBatch implements core.EndpointBatcher.
+func (b *batchingAction) DeliverBatch(ctx context.Context, sig core.Signal, run []core.Action, stop string, retry core.RetryPolicy) ([]core.SubtreeResult, error) {
+	return b.resource.(core.EndpointBatcher).DeliverBatch(ctx, sig, run, stop, retry)
+}
+
+// Participant returns the ResourceAction a transaction enrolled as member
+// of a batched run, and false when member is not one.
+func Participant(member core.Action) (*ResourceAction, bool) {
+	b, ok := member.(*batchingAction)
+	return (*ResourceAction)(b), ok
 }
 
 // phaseTwo tallies commit replies as ResourceAction classifies them:
@@ -334,7 +348,11 @@ func (s *Service) broadcast(set core.SignalSet, rs []ResourceAction, cs core.Com
 	var buf [8]core.Action
 	run := slices.Grow(buf[:0], len(rs))
 	for i := range rs {
-		run = append(run, &rs[i])
+		var m core.Action = &rs[i]
+		if _, ok := rs[i].resource.(core.EndpointBatcher); ok {
+			m = (*batchingAction)(&rs[i])
+		}
+		run = append(run, m)
 	}
 	a := s.core.Begin(SetName)
 	// None of these can fail: the activity is fresh, nothing else holds it,

@@ -494,37 +494,55 @@ func (s *relayServant) Dispatch(ctx context.Context, op string, in *cdr.Decoder)
 	return encodeRelayReply(core.DeliverForest(ctx, batch.sig, forest, batch.retry))
 }
 
-// deliverKeyed serves a batch of a keyed kind. It resolves every key to
-// an Action or a resource servant this ORB serves, refusing the batch
-// before delivering anything if one is neither, then delivers the run in
-// order through the servants (core.DeliverRun), so a member never runs two
+// deliverKeyed serves a batch of a keyed kind. Its members are all Actions
+// or all resources, as a kind-3 or kind-4 frame names them, and as the
+// first key's servant names them in a keyed one. It resolves every key to
+// a servant of that type this ORB serves, refusing the batch before
+// delivering anything if one is not, then delivers the run in order
+// through the servants (core.DeliverRun), so a member never runs two
 // signals at once, and stops after the first member that answers b.stop
 // or fails. A resource member runs the operation the signal names, which
 // must be prepare, commit or rollback, and a prepare runs once. A
 // member's failure is worded as its direct call would have reported it.
 func (s *relayServant) deliverKeyed(ctx context.Context, b relayBatch) ([]byte, error) {
 	run := make([]core.Action, len(b.keys))
-	retry := b.retry
+	resources := b.kind == relayBatchResources
 	for i, key := range b.keys {
-		switch sv, _ := s.o.Servant(key); m := sv.(type) {
+		sv, _ := s.o.Servant(key)
+		if i == 0 && b.kind == relayBatchKeyed {
+			_, resources = sv.(*resourceServant)
+		}
+		switch m := sv.(type) {
 		case *actionServant:
-			run[i] = m
-		case *resourceServant:
-			switch b.sig.Name {
-			case ots.SignalPrepare:
-				retry.Attempts = 1
-			case ots.SignalCommit, ots.SignalRollback:
-			default:
-				return nil, orb.Systemf(orb.CodeBadOperation, "relay runs no resource operation %q", b.sig.Name)
+			if !resources {
+				run[i] = m
 			}
-			run[i] = resourceMember{m}
+		case *resourceServant:
+			if resources {
+				run[i] = resourceMember{m}
+			}
+		}
+		switch {
+		case run[i] != nil:
+		case resources:
+			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no resource %q", key)
 		default:
-			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action or resource %q", key)
+			return nil, orb.Systemf(orb.CodeObjectNotExist, "relay serves no action %q", key)
+		}
+	}
+	retry := b.retry
+	if resources {
+		switch b.sig.Name {
+		case ots.SignalPrepare:
+			retry.Attempts = 1
+		case ots.SignalCommit, ots.SignalRollback:
+		default:
+			return nil, orb.Systemf(orb.CodeBadOperation, "relay runs no resource operation %q", b.sig.Name)
 		}
 	}
 	delivered := core.DeliverRun(ctx, b.sig, run, b.stop, retry)
 	for i, r := range delivered {
-		if _, ok := run[i].(*actionServant); ok && r.Err != nil {
+		if !resources && r.Err != nil {
 			delivered[i].Err = processSignalError(b.keys[i], r.Err)
 		}
 	}

@@ -777,3 +777,39 @@ func TestRelayServesLegacyKeyedKinds(t *testing.T) {
 		t.Fatalf("kind 4 commit:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestRelayRefusesMismatchedKeyedRun pins that a keyed run is all Actions
+// or all resources: a keyed batch that mixes the two, a kind-3 frame that
+// names a resource and a kind-4 frame that names an Action are each
+// refused with OBJECT_NOT_EXIST before any member runs.
+func TestRelayRefusesMismatchedKeyedRun(t *testing.T) {
+	fx := newRelayFixture(t)
+	relay, _ := fx.host.IOR(RelayKey)
+	var acts atomic.Int32
+	action := fx.exportCounting(&acts).Key
+	var log callLog
+	resource := ExportResource(fx.host, voting(&log, ots.VoteCommit)[0]).Key
+
+	for _, tc := range []struct {
+		name       string
+		kind       byte
+		membership []byte
+	}{
+		{"keyed action then resource", relayBatchKeyed, keyedBlob(relayBatchKeyed, []string{action, resource}, "")},
+		{"keyed resource then action", relayBatchKeyed, keyedBlob(relayBatchKeyed, []string{resource, action}, ots.OutcomeAbort)},
+		{"kind 3 naming a resource", relayBatchKeys, encodeRelayKeys([]string{resource})},
+		{"kind 4 naming an action", relayBatchResources, encodeResourceKeys([]string{action}, true)},
+	} {
+		e := cdr.NewEncoder(128)
+		if err := encodeRelayBatch(e, core.Signal{Name: ots.SignalPrepare, SetName: "2pc"}, tc.kind, "", core.RetryPolicy{Attempts: 3}, tc.membership); err != nil {
+			t.Fatal(err)
+		}
+		_, err := fx.sender.Invoke(context.Background(), relay, relayOp, e.Bytes())
+		if !orb.IsSystem(err, orb.CodeObjectNotExist) {
+			t.Fatalf("%s: err = %v, want OBJECT_NOT_EXIST", tc.name, err)
+		}
+	}
+	if n, calls := acts.Load(), log.all(); n != 0 || len(calls) != 0 {
+		t.Fatalf("a refused batch ran members: %d action deliveries, resource calls %v", n, calls)
+	}
+}

@@ -220,9 +220,9 @@ func (r *remoteResource) Forget() error {
 // endpoint.
 func (r *remoteResource) BatchEndpoint() string { return r.ref.Endpoint() }
 
-// DeliverBatch implements core.EndpointBatcher for a run of
-// ots.ResourceActions over proxies on this proxy's host (the
-// ResourceAction of this one first). It sends the members that need a call
+// DeliverBatch implements core.EndpointBatcher for a run of transaction
+// participants (ots.Participant) over proxies on this proxy's host (the
+// participant over this one first). It sends the members that need a call
 // to the relay on this proxy's endpoints as one keyed batch, decodes each
 // member's reply as the direct call decodes it, and has the member's
 // ResourceAction classify it. A host that refuses the batch before running
@@ -239,7 +239,7 @@ func (r *remoteResource) DeliverBatch(ctx context.Context, sig core.Signal, run 
 	members := make([]*ots.ResourceAction, len(run))
 	keys := make([]string, 0, len(run))
 	for i, m := range run {
-		ra, ok := m.(*ots.ResourceAction)
+		ra, ok := ots.Participant(m)
 		var rr *remoteResource
 		if ok {
 			rr, ok = ra.Resource().(*remoteResource)
